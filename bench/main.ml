@@ -14,9 +14,11 @@
                   and writes machine-readable BENCH_GEN.json (circuit,
                   cost evaluations, wall seconds, evaluations/sec) for
                   the CI throughput artifact.
-   --query-bench  measures per-call query and instantiation latency
-                  (p50/p99 over 2048 seeded probes per circuit) and
-                  writes BENCH_QUERY.json for the CI latency artifact.
+   --query-bench  measures per-call engine query and instantiation
+                  latency (p50/p99 over 2048 seeded probes per circuit)
+                  and sizing-walk queries/sec, cross-checks every
+                  answer against the linear oracle, and writes
+                  BENCH_QUERY.json for the CI latency artifact.
    --par-bench    sweeps the parallel generator over jobs in {1,2,4,8}
                   on circ06, tso-cascode and benchmark24 (quick budget)
                   and writes BENCH_PAR.json: wall seconds, speedup,
@@ -42,10 +44,33 @@
    --jobs N       runs --gen-bench generation through the domain pool
                   with N workers. *)
 
+(* Seconds on the monotonic clock (nanosecond resolution: a
+   sub-microsecond engine query does not round to zero).  Defined
+   before [open Toolkit], whose [Monotonic_clock] is bechamel's
+   measure, not this clock. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 open Bechamel
 open Toolkit
 open Mps_netlist
 open Mps_core
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+
+(* p50/p99 in microseconds of one call of [f] per probe. *)
+let time_calls f probes =
+  let samples =
+    Array.map
+      (fun dims ->
+        let t0 = now () in
+        ignore (Sys.opaque_identity (f dims));
+        now () -. t0)
+      probes
+  in
+  Array.sort compare samples;
+  (percentile samples 0.50 *. 1e6, percentile samples 0.99 *. 1e6)
 
 let budget =
   if Array.exists (String.equal "--quick") Sys.argv then
@@ -95,7 +120,6 @@ let query_tests () =
   let engine = Structure.Engine.create structure in
   let session = Structure.Engine.new_session () in
   [
-    mk "compiled" Structure.query;
     mk "linear" Structure.query_linear;
     mk "engine" (fun _ dims -> Structure.Engine.query engine session dims);
   ]
@@ -175,13 +199,13 @@ let gen_bench () =
   let jobs = jobs_arg () in
   let run circuit =
     let config = E.generator_config E.Quick circuit in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     let _, stats =
       match jobs with
       | Some jobs -> Generator.generate_par ~config ~jobs circuit
       | None -> Generator.generate ~config circuit
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now () -. t0 in
     (stats.Generator.cost_evaluations, wall)
   in
   (* one warm-up generation so the first row is not charged for cold
@@ -253,43 +277,27 @@ let sizing_walk ~seed ~n structure =
       !current)
 
 (* Query-path latency and throughput: per-circuit p50/p99 of a single
-   query and of a full instantiation for both the reference compiled
-   path ([Structure.query]) and the zero-allocation engine, plus
-   queries/sec on the sizing-loop walk — the serving-path counterpart
-   of the generation-throughput numbers above.  Every probe is answered
-   by the old path, the engine and the linear oracle; any disagreement
-   is counted and fails the run (exit 1), which is the CI smoke
-   contract for BENCH_QUERY.json. *)
+   engine query and of an in-place instantiation, plus queries/sec on
+   the sizing-loop walk — the serving-path counterpart of the
+   generation-throughput numbers above.  Every probe is answered by a
+   warm engine session, by [Structure.query] (a fresh session, so no
+   hot-box cache) and by the linear oracle; any disagreement is
+   counted and fails the run (exit 1), which is the CI smoke contract
+   for BENCH_QUERY.json. *)
 let query_bench () =
   let module E = Mps_experiments.Experiments in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let time_calls f probes =
-    let samples =
-      Array.map
-        (fun dims ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Sys.opaque_identity (f dims));
-          Unix.gettimeofday () -. t0)
-        probes
-    in
-    Array.sort compare samples;
-    (percentile samples 0.50 *. 1e6, percentile samples 0.99 *. 1e6)
-  in
   (* Throughput over the walk, several passes for a stable number. *)
   let walk_reps = 5 in
   let qps f walk =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     for _ = 1 to walk_reps do
       Array.iter (fun d -> ignore (Sys.opaque_identity (f d))) walk
     done;
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now () -. t0 in
     float_of_int (walk_reps * Array.length walk) /. wall
   in
   let mismatches_total = ref 0 in
-  let results =
+  let rows =
     List.map
       (fun circuit ->
         let config = E.generator_config E.Quick circuit in
@@ -301,10 +309,11 @@ let query_bench () =
         let mismatches = ref 0 in
         let vsession = Structure.Engine.new_session () in
         let check d =
-          let a_old = fst (Structure.query structure d) in
-          let a_new = fst (Structure.Engine.query engine vsession d) in
           let a_lin = fst (Structure.query_linear structure d) in
-          if a_old <> a_lin || a_new <> a_lin then incr mismatches
+          if
+            fst (Structure.Engine.query engine vsession d) <> a_lin
+            || fst (Structure.query structure d) <> a_lin
+          then incr mismatches
         in
         Array.iter check probes;
         Array.iter check walk;
@@ -312,51 +321,34 @@ let query_bench () =
         (* Per-call latency on uniform probes. *)
         let session = Structure.Engine.new_session () in
         Array.iter
-          (fun d ->
-            ignore (Structure.instantiate structure d);
-            ignore (Structure.Engine.instantiate_into engine session d))
+          (fun d -> ignore (Structure.Engine.instantiate_into engine session d))
           (Array.sub probes 0 64);
-        let q50, q99 = time_calls (fun d -> Structure.query structure d) probes in
         let e50, e99 =
           time_calls (fun d -> Structure.Engine.query engine session d) probes
         in
-        let i50, i99 = time_calls (fun d -> Structure.instantiate structure d) probes in
         let n50, n99 =
           time_calls (fun d -> Structure.Engine.instantiate_into engine session d) probes
         in
-        (* Sizing-loop throughput, old path vs engine. *)
-        let qps_old = qps (fun d -> Structure.query structure d) walk in
         let wsession = Structure.Engine.new_session () in
-        let qps_new = qps (fun d -> Structure.Engine.query engine wsession d) walk in
+        let walk_qps = qps (fun d -> Structure.Engine.query engine wsession d) walk in
         let wstats = Structure.Engine.stats wsession in
         let hit_rate =
           float_of_int wstats.Structure.Engine.cache_hits
           /. float_of_int (max 1 wstats.Structure.Engine.queries)
         in
-        let speedup = qps_new /. qps_old in
         Printf.printf
-          "%-20s query p50 %6.2f->%5.2f us  p99 %6.2f->%5.2f us   walk %9.0f -> %9.0f \
-           q/s (%4.1fx, cache %4.1f%%)  mismatches %d\n\
+          "%-20s query p50 %5.2f us  p99 %5.2f us   instantiate p50 %5.2f us  p99 \
+           %5.2f us   walk %9.0f q/s (cache %4.1f%%)  mismatches %d\n\
            %!"
-          circuit.Circuit.name q50 e50 q99 e99 qps_old qps_new speedup
-          (100.0 *. hit_rate) !mismatches;
-        let row =
-          Printf.sprintf
-            "    { \"circuit\": %S, \"probes\": %d, \"query_p50_us\": %.3f, \
-             \"query_p99_us\": %.3f, \"engine_query_p50_us\": %.3f, \
-             \"engine_query_p99_us\": %.3f, \"instantiate_p50_us\": %.3f, \
-             \"instantiate_p99_us\": %.3f, \"engine_instantiate_p50_us\": %.3f, \
-             \"engine_instantiate_p99_us\": %.3f, \"walk_qps_old\": %.0f, \
-             \"walk_qps_engine\": %.0f, \"walk_speedup\": %.2f, \
-             \"cache_hit_rate\": %.4f, \"mismatches\": %d }"
-            circuit.Circuit.name (Array.length probes) q50 q99 e50 e99 i50 i99 n50 n99
-            qps_old qps_new speedup hit_rate !mismatches
-        in
-        (circuit.Circuit.name, speedup, row))
+          circuit.Circuit.name e50 e99 n50 n99 walk_qps (100.0 *. hit_rate) !mismatches;
+        Printf.sprintf
+          "    { \"circuit\": %S, \"probes\": %d, \"engine_query_p50_us\": %.3f, \
+           \"engine_query_p99_us\": %.3f, \"engine_instantiate_p50_us\": %.3f, \
+           \"engine_instantiate_p99_us\": %.3f, \"walk_qps_engine\": %.0f, \
+           \"cache_hit_rate\": %.4f, \"mismatches\": %d }"
+          circuit.Circuit.name (Array.length probes) e50 e99 n50 n99 walk_qps hit_rate
+          !mismatches)
       Benchmarks.all
-  in
-  let _, speedup24, _ =
-    List.find (fun (name, _, _) -> String.equal name "benchmark24") results
   in
   let oc = open_out "BENCH_QUERY.json" in
   Printf.fprintf oc
@@ -365,13 +357,10 @@ let query_bench () =
     \  \"rows\": [\n\
      %s\n\
     \  ],\n\
-    \  \"walk_speedup_benchmark24\": %.2f,\n\
     \  \"mismatches_total\": %d\n\
      }\n"
-    (String.concat ",\n" (List.map (fun (_, _, row) -> row) results))
-    speedup24 !mismatches_total;
+    (String.concat ",\n" rows) !mismatches_total;
   close_out oc;
-  Printf.printf "benchmark24 sizing-walk speedup (engine vs query): %.2fx\n" speedup24;
   Printf.printf "answer mismatches across all circuits: %d\n" !mismatches_total;
   print_endline "wrote BENCH_QUERY.json";
   if !mismatches_total > 0 then exit 1
@@ -400,28 +389,12 @@ let query_bench () =
    query mismatches. *)
 let load_bench () =
   let module E = Mps_experiments.Experiments in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let time_calls f probes =
-    let samples =
-      Array.map
-        (fun dims ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Sys.opaque_identity (f dims));
-          Unix.gettimeofday () -. t0)
-        probes
-    in
-    Array.sort compare samples;
-    (percentile samples 0.50 *. 1e6, percentile samples 0.99 *. 1e6)
-  in
   let median f reps =
     let samples =
       Array.init reps (fun _ ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = now () in
           ignore (Sys.opaque_identity (f ()));
-          Unix.gettimeofday () -. t0)
+          now () -. t0)
     in
     Array.sort compare samples;
     samples.(reps / 2)
@@ -545,13 +518,13 @@ let par_bench () =
   let run circuit jobs =
     let config = E.generator_config E.Quick circuit in
     let pool_stats = ref [||] in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     let structure, stats =
       Generator.generate_par ~config ~jobs
         ~on_pool_stats:(fun s -> pool_stats := s)
         circuit
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now () -. t0 in
     let hash = Persist.crc32_hex (Codec.to_string structure) in
     (jobs, wall, stats.Generator.cost_evaluations, hash, !pool_stats)
   in
@@ -687,10 +660,6 @@ let main () =
    per-request cost over shm. *)
 let shm_bench () =
   let module Shm = Mps_serve.Shm in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
   let dir = Filename.temp_file "mps_shmbench" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -724,11 +693,11 @@ let shm_bench () =
       (fun size ->
         let samples =
           Array.init rtts (fun _ ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = now () in
               Shm.send server payload ~off:0 ~len:size;
               ignore
                 (Shm.recv ~deadline:(Unix.gettimeofday () +. 120.0) server ~buf);
-              Unix.gettimeofday () -. t0)
+              now () -. t0)
         in
         Array.sort compare samples;
         let p50 = percentile samples 0.50 *. 1e6 in
@@ -737,7 +706,7 @@ let shm_bench () =
         (size, p50, p99))
       sizes
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let sent = ref 0 and got = ref 0 in
   while !got < pipe_frames do
     if !sent < pipe_frames && !sent - !got < pipe_window then begin
@@ -749,7 +718,7 @@ let shm_bench () =
       incr got
     end
   done;
-  let pipe_secs = Unix.gettimeofday () -. t0 in
+  let pipe_secs = now () -. t0 in
   let fps = float_of_int pipe_frames /. pipe_secs in
   Printf.printf "shm pipelined %d B x %d in flight: %d frames in %.3f s (%.0f frames/s)\n%!"
     pipe_bytes pipe_window pipe_frames pipe_secs fps;

@@ -1,37 +1,99 @@
 open Mps_geometry
 open Mps_netlist
 
-(* A frozen row: interval objects sorted by lower end, each with the
-   bitset of placement indices valid on it. *)
-type frozen_row = {
-  lows : int array;
-  highs : int array;
-  sets : Bitset.t array;
-}
+(* Two forms of the paper's rows (Fig. 3) exist: the per-axis [Row]s a
+   [Builder] grows, and the flat plan below, compiled from them once in
+   [of_placements] and used for every answer (DESIGN.md §10).  A
+   structure is its compiled plan plus the records the plan indexes;
+   [query_linear] is the reference oracle it is checked against. *)
+
+let bits_per_word = Sys.int_size
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   circuit : Circuit.t;
   stored : Stored.t array;
-  w_rows : frozen_row array;
-  h_rows : frozen_row array;
   backup : Stored.t;
   space : Dimbox.t;
   die_w : int;
   die_h : int;
+  n_blocks : int;
+  capacity : int;  (** number of stored placements *)
+  words_per_set : int;
+  tail_mask : int;  (** mask for the last word of a full set *)
+  n_rows : int;
+  lows_len : int;
+      (** usable interval slots: caps binary-search indices so even
+          garbage offsets read under a corrupted mapping stay inside
+          [lows]/[highs]/[set_words] *)
+  (* The narrowing plan, selectivity-ordered.  Row [r] tests axis
+     [row_axis.{r}] (code [2i] = width of block [i], [2i+1] = height)
+     against intervals [row_off.{r} .. row_off.{r+1} - 1] of the flat
+     arrays; interval [k]'s placement set occupies words
+     [k * words_per_set ..) of [set_words].  The arrays are int
+     bigarrays so they can either live on the heap (built by
+     [of_placements]) or be zero-copy views into a read-only file
+     mapping ([Engine.of_flat]); the query kernel is the same either
+     way. *)
+  row_axis : ints;
+  row_off : ints;
+  lows : ints;
+  highs : ints;
+  set_words : ints;
+  skipped_rows : int;
+  (* Designer dimension space flattened per axis code: [Circuit.dims_valid]
+     is exactly containment in these bounds, checked here without going
+     through the block records. *)
+  dom_lo : ints;
+  dom_hi : ints;
+  (* Every validity box flattened the same way ([box id * 2n + code]),
+     so the hot-box test is pure int-array compares; [box_in_domain]
+     (0/1 words) marks boxes fully inside the designer space, for which
+     box membership implies domain membership and the domain check can
+     be skipped. *)
+  box_lo : ints;
+  box_hi : ints;
+  box_in_domain : ints;
+  mutable checked : bool;
+      (** eq. 5 proved for [stored]: always for [of_placements]; for a
+          plan wrapped by [Engine.of_flat], once [Engine.structure] has
+          run the check (a racing second check is merely redundant) *)
 }
 
-let freeze_row ~capacity row =
-  let entries = Row.intervals row in
-  let n = List.length entries in
-  let lows = Array.make n 0 and highs = Array.make n 0 in
-  let sets = Array.init n (fun _ -> Bitset.create ~capacity) in
-  List.iteri
-    (fun k (iv, ids) ->
-      lows.(k) <- Interval.lo iv;
-      highs.(k) <- Interval.hi iv;
-      Row.Int_set.iter (fun id -> Bitset.add sets.(k) id) ids)
-    entries;
-  { lows; highs; sets }
+let ints_of_array (a : int array) : ints =
+  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
+  Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
+  b
+
+let usable_intervals ~lows ~set_words ~words_per_set =
+  min (Bigarray.Array1.dim lows) (Bigarray.Array1.dim set_words / words_per_set)
+
+let tail_mask_of capacity =
+  let used = capacity mod bits_per_word in
+  if used = 0 then -1 else (1 lsl used) - 1
+
+(* Write a box's per-axis bounds at [base + code] of [lo]/[hi]. *)
+let flatten_box box ~lo ~hi ~base =
+  for i = 0 to Dimbox.n_blocks box - 1 do
+    let wi = Dimbox.w_interval box i and hi_ = Dimbox.h_interval box i in
+    lo.(base + (2 * i)) <- Interval.lo wi;
+    hi.(base + (2 * i)) <- Interval.hi wi;
+    lo.(base + (2 * i) + 1) <- Interval.lo hi_;
+    hi.(base + (2 * i) + 1) <- Interval.hi hi_
+  done
+
+(* eq. 5: at most one stored placement answers any vector.  O(n²), the
+   check every placement set from outside goes through. *)
+let check_disjoint stored =
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if i < j && Dimbox.overlaps a.Stored.box b.Stored.box then
+            invalid_arg "Structure.of_placements: overlapping validity boxes")
+        stored)
+    stored
 
 let of_placements ?backup circuit stored =
   if Array.length stored = 0 then invalid_arg "Structure.of_placements: no placements";
@@ -41,25 +103,16 @@ let of_placements ?backup circuit stored =
       if Stored.n_blocks s <> n_blocks then
         invalid_arg "Structure.of_placements: block count mismatch")
     stored;
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if i < j && Dimbox.overlaps a.Stored.box b.Stored.box then
-            invalid_arg "Structure.of_placements: overlapping validity boxes")
-        stored)
-    stored;
+  check_disjoint stored;
   let capacity = Array.length stored in
   (* Re-register every live placement under its compact index. *)
-  let w_rows_builder = Array.make n_blocks Row.empty in
-  let h_rows_builder = Array.make n_blocks Row.empty in
+  let w_rows = Array.make n_blocks Row.empty in
+  let h_rows = Array.make n_blocks Row.empty in
   Array.iteri
     (fun id s ->
       for i = 0 to n_blocks - 1 do
-        w_rows_builder.(i) <-
-          Row.add_range w_rows_builder.(i) (Dimbox.w_interval s.Stored.box i) id;
-        h_rows_builder.(i) <-
-          Row.add_range h_rows_builder.(i) (Dimbox.h_interval s.Stored.box i) id
+        w_rows.(i) <- Row.add_range w_rows.(i) (Dimbox.w_interval s.Stored.box i) id;
+        h_rows.(i) <- Row.add_range h_rows.(i) (Dimbox.h_interval s.Stored.box i) id
       done)
     stored;
   let best = ref 0 in
@@ -74,15 +127,116 @@ let of_placements ?backup circuit stored =
     let p = stored.(0).Stored.placement in
     (p.Mps_placement.Placement.die_w, p.Mps_placement.Placement.die_h)
   in
+  let space = Circuit.dim_bounds circuit in
+  let words_per_set = max 1 ((capacity + bits_per_word - 1) / bits_per_word) in
+  (* One candidate row per axis: (code, interval objects, designer-space
+     axis interval). *)
+  let candidates =
+    List.concat
+      (List.init n_blocks (fun i ->
+           [
+             (2 * i, Row.intervals w_rows.(i), Dimbox.w_interval space i);
+             ((2 * i) + 1, Row.intervals h_rows.(i), Dimbox.h_interval space i);
+           ]))
+  in
+  (* A row narrows nothing when its single interval spans the whole
+     designer axis with every placement on it: any in-domain value maps
+     to the full set.  Skip it. *)
+  let narrows (_, objects, bounds_iv) =
+    match objects with
+    | [ (iv, ids) ] ->
+      not
+        (Interval.lo iv <= Interval.lo bounds_iv
+        && Interval.hi iv >= Interval.hi bounds_iv
+        && Row.Int_set.cardinal ids = capacity)
+    | _ -> true
+  in
+  let active, skipped = List.partition narrows candidates in
+  (* Most selective first: smallest average set, then more intervals,
+     then axis code for determinism. *)
+  let keyed =
+    List.map
+      (fun (code, objects, _) ->
+        let total =
+          List.fold_left (fun a (_, ids) -> a + Row.Int_set.cardinal ids) 0 objects
+        in
+        let len = List.length objects in
+        (float_of_int total /. float_of_int (max 1 len), len, code, objects))
+      active
+  in
+  let ordered =
+    List.stable_sort
+      (fun (avg_a, len_a, code_a, _) (avg_b, len_b, code_b, _) ->
+        match Float.compare avg_a avg_b with
+        | 0 -> (
+          match Int.compare len_b len_a with 0 -> Int.compare code_a code_b | c -> c)
+        | c -> c)
+      keyed
+  in
+  let n_rows = List.length ordered in
+  let n_intervals = List.fold_left (fun a (_, len, _, _) -> a + len) 0 ordered in
+  let row_axis = Array.make n_rows 0 in
+  let row_off = Array.make (n_rows + 1) 0 in
+  let lows = Array.make (max 1 n_intervals) 0 in
+  let highs = Array.make (max 1 n_intervals) 0 in
+  let set_words = Array.make (max 1 (n_intervals * words_per_set)) 0 in
+  let k = ref 0 in
+  List.iteri
+    (fun r (_, _, code, objects) ->
+      row_axis.(r) <- code;
+      row_off.(r) <- !k;
+      List.iter
+        (fun (iv, ids) ->
+          lows.(!k) <- Interval.lo iv;
+          highs.(!k) <- Interval.hi iv;
+          Row.Int_set.iter
+            (fun id ->
+              let w = (!k * words_per_set) + (id / bits_per_word) in
+              set_words.(w) <- set_words.(w) lor (1 lsl (id mod bits_per_word)))
+            ids;
+          incr k)
+        objects)
+    ordered;
+  row_off.(n_rows) <- !k;
+  let dom_lo = Array.make (2 * n_blocks) 0 and dom_hi = Array.make (2 * n_blocks) 0 in
+  flatten_box space ~lo:dom_lo ~hi:dom_hi ~base:0;
+  let box_lo = Array.make (capacity * 2 * n_blocks) 0 in
+  let box_hi = Array.make (capacity * 2 * n_blocks) 0 in
+  let box_in_domain =
+    Array.mapi
+      (fun id s ->
+        flatten_box s.Stored.box ~lo:box_lo ~hi:box_hi ~base:(id * 2 * n_blocks);
+        if Dimbox.contains_box ~outer:space ~inner:s.Stored.box then 1 else 0)
+      stored
+  in
+  let lows = ints_of_array lows
+  and highs = ints_of_array highs
+  and set_words = ints_of_array set_words in
   {
     circuit;
     stored = Array.copy stored;
-    w_rows = Array.map (freeze_row ~capacity) w_rows_builder;
-    h_rows = Array.map (freeze_row ~capacity) h_rows_builder;
     backup;
-    space = Circuit.dim_bounds circuit;
+    space;
     die_w;
     die_h;
+    n_blocks;
+    capacity;
+    words_per_set;
+    tail_mask = tail_mask_of capacity;
+    n_rows;
+    lows_len = usable_intervals ~lows ~set_words ~words_per_set;
+    row_axis = ints_of_array row_axis;
+    row_off = ints_of_array row_off;
+    lows;
+    highs;
+    set_words;
+    skipped_rows = List.length skipped;
+    dom_lo = ints_of_array dom_lo;
+    dom_hi = ints_of_array dom_hi;
+    box_lo = ints_of_array box_lo;
+    box_hi = ints_of_array box_hi;
+    box_in_domain = ints_of_array box_in_domain;
+    checked = true;
   }
 
 let compile ?backup builder =
@@ -175,31 +329,15 @@ let describe t =
     t.stored;
   line "  placements: %d explored + %d template pieces" !explored !template;
   line "  coverage (explored): %.6f" (coverage t);
-  let objects rows =
-    Array.fold_left (fun acc row -> acc + Array.length row.lows) 0 rows
-  in
-  line "  interval objects: %d width / %d height over %d blocks"
-    (objects t.w_rows) (objects t.h_rows) (Circuit.n_blocks t.circuit);
+  (* Every skipped row holds exactly one interval object. *)
+  line "  interval objects: %d over %d blocks"
+    (t.row_off.{t.n_rows} + t.skipped_rows)
+    t.n_blocks;
+  line "  engine: %d narrowing rows (%d skipped as non-selective)" t.n_rows t.skipped_rows;
   let best = ref t.stored.(0) in
   Array.iter (fun s -> if s.Stored.best_cost < !best.Stored.best_cost then best := s) t.stored;
   line "  best stored cost: %.1f (avg %.1f)" !best.Stored.best_cost !best.Stored.avg_cost;
   Buffer.contents buf
-
-(* Index of the interval containing [v], or -1: binary search for the
-   largest k with [lows.(k) <= v], then one inclusion test.  Returns a
-   bare index so the hit path allocates no option. *)
-let row_lookup_idx row v =
-  let lows = row.lows in
-  let l = ref 0 and h = ref (Array.length lows - 1) and k = ref (-1) in
-  while !l <= !h do
-    let mid = (!l + !h) / 2 in
-    if lows.(mid) <= v then begin
-      k := mid;
-      l := mid + 1
-    end
-    else h := mid - 1
-  done;
-  if !k >= 0 && row.highs.(!k) >= v then !k else -1
 
 type answer =
   | Stored_placement of int
@@ -211,187 +349,16 @@ let answer_to_string = function
   | Fallback -> "fallback"
   | Out_of_domain -> "out-of-domain"
 
-(* Hoisted out of [query] so the hot path neither defines a fresh
-   exception constructor per call nor pays a backtrace on the miss
-   path ([raise_notrace] below). *)
-exception Miss
-
-let query t dims =
-  if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then
-    invalid_arg "Structure.query: block count mismatch";
-  if not (Circuit.dims_valid t.circuit dims) then (Out_of_domain, t.backup)
-  else
-  let n = Circuit.n_blocks t.circuit in
-  let acc = Bitset.full ~capacity:(Array.length t.stored) in
-  let narrow row v =
-    let k = row_lookup_idx row v in
-    if k < 0 then raise_notrace Miss;
-    Bitset.inter_into acc row.sets.(k);
-    if Bitset.is_empty acc then raise_notrace Miss
-  in
-  try
-    for i = 0 to n - 1 do
-      narrow t.w_rows.(i) (Dims.width dims i);
-      narrow t.h_rows.(i) (Dims.height dims i)
-    done;
-    (* eq. 5 guarantees at most one member; the disjointness invariant
-       itself is re-proved by [Audit.run] and the test suite, not
-       re-checked per query. *)
-    match Bitset.choose acc with
-    | Some id -> (Stored_placement id, t.stored.(id))
-    | None -> (Fallback, t.backup)
-  with Miss -> (Fallback, t.backup)
-
-let query_linear t dims =
-  if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then
-    invalid_arg "Structure.query_linear: block count mismatch";
-  if not (Circuit.dims_valid t.circuit dims) then (Out_of_domain, t.backup)
-  else
-  let n = Array.length t.stored in
-  let rec scan id =
-    if id >= n then (Fallback, t.backup)
-    else if Dimbox.contains t.stored.(id).Stored.box dims then
-      (Stored_placement id, t.stored.(id))
-    else scan (id + 1)
-  in
-  scan 0
-
-let instantiate t dims =
-  match query t dims with
-  | Stored_placement _, s -> Stored.instantiate_auto s dims
-  | (Fallback | Out_of_domain), s -> Stored.instantiate_repacked s dims
-
-(* L1 distance from a vector to a box: sum over axes of the distance to
-   the axis interval. *)
-let box_distance box dims =
-  let n = Dimbox.n_blocks box in
-  let axis_distance iv v =
-    let lo = Interval.lo iv and hi = Interval.hi iv in
-    if v < lo then lo - v else if v > hi then v - hi else 0
-  in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc + axis_distance (Dimbox.w_interval box i) (Dims.width dims i);
-    acc := !acc + axis_distance (Dimbox.h_interval box i) (Dims.height dims i)
-  done;
-  !acc
-
-let nearest t dims =
-  if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then
-    invalid_arg "Structure.nearest: block count mismatch";
-  let best = ref 0 and best_d = ref max_int in
-  Array.iteri
-    (fun id s ->
-      let d = box_distance s.Stored.box dims in
-      if
-        d < !best_d
-        || (d = !best_d && s.Stored.best_cost < t.stored.(!best).Stored.best_cost)
-      then begin
-        best := id;
-        best_d := d
-      end)
-    t.stored;
-  !best
-
-let instantiate_nearest t dims =
-  match query t dims with
-  | Stored_placement _, s -> Stored.instantiate_auto s dims
-  | (Fallback | Out_of_domain), _ ->
-    Stored.instantiate_repacked t.stored.(nearest t dims) dims
-
-let to_builder t =
-  let builder = Builder.create t.circuit in
-  Array.iter (fun s -> ignore (Builder.resolve_and_store builder s)) t.stored;
-  builder
-
-let instantiate_cost ?(weights = Mps_cost.Cost.default_weights) t dims =
-  let rects = instantiate t dims in
-  let cost = Mps_cost.Cost.total ~weights t.circuit ~die_w:t.die_w ~die_h:t.die_h rects in
-  (rects, cost)
-
 (* ------------------------------------------------------------------ *)
-(* The compiled query engine (DESIGN.md §10).
-
-   [query] above walks the frozen rows in fixed block order, allocates
-   a fresh full bitset per call and intersects through boxed [Bitset.t]
-   objects.  The engine compiles the same rows once into contiguous int
-   arrays (interval bounds and set words flattened side by side),
-   orders the narrowing sequence by selectivity, drops rows that can
-   never narrow, and keeps all per-query scratch in a reusable
-   [session] — so a steady-state query allocates nothing.  A hot-box
-   cache answers the common sizing-loop case (consecutive queries
-   landing in the same validity box) with one [Dimbox.contains].
-   [query]/[query_linear] remain the reference oracles. *)
+(* The query engine (DESIGN.md §10): the kernel over the flat plan.
+   All per-query scratch lives in a reusable [session], so a
+   steady-state query allocates nothing.  A hot-box cache answers the
+   common sizing-loop case (consecutive queries landing in the same
+   validity box) with one box test. *)
 
 module Engine = struct
-  let bits_per_word = Sys.int_size
-
-  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  (* What the engine actually needs of its origin: the stored records
-     (for instantiation), the backup, circuit and die.  The full
-     structure — frozen rows included — is only materialized on demand
-     ([structure] below), so an engine loaded from an MPSZ mapping
-     (Zcodec) never pays the O(n²) overlap re-validation and row
-     rebuild unless somebody asks for the heap structure. *)
-  type source = {
-    s_circuit : Circuit.t;
-    s_stored : Stored.t array;
-    s_backup : Stored.t;
-    s_space : Dimbox.t;
-    s_die_w : int;
-    s_die_h : int;
-    mutable s_full : t option;
-  }
-
-  type t = {
-    src : source;
-    n_blocks : int;
-    capacity : int;  (** number of stored placements *)
-    words_per_set : int;
-    tail_mask : int;  (** mask for the last word of a full set *)
-    n_rows : int;
-    lows_len : int;
-        (** usable interval slots: caps binary-search indices so even
-            garbage offsets read under a corrupted mapping stay inside
-            [lows]/[highs]/[set_words] *)
-    (* The narrowing plan, selectivity-ordered.  Row [r] tests axis
-       [row_axis.{r}] (code [2i] = width of block [i], [2i+1] = height)
-       against intervals [row_off.{r} .. row_off.{r+1} - 1] of the flat
-       arrays; interval [k]'s placement set occupies words
-       [k * words_per_set ..) of [set_words].  The arrays are int
-       bigarrays so they can either live on the heap (built by
-       [create]) or be zero-copy views into a read-only file mapping
-       ([of_flat]); the query kernel is the same either way. *)
-    row_axis : ints;
-    row_off : ints;
-    lows : ints;
-    highs : ints;
-    set_words : ints;
-    skipped_rows : int;
-    (* Designer dimension space flattened per axis code (2i = width of
-       block i, 2i+1 = height): [Circuit.dims_valid] is exactly
-       containment in these bounds, checked here without going through
-       the block records. *)
-    dom_lo : ints;
-    dom_hi : ints;
-    (* Every validity box flattened the same way ([box id * 2n + code]),
-       so the hot-box test is pure int-array compares; [box_in_domain]
-       (0/1 words) marks boxes fully inside the designer space, for
-       which box membership implies domain membership and the domain
-       check can be skipped. *)
-    box_lo : ints;
-    box_hi : ints;
-    box_in_domain : ints;
-  }
-
-  let ints_of_array (a : int array) : ints =
-    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
-    Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
-    b
-
-  let usable_intervals ~lows ~set_words ~words_per_set =
-    min (Bigarray.Array1.dim lows) (Bigarray.Array1.dim set_words / words_per_set)
+  type nonrec t = t
+  type nonrec ints = ints
 
   type session = {
     mutable owner : t option;  (** engine the scratch is currently sized for *)
@@ -413,155 +380,23 @@ module Engine = struct
     out_of_domain : int;
   }
 
-  let create src =
-    let n_blocks = Circuit.n_blocks src.circuit in
-    let capacity = Array.length src.stored in
-    let words_per_set = max 1 ((capacity + bits_per_word - 1) / bits_per_word) in
-    let tail_mask =
-      let used = capacity mod bits_per_word in
-      if used = 0 then -1 else (1 lsl used) - 1
-    in
-    (* One candidate row per axis: (code, frozen_row, designer-space
-       axis interval). *)
-    let candidates =
-      List.concat
-        (List.init n_blocks (fun i ->
-             [
-               (2 * i, src.w_rows.(i), Dimbox.w_interval src.space i);
-               ((2 * i) + 1, src.h_rows.(i), Dimbox.h_interval src.space i);
-             ]))
-    in
-    (* A row narrows nothing when its single interval spans the whole
-       designer axis with every placement on it: any in-domain value
-       maps to the full set.  Skip it. *)
-    let narrows (_, (row : frozen_row), bounds_iv) =
-      not
-        (Array.length row.lows = 1
-        && row.lows.(0) <= Interval.lo bounds_iv
-        && row.highs.(0) >= Interval.hi bounds_iv
-        && Bitset.cardinal row.sets.(0) = capacity)
-    in
-    let active, skipped = List.partition narrows candidates in
-    (* Most selective first: smallest average set, then more intervals,
-       then axis code for determinism. *)
-    let avg_set (_, (row : frozen_row), _) =
-      let total = Array.fold_left (fun a s -> a + Bitset.cardinal s) 0 row.sets in
-      float_of_int total /. float_of_int (max 1 (Array.length row.sets))
-    in
-    let ordered =
-      List.stable_sort
-        (fun ((ca, (ra : frozen_row), _) as a) ((cb, (rb : frozen_row), _) as b) ->
-          match Float.compare (avg_set a) (avg_set b) with
-          | 0 -> (
-            match Int.compare (Array.length rb.lows) (Array.length ra.lows) with
-            | 0 -> Int.compare ca cb
-            | c -> c)
-          | c -> c)
-        active
-    in
-    let n_rows = List.length ordered in
-    let n_intervals =
-      List.fold_left
-        (fun a (_, (row : frozen_row), _) -> a + Array.length row.lows)
-        0 ordered
-    in
-    let row_axis = Array.make n_rows 0 in
-    let row_off = Array.make (n_rows + 1) 0 in
-    let lows = Array.make (max 1 n_intervals) 0 in
-    let highs = Array.make (max 1 n_intervals) 0 in
-    let set_words = Array.make (max 1 (n_intervals * words_per_set)) 0 in
-    let cursor = ref 0 in
-    List.iteri
-      (fun r (code, (row : frozen_row), _) ->
-        row_axis.(r) <- code;
-        row_off.(r) <- !cursor;
-        Array.iteri
-          (fun j lo ->
-            let k = !cursor + j in
-            lows.(k) <- lo;
-            highs.(k) <- row.highs.(j);
-            Bitset.iter row.sets.(j) ~f:(fun id ->
-                let w = (k * words_per_set) + (id / bits_per_word) in
-                set_words.(w) <- set_words.(w) lor (1 lsl (id mod bits_per_word))))
-          row.lows;
-        cursor := !cursor + Array.length row.lows)
-      ordered;
-    row_off.(n_rows) <- !cursor;
-    let dom_lo = Array.make (2 * n_blocks) 0 and dom_hi = Array.make (2 * n_blocks) 0 in
-    for i = 0 to n_blocks - 1 do
-      let wi = Dimbox.w_interval src.space i and hi_ = Dimbox.h_interval src.space i in
-      dom_lo.(2 * i) <- Interval.lo wi;
-      dom_hi.(2 * i) <- Interval.hi wi;
-      dom_lo.((2 * i) + 1) <- Interval.lo hi_;
-      dom_hi.((2 * i) + 1) <- Interval.hi hi_
-    done;
-    let box_lo = Array.make (capacity * 2 * n_blocks) 0 in
-    let box_hi = Array.make (capacity * 2 * n_blocks) 0 in
-    let box_in_domain = Array.make capacity 0 in
-    Array.iteri
-      (fun id s ->
-        let box = s.Stored.box in
-        let base = id * 2 * n_blocks in
-        for i = 0 to n_blocks - 1 do
-          let wi = Dimbox.w_interval box i and hi_ = Dimbox.h_interval box i in
-          box_lo.(base + (2 * i)) <- Interval.lo wi;
-          box_hi.(base + (2 * i)) <- Interval.hi wi;
-          box_lo.(base + (2 * i) + 1) <- Interval.lo hi_;
-          box_hi.(base + (2 * i) + 1) <- Interval.hi hi_
-        done;
-        box_in_domain.(id) <-
-          (if Dimbox.contains_box ~outer:src.space ~inner:box then 1 else 0))
-      src.stored;
-    let lows = ints_of_array lows
-    and highs = ints_of_array highs
-    and set_words = ints_of_array set_words in
-    {
-      src =
-        {
-          s_circuit = src.circuit;
-          s_stored = src.stored;
-          s_backup = src.backup;
-          s_space = src.space;
-          s_die_w = src.die_w;
-          s_die_h = src.die_h;
-          s_full = Some src;
-        };
-      n_blocks;
-      capacity;
-      words_per_set;
-      tail_mask;
-      n_rows;
-      lows_len = usable_intervals ~lows ~set_words ~words_per_set;
-      row_axis = ints_of_array row_axis;
-      row_off = ints_of_array row_off;
-      lows;
-      highs;
-      set_words;
-      skipped_rows = List.length skipped;
-      dom_lo = ints_of_array dom_lo;
-      dom_hi = ints_of_array dom_hi;
-      box_lo = ints_of_array box_lo;
-      box_hi = ints_of_array box_hi;
-      box_in_domain = ints_of_array box_in_domain;
-    }
+  let create s = s
 
-  (* Materialize the full structure (frozen rows included) for callers
-     that need the reference paths.  O(1) for [create]d engines; an
-     engine loaded from a flat mapping compiles it on first demand and
-     memoizes. *)
+  (* A plan wrapped by [of_flat] has not been through [of_placements]:
+     prove eq. 5 over its placements before it may pass as a
+     structure. *)
   let structure t =
-    match t.src.s_full with
-    | Some s -> s
-    | None ->
-      let s = of_placements ~backup:t.src.s_backup t.src.s_circuit t.src.s_stored in
-      t.src.s_full <- Some s;
-      s
+    if not t.checked then begin
+      check_disjoint t.stored;
+      t.checked <- true
+    end;
+    t
 
-  let circuit t = t.src.s_circuit
-  let backup t = t.src.s_backup
+  let circuit t = t.circuit
+  let backup t = t.backup
   let n_stored t = t.capacity
-  let stored_at t id = t.src.s_stored.(id)
-  let die t = (t.src.s_die_w, t.src.s_die_h)
+  let stored_at t id = t.stored.(id)
+  let die t = (t.die_w, t.die_h)
   let n_active_rows t = t.n_rows
   let n_skipped_rows t = t.skipped_rows
 
@@ -580,15 +415,15 @@ module Engine = struct
 
   (* (Re)size the scratch for [t].  A session is engine-agnostic: the
      first query against a different engine rebinds it (and drops the
-     hot-box entry, which indexes the previous engine's placements). *)
+     hot-box entry, which indexes the previous engine's placements).
+     The rect buffer is sized by [instantiate_into], its only user, so
+     a one-shot [Structure.query] session never allocates it. *)
   let bind t session =
     match session.owner with
     | Some o when o == t -> ()
     | _ ->
       if Array.length session.acc < t.words_per_set then
         session.acc <- Array.make t.words_per_set 0;
-      if Array.length session.rects <> t.n_blocks then
-        session.rects <- Array.init t.n_blocks (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
       session.owner <- Some t;
       session.last <- -1
 
@@ -745,9 +580,9 @@ module Engine = struct
 
   let query t session dims =
     match query_id t session dims with
-    | -2 -> (Out_of_domain, t.src.s_backup)
-    | -1 -> (Fallback, t.src.s_backup)
-    | id -> (Stored_placement id, t.src.s_stored.(id))
+    | -2 -> (Out_of_domain, t.backup)
+    | -1 -> (Fallback, t.backup)
+    | id -> (Stored_placement id, t.stored.(id))
 
   (* Fill the session's rect buffer in place and return it: valid until
      the session's next [instantiate_into].  Fallback and template-like
@@ -756,9 +591,11 @@ module Engine = struct
   let instantiate_into t session dims =
     let id = query_id t session dims in
     if id >= 0 then begin
-      let s = t.src.s_stored.(id) in
+      let s = t.stored.(id) in
       if Dimbox.contains s.Stored.expansion dims then begin
         let coords = s.Stored.placement.Mps_placement.Placement.coords in
+        if Array.length session.rects <> t.n_blocks then
+          session.rects <- Array.init t.n_blocks (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
         let rects = session.rects in
         for i = 0 to t.n_blocks - 1 do
           let x, y = coords.(i) in
@@ -768,20 +605,17 @@ module Engine = struct
       end
       else Stored.instantiate_repacked s dims
     end
-    else Stored.instantiate_repacked t.src.s_backup dims
+    else Stored.instantiate_repacked t.backup dims
 
   (* Freshly allocated floorplan (safe to retain), same answers. *)
   let instantiate t session dims =
     let id = query_id t session dims in
-    if id >= 0 then Stored.instantiate_auto t.src.s_stored.(id) dims
-    else Stored.instantiate_repacked t.src.s_backup dims
+    if id >= 0 then Stored.instantiate_auto t.stored.(id) dims
+    else Stored.instantiate_repacked t.backup dims
 
   let instantiate_cost ?(weights = Mps_cost.Cost.default_weights) t session dims =
     let rects = instantiate_into t session dims in
-    let cost =
-      Mps_cost.Cost.total ~weights t.src.s_circuit ~die_w:t.src.s_die_w
-        ~die_h:t.src.s_die_h rects
-    in
+    let cost = Mps_cost.Cost.total ~weights t.circuit ~die_w:t.die_w ~die_h:t.die_h rects in
     (rects, cost)
 
   (* Batch serving: fan contiguous chunks across the pool in task
@@ -831,10 +665,8 @@ module Engine = struct
 
   let describe t session =
     let buf = Buffer.create 512 in
-    Buffer.add_string buf (describe (structure t));
+    Buffer.add_string buf (describe t);
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-    line "  engine: %d narrowing rows (%d skipped as non-selective), %d intervals"
-      (n_active_rows t) t.skipped_rows t.row_off.{t.n_rows};
     let s = stats session in
     line "  queries: %d (%d stored hits, %d fallbacks, %d out-of-domain)" s.queries
       s.stored_hits s.fallbacks s.out_of_domain;
@@ -920,38 +752,27 @@ module Engine = struct
     if dim f.f_dom_lo <> 2 * n_blocks || dim f.f_dom_hi <> 2 * n_blocks then
       fail "domain table length mismatch";
     let space = Circuit.dim_bounds circuit in
-    for i = 0 to n_blocks - 1 do
-      let wi = Dimbox.w_interval space i and hi_ = Dimbox.h_interval space i in
-      if
-        f.f_dom_lo.{2 * i} <> Interval.lo wi
-        || f.f_dom_hi.{2 * i} <> Interval.hi wi
-        || f.f_dom_lo.{(2 * i) + 1} <> Interval.lo hi_
-        || f.f_dom_hi.{(2 * i) + 1} <> Interval.hi hi_
-      then fail "domain bounds disagree with the circuit"
+    let dom_lo = Array.make (2 * n_blocks) 0 and dom_hi = Array.make (2 * n_blocks) 0 in
+    flatten_box space ~lo:dom_lo ~hi:dom_hi ~base:0;
+    for j = 0 to (2 * n_blocks) - 1 do
+      if f.f_dom_lo.{j} <> dom_lo.(j) || f.f_dom_hi.{j} <> dom_hi.(j) then
+        fail "domain bounds disagree with the circuit"
     done;
     if dim f.f_box_lo <> capacity * 2 * n_blocks || dim f.f_box_hi <> capacity * 2 * n_blocks
     then fail "box table length mismatch";
     if dim f.f_box_in_domain <> capacity then fail "box_in_domain length mismatch";
     let die_w, die_h = die in
-    let tail_mask =
-      let used = capacity mod bits_per_word in
-      if used = 0 then -1 else (1 lsl used) - 1
-    in
     {
-      src =
-        {
-          s_circuit = circuit;
-          s_stored = Array.copy stored;
-          s_backup = backup;
-          s_space = space;
-          s_die_w = die_w;
-          s_die_h = die_h;
-          s_full = None;
-        };
+      circuit;
+      stored = Array.copy stored;
+      backup;
+      space;
+      die_w;
+      die_h;
       n_blocks;
       capacity;
       words_per_set = wps;
-      tail_mask;
+      tail_mask = tail_mask_of capacity;
       n_rows;
       lows_len = usable_intervals ~lows:f.f_lows ~set_words:f.f_set_words ~words_per_set:wps;
       row_axis = f.f_row_axis;
@@ -965,5 +786,71 @@ module Engine = struct
       box_lo = f.f_box_lo;
       box_hi = f.f_box_hi;
       box_in_domain = f.f_box_in_domain;
+      checked = false;
     }
 end
+
+(* Every answer below goes through the engine on a fresh session; the
+   only other query implementation is the linear oracle. *)
+
+let query t dims = Engine.query t (Engine.new_session ()) dims
+let instantiate t dims = Engine.instantiate t (Engine.new_session ()) dims
+
+let instantiate_cost ?weights t dims =
+  Engine.instantiate_cost ?weights t (Engine.new_session ()) dims
+
+let query_linear t dims =
+  if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then
+    invalid_arg "Structure.query_linear: block count mismatch";
+  if not (Circuit.dims_valid t.circuit dims) then (Out_of_domain, t.backup)
+  else
+  let n = Array.length t.stored in
+  let rec scan id =
+    if id >= n then (Fallback, t.backup)
+    else if Dimbox.contains t.stored.(id).Stored.box dims then
+      (Stored_placement id, t.stored.(id))
+    else scan (id + 1)
+  in
+  scan 0
+
+(* L1 distance from a vector to a box: sum over axes of the distance to
+   the axis interval. *)
+let box_distance box dims =
+  let n = Dimbox.n_blocks box in
+  let axis_distance iv v =
+    let lo = Interval.lo iv and hi = Interval.hi iv in
+    if v < lo then lo - v else if v > hi then v - hi else 0
+  in
+  let acc = ref 0 in
+  for i = 0 to n - 1 do
+    acc := !acc + axis_distance (Dimbox.w_interval box i) (Dims.width dims i);
+    acc := !acc + axis_distance (Dimbox.h_interval box i) (Dims.height dims i)
+  done;
+  !acc
+
+let nearest t dims =
+  if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then
+    invalid_arg "Structure.nearest: block count mismatch";
+  let best = ref 0 and best_d = ref max_int in
+  Array.iteri
+    (fun id s ->
+      let d = box_distance s.Stored.box dims in
+      if
+        d < !best_d
+        || (d = !best_d && s.Stored.best_cost < t.stored.(!best).Stored.best_cost)
+      then begin
+        best := id;
+        best_d := d
+      end)
+    t.stored;
+  !best
+
+let instantiate_nearest t dims =
+  match Engine.query_id t (Engine.new_session ()) dims with
+  | id when id >= 0 -> Stored.instantiate_auto t.stored.(id) dims
+  | _ -> Stored.instantiate_repacked t.stored.(nearest t dims) dims
+
+let to_builder t =
+  let builder = Builder.create t.circuit in
+  Array.iter (fun s -> ignore (Builder.resolve_and_store builder s)) t.stored;
+  builder

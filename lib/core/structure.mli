@@ -2,11 +2,16 @@
     [M : V -> Π] (eqs. 1 and 4).
 
     Generated once per circuit topology and then queried repeatedly
-    inside a synthesis loop: a query walks one width row and one height
-    row per block (binary search over the frozen interval objects of
-    Fig. 3), intersects the returned placement-index bitsets, and yields
-    the single valid placement — or the backup template placement when
-    the dimensions fall in uncovered space (§3.1.4). *)
+    inside a synthesis loop.  The rows of Fig. 3 exist in two forms:
+    the per-axis {!Row}s a {!Builder} grows, and the flat plan
+    {!of_placements} compiles from them once — interval bounds and
+    placement-set words in contiguous int arrays, one row per axis in
+    selectivity order.  Every answer ({!query}, {!instantiate},
+    {!Engine}) binary-searches that plan, intersects the set words and
+    yields the single valid placement, or the backup template placement
+    when the dimensions fall in uncovered space (§3.1.4).
+    {!query_linear} is the reference oracle the plan is checked
+    against. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -14,16 +19,18 @@ open Mps_netlist
 type t
 
 val compile : ?backup:Stored.t -> Builder.t -> t
-(** Freeze a builder.  [backup] is the template-like placement answering
-    queries in uncovered dimension space (paper §3.1.4); it defaults to
-    the stored placement with the lowest best cost.
+(** Compile a builder's live placements.  [backup] is the template-like
+    placement answering queries in uncovered dimension space (paper
+    §3.1.4); it defaults to the stored placement with the lowest best
+    cost.
     @raise Invalid_argument on an empty builder. *)
 
 val of_placements : ?backup:Stored.t -> Circuit.t -> Stored.t array -> t
 (** Compile directly from stored placements (used when loading a saved
-    structure).  @raise Invalid_argument when the array is empty, a
-    placement's block count mismatches the circuit, or two validity
-    boxes overlap (eq. 5 would break). *)
+    structure): checks eq. 5 and builds the query plan.
+    @raise Invalid_argument when the array is empty, a placement's
+    block count mismatches the circuit, or two validity boxes overlap
+    (eq. 5 would break). *)
 
 val of_placements_lenient :
   ?backup:Stored.t -> Circuit.t -> Stored.t array -> t * int list
@@ -65,7 +72,7 @@ val coverage_sampled : seed:int -> samples:int -> t -> float
 
 val describe : t -> string
 (** Multi-line human-readable summary: placement counts, coverage, die,
-    interval-object statistics of the frozen rows. *)
+    interval objects and the shape of the query plan. *)
 
 (** How a query was answered. *)
 type answer =
@@ -88,9 +95,9 @@ val query : t -> Dims.t -> answer * Stored.t
     even inside the designer dimension space.  Total for any vector
     with the right block count.
 
-    This is the reference compiled path; serving-scale callers should
-    prefer {!Engine.query}, which answers identically but allocates
-    nothing in steady state.
+    {!Engine.query} on a fresh session; serving-scale callers keep one
+    {!Engine.session} instead, which makes steady-state queries
+    allocation-free.
     @raise Invalid_argument on block-count mismatch. *)
 
 val instantiate : t -> Dims.t -> Rect.t array
@@ -105,8 +112,9 @@ val instantiate_cost :
 (** {!instantiate} plus the cost of the resulting floorplan. *)
 
 val query_linear : t -> Dims.t -> answer * Stored.t
-(** Reference implementation scanning all stored boxes; used for the
-    compiled-vs-linear ablation and as a test oracle. *)
+(** The reference oracle: scans all stored boxes.  Used for the
+    compiled-vs-linear ablation, the audit's query probes and the test
+    suites. *)
 
 val nearest : t -> Dims.t -> int
 (** Index of the stored placement whose validity box is closest to the
@@ -125,22 +133,21 @@ val to_builder : t -> Builder.t
 
 val die : t -> int * int
 
-(** The compiled zero-allocation query engine (DESIGN.md §10).
+(** The query engine over the compiled plan (DESIGN.md §10).
 
-    [Engine.create] flattens the frozen per-block rows into contiguous
-    int arrays (interval bounds plus bitset words side by side), orders
-    the narrowing sequence by selectivity (smallest average placement
-    set first), and drops rows that cannot narrow (a single interval
+    A structure's plan is built once by {!of_placements}: it orders the
+    narrowing rows by selectivity (smallest average placement set
+    first) and drops rows that cannot narrow (a single interval
     spanning the whole designer axis with every placement on it).  All
     per-query scratch lives in a reusable {!Engine.session}, so
     steady-state queries and {!Engine.instantiate_into} allocate
     nothing; a hot-box cache answers consecutive queries landing in the
     same validity box — the dominant sizing-loop case — with a single
-    [Dimbox.contains].
+    box test.
 
-    Answers are always identical to {!query} / {!query_linear}
-    (property-tested on every Table 1 circuit and re-checked by the
-    audit's query probes). *)
+    Answers are always identical to {!query_linear} (property-tested on
+    every Table 1 circuit and re-checked by the audit's query
+    probes). *)
 module Engine : sig
   type structure := t
 
@@ -164,20 +171,19 @@ module Engine : sig
   }
 
   val create : structure -> t
-  (** Compile the narrowing plan.  O(total interval objects); done once
-      per structure, amortized over every query that follows. *)
+  (** The structure's plan, compiled by {!of_placements}.  O(1). *)
 
   val structure : t -> structure
-  (** The full heap structure behind the engine.  O(1) for engines
-      built by {!create}; an engine loaded from a flat mapping
-      ({!of_flat} via {!Zcodec}) compiles it on first demand (the
-      O(n²) validation and row rebuild the flat path exists to avoid)
-      and memoizes the result. *)
+  (** The structure behind the engine.  O(1) for engines obtained by
+      {!create}; an engine loaded from a flat mapping ({!of_flat} via
+      {!Zcodec}) first runs {!of_placements}' O(n²) eq. 5 disjointness
+      check on its placements (the validation the flat path exists to
+      avoid), once.
+      @raise Invalid_argument when two validity boxes overlap. *)
 
   val circuit : t -> Circuit.t
   val backup : t -> Stored.t
-  (** The template placement answering fallback queries — O(1), no
-      structure materialization. *)
+  (** The template placement answering fallback queries. *)
 
   val n_stored : t -> int
   (** Stored placements (backup territory pieces included) — the valid
@@ -191,9 +197,8 @@ module Engine : sig
   val new_session : unit -> session
 
   val query : t -> session -> Dims.t -> answer * Stored.t
-  (** Same contract and answers as {!Structure.query}; allocates only
-      the result pair.  @raise Invalid_argument on block-count
-      mismatch. *)
+  (** The contract of {!Structure.query}; allocates only the result
+      pair.  @raise Invalid_argument on block-count mismatch. *)
 
   val query_id : t -> session -> Dims.t -> int
   (** The allocation-free primitive behind {!query}: the stored
@@ -237,13 +242,13 @@ module Engine : sig
   (** Rows dropped because they could never narrow. *)
 
   val describe : t -> session -> string
-  (** {!Structure.describe} of the source plus plan shape and the
-      session's query / hot-box-cache hit-rate counters. *)
+  (** {!Structure.describe} of the plan plus the session's query /
+      hot-box-cache hit-rate counters. *)
 
   type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-  (** The engine's array substrate: plain heap vectors for {!create}d
-      engines, zero-copy sub-views of a read-only file mapping for
-      engines loaded through {!Zcodec}.  The query kernel is identical
+  (** The engine's array substrate: plain heap vectors for plans
+      compiled by {!of_placements}, zero-copy sub-views of a read-only
+      file mapping for engines loaded through {!Zcodec}.  The query kernel is identical
       either way. *)
 
   (** The compiled plan as bare int vectors — the exchange form the

@@ -2,8 +2,7 @@
     (DESIGN.md §12).
 
     The text format ({!Codec}) stores placements and recompiles on
-    load — parse, O(n²) overlap validation, row freeze, engine
-    flattening.  MPSZ stores the {e compiled engine} itself: the flat
+    load — parse, O(n²) overlap validation, plan compilation.  MPSZ stores the {e compiled engine} itself: the flat
     int vectors of {!Structure.Engine} as little-endian 8-byte words,
     prefixed by a self-describing section table.  Loading maps the file
     read-only ({!Persist.map_words}) and wraps the mapped words as an
@@ -82,8 +81,8 @@ type section = { tag : string; off_words : int; len_words : int }
 (** A loaded container: a ready engine plus the size breakdown. *)
 type view = {
   engine : Structure.Engine.t;
-      (** Query-ready; {!Structure.Engine.structure} materializes the
-          full heap structure on demand. *)
+      (** Query-ready; {!Structure.Engine.structure} runs the eq. 5
+          check once and hands it out as a structure. *)
   n_stored : int;  (** Stored placements (backup excluded). *)
   n_pool : int;  (** Distinct coordinate arrays in the pool. *)
   bytes : int;  (** Container size on disk. *)

@@ -415,7 +415,7 @@ let ablation_query ?(budget = Quick) () =
       ~headers:[ "Implementation"; "Time/query" ]
       ~rows:
         [
-          [ "compiled bitset rows"; Text_table.microseconds t_compiled ];
+          [ "compiled plan (engine)"; Text_table.microseconds t_compiled ];
           [ "linear box scan"; Text_table.microseconds t_linear ];
         ]
 

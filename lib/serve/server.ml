@@ -118,6 +118,8 @@ let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault
      and accept must not block the whole accept loop. *)
   Unix.set_nonblock listen_fd;
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  (* a full pipe already wakes the loop; [wake] must never block *)
+  Unix.set_nonblock wake_w;
   let stopping = Atomic.make false in
   let sup =
     Supervisor.create ?fault ?shm_hooks ~config ~transport:tr ~store ~stopping ()
@@ -144,11 +146,11 @@ let kill_worker t slot = Supervisor.kill_worker t.sup slot
 let wake t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 'w') 0 1) with Unix.Unix_error _ -> ()
 
+(* Lock-free (a flag and a pipe write), so it is safe in a signal
+   handler that may interrupt a thread holding the supervisor mutex;
+   [run] wakes the workers once its accept loop has seen the flag. *)
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Supervisor.notify_stop t.sup;
-    wake t
-  end
+  if not (Atomic.exchange t.stopping true) then wake t
 
 let abort t =
   Atomic.set t.aborted true;
@@ -160,8 +162,8 @@ let abort t =
   wake t
 
 let install_sigterm t =
-  (* Keep the handler minimal (atomic flag + pipe write): the full
-     drain happens on the accept thread, never in signal context. *)
+  (* [stop] takes no lock: the full drain happens on the accept
+     thread, never in signal context. *)
   let handle = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigterm handle;
   Sys.set_signal Sys.sigint handle
@@ -218,6 +220,7 @@ let run t =
       if List.mem t.wake_r ready then drain_wake t;
       if List.mem t.listen_fd ready && not (Atomic.get t.stopping) then do_accept t
   done;
+  Supervisor.notify_stop t.sup;
   close_listener t;
   if Atomic.get t.aborted then
     (* simulated crash: sever everything, no drain, no farewells *)

@@ -77,8 +77,8 @@ type entry = {
   engine : Structure.Engine.t;
       (** Query-ready; for structure-level metadata use the engine
           accessors ({!Structure.Engine.backup},
-          {!Structure.Engine.n_stored}, ...) — they are O(1) and do not
-          materialize the heap structure. *)
+          {!Structure.Engine.n_stored}, ...) — they are O(1) and skip
+          {!Structure.Engine.structure}'s eq. 5 check. *)
   epoch : int;  (** Monotonic per circuit, starting at 1. *)
   degraded : bool;  (** Replies from this entry carry the degraded flag. *)
   backup_only : bool;

@@ -35,4 +35,5 @@ let () =
       ("csv", Test_csv.suite);
       ("integration", Test_integration.suite);
       ("zcodec", Test_zcodec.suite);
+      ("pinned", Test_pinned.suite);
     ]

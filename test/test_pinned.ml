@@ -1,0 +1,66 @@
+(* Pinned artifacts: the benchmark24 quick-budget structure, as the
+   sizing-loop benchmark and the bench harness load it, must serialize
+   to the same bytes and compile to the same query plan as the
+   revisions those pins were taken from.  A change that moves either
+   value changes what every saved structure and MPSZ container holds,
+   so it has to update the pins on purpose. *)
+
+open Mps_netlist
+open Mps_core
+module E = Mps_experiments.Experiments
+
+let structure =
+  lazy
+    (let circuit = Benchmarks.benchmark24 in
+     fst
+       (Generator.generate_par ~config:(E.generator_config E.Quick circuit) ~jobs:1
+          circuit))
+
+(* MD5 over every field of the flat plan: scalars, then each vector's
+   length and words, in declaration order. *)
+let plan_digest structure =
+  let f = Structure.Engine.flatten (Structure.Engine.create structure) in
+  let buf = Buffer.create 4096 in
+  let word v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let vector (v : Structure.Engine.ints) =
+    word (Bigarray.Array1.dim v);
+    for i = 0 to Bigarray.Array1.dim v - 1 do
+      word v.{i}
+    done
+  in
+  let open Structure.Engine in
+  word f.f_capacity;
+  word f.f_words_per_set;
+  word f.f_skipped_rows;
+  List.iter vector
+    [
+      f.f_row_axis;
+      f.f_row_off;
+      f.f_lows;
+      f.f_highs;
+      f.f_set_words;
+      f.f_dom_lo;
+      f.f_dom_hi;
+      f.f_box_lo;
+      f.f_box_hi;
+      f.f_box_in_domain;
+    ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_structure_hash () =
+  Alcotest.(check string)
+    "benchmark24 quick structure hash" "5a8a8386"
+    (Persist.crc32_hex (Codec.to_string (Lazy.force structure)))
+
+let test_plan_digest () =
+  Alcotest.(check string)
+    "benchmark24 quick plan digest" "4f46199c1234bb494ca1a84a4a450fea"
+    (plan_digest (Lazy.force structure))
+
+let suite =
+  [
+    Alcotest.test_case "benchmark24 quick: structure hash is pinned" `Quick
+      test_structure_hash;
+    Alcotest.test_case "benchmark24 quick: compiled plan is pinned" `Quick
+      test_plan_digest;
+  ]

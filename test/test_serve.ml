@@ -1411,6 +1411,95 @@ let hedged_across_daemons () =
               in
               check_bool "primary recovered" true (ids2 = expected_ids dims))))
 
+(* SIGTERM is handled on whichever thread the runtime picks, possibly
+   one holding the supervisor mutex — here a health prober keeps one
+   such thread busy.  With socket and shm clients mid-request, the
+   drain the signal starts must still finish — [run] returns — and
+   leave no ring file behind.  The signal comes from another process,
+   as in production ([Unix.kill] on ourselves would run the handler on
+   the sending thread), and the round repeats so it lands in many
+   different places. *)
+let sigterm_drain_under_load () =
+  let config =
+    { Server.default_config with Server.workers = 2; drain_timeout = 2.0 }
+  in
+  for round = 1 to 50 do
+    with_tmp_dir (fun dir ->
+        let store = Store.create ~dir () in
+        Codec.save (Lazy.force structure) ~path:(Store.path_for store circuit_name);
+        let server =
+          Server.create ~config ~store
+            (Server.Unix_path (Filename.concat dir "mpsd.sock"))
+        in
+        let addr = Server.bound_addr server in
+        let prev_term = Sys.signal Sys.sigterm Sys.Signal_default in
+        let prev_int = Sys.signal Sys.sigint Sys.Signal_default in
+        Server.install_sigterm server;
+        let returned = Atomic.make false in
+        let th =
+          Thread.create
+            (fun () ->
+              Server.run server;
+              Atomic.set returned true)
+            ()
+        in
+        let answered = Atomic.make 0 in
+        let clients =
+          List.init 4 (fun k ->
+              Thread.create
+                (fun () ->
+                  let client = Client.connect ~shm:(k mod 2 = 1) addr in
+                  let rec loop i =
+                    let dims = random_batch ~seed:((round * 1000) + (k * 100) + i) 4 in
+                    match Client.query_ids ~budget:1.0 client ~circuit:circuit_name dims with
+                    | Ok (ids, _) ->
+                      if ids = expected_ids dims then Atomic.incr answered;
+                      loop (i + 1)
+                    | Error _ -> ()
+                  in
+                  loop 0;
+                  Client.close client)
+                ())
+        in
+        let prober =
+          Thread.create
+            (fun () ->
+              while not (Atomic.get returned) do
+                ignore (Server.health server);
+                Thread.yield ()
+              done)
+            ()
+        in
+        check_bool "clients are mid-request" true
+          (wait_until (fun () -> Atomic.get answered >= 8));
+        let kill =
+          Unix.create_process "kill"
+            [| "kill"; "-TERM"; string_of_int (Unix.getpid ()) |]
+            Unix.stdin Unix.stdout Unix.stderr
+        in
+        let rec reap () =
+          try ignore (Unix.waitpid [] kill)
+          with Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+        in
+        reap ();
+        let drained = wait_until ~timeout:10.0 (fun () -> Atomic.get returned) in
+        if drained then begin
+          Sys.set_signal Sys.sigterm prev_term;
+          Sys.set_signal Sys.sigint prev_int
+        end;
+        check_bool (Printf.sprintf "round %d: run returns after SIGTERM" round) true drained;
+        List.iter Thread.join (th :: prober :: clients);
+        let shm = Filename.concat dir ".shm" in
+        let rings =
+          if Sys.file_exists shm then
+            List.filter
+              (fun f -> Filename.check_suffix f ".ring")
+              (Array.to_list (Sys.readdir shm))
+          else []
+        in
+        check_int (Printf.sprintf "round %d: ring files left" round) 0 (List.length rings))
+  done
+
 let suite =
   [
     Alcotest.test_case "round trip matches the in-process oracle" `Quick round_trip;
@@ -1480,4 +1569,6 @@ let suite =
       farewell_mid_pipeline;
     Alcotest.test_case "chaos: hedge across daemons beats a stalled one" `Quick
       hedged_across_daemons;
+    Alcotest.test_case "chaos: SIGTERM drains cleanly under socket and shm load"
+      `Quick sigterm_drain_under_load;
   ]
