@@ -319,12 +319,12 @@ let transport_of_plan ?(base = T.default) plan =
   in
   (transport, fired)
 
-(* Worker-level faults ride the supervisor's per-request hook.  A
+(* Worker-level faults ride the daemon's per-request hook.  A
    [Worker_stall] sleeps in the serving worker (exercising deadlines,
-   hedging and health probes around a wedged domain); a [Worker_crash]
-   raises {!Mps_serve.Supervisor.Worker_killed}, which the supervisor
-   turns into a typed [Err_worker_lost] reply plus a supervised
-   restart.  The [~worker] slot is deliberately ignored for firing —
+   dispatch and health probes around a wedged domain); a [Worker_crash]
+   raises {!Mps_serve.Server.Worker_killed}, which the daemon turns
+   into a typed [Err_worker_lost] reply plus a supervised restart.
+   The [~worker] slot is deliberately ignored for firing —
    the plan speaks in occurrences ("the 3rd request served"), not
    slots, so a scenario stays deterministic under any dispatch. *)
 let worker_hook_of_plan plan =
@@ -335,7 +335,7 @@ let worker_hook_of_plan plan =
     | Some _ -> Thread.delay 0.05
     | None -> ());
     match firing Worker_crash with
-    | Some _ -> raise Mps_serve.Supervisor.Worker_killed
+    | Some _ -> raise Mps_serve.Server.Worker_killed
     | None -> ()
   in
   (hook, fired)

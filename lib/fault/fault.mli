@@ -144,21 +144,20 @@ val transport_of_plan :
     The second component counts injections fired so far. *)
 
 val worker_hook_of_plan : plan -> (worker:int -> unit) * (unit -> int)
-(** A hook for {!Mps_serve.Server.create}'s [?fault] (equivalently
-    {!Mps_serve.Supervisor.create}) injecting the plan's
-    [Worker_stall] / [Worker_crash] faults: the [skip+1]-th request
-    served (across all workers — occurrences, not slots, keep a
-    scenario deterministic under any dispatch) stalls and/or raises
-    {!Mps_serve.Supervisor.Worker_killed}.  Thread-safe; each
-    injection fires at most once.  The second component counts
-    injections fired so far. *)
+(** A hook for {!Mps_serve.Server.create}'s [?fault] injecting the
+    plan's [Worker_stall] / [Worker_crash] faults: the [skip+1]-th
+    request served (across all workers — occurrences, not slots, keep
+    a scenario deterministic under any dispatch) stalls and/or raises
+    {!Mps_serve.Server.Worker_killed}.  Thread-safe; each injection
+    fires at most once.  The second component counts injections fired
+    so far. *)
 
 val shm_hooks_of_plan : plan -> Mps_serve.Shm.hooks * (unit -> int)
 (** Ring-level fault hooks for {!Mps_serve.Server.create}'s
-    [?shm_hooks] (equivalently {!Mps_serve.Supervisor.create}),
-    injecting the plan's [Shm_publish] / [Shm_heartbeat] faults into
-    every shm session the daemon creates.  A [Shm_publish] injection
-    damages the [skip+1]-th frame published across all sessions:
+    [?shm_hooks], injecting the plan's [Shm_publish] /
+    [Shm_heartbeat] faults into every shm session the daemon creates.
+    A [Shm_publish] injection damages the [skip+1]-th frame published
+    across all sessions:
     [Corrupt (n)] flips [n] seeded bits over the stored words {e after}
     the checksum (a persistent CRC mismatch — the consumer reports a
     torn frame and falls back to the socket), [Stall] sleeps before

@@ -25,8 +25,6 @@ type meta = { epoch : int; degraded : bool }
 type stats = {
   connects : int;
   retries : int;
-  hedges : int;
-  hedge_wins : int;
   pipelined : int;
   ring_requests : int;
 }
@@ -49,8 +47,17 @@ type container = {
    result cell, so replies may arrive in any order. *)
 type slot = {
   s_parse : Bytes.t -> len:int -> meta -> unit;  (* may raise Wire.Truncated *)
-  s_refuse : Wire.status -> string -> unit;
-  s_fail : error -> unit;
+  s_fail : error -> unit;  (* a refusal, or the connection died *)
+}
+
+(* One request as the send driver sees it: how to write its body
+   (returns the body length) and how to read its reply.  [via_ring]
+   routes it over the shm ring, which also fixes the reply format, so
+   the route is decided before the parser runs. *)
+type 'a request = {
+  via_ring : bool;
+  build : Bytes.t ref -> int;
+  parse : Bytes.t -> len:int -> meta -> 'a;  (* may raise Wire.Truncated *)
 }
 
 type t = {
@@ -75,19 +82,11 @@ type t = {
   (* stats *)
   mutable s_connects : int;
   mutable s_retries : int;
-  mutable s_hedges : int;
-  mutable s_hedge_wins : int;
   mutable s_pipelined : int;
   mutable s_ring_requests : int;
   (* whether the most recent frame sent may be blindly re-issued — the
-     retry/hedge gate *)
+     retry gate *)
   mutable last_idempotent : bool;
-  (* recent request latencies (ring), for the p99-derived hedge delay *)
-  lat : float array;
-  mutable lat_n : int;
-  mutable lat_i : int;
-  (* lazily-opened second connection for hedged requests *)
-  mutable hedge_peer : t option;
 }
 
 let connect ?(transport = Transport.default) ?(max_frame_bytes = Wire.max_frame_default)
@@ -111,23 +110,15 @@ let connect ?(transport = Transport.default) ?(max_frame_bytes = Wire.max_frame_
     containers = Hashtbl.create 4;
     s_connects = 0;
     s_retries = 0;
-    s_hedges = 0;
-    s_hedge_wins = 0;
     s_pipelined = 0;
     s_ring_requests = 0;
     last_idempotent = true;
-    lat = Array.make 64 0.0;
-    lat_n = 0;
-    lat_i = 0;
-    hedge_peer = None;
   }
 
 let stats t =
   {
     connects = t.s_connects;
     retries = t.s_retries;
-    hedges = t.s_hedges;
-    hedge_wins = t.s_hedge_wins;
     pipelined = t.s_pipelined;
     ring_requests = t.s_ring_requests;
   }
@@ -155,13 +146,7 @@ let poison_with t err =
   Hashtbl.reset t.inflight;
   List.iter (fun s -> s.s_fail err) slots
 
-let close t =
-  poison_with t (Disconnected "closed by caller");
-  match t.hedge_peer with
-  | Some p ->
-    poison_with p (Disconnected "closed by caller");
-    t.hedge_peer <- None
-  | None -> ()
+let close t = poison_with t (Disconnected "closed by caller")
 
 (* The ring itself failed (torn frame, stale server heartbeat, dead
    mapping): count it against further negotiation attempts and poison
@@ -186,25 +171,6 @@ let sockaddr_of = function
 let prefix = Wire.frame_prefix_bytes
 let req_header = Wire.request_header_bytes
 let rep_header = Wire.reply_header_bytes
-
-let record_latency t dt =
-  let cap = Array.length t.lat in
-  t.lat.(t.lat_i) <- dt;
-  t.lat_i <- (t.lat_i + 1) mod cap;
-  if t.lat_n < cap then t.lat_n <- t.lat_n + 1
-
-(* The p99-derived hedge delay: generous before any samples exist,
-   never below 2 ms (a hedge cheaper than a scheduler quantum is just
-   double load). *)
-let hedge_delay t =
-  if t.lat_n = 0 then 0.05
-  else begin
-    let n = t.lat_n in
-    let copy = Array.sub t.lat 0 n in
-    Array.sort compare copy;
-    let p99 = copy.(min (n - 1) (n * 99 / 100)) in
-    Float.max 0.002 (p99 *. 1.5)
-  end
 
 (* Deliver one received reply (already in [t.inbuf], payload at offset
    0 — both the socket and the ring present frames this way) to its
@@ -237,7 +203,7 @@ let deliver t ~len =
           let msg = error_body () in
           let slots = Hashtbl.fold (fun _ s acc -> s :: acc) t.inflight [] in
           Hashtbl.reset t.inflight;
-          List.iter (fun s -> s.s_refuse err_status msg) slots;
+          List.iter (fun s -> s.s_fail (Refused (err_status, msg))) slots;
           poison_with t (Disconnected "server sent a farewell")
       else
         match Hashtbl.find_opt t.inflight rep_id with
@@ -256,7 +222,7 @@ let deliver t ~len =
               slot.s_fail e;
               poison_with t e)
           | err_status ->
-            slot.s_refuse err_status (error_body ());
+            slot.s_fail (Refused (err_status, error_body ()));
             (* the worker serving this connection is gone; the server
                severs it next, so start the next call fresh *)
             if err_status = Wire.Err_worker_lost then
@@ -326,18 +292,20 @@ let pump t fd ~deadline =
    connection is poisoned — but a daemon that died mid-send may have
    left a farewell in the socket buffer, so salvage it first: a typed
    refusal is a better answer than "broken pipe". *)
-let issue ?(via_ring = false) t fd ~opcode ~deadline ~build slot =
+let issue t fd ~via_ring ~opcode ~deadline ~build slot =
   t.last_idempotent <- Wire.idempotent opcode;
   let req_id = t.next_req_id in
   t.next_req_id <- (if req_id >= 0xffffffff then 1 else req_id + 1);
   if Hashtbl.length t.inflight > 0 then t.s_pipelined <- t.s_pipelined + 1;
   Hashtbl.replace t.inflight req_id slot;
+  (* The wire budget is a u32 of microseconds (0 = none): a budget
+     beyond ~71.6 min saturates rather than wrapping to a tiny one. *)
   let deadline_us =
     match deadline with
     | None -> 0
     | Some d ->
-      let remaining = d -. Unix.gettimeofday () in
-      max 1 (int_of_float (remaining *. 1e6)) land 0xffffffff
+      let remaining_us = (d -. Unix.gettimeofday ()) *. 1e6 in
+      max 1 (int_of_float (Float.min remaining_us 4294967295.0))
   in
   match
     let payload_len = req_header + build t.outbuf in
@@ -378,32 +346,60 @@ let issue ?(via_ring = false) t fd ~opcode ~deadline ~build slot =
   | exception Unix.Unix_error (err, fn, _) ->
     poison_with t (Disconnected (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
 
+(* The one send path.  [request i] describes request [i] of [n]; up
+   to [depth] frames are on the wire at once, and the pump routes each
+   reply, in whatever order it comes, to its request's cell until every
+   cell resolves.  A dead connection fails the in-flight requests (the
+   poison) and the unsent tail; cells already resolved are kept. *)
+let drive ?(depth = 1) t ~opcode ~deadline n request =
+  let cells = Array.make n None in
+  let resolved = ref 0 in
+  let set i r =
+    if cells.(i) = None then begin
+      cells.(i) <- Some r;
+      incr resolved
+    end
+  in
+  let next = ref 0 in
+  while !resolved < n do
+    match t.fd with
+    | None ->
+      for i = 0 to n - 1 do
+        set i (Error (Disconnected "connection poisoned"))
+      done
+    | Some fd ->
+      if !next < n && Hashtbl.length t.inflight < depth then begin
+        let i = !next in
+        incr next;
+        let req = request i in
+        issue t fd ~via_ring:req.via_ring ~opcode ~deadline ~build:req.build
+          {
+            s_parse = (fun b ~len meta -> set i (Ok (req.parse b ~len meta)));
+            s_fail = (fun e -> set i (Error e));
+          }
+      end
+      else pump t fd ~deadline
+  done;
+  Array.map Option.get cells
+
+let on_socket build parse = { via_ring = false; build; parse }
+let no_body _ = 0
+
 (* Negotiate the shm fast path on a fresh connection: one Shm_hello
    roundtrip on the socket; on acceptance, attach the ring file the
    server created for this session.  A decline or a failed attach
    counts against [ring_failed] — after 3 strikes the client stops
    asking and stays on the socket for good. *)
-let negotiate_ring t fd =
-  let cell = ref None in
+let negotiate_ring t =
   let deadline = Some (Unix.gettimeofday () +. 5.0) in
-  let slot =
-    {
-      s_parse =
-        (fun b ~len _meta ->
-          if Wire.get_u8 b ~len rep_header = 1 then
-            let path, _ = Wire.get_string16 b ~len (rep_header + 5) in
-            cell := Some (Some path)
-          else cell := Some None);
-      s_refuse = (fun _ _ -> cell := Some None);
-      s_fail = (fun _ -> if !cell = None then cell := Some None);
-    }
+  let hello =
+    on_socket no_body (fun b ~len _meta ->
+        if Wire.get_u8 b ~len rep_header = 1 then
+          Some (fst (Wire.get_string16 b ~len (rep_header + 5)))
+        else None)
   in
-  issue t fd ~opcode:Wire.Shm_hello ~deadline ~build:(fun _ -> 0) slot;
-  while !cell = None && t.fd <> None do
-    pump_one t fd ~deadline
-  done;
-  match !cell with
-  | Some (Some path) -> (
+  match drive t ~opcode:Wire.Shm_hello ~deadline 1 (fun _ -> hello) with
+  | [| Ok (Some path) |] -> (
     match Shm.attach ~path () with
     | ring ->
       Shm.heartbeat ring;
@@ -432,7 +428,7 @@ let ensure_connected t =
     | fd -> (
       t.fd <- Some fd;
       t.s_connects <- t.s_connects + 1;
-      if t.want_shm && t.ring_failed < 3 then negotiate_ring t fd;
+      if t.want_shm && t.ring_failed < 3 then negotiate_ring t;
       (* negotiation may have poisoned the connection under us *)
       match t.fd with
       | Some fd -> Ok fd
@@ -441,54 +437,25 @@ let ensure_connected t =
       Error (Disconnected (Printf.sprintf "connect: %s: %s" fn (Unix.error_message err)))
     )
 
-(* Pump until the cell resolves.  Poisoning fails every registered
-   slot, so each iteration either resolves the cell or strictly
-   shrinks what is still pending. *)
-let await t cell ~deadline =
-  let rec go () =
-    match !cell with
-    | Some r -> r
-    | None -> (
-      match t.fd with
-      | None -> Error (Disconnected "connection poisoned")
-      | Some fd ->
-        pump t fd ~deadline;
-        go ())
-  in
-  go ()
-
-let roundtrip ?budget ?(via_ring = false) t ~opcode ~build ~parse =
+(* One request through the driver, connecting first if needed. *)
+let roundtrip ?budget t ~opcode req =
   match ensure_connected t with
   | Error e ->
     t.last_idempotent <- Wire.idempotent opcode;
     Error e
-  | Ok fd ->
-    let start = Unix.gettimeofday () in
-    let deadline = Option.map (fun b -> start +. b) budget in
-    let cell = ref None in
-    let slot =
-      {
-        s_parse = (fun b ~len meta -> cell := Some (Ok (parse b ~len meta)));
-        s_refuse = (fun st msg -> cell := Some (Error (Refused (st, msg))));
-        s_fail = (fun e -> if !cell = None then cell := Some (Error e));
-      }
-    in
-    issue t fd ~via_ring ~opcode ~deadline ~build slot;
-    let r = await t cell ~deadline in
-    (match r with
-    | Ok _ -> record_latency t (Unix.gettimeofday () -. start)
-    | Error _ -> ());
-    r
+  | Ok _ ->
+    let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget in
+    (drive t ~opcode ~deadline 1 (fun _ -> req)).(0)
 
 let ping ?budget t =
-  roundtrip ?budget t ~opcode:Wire.Ping
-    ~build:(fun _ -> 0)
-    ~parse:(fun _ ~len:_ meta -> meta)
+  roundtrip ?budget t ~opcode:Wire.Ping (on_socket no_body (fun _ ~len:_ meta -> meta))
 
 let health ?budget t =
   roundtrip ?budget t ~opcode:Wire.Health
-    ~build:(fun _ -> 0)
-    ~parse:(fun b ~len _meta -> Wire.get_health b ~len rep_header)
+    (on_socket no_body (fun b ~len _meta -> Wire.get_health b ~len rep_header))
+
+let put_name circuit outbuf =
+  Wire.put_string16 outbuf (prefix + req_header) circuit - (prefix + req_header)
 
 (* Open (or look up) this connection's handle for a circuit.  The open
    reply's container trailer (DESIGN.md §13) tells us where the mpsz
@@ -500,20 +467,18 @@ let handle_for ?budget t circuit =
   | None -> (
     match
       roundtrip ?budget t ~opcode:Wire.Open_circuit
-        ~build:(fun outbuf ->
-          Wire.put_string16 outbuf (prefix + req_header) circuit - (prefix + req_header))
-        ~parse:(fun b ~len meta ->
-          let handle = Wire.get_u16 b ~len rep_header in
-          let n_blocks = Wire.get_u16 b ~len (rep_header + 3) in
-          (if len > rep_header + 9 && Wire.get_u8 b ~len (rep_header + 9) = 1 then begin
-             let words = Wire.get_u32 b ~len (rep_header + 10) in
-             let path, _ = Wire.get_string16 b ~len (rep_header + 14) in
-             (* drop any previous mapping: one mmap per (re)open is
-                cheap and always matches the entry we just opened *)
-             Hashtbl.replace t.containers circuit
-               { c_path = path; c_words = words; c_epoch = meta.epoch; c_map = None }
-           end);
-          (handle, n_blocks))
+        (on_socket (put_name circuit) (fun b ~len meta ->
+             let handle = Wire.get_u16 b ~len rep_header in
+             let n_blocks = Wire.get_u16 b ~len (rep_header + 3) in
+             (if len > rep_header + 9 && Wire.get_u8 b ~len (rep_header + 9) = 1 then begin
+                let words = Wire.get_u32 b ~len (rep_header + 10) in
+                let path, _ = Wire.get_string16 b ~len (rep_header + 14) in
+                (* drop any previous mapping: one mmap per (re)open is
+                   cheap and always matches the entry we just opened *)
+                Hashtbl.replace t.containers circuit
+                  { c_path = path; c_words = words; c_epoch = meta.epoch; c_map = None }
+              end);
+             (handle, n_blocks)))
     with
     | Ok hb ->
       Hashtbl.replace t.handles circuit hb;
@@ -631,71 +596,26 @@ let parse_ring_ids t ~circuit ~epoch b ~len count =
         id)
   | k -> raise (Wire.Truncated (Printf.sprintf "unknown ring reply kind %d" k))
 
+(* One [Query_batch]: over the ring when both directions fit, its
+   reply read in the format of the route it took. *)
+let query_request t ~circuit ~handle ~n dims =
+  let count = Array.length dims in
+  let via_ring = ring_for_batch t ~count ~n ~instantiate:false in
+  {
+    via_ring;
+    build = (fun outbuf -> put_batch_request outbuf ~handle ~n dims);
+    parse =
+      (fun b ~len meta ->
+        ( (if via_ring then parse_ring_ids t ~circuit ~epoch:meta.epoch b ~len count
+           else parse_ids b ~len count),
+          meta ));
+  }
+
 let query_ids ?budget t ~circuit dims =
   match handle_for ?budget t circuit with
   | Error _ as e -> e
   | Ok (handle, n) ->
-    let count = Array.length dims in
-    let via_ring = ring_for_batch t ~count ~n ~instantiate:false in
-    roundtrip ?budget ~via_ring t ~opcode:Wire.Query_batch
-      ~build:(fun outbuf -> put_batch_request outbuf ~handle ~n dims)
-      ~parse:(fun b ~len meta ->
-        ( (if via_ring then parse_ring_ids t ~circuit ~epoch:meta.epoch b ~len count
-           else parse_ids b ~len count),
-          meta ))
-
-let instantiate ?budget t ~circuit dims =
-  match handle_for ?budget t circuit with
-  | Error _ as e -> e
-  | Ok (handle, n) ->
-    let count = Array.length dims in
-    let via_ring = ring_for_batch t ~count ~n ~instantiate:true in
-    roundtrip ?budget ~via_ring t ~opcode:Wire.Instantiate_batch
-      ~build:(fun outbuf -> put_batch_request outbuf ~handle ~n dims)
-      ~parse:(fun b ~len meta ->
-        (* instantiation answers are always inline rects; a ring reply
-           only differs by its kind byte in front of the count *)
-        let head =
-          if via_ring then begin
-            let kind = Wire.get_u8 b ~len rep_header in
-            if kind <> 0 then
-              raise
-                (Wire.Truncated
-                   (Printf.sprintf "descriptor reply (kind %d) to instantiate" kind));
-            rep_header + 1
-          end
-          else rep_header
-        in
-        let got = Wire.get_u32 b ~len head in
-        if got <> count then
-          raise
-            (Wire.Truncated (Printf.sprintf "%d results for %d queries" got count));
-        let base = head + 4 in
-        let item = 16 * n in
-        (Array.init count (fun i ->
-             Array.init n (fun j ->
-                 let off = base + (i * item) + (j * 16) in
-                 Rect.make
-                   ~x:(Wire.get_i32 b ~len off)
-                   ~y:(Wire.get_i32 b ~len (off + 4))
-                   ~w:(Wire.get_i32 b ~len (off + 8))
-                   ~h:(Wire.get_i32 b ~len (off + 12)))),
-         meta))
-
-let reload ?budget t ~circuit =
-  roundtrip ?budget t ~opcode:Wire.Reload
-    ~build:(fun outbuf ->
-      Wire.put_string16 outbuf (prefix + req_header) circuit - (prefix + req_header))
-    ~parse:(fun _ ~len:_ meta -> meta)
-
-let server_stats ?budget t =
-  roundtrip ?budget t ~opcode:Wire.Stats
-    ~build:(fun _ -> 0)
-    ~parse:(fun b ~len meta ->
-      let text, _ = Wire.get_string16 b ~len rep_header in
-      (text, meta))
-
-(* ---- pipelining -------------------------------------------------- *)
+    roundtrip ?budget t ~opcode:Wire.Query_batch (query_request t ~circuit ~handle ~n dims)
 
 let query_ids_pipelined ?budget ?(depth = 8) t ~circuit batches =
   let nb = Array.length batches in
@@ -704,215 +624,56 @@ let query_ids_pipelined ?budget ?(depth = 8) t ~circuit batches =
   | Error e -> Array.make nb (Error e)
   | Ok (handle, n) ->
     let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget in
-    let cells = Array.init nb (fun _ -> ref None) in
-    let resolved = ref 0 in
-    let set c r =
-      if !c = None then begin
-        c := Some r;
-        incr resolved
-      end
-    in
-    let slot_for ~ring i =
-      let c = cells.(i) in
-      {
-        s_parse =
-          (fun b ~len meta ->
-            let count = Array.length batches.(i) in
-            set c
-              (Ok
-                 ( (if ring then
-                      parse_ring_ids t ~circuit ~epoch:meta.epoch b ~len count
-                    else parse_ids b ~len count),
-                   meta )));
-        s_refuse = (fun st msg -> set c (Error (Refused (st, msg))));
-        s_fail = (fun e -> set c (Error e));
-      }
-    in
-    let next = ref 0 in
-    let rec drive () =
-      if !resolved < nb then
-        match t.fd with
-        | None ->
-          (* poisoned: in-flight cells were failed by the poison;
-             never-sent ones inherit the disconnect *)
-          for i = !next to nb - 1 do
-            set cells.(i) (Error (Disconnected "connection poisoned"))
-          done
-        | Some fd ->
-          if !next < nb && Hashtbl.length t.inflight < depth then begin
-            let i = !next in
-            incr next;
-            let via_ring =
-              ring_for_batch t ~count:(Array.length batches.(i)) ~n
-                ~instantiate:false
-            in
-            issue t fd ~via_ring ~opcode:Wire.Query_batch ~deadline
-              ~build:(fun outbuf -> put_batch_request outbuf ~handle ~n batches.(i))
-              (slot_for ~ring:via_ring i);
-            drive ()
-          end
-          else begin
-            pump t fd ~deadline;
-            drive ()
-          end
-    in
-    drive ();
-    Array.map
-      (fun c ->
-        match !c with
-        | Some r -> r
-        | None -> Error (Disconnected "connection poisoned"))
-      cells
+    drive ~depth t ~opcode:Wire.Query_batch ~deadline nb (fun i ->
+        query_request t ~circuit ~handle ~n batches.(i))
 
-(* ---- hedging ----------------------------------------------------- *)
+(* Instantiation answers are always inline rects; a ring reply only
+   differs by its kind byte in front of the count. *)
+let parse_rects ~via_ring ~count ~n b ~len =
+  let head =
+    if via_ring then begin
+      let kind = Wire.get_u8 b ~len rep_header in
+      if kind <> 0 then
+        raise
+          (Wire.Truncated (Printf.sprintf "descriptor reply (kind %d) to instantiate" kind));
+      rep_header + 1
+    end
+    else rep_header
+  in
+  let got = Wire.get_u32 b ~len head in
+  if got <> count then
+    raise (Wire.Truncated (Printf.sprintf "%d results for %d queries" got count));
+  let base = head + 4 in
+  let item = 16 * n in
+  Array.init count (fun i ->
+      Array.init n (fun j ->
+          let off = base + (i * item) + (j * 16) in
+          Rect.make
+            ~x:(Wire.get_i32 b ~len off)
+            ~y:(Wire.get_i32 b ~len (off + 4))
+            ~w:(Wire.get_i32 b ~len (off + 8))
+            ~h:(Wire.get_i32 b ~len (off + 12))))
 
-(* The hedge connection is socket-only by construction ([connect]
-   without [~shm]): the race machinery selects on fds, and a hedge is
-   for when the primary daemon is slow — often a different daemon
-   entirely, where no shared memory exists. *)
-let hedge_peer t addr =
-  match t.hedge_peer with
-  | Some p when p.addr = addr -> p
-  | prev ->
-    (match prev with
-    | Some p -> poison_with p (Disconnected "hedge peer replaced")
-    | None -> ());
-    let p = connect ~transport:t.transport ~max_frame_bytes:t.max_frame_bytes addr in
-    t.hedge_peer <- Some p;
-    p
-
-let hedged_query_ids ?budget ?hedge_after ?(peers = []) t ~circuit dims =
+let instantiate ?budget t ~circuit dims =
   match handle_for ?budget t circuit with
   | Error _ as e -> e
-  | Ok (handle, n) -> (
-    match ensure_connected t with
-    | Error _ as e -> e
-    | Ok fd ->
-      let start = Unix.gettimeofday () in
-      let deadline = Option.map (fun b -> start +. b) budget in
-      let count = Array.length dims in
-      let cell_a = ref None and cell_b = ref None in
-      let slot_of cell =
-        {
-          s_parse =
-            (fun b ~len meta -> cell := Some (Ok (parse_ids b ~len count, meta)));
-          s_refuse = (fun st msg -> cell := Some (Error (Refused (st, msg))));
-          s_fail = (fun e -> if !cell = None then cell := Some (Error e));
-        }
-      in
-      issue t fd ~opcode:Wire.Query_batch ~deadline
-        ~build:(fun outbuf -> put_batch_request outbuf ~handle ~n dims)
-        (slot_of cell_a);
-      let delay = match hedge_after with Some d -> d | None -> hedge_delay t in
-      let hedge_at =
-        let at = start +. delay in
-        match deadline with Some d -> Float.min d at | None -> at
-      in
-      (* which daemon the hedge goes to: round-robin over [peers]
-         across calls, or a second connection to our own daemon *)
-      let peer_addr =
-        match peers with
-        | [] -> t.addr
-        | _ -> List.nth peers (t.s_hedges mod List.length peers)
-      in
-      let hedged = ref false in
-      let launch_hedge () =
-        hedged := true;
-        t.s_hedges <- t.s_hedges + 1;
-        let p = hedge_peer t peer_addr in
-        let remaining = Option.map (fun d -> d -. Unix.gettimeofday ()) deadline in
-        match remaining with
-        | Some r when r <= 0.0 -> cell_b := Some (Error Timed_out)
-        | _ -> (
-          match handle_for ?budget:remaining p circuit with
-          | Error e -> cell_b := Some (Error e)
-          | Ok (h2, n2) -> (
-            match ensure_connected p with
-            | Error e -> cell_b := Some (Error e)
-            | Ok pfd ->
-              issue p pfd ~opcode:Wire.Query_batch ~deadline
-                ~build:(fun outbuf -> put_batch_request outbuf ~handle:h2 ~n:n2 dims)
-                (slot_of cell_b)))
-      in
-      let is_ok c = match !c with Some (Ok _) -> true | _ -> false in
-      let abandon c =
-        (* the loser's reply (if any) will never be matched: drop its
-           connection rather than desync the next call *)
-        if Hashtbl.length c.inflight > 0 then
-          poison_with c (Disconnected "lost the hedge race")
-      in
-      let rec race () =
-        if is_ok cell_a then begin
-          (match t.hedge_peer with Some p when !hedged -> abandon p | _ -> ());
-          record_latency t (Unix.gettimeofday () -. start);
-          Option.get !cell_a
-        end
-        else if is_ok cell_b then begin
-          t.s_hedge_wins <- t.s_hedge_wins + 1;
-          abandon t;
-          Option.get !cell_b
-        end
-        else if !cell_a <> None && not !hedged then begin
-          (* the primary failed before the hedge point: hedge now *)
-          launch_hedge ();
-          race ()
-        end
-        else if !cell_a <> None && !cell_b <> None then
-          (* both failed: the primary's error is the canonical one *)
-          Option.get !cell_a
-        else begin
-          let now = Unix.gettimeofday () in
-          match deadline with
-          | Some d when now > d ->
-            if Hashtbl.length t.inflight > 0 then poison_with t Timed_out;
-            (match t.hedge_peer with
-            | Some p when Hashtbl.length p.inflight > 0 -> poison_with p Timed_out
-            | _ -> ());
-            (match (!cell_a, !cell_b) with
-            | Some r, _ | _, Some r -> r
-            | None, None -> Error Timed_out)
-          | _ ->
-            if (not !hedged) && now >= hedge_at then begin
-              launch_hedge ();
-              race ()
-            end
-            else begin
-              let fds =
-                (if !cell_a = None then
-                   match t.fd with Some f -> [ (f, t) ] | None -> []
-                 else [])
-                @
-                if !hedged && !cell_b = None then
-                  match t.hedge_peer with
-                  | Some p -> ( match p.fd with Some f -> [ (f, p) ] | None -> [])
-                  | None -> []
-                else []
-              in
-              match fds with
-              | [] ->
-                (* both connections are gone but a cell is unresolved —
-                   cannot happen (poison fails registered slots), but
-                   never spin on it *)
-                Error (Disconnected "connection poisoned")
-              | _ ->
-                let until =
-                  if !hedged then
-                    match deadline with Some d -> d | None -> now +. 1.0
-                  else hedge_at
-                in
-                let timeout = Float.max 0.0 (until -. now) in
-                (match Unix.select (List.map fst fds) [] [] timeout with
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                | ready, _, _ ->
-                  List.iter
-                    (fun (f, c) ->
-                      if List.mem f ready then pump_one c f ~deadline)
-                    fds);
-                race ()
-            end
-        end
-      in
-      race ())
+  | Ok (handle, n) ->
+    let count = Array.length dims in
+    let via_ring = ring_for_batch t ~count ~n ~instantiate:true in
+    roundtrip ?budget t ~opcode:Wire.Instantiate_batch
+      {
+        via_ring;
+        build = (fun outbuf -> put_batch_request outbuf ~handle ~n dims);
+        parse = (fun b ~len meta -> (parse_rects ~via_ring ~count ~n b ~len, meta));
+      }
+
+let reload ?budget t ~circuit =
+  roundtrip ?budget t ~opcode:Wire.Reload
+    (on_socket (put_name circuit) (fun _ ~len:_ meta -> meta))
+
+let server_stats ?budget t =
+  roundtrip ?budget t ~opcode:Wire.Stats
+    (on_socket no_body (fun b ~len meta -> (fst (Wire.get_string16 b ~len rep_header), meta)))
 
 (* ---- retry ------------------------------------------------------- *)
 

@@ -1,12 +1,14 @@
-(** Client for the mpsd wire protocol: deadline-aware retry, request
-    pipelining, and hedged queries.
+(** Client for the mpsd wire protocol: deadline-aware retry and
+    request pipelining.
 
     A client owns one connection (lazily opened, transparently
     re-opened after a failure) plus the per-connection circuit handles
-    the server hands out.  Replies are matched to requests by id
-    through an in-flight table, so requests may be {e pipelined}:
-    several frames on the wire at once, replies consumed in whatever
-    order the server produces them ({!query_ids_pipelined}).
+    the server hands out.  Every call goes through one send path: it
+    issues up to a window of request frames and pumps replies, matched
+    to requests by id through an in-flight table, in whatever order
+    the server produces them.  Single calls use a window of one;
+    {!query_ids_pipelined} widens it so several frames are on the wire
+    at once.
 
     Any transport-level failure — EOF, a torn frame, a reply for an
     unknown request — {e poisons} the connection: it is closed, the
@@ -17,13 +19,6 @@
     sent was {e idempotent} ({!Wire.idempotent}): a [Reload] is never
     blindly re-issued, and a successful-but-degraded answer is an
     answer, never retried.
-
-    {!hedged_query_ids} races two connections: when the primary has
-    not answered within a p99-derived delay (from this client's own
-    latency history), the same idempotent query is re-issued on a
-    lazily-opened second connection and the first answer wins — the
-    tail-latency insurance for a query stuck behind a stalled or
-    crashed worker.
 
     Deadline semantics: [?budget] (seconds) bounds one attempt
     end-to-end on the client side {e and} travels to the server as the
@@ -62,8 +57,6 @@ type meta = { epoch : int; degraded : bool }
 type stats = {
   connects : int;  (** Sockets opened (reconnects included). *)
   retries : int;  (** Re-issues by {!with_retry}. *)
-  hedges : int;  (** Hedge requests launched. *)
-  hedge_wins : int;  (** Races where the hedge answered first. *)
   pipelined : int;  (** Frames sent while another was already in flight. *)
   ring_requests : int;  (** Requests routed over the shm ring. *)
 }
@@ -90,9 +83,8 @@ val ring_active : t -> bool
 (** The current connection carries a negotiated shm ring. *)
 
 val close : t -> unit
-(** Close the underlying connection and the hedge connection if one
-    was opened (idempotent; the client may still be used afterwards —
-    the next call reconnects). *)
+(** Close the underlying connection (idempotent; the client may still
+    be used afterwards — the next call reconnects). *)
 
 val stats : t -> stats
 
@@ -132,30 +124,6 @@ val instantiate :
   (Rect.t array array * meta, error) result
 (** Instantiated floorplans (one rect per block) for a batch of
     dimension vectors. *)
-
-val hedged_query_ids :
-  ?budget:float ->
-  ?hedge_after:float ->
-  ?peers:Server.addr list ->
-  t ->
-  circuit:string ->
-  Dims.t array ->
-  (int array * meta, error) result
-(** {!query_ids}, hedged: when no answer arrives within
-    [hedge_after] seconds (default: p99 of this client's recent
-    request latencies, x1.5, floor 2 ms), re-issue the query on a
-    second connection and take the first [Ok].  The loser's
-    connection is poisoned (its late reply must not desync a later
-    call) — only the loser: the winning connection is untouched.
-    Only ever sends idempotent frames, and always over the socket
-    (never the shm ring).
-
-    [peers] hedges {e across daemons}: the hedge connection goes to
-    one of the listed addresses (round-robin across calls) instead of
-    a second connection to this client's own daemon — so a whole
-    stalled daemon, not just a slow worker, is raced.  The hedge
-    connection is reused while the chosen address is stable and
-    replaced (old one poisoned) when it changes. *)
 
 val reload : ?budget:float -> t -> circuit:string -> (meta, error) result
 (** Ask the server to reload the circuit from disk (epoch bump).

@@ -1,11 +1,14 @@
+open Mps_geometry
+open Mps_netlist
+open Mps_core
+
+exception Worker_killed
+
 type addr =
   | Unix_path of string
   | Tcp of string * int
 
-(* The knobs and counters live with the supervisor (which owns the
-   workers and the request path); re-exporting the records here keeps
-   [Server.default_config] / field access working for callers. *)
-type config = Supervisor.config = {
+type config = {
   workers : int;
   queue_capacity : int;
   max_connections : int;
@@ -25,9 +28,28 @@ type config = Supervisor.config = {
   shm_heartbeat_timeout : float;
 }
 
-let default_config = Supervisor.default_config
+let default_config =
+  {
+    workers = 1;
+    queue_capacity = 16;
+    max_connections = 64;
+    max_inflight = 32;
+    max_batch = 65536;
+    max_frame_bytes = Wire.max_frame_default;
+    idle_timeout = 30.0;
+    drain_timeout = 10.0;
+    accept_retry_delay = 0.05;
+    restart_base_delay = 0.05;
+    restart_max_delay = 2.0;
+    breaker_window = 10.0;
+    breaker_max_restarts = 5;
+    shm = true;
+    shm_dir = None;
+    shm_ring_words = 64 * 1024;
+    shm_heartbeat_timeout = 3.0;
+  }
 
-type stats = Supervisor.stats = {
+type stats = {
   accepted : int;
   shed_connections : int;
   requests_served : int;
@@ -49,18 +71,970 @@ type stats = Supervisor.stats = {
   shm_reaped : int;
 }
 
+type counters = {
+  c_accepted : int Atomic.t;
+  c_shed_connections : int Atomic.t;
+  c_requests_served : int Atomic.t;
+  c_queries_served : int Atomic.t;
+  c_degraded_served : int Atomic.t;
+  c_timeouts : int Atomic.t;
+  c_overloaded : int Atomic.t;
+  c_bad_requests : int Atomic.t;
+  c_store_errors : int Atomic.t;
+  c_connection_crashes : int Atomic.t;
+  c_accept_failures : int Atomic.t;
+  c_dispatched : int Atomic.t;
+  c_worker_crashes : int Atomic.t;
+  c_worker_restarts : int Atomic.t;
+  c_worker_lost_replies : int Atomic.t;
+  c_breaker_trips : int Atomic.t;
+  c_shm_sessions : int Atomic.t;
+  c_shm_served : int Atomic.t;
+  c_shm_reaped : int Atomic.t;
+}
+
+let bump a = Atomic.incr a
+let add a n = ignore (Atomic.fetch_and_add a n)
+
+type conn = { conn_id : int; fd : Unix.file_descr }
+
+(* One spawn of a worker domain.  Connection handlers capture the
+   generation they were spawned under; a crash kills the generation
+   (the atomic flips false), never the slot — the slot is respawned
+   with a fresh generation and the old handlers see only their own. *)
+type generation = { g_epoch : int; g_alive : bool Atomic.t }
+
+type worker = {
+  slot : int;
+  q : Unix.file_descr Queue.t;  (* accepted, not yet picked up; bounded *)
+  mutable gen : generation;
+  mutable state : Wire.worker_state;
+  mutable restarts : int;
+  mutable restart_at : float;  (* when [W_restarting]: earliest respawn *)
+  mutable domain : unit Domain.t option;
+  conns : (int, conn) Hashtbl.t;  (* live on this worker *)
+  threads : (int, Thread.t) Hashtbl.t;  (* handler threads, joined by the domain *)
+}
+
 type t = {
   config : config;
   transport : Transport.t;
   the_store : Store.t;
   listen_fd : Unix.file_descr;
   addr : addr;
-  stopping : bool Atomic.t;
+  stopping : bool Atomic.t;  (* the drain flag: accept loop, workers, supervision *)
   aborted : bool Atomic.t;
-  wake_r : Unix.file_descr;
+  wake_r : Unix.file_descr;  (* self-pipe: [stop] wakes the accept loop *)
   wake_w : Unix.file_descr;
-  sup : Supervisor.t;
+  fault : (worker:int -> unit) option;
+  mutex : Mutex.t;
+  cond : Condition.t;
+  workers : worker array;
+  mutable rr : int;  (* round-robin tiebreak for dispatch *)
+  mutable breaker : bool;
+  mutable total_spawns : int;
+  crash_log : float Queue.t;  (* crash instants inside the breaker window *)
+  next_conn_id : int Atomic.t;
+  inflight : int Atomic.t;
+  c : counters;
+  shm_dir : string option;  (* session directory; [None] = shm disabled *)
+  shm_hooks : Shm.hooks;
+  mutable sup_thread : Thread.t option;
 }
+
+let stats t =
+  {
+    accepted = Atomic.get t.c.c_accepted;
+    shed_connections = Atomic.get t.c.c_shed_connections;
+    requests_served = Atomic.get t.c.c_requests_served;
+    queries_served = Atomic.get t.c.c_queries_served;
+    degraded_served = Atomic.get t.c.c_degraded_served;
+    timeouts = Atomic.get t.c.c_timeouts;
+    overloaded = Atomic.get t.c.c_overloaded;
+    bad_requests = Atomic.get t.c.c_bad_requests;
+    store_errors = Atomic.get t.c.c_store_errors;
+    connection_crashes = Atomic.get t.c.c_connection_crashes;
+    accept_failures = Atomic.get t.c.c_accept_failures;
+    dispatched = Atomic.get t.c.c_dispatched;
+    worker_crashes = Atomic.get t.c.c_worker_crashes;
+    worker_restarts = Atomic.get t.c.c_worker_restarts;
+    worker_lost_replies = Atomic.get t.c.c_worker_lost_replies;
+    breaker_trips = Atomic.get t.c.c_breaker_trips;
+    shm_sessions = Atomic.get t.c.c_shm_sessions;
+    shm_served = Atomic.get t.c.c_shm_served;
+    shm_reaped = Atomic.get t.c.c_shm_reaped;
+  }
+
+let bound_addr t = t.addr
+let store t = t.the_store
+
+(* ---- replies ---------------------------------------------------- *)
+
+let prefix = Wire.frame_prefix_bytes
+let header = Wire.reply_header_bytes
+
+(* Where a reply goes: the connection's socket, or its shm ring (with
+   the socket kept as fallback for replies the ring cannot carry — a
+   ring frame is capped at half the ring, a socket frame at
+   [max_frame_bytes], and the client matches replies by request id on
+   both channels at once). *)
+type reply_via =
+  | Via_sock of Unix.file_descr
+  | Via_ring of Shm.t * Unix.file_descr
+
+let send_reply t via outbuf ~status ~req_id ~epoch ~payload_len =
+  Wire.ensure outbuf (prefix + payload_len);
+  let b = !outbuf in
+  Wire.set_u8 b prefix (Wire.status_to_int status);
+  Wire.set_u32 b (prefix + 1) req_id;
+  Wire.set_u32 b (prefix + 5) epoch;
+  match via with
+  | Via_sock fd -> Wire.send_frame t.transport fd b ~payload_len
+  | Via_ring (ring, fd) ->
+    if Shm.tx_fits ring ~len:payload_len then
+      Shm.send ring b ~off:prefix ~len:payload_len
+        ~hb_timeout:t.config.shm_heartbeat_timeout
+    else Wire.send_frame t.transport fd b ~payload_len
+
+let send_error t via outbuf ~status ~req_id msg =
+  let payload_len = Wire.put_string16 outbuf (prefix + header) msg - prefix in
+  (match status with
+  | Wire.Err_timeout -> bump t.c.c_timeouts
+  | Wire.Err_overloaded -> bump t.c.c_overloaded
+  | Wire.Err_bad_request -> bump t.c.c_bad_requests
+  | Wire.Err_unknown_circuit | Wire.Err_store -> bump t.c.c_store_errors
+  | Wire.Err_worker_lost -> bump t.c.c_worker_lost_replies
+  | _ -> ());
+  send_reply t via outbuf ~status ~req_id ~epoch:0 ~payload_len
+
+(* Farewell on a shed or draining connection: best effort, then close. *)
+let farewell t fd status msg =
+  let outbuf = ref (Bytes.create 64) in
+  (try
+     let payload_len = Wire.put_string16 outbuf (prefix + header) msg - prefix in
+     let b = !outbuf in
+     Wire.set_u8 b prefix (Wire.status_to_int status);
+     Wire.set_u32 b (prefix + 1) 0;
+     Wire.set_u32 b (prefix + 5) 0;
+     Wire.send_frame t.transport fd b ~payload_len
+   with Unix.Unix_error _ | Sys_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let shutdown_fd ?(how = Unix.SHUTDOWN_ALL) fd =
+  try Unix.shutdown fd how with Unix.Unix_error _ -> ()
+
+(* ---- crash, backoff, breaker ------------------------------------ *)
+
+(* All under [t.mutex]. *)
+
+let prune_crash_log t now =
+  while
+    (not (Queue.is_empty t.crash_log))
+    && Queue.peek t.crash_log < now -. t.config.breaker_window
+  do
+    ignore (Queue.pop t.crash_log)
+  done
+
+let trip_breaker t =
+  if not t.breaker then begin
+    t.breaker <- true;
+    bump t.c.c_breaker_trips;
+    (* Degraded single-worker mode: every slot but 0 is parked.  Their
+       live connections finish what is in flight (receive side severed,
+       send side left open for typed farewells) and then close. *)
+    Array.iter
+      (fun w ->
+        if w.slot > 0 then begin
+          (match w.state with
+          | Wire.W_up ->
+            Atomic.set w.gen.g_alive false;
+            Hashtbl.iter (fun _ c -> shutdown_fd ~how:Unix.SHUTDOWN_RECEIVE c.fd) w.conns
+          | Wire.W_restarting | Wire.W_disabled -> ());
+          w.state <- Wire.W_disabled
+        end)
+      t.workers
+  end
+
+(* First observer of a dead generation marks it, severs the worker's
+   receive sides (handlers wake with EOF; mid-batch handlers answer
+   [Err_worker_lost] at their next checkpoint) and schedules the
+   exponential-backoff respawn.  Idempotent per generation. *)
+let crash t w gen =
+  Mutex.lock t.mutex;
+  (if w.gen == gen && Atomic.get gen.g_alive then begin
+     Atomic.set gen.g_alive false;
+     bump t.c.c_worker_crashes;
+     let now = Unix.gettimeofday () in
+     prune_crash_log t now;
+     Queue.push now t.crash_log;
+     let recent = Queue.length t.crash_log in
+     let delay =
+       Float.min t.config.restart_max_delay
+         (t.config.restart_base_delay *. (2.0 ** float_of_int (max 0 (recent - 1))))
+     in
+     w.state <- Wire.W_restarting;
+     w.restart_at <- now +. delay;
+     Hashtbl.iter (fun _ c -> shutdown_fd ~how:Unix.SHUTDOWN_RECEIVE c.fd) w.conns;
+     if recent > t.config.breaker_max_restarts then trip_breaker t;
+     Condition.broadcast t.cond
+   end);
+  Mutex.unlock t.mutex
+
+let kill_worker t slot =
+  if slot < 0 || slot >= Array.length t.workers then false
+  else begin
+    let w = t.workers.(slot) in
+    Mutex.lock t.mutex;
+    let gen = w.gen in
+    let up = w.state = Wire.W_up in
+    Mutex.unlock t.mutex;
+    if up then crash t w gen;
+    up
+  end
+
+(* ---- request handling ------------------------------------------- *)
+
+exception Deadline_hit
+exception Worker_lost_hit
+
+type conn_state = {
+  session : Structure.Engine.session;
+  handles : (int, string) Hashtbl.t;
+  mutable next_handle : int;
+  inbuf : Bytes.t ref;
+  outbuf : Bytes.t ref;
+  mutable w_scratch : int array;
+  mutable h_scratch : int array;
+  mutable ring : Shm.t option;  (* set by an accepted [Shm_hello] *)
+}
+
+let scratch_for state n =
+  if Array.length state.w_scratch <> n then begin
+    state.w_scratch <- Array.make n 1;
+    state.h_scratch <- Array.make n 1
+  end;
+  (state.w_scratch, state.h_scratch)
+
+let store_error_reply t via outbuf ~req_id err =
+  let status =
+    match err with
+    | Store.Unknown_circuit _ -> Wire.Err_unknown_circuit
+    | Store.Unreadable _ | Store.Corrupt _ -> Wire.Err_store
+  in
+  send_error t via outbuf ~status ~req_id (Store.error_to_string err)
+
+let served t ~degraded ~queries =
+  bump t.c.c_requests_served;
+  add t.c.c_queries_served queries;
+  if degraded then bump t.c.c_degraded_served
+
+(* Decode the dims of query [i] straight out of the validated payload
+   (bounds were checked once for the whole batch; dims are u16 on the
+   wire).  The scratch arrays are aliased into the [Dims.t] without a
+   copy — the engine reads dims only for the duration of the call, so
+   the next query may safely overwrite them.  The zero-dim check is
+   folded into the decode loop: [v - 1] is negative exactly when a u16
+   is zero, and a bad request surfaces as [Invalid_argument]. *)
+let dims_at buf ~base ~n i (w, h) =
+  let off = base + (i * 4 * n) in
+  let acc = ref 0 in
+  for j = 0 to n - 1 do
+    let wv = Bytes.get_uint16_le buf (off + (j * 4)) in
+    let hv = Bytes.get_uint16_le buf (off + (j * 4) + 2) in
+    w.(j) <- wv;
+    h.(j) <- hv;
+    acc := !acc lor (wv - 1) lor (hv - 1)
+  done;
+  if !acc < 0 then invalid_arg "zero dimension on the wire";
+  Dims.unsafe_of_arrays ~w ~h
+
+(* Batch checkpoint: the deadline and the worker's generation — a
+   request on a dying worker stops with a typed [Err_worker_lost]
+   instead of burning a dead domain's time. *)
+let check_progress gen deadline =
+  (match deadline with
+  | Some d when Unix.gettimeofday () > d -> raise Deadline_hit
+  | _ -> ());
+  if not (Atomic.get gen.g_alive) then raise Worker_lost_hit
+
+let handle_batch t gen via state ~req_id ~deadline ~len ~instantiate =
+  let buf = !(state.inbuf) in
+  let handle = Wire.get_u16 buf ~len 9 in
+  let count = Wire.get_u32 buf ~len 11 in
+  match Hashtbl.find_opt state.handles handle with
+  | None ->
+    send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+      (Printf.sprintf "unknown handle %d (open the circuit first)" handle)
+  | Some name -> (
+    match Store.get t.the_store name with
+    | Error err -> store_error_reply t via state.outbuf ~req_id err
+    | Ok entry ->
+      let n = Circuit.n_blocks entry.Store.circuit in
+      let expected = 15 + (count * 4 * n) in
+      if count > t.config.max_batch then
+        send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+          (Printf.sprintf "batch of %d exceeds the %d-query cap" count
+             t.config.max_batch)
+      else if len <> expected then
+        send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+          (Printf.sprintf "payload is %d bytes, %d expected for %d %d-block queries"
+             len expected count n)
+      else begin
+        let scratch = scratch_for state n in
+        let ring = match via with Via_ring _ -> true | Via_sock _ -> false in
+        (* On the ring, batch replies carry a kind byte after the
+           header: 0 = inline payload (ids / rects), 1 = descriptors —
+           [(id, word offset, word length)] spans of the winning
+           placement records inside the mapped container the client
+           reads directly.  Descriptors need the entry mapped and not
+           demoted to backup-only (the backup's answer is not a stored
+           record). *)
+        let descr =
+          if ring && not instantiate && not entry.Store.backup_only then
+            entry.Store.container
+          else None
+        in
+        let kb = if ring then 1 else 0 in
+        let item =
+          if instantiate then 16 * n else if descr <> None then 12 else 4
+        in
+        let body = header + kb + (4 + (count * item)) in
+        Wire.ensure state.outbuf (prefix + body);
+        let out = !(state.outbuf) in
+        if ring then
+          Wire.set_u8 out (prefix + header) (if descr <> None then 1 else 0);
+        Wire.set_u32 out (prefix + header + kb) count;
+        let base = 15 in
+        let out_base = prefix + header + kb + 4 in
+        let backup = Structure.Engine.backup entry.Store.engine in
+        match
+          for i = 0 to count - 1 do
+            if i land 255 = 0 then check_progress gen deadline;
+            let dims = dims_at buf ~base ~n i scratch in
+            if instantiate then begin
+              let rects =
+                if entry.Store.backup_only then Stored.instantiate_repacked backup dims
+                else
+                  Structure.Engine.instantiate_into entry.Store.engine state.session
+                    dims
+              in
+              let off = out_base + (i * item) in
+              for j = 0 to n - 1 do
+                let r = rects.(j) in
+                Wire.set_i32 out (off + (j * 16)) r.Rect.x;
+                Wire.set_i32 out (off + (j * 16) + 4) r.Rect.y;
+                Wire.set_i32 out (off + (j * 16) + 8) r.Rect.w;
+                Wire.set_i32 out (off + (j * 16) + 12) r.Rect.h
+              done
+            end
+            else begin
+              let id =
+                if entry.Store.backup_only then
+                  if Circuit.dims_valid entry.Store.circuit dims then -1 else -2
+                else Structure.Engine.query_id entry.Store.engine state.session dims
+              in
+              let off = out_base + (i * item) in
+              Wire.set_i32 out off id;
+              match descr with
+              | None -> ()
+              | Some c ->
+                let roff, rlen =
+                  if id >= 0 then
+                    (c.Store.c_record_off + (id * c.Store.c_record_stride),
+                     c.Store.c_record_stride)
+                  else (0, 0)
+                in
+                Wire.set_u32 out (off + 4) roff;
+                Wire.set_u32 out (off + 8) rlen
+            end
+          done
+        with
+        | () ->
+          let degraded = entry.Store.degraded in
+          served t ~degraded ~queries:count;
+          send_reply t via state.outbuf
+            ~status:(if degraded then Wire.Ok_degraded else Wire.Ok)
+            ~req_id ~epoch:entry.Store.epoch ~payload_len:body
+        | exception Deadline_hit ->
+          send_error t via state.outbuf ~status:Wire.Err_timeout ~req_id
+            "deadline expired mid-batch"
+        | exception Worker_lost_hit ->
+          send_error t via state.outbuf ~status:Wire.Err_worker_lost ~req_id
+            "worker lost mid-batch"
+        | exception Invalid_argument m ->
+          send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+            (Printf.sprintf "bad dimension vector: %s" m)
+      end)
+
+let handle_open t via state ~req_id ~len =
+  let buf = !(state.inbuf) in
+  let name, _ = Wire.get_string16 buf ~len 9 in
+  match Store.get t.the_store name with
+  | Error err -> store_error_reply t via state.outbuf ~req_id err
+  | Ok entry ->
+    if state.next_handle > 0xffff then
+      send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+        "handle space exhausted on this connection"
+    else begin
+      let handle = state.next_handle in
+      state.next_handle <- handle + 1;
+      Hashtbl.replace state.handles handle name;
+      (* The fixed head, then the container trailer (u8 present, and
+         when 1: u32 total words + string16 path) — appended on both
+         channels; pre-trailer clients read fixed offsets only, so the
+         extra bytes are invisible to them. *)
+      let o = prefix + header + 9 in
+      let body_end =
+        match entry.Store.container with
+        | None ->
+          Wire.ensure state.outbuf (o + 1);
+          o + 1
+        | Some c -> Wire.put_string16 state.outbuf (o + 5) c.Store.c_path
+      in
+      let out = !(state.outbuf) in
+      Wire.set_u16 out (prefix + header) handle;
+      Wire.set_u8 out (prefix + header + 2) (if entry.Store.degraded then 1 else 0);
+      Wire.set_u16 out (prefix + header + 3) (Circuit.n_blocks entry.Store.circuit);
+      Wire.set_u32 out (prefix + header + 5)
+        (Structure.Engine.n_stored entry.Store.engine);
+      (match entry.Store.container with
+      | None -> Wire.set_u8 out o 0
+      | Some c ->
+        Wire.set_u8 out o 1;
+        Wire.set_u32 out (o + 1) c.Store.c_words);
+      served t ~degraded:entry.Store.degraded ~queries:0;
+      send_reply t via state.outbuf
+        ~status:(if entry.Store.degraded then Wire.Ok_degraded else Wire.Ok)
+        ~req_id ~epoch:entry.Store.epoch ~payload_len:(body_end - prefix)
+    end
+
+let handle_reload t via state ~req_id ~len =
+  let buf = !(state.inbuf) in
+  let name, _ = Wire.get_string16 buf ~len 9 in
+  match Store.reload t.the_store name with
+  | Error err -> store_error_reply t via state.outbuf ~req_id err
+  | Ok entry ->
+    let body = header + 1 in
+    Wire.ensure state.outbuf (prefix + body);
+    Wire.set_u8 !(state.outbuf) (prefix + header)
+      (if entry.Store.degraded then 1 else 0);
+    served t ~degraded:entry.Store.degraded ~queries:0;
+    send_reply t via state.outbuf
+      ~status:(if entry.Store.degraded then Wire.Ok_degraded else Wire.Ok)
+      ~req_id ~epoch:entry.Store.epoch ~payload_len:body
+
+(* Negotiate the shm fast path: allocate this connection's ring file
+   and tell the client where to map it.  Declined — typed, on the
+   wire, accepted=0 — when shm is disabled, when the hello did not
+   arrive on the socket, or when the session already has a ring; the
+   client then simply stays on the socket. *)
+let handle_shm_hello t conn state ~req_id ~via =
+  let answer ring =
+    let o = prefix + header in
+    let body_end =
+      match ring with
+      | None ->
+        Wire.ensure state.outbuf (o + 1);
+        o + 1
+      | Some r -> Wire.put_string16 state.outbuf (o + 5) (Shm.path r)
+    in
+    let out = !(state.outbuf) in
+    (match ring with
+    | None -> Wire.set_u8 out o 0
+    | Some r ->
+      Wire.set_u8 out o 1;
+      Wire.set_u32 out (o + 1) (Shm.ring_words_of_t r));
+    served t ~degraded:false ~queries:0;
+    send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0
+      ~payload_len:(body_end - prefix)
+  in
+  match (t.shm_dir, via, state.ring) with
+  | Some dir, Via_sock _, None -> (
+    let path = Filename.concat dir (Printf.sprintf "sess-%d.ring" conn.conn_id) in
+    match
+      Shm.create ~hooks:t.shm_hooks ~ring_words:t.config.shm_ring_words ~path ()
+    with
+    | ring ->
+      state.ring <- Some ring;
+      bump t.c.c_shm_sessions;
+      answer (Some ring)
+    | exception (Sys_error _ | Invalid_argument _) -> answer None)
+  | _ -> answer None
+
+(* ---- health ------------------------------------------------------ *)
+
+let health t =
+  Mutex.lock t.mutex;
+  let workers =
+    Array.map
+      (fun w ->
+        {
+          Wire.w_state = w.state;
+          w_restarts = w.restarts;
+          w_queue = Queue.length w.q;
+          w_conns = Hashtbl.length w.conns;
+          w_epoch = w.gen.g_epoch;
+        })
+      t.workers
+  in
+  let draining = Atomic.get t.stopping in
+  let ready =
+    (not draining) && Array.exists (fun w -> w.Wire.w_state = Wire.W_up) workers
+  in
+  let h =
+    { Wire.ready; draining; breaker = t.breaker; epoch = t.total_spawns; workers }
+  in
+  Mutex.unlock t.mutex;
+  h
+
+let handle_health t via state ~req_id =
+  let h = health t in
+  let payload_len = Wire.put_health state.outbuf (prefix + header) h - prefix in
+  served t ~degraded:false ~queries:0;
+  send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0 ~payload_len
+
+let stats_text t =
+  let s = stats t in
+  let h = health t in
+  Store.describe t.the_store
+  ^ Printf.sprintf
+      "accepted %d, shed %d, served %d requests / %d queries (%d degraded), timeouts \
+       %d, overloaded %d, bad %d, store errors %d, conn crashes %d, accept failures \
+       %d\n\
+       workers: %s\n\
+       dispatched %d, worker crashes %d, restarts %d, worker-lost replies %d, breaker \
+       trips %d\n\
+       shm: %d sessions, %d requests served, %d reaped\n"
+      s.accepted s.shed_connections s.requests_served s.queries_served s.degraded_served
+      s.timeouts s.overloaded s.bad_requests s.store_errors s.connection_crashes
+      s.accept_failures (Wire.health_to_string h) s.dispatched s.worker_crashes
+      s.worker_restarts s.worker_lost_replies s.breaker_trips s.shm_sessions
+      s.shm_served s.shm_reaped
+
+let apply_fault t w =
+  match t.fault with None -> () | Some hook -> hook ~worker:w.slot
+
+let handle_request t w gen conn state ~via ~len =
+  let buf = !(state.inbuf) in
+  let now = Unix.gettimeofday () in
+  match
+    let opcode_i = Wire.get_u8 buf ~len 0 in
+    let req_id = Wire.get_u32 buf ~len 1 in
+    let deadline_us = Wire.get_u32 buf ~len 5 in
+    (opcode_i, req_id, deadline_us)
+  with
+  | exception Wire.Truncated _ ->
+    bump t.c.c_bad_requests;
+    send_reply t via state.outbuf ~status:Wire.Err_bad_request ~req_id:0 ~epoch:0
+      ~payload_len:
+        (Wire.put_string16 state.outbuf (prefix + header) "short request header"
+        - prefix)
+  | opcode_i, req_id, deadline_us -> (
+    let deadline =
+      if deadline_us = 0 then None else Some (now +. (float_of_int deadline_us *. 1e-6))
+    in
+    let inflight = 1 + Atomic.fetch_and_add t.inflight 1 in
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr t.inflight)
+      (fun () ->
+        if Atomic.get t.stopping then
+          send_error t via state.outbuf ~status:Wire.Err_shutting_down ~req_id
+            "daemon is draining"
+        else if not (Atomic.get gen.g_alive) then
+          (* this worker died while the request was queued on the
+             socket: a typed, retryable answer, not silence *)
+          send_error t via state.outbuf ~status:Wire.Err_worker_lost ~req_id
+            "worker crashed before serving"
+        else if inflight > t.config.max_inflight then
+          send_error t via state.outbuf ~status:Wire.Err_overloaded ~req_id
+            (Printf.sprintf "%d requests in flight (limit %d)" inflight
+               t.config.max_inflight)
+        else
+          match Wire.opcode_of_int opcode_i with
+          | None ->
+            send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
+              (Printf.sprintf "unknown opcode %d" opcode_i)
+          | Some _ when deadline <> None && Unix.gettimeofday () > Option.get deadline
+            ->
+            (* expired before any work (queueing, a store load ahead of
+               us): a typed timeout, not a late answer *)
+            send_error t via state.outbuf ~status:Wire.Err_timeout ~req_id
+              "deadline expired before serving"
+          | Some opcode -> (
+            match apply_fault t w with
+            | exception Worker_killed ->
+              (* the injected crash: answer the in-flight request with
+                 the typed loss, then take the worker down *)
+              send_error t via state.outbuf ~status:Wire.Err_worker_lost ~req_id
+                "worker crashed mid-request";
+              raise Worker_killed
+            | () -> (
+              match opcode with
+              | Wire.Ping ->
+                served t ~degraded:false ~queries:0;
+                send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0
+                  ~payload_len:header
+              | Wire.Health -> handle_health t via state ~req_id
+              | Wire.Shm_hello -> handle_shm_hello t conn state ~req_id ~via
+              | Wire.Open_circuit -> (
+                match handle_open t via state ~req_id ~len with
+                | () -> ()
+                | exception Wire.Truncated m ->
+                  send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id m)
+              | Wire.Reload -> (
+                match handle_reload t via state ~req_id ~len with
+                | () -> ()
+                | exception Wire.Truncated m ->
+                  send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id m)
+              | Wire.Stats ->
+                let text = stats_text t in
+                let payload_len =
+                  Wire.put_string16 state.outbuf (prefix + header) text - prefix
+                in
+                served t ~degraded:false ~queries:0;
+                send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0
+                  ~payload_len
+              | (Wire.Query_batch | Wire.Instantiate_batch) as op -> (
+                let instantiate = op = Wire.Instantiate_batch in
+                match handle_batch t gen via state ~req_id ~deadline ~len ~instantiate with
+                | () -> ()
+                | exception Wire.Truncated m ->
+                  send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id m))
+            )))
+
+(* ---- connection lifecycle --------------------------------------- *)
+
+let unregister t w conn =
+  Mutex.lock t.mutex;
+  Hashtbl.remove w.conns conn.conn_id;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex
+
+(* Ring-serving mode, entered after an accepted [Shm_hello]: drain the
+   request ring, poll the socket (now the control channel) when the
+   ring runs dry, and judge peer liveness by heartbeat.  Exits — and
+   reaps the session: close flag, unlink — on client close (flag or
+   socket EOF), stale heartbeat (the kill -9 case), idle timeout,
+   generation death or drain.  The loop spins briefly before backing
+   off to nanosleep, so a streaming client is served with no syscall
+   per request while an idle session costs one [select] per sleep. *)
+let serve_ring t w gen conn state ring =
+  let via = Via_ring (ring, conn.fd) in
+  let hb_to = t.config.shm_heartbeat_timeout in
+  let attach_grace = Unix.gettimeofday () +. (2.0 *. hb_to) in
+  let idle_deadline = ref (Unix.gettimeofday () +. t.config.idle_timeout) in
+  let continue = ref true in
+  let spins = ref 0 in
+  (try
+     while !continue && Atomic.get gen.g_alive && not (Atomic.get t.stopping) do
+       Shm.heartbeat ring;
+       match Shm.try_recv ring ~buf:state.inbuf with
+       | Some len -> (
+         spins := 0;
+         idle_deadline := Unix.gettimeofday () +. t.config.idle_timeout;
+         bump t.c.c_shm_served;
+         match handle_request t w gen conn state ~via ~len with
+         | () -> ()
+         | exception Worker_killed ->
+           crash t w gen;
+           continue := false)
+       | None ->
+         if !spins < 200 then begin
+           incr spins;
+           Domain.cpu_relax ()
+         end
+         else if !spins < 232 then begin
+           (* same middle gear as [Shm.wait_step]: on a core shared
+              with the client, yield beats both spinning and the
+              200 us sleep *)
+           incr spins;
+           Thread.yield ()
+         end
+         else begin
+           (match Unix.select [ conn.fd ] [] [] 0.0 with
+           | [], _, _ -> ()
+           | _, _, _ -> (
+             match
+               Wire.recv_frame t.transport ~max_bytes:t.config.max_frame_bytes
+                 ~buf:state.inbuf conn.fd
+             with
+             | len -> (
+               idle_deadline := Unix.gettimeofday () +. t.config.idle_timeout;
+               match
+                 handle_request t w gen conn state ~via:(Via_sock conn.fd) ~len
+               with
+               | () -> ()
+               | exception Worker_killed ->
+                 crash t w gen;
+                 continue := false)
+             | exception Wire.Closed ->
+               (* clean exit or kill -9: either way the socket EOF is
+                  the immediate reap signal *)
+               continue := false)
+           | exception Unix.Unix_error _ -> continue := false);
+           let now = Unix.gettimeofday () in
+           if Shm.peer_closed ring then continue := false
+           else if now > !idle_deadline then continue := false
+           else if Shm.peer_started ring then begin
+             if not (Shm.peer_alive ring ~timeout:hb_to) then continue := false
+           end
+           else if now > attach_grace then continue := false;
+           if !continue then Thread.delay 0.0002
+         end
+     done
+   with
+  | Shm.Dead _ | Shm.Timeout -> ()
+  | Wire.Truncated _ | Wire.Too_large _ | Unix.Unix_error _ | Sys_error _ ->
+    bump t.c.c_connection_crashes);
+  bump t.c.c_shm_reaped;
+  Shm.close ring;
+  Shm.remove ring
+
+let serve_conn t w gen conn =
+  let state =
+    {
+      session = Structure.Engine.new_session ();
+      handles = Hashtbl.create 4;
+      next_handle = 1;
+      inbuf = ref (Bytes.create 4096);
+      outbuf = ref (Bytes.create 4096);
+      w_scratch = [||];
+      h_scratch = [||];
+      ring = None;
+    }
+  in
+  (try
+     let continue = ref true in
+     while !continue && Atomic.get gen.g_alive do
+       let idle_deadline = Unix.gettimeofday () +. t.config.idle_timeout in
+       match
+         Wire.recv_frame t.transport ~deadline:idle_deadline
+           ~max_bytes:t.config.max_frame_bytes ~buf:state.inbuf conn.fd
+       with
+       | exception Wire.Closed -> continue := false
+       | exception Wire.Timed_out ->
+         (* idle or dribbling a frame for idle_timeout: drop it *)
+         continue := false
+       | len -> (
+         match handle_request t w gen conn state ~via:(Via_sock conn.fd) ~len with
+         | () -> (
+           match state.ring with
+           | Some ring ->
+             (* the hello was accepted: the rest of this connection is
+                served off the ring, then the session dies with it *)
+             serve_ring t w gen conn state ring;
+             continue := false
+           | None -> ())
+         | exception Worker_killed ->
+           (* this handler observed the injected worker crash (and has
+              already answered its request Err_worker_lost): initiate
+              the supervised restart and put this connection down *)
+           crash t w gen;
+           continue := false)
+     done
+   with
+  | Wire.Truncated _ | Wire.Too_large _ | Unix.Unix_error _ | Sys_error _ ->
+    (* torn frame, abusive length or transport failure: this
+       connection is done, the daemon is not *)
+    bump t.c.c_connection_crashes
+  | _ ->
+    (* anything else (engine invariant, decode bug): same isolation *)
+    bump t.c.c_connection_crashes);
+  (match state.ring with
+  | Some ring ->
+    Shm.close ring;
+    Shm.remove ring
+  | None -> ());
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  unregister t w conn
+
+(* The worker domain: pick accepted connections off this slot's queue
+   and serve each on its own (domain-local) thread.  On the way out —
+   crash, breaker, or daemon stop — join every handler thread spawned
+   in this generation so the domain never exits under live threads. *)
+let worker_main t w gen =
+  let finished = ref [] in
+  let running = ref true in
+  while !running do
+    Mutex.lock t.mutex;
+    while
+      Queue.is_empty w.q
+      && Atomic.get gen.g_alive
+      && not (Atomic.get t.stopping)
+    do
+      Condition.wait t.cond t.mutex
+    done;
+    if (not (Atomic.get gen.g_alive)) || Atomic.get t.stopping then begin
+      running := false;
+      Mutex.unlock t.mutex
+    end
+    else begin
+      let fd = Queue.pop w.q in
+      let conn = { conn_id = Atomic.fetch_and_add t.next_conn_id 1; fd } in
+      Hashtbl.replace w.conns conn.conn_id conn;
+      let th = Thread.create (fun () -> serve_conn t w gen conn) () in
+      Hashtbl.replace w.threads conn.conn_id th;
+      (* sweep handler threads whose connection is gone, so the table
+         stays bounded by live connections on a long-lived worker *)
+      Hashtbl.iter
+        (fun id th -> if not (Hashtbl.mem w.conns id) then finished := (id, th) :: !finished)
+        w.threads;
+      List.iter (fun (id, _) -> Hashtbl.remove w.threads id) !finished;
+      Mutex.unlock t.mutex;
+      List.iter (fun (_, th) -> Thread.join th) !finished;
+      finished := []
+    end
+  done;
+  Mutex.lock t.mutex;
+  let remaining = Hashtbl.fold (fun _ th acc -> th :: acc) w.threads [] in
+  Hashtbl.reset w.threads;
+  Mutex.unlock t.mutex;
+  List.iter Thread.join remaining
+
+(* ---- spawn / respawn / supervision ------------------------------ *)
+
+(* Under [t.mutex]. *)
+let spawn_locked t w =
+  t.total_spawns <- t.total_spawns + 1;
+  let gen = { g_epoch = t.total_spawns; g_alive = Atomic.make true } in
+  w.gen <- gen;
+  w.state <- Wire.W_up;
+  w.domain <- Some (Domain.spawn (fun () -> worker_main t w gen))
+
+(* Respawn a crashed slot: hard-sever whatever connections its dead
+   generation still holds (a handler stuck in a blocking send must not
+   stall the restart), join the old domain outside the lock, then
+   spawn the replacement. *)
+let respawn t w =
+  Mutex.lock t.mutex;
+  Hashtbl.iter (fun _ c -> shutdown_fd c.fd) w.conns;
+  Condition.broadcast t.cond;
+  let old = w.domain in
+  w.domain <- None;
+  Mutex.unlock t.mutex;
+  (match old with Some d -> Domain.join d | None -> ());
+  Mutex.lock t.mutex;
+  if (not (Atomic.get t.stopping)) && w.state = Wire.W_restarting then begin
+    w.restarts <- w.restarts + 1;
+    bump t.c.c_worker_restarts;
+    spawn_locked t w
+  end;
+  Mutex.unlock t.mutex
+
+(* Connections stranded on a queue no live worker will drain: try to
+   re-dispatch to an up worker with queue space, else shed with the
+   typed loss so the client's retry reconnects. *)
+let rescue_queued t w =
+  let orphans = ref [] in
+  Mutex.lock t.mutex;
+  while not (Queue.is_empty w.q) do
+    orphans := Queue.pop w.q :: !orphans
+  done;
+  let orphans = List.rev !orphans in
+  let requeued =
+    List.filter
+      (fun fd ->
+        let target =
+          Array.fold_left
+            (fun best cand ->
+              if cand.state = Wire.W_up && Queue.length cand.q < t.config.queue_capacity
+              then
+                match best with
+                | Some b when Queue.length b.q <= Queue.length cand.q -> best
+                | _ -> Some cand
+              else best)
+            None t.workers
+        in
+        match target with
+        | Some cand ->
+          Queue.push fd cand.q;
+          false
+        | None -> true)
+      orphans
+  in
+  if orphans <> [] then Condition.broadcast t.cond;
+  Mutex.unlock t.mutex;
+  List.iter
+    (fun fd ->
+      bump t.c.c_shed_connections;
+      farewell t fd Wire.Err_worker_lost "no worker available (restarting)")
+    requeued
+
+let supervision_loop t =
+  while not (Atomic.get t.stopping) do
+    let now = Unix.gettimeofday () in
+    let due = ref [] in
+    Mutex.lock t.mutex;
+    Array.iter
+      (fun w ->
+        match w.state with
+        | Wire.W_restarting ->
+          if t.breaker && w.slot > 0 then w.state <- Wire.W_disabled
+          else if now >= w.restart_at then due := w :: !due
+        | Wire.W_up | Wire.W_disabled -> ())
+      t.workers;
+    Mutex.unlock t.mutex;
+    List.iter
+      (fun w ->
+        rescue_queued t w;
+        respawn t w)
+      !due;
+    Array.iter
+      (fun w -> if w.state <> Wire.W_up then rescue_queued t w)
+      t.workers;
+    Thread.delay 0.002
+  done
+
+(* ---- dispatch ---------------------------------------------------- *)
+
+(* Route an accepted connection to the least-loaded (queue + live
+   connections) up worker with queue space, round-robin on ties.
+   [None] once it is queued; otherwise the refusal to shed it with
+   (every up queue full, or no worker up), and the caller still owns
+   the fd. *)
+let dispatch t fd =
+  Mutex.lock t.mutex;
+  let n = Array.length t.workers in
+  let best = ref None in
+  let any_up = ref false in
+  for i = 0 to n - 1 do
+    let w = t.workers.((t.rr + i) mod n) in
+    if w.state = Wire.W_up then begin
+      any_up := true;
+      if Queue.length w.q < t.config.queue_capacity then begin
+        let load = Queue.length w.q + Hashtbl.length w.conns in
+        match !best with
+        | Some (_, l) when l <= load -> ()
+        | _ -> best := Some (w, load)
+      end
+    end
+  done;
+  t.rr <- (t.rr + 1) mod n;
+  let refusal =
+    match !best with
+    | Some (w, _) ->
+      Queue.push fd w.q;
+      bump t.c.c_dispatched;
+      Condition.broadcast t.cond;
+      None
+    | None when !any_up -> Some (Wire.Err_overloaded, "every worker queue is full")
+    | None -> Some (Wire.Err_worker_lost, "no worker available (restarting)")
+  in
+  Mutex.unlock t.mutex;
+  refusal
+
+(* Connections queued or live across all workers. *)
+let conn_count t =
+  Mutex.lock t.mutex;
+  let n =
+    Array.fold_left
+      (fun acc w -> acc + Queue.length w.q + Hashtbl.length w.conns)
+      0 t.workers
+  in
+  Mutex.unlock t.mutex;
+  n
+
+(* ---- bind and create ---------------------------------------------- *)
 
 let resolve_host host =
   try Unix.inet_addr_of_string host
@@ -85,91 +1059,222 @@ let bind_retrying fd sockaddr =
   in
   go ()
 
-let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault
-    ?shm_hooks ~store addr =
-  (* A peer that vanishes mid-reply must surface as EPIPE on the
-     write, never kill the process — the daemon cannot operate under
-     the default SIGPIPE disposition, so creating one claims it. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd, addr =
+(* Bind and listen on [addr]; returns the listener and the address
+   actually bound (the resolved port for [Tcp (_, 0)]). *)
+let listen config addr =
+  let bind_fresh domain sockaddr ~setup =
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+    (try
+       setup fd;
+       bind_retrying fd sockaddr
+     with e ->
+       (try Unix.close fd with Unix.Unix_error _ -> ());
+       raise e);
+    fd
+  in
+  let fd, addr =
     match addr with
     | Unix_path path ->
       (* a stale socket file from a previous run would make bind fail *)
       (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try bind_retrying fd (Unix.ADDR_UNIX path)
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-      (fd, Unix_path path)
+      (bind_fresh Unix.PF_UNIX (Unix.ADDR_UNIX path) ~setup:ignore, addr)
     | Tcp (host, port) ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         bind_retrying fd (Unix.ADDR_INET (resolve_host host, port))
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
+      let fd =
+        bind_fresh Unix.PF_INET
+          (Unix.ADDR_INET (resolve_host host, port))
+          ~setup:(fun fd -> Unix.setsockopt fd Unix.SO_REUSEADDR true)
+      in
       let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
+        match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
       in
       (fd, Tcp (host, port))
   in
-  Unix.listen listen_fd (max 64 config.max_connections);
+  Unix.listen fd (max 64 config.max_connections);
   (* Non-blocking listener: a connection that vanishes between select
      and accept must not block the whole accept loop. *)
-  Unix.set_nonblock listen_fd;
+  Unix.set_nonblock fd;
+  (fd, addr)
+
+(* The session directory: daemon-owned, created on demand, swept of
+   ring files a previous daemon life left behind (their sessions
+   cannot be live — the negotiating sockets died with the daemon).
+   Any failure here degrades to shm-disabled, never a dead daemon. *)
+let prepare_shm_dir config store =
+  if not config.shm then None
+  else begin
+    let dir =
+      match config.shm_dir with
+      | Some d -> d
+      | None -> Filename.concat (Store.dir store) ".shm"
+    in
+    match
+      (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".ring" then
+            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir)
+    with
+    | () -> Some dir
+    | exception (Unix.Unix_error _ | Sys_error _) -> None
+  end
+
+let new_counters () =
+  {
+    c_accepted = Atomic.make 0;
+    c_shed_connections = Atomic.make 0;
+    c_requests_served = Atomic.make 0;
+    c_queries_served = Atomic.make 0;
+    c_degraded_served = Atomic.make 0;
+    c_timeouts = Atomic.make 0;
+    c_overloaded = Atomic.make 0;
+    c_bad_requests = Atomic.make 0;
+    c_store_errors = Atomic.make 0;
+    c_connection_crashes = Atomic.make 0;
+    c_accept_failures = Atomic.make 0;
+    c_dispatched = Atomic.make 0;
+    c_worker_crashes = Atomic.make 0;
+    c_worker_restarts = Atomic.make 0;
+    c_worker_lost_replies = Atomic.make 0;
+    c_breaker_trips = Atomic.make 0;
+    c_shm_sessions = Atomic.make 0;
+    c_shm_served = Atomic.make 0;
+    c_shm_reaped = Atomic.make 0;
+  }
+
+let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault
+    ?(shm_hooks = Shm.no_hooks) ~store addr =
+  if config.workers < 1 then invalid_arg "Server.create: workers < 1";
+  if config.queue_capacity < 1 then invalid_arg "Server.create: queue_capacity < 1";
+  (* A peer that vanishes mid-reply must surface as EPIPE on the
+     write, never kill the process — the daemon cannot operate under
+     the default SIGPIPE disposition, so creating one claims it. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let listen_fd, addr = listen config addr in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   (* a full pipe already wakes the loop; [wake] must never block *)
   Unix.set_nonblock wake_w;
-  let stopping = Atomic.make false in
-  let sup =
-    Supervisor.create ?fault ?shm_hooks ~config ~transport:tr ~store ~stopping ()
+  let t =
+    {
+      config;
+      transport = tr;
+      the_store = store;
+      listen_fd;
+      addr;
+      stopping = Atomic.make false;
+      aborted = Atomic.make false;
+      wake_r;
+      wake_w;
+      fault;
+      mutex = Mutex.create ();
+      cond = Condition.create ();
+      workers =
+        Array.init config.workers (fun slot ->
+            {
+              slot;
+              q = Queue.create ();
+              gen = { g_epoch = 0; g_alive = Atomic.make false };
+              state = Wire.W_restarting;
+              restarts = 0;
+              restart_at = 0.0;
+              domain = None;
+              conns = Hashtbl.create 8;
+              threads = Hashtbl.create 8;
+            });
+      rr = 0;
+      breaker = false;
+      total_spawns = 0;
+      crash_log = Queue.create ();
+      next_conn_id = Atomic.make 1;
+      inflight = Atomic.make 0;
+      c = new_counters ();
+      shm_dir = prepare_shm_dir config store;
+      shm_hooks;
+      sup_thread = None;
+    }
   in
-  {
-    config;
-    transport = tr;
-    the_store = store;
-    listen_fd;
-    addr;
-    stopping;
-    aborted = Atomic.make false;
-    wake_r;
-    wake_w;
-    sup;
-  }
+  Mutex.lock t.mutex;
+  Array.iter (fun w -> spawn_locked t w) t.workers;
+  Mutex.unlock t.mutex;
+  t.sup_thread <- Some (Thread.create supervision_loop t);
+  t
 
-let bound_addr t = t.addr
-let store t = t.the_store
-let stats t = Supervisor.stats t.sup
-let health t = Supervisor.health t.sup
-let kill_worker t slot = Supervisor.kill_worker t.sup slot
+(* ---- stop, drain, shutdown ---------------------------------------- *)
 
 let wake t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 'w') 0 1) with Unix.Unix_error _ -> ()
 
 (* Lock-free (a flag and a pipe write), so it is safe in a signal
-   handler that may interrupt a thread holding the supervisor mutex;
-   [run] wakes the workers once its accept loop has seen the flag. *)
-let stop t =
-  if not (Atomic.exchange t.stopping true) then wake t
+   handler that may interrupt a thread holding [t.mutex]; [run] wakes
+   the workers once its accept loop has seen the flag. *)
+let stop t = if not (Atomic.exchange t.stopping true) then wake t
+
+let install_sigterm t =
+  let handle = Sys.Signal_handle (fun _ -> stop t) in
+  Sys.set_signal Sys.sigterm handle;
+  Sys.set_signal Sys.sigint handle
+
+(* Shut every live connection down ([how]) and wake every worker so
+   it observes [stopping]. *)
+let sever t ~how =
+  Mutex.lock t.mutex;
+  Array.iter
+    (fun w -> Hashtbl.iter (fun _ c -> shutdown_fd ~how c.fd) w.conns)
+    t.workers;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex
 
 let abort t =
   Atomic.set t.aborted true;
   Atomic.set t.stopping true;
   (* Hard-sever every connection from here; the handler threads wake
      with EOF/EPIPE and close their own fds. *)
-  Supervisor.sever_all t.sup;
-  Supervisor.notify_stop t.sup;
+  sever t ~how:Unix.SHUTDOWN_ALL;
   wake t
 
-let install_sigterm t =
-  (* [stop] takes no lock: the full drain happens on the accept
-     thread, never in signal context. *)
-  let handle = Sys.Signal_handle (fun _ -> stop t) in
-  Sys.set_signal Sys.sigterm handle;
-  Sys.set_signal Sys.sigint handle
+(* Farewell queued-but-unserved connections and sever the receive side
+   of live ones: in-flight requests finish, nothing new starts. *)
+let begin_drain t =
+  let queued = ref [] in
+  Mutex.lock t.mutex;
+  Array.iter
+    (fun w ->
+      while not (Queue.is_empty w.q) do
+        queued := Queue.pop w.q :: !queued
+      done)
+    t.workers;
+  Mutex.unlock t.mutex;
+  List.iter
+    (fun fd ->
+      bump t.c.c_shed_connections;
+      farewell t fd Wire.Err_shutting_down "daemon is draining")
+    !queued;
+  sever t ~how:Unix.SHUTDOWN_RECEIVE
+
+(* Final teardown once [stopping] is set and the drain budget is spent:
+   close still-queued sockets, join the supervision thread and every
+   worker domain. *)
+let join t =
+  Mutex.lock t.mutex;
+  Array.iter
+    (fun w ->
+      while not (Queue.is_empty w.q) do
+        let fd = Queue.pop w.q in
+        try Unix.close fd with Unix.Unix_error _ -> ()
+      done)
+    t.workers;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex;
+  Option.iter Thread.join t.sup_thread;
+  Array.iter
+    (fun w ->
+      Option.iter Domain.join w.domain;
+      w.domain <- None)
+    t.workers
+
+(* ---- accept loop -------------------------------------------------- *)
 
 let do_accept t =
-  let c = Supervisor.counters t.sup in
   match t.transport.Transport.accept t.listen_fd with
   | exception
       Unix.Unix_error
@@ -177,26 +1282,24 @@ let do_accept t =
     () (* the pending connection vanished between select and accept *)
   | exception Unix.Unix_error _ ->
     (* EMFILE, injected fault, ...: count, back off, keep accepting *)
-    Atomic.incr c.Supervisor.c_accept_failures;
+    bump t.c.c_accept_failures;
     Thread.delay t.config.accept_retry_delay
-  | fd, _ ->
-    Atomic.incr c.Supervisor.c_accepted;
+  | fd, _ -> (
+    bump t.c.c_accepted;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let shed status msg =
-      Atomic.incr c.Supervisor.c_shed_connections;
-      Supervisor.farewell t.sup fd status msg
+    let refusal =
+      if Atomic.get t.stopping then Some (Wire.Err_shutting_down, "daemon is draining")
+      else if conn_count t >= t.config.max_connections then
+        Some
+          ( Wire.Err_overloaded,
+            Printf.sprintf "connection limit %d reached" t.config.max_connections )
+      else dispatch t fd
     in
-    if Atomic.get t.stopping then shed Wire.Err_shutting_down "daemon is draining"
-    else if Supervisor.conn_count t.sup >= t.config.max_connections then
-      shed Wire.Err_overloaded
-        (Printf.sprintf "connection limit %d reached" t.config.max_connections)
-    else
-      match Supervisor.dispatch t.sup fd with
-      | Supervisor.Dispatched -> ()
-      | Supervisor.Backpressure ->
-        shed Wire.Err_overloaded "every worker queue is full"
-      | Supervisor.No_worker ->
-        shed Wire.Err_worker_lost "no worker available (restarting)"
+    match refusal with
+    | None -> ()
+    | Some (status, msg) ->
+      bump t.c.c_shed_connections;
+      farewell t fd status msg)
 
 let drain_wake t =
   let scratch = Bytes.create 64 in
@@ -220,30 +1323,28 @@ let run t =
       if List.mem t.wake_r ready then drain_wake t;
       if List.mem t.listen_fd ready && not (Atomic.get t.stopping) then do_accept t
   done;
-  Supervisor.notify_stop t.sup;
   close_listener t;
   if Atomic.get t.aborted then
     (* simulated crash: sever everything, no drain, no farewells *)
-    Supervisor.sever_all t.sup
+    sever t ~how:Unix.SHUTDOWN_ALL
   else begin
     (* graceful drain: no new requests (handlers answer
        Err_shutting_down), in-flight ones finish; connections close as
        their clients see EOF on the receive side *)
-    Supervisor.begin_drain t.sup;
+    begin_drain t;
     let deadline = Unix.gettimeofday () +. t.config.drain_timeout in
-    while Supervisor.conn_count t.sup > 0 && Unix.gettimeofday () < deadline do
+    while conn_count t > 0 && Unix.gettimeofday () < deadline do
       Thread.delay 0.01
     done;
-    if Supervisor.conn_count t.sup > 0 then begin
+    if conn_count t > 0 then begin
       (* drain deadline blown: force the stragglers *)
-      Supervisor.sever_all t.sup;
+      sever t ~how:Unix.SHUTDOWN_ALL;
       let force_deadline = Unix.gettimeofday () +. 1.0 in
-      while Supervisor.conn_count t.sup > 0 && Unix.gettimeofday () < force_deadline do
+      while conn_count t > 0 && Unix.gettimeofday () < force_deadline do
         Thread.delay 0.01
       done
     end
   end;
-  (* join the supervision thread and every worker domain *)
-  Supervisor.join t.sup
+  join t
 
 let start t = Thread.create run t

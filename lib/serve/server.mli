@@ -1,11 +1,14 @@
 (** mpsd: the multi-placement-structure serving daemon.
 
-    One accept loop in front of a {!Supervisor} — N crash-isolated
-    worker domains, each serving its connections on domain-local
-    threads — and one {!Store.t} of compiled engines behind them.  The
-    design goal is that no single client {e or worker} — slow,
-    malicious, crashed, or unlucky — can take the daemon or its other
-    clients down:
+    One accept loop in front of N crash-isolated worker domains, and
+    one {!Store.t} of compiled engines behind them.  The accept loop
+    places each accepted socket on the least-loaded up worker's
+    {e bounded} queue; each worker is an OCaml domain that serves every
+    connection it picks up on a domain-local thread, so requests run in
+    true parallel across workers while one worker's threads interleave
+    cheaply.  The design goal is that no single client {e or worker} —
+    slow, malicious, crashed, or unlucky — can take the daemon or its
+    other clients down:
 
     - {b Deadlines.}  Every request may carry a microsecond budget;
       the server stamps it on receipt and re-checks it between batch
@@ -18,11 +21,16 @@
       concurrently-served requests each extra request is shed with
       [Err_overloaded] instead of growing an unbounded queue.
     - {b Crash isolation, supervised.}  A connection handler that dies
-      is counted and contained.  A whole {e worker} that dies has its
-      in-flight requests answered with a typed [Err_worker_lost], is
-      respawned under exponential backoff, and a restart storm trips a
-      circuit breaker into degraded single-worker mode — see
-      {!Supervisor}.
+      is counted and contained.  A whole {e worker} that dies — an
+      injected {!Worker_killed}, or any escape from its dispatch loop —
+      kills that worker's {e generation}, never the daemon: its
+      in-flight requests are answered with a typed [Err_worker_lost]
+      (safe to retry), its connections are severed, and a supervision
+      thread respawns the slot under exponential backoff.  A restart
+      storm (more than [breaker_max_restarts] crashes inside
+      [breaker_window] seconds) trips a circuit breaker that parks
+      every slot but 0 — degraded single-worker mode — rather than
+      burning the host on a crash loop.
     - {b Health.}  The [Health] frame (and {!health}) reports
       readiness, per-worker state, restart counts, queue depths and
       spawn epochs, so an orchestrator can probe liveness/readiness on
@@ -42,12 +50,16 @@
     drives short reads, stalls, disconnects, worker crashes and
     restart storms through the full stack deterministically. *)
 
+exception Worker_killed
+(** Raised inside a worker to simulate (or propagate) its death; the
+    [?fault] hook raises it to drive the chaos scenarios. *)
+
 type addr =
   | Unix_path of string
   | Tcp of string * int  (** host, port; port [0] picks a free port. *)
 
-type config = Supervisor.config = {
-  workers : int;  (** Worker domains behind the accept loop. *)
+type config = {
+  workers : int;  (** Worker domains behind the accept loop ([>= 1]). *)
   queue_capacity : int;  (** Pending connections per worker queue. *)
   max_connections : int;  (** Accepted connections beyond this are shed. *)
   max_inflight : int;  (** Concurrently served requests beyond this are shed. *)
@@ -63,19 +75,27 @@ type config = Supervisor.config = {
   breaker_window : float;  (** Sliding window for the restart storm count. *)
   breaker_max_restarts : int;
       (** Crashes inside the window beyond this trip the breaker. *)
-  shm : bool;  (** Accept shm fast-path negotiations (DESIGN.md §13). *)
+  shm : bool;
+      (** Accept {!Wire.Shm_hello} negotiations (DESIGN.md §13).  Off,
+          every hello is declined and clients stay on the socket. *)
   shm_dir : string option;
-      (** Ring-file directory; [None] derives [<store dir>/.shm]. *)
+      (** Where per-session ring files live; [None] derives
+          [<store dir>/.shm].  Created on demand and swept of stale
+          ring files at startup; if that fails, shm is disabled. *)
   shm_ring_words : int;  (** Data words per ring direction. *)
   shm_heartbeat_timeout : float;
-      (** Staleness budget before a session peer is declared dead. *)
+      (** Seconds a session peer's heartbeat may go stale before the
+          session is reaped (the kill -9 detector). *)
 }
 
 val default_config : config
-(** See {!Supervisor.default_config}. *)
+(** 1 worker, 16-deep queues, 64 connections, 32 in-flight,
+    65536-query batches, 32 MiB frames, 30 s idle, 10 s drain, 50 ms
+    accept back-off; restarts 50 ms doubling to 2 s, breaker at 5
+    crashes / 10 s; shm on, 64Ki-word rings, 3 s heartbeat timeout. *)
 
 (** Monotonic counters, readable at any time. *)
-type stats = Supervisor.stats = {
+type stats = {
   accepted : int;
   shed_connections : int;
   requests_served : int;  (** Replies with status [Ok] / [Ok_degraded]. *)
@@ -112,9 +132,15 @@ val create :
     domains and supervision thread spawn here.  Sets the process's
     SIGPIPE disposition to ignore — the daemon cannot operate under
     the default (a vanished peer would kill it on the next reply
-    write).  [fault] is the per-request worker fault hook (chaos
-    suite); see {!Supervisor.create}.  Binding retries [EADDRINUSE]
-    briefly so a restart under load cannot lose the bind race.
+    write).  [fault] is called before each request with the serving
+    worker's slot — the chaos suite's hook; raising {!Worker_killed}
+    from it crashes that worker after the in-flight request is
+    answered [Err_worker_lost].  [shm_hooks] injects ring-level faults
+    into every session this daemon creates
+    ({!Mps_fault.Fault.shm_hooks_of_plan} builds one from a plan).
+    Binding retries [EADDRINUSE] briefly so a restart under load
+    cannot lose the bind race.
+    @raise Invalid_argument on [workers < 1] or [queue_capacity < 1].
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val bound_addr : t -> addr
@@ -125,12 +151,14 @@ val store : t -> Store.t
 val stats : t -> stats
 
 val health : t -> Wire.health
-(** In-process health snapshot (the [Health] frame serves the same). *)
+(** In-process health snapshot (the [Health] frame serves the same):
+    ready means not draining and at least one worker up. *)
 
 val kill_worker : t -> int -> bool
-(** Chaos surface: simulate a hard crash of one worker slot.  [false]
-    when the slot is out of range or not up.  See
-    {!Supervisor.kill_worker}. *)
+(** Chaos surface: simulate a hard crash of one worker slot — its
+    generation dies exactly as if a handler had raised
+    {!Worker_killed}.  [false] when the slot is out of range or not
+    currently up. *)
 
 val run : t -> unit
 (** Serve until {!stop} or {!abort}, then drain, join every worker

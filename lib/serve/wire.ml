@@ -40,9 +40,9 @@ let opcode_of_int = function
   | 8 -> Some Shm_hello
   | _ -> None
 
-(* Only these may be hedged or blindly retried: re-executing them
-   cannot change server state ([Reload] bumps the store epoch;
-   [Shm_hello] allocates a ring session). *)
+(* Only these may be blindly retried: re-executing them cannot change
+   server state ([Reload] bumps the store epoch; [Shm_hello] allocates
+   a ring session). *)
 let idempotent = function
   | Ping | Open_circuit | Query_batch | Instantiate_batch | Stats | Health -> true
   | Reload | Shm_hello -> false

@@ -69,9 +69,9 @@ val opcode_of_int : int -> opcode option
 
 val idempotent : opcode -> bool
 (** Whether re-executing the request cannot change server state — the
-    frames a client may hedge or blindly retry.  [Reload] (bumps the
-    store epoch) and [Shm_hello] (allocates a ring session) are the
-    opcodes that are not. *)
+    frames a client may blindly retry.  [Reload] (bumps the store
+    epoch) and [Shm_hello] (allocates a ring session) are the opcodes
+    that are not. *)
 
 val status_to_int : status -> int
 val status_of_int : int -> status option

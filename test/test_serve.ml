@@ -1,12 +1,12 @@
 (* Contract and chaos tests for the mpsd serving stack.
 
    Every scenario drives the real daemon — accept loop, per-connection
-   threads, store, wire protocol — over a Unix socket in a temp
-   directory, with faults injected through the pluggable transport.
-   The invariant mirrors the persistence chaos suite: a network fault
-   surfaces as a typed client error or a flagged degraded answer,
-   never as a wrong answer or an escaped exception, and a client
-   retrying with backoff converges once the fault clears. *)
+   threads, store, wire protocol — over a Unix socket (one over loopback
+   TCP) in a temp directory, with faults injected through the pluggable
+   transport.  The invariant mirrors the persistence chaos suite: a
+   network fault surfaces as a typed client error or a flagged degraded
+   answer, never as a wrong answer or an escaped exception, and a
+   client retrying with backoff converges once the fault clears. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -65,9 +65,10 @@ let with_tmp_dir f =
 (* A daemon over a fresh store in a temp dir, stopped (gracefully) and
    joined on the way out so no test leaks a thread, domain or socket.
    [container] additionally saves the MPSZ container, so answers are
-   served from the mapping and shm replies carry descriptors. *)
+   served from the mapping and shm replies carry descriptors; [tcp]
+   binds loopback TCP on a free port instead of a Unix socket. *)
 let with_server ?config ?transport ?fault ?shm_hooks ?(save = true)
-    ?(container = false) f =
+    ?(container = false) ?(tcp = false) f =
   with_tmp_dir (fun dir ->
       let store = Store.create ~dir () in
       if save then
@@ -76,7 +77,8 @@ let with_server ?config ?transport ?fault ?shm_hooks ?(save = true)
         Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
       let server =
         Server.create ?config ?transport ?fault ?shm_hooks ~store
-          (Server.Unix_path (Filename.concat dir "mpsd.sock"))
+          (if tcp then Server.Tcp ("127.0.0.1", 0)
+           else Server.Unix_path (Filename.concat dir "mpsd.sock"))
       in
       let th = Server.start server in
       Fun.protect
@@ -748,27 +750,86 @@ let readiness_flap () =
           check_int "restart counted in health" 1
             h2.Wire.workers.(0).Wire.w_restarts))
 
-(* A hedged query beats a stalled worker: the primary's query wedges
-   600 ms in worker A, the hedge fires at 50 ms on a second connection
-   (dispatched to worker B) and wins with the right answer. *)
-let hedge_beats_stalled_worker () =
+(* A stalled worker wedges only its own connection: client 1's query
+   stalls 600 ms in worker A, and client 2 — dispatched to the
+   least-loaded worker B while that stall is in progress — still gets
+   oracle-equal answers well inside it.  Client 1 is answered too,
+   once its stall ends. *)
+let stalled_worker_spares_others () =
   let plan = [ inj Fault.Worker_stall 1 (Fault.Stall 0.6) 1 ] in
   let hook, fired = Fault.worker_hook_of_plan plan in
   let config = { Server.default_config with Server.workers = 2 } in
   with_server ~config ~fault:hook (fun _server addr ->
+      let dims1 = random_batch ~seed:71 8 in
+      let stalled = ref None in
+      (* open = request 1; the query (request 2) stalls *)
+      let th =
+        Thread.create
+          (fun () ->
+            with_client addr (fun c1 ->
+                stalled := Some (Client.query_ids c1 ~circuit:circuit_name dims1)))
+          ()
+      in
+      check_bool "client 1's query is stalled" true (wait_until (fun () -> fired () = 1));
+      with_client addr (fun c2 ->
+          let dims2 = random_batch ~seed:72 8 in
+          let t0 = Unix.gettimeofday () in
+          let ids, _ =
+            ok_or_fail "client 2's query" (Client.query_ids c2 ~circuit:circuit_name dims2)
+          in
+          let dt = Unix.gettimeofday () -. t0 in
+          check_bool "client 2's answers match the oracle" true (ids = expected_ids dims2);
+          check_bool
+            (Printf.sprintf "client 2 answered in %.3f s, inside the stall" dt)
+            true (dt < 0.5));
+      Thread.join th;
+      let ids1, _ = ok_or_fail "client 1's stalled query" (Option.get !stalled) in
+      check_bool "client 1's answers match the oracle" true (ids1 = expected_ids dims1))
+
+(* The wire carries the budget as u32 microseconds.  A budget past that
+   range (~71.6 min) must saturate, not wrap: wrapped, 4295 s encodes
+   as ~33 ms and a 0.1 s stall is refused with [Err_timeout]. *)
+let large_budget_saturates () =
+  let plan = [ inj Fault.Worker_stall 1 (Fault.Stall 0.1) 1 ] in
+  let hook, fired = Fault.worker_hook_of_plan plan in
+  with_server ~fault:hook (fun _server addr ->
       with_client addr (fun client ->
-          let dims = random_batch ~seed:71 8 in
+          let dims = random_batch ~seed:81 8 in
           (* open = request 1; the query (request 2) stalls *)
           let ids, _ =
-            ok_or_fail "hedged query"
-              (Client.hedged_query_ids ~hedge_after:0.05 client
-                 ~circuit:circuit_name dims)
+            ok_or_fail "query with a 4295 s budget"
+              (Client.query_ids ~budget:4295.0 client ~circuit:circuit_name dims)
           in
-          check_bool "hedged answers correct" true (ids = expected_ids dims);
           check_int "stall fired" 1 (fired ());
-          let s = Client.stats client in
-          check_int "one hedge launched" 1 s.Client.hedges;
-          check_int "the hedge won" 1 s.Client.hedge_wins))
+          check_bool "answers match the oracle" true (ids = expected_ids dims)))
+
+(* The daemon binds loopback TCP on port 0, reports the port it got,
+   and serves plain and pipelined queries over it. *)
+let tcp_round_trip () =
+  with_server ~tcp:true (fun _server addr ->
+      (match addr with
+      | Server.Tcp (_, port) -> check_bool "bound a nonzero port" true (port > 0)
+      | Server.Unix_path _ -> Alcotest.fail "bound a Unix socket, not TCP");
+      with_client addr (fun client ->
+          let dims = random_batch ~seed:91 32 in
+          let ids, _ =
+            ok_or_fail "query over tcp" (Client.query_ids client ~circuit:circuit_name dims)
+          in
+          check_bool "answers match the oracle" true (ids = expected_ids dims);
+          let batches = Array.init 12 (fun k -> random_batch ~seed:(92 + k) 8) in
+          let results =
+            Client.query_ids_pipelined ~depth:4 client ~circuit:circuit_name batches
+          in
+          Array.iteri
+            (fun k r ->
+              let ids, _ = ok_or_fail (Printf.sprintf "pipelined batch %d" k) r in
+              check_bool
+                (Printf.sprintf "pipelined batch %d matches the oracle" k)
+                true
+                (ids = expected_ids batches.(k)))
+            results;
+          check_bool "frames were pipelined" true
+            ((Client.stats client).Client.pipelined > 0)))
 
 (* --- Store hot-reload race --------------------------------------------- *)
 
@@ -1375,42 +1436,6 @@ let farewell_mid_pipeline () =
               check_bool "client reconnected once" true
                 ((Client.stats client).Client.connects >= 2))))
 
-(* --- Hedging across daemons ------------------------------------------- *)
-
-(* Satellite of the shm work: the hedge can now target a different
-   daemon.  The primary's worker stalls mid-query; the hedge goes to
-   the healthy peer and wins, and only the losing connection is
-   poisoned — the client recovers the primary on the next call. *)
-let hedged_across_daemons () =
-  let plan = [ inj Fault.Worker_stall 1 (Fault.Stall 0.6) 1 ] in
-  let hook, fired = Fault.worker_hook_of_plan plan in
-  with_server ~fault:hook (fun _primary addr1 ->
-      with_server (fun peer addr2 ->
-          with_client addr1 (fun client ->
-              let dims = random_batch ~seed:61 16 in
-              let t0 = Unix.gettimeofday () in
-              let ids, _ =
-                ok_or_fail "hedged query"
-                  (Client.hedged_query_ids ~hedge_after:0.05 ~peers:[ addr2 ] client
-                     ~circuit:circuit_name dims)
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              check_bool "hedged answers correct" true (ids = expected_ids dims);
-              check_bool "beat the stalled daemon" true (dt < 0.5);
-              check_int "stall fired" 1 (fired ());
-              let s = Client.stats client in
-              check_int "one hedge launched" 1 s.Client.hedges;
-              check_int "the peer won" 1 s.Client.hedge_wins;
-              check_bool "peer served the hedge" true
-                ((Server.stats peer).Server.requests_served > 0);
-              (* only the loser was poisoned: the next call reconnects
-                 the primary and is served *)
-              let ids2, _ =
-                ok_or_fail "after the race"
-                  (Client.query_ids client ~circuit:circuit_name dims)
-              in
-              check_bool "primary recovered" true (ids2 = expected_ids dims))))
-
 (* SIGTERM is handled on whichever thread the runtime picks, possibly
    one holding the supervisor mutex — here a health prober keeps one
    such thread busy.  With socket and shm clients mid-request, the
@@ -1534,8 +1559,8 @@ let suite =
       restart_storm_breaker;
     Alcotest.test_case "chaos: readiness flaps with worker state" `Quick
       readiness_flap;
-    Alcotest.test_case "chaos: hedge beats a stalled worker" `Quick
-      hedge_beats_stalled_worker;
+    Alcotest.test_case "chaos: a stalled worker spares other clients" `Quick
+      stalled_worker_spares_others;
     Alcotest.test_case "store prefers the container, falls back typed" `Quick
       store_prefers_container;
     Alcotest.test_case "store hot-reload race never serves a torn engine" `Quick
@@ -1567,8 +1592,10 @@ let suite =
       shm_ring_direct;
     Alcotest.test_case "pipelined farewell keeps positional integrity" `Quick
       farewell_mid_pipeline;
-    Alcotest.test_case "chaos: hedge across daemons beats a stalled one" `Quick
-      hedged_across_daemons;
     Alcotest.test_case "chaos: SIGTERM drains cleanly under socket and shm load"
       `Quick sigterm_drain_under_load;
+    Alcotest.test_case "a budget beyond the u32 wire range saturates" `Quick
+      large_budget_saturates;
+    Alcotest.test_case "tcp: bound port serves plain and pipelined queries" `Quick
+      tcp_round_trip;
   ]
