@@ -5,15 +5,23 @@
    - [mpsgen instantiate CIRCUIT]     build + query one dimension vector
    - [mpsgen query CIRCUIT -i FILE]   query a saved structure
    - [mpsgen verify CIRCUIT -i FILE]  integrity-check a saved structure
+   - [mpsgen pack CIRCUIT -i FILE]    convert a container to its text dump or back
+   - [mpsgen compact CIRCUIT -i FILE] shrink a saved structure, same answers
+   - [mpsgen stats CIRCUIT -i FILE]   size accounting for a saved structure
+   - [mpsgen audit CIRCUIT -i FILE]   re-prove every invariant of a saved structure
+   - [mpsgen repair CIRCUIT -i FILE]  salvage, quarantine and re-save a structure
+   - [mpsgen route CIRCUIT]           generate, instantiate and maze-route
    - [mpsgen extend CIRCUIT -i FILE]  resume exploration on a saved structure
    - [mpsgen experiments TARGET]      regenerate a table / figure / ablation
    - [mpsgen serve -d DIR]            run the mpsd structure-serving daemon
    - [mpsgen health ADDR]             readiness probe against a running mpsd
    - [mpsgen bench-serve CIRCUIT]     end-to-end serving throughput/latency
 
-   [generate] and [extend] checkpoint with [--checkpoint FILE
-   --checkpoint-every N --max-seconds S] and resume automatically when
-   the checkpoint file exists. *)
+   Every command that writes a structure writes the MPSZ container
+   (conventionally [<circuit>.mpsz]); [pack] is the one converter to
+   and from the v2 text dump.  [generate] and [extend] checkpoint with
+   [--checkpoint FILE --checkpoint-every N --max-seconds S] and resume
+   automatically when the checkpoint file exists. *)
 
 open Cmdliner
 open Mps_geometry
@@ -28,48 +36,22 @@ let die fmt =
       exit 1)
     fmt
 
+(* Strict loads map the container; eq. 5 is re-checked once when a
+   command needs the structure rather than just the engine. *)
+let load_view ~circuit ~path =
+  match Zcodec.load ~circuit path with
+  | v -> v
+  | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e)
+
 let load_structure ~circuit ~path =
-  match Codec.load ~circuit ~path with
+  match Structure.Engine.structure (load_view ~circuit ~path).Zcodec.engine with
   | s -> s
-  | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e)
-  | exception Sys_error msg -> die "%s" msg
+  | exception Invalid_argument msg -> die "%s: %s" path msg
 
-(* Structure file format selection, shared by generate/pack/compact:
-   [auto] picks by destination extension (.mpsz is the zero-copy
-   container, anything else the text document). *)
-type file_format = Fmt_auto | Fmt_text | Fmt_mpsz
-
-let resolve_format format path =
-  match format with
-  | Fmt_text -> `Text
-  | Fmt_mpsz -> `Mpsz
-  | Fmt_auto -> if Filename.check_suffix path ".mpsz" then `Mpsz else `Text
-
-let save_structure ?(packed = false) ~format structure ~path =
-  match resolve_format format path with
-  | `Text -> (
-    match Codec.save structure ~path with
-    | () -> ()
-    | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e))
-  | `Mpsz -> (
-    match Zcodec.save ~packed structure ~path with
-    | () -> ()
-    | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e))
-
-let format_arg =
-  let fmt_conv =
-    Arg.enum [ ("auto", Fmt_auto); ("text", Fmt_text); ("mpsz", Fmt_mpsz) ]
-  in
-  Arg.(
-    value
-    & opt fmt_conv Fmt_auto
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Structure file format: $(b,text) (the line-oriented document), $(b,mpsz) \
-           (the zero-copy binary container, loaded by mapping instead of \
-           recompiling), or $(b,auto) (default: by destination extension, \
-           $(b,.mpsz) means the container).  Reads always sniff the file magic, so \
-           either format loads everywhere regardless of this flag.")
+let save_container ?packed structure ~path =
+  match Zcodec.save ?packed structure ~path with
+  | () -> ()
+  | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e)
 
 let budget_conv =
   let parse = function
@@ -169,8 +151,8 @@ let retire_checkpoint ~stats ~saved checkpoint =
     Format.printf "  removed spent checkpoint %s@." path
   | _ -> ()
 
-let generate circuit budget svg_dir save_path format checkpoint checkpoint_every
-    max_seconds jobs =
+let generate circuit budget svg_dir save_path checkpoint checkpoint_every max_seconds
+    jobs =
   let config =
     with_checkpointing
       (Mps_experiments.Experiments.generator_config budget circuit)
@@ -187,7 +169,7 @@ let generate circuit budget svg_dir save_path format checkpoint checkpoint_every
   (match save_path with
   | None -> ()
   | Some path ->
-    save_structure ~format structure ~path;
+    save_container structure ~path;
     Format.printf "  saved structure to %s@." path);
   retire_checkpoint ~stats ~saved:(save_path <> None) checkpoint;
   match svg_dir with
@@ -214,7 +196,9 @@ let save_arg =
     value
     & opt (some string) None
     & info [ "o"; "save" ] ~docv:"FILE"
-        ~doc:"Persist the generated structure to $(docv) (reload with $(b,mpsgen query)).")
+        ~doc:
+          "Persist the generated structure to $(docv) as an MPSZ container (reload \
+           with $(b,mpsgen query)).")
 
 let checkpoint_arg =
   Arg.(
@@ -246,8 +230,7 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a multi-placement structure and report statistics.")
     Term.(
-      const generate $ circuit_arg $ budget_arg $ svg_arg $ save_arg $ format_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ max_seconds_arg $ jobs_arg)
+      const generate $ circuit_arg $ budget_arg $ svg_arg $ save_arg $ checkpoint_arg $ checkpoint_every_arg $ max_seconds_arg $ jobs_arg)
 
 (* instantiate *)
 
@@ -358,30 +341,10 @@ let load_salvaged ~circuit ~path =
     sv.Codec.structure
   | Error e -> die "%s: %s" path (Codec.error_to_string e)
 
-(* Sniff the container magic without reading the whole file, so query
-   can map a [.mpsz] zero-copy instead of recompiling it. *)
-let file_is_mpsz path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic 8 with
-        | head -> Zcodec.is_magic head
-        | exception End_of_file -> false)
-
 let query circuit path point dims_opt salvage =
   let engine =
-    if (not salvage) && file_is_mpsz path then
-      (* zero-copy: map the compiled engine, skip recompilation *)
-      match Zcodec.load ~circuit path with
-      | v -> v.Zcodec.engine
-      | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e)
-    else
-      Structure.Engine.create
-        (if salvage then load_salvaged ~circuit ~path
-         else load_structure ~circuit ~path)
+    if salvage then Structure.Engine.create (load_salvaged ~circuit ~path)
+    else (load_view ~circuit ~path).Zcodec.engine
   in
   let dims =
     match dims_opt with
@@ -409,15 +372,17 @@ let load_arg =
   Arg.(
     required
     & opt (some string) None
-    & info [ "i"; "load" ] ~docv:"FILE" ~doc:"Structure file written by $(b,mpsgen generate --save).")
+    & info [ "i"; "load" ] ~docv:"FILE"
+        ~doc:"MPSZ container written by $(b,mpsgen generate --save).")
 
 let salvage_arg =
   Arg.(
     value & flag
     & info [ "salvage" ]
         ~doc:
-          "Recover what is intact from a corrupt or truncated file instead of refusing \
-           it; queries over lost territory fall back to the backup placement.")
+          "Recover what is intact from a corrupt or truncated file (a container or a \
+           text dump) instead of refusing it; queries over lost territory fall back \
+           to the backup placement.")
 
 let dims_arg =
   Arg.(
@@ -440,30 +405,32 @@ let query_cmd =
    scripts against them): 0 intact, 1 corrupt or for another circuit,
    2 missing or unreadable. *)
 let verify circuit path quiet =
-  match Codec.load ~circuit ~path with
-  | structure ->
-    (* load already proved: readable, version/checksum intact, circuit
-       identity, every placement well-formed, validity boxes disjoint
-       (Structure.of_placements).  Report what was checked. *)
-    if not quiet then begin
-      let die_w, die_h = Structure.die structure in
-      Format.printf
-        "%s: OK@.  format: %s@.  checksum: valid@.  circuit: %s (%d blocks, %d \
-         nets)@.  die: %dx%d@.  placements: %d (%d explored), validity boxes \
-         disjoint@.  coverage: %.6f@."
-        path
-        (if file_is_mpsz path then "mpsz container" else "text document")
-        circuit.Circuit.name (Circuit.n_blocks circuit) (Circuit.n_nets circuit)
-        die_w die_h (Structure.n_placements structure)
-        (Structure.n_explored structure) (Structure.coverage structure)
-    end
-  | exception Codec.Error e ->
-    if not quiet then
-      Format.eprintf "%s: verify failed: %s@." path (Codec.error_to_string e);
-    exit (match e with Codec.Io_error _ -> 2 | Codec.Corrupt _ | Codec.Circuit_mismatch _ -> 1)
-  | exception Sys_error msg ->
+  let fail code msg =
     if not quiet then Format.eprintf "%s: verify failed: %s@." path msg;
-    exit 2
+    exit code
+  in
+  match Zcodec.load ~circuit path with
+  | exception Zcodec.Error e ->
+    fail
+      (match e with Zcodec.Io_error _ -> 2 | Zcodec.Corrupt _ | Zcodec.Circuit_mismatch _ -> 1)
+      (Zcodec.error_to_string e)
+  | view -> (
+    (* the load proved: readable, header and every section CRC intact,
+       circuit identity, every record well-formed; eq. 5 (disjoint
+       validity boxes) is re-checked here.  Report what was checked. *)
+    match Structure.Engine.structure view.Zcodec.engine with
+    | exception Invalid_argument msg -> fail 1 msg
+    | structure ->
+      if not quiet then begin
+        let die_w, die_h = Structure.die structure in
+        Format.printf
+          "%s: OK@.  format: mpsz container@.  checksum: valid@.  circuit: %s (%d \
+           blocks, %d nets)@.  die: %dx%d@.  placements: %d (%d explored), validity \
+           boxes disjoint@.  coverage: %.6f@."
+          path circuit.Circuit.name (Circuit.n_blocks circuit) (Circuit.n_nets circuit)
+          die_w die_h (Structure.n_placements structure)
+          (Structure.n_explored structure) (Structure.coverage structure)
+      end)
 
 let quiet_arg =
   Arg.(
@@ -481,25 +448,42 @@ let verify_cmd =
           2 when it is missing or unreadable.")
     Term.(const verify $ circuit_arg $ load_arg $ quiet_arg)
 
-(* pack: convert between the text document and the MPSZ container *)
+(* pack: the one converter between the container and its v2 text dump
+   (for diffs and debugging); the input's magic picks the direction *)
 
 let file_bytes path =
   match Unix.stat path with
   | st -> st.Unix.st_size
   | exception Unix.Unix_error _ -> 0
 
-let pack circuit path out format =
-  let structure = load_structure ~circuit ~path in
+let pack circuit path out =
+  let raw =
+    match Persist.read_file ~path with
+    | raw -> raw
+    | exception Sys_error msg -> die "%s" msg
+  in
+  let to_text = Zcodec.is_magic raw in
+  let structure =
+    if to_text then load_structure ~circuit ~path
+    else
+      match Codec.of_string ~circuit raw with
+      | s -> s
+      | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e)
+  in
   let dest =
     match out with
     | Some p -> p
-    | None ->
-      (* default: the sibling file in the other format *)
-      if Filename.check_suffix path ".mpsz" then Filename.chop_suffix path ".mpsz"
-      else path ^ ".mpsz"
+    | None when to_text ->
+      if Filename.check_suffix path ".mpsz" then Filename.chop_suffix path "z"
+      else path ^ ".mps"
+    | None -> if Filename.check_suffix path ".mps" then path ^ "z" else path ^ ".mpsz"
   in
-  save_structure ~format structure ~path:dest;
-  let before = file_bytes path and after = file_bytes dest in
+  (if to_text then
+     match Codec.save structure ~path:dest with
+     | () -> ()
+     | exception Codec.Error e -> die "%s: %s" dest (Codec.error_to_string e)
+   else save_container structure ~path:dest);
+  let before = String.length raw and after = file_bytes dest in
   Format.printf "packed %s (%d bytes) -> %s (%d bytes, %.2fx)@." path before dest after
     (if after > 0 then float_of_int before /. float_of_int after else 0.)
 
@@ -509,17 +493,17 @@ let pack_out_arg =
     & opt (some string) None
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:
-          "Destination (default: the input path with $(b,.mpsz) appended, or \
-           stripped when converting a container back to text).")
+          "Destination (default: the input path with $(b,.mps) and $(b,.mpsz) \
+           swapped).")
 
 let pack_cmd =
   Cmd.v
     (Cmd.info "pack"
        ~doc:
-         "Convert a structure file between formats: text document to zero-copy MPSZ \
-          container (the default direction) or back.  The container stores the \
-          compiled engine, so later loads map it in O(1) instead of recompiling.")
-    Term.(const pack $ circuit_arg $ load_arg $ pack_out_arg $ format_arg)
+         "Convert between a structure's MPSZ container and its v2 text dump: a \
+          container becomes the line-oriented document (for diffs and debugging), a \
+          text document becomes the container every other command reads.")
+    Term.(const pack $ circuit_arg $ load_arg $ pack_out_arg)
 
 (* compact: dedupe/merge/prune a saved structure *)
 
@@ -532,8 +516,8 @@ let compact circuit path out audit_gate =
     Format.printf "audit regression: compaction reverted, rewriting the input as-is@.";
   let dest = Option.value out ~default:path in
   (* compact's output is the archival form: half-packed coordinate
-     sections when the destination is a container *)
-  save_structure ~packed:true ~format:Fmt_auto compacted ~path:dest;
+     sections *)
+  save_container ~packed:true compacted ~path:dest;
   Format.printf "wrote %s@." dest
 
 let compact_out_arg =
@@ -542,8 +526,7 @@ let compact_out_arg =
     & opt (some string) None
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:
-          "Where to write the compacted structure (default: overwrite the input).  \
-           A $(b,.mpsz) extension writes the zero-copy container.")
+          "Where to write the compacted structure (default: overwrite the input).")
 
 let no_audit_arg =
   Arg.(
@@ -570,95 +553,48 @@ let compact_cmd =
 (* stats: size accounting for a saved structure *)
 
 let stats circuit path json =
-  let raw =
-    match Persist.read_file ~path with
-    | raw -> raw
-    | exception Sys_error msg -> die "%s" msg
+  let v = load_view ~circuit ~path in
+  let bytes = v.Zcodec.bytes in
+  let records = v.Zcodec.n_stored + 1 in
+  let dedupe = float_of_int (records - v.Zcodec.n_pool) /. float_of_int records in
+  let header_bytes =
+    match v.Zcodec.sections with s :: _ -> 8 * s.Zcodec.off_words | [] -> bytes
   in
-  let bytes = String.length raw in
-  if Zcodec.is_magic raw then begin
-    let v =
-      match Zcodec.of_string ~circuit raw with
-      | v -> v
-      | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e)
+  if json then begin
+    let section_json =
+      v.Zcodec.sections
+      |> List.map (fun s ->
+             Printf.sprintf "    {\"tag\": %S, \"bytes\": %d}" s.Zcodec.tag
+               (8 * s.Zcodec.len_words))
+      |> String.concat ",\n"
     in
-    let records = v.Zcodec.n_stored + 1 in
-    let dedupe =
-      float_of_int (records - v.Zcodec.n_pool) /. float_of_int records
-    in
-    let header_bytes =
-      match v.Zcodec.sections with
-      | s :: _ -> 8 * s.Zcodec.off_words
-      | [] -> bytes
-    in
-    if json then begin
-      let section_json =
-        v.Zcodec.sections
-        |> List.map (fun s ->
-               Printf.sprintf "    {\"tag\": %S, \"bytes\": %d}" s.Zcodec.tag
-                 (8 * s.Zcodec.len_words))
-        |> String.concat ",\n"
-      in
-      Printf.printf
-        "{\n\
-        \  \"path\": %S,\n\
-        \  \"format\": \"mpsz\",\n\
-        \  \"bytes\": %d,\n\
-        \  \"placements\": %d,\n\
-        \  \"pool\": %d,\n\
-        \  \"dedupe_ratio\": %.4f,\n\
-        \  \"bytes_per_placement\": %.1f,\n\
-        \  \"header_bytes\": %d,\n\
-        \  \"sections\": [\n%s\n  ]\n\
-         }\n"
-        path bytes v.Zcodec.n_stored v.Zcodec.n_pool dedupe
-        (float_of_int bytes /. float_of_int records)
-        header_bytes section_json
-    end
-    else begin
-      Format.printf
-        "%s: mpsz container@.  bytes: %d (%.1f per placement)@.  placements: %d (+ \
-         backup)@.  coordinate pool: %d arrays (dedupe ratio %.1f%%)@.  header: %d \
-         bytes@.  sections:@."
-        path bytes
-        (float_of_int bytes /. float_of_int records)
-        v.Zcodec.n_stored v.Zcodec.n_pool (100. *. dedupe) header_bytes;
-      List.iter
-        (fun s ->
-          Format.printf "    %-4s %8d bytes@." s.Zcodec.tag (8 * s.Zcodec.len_words))
-        v.Zcodec.sections
-    end
+    Printf.printf
+      "{\n\
+      \  \"path\": %S,\n\
+      \  \"format\": \"mpsz\",\n\
+      \  \"bytes\": %d,\n\
+      \  \"placements\": %d,\n\
+      \  \"pool\": %d,\n\
+      \  \"dedupe_ratio\": %.4f,\n\
+      \  \"bytes_per_placement\": %.1f,\n\
+      \  \"header_bytes\": %d,\n\
+      \  \"sections\": [\n%s\n  ]\n\
+       }\n"
+      path bytes v.Zcodec.n_stored v.Zcodec.n_pool dedupe
+      (float_of_int bytes /. float_of_int records)
+      header_bytes section_json
   end
   else begin
-    let structure =
-      match Codec.of_string ~circuit raw with
-      | s -> s
-      | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e)
-    in
-    let records = Structure.n_placements structure + 1 in
-    if json then
-      Printf.printf
-        "{\n\
-        \  \"path\": %S,\n\
-        \  \"format\": \"text\",\n\
-        \  \"bytes\": %d,\n\
-        \  \"placements\": %d,\n\
-        \  \"bytes_per_placement\": %.1f,\n\
-        \  \"coverage\": %.6f\n\
-         }\n"
-        path bytes
-        (Structure.n_placements structure)
-        (float_of_int bytes /. float_of_int records)
-        (Structure.coverage structure)
-    else
-      Format.printf
-        "%s: text document@.  bytes: %d (%.1f per placement)@.  placements: %d (+ \
-         backup)@.  coverage: %.6f@.  (pack to .mpsz for per-section accounting and \
-         zero-copy loads)@."
-        path bytes
-        (float_of_int bytes /. float_of_int records)
-        (Structure.n_placements structure)
-        (Structure.coverage structure)
+    Format.printf
+      "%s: mpsz container@.  bytes: %d (%.1f per placement)@.  placements: %d (+ \
+       backup)@.  coordinate pool: %d arrays (dedupe ratio %.1f%%)@.  header: %d \
+       bytes@.  sections:@."
+      path bytes
+      (float_of_int bytes /. float_of_int records)
+      v.Zcodec.n_stored v.Zcodec.n_pool (100. *. dedupe) header_bytes;
+    List.iter
+      (fun s -> Format.printf "    %-4s %8d bytes@." s.Zcodec.tag (8 * s.Zcodec.len_words))
+      v.Zcodec.sections
   end
 
 let stats_json_arg =
@@ -671,8 +607,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Size accounting for a saved structure: bytes on disk, placement and \
-          coordinate-pool counts, dedupe ratio, and (for MPSZ containers) the \
-          per-section byte breakdown.")
+          coordinate-pool counts, dedupe ratio, and the per-section byte \
+          breakdown.")
     Term.(const stats $ circuit_arg $ load_arg $ stats_json_arg)
 
 (* audit a saved structure *)
@@ -743,9 +679,8 @@ let repair circuit path reanneal out jobs =
   print_string (Audit.to_string outcome.Repair.before);
   Format.printf "%s@." (Repair.describe outcome);
   let dest = Option.value out ~default:path in
-  (match Codec.save outcome.Repair.structure ~path:dest with
-  | () -> Format.printf "saved repaired structure to %s@." dest
-  | exception Codec.Error e -> die "%s: %s" dest (Codec.error_to_string e));
+  save_container outcome.Repair.structure ~path:dest;
+  Format.printf "saved repaired structure to %s@." dest;
   print_string (Audit.to_string outcome.Repair.after);
   if Repair.clean outcome then () else exit 1
 
@@ -830,9 +765,8 @@ let extend circuit path budget seed save_path checkpoint checkpoint_every max_se
     Format.printf
       "  stopped early: wall-clock deadline reached (rerun to resume from the checkpoint)@.";
   let out = Option.value save_path ~default:path in
-  (match Codec.save extended ~path:out with
-  | () -> Format.printf "  saved to %s@." out
-  | exception Codec.Error e -> die "%s: %s" out (Codec.error_to_string e));
+  save_container extended ~path:out;
+  Format.printf "  saved to %s@." out;
   retire_checkpoint ~stats ~saved:true checkpoint
 
 let seed_arg =
@@ -1022,8 +956,8 @@ let store_dir_arg =
     & opt string "."
     & info [ "d"; "dir" ] ~docv:"DIR"
         ~doc:
-          "Structure store: one $(b,<circuit>.mps) per circuit (spaces as \
-           underscores), as written by $(b,mpsgen generate -o).")
+          "Structure store: one $(b,<circuit>.mpsz) container per circuit (spaces \
+           as underscores), as written by $(b,mpsgen generate -o).")
 
 let socket_arg =
   Arg.(
@@ -1373,17 +1307,10 @@ let bench_serve circuit budget batch requests clients workers attach out jobs tr
           (Printf.sprintf "mpsd-bench.%d" (Unix.getpid ()))
       in
       (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let store0 = Store.create ~dir () in
-      let path = Store.path_for store0 circuit.Circuit.name in
-      (match Codec.save structure ~path with
-      | () -> ()
-      | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e));
-      (* the MPSZ container too, so ring replies come back as
-         zero-copy descriptors into the client-mapped container *)
-      let zpath = Store.zpath_for store0 circuit.Circuit.name in
-      (match Zcodec.save structure ~path:zpath with
-      | () -> ()
-      | exception Zcodec.Error e -> die "%s: %s" zpath (Zcodec.error_to_string e));
+      (* ring replies come back as zero-copy descriptors into the
+         client-mapped container *)
+      save_container structure
+        ~path:(Store.zpath_for (Store.create ~dir ()) circuit.Circuit.name);
       (* Each measurement execs a fresh `mpsgen serve` daemon in its
          own PROCESS — co-located the way production is, and with no
          shared OCaml heap: on OCaml 5 every minor collection is a

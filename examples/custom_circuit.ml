@@ -55,9 +55,9 @@ let () =
     stats.Generator.placements_stored stats.Generator.coverage;
 
   (* Persist and reload: generation happens once per topology. *)
-  let path = Filename.temp_file "custom_circuit" ".mps" in
-  Codec.save structure ~path;
-  let reloaded = Codec.load ~circuit ~path in
+  let path = Filename.temp_file "custom_circuit" ".mpsz" in
+  Zcodec.save structure ~path;
+  let reloaded = Structure.Engine.structure (Zcodec.load ~circuit path).Zcodec.engine in
   Format.printf "Saved to %s (%d bytes) and reloaded: %d placements.@." path
     (let st = Unix.stat path in
      st.Unix.st_size)

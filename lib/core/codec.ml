@@ -4,7 +4,6 @@ open Mps_placement
 
 let format_version = 2
 let magic_v2 = "mps-structure v2"
-let magic_v1 = "mps-structure v1"
 
 type error =
   | Io_error of string
@@ -196,10 +195,7 @@ let read_identity cursor ~circuit =
    checksum line, so it is verified on the raw string before any line
    splitting. *)
 
-type checksum_status =
-  | Ok_checksum
-  | No_checksum  (** legacy v0/v1 document *)
-  | Bad_checksum of { lineno : int; reason : string }
+type checksum_status = Ok_checksum | Bad_checksum of { lineno : int; reason : string }
 
 let split_header raw =
   let len = String.length raw in
@@ -208,8 +204,12 @@ let split_header raw =
   in
   let rest_after e = if e >= len then "" else String.sub raw (e + 1) (len - e - 1) in
   let e1 = line_end 0 in
-  let first = String.sub raw 0 e1 in
-  if first = magic_v2 then
+  if String.sub raw 0 e1 <> magic_v2 then
+    (* Unknown magic: one clean line, never a dump of binary junk. *)
+    ( "",
+      0,
+      Bad_checksum { lineno = 1; reason = "unrecognized format (expected mps-structure v2)" } )
+  else
     let e2 = line_end (min len (e1 + 1)) in
     let second = if e1 >= len then "" else String.sub raw (e1 + 1) (e2 - e1 - 1) in
     if String.length second >= 9 && String.sub second 0 9 = "checksum " then
@@ -228,21 +228,6 @@ let split_header raw =
       (* checksum line damaged or gone: for salvage, keep everything
          after the magic line scannable *)
       (rest_after e1, 1, Bad_checksum { lineno = 2; reason = "missing checksum line" })
-  else if first = magic_v1 then (rest_after e1, 1, No_checksum)
-  else if String.length first >= 8 && String.sub first 0 8 = "circuit " then
-    (* v0: headerless, the document starts directly at the identity *)
-    (raw, 0, No_checksum)
-  else
-    (* Unknown magic: one clean line, never a dump of binary junk. *)
-    ( "",
-      0,
-      Bad_checksum
-        {
-          lineno = 1;
-          reason =
-            "unrecognized format (expected mps-structure v1/v2 or an MPSZ \
-             container)";
-        } )
 
 let cursor_of ~payload ~offset =
   { lines = String.split_on_char '\n' payload; lineno = offset }
@@ -265,25 +250,10 @@ let parse_payload ~circuit cursor =
   | s -> s
   | exception Invalid_argument msg -> corrupt cursor.lineno "%s" msg
 
-(* MPSZ routing: the binary container has its own codec (Zcodec); this
-   module sniffs the magic so every entry point — strict load, verify,
-   salvage — accepts either format transparently. *)
-
-let of_zcodec_error = function
-  | Zcodec.Io_error msg -> Io_error msg
-  | Zcodec.Corrupt { section; reason } ->
-    Corrupt { lineno = 0; reason = Printf.sprintf "MPSZ %s: %s" section reason }
-  | Zcodec.Circuit_mismatch msg -> Circuit_mismatch msg
-
 let of_string ~circuit raw =
-  if Zcodec.is_magic raw then
-    match Zcodec.of_string ~circuit raw with
-    | v -> Structure.Engine.structure v.Zcodec.engine
-    | exception Zcodec.Error e -> raise (Error (of_zcodec_error e))
-  else
-    match split_header raw with
-    | _, _, Bad_checksum { lineno; reason } -> corrupt lineno "%s" reason
-    | payload, offset, _ -> parse_payload ~circuit (cursor_of ~payload ~offset)
+  match split_header raw with
+  | _, _, Bad_checksum { lineno; reason } -> corrupt lineno "%s" reason
+  | payload, offset, Ok_checksum -> parse_payload ~circuit (cursor_of ~payload ~offset)
 
 let save structure ~path =
   try Persist.atomic_write ~path (to_string structure)
@@ -308,62 +278,79 @@ type salvage = {
   audit : Audit.report;
 }
 
-(* MPSZ salvage: Zcodec scans the pool and record table for intact
-   records; the tail — overlap filtering, recompile, audit-and-repair —
-   is the same graceful-degradation pipeline the text path runs. *)
-let salvage_of_zwords ~circuit words ~bytes =
-  match Zcodec.salvage_parts ~circuit words ~bytes with
+(* The tail both formats share: keep the intact placements (file
+   order) whose boxes are disjoint from every one kept before, so the
+   result never violates eq. 5, recompile, then audit and repair —
+   syntactically intact is not semantically sound (re-annealing stays
+   off on the load path).  [claimed] is the count the header promised;
+   when it is unusable the drop count is what the scan saw fail. *)
+let salvage_of_parts ~circuit ~intact ~backup ~claimed ~failed ~checksum_ok ~lineno =
+  let kept = ref [] and overlapped = ref 0 in
+  List.iter
+    (fun (s : Stored.t) ->
+      if List.exists (fun k -> Dimbox.overlaps k.Stored.box s.Stored.box) !kept then
+        incr overlapped
+      else kept := s :: !kept)
+    intact;
+  let kept = List.rev !kept in
+  let stored =
+    match (kept, backup) with
+    | [], None -> [||]
+    | [], Some b -> [| b |]
+    | ks, _ -> Array.of_list ks
+  in
+  if Array.length stored = 0 then
+    Result.Error (Corrupt { lineno; reason = "no intact placement recovered" })
+  else
+    let structure =
+      match Structure.of_placements ?backup circuit stored with
+      | s -> s
+      | exception Invalid_argument _ ->
+        (* kept boxes are pairwise disjoint by construction — but never
+           let salvage blow up *)
+        Structure.of_placements circuit [| stored.(0) |]
+    in
+    let recovered = List.length kept in
+    let outcome = Repair.run structure in
+    Result.Ok
+      {
+        structure = outcome.Repair.structure;
+        recovered;
+        dropped =
+          (match claimed with
+          | Some c -> max (c - recovered) 0
+          | None -> failed + !overlapped);
+        quarantined = List.length outcome.Repair.quarantined;
+        backup_recovered = backup <> None;
+        checksum_ok;
+        audit = outcome.Repair.after;
+      }
+
+let of_zcodec_error = function
+  | Zcodec.Io_error msg -> Io_error msg
+  | Zcodec.Corrupt { section; reason } ->
+    Corrupt { lineno = 0; reason = Printf.sprintf "MPSZ %s: %s" section reason }
+  | Zcodec.Circuit_mismatch msg -> Circuit_mismatch msg
+
+(* MPSZ: Zcodec scans the pool and record table for intact records. *)
+let salvage_of_container ~circuit raw =
+  match
+    Zcodec.salvage_parts ~circuit (Zcodec.words_of_string raw) ~bytes:(String.length raw)
+  with
   | Result.Error e -> Result.Error (of_zcodec_error e)
   | Result.Ok r ->
-    let kept = ref [] and overlapped = ref 0 in
-    List.iter
-      (fun (s : Stored.t) ->
-        if List.exists (fun k -> Dimbox.overlaps k.Stored.box s.Stored.box) !kept
-        then incr overlapped
-        else kept := s :: !kept)
-      r.Zcodec.r_stored;
-    let kept = List.rev !kept in
-    let backup = r.Zcodec.r_backup in
-    let stored =
-      match (kept, backup) with
-      | [], None -> [||]
-      | [], Some b -> [| b |]
-      | ks, _ -> Array.of_list ks
-    in
-    if Array.length stored = 0 then
-      Result.Error (Corrupt { lineno = 0; reason = "no intact placement recovered" })
-    else
-      let structure =
-        match Structure.of_placements ?backup circuit stored with
-        | s -> s
-        | exception Invalid_argument _ ->
-          (* kept boxes are pairwise disjoint by construction — but
-             never let salvage blow up *)
-          Structure.of_placements circuit [| stored.(0) |]
-      in
-      let recovered = List.length kept in
-      let outcome = Repair.run structure in
-      Result.Ok
-        {
-          structure = outcome.Repair.structure;
-          recovered;
-          dropped = max (r.Zcodec.r_claimed - recovered) 0;
-          quarantined = List.length outcome.Repair.quarantined;
-          backup_recovered = backup <> None;
-          checksum_ok = r.Zcodec.r_crc_ok;
-          audit = outcome.Repair.after;
-        }
+    salvage_of_parts ~circuit ~intact:r.Zcodec.r_stored ~backup:r.Zcodec.r_backup
+      ~claimed:(Some r.Zcodec.r_claimed) ~failed:0 ~checksum_ok:r.Zcodec.r_crc_ok
+      ~lineno:0
 
-let salvage_of_string ~circuit raw =
-  if Zcodec.is_magic raw then
-    salvage_of_zwords ~circuit (Zcodec.words_of_string raw) ~bytes:(String.length raw)
-  else
+(* Text: resynchronize on the next [placement] line past any damaged
+   section. *)
+let salvage_of_document ~circuit raw =
   match split_header raw with
   | _, _, Bad_checksum { lineno = 1; reason } ->
     (* not even the format header survived: nothing to scan *)
     Result.Error (Corrupt { lineno = 1; reason })
   | payload, offset, status -> (
-    let checksum_ok = status = Ok_checksum in
     let cursor = cursor_of ~payload ~offset in
     match
       let die_w, die_h = read_identity cursor ~circuit in
@@ -382,8 +369,7 @@ let salvage_of_string ~circuit raw =
     | exception Error e -> Result.Error e
     | die_w, die_h, claimed ->
       let n = Circuit.n_blocks circuit in
-      let kept = ref [] and failed = ref 0 and overlapped = ref 0 in
-      let backup = ref None in
+      let intact = ref [] and failed = ref 0 and backup = ref None in
       let try_placement () =
         let snapshot_lines = cursor.lines and snapshot_lineno = cursor.lineno in
         match read_placement cursor ~n ~die_w ~die_h with
@@ -405,55 +391,18 @@ let salvage_of_string ~circuit raw =
           finished := true
         | Some l when is_placement l -> (
           match try_placement () with
-          | Some s ->
-            if List.exists (fun k -> Dimbox.overlaps k.Stored.box s.Stored.box) !kept then
-              incr overlapped
-            else kept := s :: !kept
+          | Some s -> intact := s :: !intact
           | None ->
             incr failed;
             skip cursor (* resynchronize past the damaged section head *))
         | Some _ -> skip cursor
       done;
-      let kept = List.rev !kept in
-      let stored =
-        match (kept, !backup) with
-        | [], None -> [||]
-        | [], Some b -> [| b |]
-        | ks, _ -> Array.of_list ks
-      in
-      if Array.length stored = 0 then
-        Result.Error
-          (Corrupt { lineno = cursor.lineno; reason = "no intact placement recovered" })
-      else
-        let structure =
-          match Structure.of_placements ?backup:!backup circuit stored with
-          | s -> s
-          | exception Invalid_argument msg ->
-            (* cannot happen: kept boxes are pairwise disjoint by
-               construction — but never let salvage blow up *)
-            ignore msg;
-            Structure.of_placements circuit [| stored.(0) |]
-        in
-        let recovered = List.length kept in
-        let dropped =
-          match claimed with
-          | Some c -> max (c - recovered) 0
-          | None -> !failed + !overlapped
-        in
-        (* Syntactically intact is not semantically sound: audit the
-           recovered structure and quarantine/repair what fails its
-           invariants (re-annealing stays off on the load path). *)
-        let outcome = Repair.run structure in
-        Result.Ok
-          {
-            structure = outcome.Repair.structure;
-            recovered;
-            dropped;
-            quarantined = List.length outcome.Repair.quarantined;
-            backup_recovered = !backup <> None;
-            checksum_ok;
-            audit = outcome.Repair.after;
-          })
+      salvage_of_parts ~circuit ~intact:(List.rev !intact) ~backup:!backup ~claimed
+        ~failed:!failed ~checksum_ok:(status = Ok_checksum) ~lineno:cursor.lineno)
+
+let salvage_of_string ~circuit raw =
+  if Zcodec.is_magic raw then salvage_of_container ~circuit raw
+  else salvage_of_document ~circuit raw
 
 let load_salvage ~circuit ~path =
   match Persist.read_file ~path with

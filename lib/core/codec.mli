@@ -1,13 +1,13 @@
-(** Persistence for compiled multi-placement structures.
+(** The v2 text document: a line-oriented dump of a structure.
 
-    The whole point of a multi-placement structure is that it is
-    generated {e once} per circuit topology (paper Fig. 1a) and reused
-    across synthesis runs, so the saved artifact sits on the system's
-    durability-critical path.  The format is a line-oriented text file;
-    the circuit itself is not stored — loading requires the same
-    circuit and validates its identity (name, block count, net count).
+    The structure file every command writes and the daemon serves is
+    the MPSZ container ({!Zcodec}).  This codec is its human-readable
+    counterpart: [mpsgen pack] converts between the two (for diffs and
+    debugging), {!Checkpoint} embeds it, and the pinned structure hash
+    is taken over it.  The circuit itself is not stored — parsing
+    requires the same circuit and validates its identity (name, block
+    count, net count).
 
-    Current format (v2):
     {v
     mps-structure v2
     checksum <8 hex digits>      CRC-32 of every byte after this line
@@ -19,23 +19,14 @@
     <placement section>
     v}
 
-    Legacy compatibility: files whose first line is [mps-structure v1]
-    (the seed format, no checksum line) and headerless files whose
-    first line starts with [circuit ] (v0) still load.
-
+    Any other first line fails with a clean one-line [Corrupt].
     {!save} is atomic — a crash mid-save leaves the previous complete
-    file in place, never a truncated mix — and {!load_salvage} degrades
-    gracefully on a corrupt or truncated file by recovering every
-    intact stored placement.
+    file in place, never a truncated mix.
 
-    Every decoding entry point sniffs the file magic and routes MPSZ
-    binary containers ({!Zcodec}) transparently: {!load} decodes them
-    into a full heap structure, {!load_salvage} scans their record
-    table with the same graceful-degradation pipeline as the text
-    path, and an unrecognized magic fails with a clean one-line
-    [Corrupt] instead of a parse backtrace.  (To {e serve} an MPSZ
-    file, prefer {!Zcodec.load}, which maps it zero-copy instead of
-    recompiling.) *)
+    {!load_salvage} is the one recovery entry point for either format:
+    it sniffs the MPSZ magic, and for a container scans its record
+    table, for a text document its placement sections; both feed the
+    same overlap filter, recompile and audit-and-repair pass. *)
 
 open Mps_netlist
 
@@ -44,7 +35,8 @@ type error =
   | Io_error of string  (** The file could not be read or written. *)
   | Corrupt of { lineno : int; reason : string }
       (** Malformed content: checksum mismatch, truncation, or a bad
-          line.  [lineno] is 1-based in the physical file. *)
+          line.  [lineno] is 1-based in the physical file; [0] when
+          a salvaged MPSZ container was beyond recovery. *)
   | Circuit_mismatch of string
       (** The document is intact but was generated for another
           circuit. *)
@@ -90,17 +82,20 @@ type salvage = {
           best recovered placement stands in. *)
   checksum_ok : bool;
       (** [false] when the checksum line is absent, unparseable or does
-          not match — i.e. whenever {!load} would have refused. *)
+          not match — i.e. whenever {!load} would have refused; for a
+          container, when the header or any section CRC fails. *)
   audit : Audit.report;
       (** Post-repair audit of [structure]; {!Audit.clean} here means
           the salvaged structure re-proves every invariant. *)
 }
 
 val salvage_of_string : circuit:Circuit.t -> string -> (salvage, error) result
-(** Best-effort parse: scan the document for intact placement sections,
-    skip damaged ones (resynchronizing on the next [placement] line),
-    drop any placement whose validity box overlaps an already-recovered
-    one — the result never violates eq. 5 — and recompile via
+(** Best-effort parse of a text document or an MPSZ container: collect
+    the intact placements (a text scan resynchronizes on the next
+    [placement] line past a damaged section; a container scan skips
+    records that fail to decode, {!Zcodec.salvage_parts}), drop any
+    placement whose validity box overlaps an already-recovered one —
+    the result never violates eq. 5 — and recompile via
     {!Structure.of_placements}.  [Error] only when the identity header
     is unusable ([Corrupt]), the circuit does not match
     ([Circuit_mismatch]), or not a single placement survived. *)

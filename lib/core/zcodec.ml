@@ -150,19 +150,20 @@ let to_string ?(packed = false) structure =
   let f = Structure.Engine.flatten engine in
   let stored = Structure.placements structure in
   let backup = Structure.backup structure in
-  (* The coordinate pool dedupes by physical identity: placements that
-     share one coords array in memory (the backup's territory pieces,
-     content-merged records after Compact) store it once. *)
-  let assoc = ref [] and pool_rev = ref [] and pool_n = ref 0 in
+  (* The coordinate pool dedupes by content: placements with equal
+     coordinates (the backup's territory pieces, content-merged records
+     after Compact) store them once, whether or not they share one
+     array in memory — so a structure re-imported from its text dump
+     packs to the same bytes. *)
+  let index = Hashtbl.create 64 and pool_rev = ref [] in
   let idx_of (s : Stored.t) =
     let coords = s.Stored.placement.Placement.coords in
-    match List.find_opt (fun (c, _) -> c == coords) !assoc with
-    | Some (_, i) -> i
+    match Hashtbl.find_opt index coords with
+    | Some i -> i
     | None ->
-      let i = !pool_n in
-      assoc := (coords, i) :: !assoc;
+      let i = Hashtbl.length index in
+      Hashtbl.add index coords i;
       pool_rev := coords :: !pool_rev;
-      incr pool_n;
       i
   in
   let idxs = Array.map idx_of stored in
@@ -397,7 +398,7 @@ let decode_record ~(pool : Persist.words) ~pool_packed ~n_pool ~n ~die_w
   Stored.make ~template_like ~placement ~box ~expansion ~avg_cost ~best_cost
     ~best_dims
 
-let parse ~verify ~circuit (w : Persist.words) ~bytes =
+let parse ~circuit (w : Persist.words) ~bytes =
   let h = parse_header w ~bytes in
   if not h.h_size_ok then
     corrupt "header" "size mismatch: header says %d words, file has %d bytes"
@@ -417,12 +418,11 @@ let parse ~verify ~circuit (w : Persist.words) ~bytes =
       off := o + l)
     section_tags h.h_table;
   if !off <> h.h_total then corrupt "header" "sections do not cover the file";
-  if verify then
-    List.iter
-      (fun (tag, o, l, c) ->
-        if crc_int (Persist.crc32_words w ~pos:o ~len:l) <> c then
-          corrupt tag "section checksum mismatch")
-      h.h_table;
+  List.iter
+    (fun (tag, o, l, c) ->
+      if crc_int (Persist.crc32_words w ~pos:o ~len:l) <> c then
+        corrupt tag "section checksum mismatch")
+    h.h_table;
   let sec tag =
     let _, o, l, _ = List.find (fun (t, _, _, _) -> t = tag) h.h_table in
     Bigarray.Array1.sub w o l
@@ -497,15 +497,15 @@ let words_of_string raw =
   done;
   b
 
-let of_string ?(verify = true) ~circuit raw =
-  parse ~verify ~circuit (words_of_string raw) ~bytes:(String.length raw)
+let of_string ~circuit raw =
+  parse ~circuit (words_of_string raw) ~bytes:(String.length raw)
 
-let load ?(verify = true) ~circuit path =
+let load ~circuit path =
   let w, bytes =
     try Persist.map_words ~path
     with Sys_error msg -> raise (Error (Io_error msg))
   in
-  parse ~verify ~circuit w ~bytes
+  parse ~circuit w ~bytes
 
 (* Salvage *)
 

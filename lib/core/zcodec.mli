@@ -1,8 +1,9 @@
-(** MPSZ: the zero-copy binary container for compiled structures
-    (DESIGN.md §12).
+(** MPSZ: the structure file — the zero-copy binary container every
+    [mpsgen] command writes and the daemon serves (DESIGN.md §12).
 
-    The text format ({!Codec}) stores placements and recompiles on
-    load — parse, O(n²) overlap validation, plan compilation.  MPSZ stores the {e compiled engine} itself: the flat
+    The v2 text document ({!Codec}) is its dump/import form: it stores
+    placements and recompiles on parse — O(n²) overlap validation,
+    plan compilation.  MPSZ stores the {e compiled engine} itself: the flat
     int vectors of {!Structure.Engine} as little-endian 8-byte words,
     prefixed by a self-describing section table.  Loading maps the file
     read-only ({!Persist.map_words}) and wraps the mapped words as an
@@ -31,9 +32,10 @@
 
     Sections [ROWA ROWO LOWS HIGH SETW DOML DOMH BOXL BOXH BIND] are
     the {!Structure.Engine.flat} vectors verbatim.  [POOL] holds the
-    deduplicated coordinate pool: placements sharing one coordinate
-    array (the backup's template pieces, {!Compact}'s content-equal
-    merges) store it once.  [PLCT] holds one fixed-stride record per
+    coordinate pool, deduplicated by content: placements with equal
+    coordinates (the backup's template pieces, {!Compact}'s
+    content-equal merges) store them once, so a structure re-imported
+    from its text dump packs to the same bytes.  [PLCT] holds one fixed-stride record per
     stored placement — pool index, template flag, costs as split
     IEEE-754 words, best dims, validity and expansion boxes — with the
     backup template as the final record.  The last two slots may
@@ -44,9 +46,10 @@
     Every CRC is computed through the same int lens the loader reads
     with ({!Persist.crc32_words}), so save-side and mapped-side
     checksums agree bit for bit.  A corrupted file is detected at load
-    ([?verify], on by default) or, when damage lands {e under a live
-    mapping}, degrades to wrong-but-in-bounds answers: the engine's
-    shape guards make that memory-safe, and remapping re-verifies. *)
+    (every load checks the header and every section CRC) or, when
+    damage lands {e under a live mapping}, degrades to
+    wrong-but-in-bounds answers: the engine's shape guards make that
+    memory-safe, and remapping re-verifies. *)
 
 open Mps_netlist
 
@@ -72,8 +75,8 @@ val magic : string
 (** The 8-byte container magic, ["MPSZ0001"]. *)
 
 val is_magic : string -> bool
-(** The string starts with {!magic} — the sniff used to route a file
-    between the text and binary codecs. *)
+(** The string starts with {!magic} — how salvage and [mpsgen pack]
+    tell a container from a text document. *)
 
 (** One section-table entry, for size accounting ([mpsgen stats]). *)
 type section = { tag : string; off_words : int; len_words : int }
@@ -112,22 +115,23 @@ val to_string : ?packed:bool -> Structure.t -> string
     words) and every CRC are unchanged, and any value outside the
     31-bit range falls that section back to the plain layout, so a
     packed container decodes to the bit-identical structure.  The
-    default layout keeps one value per word: it is what [mpsgen pack]
-    and checkpoint saves write on the fast path; [mpsgen compact]
-    writes packed output. *)
+    default layout keeps one value per word: it is what [mpsgen
+    generate], [extend], [repair] and [pack] write; [mpsgen compact]
+    writes packed output.  (Checkpoints embed the text document, not a
+    container.) *)
 
 val save : ?packed:bool -> Structure.t -> path:string -> unit
 (** {!to_string} through {!Persist.atomic_write}: crash-safe replace.
     @raise Error ([Io_error]) when the file cannot be written. *)
 
-val of_string : ?verify:bool -> circuit:Circuit.t -> string -> view
+val of_string : circuit:Circuit.t -> string -> view
 (** Decode from bytes already in memory (copied into a private word
-    array; the zero-copy path is {!load}).  [verify] (default [true])
-    checks every section CRC; the header CRC is always checked.
+    array; the zero-copy path is {!load}).  Checks the header CRC and
+    every section CRC.
     @raise Error on damage ([Corrupt]) or the wrong circuit
     ([Circuit_mismatch]). *)
 
-val load : ?verify:bool -> circuit:Circuit.t -> string -> view
+val load : circuit:Circuit.t -> string -> view
 (** [load ~circuit path]: map the file at [path] and wrap it as an
     engine.  The bulk engine tables are
     zero-copy views of the mapping; only the per-placement records are

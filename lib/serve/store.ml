@@ -32,7 +32,6 @@ type entry = {
   backup_only : bool;
   findings : int;
   salvaged : bool;
-  mapped : bool;
   bytes : int;
   mtime : float;
   container : container option;
@@ -49,9 +48,6 @@ type t = {
   capacity : int;
   stat_interval : float;
   max_mapped_bytes : int;
-  audit_samples : int;
-  audit_query_samples : int;
-  audit_seed : int;
   mutex : Mutex.t;
   cond : Condition.t;
   slots : (string, slot) Hashtbl.t;
@@ -60,8 +56,7 @@ type t = {
 }
 
 let create ?(capacity = 8) ?(stat_interval = 0.0)
-    ?(max_mapped_bytes = 512 * 1024 * 1024) ?(audit_samples = 4)
-    ?(audit_query_samples = 32) ?(audit_seed = 7) ~dir () =
+    ?(max_mapped_bytes = 512 * 1024 * 1024) ~dir () =
   if capacity < 1 then invalid_arg "Store.create: capacity < 1";
   if stat_interval < 0.0 then invalid_arg "Store.create: stat_interval < 0";
   if max_mapped_bytes < 1 then invalid_arg "Store.create: max_mapped_bytes < 1";
@@ -70,9 +65,6 @@ let create ?(capacity = 8) ?(stat_interval = 0.0)
     capacity;
     stat_interval;
     max_mapped_bytes;
-    audit_samples;
-    audit_query_samples;
-    audit_seed;
     mutex = Mutex.create ();
     cond = Condition.create ();
     slots = Hashtbl.create 16;
@@ -82,141 +74,79 @@ let create ?(capacity = 8) ?(stat_interval = 0.0)
 
 let dir t = t.dir
 
-let sanitize name = String.map (function ' ' -> '_' | c -> c) name
+let zpath_for t name =
+  Filename.concat t.dir (String.map (function ' ' -> '_' | c -> c) name ^ ".mpsz")
 
-let path_for t name = Filename.concat t.dir (sanitize name ^ ".mps")
-let zpath_for t name = Filename.concat t.dir (sanitize name ^ ".mpsz")
+(* Build an entry from disk.  Runs outside the store lock — salvage may
+   take a while on big structures.
 
-(* The file a (re)load would read right now: the MPSZ container when
-   present, else the text document.  Also drives the staleness check —
-   an entry whose source is no longer the preferred file reloads. *)
-let source_for t name =
-  let zpath = zpath_for t name in
-  if Sys.file_exists zpath then zpath else path_for t name
-
-let file_bytes path =
-  match Unix.stat path with
-  | st -> st.Unix.st_size
-  | exception Unix.Unix_error _ -> 0
-
-(* Build an entry from disk: strict load, audit, degradation policy.
-   Runs outside the store lock — may take a while on big structures.
-
-   The MPSZ container is preferred when present: it maps zero-copy
-   ({!Zcodec.load}) instead of recompiling, and the CRC verification
-   stands in for the load-time audit — the container stores the
-   already-audited compiled engine bit-exact, so re-auditing at load
-   would re-prove what the checksum just proved.  A damaged container
-   falls back to the text document beside it when one exists, else to
-   salvaging the container itself; every step is typed, never a
-   crash. *)
+   The container maps zero-copy ({!Zcodec.load}) instead of
+   recompiling, and its CRC verification stands in for a load-time
+   audit: it stores the already-audited compiled engine bit-exact, so
+   re-auditing would re-prove what the checksum just proved.  A
+   damaged container is salvaged from its own record table, typed and
+   flagged degraded; every step is typed, never a crash. *)
 let build t name =
   match Benchmarks.by_name name with
   | exception Not_found -> Error (Unknown_circuit name)
   | circuit -> (
-    let source = source_for t name in
-    match Unix.stat source with
+    let path = zpath_for t name in
+    match Unix.stat path with
     | exception Unix.Unix_error (err, _, _) ->
-      Error (Unreadable { path = source; reason = Unix.error_message err })
-    | st ->
-      (* the staleness check re-stats [source_for]; stamping the
-         source's mtime (even when a broken container falls back to
-         the text file) makes a later fix of the container get picked
-         up on the next [get] *)
+      Error (Unreadable { path; reason = Unix.error_message err })
+    | st -> (
       let mtime = st.Unix.st_mtime in
-      let audit structure =
-        Audit.run ~samples_per_box:t.audit_samples
-          ~query_samples:t.audit_query_samples ~seed:t.audit_seed structure
-      in
-      let heap_entry ~path ~structure ~salvaged ~territory_lost ~report =
-        let clean = Audit.clean report in
-        let findings = List.length report.Audit.findings in
+      match Zcodec.load ~circuit path with
+      | view ->
         Ok
           {
             name;
             path;
             circuit;
-            engine = Structure.Engine.create structure;
+            engine = view.Zcodec.engine;
             epoch = 0 (* stamped under the lock *);
-            degraded = (not clean) || salvaged || territory_lost;
-            backup_only = not clean;
-            findings;
-            salvaged;
-            mapped = false;
-            bytes = file_bytes path;
+            degraded = false;
+            backup_only = false;
+            findings = 0;
+            salvaged = false;
+            bytes = view.Zcodec.bytes;
             mtime;
-            container = None;
+            container =
+              Some
+                {
+                  c_path = path;
+                  c_words = view.Zcodec.bytes / 8;
+                  c_record_off = view.Zcodec.record_off_words;
+                  c_record_stride = view.Zcodec.record_stride_words;
+                };
           }
-      in
-      let load_text path =
-        match Codec.load ~circuit ~path with
-        | structure ->
-          heap_entry ~path ~structure ~salvaged:false ~territory_lost:false
-            ~report:(audit structure)
-        | exception Codec.Error (Codec.Io_error reason) ->
-          Error (Unreadable { path; reason })
-        | exception Codec.Error (Codec.Circuit_mismatch reason) ->
-          Error (Corrupt { path; reason })
-        | exception Codec.Error (Codec.Corrupt _) -> (
-          (* Damaged file: salvage what is intact (the salvage pass
-             audits and repairs internally) and re-audit the result. *)
-          match Codec.load_salvage ~circuit ~path with
-          | Ok sv ->
-            heap_entry ~path ~structure:sv.Codec.structure ~salvaged:true
-              ~territory_lost:(sv.Codec.dropped > 0 || sv.Codec.quarantined > 0)
-              ~report:sv.Codec.audit
-          | Error e -> Error (Corrupt { path; reason = Codec.error_to_string e })
-          | exception Sys_error reason -> Error (Unreadable { path; reason }))
-      in
-      if Filename.check_suffix source ".mpsz" then begin
-        match Zcodec.load ~circuit source with
-        | view ->
+      | exception Zcodec.Error (Zcodec.Io_error reason) -> Error (Unreadable { path; reason })
+      | exception Zcodec.Error (Zcodec.Circuit_mismatch reason) ->
+        Error (Corrupt { path; reason })
+      | exception Zcodec.Error (Zcodec.Corrupt _) -> (
+        (* the salvage pass audits and repairs internally; territory
+           was lost, so the entry is degraded even when it audits
+           clean, and backup-only when it does not *)
+        match Codec.load_salvage ~circuit ~path with
+        | Ok sv ->
+          let clean = Audit.clean sv.Codec.audit in
           Ok
             {
               name;
-              path = source;
+              path;
               circuit;
-              engine = view.Zcodec.engine;
+              engine = Structure.Engine.create sv.Codec.structure;
               epoch = 0;
-              degraded = false;
-              backup_only = false;
-              findings = 0;
-              salvaged = false;
-              mapped = true;
-              bytes = view.Zcodec.bytes;
+              degraded = true;
+              backup_only = not clean;
+              findings = List.length sv.Codec.audit.Audit.findings;
+              salvaged = true;
+              bytes = st.Unix.st_size;
               mtime;
-              container =
-                Some
-                  {
-                    c_path = source;
-                    c_words = view.Zcodec.bytes / 8;
-                    c_record_off = view.Zcodec.record_off_words;
-                    c_record_stride = view.Zcodec.record_stride_words;
-                  };
+              container = None;
             }
-        | exception Zcodec.Error ze -> (
-          let tpath = path_for t name in
-          match ze with
-          | Zcodec.Circuit_mismatch reason when not (Sys.file_exists tpath) ->
-            Error (Corrupt { path = source; reason })
-          | _ when Sys.file_exists tpath ->
-            (* clean fallback: a complete text document lives beside
-               the damaged container *)
-            load_text tpath
-          | Zcodec.Io_error reason -> Error (Unreadable { path = source; reason })
-          | _ -> (
-            (* no text fallback: salvage the container's record table *)
-            match Codec.load_salvage ~circuit ~path:source with
-            | Ok sv ->
-              heap_entry ~path:source ~structure:sv.Codec.structure ~salvaged:true
-                ~territory_lost:(sv.Codec.dropped > 0 || sv.Codec.quarantined > 0)
-                ~report:sv.Codec.audit
-            | Error e ->
-              Error (Corrupt { path = source; reason = Codec.error_to_string e })
-            | exception Sys_error reason ->
-              Error (Unreadable { path = source; reason })))
-      end
-      else load_text source)
+        | Error e -> Error (Corrupt { path; reason = Codec.error_to_string e })
+        | exception Sys_error reason -> Error (Unreadable { path; reason }))))
 
 let touch t stamp =
   incr t.clock;
@@ -240,8 +170,9 @@ let evict_beyond_capacity t =
     (* oldest first *)
   in
   let total = List.length by_lru in
+  let mapped e = e.container <> None in
   let mapped_bytes =
-    List.fold_left (fun acc (_, _, e) -> if e.mapped then acc + e.bytes else acc) 0 by_lru
+    List.fold_left (fun acc (_, _, e) -> if mapped e then acc + e.bytes else acc) 0 by_lru
   in
   let excess_entries = ref (total - t.capacity) in
   let excess_bytes = ref (mapped_bytes - t.max_mapped_bytes) in
@@ -250,10 +181,10 @@ let evict_beyond_capacity t =
       let keep_last = i = total - 1 in
       if
         (not keep_last)
-        && (!excess_entries > 0 || (!excess_bytes > 0 && e.mapped))
+        && (!excess_entries > 0 || (!excess_bytes > 0 && mapped e))
       then begin
         decr excess_entries;
-        if e.mapped then excess_bytes := !excess_bytes - e.bytes;
+        if mapped e then excess_bytes := !excess_bytes - e.bytes;
         Hashtbl.remove t.slots name
       end)
     by_lru
@@ -290,7 +221,7 @@ let load_and_publish t name =
     with e ->
       Error
         (Corrupt
-           { path = path_for t name; reason = "load exception: " ^ Printexc.to_string e })
+           { path = zpath_for t name; reason = "load exception: " ^ Printexc.to_string e })
   in
   publish t name result
 
@@ -306,10 +237,8 @@ let rec get_with ~force t name =
     let stale =
       force
       ||
-      (* Watch the *preferred* source, not necessarily the loaded
-         file: a container appearing, vanishing or being repaired next
-         to the text document triggers a hot reload — which remaps the
-         container in O(1) instead of recompiling.  The stat is
+      (* A container rewritten in place (a repair, a regeneration)
+         triggers a hot reload, which remaps it in O(1).  The stat is
          debounced to one per [stat_interval] per entry: at serving
          rates a syscall on every request is the single largest
          non-engine cost, and a reload picked up within the interval
@@ -318,7 +247,7 @@ let rec get_with ~force t name =
       if t.stat_interval > 0.0 && now -. !checked < t.stat_interval then false
       else begin
         checked := now;
-        match Unix.stat (source_for t name) with
+        match Unix.stat (zpath_for t name) with
         | st -> st.Unix.st_mtime <> entry.mtime
         | exception Unix.Unix_error _ -> true
         (* file vanished: reload to surface the typed error *)
@@ -362,7 +291,7 @@ let describe t =
               else if e.degraded then "degraded, "
               else "serving, ")
              (if e.salvaged then "salvaged, " else "")
-             (if e.mapped then "mapped, " else "")
+             (if e.container <> None then "mapped, " else "")
              e.findings
              (Structure.Engine.n_stored e.engine)
              e.bytes)

@@ -1,17 +1,14 @@
 (** The daemon's structure store: many compiled engines, one per
-    circuit, loaded from a directory of [*.mpsz] containers and/or
-    [*.mps] text files.
+    circuit, loaded from a directory of [<circuit>.mpsz] containers
+    ({!zpath_for}), the file [mpsgen generate -o] writes.
 
-    For each circuit the MPSZ container is preferred when present: it
-    is mapped zero-copy ({!Mps_core.Zcodec.load}) — no parsing, no
-    recompilation, the bulk engine tables served straight off the page
-    cache — and its CRC verification stands in for the load-time
-    audit, because the container stores the already-audited compiled
-    engine bit-exact.  A damaged container falls back, typed, to the
-    text document beside it (or to salvaging the container's own
-    record table when there is none).  Hot reloads of a container
-    {e remap} instead of recompiling, so picking up a repaired or
-    regenerated [*.mpsz] costs O(1).
+    A container is mapped zero-copy ({!Mps_core.Zcodec.load}) — no
+    parsing, no recompilation, the bulk engine tables served straight
+    off the page cache — and its CRC verification stands in for a
+    load-time audit, because the container stores the already-audited
+    compiled engine bit-exact.  Hot reloads {e remap} instead of
+    recompiling, so picking up a repaired or regenerated container
+    costs O(1).
 
     Each entry pairs a {!Mps_core.Structure.Engine.t} with a
     {e generation epoch}: every (re)load of a circuit bumps its epoch,
@@ -22,16 +19,16 @@
     engine stays alive exactly as long as someone references it).
 
     Degradation policy (never silently wrong):
-    - a file that loads strictly and audits clean serves normally;
-    - audit findings on an intact file demote the entry to
+    - a container that verifies serves normally, from the mapping;
+    - a damaged container is salvaged from its own record table
+      ({!Mps_core.Codec.load_salvage}) and served from a heap engine,
+      flagged degraded (territory may have been lost); when the
+      post-repair audit still has findings the entry is
       {e backup-only}: every query is answered by the backup template
-      ({!Mps_core.Structure.Fallback} semantics) and flagged degraded;
-    - a corrupt file is salvaged ({!Mps_core.Codec.load_salvage});
-      if the post-repair audit is clean the salvaged engine serves,
-      still flagged degraded (territory was lost), otherwise
-      backup-only;
-    - a file that is unreadable or beyond salvage yields a typed
-      {!error}, which the server maps to an [Err_store] reply.
+      ({!Mps_core.Structure.Fallback} semantics);
+    - a container that is missing, unreadable, for another circuit or
+      beyond salvage yields a typed {!error}, which the server maps to
+      an [Err_store] reply.
 
     Entries are evicted least-recently-used beyond [capacity]; epochs
     survive eviction so a later reload of the same circuit continues
@@ -85,18 +82,15 @@ type entry = {
       (** Audit findings: answer every query from the backup template. *)
   findings : int;  (** Audit finding count behind the demotion. *)
   salvaged : bool;  (** The file needed {!Codec.load_salvage}. *)
-  mapped : bool;
-      (** Served from a zero-copy container mapping ([*.mpsz]) rather
-          than a recompiled heap engine. *)
   bytes : int;  (** Size on disk; counts against [max_mapped_bytes]
-                    when [mapped]. *)
-  mtime : float;
-      (** Mtime of the {e preferred} source file at load (the
-          container when one existed, even if the entry fell back to
-          the text document), for hot-reload detection. *)
+                    when [container] is present. *)
+  mtime : float;  (** Mtime of the container at load, for hot-reload
+                      detection. *)
   container : container option;
-      (** Present exactly when [mapped]: what the serving layer needs
-          to hand out descriptor replies into the container. *)
+      (** Present exactly when the engine is served from the zero-copy
+          mapping (absent after a salvage, which serves a recompiled
+          heap engine): what the serving layer needs to hand out
+          descriptor replies into the container. *)
 }
 
 type t
@@ -105,9 +99,6 @@ val create :
   ?capacity:int ->
   ?stat_interval:float ->
   ?max_mapped_bytes:int ->
-  ?audit_samples:int ->
-  ?audit_query_samples:int ->
-  ?audit_seed:int ->
   dir:string ->
   unit ->
   t
@@ -123,29 +114,19 @@ val create :
     are evicted least-recently-used (the mapping itself is released
     when the last in-flight request drops the entry; the most recently
     used entry is never evicted, so one oversized container still
-    serves).  [audit_samples] (default 4) / [audit_query_samples]
-    (default 32) / [audit_seed] (default 7) parameterize the
-    load-time audit of text-format loads. *)
+    serves). *)
 
 val dir : t -> string
 
-val path_for : t -> string -> string
-(** Where a circuit's text structure file lives: [dir/<name>.mps] with
-    spaces mapped to underscores (the layout [mpsgen generate -o]
-    should target). *)
-
 val zpath_for : t -> string -> string
-(** Where a circuit's MPSZ container lives: [dir/<name>.mpsz].  When
-    both files exist the container is preferred. *)
-
-val source_for : t -> string -> string
-(** The file a (re)load would read right now: {!zpath_for} when that
-    file exists, else {!path_for}. *)
+(** Where a circuit's container lives: [dir/<name>.mpsz] with spaces
+    mapped to underscores (the path [mpsgen generate -o] should
+    target). *)
 
 val get : t -> string -> (entry, error) result
-(** The current entry for a circuit, loading (and auditing) it on
-    first use and hot-reloading when the file's mtime changed since
-    the entry was built. *)
+(** The current entry for a circuit, loading it on first use and
+    hot-reloading when the file's mtime changed since the entry was
+    built. *)
 
 val reload : t -> string -> (entry, error) result
 (** Force a fresh load and epoch bump, regardless of mtime (the

@@ -1,6 +1,6 @@
-(* Tests for multi-placement structure persistence: round-trips,
-   integrity checking (version + CRC-32), atomic save, legacy formats,
-   and graceful degradation on corrupt or truncated documents. *)
+(* Tests for the v2 text document: round-trips, integrity checking
+   (version + CRC-32), atomic save, and graceful degradation on corrupt
+   or truncated documents. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -252,68 +252,6 @@ let test_salvage_intact_file_recovers_everything () =
     check_bool "backup recovered" true sv.Codec.backup_recovered;
     check_bool "checksum ok" true sv.Codec.checksum_ok
 
-(* Format freeze: a hand-written legacy v1 document (the seed format:
-   magic line, no checksum) must keep loading in future versions. *)
-let golden_v1 =
-  String.concat "\n"
-    [
-      "mps-structure v1";
-      "circuit 1 1 golden";
-      "die 100 100";
-      "placements 1";
-      "placement 10 5 0";
-      "coords 3 4";
-      "box.w 2 8";
-      "box.h 2 8";
-      "expansion.w 1 20";
-      "expansion.h 1 20";
-      "best_dims 5 5";
-      "backup";
-      "placement 12 6 1";
-      "coords 0 0";
-      "box.w 1 50";
-      "box.h 1 50";
-      "expansion.w 1 30";
-      "expansion.h 1 30";
-      "best_dims 10 10";
-      "";
-    ]
-
-let golden_circuit =
-  Circuit.make ~name:"golden"
-    ~blocks:[| Mps_netlist.Block.make_wh ~id:0 ~name:"a" ~w:(1, 50) ~h:(1, 50) |]
-    ~nets:
-      [| Mps_netlist.Net.make ~id:0 ~name:"n"
-           ~pins:[ Mps_netlist.Net.block_pin 0; Mps_netlist.Net.pad ~px:0.0 ~py:0.0 ] |]
-
-let test_golden_v1_parses () =
-  let s = Codec.of_string ~circuit:golden_circuit golden_v1 in
-  check_int "one placement" 1 (Structure.n_placements s);
-  check_bool "backup is template-like" true (Structure.backup s).Stored.template_like;
-  match Structure.query s (Mps_geometry.Dims.of_pairs [| (5, 5) |]) with
-  | Structure.Stored_placement 0, _ -> ()
-  | _ -> Alcotest.fail "golden query must hit placement 0"
-
-let test_golden_v1_loads_from_file () =
-  (* the seed wrote v1 files with Codec.save; they must load through
-     the file path too, checksum-free *)
-  let path = Filename.temp_file "mps_legacy" ".mps" in
-  let oc = open_out path in
-  output_string oc golden_v1;
-  close_out oc;
-  let s = Codec.load ~circuit:golden_circuit ~path in
-  Sys.remove path;
-  check_int "legacy file loads" 1 (Structure.n_placements s)
-
-let test_headerless_v0_parses () =
-  (* absent version line: treated as v0, parsed from the circuit line *)
-  let v0 =
-    String.concat "\n"
-      (List.filteri (fun i _ -> i > 0) (String.split_on_char '\n' golden_v1))
-  in
-  let s = Codec.of_string ~circuit:golden_circuit v0 in
-  check_int "v0 document parses" 1 (Structure.n_placements s)
-
 let test_current_format_is_versioned_and_checksummed () =
   let s = Lazy.force structure in
   let doc = Codec.to_string s in
@@ -327,9 +265,6 @@ let test_current_format_is_versioned_and_checksummed () =
 
 let suite =
   [
-    ("golden v1 document parses", `Quick, test_golden_v1_parses);
-    ("golden v1 file loads (seed compatibility)", `Quick, test_golden_v1_loads_from_file);
-    ("headerless v0 document parses", `Quick, test_headerless_v0_parses);
     ("current format is versioned and checksummed", `Quick,
      test_current_format_is_versioned_and_checksummed);
     ("round-trip via string", `Quick, test_roundtrip_string);

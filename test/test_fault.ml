@@ -249,28 +249,26 @@ let out_of_domain_total () =
   check_bool "out-of-domain floorplan overlap-free" true (Rect.any_overlap rects = None)
 
 (* Family F: faults on the MPSZ zero-copy path.  The serving pattern
-   under test is the one Serve.Store runs: try the mapped container,
-   and on any typed failure fall back to the text document — never a
-   crash, never a silently wrong structure. *)
+   under test is the one Serve.Store runs: map the container, and on
+   any typed failure salvage the container's own record table — never
+   a crash, never a silently wrong structure. *)
 
-let save_both dir =
+let save_container dir =
   let s = Lazy.force structure in
-  let tpath = Filename.concat dir "structure.mps" in
   let zpath = Filename.concat dir "structure.mpsz" in
-  Codec.save s ~path:tpath;
   Zcodec.save s ~path:zpath;
-  (s, tpath, zpath)
+  (s, zpath)
 
-let load_with_fallback ~tpath ~zpath =
+let load_or_salvage zpath =
   match Zcodec.load ~circuit zpath with
-  | v -> `Mpsz v
-  | exception Zcodec.Error _ -> `Text (Codec.load ~circuit ~path:tpath)
+  | v -> `Mapped v
+  | exception Zcodec.Error _ -> `Salvaged (Codec.load_salvage ~circuit ~path:zpath)
 
 (* Every Map action — failed mapping, vanished file, truncated view
    (lost tail, section table and all), seeded flips, a stall — either
-   yields a verified view or falls back to the text codec with only
-   typed errors in between. *)
-let mmap_fault_falls_back scenario () =
+   yields a verified view of the exact structure, or a typed error
+   followed by a salvage that is sound or typed. *)
+let mmap_fault_salvages scenario () =
   let seed = (base_seed * 1000) + 1600 + scenario in
   let action =
     match scenario mod 7 with
@@ -284,36 +282,38 @@ let mmap_fault_falls_back scenario () =
   in
   let plan = [ { Fault.op = Fault.Map; skip = 0; action; seed } ] in
   with_tmp_dir (fun dir ->
-      let s, tpath, zpath = save_both dir in
-      let result, fired =
-        Fault.with_plan plan (fun () -> load_with_fallback ~tpath ~zpath)
-      in
+      let s, zpath = save_container dir in
+      let result, fired = Fault.with_plan plan (fun () -> load_or_salvage zpath) in
       check_bool (Printf.sprintf "seed %d: map fault injected" seed) true (fired = 1);
       match result with
       | Error e ->
-        Alcotest.failf "seed %d: %s escaped the fallback loader\n%s" seed
+        Alcotest.failf "seed %d: %s escaped the salvaging loader\n%s" seed
           (Printexc.to_string e) (Fault.describe plan)
-      | Ok outcome ->
-        let recovered =
-          match outcome with
-          | `Mpsz v ->
-            (* a stall proceeds normally; seeded flips may cancel
-               pairwise, and every word is CRC-covered, so a verified
-               mapping is provably undamaged — the exactness check
-               below confirms it.  Fail/Vanish/Truncate can never
-               verify. *)
-            (match action with
-            | Fault.Stall _ | Fault.Corrupt _ -> ()
-            | _ ->
-              Alcotest.failf "seed %d: damaged mapping verified\n%s" seed
-                (Fault.describe plan));
-            Structure.Engine.structure v.Zcodec.engine
-          | `Text t -> t
-        in
+      | Ok (`Mapped v) ->
+        (* a stall proceeds normally; seeded flips may cancel
+           pairwise, and every word is CRC-covered, so a verified
+           mapping is provably undamaged — the exactness check below
+           confirms it.  Fail/Vanish/Truncate can never verify. *)
+        (match action with
+        | Fault.Stall _ | Fault.Corrupt _ -> ()
+        | _ ->
+          Alcotest.failf "seed %d: damaged mapping verified\n%s" seed
+            (Fault.describe plan));
         check_bool
-          (Printf.sprintf "seed %d: fallback serves the exact structure" seed)
+          (Printf.sprintf "seed %d: verified view serves the exact structure" seed)
           true
-          (Codec.to_string recovered = Codec.to_string s))
+          (Codec.to_string (Structure.Engine.structure v.Zcodec.engine)
+          = Codec.to_string s)
+      | Ok (`Salvaged outcome) -> (
+        (match action with
+        | Fault.Stall _ ->
+          Alcotest.failf "seed %d: a stalled mapping was refused\n%s" seed
+            (Fault.describe plan)
+        | _ -> ());
+        match outcome with
+        | Result.Ok sv ->
+          check_queries_sound (Printf.sprintf "seed %d salvage" seed) sv.Codec.structure
+        | Result.Error _ -> () (* typed *)))
 
 (* Damage landing under an already-verified mapping: queries may go
    wrong but must stay in-bounds and crash-free, and a re-verification
@@ -321,7 +321,7 @@ let mmap_fault_falls_back scenario () =
 let flip_under_active_mapping scenario () =
   let seed = (base_seed * 1000) + 2000 + scenario in
   with_tmp_dir (fun dir ->
-      let _s, _tpath, zpath = save_both dir in
+      let _s, zpath = save_container dir in
       let mapping = ref None in
       let io =
         {
@@ -401,7 +401,7 @@ let suite =
   @ scenarios "chaos load" 12 load_under_fault
   @ scenarios "chaos bit-flip" 16 corruption_salvage
   @ scenarios "chaos truncate" 10 truncation_salvage
-  @ scenarios "chaos mmap" 14 mmap_fault_falls_back
+  @ scenarios "chaos mmap" 14 mmap_fault_salvages
   @ scenarios "chaos live-flip" 6 flip_under_active_mapping
   @ scenarios "chaos zheader-cut" 8 truncated_section_table
   @ [

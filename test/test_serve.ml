@@ -64,16 +64,13 @@ let with_tmp_dir f =
 
 (* A daemon over a fresh store in a temp dir, stopped (gracefully) and
    joined on the way out so no test leaks a thread, domain or socket.
-   [container] additionally saves the MPSZ container, so answers are
+   [save] (default) writes the structure's container, so answers are
    served from the mapping and shm replies carry descriptors; [tcp]
    binds loopback TCP on a free port instead of a Unix socket. *)
-let with_server ?config ?transport ?fault ?shm_hooks ?(save = true)
-    ?(container = false) ?(tcp = false) f =
+let with_server ?config ?transport ?fault ?shm_hooks ?(save = true) ?(tcp = false) f =
   with_tmp_dir (fun dir ->
       let store = Store.create ~dir () in
       if save then
-        Codec.save (Lazy.force structure) ~path:(Store.path_for store circuit_name);
-      if container then
         Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
       let server =
         Server.create ?config ?transport ?fault ?shm_hooks ~store
@@ -417,8 +414,8 @@ let accept_failure_survived () =
 let crash_restart_converge () =
   with_tmp_dir (fun dir ->
       let store = Store.create ~dir () in
-      let path = Store.path_for store circuit_name in
-      Codec.save (Lazy.force structure) ~path;
+      let path = Store.zpath_for store circuit_name in
+      Zcodec.save (Lazy.force structure) ~path;
       let sock = Filename.concat dir "mpsd.sock" in
       let server1 = Server.create ~store (Server.Unix_path sock) in
       let th1 = Server.start server1 in
@@ -439,7 +436,7 @@ let crash_restart_converge () =
               (Client.retryable e)
           | Ok _ -> Alcotest.fail "query answered by a dead daemon");
           (* the store file survived the crash intact *)
-          ignore (Codec.load ~circuit ~path);
+          ignore (Zcodec.load ~circuit path);
           (* a restarted daemon on the same socket; the same client
              object converges through retry with backoff *)
           let server2 = Server.create ~store:(Store.create ~dir ()) (Server.Unix_path sock) in
@@ -461,25 +458,38 @@ let crash_restart_converge () =
 
 (* --- Degradation and hot reload --------------------------------------- *)
 
-(* A truncated store file salvages; every reply is flagged degraded and
+(* A container whose engine sections are wrecked but whose placement
+   records are intact: strict loading refuses it, salvage recovers
+   every record. *)
+let damage_engine_sections raw =
+  let view = Zcodec.of_string ~circuit raw in
+  let b = Bytes.of_string raw in
+  List.iter
+    (fun s ->
+      if s.Zcodec.tag <> "POOL" && s.Zcodec.tag <> "PLCT" then
+        for wi = s.Zcodec.off_words to s.Zcodec.off_words + s.Zcodec.len_words - 1 do
+          Bytes.set_int64_le b (wi * 8) 0x0123_4567_89AB_CDEFL
+        done)
+    view.Zcodec.sections;
+  Bytes.to_string b
+
+(* A damaged container salvages; every reply is flagged degraded and
    the floorplans are still legal — degraded, never silently wrong. *)
 let degraded_serving () =
   with_server ~save:false (fun server addr ->
       let store = Server.store server in
-      let doc = Codec.to_string (Lazy.force structure) in
-      let cut = String.length doc * 2 / 3 in
-      Persist.atomic_write ~path:(Store.path_for store circuit_name)
-        (String.sub doc 0 cut);
+      Persist.atomic_write ~path:(Store.zpath_for store circuit_name)
+        (damage_engine_sections (Zcodec.to_string (Lazy.force structure)));
       with_client addr (fun client ->
           let dims = random_batch ~seed:41 16 in
           match Client.instantiate client ~circuit:circuit_name dims with
-          | Error (Client.Refused (Wire.Err_store, _)) ->
-            (* beyond salvage is an acceptable typed outcome, but then
-               nothing may have been served *)
-            check_int "nothing served from a rejected file" 0
-              (Server.stats server).requests_served
           | Error e -> Alcotest.failf "degraded query: %s" (Client.error_to_string e)
           | Ok (plans, meta) ->
+            (match Store.get store circuit_name with
+            | Ok entry ->
+              check_bool "entry was salvaged" true entry.Store.salvaged;
+              check_bool "salvage serves from the heap" true (entry.Store.container = None)
+            | Error e -> Alcotest.failf "store: %s" (Store.error_to_string e));
             check_bool "salvaged entry is flagged degraded" true meta.Client.degraded;
             check_bool "degraded replies counted" true
               ((Server.stats server).degraded_served >= 1);
@@ -503,8 +513,8 @@ let hot_reload_epochs () =
           let meta = ok_or_fail "reload" (Client.reload client ~circuit:circuit_name) in
           check_int "forced reload bumps the epoch" 2 meta.Client.epoch;
           (* rewriting the file (newer mtime) hot-reloads on next use *)
-          let path = Store.path_for (Server.store server) circuit_name in
-          Codec.save (Lazy.force structure) ~path;
+          let path = Store.zpath_for (Server.store server) circuit_name in
+          Zcodec.save (Lazy.force structure) ~path;
           let later = Unix.gettimeofday () +. 10.0 in
           Unix.utimes path later later;
           let ids, meta =
@@ -840,11 +850,11 @@ let tcp_round_trip () =
 let store_reload_race () =
   with_tmp_dir (fun dir ->
       let store = Store.create ~dir () in
-      Codec.save (Lazy.force structure) ~path:(Store.path_for store circuit_name);
-      let plan = List.init 4 (fun i -> inj Fault.Read (i + 1) (Fault.Stall 0.03) 1) in
+      Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
+      let plan = List.init 4 (fun i -> inj Fault.Map (i + 1) (Fault.Stall 0.03) 1) in
       let io, _ = Fault.io_of_plan plan in
       Persist.with_io io (fun () ->
-          (* pin the initial load to epoch 1 (read occurrence 1, not
+          (* pin the initial load to epoch 1 (map occurrence 1, not
              stalled) before any contention starts *)
           (match Store.get store circuit_name with
           | Ok e -> check_int "initial epoch" 1 e.Store.epoch
@@ -887,19 +897,18 @@ let store_reload_race () =
             (Atomic.get torn);
           check_int "five forced reloads landed" 6 !final))
 
-(* --- MPSZ container preference and typed fallback ---------------------- *)
+(* --- The container and its typed salvage ------------------------------ *)
 
-(* The store prefers the zero-copy container, serves query-identical
-   answers off the mapping, falls back (typed, flagged) to the text
-   document when the container is damaged, and remaps — epoch bump,
-   no recompile — once the container is repaired. *)
+(* The store serves query-identical answers off the container mapping;
+   a damaged container is salvaged from its own record table (typed,
+   flagged degraded, served from the heap); a repaired container is
+   remapped (epoch bump, no recompile); one beyond salvage is a typed
+   error. *)
 let store_prefers_container () =
   with_tmp_dir (fun dir ->
       let store = Store.create ~dir () in
       let s = Lazy.force structure in
-      let tpath = Store.path_for store circuit_name in
       let zpath = Store.zpath_for store circuit_name in
-      Codec.save s ~path:tpath;
       Zcodec.save s ~path:zpath;
       let dims = random_batch ~seed:77 64 in
       let expect = expected_ids dims in
@@ -913,37 +922,37 @@ let store_prefers_container () =
       (match Store.get store circuit_name with
       | Error e -> Alcotest.failf "initial get: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "container preferred" true entry.Store.mapped;
+        check_bool "served from the mapping" true (entry.Store.container <> None);
         check_bool "loaded from the container" true (entry.Store.path = zpath);
         check_int "epoch 1" 1 entry.Store.epoch;
         check_bool "container load is not degraded" false entry.Store.degraded;
         check_answers "mapped" entry);
-      (* damage the container: the store falls back to the text file *)
+      (* damage the engine sections: the store salvages the records *)
       let raw = Persist.read_file ~path:zpath in
-      Persist.atomic_write ~path:zpath (Fault.flip_bits ~seed:5 ~flips:6 ~from:256 raw);
+      Persist.atomic_write ~path:zpath (damage_engine_sections raw);
       (match Store.reload store circuit_name with
       | Error e -> Alcotest.failf "reload over damage: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "fell back to the text document" false entry.Store.mapped;
-        check_bool "loaded from the text path" true (entry.Store.path = tpath);
+        check_bool "salvaged" true entry.Store.salvaged;
+        check_bool "salvage is flagged degraded" true entry.Store.degraded;
+        check_bool "salvage serves from the heap" true (entry.Store.container = None);
         check_int "epoch 2" 2 entry.Store.epoch;
-        check_answers "fallback" entry);
+        check_answers "salvaged" entry);
       (* repair the container: a reload remaps it *)
       Zcodec.save s ~path:zpath;
       (match Store.reload store circuit_name with
       | Error e -> Alcotest.failf "reload after repair: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "repaired container remapped" true entry.Store.mapped;
+        check_bool "repaired container remapped" true (entry.Store.container <> None);
+        check_bool "remapped entry is not degraded" false entry.Store.degraded;
         check_int "epoch 3" 3 entry.Store.epoch;
         check_answers "remapped" entry);
-      (* damaged container with no text fallback: salvage, flagged *)
-      Persist.atomic_write ~path:zpath (Fault.flip_bits ~seed:6 ~flips:4 ~from:256 raw);
-      Sys.remove tpath;
+      (* a container cut inside its header is beyond salvage: typed *)
+      Persist.atomic_write ~path:zpath (String.sub raw 0 64);
       match Store.reload store circuit_name with
-      | Error _ -> () (* beyond salvage is an acceptable typed outcome *)
-      | Ok entry ->
-        check_bool "salvaged container is flagged" true entry.Store.salvaged;
-        check_bool "salvage serves from the heap" false entry.Store.mapped)
+      | Error (Store.Corrupt _) -> ()
+      | Error e -> Alcotest.failf "expected Corrupt, got %s" (Store.error_to_string e)
+      | Ok _ -> Alcotest.fail "a 64-byte container was served")
 
 (* --- Shared-memory fast path (DESIGN.md §13) -------------------------- *)
 
@@ -984,7 +993,7 @@ let shm_round_trip () =
 (* MPSZ-backed answers over the ring arrive as descriptors into the
    container the client maps read-only — same ids, no copy. *)
 let shm_descriptor_replies () =
-  with_server ~container:true (fun server addr ->
+  with_server (fun server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:23 64 in
           let expect = expected_ids dims in
@@ -1001,7 +1010,7 @@ let shm_descriptor_replies () =
             ((Server.stats server).Server.shm_served >= 1)))
 
 let shm_pipelined () =
-  with_server ~container:true (fun _server addr ->
+  with_server (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let batches = Array.init 10 (fun i -> random_batch ~seed:(100 + i) 24) in
           let results =
@@ -1039,7 +1048,7 @@ let shm_declined_falls_back () =
    retry renegotiates a fresh session and converges. *)
 let shm_torn_frame_recovers () =
   let hooks, fired = Fault.shm_hooks_of_plan [ inj Fault.Shm_publish 0 Fault.Fail 1 ] in
-  with_server ~shm_hooks:hooks ~container:true (fun _server addr ->
+  with_server ~shm_hooks:hooks (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:31 16 in
           let expect = expected_ids dims in
@@ -1063,7 +1072,7 @@ let shm_corrupt_frame_recovers () =
   let hooks, fired =
     Fault.shm_hooks_of_plan [ inj Fault.Shm_publish 0 (Fault.Corrupt 8) 99 ]
   in
-  with_server ~shm_hooks:hooks ~container:true (fun _server addr ->
+  with_server ~shm_hooks:hooks (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:33 16 in
           let expect = expected_ids dims in
@@ -1086,7 +1095,7 @@ let shm_publish_stall_times_out () =
   let hooks, fired =
     Fault.shm_hooks_of_plan [ inj Fault.Shm_publish 0 (Fault.Stall 0.4) 1 ]
   in
-  with_server ~shm_hooks:hooks ~container:true (fun _server addr ->
+  with_server ~shm_hooks:hooks (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:35 16 in
           (match Client.query_ids ~budget:0.08 client ~circuit:circuit_name dims with
@@ -1158,7 +1167,7 @@ let shm_killed_client_reaped () =
    descriptor is now out of bounds; the client must refuse it typed,
    never crash and never fabricate ids. *)
 let shm_descriptor_out_of_bounds () =
-  with_server ~container:true (fun server addr ->
+  with_server (fun server addr ->
       let store = Server.store server in
       let zpath = Store.zpath_for store circuit_name in
       let t0 = 1_000_000_000.0 in
@@ -1189,7 +1198,7 @@ let shm_descriptor_out_of_bounds () =
 (* A reload bumps the epoch; descriptor replies carry it and the client
    remaps the container before trusting any offset. *)
 let shm_reload_remaps () =
-  with_server ~container:true (fun _server addr ->
+  with_server (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:41 16 in
           let expect = expected_ids dims in
@@ -1210,7 +1219,7 @@ let shm_reload_remaps () =
    the ring stays up for the batches that do fit. *)
 let shm_large_batch_socket_fallback () =
   let config = { Server.default_config with Server.shm_ring_words = 256 } in
-  with_server ~config ~container:true (fun _server addr ->
+  with_server ~config (fun _server addr ->
       with_client ~shm:true addr (fun client ->
           let big = random_batch ~seed:51 200 in
           let ids, _ =
@@ -1451,7 +1460,7 @@ let sigterm_drain_under_load () =
   for round = 1 to 50 do
     with_tmp_dir (fun dir ->
         let store = Store.create ~dir () in
-        Codec.save (Lazy.force structure) ~path:(Store.path_for store circuit_name);
+        Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
         let server =
           Server.create ~config ~store
             (Server.Unix_path (Filename.concat dir "mpsd.sock"))

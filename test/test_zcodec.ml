@@ -66,8 +66,8 @@ let save_tmp structure =
   Zcodec.save structure ~path;
   path
 
-let load_view ?verify circuit path =
-  try Zcodec.load ?verify ~circuit path
+let load_view circuit path =
+  try Zcodec.load ~circuit path
   with Zcodec.Error e -> Alcotest.failf "load: %s" (Zcodec.error_to_string e)
 
 let rects_equal a b =
@@ -358,39 +358,41 @@ let test_packed_salvage_and_flips () =
   done;
   check_int "every informative flip detected (packed)" !flips !caught
 
-(* The text codec must sniff the binary magic and route MPSZ files
-   through Zcodec — strict load and salvage both — and reject unknown
-   magic with one clean line, not a parse backtrace. *)
-let test_codec_routes_mpsz () =
-  let _, structure = List.hd (Lazy.force structures) in
-  let circuit = Structure.circuit structure in
-  let path = Filename.temp_file "mps_route" ".mpsz" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Zcodec.save structure ~path;
-      let s2 = Codec.load ~circuit ~path in
-      check_bool "strict load routes and agrees" true
-        (Codec.to_string s2 = Codec.to_string structure);
-      match Codec.load_salvage ~circuit ~path with
-      | Error e -> Alcotest.failf "salvage: %s" (Codec.error_to_string e)
-      | Ok sv ->
-        check_bool "container checksums verified" true sv.Codec.checksum_ok;
-        check_int "all records recovered"
-          (Array.length (Structure.placements structure))
-          sv.Codec.recovered)
+(* The coordinate pool is keyed by content, so importing a structure
+   from its text dump and packing it reproduces the container byte for
+   byte — what [mpsgen pack] of a dump must give. *)
+let test_text_import_packs_identically c structure =
+  let imported = Codec.of_string ~circuit:c (Codec.to_string structure) in
+  check_bool
+    (c.Circuit.name ^ ": container of the re-imported dump is identical")
+    true
+    (Zcodec.to_string imported = Zcodec.to_string structure)
 
+(* The text codec reads only v2 documents: anything else — a binary
+   container, a legacy v1 document, junk — is one clean [Corrupt]
+   line, not a parse backtrace. *)
 let test_unknown_magic_clean_error () =
-  let c = List.hd Benchmarks.all in
-  let garbage = "\x7fELF\x02\x01\x01\x00 definitely not a structure\xff\xfe" in
-  match Codec.of_string ~circuit:c garbage with
-  | exception Codec.Error (Codec.Corrupt { reason; _ }) ->
-    check_bool "reason is one short clean line" true
-      ((not (String.contains reason '\n'))
-      && String.length reason < 120
-      && String.for_all (fun ch -> ch >= ' ' && ch < '\x7f') reason)
-  | exception e -> Alcotest.failf "expected Corrupt, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "garbage accepted"
+  let c, structure = List.hd (Lazy.force structures) in
+  let v1 =
+    match String.split_on_char '\n' (Codec.to_string structure) with
+    | _magic :: _checksum :: payload -> String.concat "\n" ("mps-structure v1" :: payload)
+    | _ -> Alcotest.fail "short document"
+  in
+  List.iter
+    (fun (tag, input) ->
+      match Codec.of_string ~circuit:c input with
+      | exception Codec.Error (Codec.Corrupt { reason; _ }) ->
+        check_bool (tag ^ ": reason is one short clean line") true
+          ((not (String.contains reason '\n'))
+          && String.length reason < 120
+          && String.for_all (fun ch -> ch >= ' ' && ch < '\x7f') reason)
+      | exception e -> Alcotest.failf "%s: expected Corrupt, got %s" tag (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" tag)
+    [
+      ("garbage", "\x7fELF\x02\x01\x01\x00 definitely not a structure\xff\xfe");
+      ("mpsz container", Zcodec.to_string structure);
+      ("v1 document", v1);
+    ]
 
 let suite =
   [
@@ -412,6 +414,7 @@ let suite =
     ("wrong circuit rejected", `Quick, test_wrong_circuit_rejected);
     ("missing file is Io_error", `Quick, test_load_missing_is_io_error);
     ("salvage survives engine-section damage", `Quick, test_salvage_survives_engine_damage);
-    ("text codec routes MPSZ files", `Quick, test_codec_routes_mpsz);
+    ("all circuits: the re-imported text dump packs identically", `Slow,
+     for_all test_text_import_packs_identically);
     ("unknown magic fails with one clean line", `Quick, test_unknown_magic_clean_error);
   ]
