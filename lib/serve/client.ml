@@ -228,9 +228,11 @@ let deliver t ~len =
             if err_status = Wire.Err_worker_lost then
               poison_with t (Disconnected "worker lost"))))
 
-(* Receive one frame from the socket and deliver it.  Any transport
-   failure poisons the connection (failing every in-flight slot), so a
-   caller looping on an unresolved cell always makes progress. *)
+(* Receive one frame from the socket and deliver it.  A zero-length
+   frame is the server's doorbell (its reply is on the ring) and is
+   dropped.  Any transport failure poisons the connection (failing
+   every in-flight slot), so a caller looping on an unresolved cell
+   always makes progress. *)
 let pump_one t fd ~deadline =
   match
     Wire.recv_frame t.transport ?deadline ~max_bytes:t.max_frame_bytes ~buf:t.inbuf fd
@@ -242,46 +244,32 @@ let pump_one t fd ~deadline =
     poison_with t (Disconnected (Printf.sprintf "oversized reply frame (%d bytes)" n))
   | exception Unix.Unix_error (err, fn, _) ->
     poison_with t (Disconnected (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
+  | 0 -> ()
   | len -> deliver t ~len
 
-(* Ring-aware pump: spin on the reply ring (the hot path is
-   syscall-free), then fall into a sleep phase whose select doubles as
-   the socket poll — the socket still carries control replies,
-   oversized replies and farewells, and its readability is also how a
-   dead server is noticed fastest. *)
+(* Ring-aware pump: wait on the reply ring in {!Shm.await} (spin,
+   yield, then park in a 200 us select on the socket).  The hot path is
+   syscall-free; a server that publishes to a parked client rings the
+   doorbell, which [pump_one] reads and drops, and the caller's next
+   pump finds the reply on the ring.  The socket still carries control
+   replies, oversized replies and farewells, and its readability is
+   also how a dead server is noticed fastest. *)
 let pump_ring t ring fd ~deadline =
-  let rec go spins =
-    match Shm.try_recv ring ~buf:t.inbuf with
+  let rec go () =
+    match Shm.await ring fd ~buf:t.inbuf with
     | exception Shm.Dead msg -> ring_dead t msg
-    | Some len -> deliver t ~len
-    | None ->
-      if spins < 200 then begin
-        Domain.cpu_relax ();
-        go (spins + 1)
-      end
-      else if spins < 232 then begin
-        (* middle gear (see [Shm.wait_step]): on a core shared with
-           the daemon, hand it the core instead of blocking 200 us in
-           select while it is runnable *)
-        Thread.yield ();
-        go (spins + 1)
-      end
-      else begin
-        Shm.heartbeat ring;
-        if Shm.peer_closed ring then ring_dead t "server closed the session"
-        else if not (Shm.peer_alive ring ~timeout:3.0) then
-          ring_dead t "server heartbeat stale"
-        else
-          match deadline with
-          | Some d when Unix.gettimeofday () > d -> poison_with t Timed_out
-          | _ -> (
-            match Unix.select [ fd ] [] [] 0.0002 with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go spins
-            | [], _, _ -> go spins
-            | _ready, _, _ -> pump_one t fd ~deadline)
-      end
+    | Shm.Frame len -> deliver t ~len
+    | Shm.Socket -> pump_one t fd ~deadline
+    | Shm.Idle -> (
+      if Shm.peer_closed ring then ring_dead t "server closed the session"
+      else if not (Shm.peer_alive ring ~timeout:3.0) then
+        ring_dead t "server heartbeat stale"
+      else
+        match deadline with
+        | Some d when Unix.gettimeofday () > d -> poison_with t Timed_out
+        | _ -> go ())
   in
-  go 0
+  go ()
 
 let pump t fd ~deadline =
   match t.ring with
@@ -320,7 +308,8 @@ let issue t fd ~via_ring ~opcode ~deadline ~build slot =
     match (if via_ring then t.ring else None) with
     | Some ring ->
       t.s_ring_requests <- t.s_ring_requests + 1;
-      Shm.send ?deadline ring b ~off:prefix ~len:payload_len
+      Shm.send ?deadline ring b ~off:prefix ~len:payload_len;
+      ignore (Shm.ring_doorbell ring t.transport fd : bool)
     | None ->
       if via_ring then
         (* the caller routed to a ring that vanished meanwhile: the

@@ -69,6 +69,7 @@ type stats = {
   shm_sessions : int;
   shm_served : int;
   shm_reaped : int;
+  shm_doorbells : int;
 }
 
 type counters = {
@@ -91,6 +92,7 @@ type counters = {
   c_shm_sessions : int Atomic.t;
   c_shm_served : int Atomic.t;
   c_shm_reaped : int Atomic.t;
+  c_shm_doorbells : int Atomic.t;
 }
 
 let bump a = Atomic.incr a
@@ -163,6 +165,7 @@ let stats t =
     shm_sessions = Atomic.get t.c.c_shm_sessions;
     shm_served = Atomic.get t.c.c_shm_served;
     shm_reaped = Atomic.get t.c.c_shm_reaped;
+    shm_doorbells = Atomic.get t.c.c_shm_doorbells;
   }
 
 let bound_addr t = t.addr
@@ -177,7 +180,9 @@ let header = Wire.reply_header_bytes
    the socket kept as fallback for replies the ring cannot carry — a
    ring frame is capped at half the ring, a socket frame at
    [max_frame_bytes], and the client matches replies by request id on
-   both channels at once). *)
+   both channels at once).  A ring reply to a parked client is followed
+   by the doorbell: a zero-length frame on the socket it is blocked
+   on. *)
 type reply_via =
   | Via_sock of Unix.file_descr
   | Via_ring of Shm.t * Unix.file_descr
@@ -191,9 +196,11 @@ let send_reply t via outbuf ~status ~req_id ~epoch ~payload_len =
   match via with
   | Via_sock fd -> Wire.send_frame t.transport fd b ~payload_len
   | Via_ring (ring, fd) ->
-    if Shm.tx_fits ring ~len:payload_len then
+    if Shm.tx_fits ring ~len:payload_len then begin
       Shm.send ring b ~off:prefix ~len:payload_len
-        ~hb_timeout:t.config.shm_heartbeat_timeout
+        ~hb_timeout:t.config.shm_heartbeat_timeout;
+      if Shm.ring_doorbell ring t.transport fd then bump t.c.c_shm_doorbells
+    end
     else Wire.send_frame t.transport fd b ~payload_len
 
 let send_error t via outbuf ~status ~req_id msg =
@@ -604,12 +611,12 @@ let stats_text t =
        workers: %s\n\
        dispatched %d, worker crashes %d, restarts %d, worker-lost replies %d, breaker \
        trips %d\n\
-       shm: %d sessions, %d requests served, %d reaped\n"
+       shm: %d sessions, %d requests served, %d reaped, %d doorbells\n"
       s.accepted s.shed_connections s.requests_served s.queries_served s.degraded_served
       s.timeouts s.overloaded s.bad_requests s.store_errors s.connection_crashes
       s.accept_failures (Wire.health_to_string h) s.dispatched s.worker_crashes
       s.worker_restarts s.worker_lost_replies s.breaker_trips s.shm_sessions
-      s.shm_served s.shm_reaped
+      s.shm_served s.shm_reaped s.shm_doorbells
 
 let apply_fault t w =
   match t.fault with None -> () | Some hook -> hook ~worker:w.slot
@@ -711,76 +718,63 @@ let unregister t w conn =
   Mutex.unlock t.mutex
 
 (* Ring-serving mode, entered after an accepted [Shm_hello]: drain the
-   request ring, poll the socket (now the control channel) when the
+   request ring, watch the socket (now the control channel) when the
    ring runs dry, and judge peer liveness by heartbeat.  Exits — and
    reaps the session: close flag, unlink — on client close (flag or
-   socket EOF), stale heartbeat (the kill -9 case), idle timeout,
-   generation death or drain.  The loop spins briefly before backing
-   off to nanosleep, so a streaming client is served with no syscall
-   per request while an idle session costs one [select] per sleep. *)
+   socket EOF), stale heartbeat (the kill -9 case), idle timeout (also
+   a control frame dribbled past it), generation death or drain.
+
+   The loop waits in {!Shm.await}: spin, yield, then park in one 200 us
+   [select] on the socket.  A client that publishes to a parked server
+   rings the doorbell, a zero-length frame that ends the select at
+   once; it is read and dropped here, and the request is then found on
+   the ring.  The select timeout is the backstop for a lost doorbell
+   and paces the liveness checks.  A streaming client is thus served
+   with no syscall per request, and an idle session costs one [select]
+   per 200 us. *)
 let serve_ring t w gen conn state ring =
   let via = Via_ring (ring, conn.fd) in
   let hb_to = t.config.shm_heartbeat_timeout in
   let attach_grace = Unix.gettimeofday () +. (2.0 *. hb_to) in
   let idle_deadline = ref (Unix.gettimeofday () +. t.config.idle_timeout) in
   let continue = ref true in
-  let spins = ref 0 in
+  let serve ~via len =
+    idle_deadline := Unix.gettimeofday () +. t.config.idle_timeout;
+    match handle_request t w gen conn state ~via ~len with
+    | () -> ()
+    | exception Worker_killed ->
+      crash t w gen;
+      continue := false
+  in
   (try
      while !continue && Atomic.get gen.g_alive && not (Atomic.get t.stopping) do
-       Shm.heartbeat ring;
-       match Shm.try_recv ring ~buf:state.inbuf with
-       | Some len -> (
-         spins := 0;
-         idle_deadline := Unix.gettimeofday () +. t.config.idle_timeout;
+       match Shm.await ring conn.fd ~buf:state.inbuf with
+       | Shm.Frame len ->
          bump t.c.c_shm_served;
-         match handle_request t w gen conn state ~via ~len with
-         | () -> ()
-         | exception Worker_killed ->
-           crash t w gen;
+         serve ~via len
+       | Shm.Socket -> (
+         match
+           Wire.recv_frame t.transport ~deadline:!idle_deadline
+             ~max_bytes:t.config.max_frame_bytes ~buf:state.inbuf conn.fd
+         with
+         | 0 -> () (* a doorbell *)
+         | len -> serve ~via:(Via_sock conn.fd) len
+         | exception Wire.Closed ->
+           (* clean exit or kill -9: either way the socket EOF is the
+              immediate reap signal *)
+           continue := false
+         | exception Wire.Timed_out ->
+           (* a frame begun and never finished within idle_timeout *)
            continue := false)
-       | None ->
-         if !spins < 200 then begin
-           incr spins;
-           Domain.cpu_relax ()
+       | Shm.Idle ->
+         let now = Unix.gettimeofday () in
+         if Shm.peer_closed ring then continue := false
+         else if now > !idle_deadline then continue := false
+         else if Shm.peer_started ring then begin
+           if not (Shm.peer_alive ring ~timeout:hb_to) then continue := false
          end
-         else if !spins < 232 then begin
-           (* same middle gear as [Shm.wait_step]: on a core shared
-              with the client, yield beats both spinning and the
-              200 us sleep *)
-           incr spins;
-           Thread.yield ()
-         end
-         else begin
-           (match Unix.select [ conn.fd ] [] [] 0.0 with
-           | [], _, _ -> ()
-           | _, _, _ -> (
-             match
-               Wire.recv_frame t.transport ~max_bytes:t.config.max_frame_bytes
-                 ~buf:state.inbuf conn.fd
-             with
-             | len -> (
-               idle_deadline := Unix.gettimeofday () +. t.config.idle_timeout;
-               match
-                 handle_request t w gen conn state ~via:(Via_sock conn.fd) ~len
-               with
-               | () -> ()
-               | exception Worker_killed ->
-                 crash t w gen;
-                 continue := false)
-             | exception Wire.Closed ->
-               (* clean exit or kill -9: either way the socket EOF is
-                  the immediate reap signal *)
-               continue := false)
-           | exception Unix.Unix_error _ -> continue := false);
-           let now = Unix.gettimeofday () in
-           if Shm.peer_closed ring then continue := false
-           else if now > !idle_deadline then continue := false
-           else if Shm.peer_started ring then begin
-             if not (Shm.peer_alive ring ~timeout:hb_to) then continue := false
-           end
-           else if now > attach_grace then continue := false;
-           if !continue then Thread.delay 0.0002
-         end
+         else if now > attach_grace then continue := false
+       | exception Unix.Unix_error _ -> continue := false
      done
    with
   | Shm.Dead _ | Shm.Timeout -> ()
@@ -1140,6 +1134,7 @@ let new_counters () =
     c_shm_sessions = Atomic.make 0;
     c_shm_served = Atomic.make 0;
     c_shm_reaped = Atomic.make 0;
+    c_shm_doorbells = Atomic.make 0;
   }
 
 let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault

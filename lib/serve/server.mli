@@ -115,6 +115,9 @@ type stats = {
   shm_sessions : int;  (** Shm ring sessions negotiated. *)
   shm_served : int;  (** Requests that arrived over a ring. *)
   shm_reaped : int;  (** Ring sessions torn down (any cause). *)
+  shm_doorbells : int;
+      (** Doorbells rung: zero-length frames sent on a ring session's
+          socket after a ring reply, because the client had parked. *)
 }
 
 type t

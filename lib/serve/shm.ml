@@ -5,16 +5,18 @@
    and server->client (replies).  Both sides map the same file
    MAP_SHARED ({!Mps_core.Persist.map_shared}), so moving a frame is
    pointer arithmetic plus one memcpy out of the ring — no syscall, no
-   kernel buffer, no wakeup.  The negotiating socket stays open as the
-   control channel and the universal fallback; nothing here replaces
-   it.
+   kernel buffer.  The negotiating socket stays open as the control
+   channel and the universal fallback; nothing here replaces it.
 
-   Layout (8-byte little-endian words; head/tail/heartbeat words sit
-   on their own 64-byte cache line so the two sides never false-share):
+   Layout (version 2; 8-byte little-endian words; each side's
+   heartbeat and parked words share that side's 64-byte cache line,
+   and head/tail words sit on their own, so the two sides never
+   false-share):
 
      word 0   magic            word 1   version
      word 2   request-ring data words   word 3   reply-ring data words
-     word 8   client heartbeat          word 16  server heartbeat
+     word 8   client heartbeat          word 9   client parked
+     word 16  server heartbeat          word 17  server parked
      word 24  request head (consumer)   word 32  request tail (producer)
      word 40  reply head                word 48  reply tail
      word 56  flags (bit 0 server closed, bit 1 client closed)
@@ -41,14 +43,25 @@
    Liveness is heartbeats, not futexes: each side stamps its
    heartbeat word with the wall clock while waiting or serving, and
    {!peer_alive} compares against a staleness budget.  A peer that was
-   kill -9'd stops stamping; the survivor reaps the session.  Waiting
-   is spin-then-[Thread.delay] (nanosleep) backoff — futex-free, so a
-   dead peer can never leave the survivor parked in the kernel. *)
+   kill -9'd stops stamping; the survivor reaps the session.
+
+   Waiting never parks in a futex either.  {!send} and {!recv} back
+   off spin -> [Thread.yield] -> 200 us [Thread.delay].  The serving
+   loops (server and client) wait in {!await}, which goes one step
+   further: a consumer about to sleep sets its parked word ({!park}),
+   looks at the ring once more, and then blocks for at most 200 us in
+   [select] on the control socket.  A producer that published while
+   the peer is parked rings a doorbell ({!ring_doorbell}) — a
+   zero-length frame on that socket — which ends the select at once.
+   Without fences the parked word and the tail can cross in flight (a
+   lost wake-up); the 200 us timeout is the backstop that bounds it to
+   the old latency, and a dead peer can still never leave the survivor
+   blocked. *)
 
 open Mps_core
 
 let magic = 0x4D50_5352 (* "MPSR" *)
-let version = 1
+let version = 2
 let header_words = 64
 let default_ring_words = 64 * 1024 (* 512 KiB of data per direction *)
 
@@ -58,7 +71,9 @@ let i_version = 1
 let i_req_cap = 2
 let i_rep_cap = 3
 let i_client_hb = 8
+let i_client_parked = 9
 let i_server_hb = 16
+let i_server_parked = 17
 let i_req_head = 24
 let i_req_tail = 32
 let i_rep_head = 40
@@ -99,10 +114,13 @@ type t = {
   rx_tail : int;
   own_hb : int;
   peer_hb : int;
+  own_park : int;
+  peer_park : int;
   own_closed : int;  (* flag bit *)
   peer_closed_bit : int;
   hooks : hooks;
   mutable closed : bool;
+  idle_steps : int ref;  (* {!await}'s gear: dry polls since the last frame *)
 }
 
 let path t = t.path
@@ -148,6 +166,12 @@ let peer_alive t ~timeout =
 
 let peer_closed t = t.a.{i_flags} land t.peer_closed_bit <> 0
 
+(* The parked word is written only on a change: a consumer that never
+   sleeps adds no stores to its line. *)
+let park t = if t.a.{t.own_park} = 0 then t.a.{t.own_park} <- 1
+let unpark t = if t.a.{t.own_park} <> 0 then t.a.{t.own_park} <- 0
+let peer_parked t = t.a.{t.peer_park} <> 0
+
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -180,10 +204,13 @@ let make ~path ~role ~hooks a ~req_cap ~rep_cap =
       rx_tail = (if owner then i_req_tail else i_rep_tail);
       own_hb = (if owner then i_server_hb else i_client_hb);
       peer_hb = (if owner then i_client_hb else i_server_hb);
+      own_park = (if owner then i_server_parked else i_client_parked);
+      peer_park = (if owner then i_client_parked else i_server_parked);
       own_closed = (if owner then flag_server_closed else flag_client_closed);
       peer_closed_bit = (if owner then flag_client_closed else flag_server_closed);
       hooks;
       closed = false;
+      idle_steps = ref 0;
     }
   in
   stamp t;
@@ -238,6 +265,25 @@ let seeded_flips ~seed ~flips a ~pos ~len =
     a.{i} <- a.{i} lxor (1 lsl bit)
   done
 
+(* The first two gears of every wait: spin for a hot peer on another
+   core, then yield — the middle gear for oversubscribed hosts: when
+   the peer shares this core, spinning only burns the timeslice it
+   needs and a 200 us sleep overshoots a burst that drains in tens, so
+   sched_yield hands the core straight to the runnable peer.  [false]
+   once both are spent: the caller sleeps. *)
+let spin_step steps =
+  if !steps < 200 then begin
+    incr steps;
+    Domain.cpu_relax ();
+    true
+  end
+  else if !steps < 232 then begin
+    incr steps;
+    Thread.yield ();
+    true
+  end
+  else false
+
 (* Spin-then-nanosleep while the producer waits for ring space.  The
    deadline and peer liveness are re-checked on every backoff step, so
    a dead or wedged consumer surfaces as a typed error, never a hang. *)
@@ -248,19 +294,7 @@ let wait_step t ~spins ~deadline ~hb_timeout =
   stamp t;
   if peer_started t && not (peer_alive t ~timeout:hb_timeout) then
     raise (Dead "shm peer heartbeat stale");
-  if !spins < 200 then begin
-    incr spins;
-    Domain.cpu_relax ()
-  end
-  else if !spins < 232 then begin
-    (* middle gear for oversubscribed hosts: when the peer shares this
-       core, spinning only burns the timeslice it needs and a 200 us
-       nanosleep overshoots a burst that drains in tens — sched_yield
-       hands the core straight to the runnable peer *)
-    incr spins;
-    Thread.yield ()
-  end
-  else Thread.delay 0.0002
+  if not (spin_step spins) then Thread.delay 0.0002
 
 let send ?deadline ?(hb_timeout = 3.0) t b ~off ~len =
   if t.closed then raise (Dead "shm session closed");
@@ -439,3 +473,45 @@ let recv ?deadline ?(hb_timeout = 3.0) t ~buf =
       go ()
   in
   go ()
+
+(* ---- waking parked peers ----------------------------------------- *)
+
+type wake = Frame of int | Socket | Idle
+
+(* Spin, yield, then park: the gear position survives across calls, so
+   a consumer that stays idle goes straight back to its select instead
+   of re-spinning every 200 us.  The park lands before the last ring
+   check, so a frame published before it is found there and one
+   published after it finds the parked word and rings. *)
+let await t fd ~buf =
+  stamp t;
+  let rec go () =
+    match try_recv t ~buf with
+    | Some len ->
+      t.idle_steps := 0;
+      unpark t;
+      Frame len
+    | None ->
+      if spin_step t.idle_steps then go ()
+      else if t.a.{t.own_park} = 0 then begin
+        park t;
+        go ()
+      end
+      else begin
+        stamp t;
+        match Unix.select [ fd ] [] [] 0.0002 with
+        | [], _, _ -> Idle
+        | _ ->
+          unpark t;
+          Socket
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> Idle
+      end
+  in
+  go ()
+
+let ring_doorbell t transport fd =
+  peer_parked t
+  && begin
+    Wire.send_frame transport fd (Bytes.create Wire.frame_prefix_bytes) ~payload_len:0;
+    true
+  end

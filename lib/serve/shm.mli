@@ -17,11 +17,20 @@
     raises {!Dead}, never returns wrong bytes.
 
     Liveness is cooperative: both sides stamp a heartbeat word while
-    waiting or serving, and waiting is spin-then-nanosleep — futex
-    free, so a kill -9'd peer leaves the survivor free-running, the
-    stale heartbeat is noticed ({!peer_alive}), and the session is
-    reaped.  Frame payloads are capped at half a ring
-    ({!tx_fits}/{!rx_fits}); anything larger stays on the socket. *)
+    waiting or serving, and no wait is a futex, so a kill -9'd peer
+    leaves the survivor free-running, the stale heartbeat is noticed
+    ({!peer_alive}), and the session is reaped.  Frame payloads are
+    capped at half a ring ({!tx_fits}/{!rx_fits}); anything larger
+    stays on the socket.
+
+    Waking (ring version 2): {!send} and {!recv} back off spin, yield,
+    then 200 us nanosleeps.  The serving loops wait in {!await}
+    instead, which {!park}s, re-checks the ring, and blocks at most
+    200 us in [select] on the control socket; a producer follows each
+    publish with {!ring_doorbell}, a zero-length frame on that socket
+    when the peer has parked.  Without fences a doorbell can be lost;
+    the 200 us timeout is the backstop, never a hang or a wrong
+    answer. *)
 
 (** What a fault hook may do to the frame being published (the chaos
     suite's shm failure modes; see {!Mps_fault.Fault.shm_hooks_of_plan}). *)
@@ -65,7 +74,8 @@ val create : ?hooks:hooks -> ?ring_words:int -> path:string -> unit -> t
 
 val attach : ?hooks:hooks -> path:string -> unit -> t
 (** Client side: map an existing ring file and validate its geometry.
-    @raise Dead when the file is missing, runt, or malformed. *)
+    @raise Dead when the file is missing, runt, malformed, or of
+    another ring version (a version-1 file has no parked words). *)
 
 val path : t -> string
 val ring_words_of_t : t -> int
@@ -110,6 +120,40 @@ val peer_started : t -> bool
 
 val peer_alive : t -> timeout:float -> bool
 (** The peer's heartbeat is at most [timeout] seconds old. *)
+
+val park : t -> unit
+(** Set our parked word: this side is about to block on the control
+    socket, and a publish to it must ring the doorbell.  {!await}
+    parks, re-checks {!try_recv}, then blocks. *)
+
+val unpark : t -> unit
+(** Clear our parked word (on waking).  Both are stores only when the
+    word changes. *)
+
+val peer_parked : t -> bool
+(** The peer has parked: after publishing to it, ring the doorbell. *)
+
+(** How {!await} ended. *)
+type wake =
+  | Frame of int  (** A frame of this length was consumed into [buf]. *)
+  | Socket
+      (** The control socket is readable: a doorbell (a zero-length
+          frame, to read and drop) or a control frame. *)
+  | Idle
+      (** 200 us passed with neither; still parked.  Judge liveness and
+          call again. *)
+
+val await : t -> Unix.file_descr -> buf:Bytes.t ref -> wake
+(** Wait for the next frame on the receive ring, watching the control
+    socket [fd]: spin, yield, then park and block at most 200 us in
+    [select] on [fd].  The gear position is kept across calls until a
+    frame arrives, so an idle caller goes straight back to its select.
+    Stamps our heartbeat.  @raise Dead as {!try_recv}. *)
+
+val ring_doorbell : t -> Transport.t -> Unix.file_descr -> bool
+(** Call after a publish: if the peer has parked, write a zero-length
+    frame on the control socket [fd] it is blocked on, and return
+    [true].  @raise Unix.Unix_error as {!Wire.send_frame}. *)
 
 val peer_closed : t -> bool
 (** The peer set its closed flag (clean shutdown). *)

@@ -1279,6 +1279,38 @@ let shm_ring_direct () =
       | exception Shm.Dead _ -> ());
       Shm.remove server)
 
+(* The parked words of ring version 2: each side sees the other's park
+   and unpark, never its own; and a version-1 ring file, which has no
+   parked words, is refused with a typed [Dead], never mapped with the
+   wrong layout. *)
+let shm_parked_words_and_version () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "parked.ring" in
+      let server = Shm.create ~ring_words:256 ~path () in
+      let client = Shm.attach ~path () in
+      check_bool "fresh ring: client not parked" false (Shm.peer_parked server);
+      check_bool "fresh ring: server not parked" false (Shm.peer_parked client);
+      Shm.park client;
+      check_bool "client park seen by the server" true (Shm.peer_parked server);
+      check_bool "a park is not seen by its own side" false (Shm.peer_parked client);
+      Shm.park client;
+      check_bool "park is idempotent" true (Shm.peer_parked server);
+      Shm.unpark client;
+      check_bool "client unpark seen by the server" false (Shm.peer_parked server);
+      Shm.park server;
+      check_bool "server park seen by the client" true (Shm.peer_parked client);
+      Shm.unpark server;
+      check_bool "server unpark seen by the client" false (Shm.peer_parked client);
+      Shm.remove server;
+      let v1 = Filename.concat dir "v1.ring" in
+      let old = Shm.create ~ring_words:256 ~path:v1 () in
+      let words, _ = Persist.map_shared ~path:v1 () in
+      words.{1} <- 1;
+      (match Shm.attach ~path:v1 () with
+      | _ -> Alcotest.fail "a version-1 ring file was attached"
+      | exception Shm.Dead _ -> ());
+      Shm.remove old)
+
 (* --- Farewell mid-pipeline (reconnect integrity) ---------------------- *)
 
 (* A hand-rolled daemon speaking just enough of the protocol to send a
@@ -1534,6 +1566,111 @@ let sigterm_drain_under_load () =
         check_int (Printf.sprintf "round %d: ring files left" round) 0 (List.length rings))
   done
 
+(* --- Doorbells (DESIGN.md §13, ring discipline) ------------------------ *)
+
+(* The sizing loop of Fig. 1b: one placement, then a pause.  The daemon
+   parks between requests and each request rings it awake; every reply
+   is stalled 10 ms before its publication, so the client has always
+   parked by then and the daemon must ring it back.  Every answer is
+   the oracle's and every request rode the ring. *)
+let shm_doorbell_sizing_loop () =
+  let hooks =
+    { Shm.no_hooks with Shm.on_publish = (fun () -> Some (Shm.Publish_stall 0.01)) }
+  in
+  with_server ~shm_hooks:hooks (fun server addr ->
+      with_client ~shm:true addr (fun client ->
+          let dims = random_batch ~seed:61 16 in
+          let expect = expected_ids dims in
+          let _ =
+            ok_or_fail "open" (Client.query_ids client ~circuit:circuit_name [| dims.(0) |])
+          in
+          check_bool "ring negotiated" true (Client.ring_active client);
+          let ring0 = (Client.stats client).Client.ring_requests in
+          Array.iteri
+            (fun i d ->
+              Thread.delay 0.02;
+              let ids, _ =
+                ok_or_fail (Printf.sprintf "query %d" i)
+                  (Client.query_ids client ~circuit:circuit_name [| d |])
+              in
+              check_int (Printf.sprintf "query %d id" i) expect.(i) ids.(0))
+            dims;
+          check_int "every query rode the ring" 16
+            ((Client.stats client).Client.ring_requests - ring0);
+          check_bool "the daemon rang a parked client" true
+            ((Server.stats server).Server.shm_doorbells >= 1)))
+
+(* A ring request in raw bytes: one query for the circuit's minimum
+   dims, published on the client half of a hand-negotiated session. *)
+let raw_ring_query ring ~handle ~n ~req_id =
+  let req_header = Wire.request_header_bytes in
+  let buf = ref (Bytes.create 256) in
+  let body = build_batch ~handle ~n ~count:1 buf req_header in
+  let b = !buf in
+  Wire.set_u8 b 0 (Wire.opcode_to_int Wire.Query_batch);
+  Wire.set_u32 b 1 req_id;
+  Wire.set_u32 b 5 0;
+  Shm.send ring b ~off:0 ~len:(req_header + body);
+  let rbuf = ref (Bytes.create 256) in
+  let len = Shm.recv ~deadline:(Unix.gettimeofday () +. 2.0) ring ~buf:rbuf in
+  let r = !rbuf in
+  check_bool "ring reply ok" true
+    (Wire.status_of_int (Wire.get_u8 r ~len 0) = Some Wire.Ok);
+  check_int "ring reply id" req_id (Wire.get_u32 r ~len 1);
+  check_int "one result" 1 (Wire.get_u32 r ~len (Wire.reply_header_bytes + 1));
+  Wire.get_i32 r ~len (Wire.reply_header_bytes + 5)
+
+(* A zero-length frame is a doorbell, not a request: the daemon answers
+   nothing on the socket (it used to send a request-id-0 error, which a
+   client reads as a farewell), and the session keeps serving. *)
+let shm_doorbell_frame_not_answered () =
+  with_server (fun _server addr ->
+      let fd = connect_raw addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let path = raw_shm_hello fd in
+          let ring = Shm.attach ~path () in
+          Shm.heartbeat ring;
+          let handle, n = raw_open_circuit fd in
+          let want = (expected_ids [| Circuit.min_dims circuit |]).(0) in
+          check_int "query before the doorbell" want
+            (raw_ring_query ring ~handle ~n ~req_id:41);
+          Wire.send_frame Transport.default fd (Bytes.create 4) ~payload_len:0;
+          (match Unix.select [ fd ] [] [] 0.2 with
+          | [], _, _ -> ()
+          | _ -> Alcotest.fail "the daemon answered a zero-length frame");
+          check_int "query after the doorbell" want
+            (raw_ring_query ring ~handle ~n ~req_id:42);
+          Shm.close ring))
+
+(* chaos: a ring client writes half a control-frame length prefix and
+   stalls.  The read of the rest is bounded by the idle timeout, so the
+   session is reaped instead of wedging its loop, and the daemon keeps
+   serving others. *)
+let shm_stalled_control_frame_reaped () =
+  let config = { Server.default_config with Server.idle_timeout = 0.3 } in
+  with_server ~config (fun server addr ->
+      let fd = connect_raw addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let path = raw_shm_hello fd in
+          let ring = Shm.attach ~path () in
+          Shm.heartbeat ring;
+          ignore (Unix.write_substring fd "\x10\x00" 0 2);
+          check_bool "session reaped within 2 s" true
+            (wait_until ~timeout:2.0 (fun () ->
+                 (Server.stats server).Server.shm_reaped >= 1));
+          with_client ~shm:true addr (fun client ->
+              let dims = random_batch ~seed:63 8 in
+              let ids, _ =
+                ok_or_fail "second client"
+                  (Client.query_ids client ~circuit:circuit_name dims)
+              in
+              check_bool "second client matches the oracle" true
+                (ids = expected_ids dims))))
+
 let suite =
   [
     Alcotest.test_case "round trip matches the in-process oracle" `Quick round_trip;
@@ -1607,4 +1744,12 @@ let suite =
       large_budget_saturates;
     Alcotest.test_case "tcp: bound port serves plain and pipelined queries" `Quick
       tcp_round_trip;
+    Alcotest.test_case "shm: parked words and ring version 2" `Quick
+      shm_parked_words_and_version;
+    Alcotest.test_case "shm: doorbells wake parked peers in a sizing loop" `Quick
+      shm_doorbell_sizing_loop;
+    Alcotest.test_case "shm: a zero-length frame is not answered" `Quick
+      shm_doorbell_frame_not_answered;
+    Alcotest.test_case "shm chaos: a stalled control frame is reaped" `Quick
+      shm_stalled_control_frame_reaped;
   ]
