@@ -17,7 +17,8 @@
    --query-bench  measures per-call engine query and instantiation
                   latency (p50/p99 over 2048 seeded probes per circuit)
                   and sizing-walk queries/sec, cross-checks every
-                  answer against the linear oracle, and writes
+                  answer against the linear oracle and every in-place
+                  floorplan against the oracle's placement, and writes
                   BENCH_QUERY.json for the CI latency artifact.
    --par-bench    sweeps the parallel generator over jobs in {1,2,4,8}
                   on circ06, tso-cascode and benchmark24 (quick budget)
@@ -281,9 +282,12 @@ let sizing_walk ~seed ~n structure =
    the sizing-loop walk — the serving-path counterpart of the
    generation-throughput numbers above.  Every probe is answered by a
    warm engine session, by [Structure.query] (a fresh session, so no
-   hot-box cache) and by the linear oracle; any disagreement is
-   counted and fails the run (exit 1), which is the CI smoke contract
-   for BENCH_QUERY.json. *)
+   hot-box cache) and by the linear oracle, and its in-place floorplan
+   ([Engine.instantiate_into]) is compared rect for rect with the
+   oracle's placement committed at the probe ([Stored.instantiate_auto],
+   or the re-packed backup on a fallback); any disagreement is counted
+   and fails the run (exit 1), which is the CI smoke contract for
+   BENCH_QUERY.json. *)
 let query_bench () =
   let module E = Mps_experiments.Experiments in
   (* Throughput over the walk, several passes for a stable number. *)
@@ -305,19 +309,32 @@ let query_bench () =
         let engine = Structure.Engine.create structure in
         let probes = E.probe_dims ~seed:23 ~n:2048 structure in
         let walk = sizing_walk ~seed:29 ~n:20000 structure in
-        (* Answer agreement on every probe of both workloads. *)
-        let mismatches = ref 0 in
+        (* Answer and floorplan agreement on every probe of both
+           workloads. *)
+        let mismatches = ref 0 and floorplan_mismatches = ref 0 in
         let vsession = Structure.Engine.new_session () in
+        let fsession = Structure.Engine.new_session () in
         let check d =
-          let a_lin = fst (Structure.query_linear structure d) in
+          let a_lin, s_lin = Structure.query_linear structure d in
           if
             fst (Structure.Engine.query engine vsession d) <> a_lin
             || fst (Structure.query structure d) <> a_lin
-          then incr mismatches
+          then incr mismatches;
+          let expected =
+            match a_lin with
+            | Structure.Stored_placement _ -> Stored.instantiate_auto s_lin d
+            | Structure.Fallback | Structure.Out_of_domain -> Stored.instantiate_repacked s_lin d
+          in
+          let got = Structure.Engine.instantiate_into engine fsession d in
+          if
+            not
+              (Array.length got = Array.length expected
+              && Array.for_all2 Mps_geometry.Rect.equal got expected)
+          then incr floorplan_mismatches
         in
         Array.iter check probes;
         Array.iter check walk;
-        mismatches_total := !mismatches_total + !mismatches;
+        mismatches_total := !mismatches_total + !mismatches + !floorplan_mismatches;
         (* Per-call latency on uniform probes. *)
         let session = Structure.Engine.new_session () in
         Array.iter
@@ -338,16 +355,17 @@ let query_bench () =
         in
         Printf.printf
           "%-20s query p50 %5.2f us  p99 %5.2f us   instantiate p50 %5.2f us  p99 \
-           %5.2f us   walk %9.0f q/s (cache %4.1f%%)  mismatches %d\n\
+           %5.2f us   walk %9.0f q/s (cache %4.1f%%)  mismatches %d (floorplans %d)\n\
            %!"
-          circuit.Circuit.name e50 e99 n50 n99 walk_qps (100.0 *. hit_rate) !mismatches;
+          circuit.Circuit.name e50 e99 n50 n99 walk_qps (100.0 *. hit_rate) !mismatches
+          !floorplan_mismatches;
         Printf.sprintf
           "    { \"circuit\": %S, \"probes\": %d, \"engine_query_p50_us\": %.3f, \
            \"engine_query_p99_us\": %.3f, \"engine_instantiate_p50_us\": %.3f, \
            \"engine_instantiate_p99_us\": %.3f, \"walk_qps_engine\": %.0f, \
-           \"cache_hit_rate\": %.4f, \"mismatches\": %d }"
+           \"cache_hit_rate\": %.4f, \"mismatches\": %d, \"floorplan_mismatches\": %d }"
           circuit.Circuit.name (Array.length probes) e50 e99 n50 n99 walk_qps hit_rate
-          !mismatches)
+          !mismatches !floorplan_mismatches)
       Benchmarks.all
   in
   let oc = open_out "BENCH_QUERY.json" in
@@ -361,7 +379,8 @@ let query_bench () =
      }\n"
     (String.concat ",\n" rows) !mismatches_total;
   close_out oc;
-  Printf.printf "answer mismatches across all circuits: %d\n" !mismatches_total;
+  Printf.printf "answer and floorplan mismatches across all circuits: %d\n"
+    !mismatches_total;
   print_endline "wrote BENCH_QUERY.json";
   if !mismatches_total > 0 then exit 1
 

@@ -101,14 +101,14 @@ let beats_backup_locally config rng circuit backup candidate ~arena ~evals =
   let dw = Arena.int_buffer arena ~slot:1 n and dh = Arena.int_buffer arena ~slot:2 n in
   let cand_buf = Arena.rect_buffer arena ~slot:0 n in
   let back_buf = Arena.rect_buffer arena ~slot:1 n in
-  let scratch = Arena.repack_scratch arena in
+  let order = Repack.order backup.Stored.placement.Placement.coords in
   let candidate_total = ref 0.0 and backup_total = ref 0.0 in
   for _ = 1 to samples do
     Dimbox.random_dims_into rng candidate.Stored.box ~w:dw ~h:dh;
     let dims = Dims.unsafe_of_arrays ~w:dw ~h:dh in
     Stored.instantiate_into candidate ~out:cand_buf dims;
     candidate_total := !candidate_total +. cost cand_buf;
-    Stored.instantiate_repacked_into backup ~scratch ~out:back_buf dims;
+    Stored.instantiate_repacked_into backup ~order ~out:back_buf dims;
     backup_total := !backup_total +. cost back_buf
   done;
   !candidate_total <= !backup_total
@@ -210,13 +210,14 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
     let n = Placement.n_blocks placement in
     let dw = Arena.int_buffer arena ~slot:1 n and dh = Arena.int_buffer arena ~slot:2 n in
     let buf = Arena.rect_buffer arena ~slot:1 n in
-    let scratch = Arena.repack_scratch arena in
+    let coords = placement.Placement.coords in
+    let order = Repack.order coords in
     let total = ref 0.0 in
     for _ = 1 to samples do
       Dimbox.random_dims_into rng bounds ~w:dw ~h:dh;
       let dims = Dims.unsafe_of_arrays ~w:dw ~h:dh in
-      Repack.instantiate_into ~scratch ~out:buf ~die:(die_w, die_h)
-        ~coords:placement.Placement.coords dims;
+      Repack.pack ~order ~out:buf ~coords dims;
+      Repack.fit_die_in_place ~die_w ~die_h buf;
       (* allocation-free full evaluation, bit-identical to [Cost.total]
          (see [beats_backup_locally]) *)
       total :=

@@ -36,10 +36,10 @@ let instantiate_repacked t dims =
 
 let instantiate_into t ~out dims = Placement.rects_into out t.placement dims
 
-let instantiate_repacked_into t ~scratch ~out dims =
-  Repack.instantiate_into ~scratch ~out
-    ~die:(t.placement.Placement.die_w, t.placement.Placement.die_h)
-    ~coords:t.placement.Placement.coords dims
+let instantiate_repacked_into t ~order ~out dims =
+  Repack.pack ~order ~out ~coords:t.placement.Placement.coords dims;
+  Repack.fit_die_in_place ~die_w:t.placement.Placement.die_w
+    ~die_h:t.placement.Placement.die_h out
 
 let instantiate_auto t dims =
   if Dimbox.contains t.expansion dims then instantiate t dims

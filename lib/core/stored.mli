@@ -64,10 +64,12 @@ val instantiate_into : t -> out:Rect.t array -> Dims.t -> unit
     in place) — for sampling loops running against per-worker scratch.
     @raise Invalid_argument on a buffer-length mismatch. *)
 
-val instantiate_repacked_into :
-  t -> scratch:Repack.scratch -> out:Rect.t array -> Dims.t -> unit
-(** {!instantiate_repacked} into a caller buffer, allocation-free (see
-    {!Mps_placement.Repack.instantiate_into}). *)
+val instantiate_repacked_into : t -> order:int array -> out:Rect.t array -> Dims.t -> unit
+(** {!instantiate_repacked} into a caller buffer (one rect per block,
+    refilled in place), allocation-free.  [order] must be
+    [Repack.order] of this placement's coordinates, computed once by
+    the caller (see {!Mps_placement.Repack.pack}).
+    @raise Invalid_argument on a buffer-length mismatch. *)
 
 val instantiate_auto : t -> Dims.t -> Rect.t array
 (** "Commit to this placement for these dimensions": raw coordinates

@@ -15,6 +15,12 @@ type t = {
   circuit : Circuit.t;
   stored : Stored.t array;
   backup : Stored.t;
+  (* Re-pack visit orders ([Repack.order]) of the backup and of every
+     stored placement (by id), computed with the plan so re-packed
+     answers allocate nothing.  They live here, not in a session, so a
+     session rebound to another engine never sees a stale order. *)
+  backup_order : int array;
+  repack_orders : int array array;
   space : Dimbox.t;
   die_w : int;
   die_h : int;
@@ -60,6 +66,9 @@ type t = {
           plan wrapped by [Engine.of_flat], once [Engine.structure] has
           run the check (a racing second check is merely redundant) *)
 }
+
+let order_of (s : Stored.t) =
+  Mps_placement.Repack.order s.Stored.placement.Mps_placement.Placement.coords
 
 let ints_of_array (a : int array) : ints =
   let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
@@ -216,6 +225,8 @@ let of_placements ?backup circuit stored =
     circuit;
     stored = Array.copy stored;
     backup;
+    backup_order = order_of backup;
+    repack_orders = Array.map order_of stored;
     space;
     die_w;
     die_h;
@@ -427,42 +438,28 @@ module Engine = struct
       session.owner <- Some t;
       session.last <- -1
 
-  (* [dims] inside the validity box of stored placement [id]?  Pure
-     int-array compares over the flattened box bounds. *)
-  let box_contains t id dims =
-    let n = t.n_blocks in
-    let base = id * 2 * n in
-    let box_lo = t.box_lo and box_hi = t.box_hi in
-    let rec go i =
-      i >= n
-      ||
-      let w = Dims.width dims i in
-      let j = base + (2 * i) in
-      w >= box_lo.{j}
-      && w <= box_hi.{j}
+  (* [dims] inside the flattened bounds [lo/hi.{base + code}]?  Pure
+     int-array compares, in a [while] loop: without flambda a local
+     recursive closure would allocate on every query. *)
+  let within ~(lo : ints) ~(hi : ints) ~base n dims =
+    let i = ref 0 in
+    while
+      !i < n
       &&
-      let h = Dims.height dims i in
-      h >= box_lo.{j + 1} && h <= box_hi.{j + 1} && go (i + 1)
-    in
-    go 0
+      let w = Dims.width dims !i and h = Dims.height dims !i in
+      let j = base + (2 * !i) in
+      w >= lo.{j} && w <= hi.{j} && h >= lo.{j + 1} && h <= hi.{j + 1}
+    do
+      incr i
+    done;
+    !i >= n
 
-  (* Equivalent to [Circuit.dims_valid] (designer bounds containment),
-     over the flattened bounds. *)
-  let in_domain t dims =
-    let n = t.n_blocks in
-    let dom_lo = t.dom_lo and dom_hi = t.dom_hi in
-    let rec go i =
-      i >= n
-      ||
-      let w = Dims.width dims i in
-      let j = 2 * i in
-      w >= dom_lo.{j}
-      && w <= dom_hi.{j}
-      &&
-      let h = Dims.height dims i in
-      h >= dom_lo.{j + 1} && h <= dom_hi.{j + 1} && go (i + 1)
-    in
-    go 0
+  (* [dims] inside the validity box of stored placement [id]? *)
+  let box_contains t id dims =
+    within ~lo:t.box_lo ~hi:t.box_hi ~base:(id * 2 * t.n_blocks) t.n_blocks dims
+
+  (* Equivalent to [Circuit.dims_valid] (designer bounds containment). *)
+  let in_domain t dims = within ~lo:t.dom_lo ~hi:t.dom_hi ~base:0 t.n_blocks dims
 
   (* The zero-allocation primitive: the stored-placement index on a
      hit, [-1] for fallback, [-2] for out-of-domain. *)
@@ -502,47 +499,46 @@ module Engine = struct
         let n_rows = t.n_rows in
         let lows = t.lows and highs = t.highs and set_words = t.set_words in
         let lows_len = t.lows_len in
-        let rec narrow r =
-          r >= n_rows
-          ||
-          (* The plan may be a view into a file mapping that gets
-             corrupted underneath us: a garbage axis code or interval
-             range must turn into a miss (fallback), never an
-             out-of-bounds access — hence the code guard and the
-             clamped binary-search range. *)
-          let code = t.row_axis.{r} in
-          code >= 0
-          && code lsr 1 < t.n_blocks
-          &&
-          let v =
-            if code land 1 = 0 then Dims.width dims (code lsr 1)
-            else Dims.height dims (code lsr 1)
-          in
-          (* Largest k in the row's interval range with lows.{k} <= v. *)
-          let l = ref (max 0 t.row_off.{r})
-          and h = ref (min t.row_off.{r + 1} lows_len - 1) in
-          let k = ref (-1) in
-          while !l <= !h do
-            let mid = (!l + !h) / 2 in
-            if lows.{mid} <= v then begin
-              k := mid;
-              l := mid + 1
+        (* The plan may be a view into a file mapping that gets
+           corrupted underneath us: a garbage axis code or interval
+           range must turn into a miss (fallback), never an
+           out-of-bounds access — hence the code guard and the clamped
+           binary-search range.  A [while] loop, like [within]. *)
+        let r = ref 0 and live = ref true in
+        while !live && !r < n_rows do
+          let code = t.row_axis.{!r} in
+          if code < 0 || code lsr 1 >= t.n_blocks then live := false
+          else begin
+            let v =
+              if code land 1 = 0 then Dims.width dims (code lsr 1)
+              else Dims.height dims (code lsr 1)
+            in
+            (* Largest k in the row's interval range with lows.{k} <= v. *)
+            let l = ref (max 0 t.row_off.{!r})
+            and h = ref (min t.row_off.{!r + 1} lows_len - 1) in
+            let k = ref (-1) in
+            while !l <= !h do
+              let mid = (!l + !h) / 2 in
+              if lows.{mid} <= v then begin
+                k := mid;
+                l := mid + 1
+              end
+              else h := mid - 1
+            done;
+            if !k < 0 || highs.{!k} < v then live := false
+            else begin
+              let base = !k * wps in
+              let any = ref 0 in
+              for w = 0 to wps - 1 do
+                let x = acc.(w) land set_words.{base + w} in
+                acc.(w) <- x;
+                any := !any lor x
+              done;
+              if !any = 0 then live := false else incr r
             end
-            else h := mid - 1
-          done;
-          !k >= 0
-          && highs.{!k} >= v
-          &&
-          let base = !k * wps in
-          let any = ref 0 in
-          for w = 0 to wps - 1 do
-            let x = acc.(w) land set_words.{base + w} in
-            acc.(w) <- x;
-            any := !any lor x
-          done;
-          !any <> 0 && narrow (r + 1)
-        in
-        if narrow 0 then begin
+          end
+        done;
+        if !live then begin
           (* Non-empty by construction; eq. 5 makes the member unique. *)
           let id = ref (-1) and w = ref 0 in
           while !id < 0 do
@@ -585,27 +581,22 @@ module Engine = struct
     | id -> (Stored_placement id, t.stored.(id))
 
   (* Fill the session's rect buffer in place and return it: valid until
-     the session's next [instantiate_into].  Fallback and template-like
-     answers re-pack (which allocates) — by construction those are the
-     rare, uncovered-space cases. *)
+     the session's next [instantiate_into].  Every answer is
+     allocation-free: raw coordinates inside the expansion box, else a
+     re-pack with the order precomputed in [t] — the backup's for
+     fallbacks, which are the sizing walk's most common answer. *)
   let instantiate_into t session dims =
     let id = query_id t session dims in
-    if id >= 0 then begin
+    if Array.length session.rects <> t.n_blocks then
+      session.rects <- Array.init t.n_blocks (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
+    let out = session.rects in
+    if id < 0 then Stored.instantiate_repacked_into t.backup ~order:t.backup_order ~out dims
+    else begin
       let s = t.stored.(id) in
-      if Dimbox.contains s.Stored.expansion dims then begin
-        let coords = s.Stored.placement.Mps_placement.Placement.coords in
-        if Array.length session.rects <> t.n_blocks then
-          session.rects <- Array.init t.n_blocks (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
-        let rects = session.rects in
-        for i = 0 to t.n_blocks - 1 do
-          let x, y = coords.(i) in
-          Rect.set rects.(i) ~x ~y ~w:(Dims.width dims i) ~h:(Dims.height dims i)
-        done;
-        rects
-      end
-      else Stored.instantiate_repacked s dims
-    end
-    else Stored.instantiate_repacked t.backup dims
+      if Dimbox.contains s.Stored.expansion dims then Stored.instantiate_into s ~out dims
+      else Stored.instantiate_repacked_into s ~order:t.repack_orders.(id) ~out dims
+    end;
+    out
 
   (* Freshly allocated floorplan (safe to retain), same answers. *)
   let instantiate t session dims =
@@ -766,6 +757,8 @@ module Engine = struct
       circuit;
       stored = Array.copy stored;
       backup;
+      backup_order = order_of backup;
+      repack_orders = Array.map order_of stored;
       space;
       die_w;
       die_h;

@@ -138,10 +138,12 @@ val die : t -> int * int
     A structure's plan is built once by {!of_placements}: it orders the
     narrowing rows by selectivity (smallest average placement set
     first) and drops rows that cannot narrow (a single interval
-    spanning the whole designer axis with every placement on it).  All
-    per-query scratch lives in a reusable {!Engine.session}, so
-    steady-state queries and {!Engine.instantiate_into} allocate
-    nothing; a hot-box cache answers consecutive queries landing in the
+    spanning the whole designer axis with every placement on it), and
+    precomputes the re-pack visit order of the backup and of every
+    stored placement.  All per-query scratch lives in a reusable
+    {!Engine.session}, so steady-state queries and
+    {!Engine.instantiate_into} allocate nothing, fallbacks included; a
+    hot-box cache answers consecutive queries landing in the
     same validity box — the dominant sizing-loop case — with a single
     box test.
 
@@ -156,7 +158,8 @@ module Engine : sig
 
   type session
   (** Mutable per-caller scratch: intersection words, a rect buffer,
-      the hot-box cache and query counters.  Not thread-safe — use one
+      the hot-box cache and query counters.  Re-pack orders belong to
+      the engine, never to a session.  Not thread-safe — use one
       session per domain.  A session is engine-agnostic: it may be
       reused across engines (even interleaved); rebinding to a
       different engine resizes the scratch and drops the hot-box
@@ -208,9 +211,11 @@ module Engine : sig
   val instantiate_into : t -> session -> Dims.t -> Rect.t array
   (** Floorplan at the requested dimensions, written into the session's
       reusable rect buffer — the returned array (and the rects inside
-      it) are valid until the session's next call.  Allocation-free on
-      stored hits inside the expansion box; fallback answers re-pack
-      (and allocate) exactly like {!Structure.instantiate}. *)
+      it) are valid until the session's next call.  Rect for rect the
+      answer of {!Structure.instantiate}, and allocation-free for every
+      answer: stored hits inside the expansion box copy coordinates;
+      fallbacks and template-like hits beyond it re-pack in place with
+      the engine's precomputed order ({!Stored.instantiate_repacked_into}). *)
 
   val instantiate : t -> session -> Dims.t -> Rect.t array
   (** Like {!instantiate_into} but returns a freshly allocated

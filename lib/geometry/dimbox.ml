@@ -43,17 +43,21 @@ let axes t =
   let n = n_blocks t in
   List.concat (List.init n (fun i -> [ Width i; Height i ]))
 
+(* A [while] loop, not a local recursive function: without flambda the
+   closure would allocate, and the query engine calls this per hit. *)
 let contains t dims =
   let n = n_blocks t in
-  if Dims.n_blocks dims <> n then false
-  else
-    let rec loop i =
-      i >= n
-      || (Interval.contains t.w.(i) (Dims.width dims i)
-          && Interval.contains t.h.(i) (Dims.height dims i)
-          && loop (i + 1))
-    in
-    loop 0
+  Dims.n_blocks dims = n
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    && Interval.contains t.w.(!i) (Dims.width dims !i)
+    && Interval.contains t.h.(!i) (Dims.height dims !i)
+  do
+    incr i
+  done;
+  !i >= n
 
 let contains_box ~outer ~inner =
   let n = n_blocks outer in

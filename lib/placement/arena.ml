@@ -15,7 +15,6 @@ type t = {
   mutable eng_weights : Mps_cost.Cost.weights;
   mutable rect_bufs : Rect.t array array;
   mutable int_bufs : int array array;
-  repack : Repack.scratch;
 }
 
 let create () =
@@ -27,7 +26,6 @@ let create () =
     eng_weights = Mps_cost.Cost.default_weights;
     rect_bufs = Array.make 4 [||];
     int_bufs = Array.make 4 [||];
-    repack = Repack.scratch ();
   }
 
 let engine t ~weights circuit ~die_w ~die_h rects =
@@ -71,5 +69,3 @@ let int_buffer t ~slot n =
     t.int_bufs.(slot) <- buf;
     buf
   end
-
-let repack_scratch t = t.repack

@@ -13,8 +13,7 @@
     - a cached {!Mps_cost.Incremental} engine, rebound to each new
       candidate with a bit-exact [reset] (cache key: circuit physical
       identity, die, weights — all stable within a generation run);
-    - slot-indexed [Rect.t] and [int] buffers, refilled in place;
-    - a {!Mps_placement.Repack.instantiate_into} working set.
+    - slot-indexed [Rect.t] and [int] buffers, refilled in place.
 
     Ownership contract: an arena is single-threaded scratch.  Index a
     pool fan-out's arenas by the [map_chunked] worker slot — the pool
@@ -56,6 +55,3 @@ val rect_buffer : t -> slot:int -> int -> Rect.t array
 
 val int_buffer : t -> slot:int -> int -> int array
 (** Same, for int scratch (dimension samples, permutations). *)
-
-val repack_scratch : t -> Repack.scratch
-(** The arena's re-packing working set. *)

@@ -28,66 +28,47 @@ let fit_die_in_place ~die_w ~die_h out =
       done
   end
 
-type scratch = { mutable sc_order : int array; mutable sc_placed : Bytes.t }
-
-let scratch () = { sc_order = [||]; sc_placed = Bytes.empty }
-
-(* The allocation-free kernel: instantiation runs in admission-test and
-   template-averaging loops that re-pack hundreds of dimension samples
-   per candidate, so the sort permutation, the placed flags, and the
-   output rectangles all live in caller-owned buffers refilled in
-   place.  Identical results to the allocating wrapper below: same
-   visit order (same comparator over the same identity permutation),
-   same settle predicate, same die translation. *)
-let instantiate_into ~scratch ~out ?die ~coords dims =
-  let n = Array.length coords in
-  if Dims.n_blocks dims <> n then
-    invalid_arg "Repack.instantiate_into: block count mismatch";
-  if Array.length out <> n then invalid_arg "Repack.instantiate_into: bad buffer length";
-  if Array.length scratch.sc_order <> n then begin
-    scratch.sc_order <- Array.make n 0;
-    scratch.sc_placed <- Bytes.make n '\000'
-  end;
-  let order = scratch.sc_order in
-  for i = 0 to n - 1 do
-    order.(i) <- i
-  done;
+let order coords =
+  let order = Array.init (Array.length coords) Fun.id in
   Array.sort
     (fun i j ->
       let xi, yi = coords.(i) and xj, yj = coords.(j) in
       match Int.compare xi xj with 0 -> Int.compare yi yj | c -> c)
     order;
-  let placed = scratch.sc_placed in
-  Bytes.fill placed 0 n '\000';
+  order
+
+(* The allocation-free kernel: the visit order depends on the
+   coordinates only, so callers compute it once per placement and every
+   re-pack just scans the already-placed prefix [order.(0 .. oi-1)] of
+   the caller's buffer.  A block that clashes with placed rect [r] can
+   jump straight to [r]'s top: every y below it still clashes with
+   [r], so the block still settles at the lowest free y at or above
+   its corner. *)
+let pack ~order ~out ~coords dims =
+  let n = Array.length coords in
+  if Dims.n_blocks dims <> n then invalid_arg "Repack.pack: block count mismatch";
+  if Array.length out <> n || Array.length order <> n then
+    invalid_arg "Repack.pack: bad buffer length";
   for oi = 0 to n - 1 do
     let i = order.(oi) in
     let x, y = coords.(i) in
     let w = Dims.width dims i and h = Dims.height dims i in
-    (* slide upward to the first y where (x, y, w, h) clashes with no
-       already-placed block — integer compares against the filled
-       prefix of [out], no candidate rect materialized per tried y *)
     let yy = ref y in
-    let clash = ref true in
-    while !clash do
-      clash := false;
-      let j = ref 0 in
-      while (not !clash) && !j < n do
-        if Bytes.unsafe_get placed !j <> '\000' then begin
-          let r = Array.unsafe_get out !j in
-          if x < r.Rect.x + r.Rect.w && r.Rect.x < x + w && !yy < r.Rect.y + r.Rect.h
-             && r.Rect.y < !yy + h
-          then clash := true
-        end;
-        incr j
-      done;
-      if !clash then incr yy
+    let moved = ref true in
+    while !moved do
+      moved := false;
+      for k = 0 to oi - 1 do
+        let r = out.(order.(k)) in
+        if x < r.Rect.x + r.Rect.w && r.Rect.x < x + w && !yy < r.Rect.y + r.Rect.h
+           && r.Rect.y < !yy + h
+        then begin
+          yy := r.Rect.y + r.Rect.h;
+          moved := true
+        end
+      done
     done;
-    Rect.set out.(i) ~x ~y:!yy ~w ~h;
-    Bytes.set placed i '\001'
-  done;
-  match die with
-  | None -> ()
-  | Some (die_w, die_h) -> fit_die_in_place ~die_w ~die_h out
+    Rect.set out.(i) ~x ~y:!yy ~w ~h
+  done
 
 let instantiate ?die ~coords dims =
   let n = Array.length coords in
@@ -96,5 +77,8 @@ let instantiate ?die ~coords dims =
     Array.init n (fun i ->
         Rect.make ~x:0 ~y:0 ~w:(Dims.width dims i) ~h:(Dims.height dims i))
   in
-  instantiate_into ~scratch:(scratch ()) ~out ?die ~coords dims;
+  pack ~order:(order coords) ~out ~coords dims;
+  (match die with
+   | None -> ()
+   | Some (die_w, die_h) -> fit_die_in_place ~die_w ~die_h out);
   out

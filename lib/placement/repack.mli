@@ -11,32 +11,30 @@
 open Mps_geometry
 
 val instantiate : ?die:int * int -> coords:(int * int) array -> Dims.t -> Rect.t array
-(** Overlap-free floorplan at exactly the requested dimensions.  With
-    [?die:(die_w, die_h)] the packed floorplan is translated back
-    toward the origin so it fits the die whenever its bounding box can
-    (per axis); a bounding box larger than the die still sticks out —
-    rigidity is the template's defining weakness.
+(** Overlap-free floorplan at exactly the requested dimensions:
+    {!order}, {!pack} into a fresh array, then — with
+    [?die:(die_w, die_h)] — {!fit_die_in_place}.
     @raise Invalid_argument on block-count mismatch. *)
 
-type scratch
-(** Reusable working set for {!instantiate_into} (sort permutation and
-    placed flags); sized lazily to the block count on first use and
-    reused for free while the count is stable.  Not thread-safe — one
-    per worker (see [Arena]). *)
+val order : (int * int) array -> int array
+(** The visit order for these corners: block indices sorted by
+    [(x, y)].  It does not depend on the dimensions, so a caller that
+    re-packs one placement many times computes it once.  Recompute it
+    whenever the coordinates change. *)
 
-val scratch : unit -> scratch
-
-val instantiate_into :
-  scratch:scratch ->
-  out:Rect.t array ->
-  ?die:int * int ->
-  coords:(int * int) array ->
-  Dims.t ->
-  unit
-(** {!instantiate} into a caller buffer of exactly one rectangle per
-    block, refilled in place: the allocation-free variant for the
-    admission-test and template-averaging loops, which re-pack
-    hundreds of sampled dimension vectors per candidate.  Results are
-    identical to {!instantiate}.
+val pack :
+  order:int array -> out:Rect.t array -> coords:(int * int) array -> Dims.t -> unit
+(** The allocation-free kernel behind {!instantiate}: refill [out] (one
+    rectangle per block, same length as [coords]) in place with the
+    packed floorplan at the given dimensions, visiting blocks in
+    [order], which must be [order coords].  Each block settles at the
+    lowest y at or above its corner where it overlaps no block placed
+    before it.  No die translation.
     @raise Invalid_argument on a block-count or buffer-length
     mismatch. *)
+
+val fit_die_in_place : die_w:int -> die_h:int -> Rect.t array -> unit
+(** Translate a floorplan back toward the origin so it fits the die
+    whenever its bounding box can (per axis); a bounding box larger
+    than the die still sticks out — rigidity is the template's
+    defining weakness. *)

@@ -53,6 +53,90 @@ let test_repack_mismatch () =
     (fun () ->
       ignore (Repack.instantiate ~coords:[| (0, 0) |] (Dims.of_pairs [| (1, 1); (2, 2) |])))
 
+(* Reference re-packer: the plain unit-step slide, one y at a time,
+   with an independent die fit.  [Repack.order] supplies the visit
+   order (checked on its own below) so ties between duplicate corners
+   resolve the same way. *)
+let slide_reference ?die ~coords dims =
+  let out = Array.map (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1) coords in
+  let placed = ref [] in
+  Array.iter
+    (fun i ->
+      let x, y = coords.(i) and w = Dims.width dims i and h = Dims.height dims i in
+      let rec settle y =
+        let r = Rect.make ~x ~y ~w ~h in
+        if List.exists (Rect.overlaps r) !placed then settle (y + 1) else r
+      in
+      out.(i) <- settle y;
+      placed := out.(i) :: !placed)
+    (Repack.order coords);
+  let shift lo hi die = if hi - lo > die || lo < 0 then -lo else min 0 (die - hi) in
+  match die with
+  | None -> out
+  | Some (die_w, die_h) ->
+    let fold f init = Array.fold_left (fun a r -> f a r) init out in
+    let min_x = fold (fun a r -> min a r.Rect.x) max_int
+    and min_y = fold (fun a r -> min a r.Rect.y) max_int
+    and max_x = fold (fun a r -> max a (Rect.right r)) min_int
+    and max_y = fold (fun a r -> max a (Rect.top r)) min_int in
+    let dx = shift min_x max_x die_w and dy = shift min_y max_y die_h in
+    Array.map (fun r -> Rect.translate r ~dx ~dy) out
+
+let same_rects a b = Array.length a = Array.length b && Array.for_all2 Rect.equal a b
+
+(* [Repack.order] is a permutation sorted by corner. *)
+let order_is_sorted_permutation coords =
+  let order = Repack.order coords in
+  List.sort Int.compare (Array.to_list order) = List.init (Array.length coords) Fun.id
+  && Array.for_all Fun.id
+       (Array.init
+          (max 0 (Array.length order - 1))
+          (fun k -> compare coords.(order.(k)) coords.(order.(k + 1)) <= 0))
+
+(* Random corners on a small grid (so overlapping and duplicate corners
+   are common), random dims, with and without a die. *)
+let prop_pack_matches_reference =
+  QCheck.Test.make ~name:"repack: pack and instantiate match the unit-step slide"
+    ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 1 + Rng.int rng 12 in
+      let coords = Array.init n (fun _ -> (Rng.int rng 16, Rng.int rng 16)) in
+      let dims =
+        Dims.of_pairs (Array.init n (fun _ -> (1 + Rng.int rng 9, 1 + Rng.int rng 9)))
+      in
+      let die = if Rng.int rng 2 = 0 then None else Some (4 + Rng.int rng 40, 4 + Rng.int rng 40) in
+      let out = Array.init n (fun _ -> Rect.make ~x:7 ~y:7 ~w:3 ~h:3) in
+      Repack.pack ~order:(Repack.order coords) ~out ~coords dims;
+      Option.iter (fun (die_w, die_h) -> Repack.fit_die_in_place ~die_w ~die_h out) die;
+      let expected = slide_reference ?die ~coords dims in
+      order_is_sorted_permutation coords
+      && same_rects expected out
+      && same_rects expected (Repack.instantiate ?die ~coords dims))
+
+(* Every Table 1 backup template, re-packed into one reused buffer
+   (stale contents from the previous sample) at random sizings. *)
+let test_repack_backups_match_reference () =
+  let rng = Rng.create ~seed:41 in
+  List.iter
+    (fun (c, structure) ->
+      let backup = Mps_core.Structure.backup structure in
+      let p = backup.Mps_core.Stored.placement in
+      let coords = p.Placement.coords and die = (p.Placement.die_w, p.Placement.die_h) in
+      let order = Repack.order coords in
+      check_bool (c.Circuit.name ^ ": order sorted") true (order_is_sorted_permutation coords);
+      let out = Array.map (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1) coords in
+      for _ = 1 to 100 do
+        let dims = Dimbox.random_dims rng (Circuit.dim_bounds c) in
+        let expected = slide_reference ~die ~coords dims in
+        Mps_core.Stored.instantiate_repacked_into backup ~order ~out dims;
+        check_bool (c.Circuit.name ^ ": repacked into buffer") true (same_rects expected out);
+        check_bool (c.Circuit.name ^ ": repacked") true
+          (same_rects expected (Mps_core.Stored.instantiate_repacked backup dims))
+      done)
+    (Lazy.force Test_engine.structures)
+
 (* Coord_opt / Sa_placer *)
 
 let test_coord_opt_improves () =
@@ -190,4 +274,7 @@ let suite =
     ("genetic: bad config rejected", `Quick, test_genetic_bad_config);
     ("genetic: deterministic per seed", `Quick, test_genetic_deterministic);
     ("sa beats template on average", `Quick, test_sa_beats_template_on_average);
+    ("repack: Table 1 backups match the unit-step slide", `Quick,
+     test_repack_backups_match_reference);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_pack_matches_reference ]

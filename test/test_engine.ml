@@ -146,24 +146,30 @@ let test_hot_box_cache c structure =
     true
     (s.Structure.Engine.cache_hits = 49)
 
-(* instantiate_into fills the scratch buffer with exactly the rects the
-   allocating paths produce. *)
+(* Floorplans equal rect for rect. *)
+let check_same_floorplan what expected got =
+  check_int (what ^ ": rect count") (Array.length expected) (Array.length got);
+  Array.iteri (fun i r -> check_bool (what ^ ": rect equal") true (Rect.equal r got.(i))) expected
+
+(* instantiate_into fills the session buffer with exactly the rects the
+   allocating paths produce, on 10k mixed probes per circuit.  Fallbacks
+   re-pack into that buffer with the engine's precomputed order, so the
+   probe set must exercise them. *)
 let test_instantiate_into_matches c structure =
   let engine = Structure.Engine.create structure in
   let session = Structure.Engine.new_session () in
   let stored = Structure.placements structure in
   let rng = Rng.create ~seed:17 in
-  for _ = 1 to 500 do
+  let fallbacks = ref 0 in
+  for _ = 1 to 10_000 do
     let dims = probe rng structure stored in
-    let expected = Structure.instantiate structure dims in
-    let got = Structure.Engine.instantiate_into engine session dims in
-    check_int (c.Circuit.name ^ ": rect count") (Array.length expected)
-      (Array.length got);
-    Array.iteri
-      (fun i r ->
-        check_bool (c.Circuit.name ^ ": rect equal") true (Rect.equal r got.(i)))
-      expected
-  done
+    if fst (Structure.query_linear structure dims) = Structure.Fallback then incr fallbacks;
+    check_same_floorplan c.Circuit.name (Structure.instantiate structure dims)
+      (Structure.Engine.instantiate_into engine session dims)
+  done;
+  check_bool
+    (Printf.sprintf "%s: probes include fallbacks (%d)" c.Circuit.name !fallbacks)
+    true (!fallbacks > 0)
 
 (* Batch serving: identical answers sequentially, with a pool, and at
    different job counts. *)
@@ -221,6 +227,85 @@ let test_describe_reports_cache () =
   check_bool "describe mentions the hot-box cache" true (contains "hot-box cache");
   check_bool "describe mentions narrowing rows" true (contains "narrowing rows")
 
+(* One session alternating between two structures of the same circuit
+   (same block count, different backups and orders): every re-pack must
+   use the order of the engine it is answering for. *)
+let test_session_alternating_structures () =
+  let c, s1 =
+    List.find (fun (c, _) -> String.equal c.Circuit.name "benchmark24") (Lazy.force structures)
+  in
+  let s2 = Lazy.force Test_pinned.structure in
+  let e1 = Structure.Engine.create s1 and e2 = Structure.Engine.create s2 in
+  let shared = Structure.Engine.new_session () in
+  let st1 = Structure.placements s1 and st2 = Structure.placements s2 in
+  let rng = Rng.create ~seed:31 in
+  for _ = 1 to 2000 do
+    let d1 = probe rng s1 st1 and d2 = probe rng s2 st2 in
+    check_same_floorplan (c.Circuit.name ^ " (engine 1)") (Structure.instantiate s1 d1)
+      (Structure.Engine.instantiate_into e1 shared d1);
+    check_same_floorplan (c.Circuit.name ^ " (engine 2)") (Structure.instantiate s2 d2)
+      (Structure.Engine.instantiate_into e2 shared d2)
+  done
+
+(* The steady-state query path allocates nothing: after a warm-up, 10k
+   calls of each [query_id] regime and of a backup-fallback
+   [instantiate_into] on benchmark24 Quick stay under a small constant
+   (the counter reads' own boxing). *)
+let test_query_path_does_not_allocate () =
+  let structure = Lazy.force Test_pinned.structure in
+  let engine = Structure.Engine.create structure in
+  let stored = Structure.placements structure in
+  let rng = Rng.create ~seed:37 in
+  let find what ok =
+    let rec go k =
+      if k = 0 then Alcotest.failf "no %s probe found" what
+      else
+        let d = probe rng structure stored in
+        if ok (fst (Structure.query_linear structure d)) then d else go (k - 1)
+    in
+    go 100_000
+  in
+  let is_hit = function Structure.Stored_placement _ -> true | _ -> false in
+  let hit_a = find "stored hit" is_hit in
+  let hit_b =
+    find "second stored hit" (fun a -> is_hit a && a <> fst (Structure.query_linear structure hit_a))
+  in
+  let fallback = find "fallback" (fun a -> a = Structure.Fallback) in
+  let ood = find "out-of-domain" (fun a -> a = Structure.Out_of_domain) in
+  let session = Structure.Engine.new_session () in
+  let sink = ref 0 in
+  let regimes =
+    [
+      ("hot hit", fun _ -> sink := !sink + Structure.Engine.query_id engine session hit_a);
+      ( "narrowed hit",
+        fun i ->
+          sink :=
+            !sink
+            + Structure.Engine.query_id engine session (if i land 1 = 0 then hit_a else hit_b) );
+      ("fallback", fun _ -> sink := !sink + Structure.Engine.query_id engine session fallback);
+      ("out-of-domain", fun _ -> sink := !sink + Structure.Engine.query_id engine session ood);
+      ( "fallback instantiate_into",
+        fun _ ->
+          let rects = Structure.Engine.instantiate_into engine session fallback in
+          sink := !sink + rects.(0).Rect.y );
+    ]
+  in
+  List.iter
+    (fun (what, call) ->
+      for i = 0 to 999 do
+        call i
+      done;
+      let before = Gc.minor_words () in
+      for i = 0 to 9_999 do
+        call i
+      done;
+      let delta = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words over 10k calls" what delta)
+        true (delta < 256.0))
+    regimes;
+  ignore (Sys.opaque_identity !sink)
+
 let suite =
   [
     Alcotest.test_case "all benchmarks: engine == linear oracle on 10k probes" `Quick
@@ -237,4 +322,8 @@ let suite =
       (for_all test_plan_accounting);
     Alcotest.test_case "describe reports plan shape and cache counters" `Quick
       test_describe_reports_cache;
+    Alcotest.test_case "one session alternating structures re-packs with each engine's order"
+      `Quick test_session_alternating_structures;
+    Alcotest.test_case "query_id and fallback instantiate_into do not allocate" `Quick
+      test_query_path_does_not_allocate;
   ]
