@@ -10,20 +10,27 @@ type t = {
           placement's [best_dims]. *)
   mutable slots : Stored.t option array;
   mutable n_slots : int;  (** Slots ever allocated; tombstones included. *)
-  w_rows : Row.t array;  (** One width row per block, mutated in place. *)
-  h_rows : Row.t array;
+  stride : int;  (** [2N]: axis codes per slot. *)
+  mutable box_lo : int array;
+      (** Slot [s]'s box bounds at [s * stride + code] (code [2i] = width
+          of block [i], [2i+1] = height), grown with [slots]; a dead
+          slot's bounds are stale and never read. *)
+  mutable box_hi : int array;
 }
 
+let initial_slots = 16
+
 let create ?(weights = Mps_cost.Cost.default_weights) circuit =
-  let n = Circuit.n_blocks circuit in
+  let stride = 2 * Circuit.n_blocks circuit in
   {
     circuit;
     bounds = Circuit.dim_bounds circuit;
     weights;
-    slots = Array.make 16 None;
+    slots = Array.make initial_slots None;
     n_slots = 0;
-    w_rows = Array.make n Row.empty;
-    h_rows = Array.make n Row.empty;
+    stride;
+    box_lo = Array.make (initial_slots * stride) 0;
+    box_hi = Array.make (initial_slots * stride) 0;
   }
 
 let circuit t = t.circuit
@@ -47,85 +54,71 @@ let live t =
 
 let get t i = if i < 0 || i >= t.n_slots then None else t.slots.(i)
 
-(* Rows bookkeeping: a placement id covers, in each block's rows, the
-   intervals of its box. *)
-
-let rows_add t id (box : Dimbox.t) =
-  for i = 0 to Circuit.n_blocks t.circuit - 1 do
-    t.w_rows.(i) <- Row.add_range t.w_rows.(i) (Dimbox.w_interval box i) id;
-    t.h_rows.(i) <- Row.add_range t.h_rows.(i) (Dimbox.h_interval box i) id
-  done
-
-let rows_remove t id =
-  for i = 0 to Circuit.n_blocks t.circuit - 1 do
-    t.w_rows.(i) <- Row.remove_id t.w_rows.(i) id;
-    t.h_rows.(i) <- Row.remove_id t.h_rows.(i) id
-  done
+let grow a len =
+  let bigger = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 bigger 0 len;
+  bigger
 
 let insert t stored =
   if t.n_slots >= Array.length t.slots then begin
     let bigger = Array.make (2 * Array.length t.slots) None in
     Array.blit t.slots 0 bigger 0 t.n_slots;
-    t.slots <- bigger
+    t.slots <- bigger;
+    t.box_lo <- grow t.box_lo (t.n_slots * t.stride);
+    t.box_hi <- grow t.box_hi (t.n_slots * t.stride)
   end;
   let id = t.n_slots in
   t.slots.(id) <- Some stored;
+  Dimbox.flatten_into stored.Stored.box ~lo:t.box_lo ~hi:t.box_hi ~base:(id * t.stride);
   t.n_slots <- t.n_slots + 1;
-  rows_add t id stored.Stored.box;
   id
 
 let remove t id =
   match get t id with
   | None -> invalid_arg "Builder.remove: no such placement"
+  | Some _ -> t.slots.(id) <- None
+
+(* Slot [s] is live and its box meets [box] on every axis.  [while]
+   loops, not local recursive functions: without flambda their closures
+   would allocate, and Resolve Overlaps runs this per slot per work
+   item. *)
+let meets t box s =
+  match t.slots.(s) with
+  | None -> false
   | Some _ ->
-    t.slots.(id) <- None;
-    rows_remove t id
-
-(* The paper's [I] set: placements overlapping a candidate box, found by
-   intersecting the rows' range answers over all 2N axes. *)
-let overlapping t box =
-  let n = Circuit.n_blocks t.circuit in
-  if n = 0 then []
-  else begin
-    let acc = ref (Row.find_range t.w_rows.(0) (Dimbox.w_interval box 0)) in
-    for i = 0 to n - 1 do
-      if not (Row.Int_set.is_empty !acc) then begin
-        if i > 0 then
-          acc := Row.Int_set.inter !acc (Row.find_range t.w_rows.(i) (Dimbox.w_interval box i));
-        acc := Row.Int_set.inter !acc (Row.find_range t.h_rows.(i) (Dimbox.h_interval box i))
-      end
+    let base = s * t.stride and n = t.stride / 2 in
+    let i = ref 0 in
+    while
+      !i < n
+      &&
+      let w = Dimbox.w_interval box !i and h = Dimbox.h_interval box !i in
+      let k = base + (2 * !i) in
+      t.box_lo.(k) <= Interval.hi w
+      && Interval.lo w <= t.box_hi.(k)
+      && t.box_lo.(k + 1) <= Interval.hi h
+      && Interval.lo h <= t.box_hi.(k + 1)
+    do
+      incr i
     done;
-    Row.Int_set.elements !acc
-  end
+    !i >= n
 
-(* The resolver only ever needs the smallest overlapping id (or none),
-   and the tree-set unions/intersections of [overlapping] dominated its
-   profile; two scratch bitsets turn the same 2N-axis search into word
-   operations. *)
+(* The paper's [I] set: live placements overlapping a candidate box, by
+   a scan of the flat bounds in ascending slot order. *)
+let overlapping t box =
+  let acc = ref [] in
+  for s = t.n_slots - 1 downto 0 do
+    if meets t box s then acc := s :: !acc
+  done;
+  !acc
+
+(* The resolver only ever needs the smallest overlapping id: the same
+   scan, stopped at the first hit. *)
 let overlapping_any t box =
-  let n = Circuit.n_blocks t.circuit in
-  if n = 0 || t.n_slots = 0 then None
-  else begin
-    let acc = Bitset.create ~capacity:t.n_slots in
-    let axis = Bitset.create ~capacity:t.n_slots in
-    let restrict row iv =
-      Bitset.clear axis;
-      Row.iter_range row iv ~f:(Bitset.add axis);
-      Bitset.inter_into acc axis
-    in
-    Row.iter_range t.w_rows.(0) (Dimbox.w_interval box 0) ~f:(Bitset.add acc);
-    (try
-       for i = 0 to n - 1 do
-         if Bitset.is_empty acc then raise Exit;
-         if i > 0 then restrict t.w_rows.(i) (Dimbox.w_interval box i);
-         restrict t.h_rows.(i) (Dimbox.h_interval box i)
-       done
-     with Exit -> ());
-    Bitset.choose acc
-  end
-
-let w_row t i = t.w_rows.(i)
-let h_row t i = t.h_rows.(i)
+  let s = ref 0 in
+  while !s < t.n_slots && not (meets t box !s) do
+    incr s
+  done;
+  if !s < t.n_slots then !s else -1
 
 type shrink_outcome =
   | Dropped
@@ -185,13 +178,13 @@ let resolve_and_store t candidate =
   Queue.add candidate work;
   while not (Queue.is_empty work) do
     let c = Queue.pop work in
-    match overlapping_any t c.Stored.box with
-    | None -> stored_ids := insert t c :: !stored_ids
-    | Some idx ->
+    let idx = overlapping_any t c.Stored.box in
+    if idx < 0 then stored_ids := insert t c :: !stored_ids
+    else begin
       let pi =
         match get t idx with
         | Some s -> s
-        | None -> assert false (* rows only hold live ids *)
+        | None -> assert false (* the scan only returns live slots *)
       in
       if pi.Stored.template_like || pi.Stored.avg_cost > c.Stored.avg_cost then begin
         (* The stored placement loses the contested region.  Backup
@@ -215,6 +208,7 @@ let resolve_and_store t candidate =
           Queue.add (with_box_refreshed t c b1) work;
           Queue.add (with_box_refreshed t c b2) work
       end
+    end
   done;
   List.rev !stored_ids
 
@@ -236,23 +230,11 @@ let boxes_disjoint t =
         all)
     all
 
-let rows_consistent t =
-  let n = Circuit.n_blocks t.circuit in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    ok := !ok && Row.invariants_ok t.w_rows.(i) && Row.invariants_ok t.h_rows.(i)
-  done;
-  (* Every live placement is found by a range query over its own box,
-     and rows contain no dead ids. *)
-  let live_ids = List.map fst (live t) in
-  let row_ids =
-    Array.fold_left
-      (fun acc row -> Row.Int_set.union acc (Row.ids row))
-      Row.Int_set.empty
-      (Array.append t.w_rows t.h_rows)
-  in
-  !ok
-  && Row.Int_set.subset row_ids (Row.Int_set.of_list live_ids)
-  && List.for_all
-       (fun (id, s) -> List.mem id (overlapping t s.Stored.box))
-       (live t)
+let bounds_consistent t =
+  let lo = Array.make t.stride 0 and hi = Array.make t.stride 0 in
+  List.for_all
+    (fun (id, s) ->
+      Dimbox.flatten_into s.Stored.box ~lo ~hi ~base:0;
+      Array.sub t.box_lo (id * t.stride) t.stride = lo
+      && Array.sub t.box_hi (id * t.stride) t.stride = hi)
+    (live t)

@@ -1,14 +1,14 @@
 (** Mutable multi-placement structure under construction.
 
-    Holds the stored placements and the per-block interval rows, and
-    implements the paper's Resolve Overlaps + Store Placement routines
-    (§3.1.3): before a candidate placement enters the structure, its
-    dimension box is made disjoint from every stored box — the lower
-    average-cost placement keeps the contested region — so that eq. 5
-    ([|M(V)| <= 1]) holds by construction.  Shrinking can fork a
-    placement in two when its interval strictly contains the other's on
-    the chosen axis, and drops a placement whose box is entirely
-    contained in the other's. *)
+    Holds the stored placements and their boxes' bounds as flat int
+    arrays, and implements the paper's Resolve Overlaps + Store
+    Placement routines (§3.1.3): before a candidate placement enters
+    the structure, its dimension box is made disjoint from every stored
+    box — the lower average-cost placement keeps the contested region —
+    so that eq. 5 ([|M(V)| <= 1]) holds by construction.  Shrinking can
+    fork a placement in two when its interval strictly contains the
+    other's on the chosen axis, and drops a placement whose box is
+    entirely contained in the other's. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -37,17 +37,15 @@ val get : t -> int -> Stored.t option
 (** [None] for removed (shrunk-away) or out-of-range indices. *)
 
 val overlapping : t -> Dimbox.t -> int list
-(** Indices of stored placements whose box overlaps the given box,
-    computed through the rows' range queries (the paper's [I] set). *)
+(** Indices of live placements whose box overlaps the given box,
+    ascending (the paper's [I] set), by a scan of the per-slot flat
+    bounds. *)
 
-val overlapping_any : t -> Dimbox.t -> int option
-(** Smallest id in {!overlapping}, without materializing the list: the
-    Resolve Overlaps loop peels one conflict at a time, and this query
-    runs once per work-queue item (scratch bitsets instead of tree-set
-    unions per axis). *)
-
-val w_row : t -> int -> Row.t
-val h_row : t -> int -> Row.t
+val overlapping_any : t -> Dimbox.t -> int
+(** Smallest id in {!overlapping}, or [-1] when there is none: the
+    same scan, stopped at the first hit and allocating nothing.  The
+    Resolve Overlaps loop peels one conflict at a time with it, so the
+    smallest-id choice is what makes generation deterministic. *)
 
 (** Outcome of shrinking a victim box against an overlapping box. *)
 type shrink_outcome =
@@ -78,5 +76,5 @@ val coverage : t -> float
 val boxes_disjoint : t -> bool
 (** Invariant check: every pair of live boxes is disjoint. *)
 
-val rows_consistent : t -> bool
-(** Invariant check: the rows map exactly the live boxes. *)
+val bounds_consistent : t -> bool
+(** Invariant check: every live slot's flat bounds equal its box. *)

@@ -1,11 +1,11 @@
 open Mps_geometry
 open Mps_netlist
 
-(* Two forms of the paper's rows (Fig. 3) exist: the per-axis [Row]s a
-   [Builder] grows, and the flat plan below, compiled from them once in
-   [of_placements] and used for every answer (DESIGN.md §10).  A
-   structure is its compiled plan plus the records the plan indexes;
-   [query_linear] is the reference oracle it is checked against. *)
+(* The paper's rows (Fig. 3) exist in one form: the flat plan below,
+   swept from the placements' boxes once in [of_placements] and used for
+   every answer (DESIGN.md §10).  A structure is its compiled plan plus
+   the records the plan indexes; [query_linear] is the reference oracle
+   it is checked against. *)
 
 let bits_per_word = Sys.int_size
 
@@ -82,16 +82,6 @@ let tail_mask_of capacity =
   let used = capacity mod bits_per_word in
   if used = 0 then -1 else (1 lsl used) - 1
 
-(* Write a box's per-axis bounds at [base + code] of [lo]/[hi]. *)
-let flatten_box box ~lo ~hi ~base =
-  for i = 0 to Dimbox.n_blocks box - 1 do
-    let wi = Dimbox.w_interval box i and hi_ = Dimbox.h_interval box i in
-    lo.(base + (2 * i)) <- Interval.lo wi;
-    hi.(base + (2 * i)) <- Interval.hi wi;
-    lo.(base + (2 * i) + 1) <- Interval.lo hi_;
-    hi.(base + (2 * i) + 1) <- Interval.hi hi_
-  done
-
 (* eq. 5: at most one stored placement answers any vector.  O(n²), the
    check every placement set from outside goes through. *)
 let check_disjoint stored =
@@ -104,6 +94,66 @@ let check_disjoint stored =
         stored)
     stored
 
+(* One axis code's row by an endpoint sweep over the flattened boxes
+   ([stride] codes per placement): placement [id] enters at its lower
+   bound and leaves one past its upper bound, and each non-empty run
+   between consecutive breakpoints is one interval object.  No id enters
+   and leaves at the same breakpoint, so every breakpoint changes the
+   set and no two touching objects carry equal sets: the runs already
+   are the canonical row of Fig. 3 (ascending, disjoint, non-empty, no
+   mergeable neighbours). *)
+type swept_row = {
+  code : int;
+  len : int;  (** interval objects *)
+  lo : int array;  (** object bounds, [len] used *)
+  hi : int array;
+  words : int array;  (** object [k]'s set at words [k * words_per_set ..) *)
+  total : int;  (** sum of the sets' sizes *)
+}
+
+let sweep_row ~box_lo ~box_hi ~stride ~code ~capacity ~words_per_set =
+  let n_events = 2 * capacity in
+  (* event [e < capacity] opens placement [e], [e >= capacity] closes
+     placement [e - capacity] *)
+  let at = Array.make n_events 0 in
+  for id = 0 to capacity - 1 do
+    at.(id) <- box_lo.((id * stride) + code);
+    at.(capacity + id) <- box_hi.((id * stride) + code) + 1
+  done;
+  let events = Array.init n_events Fun.id in
+  Array.sort (fun a b -> Int.compare at.(a) at.(b)) events;
+  let lo = Array.make n_events 0 and hi = Array.make n_events 0 in
+  let words = Array.make (n_events * words_per_set) 0 in
+  let cur = Array.make words_per_set 0 in
+  let n = ref 0 and total = ref 0 and members = ref 0 and e = ref 0 in
+  while !e < n_events do
+    let pos = at.(events.(!e)) in
+    while !e < n_events && at.(events.(!e)) = pos do
+      let ev = events.(!e) in
+      let id = if ev < capacity then ev else ev - capacity in
+      let w = id / bits_per_word and bit = 1 lsl (id mod bits_per_word) in
+      if ev < capacity then begin
+        cur.(w) <- cur.(w) lor bit;
+        incr members
+      end
+      else begin
+        cur.(w) <- cur.(w) land lnot bit;
+        decr members
+      end;
+      incr e
+    done;
+    (* every open has its close further on, so a non-empty run has a
+       next breakpoint *)
+    if !members > 0 then begin
+      lo.(!n) <- pos;
+      hi.(!n) <- at.(events.(!e)) - 1;
+      Array.blit cur 0 words (!n * words_per_set) words_per_set;
+      total := !total + !members;
+      incr n
+    end
+  done;
+  { code; len = !n; lo; hi; words; total = !total }
+
 let of_placements ?backup circuit stored =
   if Array.length stored = 0 then invalid_arg "Structure.of_placements: no placements";
   let n_blocks = Circuit.n_blocks circuit in
@@ -114,16 +164,6 @@ let of_placements ?backup circuit stored =
     stored;
   check_disjoint stored;
   let capacity = Array.length stored in
-  (* Re-register every live placement under its compact index. *)
-  let w_rows = Array.make n_blocks Row.empty in
-  let h_rows = Array.make n_blocks Row.empty in
-  Array.iteri
-    (fun id s ->
-      for i = 0 to n_blocks - 1 do
-        w_rows.(i) <- Row.add_range w_rows.(i) (Dimbox.w_interval s.Stored.box i) id;
-        h_rows.(i) <- Row.add_range h_rows.(i) (Dimbox.h_interval s.Stored.box i) id
-      done)
-    stored;
   let best = ref 0 in
   Array.iteri
     (fun id s ->
@@ -137,53 +177,48 @@ let of_placements ?backup circuit stored =
     (p.Mps_placement.Placement.die_w, p.Mps_placement.Placement.die_h)
   in
   let space = Circuit.dim_bounds circuit in
+  let stride = 2 * n_blocks in
+  let dom_lo = Array.make stride 0 and dom_hi = Array.make stride 0 in
+  Dimbox.flatten_into space ~lo:dom_lo ~hi:dom_hi ~base:0;
+  let box_lo = Array.make (capacity * stride) 0 in
+  let box_hi = Array.make (capacity * stride) 0 in
+  let box_in_domain =
+    Array.mapi
+      (fun id s ->
+        Dimbox.flatten_into s.Stored.box ~lo:box_lo ~hi:box_hi ~base:(id * stride);
+        if Dimbox.contains_box ~outer:space ~inner:s.Stored.box then 1 else 0)
+      stored
+  in
   let words_per_set = max 1 ((capacity + bits_per_word - 1) / bits_per_word) in
-  (* One candidate row per axis: (code, interval objects, designer-space
-     axis interval). *)
+  (* One candidate row per axis code. *)
   let candidates =
-    List.concat
-      (List.init n_blocks (fun i ->
-           [
-             (2 * i, Row.intervals w_rows.(i), Dimbox.w_interval space i);
-             ((2 * i) + 1, Row.intervals h_rows.(i), Dimbox.h_interval space i);
-           ]))
+    List.init stride (fun code ->
+        sweep_row ~box_lo ~box_hi ~stride ~code ~capacity ~words_per_set)
   in
   (* A row narrows nothing when its single interval spans the whole
      designer axis with every placement on it: any in-domain value maps
      to the full set.  Skip it. *)
-  let narrows (_, objects, bounds_iv) =
-    match objects with
-    | [ (iv, ids) ] ->
-      not
-        (Interval.lo iv <= Interval.lo bounds_iv
-        && Interval.hi iv >= Interval.hi bounds_iv
-        && Row.Int_set.cardinal ids = capacity)
-    | _ -> true
+  let narrows r =
+    not
+      (r.len = 1
+      && r.lo.(0) <= dom_lo.(r.code)
+      && r.hi.(0) >= dom_hi.(r.code)
+      && r.total = capacity)
   in
   let active, skipped = List.partition narrows candidates in
   (* Most selective first: smallest average set, then more intervals,
      then axis code for determinism. *)
-  let keyed =
-    List.map
-      (fun (code, objects, _) ->
-        let total =
-          List.fold_left (fun a (_, ids) -> a + Row.Int_set.cardinal ids) 0 objects
-        in
-        let len = List.length objects in
-        (float_of_int total /. float_of_int (max 1 len), len, code, objects))
-      active
-  in
   let ordered =
     List.stable_sort
-      (fun (avg_a, len_a, code_a, _) (avg_b, len_b, code_b, _) ->
-        match Float.compare avg_a avg_b with
-        | 0 -> (
-          match Int.compare len_b len_a with 0 -> Int.compare code_a code_b | c -> c)
+      (fun a b ->
+        let avg r = float_of_int r.total /. float_of_int (max 1 r.len) in
+        match Float.compare (avg a) (avg b) with
+        | 0 -> ( match Int.compare b.len a.len with 0 -> Int.compare a.code b.code | c -> c)
         | c -> c)
-      keyed
+      active
   in
   let n_rows = List.length ordered in
-  let n_intervals = List.fold_left (fun a (_, len, _, _) -> a + len) 0 ordered in
+  let n_intervals = List.fold_left (fun a r -> a + r.len) 0 ordered in
   let row_axis = Array.make n_rows 0 in
   let row_off = Array.make (n_rows + 1) 0 in
   let lows = Array.make (max 1 n_intervals) 0 in
@@ -191,33 +226,15 @@ let of_placements ?backup circuit stored =
   let set_words = Array.make (max 1 (n_intervals * words_per_set)) 0 in
   let k = ref 0 in
   List.iteri
-    (fun r (_, _, code, objects) ->
-      row_axis.(r) <- code;
-      row_off.(r) <- !k;
-      List.iter
-        (fun (iv, ids) ->
-          lows.(!k) <- Interval.lo iv;
-          highs.(!k) <- Interval.hi iv;
-          Row.Int_set.iter
-            (fun id ->
-              let w = (!k * words_per_set) + (id / bits_per_word) in
-              set_words.(w) <- set_words.(w) lor (1 lsl (id mod bits_per_word)))
-            ids;
-          incr k)
-        objects)
+    (fun i r ->
+      row_axis.(i) <- r.code;
+      row_off.(i) <- !k;
+      Array.blit r.lo 0 lows !k r.len;
+      Array.blit r.hi 0 highs !k r.len;
+      Array.blit r.words 0 set_words (!k * words_per_set) (r.len * words_per_set);
+      k := !k + r.len)
     ordered;
   row_off.(n_rows) <- !k;
-  let dom_lo = Array.make (2 * n_blocks) 0 and dom_hi = Array.make (2 * n_blocks) 0 in
-  flatten_box space ~lo:dom_lo ~hi:dom_hi ~base:0;
-  let box_lo = Array.make (capacity * 2 * n_blocks) 0 in
-  let box_hi = Array.make (capacity * 2 * n_blocks) 0 in
-  let box_in_domain =
-    Array.mapi
-      (fun id s ->
-        flatten_box s.Stored.box ~lo:box_lo ~hi:box_hi ~base:(id * 2 * n_blocks);
-        if Dimbox.contains_box ~outer:space ~inner:s.Stored.box then 1 else 0)
-      stored
-  in
   let lows = ints_of_array lows
   and highs = ints_of_array highs
   and set_words = ints_of_array set_words in
@@ -744,7 +761,7 @@ module Engine = struct
       fail "domain table length mismatch";
     let space = Circuit.dim_bounds circuit in
     let dom_lo = Array.make (2 * n_blocks) 0 and dom_hi = Array.make (2 * n_blocks) 0 in
-    flatten_box space ~lo:dom_lo ~hi:dom_hi ~base:0;
+    Dimbox.flatten_into space ~lo:dom_lo ~hi:dom_hi ~base:0;
     for j = 0 to (2 * n_blocks) - 1 do
       if f.f_dom_lo.{j} <> dom_lo.(j) || f.f_dom_hi.{j} <> dom_hi.(j) then
         fail "domain bounds disagree with the circuit"

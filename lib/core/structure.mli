@@ -2,11 +2,10 @@
     [M : V -> Π] (eqs. 1 and 4).
 
     Generated once per circuit topology and then queried repeatedly
-    inside a synthesis loop.  The rows of Fig. 3 exist in two forms:
-    the per-axis {!Row}s a {!Builder} grows, and the flat plan
-    {!of_placements} compiles from them once — interval bounds and
-    placement-set words in contiguous int arrays, one row per axis in
-    selectivity order.  Every answer ({!query}, {!instantiate},
+    inside a synthesis loop.  The rows of Fig. 3 are a flat plan that
+    {!of_placements} sweeps from the placements' boxes once — interval
+    bounds and placement-set words in contiguous int arrays, one row per
+    axis in selectivity order.  Every answer ({!query}, {!instantiate},
     {!Engine}) binary-searches that plan, intersects the set words and
     yields the single valid placement, or the backup template placement
     when the dimensions fall in uncovered space (§3.1.4).

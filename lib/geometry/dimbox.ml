@@ -39,6 +39,14 @@ let with_axis t axis iv =
     h.(i) <- iv;
     { t with h }
 
+let flatten_into t ~lo ~hi ~base =
+  for i = 0 to n_blocks t - 1 do
+    lo.(base + (2 * i)) <- Interval.lo t.w.(i);
+    hi.(base + (2 * i)) <- Interval.hi t.w.(i);
+    lo.(base + (2 * i) + 1) <- Interval.lo t.h.(i);
+    hi.(base + (2 * i) + 1) <- Interval.hi t.h.(i)
+  done
+
 let axes t =
   let n = n_blocks t in
   List.concat (List.init n (fun i -> [ Width i; Height i ]))

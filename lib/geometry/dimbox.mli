@@ -38,6 +38,11 @@ val axis_interval : t -> axis -> Interval.t
 val with_axis : t -> axis -> Interval.t -> t
 (** Copy with one axis interval replaced. *)
 
+val flatten_into : t -> lo:int array -> hi:int array -> base:int -> unit
+(** Write the per-axis bounds at [base + code] of [lo] / [hi], where
+    axis code [2i] is block [i]'s width and [2i+1] its height: the flat
+    layout the compiled plan and the builder's overlap scan index. *)
+
 val axes : t -> axis list
 (** All [2N] axes in block order, width before height. *)
 

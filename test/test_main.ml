@@ -11,8 +11,6 @@ let () =
       ("incremental", Test_incremental.suite);
       ("anneal", Test_anneal.suite);
       ("placement", Test_placement.suite);
-      ("bitset", Test_bitset.suite);
-      ("row", Test_row.suite);
       ("mps", Test_mps.suite);
       ("engine", Test_engine.suite);
       ("mps-multiblock", Test_mps_multiblock.suite);
@@ -36,4 +34,5 @@ let () =
       ("integration", Test_integration.suite);
       ("zcodec", Test_zcodec.suite);
       ("pinned", Test_pinned.suite);
+      ("row", Test_plan_rows.suite);
     ]

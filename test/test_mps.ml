@@ -174,7 +174,7 @@ let test_shrink_against_disjoint_raises () =
 
 let builder_invariants b =
   check_bool "boxes disjoint" true (Builder.boxes_disjoint b);
-  check_bool "rows consistent" true (Builder.rows_consistent b)
+  check_bool "bounds consistent" true (Builder.bounds_consistent b)
 
 let test_store_first () =
   let b = Builder.create circuit1 in
@@ -248,7 +248,7 @@ let test_coverage_sums () =
   Alcotest.(check (float 1e-9)) "20% coverage" 0.2 (Builder.coverage b)
 
 (* Random-workload property: whatever sequence of candidates arrives,
-   stored boxes stay pairwise disjoint and rows stay consistent. *)
+   stored boxes stay pairwise disjoint and their flat bounds match them. *)
 let arb_boxes =
   let gen =
     QCheck.Gen.(
@@ -276,7 +276,7 @@ let prop_builder_disjoint =
             (Builder.resolve_and_store b
                (stored1 ~avg ~best:(avg /. 2.0) ~w:(iv wlo whi) ~h:(iv hlo hhi) ())))
         boxes;
-      Builder.boxes_disjoint b && Builder.rows_consistent b && Builder.n_live b >= 1)
+      Builder.boxes_disjoint b && Builder.bounds_consistent b && Builder.n_live b >= 1)
 
 let prop_builder_coverage_bounded =
   QCheck.Test.make ~name:"builder coverage stays in [0,1]" ~count:100 arb_boxes

@@ -51,7 +51,7 @@ let prop_disjoint_and_consistent =
   QCheck.Test.make ~name:"2-block builder: disjoint boxes, consistent rows" ~count:150
     arb_workload (fun workload ->
       let b = build workload in
-      Builder.boxes_disjoint b && Builder.rows_consistent b)
+      Builder.boxes_disjoint b && Builder.bounds_consistent b)
 
 let prop_query_oracle =
   QCheck.Test.make ~name:"2-block compiled query equals linear oracle" ~count:150

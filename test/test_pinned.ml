@@ -1,7 +1,7 @@
-(* Pinned artifacts: the benchmark24 quick-budget structure, as the
-   sizing-loop benchmark and the bench harness load it, must serialize
-   to the same bytes and compile to the same query plan as the
-   revisions those pins were taken from.  A change that moves either
+(* Pinned artifacts: the benchmark24 quick- and full-budget structures,
+   as the sizing-loop benchmark and the bench harness load them, must
+   serialize to the same bytes and compile to the same query plan as
+   the revisions those pins were taken from.  A change that moves either
    value changes what every saved structure and MPSZ container holds,
    so it has to update the pins on purpose. *)
 
@@ -9,12 +9,16 @@ open Mps_netlist
 open Mps_core
 module E = Mps_experiments.Experiments
 
-let structure =
-  lazy
-    (let circuit = Benchmarks.benchmark24 in
-     fst
-       (Generator.generate_par ~config:(E.generator_config E.Quick circuit) ~jobs:1
-          circuit))
+let generate budget ~jobs =
+  let circuit = Benchmarks.benchmark24 in
+  fst (Generator.generate_par ~config:(E.generator_config budget circuit) ~jobs circuit)
+
+let structure = lazy (generate E.Quick ~jobs:1)
+
+(* The Full budget at the host's default job count, as the sizing-loop
+   benchmark caches it; generation is byte-identical at any job
+   count. *)
+let full = lazy (generate E.Full ~jobs:(Mps_parallel.Pool.default_jobs ()))
 
 (* MD5 over every field of the flat plan: scalars, then each vector's
    length and words, in declaration order. *)
@@ -57,10 +61,23 @@ let test_plan_digest () =
     "benchmark24 quick plan digest" "4f46199c1234bb494ca1a84a4a450fea"
     (plan_digest (Lazy.force structure))
 
+let test_full_hash () =
+  Alcotest.(check string)
+    "benchmark24 full structure hash" "b997905b"
+    (Persist.crc32_hex (Codec.to_string (Lazy.force full)))
+
+let test_full_plan_digest () =
+  Alcotest.(check string)
+    "benchmark24 full plan digest" "f0ce124c5729f1228ca9c2b707bf5a02"
+    (plan_digest (Lazy.force full))
+
 let suite =
   [
     Alcotest.test_case "benchmark24 quick: structure hash is pinned" `Quick
       test_structure_hash;
     Alcotest.test_case "benchmark24 quick: compiled plan is pinned" `Quick
       test_plan_digest;
+    Alcotest.test_case "benchmark24 full: structure hash is pinned" `Quick test_full_hash;
+    Alcotest.test_case "benchmark24 full: compiled plan is pinned" `Quick
+      test_full_plan_digest;
   ]
