@@ -42,8 +42,8 @@
                   pipelined throughput with a full window in flight.
                   Writes BENCH_SHM.json — the transport-level bound on
                   what the serve-layer fast path can deliver here.
-   --jobs N       runs --gen-bench generation through the domain pool
-                  with N workers. *)
+   --jobs N       runs --gen-bench generation with N pool workers
+                  (default: the machine's recommended domain count). *)
 
 (* Seconds on the monotonic clock (nanosecond resolution: a
    sub-microsecond engine query does not round to zero).  Defined
@@ -88,7 +88,7 @@ let structures =
            Mps_experiments.Experiments.generator_config Mps_experiments.Experiments.Quick
              circuit
          in
-         let structure, _ = Generator.generate ~config circuit in
+         let structure, _ = Generator.single_walk ~config circuit in
          let probes = Mps_experiments.Experiments.probe_dims ~seed:17 ~n:256 structure in
          (circuit, structure, probes))
        Benchmarks.all)
@@ -201,11 +201,7 @@ let gen_bench () =
   let run circuit =
     let config = E.generator_config E.Quick circuit in
     let t0 = now () in
-    let _, stats =
-      match jobs with
-      | Some jobs -> Generator.generate_par ~config ~jobs circuit
-      | None -> Generator.generate ~config circuit
-    in
+    let _, stats = Generator.generate ~config ?jobs circuit in
     let wall = now () -. t0 in
     (stats.Generator.cost_evaluations, wall)
   in
@@ -305,7 +301,7 @@ let query_bench () =
     List.map
       (fun circuit ->
         let config = E.generator_config E.Quick circuit in
-        let structure, _ = Generator.generate ~config circuit in
+        let structure, _ = Generator.single_walk ~config circuit in
         let engine = Structure.Engine.create structure in
         let probes = E.probe_dims ~seed:23 ~n:2048 structure in
         let walk = sizing_walk ~seed:29 ~n:20000 structure in
@@ -387,7 +383,7 @@ let query_bench () =
 (* Parallel generation scaling: one quick-budget run per (circuit, job
    count).  The structure hash (CRC-32 of the serialized structure)
    must be identical at every job count per circuit — that is the
-   determinism contract of Generator.generate_par, and CI fails if it
+   determinism contract of Generator.generate, and CI fails if it
    breaks.  Speedups are relative to jobs=1 on this host; host_cores
    records how much hardware was actually available (on a 1-core host
    the sweep still proves determinism and measures scheduler overhead,
@@ -427,7 +423,7 @@ let load_bench () =
     List.map
       (fun circuit ->
         let config = E.generator_config E.Quick circuit in
-        let structure, _ = Generator.generate ~config circuit in
+        let structure, _ = Generator.single_walk ~config circuit in
         let tpath = Filename.concat dir "s.mps" in
         let zpath = Filename.concat dir "s.mpsz" in
         let cpath = Filename.concat dir "c.mpsz" in
@@ -539,9 +535,7 @@ let par_bench () =
     let pool_stats = ref [||] in
     let t0 = now () in
     let structure, stats =
-      Generator.generate_par ~config ~jobs
-        ~on_pool_stats:(fun s -> pool_stats := s)
-        circuit
+      Generator.generate ~config ~jobs ~on_pool_stats:(fun s -> pool_stats := s) circuit
     in
     let wall = now () -. t0 in
     let hash = Persist.crc32_hex (Codec.to_string structure) in

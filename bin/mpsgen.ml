@@ -125,11 +125,7 @@ let resume_if_checkpointed ~circuit ~checkpoint ~config ~jobs ~fresh =
       Format.printf "Resuming from checkpoint %s (step %d, %d placements)...@." path
         cp.Checkpoint.step
         (Structure.n_placements cp.Checkpoint.structure);
-      (* Parallel checkpoints carry per-walk streams and resume through
-         the pool; sequential ones keep the original single-walk path. *)
-      (match cp.Checkpoint.par with
-      | Some _ -> Generator.resume_par ~config ~jobs cp
-      | None -> Generator.resume ~config cp)
+      Generator.resume ~config ~jobs cp
     | exception Codec.Error e -> die "checkpoint %s: %s" path (Codec.error_to_string e))
   | _ -> fresh ()
 
@@ -162,7 +158,7 @@ let generate circuit budget svg_dir save_path checkpoint checkpoint_every max_se
     resume_if_checkpointed ~circuit ~checkpoint ~config ~jobs ~fresh:(fun () ->
         Format.printf "Generating a multi-placement structure for %s (%d jobs)...@."
           circuit.Circuit.name jobs;
-        Generator.generate_par ~config ~jobs circuit)
+        Generator.generate ~config ~jobs circuit)
   in
   report_stats stats;
   print_string (Structure.describe structure);
@@ -207,7 +203,7 @@ let checkpoint_arg =
     & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
           "Snapshot the generation run to $(docv) (written atomically) so a crash or \
-           kill loses at most $(b,--checkpoint-every) steps of work.  When $(docv) \
+           kill loses at most $(b,--checkpoint-every) rounds of work.  When $(docv) \
            already exists the run resumes from it automatically.")
 
 let checkpoint_every_arg =
@@ -215,7 +211,9 @@ let checkpoint_every_arg =
     value
     & opt int 5
     & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Write the checkpoint every $(docv) explorer steps (with $(b,--checkpoint)).")
+        ~doc:
+          "Write the checkpoint every $(docv) lockstep rounds of the explorer walks (with \
+           $(b,--checkpoint)).")
 
 let max_seconds_arg =
   Arg.(
@@ -756,7 +754,7 @@ let extend circuit path budget seed save_path checkpoint checkpoint_every max_se
         let structure = load_structure ~circuit ~path in
         Format.printf "Loaded %d explored placements; resuming exploration...@."
           (Structure.n_explored structure);
-        Generator.extend ~config structure)
+        Generator.extend ~config ~jobs structure)
   in
   Format.printf "  now %d explored placements (coverage %.6f, %s CPU)@."
     (Structure.n_explored extended) stats.Generator.coverage
@@ -773,7 +771,7 @@ let seed_arg =
   Arg.(
     value
     & opt int 99
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Explorer seed for the resumed walk.")
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Explorer seed for the new walks.")
 
 let extend_save_arg =
   Arg.(
@@ -1131,7 +1129,7 @@ let bench_serve circuit budget batch requests clients workers attach out jobs tr
   Format.printf "bench-serve: generating %s (%s budget)...@." circuit.Circuit.name
     (match budget with Mps_experiments.Experiments.Quick -> "quick" | _ -> "full");
   Format.print_flush ();
-  let structure, _ = Generator.generate_par ~config ~jobs circuit in
+  let structure, _ = Generator.generate ~config ~jobs circuit in
   (* the in-process oracle every served answer is checked against *)
   let engine = Structure.Engine.create structure in
   let name = circuit.Circuit.name in

@@ -18,7 +18,7 @@ let () =
   let config =
     Mps_experiments.Experiments.generator_config Mps_experiments.Experiments.Full circuit
   in
-  let structure, stats = Generator.generate ~config circuit in
+  let structure, stats = Generator.single_walk ~config circuit in
   Format.printf "MPS: %d explored placements in %s CPU@."
     (Structure.n_explored structure)
     (Mps_experiments.Text_table.seconds stats.Generator.generation_seconds);

@@ -19,7 +19,7 @@ let () =
 
   (* One-time structure generation. *)
   let config = Mps_experiments.Experiments.generator_config Mps_experiments.Experiments.Full circuit in
-  let structure, stats = Generator.generate ~config circuit in
+  let structure, stats = Generator.single_walk ~config circuit in
   Format.printf "MPS generated: %d placements, coverage %.4f, %s CPU@."
     stats.Generator.placements_stored stats.Generator.coverage
     (Mps_experiments.Text_table.seconds stats.Generator.generation_seconds);

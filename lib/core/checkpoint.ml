@@ -1,7 +1,7 @@
 open Mps_netlist
 open Mps_placement
 
-let magic = "mps-checkpoint v1"
+let magic = "mps-checkpoint v2"
 
 type walk = {
   w_step : int;
@@ -10,15 +10,11 @@ type walk = {
   w_rng : Mps_rng.Rng.t;
 }
 
-type par = { restarts : int; chunk : int; walks : walk array }
-
 type t = {
   step : int;
   dropped : int;
-  current : Placement.t;
-  current_cost : float;
-  rng : Mps_rng.Rng.t;
-  par : par option;
+  chunk : int;
+  walks : walk array;
   structure : Structure.t;
 }
 
@@ -31,19 +27,12 @@ let to_string cp =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "step %d" cp.step;
   line "dropped %d" cp.dropped;
-  line "current_cost %.17g" cp.current_cost;
-  line "current %s" (coords_line cp.current.Placement.coords);
-  line "rng %s" (Mps_rng.Rng.to_string cp.rng);
-  (match cp.par with
-  | None -> ()
-  | Some { restarts; chunk; walks } ->
-      line "par %d %d" restarts chunk;
-      Array.iter
-        (fun w ->
-          line "walk %d %.17g %s" w.w_step w.w_cost
-            (coords_line w.w_current.Placement.coords);
-          line "walk_rng %s" (Mps_rng.Rng.to_string w.w_rng))
-        walks);
+  line "walks %d %d" (Array.length cp.walks) cp.chunk;
+  Array.iter
+    (fun w ->
+      line "walk %d %.17g %s" w.w_step w.w_cost (coords_line w.w_current.Placement.coords);
+      line "walk_rng %s" (Mps_rng.Rng.to_string w.w_rng))
+    cp.walks;
   Buffer.add_string buf (Codec.to_string cp.structure);
   let payload = Buffer.contents buf in
   Printf.sprintf "%s\nchecksum %s\n%s" magic (Persist.crc32_hex payload) payload
@@ -69,10 +58,6 @@ let field ~lineno ~prefix line =
     String.trim (String.sub line plen (String.length line - plen))
   else corrupt lineno "expected %S, got %S" prefix line
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let parse_coords ~lineno ~circuit s =
   let ints =
     List.filter_map
@@ -93,6 +78,14 @@ let parse_coords ~lineno ~circuit s =
     corrupt lineno "expected %d coordinates" (Circuit.n_blocks circuit);
   coords
 
+(* Newlines in [s] from byte [from] on: the lines a count may claim. *)
+let lines_from s from =
+  let n = ref 0 in
+  for i = from to String.length s - 1 do
+    if s.[i] = '\n' then incr n
+  done;
+  !n
+
 let of_string ~circuit raw =
   (* header + checksum over the rest, mirroring the codec's framing *)
   let l1, o1 =
@@ -112,95 +105,62 @@ let of_string ~circuit raw =
     | Some (l, next) -> (field ~lineno ~prefix l, next)
     | None -> corrupt lineno "unexpected end of checkpoint"
   in
-  let step_s, o = get 3 "step " 0 in
-  let dropped_s, o = get 4 "dropped " o in
-  let cost_s, o = get 5 "current_cost " o in
-  let coords_s, o = get 6 "current " o in
-  let rng_s, o = get 7 "rng " o in
   let int_field lineno s =
     match int_of_string_opt s with
     | Some v when v >= 0 -> v
     | _ -> corrupt lineno "expected a non-negative integer, got %S" s
   in
-  let float_field lineno s =
-    match float_of_string_opt s with
-    | Some v -> v
-    | None -> corrupt lineno "expected a float, got %S" s
-  in
-  let rng_field lineno s =
-    match Mps_rng.Rng.of_string s with
-    | Some r -> r
-    | None -> corrupt lineno "unreadable rng state"
-  in
+  let step_s, o = get 3 "step " 0 in
+  let dropped_s, o = get 4 "dropped " o in
+  let walks_s, o = get 5 "walks " o in
   let step = int_field 3 step_s in
   let dropped = int_field 4 dropped_s in
-  let current_cost = float_field 5 cost_s in
-  let rng = rng_field 7 rng_s in
-  (* optional parallel-walk section: peek before the embedded document *)
-  let raw_par, o =
-    match take_line payload o with
-    | Some (l, next) when starts_with ~prefix:"par " l ->
-        let spec = field ~lineno:8 ~prefix:"par " l in
-        let restarts, chunk =
-          match String.split_on_char ' ' spec with
-          | [ r; c ] -> (int_field 8 r, int_field 8 c)
-          | _ -> corrupt 8 "expected 'par <restarts> <chunk>', got %S" l
-        in
-        if restarts < 1 || chunk < 1 then
-          corrupt 8 "par section needs restarts >= 1 and chunk >= 1";
-        let o = ref next in
-        let walks =
-          Array.init restarts (fun w ->
-              let lineno = 9 + (2 * w) in
-              let walk_s, next = get lineno "walk " !o in
-              let wstep, wcost, wcoords =
-                match String.index_opt walk_s ' ' with
-                | None -> corrupt lineno "expected 'walk <step> <cost> <coords>'"
-                | Some i -> (
-                    let rest = String.sub walk_s (i + 1) (String.length walk_s - i - 1) in
-                    match String.index_opt rest ' ' with
-                    | None -> corrupt lineno "expected 'walk <step> <cost> <coords>'"
-                    | Some j ->
-                        ( int_field lineno (String.sub walk_s 0 i),
-                          float_field lineno (String.sub rest 0 j),
-                          String.sub rest (j + 1) (String.length rest - j - 1) ))
-              in
-              let rng_s, next = get (lineno + 1) "walk_rng " next in
-              o := next;
-              (wstep, wcost, wcoords, rng_field (lineno + 1) rng_s))
-        in
-        (Some (restarts, chunk, walks), !o)
-    | _ -> (None, o)
+  let count, chunk =
+    match String.split_on_char ' ' walks_s with
+    | [ r; c ] -> (int_field 5 r, int_field 5 c)
+    | _ -> corrupt 5 "expected 'walks <count> <chunk>', got %S" walks_s
   in
+  if count < 1 || chunk < 1 then corrupt 5 "walks section needs count >= 1 and chunk >= 1";
+  (* two lines per walk: a count the rest of the file cannot hold is
+     damage, refused before any record is read *)
+  if count > lines_from payload o / 2 then
+    corrupt 5 "walk count %d exceeds the lines left" count;
+  let o = ref o and raw_walks = ref [] in
+  for w = 0 to count - 1 do
+    let lineno = 6 + (2 * w) in
+    let walk_s, next = get lineno "walk " !o in
+    let rng_s, next = get (lineno + 1) "walk_rng " next in
+    o := next;
+    raw_walks := (lineno, walk_s, rng_s) :: !raw_walks
+  done;
   let structure =
-    Codec.of_string ~circuit (String.sub payload o (String.length payload - o))
+    Codec.of_string ~circuit (String.sub payload !o (String.length payload - !o))
   in
   let die_w, die_h = Structure.die structure in
-  let placement_of_coords lineno coords_s =
-    let coords = parse_coords ~lineno ~circuit coords_s in
-    match Placement.make ~coords ~die_w ~die_h with
-    | p -> p
-    | exception Invalid_argument msg -> corrupt lineno "bad placement: %s" msg
+  let walk (lineno, walk_s, rng_s) =
+    match String.split_on_char ' ' walk_s with
+    | step_s :: cost_s :: coords ->
+      let w_cost =
+        match float_of_string_opt cost_s with
+        | Some v -> v
+        | None -> corrupt lineno "expected a float, got %S" cost_s
+      in
+      let coords = parse_coords ~lineno ~circuit (String.concat " " coords) in
+      let w_current =
+        match Placement.make ~coords ~die_w ~die_h with
+        | p -> p
+        | exception Invalid_argument msg -> corrupt lineno "bad placement: %s" msg
+      in
+      let w_rng =
+        match Mps_rng.Rng.of_string rng_s with
+        | Some r -> r
+        | None -> corrupt (lineno + 1) "unreadable rng state"
+      in
+      { w_step = int_field lineno step_s; w_cost; w_current; w_rng }
+    | _ -> corrupt lineno "expected 'walk <step> <cost> <coords>'"
   in
-  let current = placement_of_coords 6 coords_s in
-  let par =
-    Option.map
-      (fun (restarts, chunk, raw_walks) ->
-        let walks =
-          Array.mapi
-            (fun w (wstep, wcost, wcoords, wrng) ->
-              {
-                w_step = wstep;
-                w_cost = wcost;
-                w_current = placement_of_coords (9 + (2 * w)) wcoords;
-                w_rng = wrng;
-              })
-            raw_walks
-        in
-        { restarts; chunk; walks })
-      raw_par
-  in
-  { step; dropped; current; current_cost; rng; par; structure }
+  let walks = Array.of_list (List.rev_map walk !raw_walks) in
+  { step; dropped; chunk; walks; structure }
 
 let save cp ~path =
   try Persist.atomic_write ~path (to_string cp)

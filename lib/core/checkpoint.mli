@@ -1,44 +1,38 @@
 (** Crash-safe snapshots of an in-flight generation run.
 
-    {!Generator} writes one of these every [checkpoint_every] explorer
-    steps; after a crash or kill, {!Generator.resume} reconstitutes the
-    builder from the snapshot and continues the annealing walk.  The
-    snapshot captures {e everything} the walk depends on — the interim
-    structure (live placements + backup), the accepted placement and
-    its cost, the step counters, and the exact RNG state — so a resumed
-    run replays the uninterrupted run's stored-placement set step for
-    step (property-tested).
+    {!Generator} writes one of these every [checkpoint_every] lockstep
+    rounds; after a crash or kill, {!Generator.resume} reconstitutes the
+    builder from the snapshot and continues every explorer walk from
+    its recorded state.  The snapshot captures {e everything} the
+    continuation depends on — the interim structure (live placements +
+    backup), the step counters, and each walk's accepted placement,
+    cost and exact stream state — so a resumed run replays the
+    uninterrupted run byte for byte (property-tested).  Recording every
+    per-walk stream is what makes resume deterministic at {e any} job
+    count: the walks are data, the domain pool is just scheduling.
 
-    File layout (one section after the integrity header, then a full
-    embedded {!Codec} document):
+    File layout (counters, one [walk]/[walk_rng] line pair per explorer
+    walk, then a full embedded {!Codec} document):
     {v
-    mps-checkpoint v1
+    mps-checkpoint v2
     checksum <8 hex digits>
     step <n>
     dropped <n>
-    current_cost <float>
-    current <x y pairs>
-    rng <hex token>
+    walks <count> <chunk>
+    walk <step> <cost> <x y pairs>
+    walk_rng <hex token>
+    ...
     mps-structure v2
     ...
     v}
-
-    A checkpoint written by the parallel generator
-    ({!Generator.generate_par}) additionally carries one [par] section
-    between the [rng] line and the embedded document — the restart
-    count, the merge chunk size, and one [walk]/[walk_rng] line pair
-    per explorer restart (step, cost, accepted placement, and the
-    walk's private stream state).  Recording every per-task stream is
-    what makes resume deterministic at {e any} job count: the walks
-    are data, the domain pool is just scheduling.  Checkpoints written
-    by the sequential generator have no [par] section and still parse
-    ([par = None]).
 
     Saving is atomic ({!Mps_core.Persist.atomic_write}); loading
     verifies the checksum and the embedded document end to end, and
     raises {!Codec.Error} on any damage — a checkpoint is either whole
     or rejected, there is no salvage path (the previous checkpoint or a
-    fresh run is always available). *)
+    fresh run is always available).  A [v1] file, written before the
+    one generator, is refused as a bad header: checkpoints are deleted
+    once their run completes, so none outlives the format. *)
 
 open Mps_netlist
 open Mps_placement
@@ -49,21 +43,13 @@ type walk = {
   w_current : Placement.t;  (** The walk's accepted placement. *)
   w_rng : Mps_rng.Rng.t;  (** The walk's private stream state. *)
 }
-(** One explorer restart of a parallel run. *)
-
-type par = {
-  restarts : int;  (** Number of explorer walks (fixed by config). *)
-  chunk : int;  (** Steps merged per walk per lockstep round. *)
-  walks : walk array;  (** One entry per restart, in task order. *)
-}
+(** One explorer walk. *)
 
 type t = {
-  step : int;  (** Explorer steps already taken. *)
+  step : int;  (** Explorer steps merged so far, over all walks. *)
   dropped : int;  (** Candidates dropped so far (for stats continuity). *)
-  current : Placement.t;  (** The walk's accepted placement. *)
-  current_cost : float;  (** Its BDIO average cost. *)
-  rng : Mps_rng.Rng.t;  (** Exact generator state at the snapshot. *)
-  par : par option;  (** Parallel-walk states; [None] for sequential runs. *)
+  chunk : int;  (** Steps merged per walk per lockstep round. *)
+  walks : walk array;  (** One entry per explorer walk, in task order. *)
   structure : Structure.t;  (** Interim structure: live placements + backup. *)
 }
 

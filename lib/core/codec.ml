@@ -239,8 +239,14 @@ let parse_payload ~circuit cursor =
     | [ c ] when c > 0 -> c
     | _ -> corrupt cursor.lineno "malformed placements line"
   in
+  (* A count the rest of the document cannot hold is damage, refused
+     before any record is read; the records are read, not pre-sized. *)
+  if count > List.length cursor.lines then
+    corrupt cursor.lineno "placement count %d exceeds the lines left" count;
   let n = Circuit.n_blocks circuit in
-  let stored = Array.init count (fun _ -> read_placement cursor ~n ~die_w ~die_h) in
+  let stored =
+    Array.of_list (List.init count (fun _ -> read_placement cursor ~n ~die_w ~die_h))
+  in
   let backup =
     match next cursor with
     | "backup" -> read_placement cursor ~n ~die_w ~die_h

@@ -134,17 +134,6 @@ let evaluate_candidate config rng circuit backup placement ~arena ~evals =
   let admitted = beats_backup_locally config rng circuit backup candidate ~arena ~evals in
   (candidate, bdio, admitted)
 
-(* Same, then merge the admitted candidate into the structure.  Returns
-   the BDIO result and whether the candidate was stored. *)
-let evaluate_and_store builder config rng circuit backup placement ~arena ~evals =
-  let candidate, bdio, admitted =
-    evaluate_candidate config rng circuit backup placement ~arena ~evals
-  in
-  if admitted then
-    let ids = Builder.resolve_and_store builder candidate in
-    (bdio, ids <> [])
-  else (bdio, false)
-
 (* Refine a candidate's coordinates with a short annealing run toward
    a random target sizing: explored placements become locally good
    arrangements for diverse dimension regions. *)
@@ -172,9 +161,8 @@ let refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals placement =
 
 (* The template-like backup placement for uncovered dimension space
    (paper §3.1.4): coordinates annealed at the nominal dimensions,
-   valid over its whole expansion box.  Split into the best-of-restarts
-   search and the finalization so the parallel path can fan the
-   restarts out and reuse the tail. *)
+   valid over its whole expansion box: the best of [backup_restarts]
+   annealing runs (fanned out in [build_backup] below), finalized here. *)
 
 let backup_coord_config config =
   {
@@ -232,222 +220,8 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
     ~avg_cost:(Float.max template_avg bdio.Bdio.avg_cost)
     ~best_cost:bdio.Bdio.best_cost ~best_dims:bdio.Bdio.best_dims
 
-let build_backup config rng circuit ~die_w ~die_h ~arena ~evals =
-  let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
-  let coord_config = backup_coord_config config in
-  let optimized =
-    let best =
-      ref (Coord_opt.optimize ~config:coord_config ~arena ~rng circuit ~die_w ~die_h nominal)
-    in
-    evals := !evals + !best.Coord_opt.evaluations;
-    for _ = 2 to max 1 config.backup_restarts do
-      let r =
-        Coord_opt.optimize ~config:coord_config ~arena ~rng circuit ~die_w ~die_h nominal
-      in
-      evals := !evals + r.Coord_opt.evaluations;
-      if r.Coord_opt.cost < !best.Coord_opt.cost then best := r
-    done;
-    !best
-  in
-  finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals optimized
 
-let run_explorer ?builder ?backup ?resume ~next_candidate ?config:(cfg = default_config)
-    circuit =
-  let t_start = Sys.time () in
-  let t_wall = Unix.gettimeofday () in
-  (* Placement cost evaluations performed by this run (SA moves across
-     the backup/refine/BDIO loops plus admission sampling); restarts at
-     zero on resume, like the timing stats. *)
-  let evals = ref 0 in
-  (* The sequential explorer is a one-worker pool: one arena, reused
-     across every candidate — same serial allocation win, no domains. *)
-  let arena = Arena.create () in
-  let builder, backup, rng, resumed_state =
-    match resume with
-    | Some cp ->
-      if cp.Checkpoint.par <> None then
-        invalid_arg "Generator.resume: parallel checkpoint (use resume_par)";
-      (* Reconstitute the builder from the snapshot.  The snapshot's
-         placement order is the builder's live order at checkpoint
-         time, so re-inserting preserves the relative id order that
-         Resolve Overlaps keys its choices on — the resumed walk
-         replays the uninterrupted run exactly. *)
-      let builder = Structure.to_builder cp.Checkpoint.structure in
-      let backup = Structure.backup cp.Checkpoint.structure in
-      ( builder,
-        backup,
-        Rng.copy cp.Checkpoint.rng,
-        Some
-          ( cp.Checkpoint.step,
-            cp.Checkpoint.dropped,
-            cp.Checkpoint.current,
-            cp.Checkpoint.current_cost ) )
-    | None ->
-      let rng = Rng.create ~seed:cfg.seed in
-      let die_w, die_h = Circuit.default_die ~slack:cfg.die_slack circuit in
-      let builder =
-        match builder with
-        | Some b -> b
-        | None -> Builder.create ~weights:cfg.bdio.Bdio.weights circuit
-      in
-      let backup =
-        match backup with
-        | Some b -> b
-        | None -> build_backup cfg rng circuit ~die_w ~die_h ~arena ~evals
-      in
-      (builder, backup, rng, None)
-  in
-  (* when resuming or extending, inherit the die the existing
-     placements were built on *)
-  let die_w = backup.Stored.placement.Placement.die_w in
-  let die_h = backup.Stored.placement.Placement.die_h in
-  let current, current_cost, steps, dropped =
-    match resumed_state with
-    | Some (step, dropped, current, current_cost) ->
-      (* the snapshot's structure already holds the backup's territory *)
-      (ref current, ref current_cost, ref step, ref dropped)
-    | None ->
-      (* The backup enters the structure first, owning its whole
-         expansion box: a walk candidate only wins dimension territory
-         by beating it (or a previous winner) on average cost in
-         Resolve Overlaps.  This guarantees covered queries never
-         answer worse than the fallback would. *)
-      ignore (Builder.resolve_and_store builder backup);
-      let current =
-        ref
-          (if cfg.seed_walk_with_backup then backup.Stored.placement
-           else Placement.random rng circuit ~die_w ~die_h)
-      in
-      let bdio0, _ =
-        evaluate_and_store builder cfg rng circuit backup !current ~arena ~evals
-      in
-      (current, ref bdio0.Bdio.avg_cost, ref 1, ref 0)
-  in
-  let max_shift =
-    max 1 (int_of_float (cfg.max_shift_fraction *. float_of_int (max die_w die_h)))
-  in
-  let deadline_hit = ref false in
-  let finished () =
-    let deadline_exceeded =
-      match cfg.max_seconds with
-      | Some s -> Unix.gettimeofday () -. t_wall >= s
-      | None -> false
-    in
-    if deadline_exceeded then deadline_hit := true;
-    deadline_exceeded
-    || !steps >= cfg.explorer_iterations
-    || Builder.n_live builder >= cfg.max_placements
-    || Builder.coverage builder >= cfg.coverage_target
-  in
-  (* Snapshot the whole walk state — structure, accepted placement,
-     counters, exact RNG state — so a kill between two checkpoints
-     costs at most [checkpoint_every] steps of work. *)
-  let write_checkpoint path =
-    Checkpoint.save
-      {
-        Checkpoint.step = !steps;
-        dropped = !dropped;
-        current = !current;
-        current_cost = !current_cost;
-        rng;
-        par = None;
-        structure = Structure.compile ~backup builder;
-      }
-      ~path
-  in
-  let maybe_checkpoint () =
-    match cfg.checkpoint_path with
-    | Some path when cfg.checkpoint_every > 0 && !steps mod cfg.checkpoint_every = 0 ->
-      write_checkpoint path
-    | _ -> ()
-  in
-  let refine placement =
-    refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals placement
-  in
-  while not (finished ()) do
-    let candidate = refine (next_candidate rng builder ~max_shift !current) in
-    let bdio, survived =
-      evaluate_and_store builder cfg rng circuit backup candidate ~arena ~evals
-    in
-    if not survived then incr dropped;
-    (* Metropolis acceptance on the BDIO average cost (Fig. 4's
-       "Accept New Placement?" check). *)
-    let dc = bdio.Bdio.avg_cost -. !current_cost in
-    let temp = Schedule.temperature cfg.explorer_schedule ~step:!steps in
-    if dc <= 0.0 || Rng.float rng 1.0 < exp (-.dc /. temp) then begin
-      current := candidate;
-      current_cost := bdio.Bdio.avg_cost
-    end;
-    incr steps;
-    maybe_checkpoint ()
-  done;
-  (* A deadline stop snapshots the final state so resuming loses no
-     work at all (not just up to the last periodic checkpoint). *)
-  (match cfg.checkpoint_path with
-  | Some path when !deadline_hit -> write_checkpoint path
-  | _ -> ());
-  let stats =
-    {
-      placements_stored = Builder.n_live builder;
-      coverage = Builder.coverage builder;
-      explorer_steps = !steps;
-      candidates_dropped = !dropped;
-      cost_evaluations = !evals;
-      generation_seconds = Sys.time () -. t_start;
-      deadline_hit = !deadline_hit;
-    }
-  in
-  (builder, backup, stats)
-
-(* The two explorer variants differ only in how the next candidate is
-   chosen: a perturbation of the accepted placement (the paper), or a
-   fresh random placement (ablation A2). *)
-
-let generate_builder ?(config = default_config) circuit =
-  let next rng _builder ~max_shift current =
-    Perturb.perturb rng circuit ~fraction:config.perturb_fraction ~max_shift current
-  in
-  let builder, _backup, stats = run_explorer ~next_candidate:next ~config circuit in
-  (builder, stats)
-
-let generate ?(config = default_config) circuit =
-  let next rng _builder ~max_shift current =
-    Perturb.perturb rng circuit ~fraction:config.perturb_fraction ~max_shift current
-  in
-  let builder, backup, stats = run_explorer ~next_candidate:next ~config circuit in
-  (Structure.compile ~backup builder, stats)
-
-let random_explorer ?(config = default_config) circuit =
-  let die_w, die_h = Circuit.default_die ~slack:config.die_slack circuit in
-  let next rng _builder ~max_shift:_ _current =
-    Placement.random rng circuit ~die_w ~die_h
-  in
-  let builder, backup, stats = run_explorer ~next_candidate:next ~config circuit in
-  (Structure.compile ~backup builder, stats)
-
-let extend ?(config = default_config) structure =
-  let circuit = Structure.circuit structure in
-  let builder = Structure.to_builder structure in
-  let backup = Structure.backup structure in
-  let next rng _builder ~max_shift current =
-    Perturb.perturb rng circuit ~fraction:config.perturb_fraction ~max_shift current
-  in
-  let builder, backup, stats =
-    run_explorer ~builder ~backup ~next_candidate:next ~config circuit
-  in
-  (Structure.compile ~backup builder, stats)
-
-let resume ?(config = default_config) checkpoint =
-  let circuit = Structure.circuit checkpoint.Checkpoint.structure in
-  let next rng _builder ~max_shift current =
-    Perturb.perturb rng circuit ~fraction:config.perturb_fraction ~max_shift current
-  in
-  let builder, backup, stats =
-    run_explorer ~resume:checkpoint ~next_candidate:next ~config circuit
-  in
-  (Structure.compile ~backup builder, stats)
-
-(* ---- Deterministic parallel generation (DESIGN.md §9) ----
+(* ---- The explorer: deterministic lockstep walks (DESIGN.md §9) ----
 
    The task list is fixed by the config alone: [backup_restarts]
    coordinate-annealing tasks, then [explorer_restarts] independent
@@ -461,17 +235,18 @@ let resume ?(config = default_config) checkpoint =
 
 module Pool = Mps_parallel.Pool
 
-(* One explorer restart.  Mutated only by the domain that owns it for
-   the current round; the pool's batch handshake publishes the writes
-   before the merge reads them. *)
-type walk_state = {
-  mutable ws_step : int;
-  mutable ws_current : Placement.t;
-  mutable ws_cost : float;
-  ws_rng : Rng.t;
-}
+(* The backup is the best of [backup_restarts] annealing runs (strict
+   [<]: ties go to the lowest restart index), finalized with [rng]. *)
+let best_backup config rng circuit ~die_w ~die_h ~arena ~evals results =
+  Array.iter (fun r -> evals := !evals + r.Coord_opt.evaluations) results;
+  let optimized =
+    Array.fold_left
+      (fun best r -> if r.Coord_opt.cost < best.Coord_opt.cost then r else best)
+      results.(0) results
+  in
+  finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals optimized
 
-let build_backup_par pool arenas config root circuit ~die_w ~die_h ~evals =
+let build_backup pool arenas config root circuit ~die_w ~die_h ~evals =
   let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
   let coord_config = backup_coord_config config in
   let restarts = max 1 config.backup_restarts in
@@ -487,125 +262,153 @@ let build_backup_par pool arenas config root circuit ~die_w ~die_h ~evals =
           ~die_w ~die_h nominal)
       (Array.init restarts Fun.id)
   in
-  Array.iter (fun r -> evals := !evals + r.Coord_opt.evaluations) results;
-  (* strict [<]: ties go to the lowest restart index *)
-  let optimized =
-    Array.fold_left
-      (fun best r -> if r.Coord_opt.cost < best.Coord_opt.cost then r else best)
-      results.(0) results
-  in
   (* finalization runs on the calling domain — its usual slot is the
      last one, but any arena would do (results never depend on one) *)
-  finalize_backup config (Rng.split root restarts) circuit ~die_w ~die_h
-    ~arena:arenas.(Array.length arenas - 1) ~evals optimized
+  best_backup config (Rng.split root restarts) circuit ~die_w ~die_h
+    ~arena:arenas.(Array.length arenas - 1) ~evals results
+
+(* The single walk's backup: the restarts run one after another on the
+   one stream the walk then continues ([Array.init] applies in index
+   order). *)
+let build_backup_shared config rng circuit ~die_w ~die_h ~arena ~evals =
+  let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
+  let coord_config = backup_coord_config config in
+  best_backup config rng circuit ~die_w ~die_h ~arena ~evals
+    (Array.init (max 1 config.backup_restarts) (fun _ ->
+         Coord_opt.optimize ~config:coord_config ~arena ~rng circuit ~die_w ~die_h nominal))
+
+(* How a walk proposes its next candidate from its accepted placement:
+   a perturbation (the paper's Fig. 4), or a fresh random placement
+   (ablation A2).  Both draw only from the walk's own stream. *)
+
+let perturbation cfg circuit rng ~die_w ~die_h current =
+  let max_shift =
+    max 1 (int_of_float (cfg.max_shift_fraction *. float_of_int (max die_w die_h)))
+  in
+  Perturb.perturb rng circuit ~fraction:cfg.perturb_fraction ~max_shift current
+
+let fresh_placement circuit rng ~die_w ~die_h _current =
+  Placement.random rng circuit ~die_w ~die_h
 
 (* Advance one walk by at most [chunk] steps, collecting the evaluated
    candidates (with their admission verdicts) in step order.  Walk step
-   0 is the evaluation of the initial placement, mirroring the
-   sequential explorer; afterwards each step is perturb -> refine ->
-   evaluate -> Metropolis at the walk's own step temperature.  Runs
-   entirely on the walk's private stream; returns the candidates and
-   the cost evaluations spent (each task counts into its own
+   0 evaluates the initial placement; afterwards each step is propose
+   -> refine -> evaluate -> Metropolis (Fig. 4's "Accept New
+   Placement?") at the walk's own step temperature.  Runs entirely on
+   the walk's private stream; returns the advanced walk, the candidates
+   and the cost evaluations spent (each task counts into its own
    accumulator — the shared total is summed at merge time). *)
-let advance_walk cfg circuit backup ~die_w ~die_h ~max_shift ~chunk ~arena st =
-  let evals = ref 0 in
-  let out = ref [] in
-  let rng = st.ws_rng in
+let advance_walk cfg circuit backup ~propose ~die_w ~die_h ~chunk ~arena
+    (w : Checkpoint.walk) =
+  let evals = ref 0 and out = ref [] in
+  let rng = w.w_rng in
+  let step = ref w.w_step and current = ref w.w_current and cost = ref w.w_cost in
   let budget = ref chunk in
-  if st.ws_step = 0 && !budget > 0 then begin
-    let candidate, bdio, admitted =
-      evaluate_candidate cfg rng circuit backup st.ws_current ~arena ~evals
-    in
-    out := (candidate, admitted) :: !out;
-    st.ws_cost <- bdio.Bdio.avg_cost;
-    st.ws_step <- 1;
-    decr budget
-  end;
-  while !budget > 0 && st.ws_step < cfg.explorer_iterations do
+  while !budget > 0 && !step < cfg.explorer_iterations do
     let proposed =
-      Perturb.perturb rng circuit ~fraction:cfg.perturb_fraction ~max_shift st.ws_current
+      if !step = 0 then !current
+      else
+        refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals
+          (propose rng ~die_w ~die_h !current)
     in
-    let proposed = refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals proposed in
     let candidate, bdio, admitted =
       evaluate_candidate cfg rng circuit backup proposed ~arena ~evals
     in
     out := (candidate, admitted) :: !out;
-    let dc = bdio.Bdio.avg_cost -. st.ws_cost in
-    let temp = Schedule.temperature cfg.explorer_schedule ~step:st.ws_step in
-    if dc <= 0.0 || Rng.float rng 1.0 < exp (-.dc /. temp) then begin
-      st.ws_current <- proposed;
-      st.ws_cost <- bdio.Bdio.avg_cost
+    let dc = bdio.Bdio.avg_cost -. !cost in
+    if
+      !step = 0
+      || dc <= 0.0
+      || Rng.float rng 1.0
+         < exp (-.dc /. Schedule.temperature cfg.explorer_schedule ~step:!step)
+    then begin
+      current := proposed;
+      cost := bdio.Bdio.avg_cost
     end;
-    st.ws_step <- st.ws_step + 1;
+    incr step;
     decr budget
   done;
-  (List.rev !out, !evals)
+  ({ w with w_step = !step; w_current = !current; w_cost = !cost }, List.rev !out, !evals)
 
-let run_par pool ?resume ~cfg circuit =
+(* Where a run starts: fresh lockstep walks, one walk on one stream
+   (the explorer the experiments measure), more walks on an existing
+   structure, or a checkpoint of any of these. *)
+type start =
+  | Fresh of Circuit.t
+  | Single of Circuit.t
+  | Extend of Structure.t
+  | Resume of Checkpoint.t
+
+let run pool ~cfg ~propose start =
   let t_start = Sys.time () in
   let t_wall = Unix.gettimeofday () in
   let evals = ref 0 in
   (* Stream scheme: the root is never drawn from — child 0 seeds the
      backup restarts (task k -> stream k, finalization -> stream
-     [restarts]), child 1 seeds the walks (walk w -> stream w). *)
+     [restarts]), child 1 seeds the walks (walk w -> stream w).  A
+     single walk instead draws everything, backup first, from the root
+     itself. *)
   let root = Rng.create ~seed:cfg.seed in
   (* One arena per worker slot, reused across every chunk and round the
      slot ever runs (the whole point: candidate evaluation allocates
      nothing after warm-up, so domains stop triggering each other's
      stop-the-world minor collections). *)
   let arenas = Array.init (Pool.jobs pool) (fun _ -> Arena.create ()) in
-  let builder, backup, walks, chunk, steps, dropped =
-    match resume with
-    | Some cp ->
-      let ps =
-        match cp.Checkpoint.par with
-        | Some ps -> ps
-        | None ->
-          invalid_arg "Generator.resume_par: sequential checkpoint (use resume)"
-      in
-      let builder = Structure.to_builder cp.Checkpoint.structure in
-      let backup = Structure.backup cp.Checkpoint.structure in
-      let walks =
-        Array.map
-          (fun w ->
-            {
-              ws_step = w.Checkpoint.w_step;
-              ws_current = w.Checkpoint.w_current;
-              ws_cost = w.Checkpoint.w_cost;
-              ws_rng = Rng.copy w.Checkpoint.w_rng;
-            })
-          ps.Checkpoint.walks
-      in
-      ( builder,
-        backup,
-        walks,
-        ps.Checkpoint.chunk,
-        ref cp.Checkpoint.step,
-        ref cp.Checkpoint.dropped )
-    | None ->
+  (* An extended or resumed run inherits the structure it continues,
+     backup and die included.  The snapshot's placement order is the
+     builder's live order, so re-inserting preserves the relative id
+     order Resolve Overlaps keys its choices on. *)
+  let builder, backup =
+    match start with
+    | Fresh circuit | Single circuit ->
       let die_w, die_h = Circuit.default_die ~slack:cfg.die_slack circuit in
       let backup =
-        build_backup_par pool arenas cfg (Rng.split root 0) circuit ~die_w ~die_h ~evals
+        match start with
+        | Single _ ->
+          build_backup_shared cfg root circuit ~die_w ~die_h ~arena:arenas.(0) ~evals
+        | _ -> build_backup pool arenas cfg (Rng.split root 0) circuit ~die_w ~die_h ~evals
       in
+      (* The backup enters the structure first, owning its whole
+         expansion box: a walk candidate only wins dimension territory
+         by beating it (or a previous winner) on average cost in
+         Resolve Overlaps, so covered queries never answer worse than
+         the fallback would. *)
       let builder = Builder.create ~weights:cfg.bdio.Bdio.weights circuit in
       ignore (Builder.resolve_and_store builder backup);
-      let walk_root = Rng.split root 1 in
-      let walks =
-        Array.init (max 1 cfg.explorer_restarts) (fun w ->
-            let rng = Rng.split walk_root w in
-            let current =
-              if cfg.seed_walk_with_backup then backup.Stored.placement
-              else
-                Placement.random rng circuit ~die_w ~die_h
-            in
-            { ws_step = 0; ws_current = current; ws_cost = 0.0; ws_rng = rng })
-      in
-      (builder, backup, walks, max 1 cfg.walk_chunk, ref 0, ref 0)
+      (builder, backup)
+    | Extend s -> (Structure.to_builder s, Structure.backup s)
+    | Resume cp ->
+      let s = cp.Checkpoint.structure in
+      (Structure.to_builder s, Structure.backup s)
   in
+  let circuit = Builder.circuit builder in
   let die_w = backup.Stored.placement.Placement.die_w in
   let die_h = backup.Stored.placement.Placement.die_h in
-  let max_shift =
-    max 1 (int_of_float (cfg.max_shift_fraction *. float_of_int (max die_w die_h)))
+  let walks, chunk, steps, dropped =
+    match start with
+    | Resume cp ->
+      ( Array.map
+          (fun w -> { w with Checkpoint.w_rng = Rng.copy w.Checkpoint.w_rng })
+          cp.Checkpoint.walks,
+        cp.Checkpoint.chunk,
+        ref cp.Checkpoint.step,
+        ref cp.Checkpoint.dropped )
+    | Fresh _ | Single _ | Extend _ ->
+      let walk rng =
+        let current =
+          if cfg.seed_walk_with_backup then backup.Stored.placement
+          else Placement.random rng circuit ~die_w ~die_h
+        in
+        { Checkpoint.w_step = 0; w_current = current; w_cost = 0.0; w_rng = rng }
+      in
+      let walks =
+        match start with
+        | Single _ -> [| walk root |]
+        | _ ->
+          let walk_root = Rng.split root 1 in
+          Array.init (max 1 cfg.explorer_restarts) (fun w -> walk (Rng.split walk_root w))
+      in
+      (walks, max 1 cfg.walk_chunk, ref 0, ref 0)
   in
   let deadline_hit = ref false in
   let stop = ref false in
@@ -613,61 +416,52 @@ let run_par pool ?resume ~cfg circuit =
     Builder.n_live builder >= cfg.max_placements
     || Builder.coverage builder >= cfg.coverage_target
   in
+  (* Snapshot everything the continuation depends on — structure,
+     counters, every walk's accepted placement and exact stream — so a
+     kill between two checkpoints costs at most [checkpoint_every]
+     rounds of work. *)
   let write_checkpoint path =
     Checkpoint.save
       {
         Checkpoint.step = !steps;
         dropped = !dropped;
-        current = backup.Stored.placement;
-        current_cost = backup.Stored.avg_cost;
-        rng = root;
-        par =
-          Some
-            {
-              Checkpoint.restarts = Array.length walks;
-              chunk;
-              walks =
-                Array.map
-                  (fun st ->
-                    {
-                      Checkpoint.w_step = st.ws_step;
-                      w_cost = st.ws_cost;
-                      w_current = st.ws_current;
-                      w_rng = Rng.copy st.ws_rng;
-                    })
-                  walks;
-            };
+        chunk;
+        walks;
         structure = Structure.compile ~backup builder;
       }
       ~path
   in
-  (* A fresh run checkpoints immediately after the backup phase, so a
-     kill during the (long) first rounds already has something to
-     resume from. *)
-  (match (cfg.checkpoint_path, resume) with
-  | Some path, None when cfg.checkpoint_every > 0 -> write_checkpoint path
+  (* A run that did not resume checkpoints immediately after its setup,
+     so a kill during the first rounds already has something to resume
+     from. *)
+  (match (cfg.checkpoint_path, start) with
+  | Some path, (Fresh _ | Single _ | Extend _) when cfg.checkpoint_every > 0 -> write_checkpoint path
   | _ -> ());
   let rounds = ref 0 in
-  let unfinished st = st.ws_step < cfg.explorer_iterations in
+  let unfinished (w : Checkpoint.walk) = w.w_step < cfg.explorer_iterations in
   if limits_reached () then stop := true;
   while (not !stop) && Array.exists unfinished walks do
-    let live = Array.of_list (List.filter unfinished (Array.to_list walks)) in
+    let live =
+      Array.of_list
+        (List.filter (fun i -> unfinished walks.(i)) (List.init (Array.length walks) Fun.id))
+    in
     (* scheduling chunk 1: each walk advance is a heavyweight task
        (refine + BDIO + admission per step), so per-task claims cost
        nothing relative to the work and idle workers steal whole walks *)
     let outs =
       Pool.map_chunked pool ~chunk:1
-        (fun ~worker st ->
-          advance_walk cfg circuit backup ~die_w ~die_h ~max_shift ~chunk
-            ~arena:arenas.(worker) st)
+        (fun ~worker i ->
+          advance_walk cfg circuit backup ~propose ~die_w ~die_h ~chunk
+            ~arena:arenas.(worker) walks.(i))
         live
     in
-    (* Merge in (walk, step) order; stopping limits are re-checked
-       before each record exactly like the sequential explorer.  A
-       record arriving after the limits trip is discarded — at every
-       job count, because the merge order never depends on jobs. *)
-    Array.iter
-      (fun (records, ev) ->
+    (* Merge in (walk, step) order, re-checking the stopping limits
+       before each record.  A record arriving after the limits trip is
+       discarded — at every job count, because the merge order never
+       depends on jobs. *)
+    Array.iteri
+      (fun k (walk, records, ev) ->
+        walks.(live.(k)) <- walk;
         evals := !evals + ev;
         List.iter
           (fun (candidate, admitted) ->
@@ -689,6 +483,8 @@ let run_par pool ?resume ~cfg circuit =
       deadline_hit := true;
       stop := true
     | _ -> ());
+    (* A deadline stop snapshots the final state, so resuming loses no
+       work at all. *)
     (match cfg.checkpoint_path with
     | Some path
       when !deadline_hit
@@ -709,15 +505,30 @@ let run_par pool ?resume ~cfg circuit =
   in
   (Structure.compile ~backup builder, stats)
 
-let generate_par ?(config = default_config) ?jobs ?on_pool_stats circuit =
+let with_run ?jobs ?on_pool_stats ~cfg ~propose start =
   Pool.with_pool ?jobs (fun pool ->
-      let r = run_par pool ~cfg:config circuit in
-      (match on_pool_stats with Some f -> f (Pool.stats pool) | None -> ());
+      let r = run pool ~cfg ~propose start in
+      Option.iter (fun f -> f (Pool.stats pool)) on_pool_stats;
       r)
 
-let resume_par ?(config = default_config) ?jobs ?on_pool_stats checkpoint =
-  let circuit = Structure.circuit checkpoint.Checkpoint.structure in
-  Pool.with_pool ?jobs (fun pool ->
-      let r = run_par pool ~resume:checkpoint ~cfg:config circuit in
-      (match on_pool_stats with Some f -> f (Pool.stats pool) | None -> ());
-      r)
+let generate ?(config = default_config) ?jobs ?on_pool_stats circuit =
+  with_run ?jobs ?on_pool_stats ~cfg:config ~propose:(perturbation config circuit)
+    (Fresh circuit)
+
+let generate_par = generate
+
+let single_walk ?(config = default_config) circuit =
+  with_run ~jobs:1 ~cfg:config ~propose:(perturbation config circuit) (Single circuit)
+
+let random_explorer ?(config = default_config) circuit =
+  with_run ~jobs:1 ~cfg:config ~propose:(fresh_placement circuit) (Single circuit)
+
+let extend ?(config = default_config) ?jobs structure =
+  with_run ?jobs ~cfg:config
+    ~propose:(perturbation config (Structure.circuit structure))
+    (Extend structure)
+
+let resume ?(config = default_config) ?jobs checkpoint =
+  with_run ?jobs ~cfg:config
+    ~propose:(perturbation config (Structure.circuit checkpoint.Checkpoint.structure))
+    (Resume checkpoint)

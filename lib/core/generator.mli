@@ -6,7 +6,22 @@
     structure, store — and use the BDIO's average cost as the annealing
     cost.  Every evaluated placement is stored (after overlap
     resolution); acceptance only steers the walk.  The run stops at the
-    coverage target, the placement cap, or the iteration budget. *)
+    coverage target, the placement cap, or the iteration budget.
+
+    There is one explorer loop: independent walks advanced in lockstep
+    rounds of [walk_chunk] steps over a {!Mps_parallel.Pool} of [jobs]
+    domains, merged into the builder in walk order.  {!generate} (what
+    [mpsgen generate], the store and the daemon serve) runs
+    [explorer_restarts] walks, each task on its own
+    {!Mps_rng.Rng.split} stream, so it returns a structure that is
+    {b byte-identical at any job count} (property-tested) — [jobs]
+    (default {!Mps_parallel.Pool.default_jobs}; [1] runs on the calling
+    domain) only changes wall time.  {!single_walk} runs one walk on
+    one stream through the same loop.
+
+    Fan-outs run under the pool's chunked work-stealing scheduler with
+    one evaluation {!Mps_placement.Arena} per worker slot; stealing and
+    arena identity move {e where} a task runs, never what it computes. *)
 
 open Mps_netlist
 
@@ -42,23 +57,23 @@ type config = {
           expansion and the BDIO; [0] disables it (the paper's literal
           walk).  See DESIGN.md §5. *)
   explorer_restarts : int;
-      (** Independent explorer walks run by {!generate_par}, each a
-          full [explorer_iterations]-step Metropolis walk on its own
-          stream.  The sequential {!generate} ignores it (one walk).
+      (** Independent explorer walks, each a full
+          [explorer_iterations]-step Metropolis walk on its own stream.
           More walks mean more exploration — the work parallelism
           makes affordable (DESIGN.md §9). *)
   walk_chunk : int;
-      (** Steps each parallel walk advances per lockstep round before
-          results are merged into the builder in walk order.  Fixed by
-          config (never by job count) so the merge order — and hence
-          the structure — is identical at any [jobs].  Smaller chunks
-          mean fresher stopping checks and finer checkpoints; larger
-          chunks amortize scheduling.  Only {!generate_par} uses it. *)
+      (** Steps each walk advances per lockstep round before results
+          are merged into the builder in walk order.  Fixed by config
+          (never by job count) so the merge order — and hence the
+          structure — is identical at any [jobs].  Smaller chunks mean
+          fresher stopping checks and finer checkpoints; larger chunks
+          amortize scheduling. *)
   checkpoint_every : int;
-      (** Snapshot the whole walk state to [checkpoint_path] every this
-          many explorer steps ({!Checkpoint}) — or, under
-          {!generate_par}, every this many lockstep rounds; [0] (the
-          default) disables checkpointing. *)
+      (** Snapshot every walk's state to [checkpoint_path] every this
+          many lockstep rounds ({!Checkpoint}); [0] (the default)
+          disables checkpointing.  A run that did not resume also
+          writes one right after its setup, and a deadline stop writes
+          a final one. *)
   checkpoint_path : string option;
       (** Where the snapshot goes (written atomically); [None] (the
           default) disables checkpointing. *)
@@ -98,32 +113,17 @@ type stats = {
           budget — resume from the checkpoint (or {!extend}) to finish. *)
 }
 
-val generate : ?config:config -> Circuit.t -> Structure.t * stats
-(** Build the multi-placement structure for a circuit topology. *)
-
-val generate_builder : ?config:config -> Circuit.t -> Builder.t * stats
-(** Same run, exposing the mutable builder (for tests and ablations). *)
-
-val random_explorer : ?config:config -> Circuit.t -> Structure.t * stats
-(** Ablation A2: the explorer degenerated to independent random
-    placements (no annealing walk); same stopping criteria. *)
-
-val extend : ?config:config -> Structure.t -> Structure.t * stats
-(** Resume exploration on an existing (possibly reloaded) structure:
-    thaw it, continue the annealing walk from its backup placement, and
-    recompile.  Use a different [seed] (and a [max_placements] above
-    the current count) to add coverage incrementally. *)
-
-val resume : ?config:config -> Checkpoint.t -> Structure.t * stats
-(** Continue an interrupted generation run from a {!Checkpoint}
-    snapshot: reconstitute the builder, restore the walk's accepted
-    placement, counters and exact RNG state, and continue the standard
-    perturbation walk under the given config's stopping criteria.
-    Determinism guarantee: resuming a run checkpointed at step K yields
-    the same stored-placement set as the uninterrupted run with the
-    same config (property-tested).
-    @raise Invalid_argument on a {!generate_par} checkpoint — those
-    carry per-walk streams and resume through {!resume_par}. *)
+val generate :
+  ?config:config ->
+  ?jobs:int ->
+  ?on_pool_stats:(Mps_parallel.Pool.stats array -> unit) ->
+  Circuit.t ->
+  Structure.t * stats
+(** Build the multi-placement structure for a circuit topology: the
+    backup's [backup_restarts] annealing runs fan out one task each,
+    then the walks explore.  [on_pool_stats] receives the per-worker
+    scheduling counters ({!Mps_parallel.Pool.stats}) just before the
+    pool shuts down. *)
 
 val generate_par :
   ?config:config ->
@@ -131,36 +131,36 @@ val generate_par :
   ?on_pool_stats:(Mps_parallel.Pool.stats array -> unit) ->
   Circuit.t ->
   Structure.t * stats
-(** Parallel generation over a {!Mps_parallel.Pool} of [jobs] domains
-    ([jobs] defaults to {!Mps_parallel.Pool.default_jobs}; [jobs = 1]
-    runs the same algorithm on the calling domain).  The backup's
-    [backup_restarts] annealing runs fan out one task each; the
-    explorer runs [explorer_restarts] independent walks advanced in
-    lockstep rounds of [walk_chunk] steps, merged into the builder in
-    walk order.  Every task draws from its own {!Mps_rng.Rng.split}
-    stream, so the returned structure is {b byte-identical at any job
-    count} (property-tested) — parallelism only changes wall time.
-    Checkpoints (when configured) record every walk's stream; a fresh
-    run writes one right after the backup phase, then one per
-    [checkpoint_every] rounds, plus a final one on a deadline stop.
+(** The same function as {!generate}, under the name the sizing-loop
+    benchmark calls.  ROADMAP item 1 deletes it. *)
 
-    Fan-outs run under the pool's chunked work-stealing scheduler with
-    one evaluation {!Mps_placement.Arena} per worker slot (engines and
-    scratch reused across every chunk a slot runs); stealing and arena
-    identity move {e where} a task runs, never what it computes.
-    [on_pool_stats] receives the per-worker scheduling counters
-    ({!Mps_parallel.Pool.stats}) just before the pool shuts down —
-    the [--par-bench] diagnosis surface. *)
+val single_walk : ?config:config -> Circuit.t -> Structure.t * stats
+(** The explorer the experiments, examples and most tests run: one
+    perturbation walk, with the backup's annealing restarts and then
+    the walk drawing from a single stream (so [explorer_restarts] is
+    ignored).  It runs the same loop as {!generate}, on the calling
+    domain, but builds a different structure: the experiments' shape
+    checks (EXPERIMENTS.md, Figure 6 in particular) hold on this one
+    and not yet on {!generate}'s (ROADMAP item 3).  Its runs checkpoint
+    and {!resume} like any other. *)
 
-val resume_par :
-  ?config:config ->
-  ?jobs:int ->
-  ?on_pool_stats:(Mps_parallel.Pool.stats array -> unit) ->
-  Checkpoint.t ->
-  Structure.t * stats
-(** Continue an interrupted {!generate_par} run.  The checkpoint's
-    recorded walk states and streams — not the job count — determine
-    the continuation, so a run checkpointed under [--jobs 4] resumes
-    byte-identically under any [jobs] (property-tested).
-    @raise Invalid_argument on a sequential checkpoint (no parallel
-    section — use {!resume}). *)
+val random_explorer : ?config:config -> Circuit.t -> Structure.t * stats
+(** Ablation A2: {!single_walk} proposing a fresh random placement at
+    each step instead of perturbing the accepted one; same loop, same
+    stopping criteria. *)
+
+val extend : ?config:config -> ?jobs:int -> Structure.t -> Structure.t * stats
+(** Resume exploration on an existing (possibly reloaded) structure:
+    thaw it, keep its backup and die, run fresh walks from the backup
+    placement, and recompile.  Use a different [seed] (and a
+    [max_placements] above the current count) to add coverage
+    incrementally. *)
+
+val resume : ?config:config -> ?jobs:int -> Checkpoint.t -> Structure.t * stats
+(** Continue an interrupted {!generate}, {!single_walk} or {!extend} run from a
+    {!Checkpoint}: reconstitute the builder, restore every walk's
+    accepted placement, counters and exact stream, and continue the
+    perturbation walks under the given config's stopping criteria.  The
+    walk count and chunk come from the checkpoint, never from [jobs],
+    so a run checkpointed under [jobs = 4] resumes byte-identically to
+    the uninterrupted run under any [jobs] (property-tested). *)

@@ -94,7 +94,7 @@ let time_wall f =
 let table2_row ~budget circuit =
   let config = generator_config budget circuit in
   let (structure, stats), generation_seconds =
-    time_wall (fun () -> Generator.generate ~config circuit)
+    time_wall (fun () -> Generator.single_walk ~config circuit)
   in
   let probes = probe_dims ~seed:(config.Generator.seed + 7) ~n:2000 structure in
   let fallbacks = ref 0 in
@@ -149,7 +149,7 @@ let table2 ?(budget = Full) ?(circuits = Benchmarks.all) () =
 let figure5 ?(budget = Quick) () =
   let circuit = Benchmarks.two_stage_opamp in
   let config = generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+  let structure, _ = Generator.single_walk ~config circuit in
   let die_w, die_h = Structure.die structure in
   let stored = Structure.placements structure in
   (* two stored placements with different coordinates, at their own best
@@ -194,7 +194,7 @@ type figure6_point = {
 let figure6 ?(budget = Quick) () =
   let circuit = Benchmarks.two_stage_opamp in
   let config = generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+  let structure, _ = Generator.single_walk ~config circuit in
   let die_w, die_h = Structure.die structure in
   let stored = Structure.placements structure in
   let weights = Mps_cost.Cost.default_weights in
@@ -283,7 +283,7 @@ let figure6 ?(budget = Quick) () =
 let figure7 ?(budget = Quick) () =
   let circuit = Benchmarks.tso_cascode in
   let config = generator_config budget circuit in
-  let structure, stats = Generator.generate ~config circuit in
+  let structure, stats = Generator.single_walk ~config circuit in
   let die_w, die_h = Structure.die structure in
   let best = Structure.backup structure in
   let rects = Stored.instantiate best best.Stored.best_dims in
@@ -329,7 +329,7 @@ let ablation_shrink ?(budget = Quick) () =
     List.map
       (fun (label, rule) ->
         let config = { base with Generator.bdio = { base.Generator.bdio with Bdio.shrink = rule } } in
-        let structure, stats = Generator.generate ~config circuit in
+        let structure, stats = Generator.single_walk ~config circuit in
         let fallback_rate, avg_cost = structure_metrics structure in
         [
           label;
@@ -361,7 +361,7 @@ let ablation_explorer ?(budget = Quick) () =
           Printf.sprintf "%.1f" avg_cost;
         ])
       [
-        ("SA explorer (paper)", fun () -> Generator.generate ~config circuit);
+        ("SA explorer (paper)", fun () -> Generator.single_walk ~config circuit);
         ("random restarts", fun () -> Generator.random_explorer ~config circuit);
       ]
   in
@@ -373,7 +373,7 @@ let ablation_explorer ?(budget = Quick) () =
 let ablation_fallback ?(budget = Quick) () =
   let circuit = Benchmarks.mixer in
   let config = generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+  let structure, _ = Generator.single_walk ~config circuit in
   let probes = probe_dims ~seed:4242 ~n:1000 structure in
   let die_w, die_h = Structure.die structure in
   let weights = Mps_cost.Cost.default_weights in
@@ -400,7 +400,7 @@ let ablation_fallback ?(budget = Quick) () =
 let ablation_query ?(budget = Quick) () =
   let circuit = Benchmarks.benchmark24 in
   let config = generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+  let structure, _ = Generator.single_walk ~config circuit in
   let probes = probe_dims ~seed:7 ~n:5000 structure in
   let time_queries f =
     let (), t =
@@ -428,7 +428,7 @@ let ablation_refine ?(budget = Quick) () =
       (fun refine ->
         let config = { base with Generator.refine_iterations = refine } in
         let (structure, stats), seconds =
-          time_wall (fun () -> Generator.generate ~config circuit)
+          time_wall (fun () -> Generator.single_walk ~config circuit)
         in
         let _, avg_cost = structure_metrics structure in
         [
@@ -451,7 +451,7 @@ let ablation_parasitics ?(budget = Quick) () =
   let circuit = Mps_synthesis.Opamp.circuit process in
   let die_w, die_h = Circuit.default_die circuit in
   let config = generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+  let structure, _ = Generator.single_walk ~config circuit in
   let placer = Mps_synthesis.Synth_loop.mps_placer structure in
   let iterations = match budget with Quick -> 30 | Full -> 80 in
   let run parasitics =
@@ -489,7 +489,7 @@ let synthesis_comparison ?(budget = Quick) () =
   let die_w, die_h = Circuit.default_die circuit in
   let config = generator_config budget circuit in
   let (structure, _gen_stats), gen_time =
-    time_wall (fun () -> Generator.generate ~config circuit)
+    time_wall (fun () -> Generator.single_walk ~config circuit)
   in
   let rng = Rng.create ~seed:5 in
   let template, template_time =

@@ -23,7 +23,7 @@ let tiny_config =
 let structures =
   lazy
     (List.map
-       (fun c -> (c, fst (Generator.generate ~config:tiny_config c)))
+       (fun c -> (c, fst (Generator.single_walk ~config:tiny_config c)))
        Benchmarks.all)
 
 let for_all f () = List.iter (fun (c, s) -> f c s) (Lazy.force structures)

@@ -1,4 +1,4 @@
-(* Tests for the baseline placers (template / SA / genetic), the shared
+(* Tests for the baseline placers (template / SA), the shared
    re-packer and the coordinate annealer. *)
 
 open Mps_rng
@@ -210,35 +210,6 @@ let test_template_fixed_arrangement () =
   let at_min = order (Template_placer.instantiate t (Circuit.min_dims circuit)) in
   Alcotest.(check (list int)) "same left-to-right story" nominal at_min
 
-(* Genetic placer *)
-
-let test_genetic_improves_and_legal () =
-  let rng = Rng.create ~seed:9 in
-  let dims = Dimbox.center (Circuit.dim_bounds circuit) in
-  let config = { Genetic_placer.default_config with generations = 30; population = 24 } in
-  let r = Genetic_placer.place ~config ~rng circuit ~die_w ~die_h dims in
-  check_bool "evaluations counted" true (r.Genetic_placer.evaluations > 24);
-  check_bool "cost finite" true (Float.is_finite r.Genetic_placer.cost);
-  (* with overlap penalties the GA almost always ends legal on 4 blocks *)
-  check_bool "legal" true r.Genetic_placer.legal
-
-let test_genetic_bad_config () =
-  let rng = Rng.create ~seed:9 in
-  let dims = Circuit.min_dims circuit in
-  let bad = { Genetic_placer.default_config with population = 4; elite = 4 } in
-  Alcotest.check_raises "elite >= population"
-    (Invalid_argument "Genetic_placer.place: bad population/elite") (fun () ->
-      ignore (Genetic_placer.place ~config:bad ~rng circuit ~die_w ~die_h dims))
-
-let test_genetic_deterministic () =
-  let dims = Dimbox.center (Circuit.dim_bounds circuit) in
-  let config = { Genetic_placer.default_config with generations = 10; population = 12 } in
-  let run seed =
-    (Genetic_placer.place ~config ~rng:(Rng.create ~seed) circuit ~die_w ~die_h dims)
-      .Genetic_placer.cost
-  in
-  Alcotest.(check (float 1e-12)) "deterministic" (run 4) (run 4)
-
 (* Cross-strategy sanity: optimization beats the fixed template on
    average over random dimension vectors. *)
 let test_sa_beats_template_on_average () =
@@ -270,9 +241,6 @@ let suite =
     ("sa placer: dims mismatch raises", `Quick, test_sa_placer_dims_mismatch);
     ("template: legal instantiation over the space", `Quick, test_template_build_and_instantiate);
     ("template: arrangement is fixed", `Quick, test_template_fixed_arrangement);
-    ("genetic: runs, improves, legal", `Quick, test_genetic_improves_and_legal);
-    ("genetic: bad config rejected", `Quick, test_genetic_bad_config);
-    ("genetic: deterministic per seed", `Quick, test_genetic_deterministic);
     ("sa beats template on average", `Quick, test_sa_beats_template_on_average);
     ("repack: Table 1 backups match the unit-step slide", `Quick,
      test_repack_backups_match_reference);

@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 let circuit = Benchmarks.circ01
 
 let structure =
-  lazy (fst (Generator.generate ~config:Generator.fast_config circuit))
+  lazy (fst (Generator.single_walk ~config:Generator.fast_config circuit))
 
 (* Tiny generation budget for the all-benchmarks fixpoint sweep. *)
 let tiny_config =
@@ -81,7 +81,7 @@ let test_fixpoint_all_benchmarks () =
   check_int "Table 1 has nine circuits" 9 (List.length Benchmarks.all);
   List.iter
     (fun c ->
-      let s, _ = Generator.generate ~config:tiny_config c in
+      let s, _ = Generator.single_walk ~config:tiny_config c in
       let doc = Codec.to_string s in
       let doc' = Codec.to_string (Codec.of_string ~circuit:c doc) in
       check_bool (c.Circuit.name ^ ": serialization fixpoint") true (doc = doc'))
@@ -156,6 +156,30 @@ let test_checksum_detects_any_flip () =
              flipped))
     [ 0; 17; 101; 999; 4242; 100_003 ]
 
+(* A checksum-valid document whose placement count claims more
+   records than the file holds is damage, refused with a typed error —
+   never an allocation of that size. *)
+let test_huge_placement_count () =
+  let lines = String.split_on_char '\n' (Codec.to_string (Lazy.force structure)) in
+  List.iter
+    (fun count ->
+      let payload =
+        List.filteri (fun i _ -> i >= 2) lines
+        |> List.map (fun l ->
+               if String.starts_with ~prefix:"placements " l then
+                 Printf.sprintf "placements %d" count
+               else l)
+        |> String.concat "\n"
+      in
+      let forged =
+        Printf.sprintf "mps-structure v2\nchecksum %s\n%s" (Persist.crc32_hex payload)
+          payload
+      in
+      check_bool
+        (Printf.sprintf "placement count %d refused as corrupt" count)
+        true (rejects_with is_corrupt forged))
+    [ max_int; 100_000_000_000_000 ]
+
 let test_corrupted_interval () =
   let s = Lazy.force structure in
   let doc = Codec.to_string s in
@@ -181,7 +205,7 @@ let test_corrupted_interval () =
    fails with a typed error when nothing is left) and never returns
    overlapping validity boxes. *)
 let test_truncation_at_every_line () =
-  let s, _ = Generator.generate ~config:tiny_config circuit in
+  let s, _ = Generator.single_walk ~config:tiny_config circuit in
   let doc = Codec.to_string s in
   let lines = String.split_on_char '\n' doc in
   let n_lines = List.length lines in
@@ -227,7 +251,7 @@ let test_truncation_at_every_line () =
   Sys.remove path
 
 let test_salvage_reports_drops () =
-  let s, _ = Generator.generate ~config:tiny_config circuit in
+  let s, _ = Generator.single_walk ~config:tiny_config circuit in
   let doc = Codec.to_string s in
   let lines = String.split_on_char '\n' doc in
   (* cut the document at 60%: a truncated tail *)
@@ -278,6 +302,7 @@ let suite =
     ("garbage header rejected", `Quick, test_bad_header);
     ("checksum catches single-character flips", `Quick, test_checksum_detects_any_flip);
     ("corrupted interval rejected", `Quick, test_corrupted_interval);
+    ("huge placement count rejected as corrupt", `Quick, test_huge_placement_count);
     ("every single-line truncation: load rejects, salvage degrades", `Quick,
      test_truncation_at_every_line);
     ("salvage reports recovered and dropped counts", `Quick, test_salvage_reports_drops);

@@ -85,7 +85,7 @@ let test_table2_report_subset () =
 (* Probe workload *)
 
 let test_probe_dims_valid () =
-  let structure, _ = Generator.generate ~config:Generator.fast_config Benchmarks.circ01 in
+  let structure, _ = Generator.single_walk ~config:Generator.fast_config Benchmarks.circ01 in
   let probes = Experiments.probe_dims ~seed:3 ~n:200 structure in
   check_int "count" 200 (Array.length probes);
   Array.iter

@@ -38,14 +38,14 @@ let tiny_config =
     refine_iterations = 0;
   }
 
-let structure = lazy (fst (Generator.generate ~config:tiny_config circuit))
+let structure = lazy (fst (Generator.single_walk ~config:tiny_config circuit))
 
 (* A second, different structure so old and new serializations differ
    in the save-under-fault family. *)
 let structure2 =
   lazy
     (fst
-       (Generator.generate
+       (Generator.single_walk
           ~config:{ tiny_config with Generator.seed = tiny_config.Generator.seed + 17 }
           circuit))
 

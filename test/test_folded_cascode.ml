@@ -73,7 +73,7 @@ let test_spec_cost () =
 let quick_structure =
   lazy
     (let c = Lazy.force circuit in
-     fst (Generator.generate ~config:Generator.fast_config c))
+     fst (Generator.single_walk ~config:Generator.fast_config c))
 
 let test_synthesize_with_mps () =
   let c = Lazy.force circuit in

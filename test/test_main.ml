@@ -14,8 +14,6 @@ let () =
       ("mps", Test_mps.suite);
       ("engine", Test_engine.suite);
       ("mps-multiblock", Test_mps_multiblock.suite);
-      ("seqpair", Test_seqpair.suite);
-      ("slicing", Test_slicing.suite);
       ("route", Test_route.suite);
       ("symmetry", Test_symmetry.suite);
       ("baselines", Test_baselines.suite);

@@ -353,7 +353,7 @@ let prop_query_matches_linear_oracle =
 (* Generator: end-to-end on small circuits *)
 
 let generated =
-  lazy (Generator.generate ~config:Generator.fast_config Benchmarks.circ01)
+  lazy (Generator.single_walk ~config:Generator.fast_config Benchmarks.circ01)
 
 let test_generator_stats () =
   let structure, stats = Lazy.force generated in
@@ -365,15 +365,15 @@ let test_generator_stats () =
   check_bool "steps counted" true (stats.Generator.explorer_steps >= 1)
 
 let test_generator_deterministic () =
-  let s1, st1 = Generator.generate ~config:Generator.fast_config Benchmarks.circ01 in
-  let s2, st2 = Generator.generate ~config:Generator.fast_config Benchmarks.circ01 in
+  let s1, st1 = Generator.single_walk ~config:Generator.fast_config Benchmarks.circ01 in
+  let s2, st2 = Generator.single_walk ~config:Generator.fast_config Benchmarks.circ01 in
   check_int "same count" (Structure.n_placements s1) (Structure.n_placements s2);
   Alcotest.(check (float 1e-12)) "same coverage" st1.Generator.coverage st2.Generator.coverage
 
 let test_generator_seed_changes_result () =
   let cfg = { Generator.fast_config with seed = 99 } in
   let s1, _ = Lazy.force generated in
-  let s2, _ = Generator.generate ~config:cfg Benchmarks.circ01 in
+  let s2, _ = Generator.single_walk ~config:cfg Benchmarks.circ01 in
   (* different seeds explore different placements; counts rarely equal *)
   let p1 = (Structure.placements s1).(0) and p2 = (Structure.placements s2).(0) in
   check_bool "different first placement or count" true
@@ -422,7 +422,7 @@ let test_paper_literal_mode () =
       refine_iterations = 0;
     }
   in
-  let structure, stats = Generator.generate ~config Benchmarks.circ01 in
+  let structure, stats = Generator.single_walk ~config Benchmarks.circ01 in
   check_bool "stored at least the backup" true (Structure.n_placements structure >= 1);
   check_bool "stats sane" true (stats.Generator.explorer_steps >= 1);
   let ps = Structure.placements structure in

@@ -9,6 +9,7 @@ open Mps_core
 module Pool = Mps_parallel.Pool
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 (* pool basics *)
 
@@ -246,7 +247,7 @@ let par_config =
   }
 
 let bytes_at ~jobs circuit =
-  Codec.to_string (fst (Generator.generate_par ~config:par_config ~jobs circuit))
+  Codec.to_string (fst (Generator.generate ~config:par_config ~jobs circuit))
 
 (* The acceptance property on three Table 1 circuits: the structure a
    parallel run produces is a pure function of the config, never of the
@@ -268,12 +269,29 @@ let test_jobs_invariant_structures () =
         [ 2; 3; 8 ])
     [ Benchmarks.circ01; Benchmarks.circ02; Benchmarks.circ06 ]
 
+(* The other entry points share the loop, so they share its
+   job-count independence. *)
+
+let base_structure = lazy (fst (Generator.generate ~config:par_config ~jobs:2 Benchmarks.circ02))
+
+let extend_config = { par_config with Generator.seed = 77; explorer_iterations = 4 }
+
+let extend_bytes ?(config = extend_config) ~jobs () =
+  Codec.to_string (fst (Generator.extend ~config ~jobs (Lazy.force base_structure)))
+
+let test_extend_jobs_invariant () =
+  check_bool "extend: 3 jobs bit-identical to 1 job" true
+    (extend_bytes ~jobs:3 () = extend_bytes ~jobs:1 ())
+
 let with_checkpoint_file f =
   let path = Filename.temp_file "mps_par_ckpt" ".mpsc" in
   Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
+
+let killed config path =
+  { config with Generator.max_seconds = Some 0.0; checkpoint_path = Some path; checkpoint_every = 2 }
 
 (* Kill a 4-job run at time zero, resume it with 3 jobs, and demand the
    same bytes an uninterrupted 2-job run produces: determinism must
@@ -282,32 +300,44 @@ let test_par_kill_resume_matches () =
   let circuit = Benchmarks.circ02 in
   with_checkpoint_file (fun path ->
       let straight = bytes_at ~jobs:2 circuit in
-      let config =
-        {
-          par_config with
-          Generator.max_seconds = Some 0.0;
-          checkpoint_path = Some path;
-          checkpoint_every = 2;
-        }
-      in
-      let _, stats = Generator.generate_par ~config ~jobs:4 circuit in
+      let _, stats = Generator.generate ~config:(killed par_config path) ~jobs:4 circuit in
       check_bool "deadline flagged" true stats.Generator.deadline_hit;
       check_bool "final checkpoint forced" true (Sys.file_exists path);
       let cp = Checkpoint.load ~circuit ~path in
-      check_bool "checkpoint carries the par section" true (cp.Checkpoint.par <> None);
+      check_int "checkpoint carries every walk" par_config.Generator.explorer_restarts
+        (Array.length cp.Checkpoint.walks);
       let cp' = Checkpoint.of_string ~circuit (Checkpoint.to_string cp) in
-      check_bool "par checkpoint round-trips bit-exactly" true
+      check_bool "checkpoint round-trips bit-exactly" true
         (Checkpoint.to_string cp = Checkpoint.to_string cp');
-      check_bool "sequential resume refuses a par checkpoint" true
-        (try
-           ignore (Generator.resume ~config:par_config cp);
-           false
-         with Invalid_argument _ -> true);
-      let resumed, rstats = Generator.resume_par ~config:par_config ~jobs:3 cp in
+      let resumed, rstats = Generator.resume ~config:par_config ~jobs:3 cp in
       check_bool "kill at 4 jobs + resume at 3 equals the straight run" true
         (Codec.to_string resumed = straight);
       check_bool "resumed run ran to its budget" true
         (not rstats.Generator.deadline_hit))
+
+(* The same for an extension: killed at 1 job, resumed at 3. *)
+let test_extend_kill_resume_matches () =
+  let circuit = Benchmarks.circ02 in
+  with_checkpoint_file (fun path ->
+      let straight = extend_bytes ~jobs:2 () in
+      ignore (extend_bytes ~config:(killed extend_config path) ~jobs:1 ());
+      let cp = Checkpoint.load ~circuit ~path in
+      let resumed, _ = Generator.resume ~config:extend_config ~jobs:3 cp in
+      check_bool "extend killed at 1 job + resume at 3 equals the straight extend" true
+        (Codec.to_string resumed = straight))
+
+(* A single walk checkpoints one walk record and resumes through the
+   same loop, at any job count. *)
+let test_single_walk_kill_resume_matches () =
+  let circuit = Benchmarks.circ02 in
+  with_checkpoint_file (fun path ->
+      let straight = Codec.to_string (fst (Generator.single_walk ~config:par_config circuit)) in
+      ignore (Generator.single_walk ~config:(killed par_config path) circuit);
+      let cp = Checkpoint.load ~circuit ~path in
+      check_int "checkpoint carries one walk" 1 (Array.length cp.Checkpoint.walks);
+      let resumed, _ = Generator.resume ~config:par_config ~jobs:3 cp in
+      check_bool "single walk killed + resume at 3 equals the straight walk" true
+        (Codec.to_string resumed = straight))
 
 (* pooled audit / repair reproduce the sequential outcome *)
 
@@ -317,7 +347,7 @@ let test_par_kill_resume_matches () =
    a corner (Fatal, quarantined then re-annealed). *)
 let flawed_structure =
   lazy
-    (let s = fst (Generator.generate ~config:par_config Benchmarks.circ01) in
+    (let s = fst (Generator.single_walk ~config:par_config Benchmarks.circ01) in
      let circuit = Structure.circuit s in
      let stored = Array.map Fun.id (Structure.placements s) in
      stored.(0) <-
@@ -375,6 +405,11 @@ let suite =
      test_jobs_invariant_structures);
     ("kill at 4 jobs, resume at 3: equals the straight run", `Quick,
      test_par_kill_resume_matches);
+    ("extend bit-identical at 1/3 jobs", `Quick, test_extend_jobs_invariant);
+    ("extend killed at 1 job, resumed at 3: equals the straight extend", `Quick,
+     test_extend_kill_resume_matches);
+    ("single walk killed, resumed at 3 jobs: equals the straight walk", `Quick,
+     test_single_walk_kill_resume_matches);
     ("pooled audit equals sequential audit", `Quick, test_pooled_audit_identical);
     ("pooled repair equals sequential repair", `Quick, test_pooled_repair_identical);
   ]

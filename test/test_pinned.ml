@@ -1,5 +1,7 @@
 (* Pinned artifacts: the benchmark24 quick- and full-budget structures,
-   as the sizing-loop benchmark and the bench harness load them, must
+   as `mpsgen generate`/`instantiate`, the sizing-loop benchmark and the
+   bench harness build them, and the quick structure the experiments'
+   single walk builds, must
    serialize to the same bytes and compile to the same query plan as
    the revisions those pins were taken from.  A change that moves either
    value changes what every saved structure and MPSZ container holds,
@@ -11,7 +13,7 @@ module E = Mps_experiments.Experiments
 
 let generate budget ~jobs =
   let circuit = Benchmarks.benchmark24 in
-  fst (Generator.generate_par ~config:(E.generator_config budget circuit) ~jobs circuit)
+  fst (Generator.generate ~config:(E.generator_config budget circuit) ~jobs circuit)
 
 let structure = lazy (generate E.Quick ~jobs:1)
 
@@ -61,6 +63,16 @@ let test_plan_digest () =
     "benchmark24 quick plan digest" "4f46199c1234bb494ca1a84a4a450fea"
     (plan_digest (Lazy.force structure))
 
+(* The experiments' explorer: one walk on one stream.  Every figure in
+   EXPERIMENTS.md was measured on structures it builds. *)
+let test_single_walk_hash () =
+  let circuit = Benchmarks.benchmark24 in
+  Alcotest.(check string)
+    "benchmark24 quick single-walk structure hash" "65a491e6"
+    (Persist.crc32_hex
+       (Codec.to_string
+          (fst (Generator.single_walk ~config:(E.generator_config E.Quick circuit) circuit))))
+
 let test_full_hash () =
   Alcotest.(check string)
     "benchmark24 full structure hash" "b997905b"
@@ -78,6 +90,8 @@ let suite =
     Alcotest.test_case "benchmark24 quick: compiled plan is pinned" `Quick
       test_plan_digest;
     Alcotest.test_case "benchmark24 full: structure hash is pinned" `Quick test_full_hash;
+    Alcotest.test_case "benchmark24 quick single walk: structure hash is pinned" `Quick
+      test_single_walk_hash;
     Alcotest.test_case "benchmark24 full: compiled plan is pinned" `Quick
       test_full_plan_digest;
   ]

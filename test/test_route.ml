@@ -196,7 +196,7 @@ let test_synth_loop_routed_mode () =
   let process = Mps_modgen.Process.default in
   let circuit = Mps_synthesis.Opamp.circuit process in
   let die_w, die_h = Circuit.default_die circuit in
-  let structure, _ = Mps_core.Generator.generate ~config:Mps_core.Generator.fast_config circuit in
+  let structure, _ = Mps_core.Generator.single_walk ~config:Mps_core.Generator.fast_config circuit in
   let config =
     { Mps_synthesis.Synth_loop.default_config with
       iterations = 8;

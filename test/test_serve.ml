@@ -30,7 +30,7 @@ let tiny_config =
     refine_iterations = 0;
   }
 
-let structure = lazy (fst (Generator.generate ~config:tiny_config circuit))
+let structure = lazy (fst (Generator.single_walk ~config:tiny_config circuit))
 
 (* Oracle: the same structure compiled in-process.  The codec
    round-trip is bit-exact, so the daemon (serving from the saved

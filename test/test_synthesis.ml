@@ -107,7 +107,7 @@ let test_spec_cost () =
 let quick_structure =
   lazy
     (let c = Lazy.force circuit in
-     fst (Generator.generate ~config:Generator.fast_config c))
+     fst (Generator.single_walk ~config:Generator.fast_config c))
 
 let run_loop placer =
   let c = Lazy.force circuit in
