@@ -76,29 +76,33 @@ let shrink_box ~rule ~box ~best_dims ~avg_cost ~best_cost =
 type totals = { mutable cur : float }
 
 (* The Dimensions Selector runs on one mutable Mps_cost.Incremental
-   evaluator (the arena's, when given): each move redraws a random
-   subset of the 2N axes in place (resize deltas, no Dims copies), and
-   is committed or undone whole.  The axis intervals are compiled once
-   per run into a Move_lut over the 2N axes (widths then heights), so
-   a value redraw is two array loads and an unchecked uniform draw. *)
+   evaluator (the arena's; a private arena when none is given): each
+   move redraws a random subset of the 2N axes in place (resize deltas,
+   no Dims copies), and is committed or undone whole.  The axis
+   intervals are compiled once per run into a Move_lut over the 2N axes
+   (widths then heights), so a value redraw is two array loads and an
+   unchecked uniform draw.
+
+   Every dims vector the search visits lies in [box], so each block's
+   rect lies inside its rect at the box's upper corner.  When those
+   upper-corner rects are disjoint and inside the die (as [Expand]
+   builds them), overlap and out-of-bounds are exactly 0 at every
+   probe: checked once here, the engine then runs in overlap-free mode
+   and never walks the block pairs. *)
 let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
   if config.iterations < 1 then invalid_arg "Bdio.optimize: need at least one iteration";
+  if not (Placement.is_legal placement (Dimbox.upper_corner box)) then
+    invalid_arg "Bdio.optimize: box reaches past the placement's expansion";
+  let arena = match arena with Some a -> a | None -> Arena.create () in
   let initial = Dimbox.random_dims rng box in
   let n = Dims.n_blocks initial in
   let n_axes = 2 * n in
   let die_w = placement.Placement.die_w and die_h = placement.Placement.die_h in
-  let init_rects =
-    match arena with
-    | Some a ->
-      let buf = Arena.rect_buffer a ~slot:0 n in
-      Placement.rects_into buf placement initial;
-      buf
-    | None -> Placement.rects placement initial
-  in
+  let init_rects = Arena.rect_buffer arena ~slot:0 n in
+  Placement.rects_into init_rects placement initial;
   let eng =
-    match arena with
-    | Some a -> Arena.engine a ~weights:config.weights circuit ~die_w ~die_h init_rects
-    | None -> Mps_cost.Incremental.create ~weights:config.weights circuit ~die_w ~die_h init_rects
+    Arena.engine ~overlap_free:true arena ~weights:config.weights circuit ~die_w ~die_h
+      init_rects
   in
   let lut =
     Move_lut.make ~n:n_axes
@@ -118,11 +122,7 @@ let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
      redrawn values, overwritten in place by [propose]; [perm] backs
      the distinct-axis sampling. *)
   let mv_axes = Array.make k 0 and mv_vals = Array.make k 0 in
-  let perm =
-    match arena with
-    | Some a -> Arena.int_buffer a ~slot:0 n_axes
-    | None -> Array.make n_axes 0
-  in
+  let perm = Arena.int_buffer arena ~slot:0 n_axes in
   let propose rng =
     (* partial Fisher-Yates over a reinitialized identity permutation:
        draw-for-draw identical to [Rng.sample_distinct], without its

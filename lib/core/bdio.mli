@@ -72,4 +72,13 @@ val optimize :
     {!Mps_anneal.Move_lut}, making each move's axis selection and
     value redraws allocation-free.  [arena] supplies the
     incremental-cost engine and scratch from per-worker reusable
-    state; results are bit-identical with or without it. *)
+    state; results are bit-identical with or without it.
+
+    [box] must lie inside the placement's expansion in the sense that
+    matters: the rects at its upper corner are pairwise disjoint and
+    inside the die (true of {!Mps_placement.Expand.expand} and of any
+    box inside it).  Then every probe is overlap-free and in-die, so
+    the engine skips the pair loop (overlap-free
+    {!Mps_cost.Incremental.reset}); this is checked once per run.
+    @raise Invalid_argument when [box] breaks that precondition, or
+    on [iterations < 1]. *)

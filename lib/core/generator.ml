@@ -88,9 +88,14 @@ let beats_backup_locally config rng circuit backup candidate ~arena ~evals =
   (* Full evaluations go through the arena engine's [reset] (a
      from-scratch resync, bit-identical to [Cost.total] — the
      incremental evaluator mirrors its arithmetic term for term) so
-     the 64 evaluations per candidate allocate nothing. *)
+     each of the 64 evaluations per candidate allocates a constant 4
+     words, whatever the net count.  Both sides are
+     overlap-free: the candidate's box lies inside its expansion
+     ([Stored.make] checks it), whose upper-corner rects are disjoint,
+     and a re-pack never overlaps. *)
   let cost rects =
-    Mps_cost.Incremental.total (Arena.engine arena ~weights circuit ~die_w ~die_h rects)
+    Mps_cost.Incremental.total
+      (Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h rects)
   in
   (* Arena scratch: both floorplans and the sampled dimension vector
      live in per-worker buffers refilled per sample — this loop runs
@@ -206,13 +211,13 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
       let dims = Dims.unsafe_of_arrays ~w:dw ~h:dh in
       Repack.pack ~order ~out:buf ~coords dims;
       Repack.fit_die_in_place ~die_w ~die_h buf;
-      (* allocation-free full evaluation, bit-identical to [Cost.total]
-         (see [beats_backup_locally]) *)
+      (* allocation-free full evaluation of an overlap-free re-pack,
+         bit-identical to [Cost.total] (see [beats_backup_locally]) *)
       total :=
         !total
         +. Mps_cost.Incremental.total
-             (Arena.engine arena ~weights:config.bdio.Bdio.weights circuit ~die_w ~die_h
-                buf)
+             (Arena.engine ~overlap_free:true arena ~weights:config.bdio.Bdio.weights
+                circuit ~die_w ~die_h buf)
     done;
     !total /. float_of_int samples
   in

@@ -70,6 +70,11 @@ type t = {
   mutable u_len : int;
   mutable committed : int;  (* committed entries since the last resync *)
   resync_every : int;
+  mutable overlap_free : bool;
+      (* set by [reset ~overlap_free:true]: the caller guarantees every
+         floorplan until the next [reset] is overlap-free, so the
+         overlap term is exactly 0 and neither [resync] nor [set_geom]
+         walks the block pairs ([row] stays all zero) *)
   mutable batching : bool;
       (* inside [begin_batch]/[end_batch]: geometry writes are staged
          without repair; [end_batch] rebuilds every cache in one pass *)
@@ -88,17 +93,6 @@ let rects t =
 
 (* --- per-term primitives (these mirror Cost/Wirelength exactly) --- *)
 
-let[@inline] pair_overlap t i j =
-  let dx = imin (t.x.(i) + t.w.(i)) (t.x.(j) + t.w.(j)) - imax t.x.(i) t.x.(j) in
-  let dy = imin (t.y.(i) + t.h.(i)) (t.y.(j) + t.h.(j)) - imax t.y.(i) t.y.(j) in
-  if dx > 0 && dy > 0 then dx * dy else 0
-
-(* overlap of an explicit old geometry of block [i] against block [j] *)
-let[@inline] pair_overlap_old t ~ox ~oy ~ow ~oh j =
-  let dx = imin (ox + ow) (t.x.(j) + t.w.(j)) - imax ox t.x.(j) in
-  let dy = imin (oy + oh) (t.y.(j) + t.h.(j)) - imax oy t.y.(j) in
-  if dx > 0 && dy > 0 then dx * dy else 0
-
 let oob_of t i =
   let dx = imin (t.x.(i) + t.w.(i)) t.die_w - imax t.x.(i) 0 in
   let dy = imin (t.y.(i) + t.h.(i)) t.die_h - imax t.y.(i) 0 in
@@ -109,10 +103,12 @@ let oob_of t i =
    order, same arithmetic (pad positions were pre-multiplied by the die
    at [create], the block-pin expression is term-for-term identical), so
    resynced totals match [Cost.evaluate] bit for bit.  No closures, no
-   tuples: the min/max refs stay unboxed and a pin costs four loads. *)
-let net_hpwl_of t nid =
+   tuples: the min/max refs stay unboxed and a pin costs four loads.
+   The result goes straight into [net_hpwl.(nid)]: returning it would
+   box one float per call. *)
+let store_net_hpwl t nid =
   let lo = t.net_off.(nid) and hi = t.net_off.(nid + 1) in
-  if hi - lo < 2 then 0.0
+  if hi - lo < 2 then t.net_hpwl.(nid) <- 0.0
   else begin
     let min_x = ref infinity and max_x = ref neg_infinity in
     let min_y = ref infinity and max_y = ref neg_infinity in
@@ -135,7 +131,7 @@ let net_hpwl_of t nid =
       if py < !min_y then min_y := py;
       if py > !max_y then max_y := py
     done;
-    !max_x -. !min_x +. (!max_y -. !min_y)
+    t.net_hpwl.(nid) <- !max_x -. !min_x +. (!max_y -. !min_y)
   end
 
 let recompute_bb t =
@@ -189,32 +185,34 @@ let symmetry t =
 (* [resync] is itself a hot path: it backs [end_batch] and the
    rebuild-flavoured [undo], which the BDIO hits twice per rejected
    move.  The pair loop hoists block [i]'s geometry out of the inner
-   loop and accumulates its row in a register. *)
+   loop and accumulates its row in a register; in overlap-free mode it
+   is skipped outright. *)
 let resync t =
   let n = t.n in
   let x = t.x and y = t.y and w = t.w and h = t.h and row = t.row in
   Array.fill row 0 n 0;
   let overlap = ref 0 in
-  for i = 0 to n - 1 do
-    let xi = Array.unsafe_get x i and yi = Array.unsafe_get y i in
-    let xi2 = xi + Array.unsafe_get w i and yi2 = yi + Array.unsafe_get h i in
-    let ri = ref (Array.unsafe_get row i) in
-    for j = i + 1 to n - 1 do
-      let xj = Array.unsafe_get x j in
-      let dx = imin xi2 (xj + Array.unsafe_get w j) - imax xi xj in
-      if dx > 0 then begin
-        let yj = Array.unsafe_get y j in
-        let dy = imin yi2 (yj + Array.unsafe_get h j) - imax yi yj in
-        if dy > 0 then begin
-          let ov = dx * dy in
-          ri := !ri + ov;
-          Array.unsafe_set row j (Array.unsafe_get row j + ov);
-          overlap := !overlap + ov
+  if not t.overlap_free then
+    for i = 0 to n - 1 do
+      let xi = Array.unsafe_get x i and yi = Array.unsafe_get y i in
+      let xi2 = xi + Array.unsafe_get w i and yi2 = yi + Array.unsafe_get h i in
+      let ri = ref (Array.unsafe_get row i) in
+      for j = i + 1 to n - 1 do
+        let xj = Array.unsafe_get x j in
+        let dx = imin xi2 (xj + Array.unsafe_get w j) - imax xi xj in
+        if dx > 0 then begin
+          let yj = Array.unsafe_get y j in
+          let dy = imin yi2 (yj + Array.unsafe_get h j) - imax yi yj in
+          if dy > 0 then begin
+            let ov = dx * dy in
+            ri := !ri + ov;
+            Array.unsafe_set row j (Array.unsafe_get row j + ov);
+            overlap := !overlap + ov
+          end
         end
-      end
+      done;
+      Array.unsafe_set row i !ri
     done;
-    Array.unsafe_set row i !ri
-  done;
   t.overlap <- !overlap;
   let oob_total = ref 0 in
   for i = 0 to n - 1 do
@@ -225,9 +223,8 @@ let resync t =
   t.oob_total <- !oob_total;
   let hpwl = ref 0.0 in
   for nid = 0 to Array.length t.net_hpwl - 1 do
-    let v = net_hpwl_of t nid in
-    t.net_hpwl.(nid) <- v;
-    hpwl := !hpwl +. v
+    store_net_hpwl t nid;
+    hpwl := !hpwl +. Array.unsafe_get t.net_hpwl nid
   done;
   t.hpwl <- !hpwl;
   recompute_bb t;
@@ -237,11 +234,14 @@ let resync t =
 (* [reset] makes an engine reusable across candidates: [create] pays
    O(n + pins) allocation for the compiled pin/incidence arrays, which
    depend only on (circuit, die, weights) — not on the floorplan — so
-   an arena can rebind the same engine to a new rect set with zero
-   allocation.  [resync] rebuilds every cache from scratch, so the
-   resulting state is bit-identical to a fresh [create] on the same
-   inputs (property-tested). *)
-let reset t rects =
+   an arena can rebind the same engine to a new rect set allocating
+   only the one boxed float the [hpwl] field holds.  [resync] rebuilds
+   every cache from scratch, so the resulting state is bit-identical to
+   a fresh [create] on the same inputs (property-tested).
+   [~overlap_free:true] additionally switches off the pair loop until
+   the next [reset]; see the .mli for the caller's side of that
+   bargain. *)
+let reset ?(overlap_free = false) t rects =
   if Array.length rects <> t.n then
     invalid_arg "Incremental.reset: one rectangle per block required";
   for i = 0 to t.n - 1 do
@@ -253,6 +253,7 @@ let reset t rects =
   done;
   t.u_len <- 0;
   t.batching <- false;
+  t.overlap_free <- overlap_free;
   resync t
 
 let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die_w ~die_h
@@ -334,6 +335,7 @@ let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die
       u_len = 0;
       committed = 0;
       resync_every;
+      overlap_free = false;
       batching = false;
     }
   in
@@ -359,58 +361,74 @@ let push_undo t i =
   t.u_h.(t.u_len) <- t.h.(i);
   t.u_len <- t.u_len + 1
 
+(* One block's geometry change, repaired in O(n + incident pins).  The
+   pair loop hoists block [i]'s old and new bounds, reads each [j]'s
+   geometry once with unchecked loads, and skips [j] as soon as neither
+   the old nor the new rect meets it along x — the usual case — as
+   [resync] does.  Integer arithmetic throughout, so the rows are exact
+   whatever the loop skips. *)
 let set_geom t i ~x:nx ~y:ny ~w:nw ~h:nh =
   let ox = t.x.(i) and oy = t.y.(i) and ow = t.w.(i) and oh = t.h.(i) in
-  if ox <> nx || oy <> ny || ow <> nw || oh <> nh then
-    if t.batching then begin
-      (* staged: [end_batch] rebuilds every cache in one pass *)
-      t.x.(i) <- nx;
-      t.y.(i) <- ny;
-      t.w.(i) <- nw;
-      t.h.(i) <- nh
-    end
-    else begin
+  if ox <> nx || oy <> ny || ow <> nw || oh <> nh then begin
     t.x.(i) <- nx;
     t.y.(i) <- ny;
     t.w.(i) <- nw;
     t.h.(i) <- nh;
-    (* overlap rows *)
-    let new_row = ref 0 in
-    for j = 0 to t.n - 1 do
-      if j <> i then begin
-        let ov_old = pair_overlap_old t ~ox ~oy ~ow ~oh j in
-        let ov_new = pair_overlap t i j in
-        if ov_old <> ov_new then t.row.(j) <- t.row.(j) + ov_new - ov_old;
-        new_row := !new_row + ov_new
-      end
-    done;
-    t.overlap <- t.overlap + !new_row - t.row.(i);
-    t.row.(i) <- !new_row;
-    (* out-of-bounds *)
-    let nb = oob_of t i in
-    t.oob_total <- t.oob_total + nb - t.oob.(i);
-    t.oob.(i) <- nb;
-    (* incident nets *)
-    let inc = t.incident.(i) in
-    for p = 0 to Array.length inc - 1 do
-      let nid = Array.unsafe_get inc p in
-      let v = net_hpwl_of t nid in
-      t.hpwl <- t.hpwl +. v -. t.net_hpwl.(nid);
-      t.net_hpwl.(nid) <- v
-    done;
-    (* bounding box: grow is O(1); a potential shrink (the old rect sat
-       on an edge of the box) defers to a lazy rescan *)
-    if not t.bb_dirty then begin
-      if ox = t.bb_min_x || oy = t.bb_min_y || ox + ow = t.bb_max_x || oy + oh = t.bb_max_y
-      then t.bb_dirty <- true
-      else begin
-        if nx < t.bb_min_x then t.bb_min_x <- nx;
-        if ny < t.bb_min_y then t.bb_min_y <- ny;
-        if nx + nw > t.bb_max_x then t.bb_max_x <- nx + nw;
-        if ny + nh > t.bb_max_y then t.bb_max_y <- ny + nh
-      end
-    end;
-    if t.circuit.Circuit.symmetry <> [] then t.sym_dirty <- true
+    (* staged in a batch: [end_batch] rebuilds every cache in one pass *)
+    if not t.batching then begin
+      (* overlap rows *)
+      if not t.overlap_free then begin
+        let x = t.x and y = t.y and w = t.w and h = t.h and row = t.row in
+        let ox2 = ox + ow and oy2 = oy + oh and nx2 = nx + nw and ny2 = ny + nh in
+        let new_row = ref 0 in
+        for j = 0 to t.n - 1 do
+          let xj = Array.unsafe_get x j in
+          let xj2 = xj + Array.unsafe_get w j in
+          let dx_old = imin ox2 xj2 - imax ox xj and dx_new = imin nx2 xj2 - imax nx xj in
+          if (dx_old > 0 || dx_new > 0) && j <> i then begin
+            let yj = Array.unsafe_get y j in
+            let yj2 = yj + Array.unsafe_get h j in
+            let dy_old = imin oy2 yj2 - imax oy yj and dy_new = imin ny2 yj2 - imax ny yj in
+            let ov_old = if dx_old > 0 && dy_old > 0 then dx_old * dy_old else 0 in
+            let ov_new = if dx_new > 0 && dy_new > 0 then dx_new * dy_new else 0 in
+            if ov_old <> ov_new then
+              Array.unsafe_set row j (Array.unsafe_get row j + ov_new - ov_old);
+            new_row := !new_row + ov_new
+          end
+        done;
+        t.overlap <- t.overlap + !new_row - row.(i);
+        row.(i) <- !new_row
+      end;
+      (* out-of-bounds *)
+      let nb = oob_of t i in
+      t.oob_total <- t.oob_total + nb - t.oob.(i);
+      t.oob.(i) <- nb;
+      (* incident nets *)
+      let inc = t.incident.(i) in
+      let hpwl = ref t.hpwl in
+      for p = 0 to Array.length inc - 1 do
+        let nid = Array.unsafe_get inc p in
+        let before = Array.unsafe_get t.net_hpwl nid in
+        store_net_hpwl t nid;
+        hpwl := !hpwl +. Array.unsafe_get t.net_hpwl nid -. before
+      done;
+      t.hpwl <- !hpwl;
+      (* bounding box: grow is O(1); a potential shrink (the old rect sat
+         on an edge of the box) defers to a lazy rescan *)
+      if not t.bb_dirty then begin
+        if
+          ox = t.bb_min_x || oy = t.bb_min_y
+          || ox + ow = t.bb_max_x || oy + oh = t.bb_max_y
+        then t.bb_dirty <- true
+        else begin
+          if nx < t.bb_min_x then t.bb_min_x <- nx;
+          if ny < t.bb_min_y then t.bb_min_y <- ny;
+          if nx + nw > t.bb_max_x then t.bb_max_x <- nx + nw;
+          if ny + nh > t.bb_max_y then t.bb_max_y <- ny + nh
+        end
+      end;
+      if t.circuit.Circuit.symmetry <> [] then t.sym_dirty <- true
+    end
   end
 
 let check_block t i name =

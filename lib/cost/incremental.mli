@@ -103,13 +103,23 @@ val resync : t -> unit
 (** Recompute every cache from the current geometry from scratch: the
     drift bound, and the reference the property tests compare against. *)
 
-val reset : t -> Rect.t array -> unit
+val reset : ?overlap_free:bool -> t -> Rect.t array -> unit
 (** [reset t rects] rebinds the engine to a new floorplan of the same
     circuit/die/weights, discarding any staged changes and open batch.
     After [reset] the state is bit-identical to [create] on the same
-    inputs, but nothing is allocated: the compiled pin and incidence
-    arrays depend only on the circuit and die, so a per-worker arena
+    inputs, and without symmetry groups the only allocation is the
+    boxed float of the cached wirelength total (2 words, whatever the
+    net count): the compiled pin and incidence arrays depend only on
+    the circuit and die, so a per-worker arena
     can reuse one engine across thousands of candidate evaluations
     instead of paying [create]'s allocation each time — the minor-heap
     churn that stalls every domain on OCaml 5 (DESIGN.md §9).
+
+    [~overlap_free:true] (default [false]) is a promise from the
+    caller: [rects], and every floorplan staged on the engine until the
+    next [reset], has pairwise disjoint rectangles.  The overlap term is
+    then exactly 0 and the engine never walks the O(n²) block pairs, in
+    [resync] or in a block change; every other term, out-of-bounds
+    included, is maintained as usual, so {!total} stays bit-identical to
+    [Cost.total].  A broken promise silently under-reports overlap.
     @raise Invalid_argument on a block-count mismatch. *)

@@ -28,21 +28,24 @@ let create () =
     int_bufs = Array.make 4 [||];
   }
 
-let engine t ~weights circuit ~die_w ~die_h rects =
-  match t.eng with
-  | Some eng
-    when (match t.eng_circuit with Some c -> c == circuit | None -> false)
-         && t.eng_die_w = die_w && t.eng_die_h = die_h && t.eng_weights = weights ->
-    Mps_cost.Incremental.reset eng rects;
-    eng
-  | _ ->
-    let eng = Mps_cost.Incremental.create ~weights circuit ~die_w ~die_h rects in
-    t.eng <- Some eng;
-    t.eng_circuit <- Some circuit;
-    t.eng_die_w <- die_w;
-    t.eng_die_h <- die_h;
-    t.eng_weights <- weights;
-    eng
+let engine ?overlap_free t ~weights circuit ~die_w ~die_h rects =
+  let eng =
+    match t.eng with
+    | Some eng
+      when (match t.eng_circuit with Some c -> c == circuit | None -> false)
+           && t.eng_die_w = die_w && t.eng_die_h = die_h && t.eng_weights = weights ->
+      eng
+    | _ ->
+      let eng = Mps_cost.Incremental.create ~weights circuit ~die_w ~die_h rects in
+      t.eng <- Some eng;
+      t.eng_circuit <- Some circuit;
+      t.eng_die_w <- die_w;
+      t.eng_die_h <- die_h;
+      t.eng_weights <- weights;
+      eng
+  in
+  Mps_cost.Incremental.reset ?overlap_free eng rects;
+  eng
 
 let[@inline never] grow bufs slot empty =
   Array.append bufs (Array.make (slot + 1 - Array.length bufs) empty)

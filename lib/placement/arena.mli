@@ -32,6 +32,7 @@ val create : unit -> t
 (** An empty arena; everything inside is sized lazily on first use. *)
 
 val engine :
+  ?overlap_free:bool ->
   t ->
   weights:Mps_cost.Cost.weights ->
   Circuit.t ->
@@ -41,10 +42,13 @@ val engine :
   Mps_cost.Incremental.t
 (** The arena's incremental-cost engine bound to the given floorplan:
     a bit-exact [Incremental.reset] of the cached engine when the
-    (circuit, die, weights) key matches — zero allocation — or a fresh
+    (circuit, die, weights) key matches — 2 minor words whatever the
+    net count, for a circuit without symmetry groups — or a fresh
     [Incremental.create] (which replaces the cached engine) when it
-    does not.  The engine stays owned by the arena; callers must be
-    done with it before the next [engine] call. *)
+    does not.  [overlap_free] is passed to that [reset] (the fresh
+    engine is reset too); see {!Mps_cost.Incremental.reset} for what
+    the caller promises with it.  The engine stays owned by the arena;
+    callers must be done with it before the next [engine] call. *)
 
 val rect_buffer : t -> slot:int -> int -> Rect.t array
 (** [rect_buffer t ~slot n] — the arena's rect scratch for [slot],

@@ -34,11 +34,11 @@ type result = {
 type totals = { mutable cur : float; mutable staged : float }
 
 (* The annealing state is one mutable Mps_cost.Incremental evaluator
-   (the arena's, when given); moves are staged on it, costed as
-   deltas, and either committed or undone.  Move bounds are compiled
-   once per run into Move_lut tables, so a move draw is two array
-   loads and an unchecked uniform draw — no rect, coordinate pair, or
-   interval allocated per move. *)
+   (the arena's; a private arena when none is given); moves are staged
+   on it, costed as deltas, and either committed or undone.  Move
+   bounds are compiled once per run into Move_lut tables, so a move
+   draw is two array loads and an unchecked uniform draw — no rect,
+   coordinate pair, or interval allocated per move. *)
 let optimize ?(config = default_config) ?arena ?initial ~rng circuit ~die_w ~die_h dims =
   let n = Circuit.n_blocks circuit in
   if Dims.n_blocks dims <> n then invalid_arg "Coord_opt.optimize: block count mismatch";
@@ -70,20 +70,13 @@ let optimize ?(config = default_config) ?arena ?initial ~rng circuit ~die_w ~die
       init_y.(i) <- Move_lut.draw lut_y rng i;
       init_x.(i) <- Move_lut.draw lut_x rng i
     done);
-  let rect_buf =
-    match arena with
-    | Some a -> Arena.rect_buffer a ~slot:0 n
-    | None -> Array.init n (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1)
-  in
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let rect_buf = Arena.rect_buffer arena ~slot:0 n in
   for i = 0 to n - 1 do
     Rect.set rect_buf.(i) ~x:init_x.(i) ~y:init_y.(i) ~w:(Dims.width dims i)
       ~h:(Dims.height dims i)
   done;
-  let eng =
-    match arena with
-    | Some a -> Arena.engine a ~weights:config.weights circuit ~die_w ~die_h rect_buf
-    | None -> Mps_cost.Incremental.create ~weights:config.weights circuit ~die_w ~die_h rect_buf
-  in
+  let eng = Arena.engine arena ~weights:config.weights circuit ~die_w ~die_h rect_buf in
   (* One preallocated proposal buffer; [propose] overwrites it in place. *)
   let mv_swap = ref false and mv_i = ref 0 and mv_j = ref 0 in
   let mv_x = ref 0 and mv_y = ref 0 in

@@ -19,20 +19,26 @@ let expand circuit placement =
   let die_w = placement.Placement.die_w and die_h = placement.Placement.die_h in
   (* Every granted unit re-checks the grown block against all others, so
      this runs O(n) times per unit across thousands of units: plain int
-     comparisons on the coordinate arrays, no Rect allocation. *)
+     comparisons on the coordinate arrays in a [while] loop — no Rect,
+     and no closure per call.  Block [j] is clear of the grown rect when
+     it lies wholly left, right, below or above it. *)
   let fits i cw ch =
     let x = xs.(i) and y = ys.(i) in
-    x >= 0 && y >= 0 && x + cw <= die_w && y + ch <= die_h
+    let x2 = x + cw and y2 = y + ch in
+    x >= 0 && y >= 0 && x2 <= die_w && y2 <= die_h
     &&
-    let rec no_clash j =
-      j >= n
-      || ((j = i
-          || not
-               (x < xs.(j) + w.(j) && xs.(j) < x + cw
-               && y < ys.(j) + h.(j) && ys.(j) < y + ch))
-         && no_clash (j + 1))
-    in
-    no_clash 0
+    let j = ref 0 in
+    while
+      !j < n
+      && (!j = i
+         ||
+         let xj = Array.unsafe_get xs !j and yj = Array.unsafe_get ys !j in
+         x2 <= xj || xj + Array.unsafe_get w !j <= x || y2 <= yj
+         || yj + Array.unsafe_get h !j <= y)
+    do
+      incr j
+    done;
+    !j >= n
   in
   let grow_w i =
     let blk = Circuit.block circuit i in

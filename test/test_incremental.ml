@@ -6,6 +6,7 @@ open Mps_geometry
 open Mps_netlist
 open Mps_cost
 open Mps_rng
+open Mps_placement
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -220,6 +221,115 @@ let prop_agrees_with_evaluator =
     (fun seed ->
       List.for_all (fun circuit -> agreement_run circuit ~seed ~steps:40) Benchmarks.all)
 
+(* --- overlap-free mode ------------------------------------------------ *)
+
+(* The generator evaluates two kinds of floorplan in overlap-free mode:
+   a placement at dims inside its expansion box (BDIO and the admission
+   candidate) and a re-pack (the admission backup side and the template
+   average).  Both are overlap-free by construction, so the mode's total
+   must equal [Cost.total] bit for bit — not within a tolerance. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let overlap_free_run circuit ~seed =
+  let rng = Rng.create ~seed in
+  let die_w, die_h = Circuit.default_die circuit in
+  let placement = Placement.random rng circuit ~die_w ~die_h in
+  let expansion = Expand.expand circuit placement in
+  let bounds = Circuit.dim_bounds circuit in
+  let coords = placement.Placement.coords in
+  let arena = Arena.create () in
+  let weights = Cost.default_weights in
+  let probe rects =
+    let eng = Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h rects in
+    same_bits (Cost.total circuit ~die_w ~die_h rects) (Incremental.total eng)
+  in
+  let ok = ref true in
+  for _ = 1 to 8 do
+    let inside = Placement.rects placement (Dimbox.random_dims rng expansion) in
+    let repacked =
+      Repack.instantiate ~die:(die_w, die_h) ~coords (Dimbox.random_dims rng bounds)
+    in
+    ok := !ok && probe inside && probe repacked
+  done;
+  (* BDIO-style resizes inside the box, one block at a time and as a
+     batch, keep the integer terms exact and resync onto the bits *)
+  let eng =
+    Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h
+      (Placement.rects placement (Dimbox.random_dims rng expansion))
+  in
+  let redraw i =
+    let d = Dimbox.random_dims rng expansion in
+    Incremental.resize_block eng i ~w:(Dims.width d i) ~h:(Dims.height d i)
+  in
+  let n = Circuit.n_blocks circuit in
+  for step = 1 to 12 do
+    if step mod 3 = 0 then begin
+      Incremental.begin_batch eng;
+      for i = 0 to n - 1 do
+        if Rng.bool rng then redraw i
+      done;
+      Incremental.end_batch eng
+    end
+    else redraw (Rng.int rng n);
+    let rects = Incremental.rects eng in
+    let reference = Cost.evaluate circuit ~die_w ~die_h rects in
+    let b = Incremental.breakdown eng in
+    ok :=
+      !ok && b.Cost.overlap_area = reference.Cost.overlap_area
+      && b.Cost.oob_area = reference.Cost.oob_area
+      && abs_float (b.Cost.total -. reference.Cost.total) <= 1e-6;
+    if Rng.bool rng then Incremental.commit eng else Incremental.undo eng
+  done;
+  Incremental.resync eng;
+  let rects = Incremental.rects eng in
+  !ok && same_bits (Cost.total circuit ~die_w ~die_h rects) (Incremental.total eng)
+
+let prop_overlap_free_bit_equal =
+  QCheck.Test.make
+    ~name:"overlap-free totals are bit-equal to Cost.total (all circuits)" ~count:5
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.for_all (fun circuit -> overlap_free_run circuit ~seed) Benchmarks.all)
+
+(* One arena probe — rebind the cached engine, read the total — costs a
+   constant few minor words whatever the net count: no boxed float per
+   net.  Measured on benchmark24 (48 nets) and circ01 (4 nets). *)
+let test_probe_allocation () =
+  let words circuit ~overlap_free =
+    let die_w, die_h = Circuit.default_die circuit in
+    let placement = Placement.random (Rng.create ~seed:9) circuit ~die_w ~die_h in
+    let rects = Placement.rects placement (Circuit.min_dims circuit) in
+    let arena = Arena.create () in
+    (* built once: wrapping the flag per call would allocate the [Some] *)
+    let overlap_free = Some overlap_free in
+    let probe () =
+      ignore
+        (Sys.opaque_identity
+           (Incremental.total
+              (Arena.engine ?overlap_free arena ~weights:Cost.default_weights circuit
+                 ~die_w ~die_h rects)))
+    in
+    let run k =
+      let before = Gc.minor_words () in
+      for _ = 1 to k do
+        probe ()
+      done;
+      Gc.minor_words () -. before
+    in
+    probe ();
+    (run 1100 -. run 100) /. 1000.0
+  in
+  List.iter
+    (fun overlap_free ->
+      let big = words Benchmarks.benchmark24 ~overlap_free in
+      let small = words Benchmarks.circ01 ~overlap_free in
+      check_bool
+        (Printf.sprintf "probe words: benchmark24 %.1f, circ01 %.1f (overlap_free %b)" big
+           small overlap_free)
+        true
+        (big <= 4.0 && small <= 4.0))
+    [ false; true ]
+
 let suite =
   [
     ("initial totals match the evaluator", `Quick, test_initial_matches_evaluate);
@@ -228,5 +338,7 @@ let suite =
     ("swap clamps into the die; self-swap no-op", `Quick, test_swap_is_clamped_and_self_noop);
     ("batch mode matches the evaluator", `Quick, test_batch_mode);
     ("argument errors", `Quick, test_argument_errors);
+    ("an arena probe allocates a constant few words", `Quick, test_probe_allocation);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_agrees_with_evaluator ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_agrees_with_evaluator; prop_overlap_free_bit_equal ]

@@ -121,6 +121,35 @@ let test_bdio_deterministic () =
   Alcotest.(check (float 1e-12)) "same best" a.Bdio.best_cost b.Bdio.best_cost;
   check_bool "same box" true (Dimbox.equal a.Bdio.box b.Bdio.box)
 
+(* The BDIO runs its engine in overlap-free mode, which is exact only
+   while the box's upper-corner rects are disjoint and in-die: one unit
+   past the expansion on an axis [Expand] stopped short of the designer
+   maximum makes two of them clash, and the run must refuse it. *)
+let test_bdio_rejects_box_past_expansion () =
+  let c = Benchmarks.benchmark24 in
+  let die_w, die_h = Circuit.default_die c in
+  let rng = Rng.create ~seed:5 in
+  let placement = Placement.random rng c ~die_w ~die_h in
+  let box = Expand.expand c placement in
+  let n = Circuit.n_blocks c in
+  let blocked =
+    List.find
+      (fun i ->
+        Interval.hi (Dimbox.w_interval box i)
+        < Interval.hi (Dimbox.w_interval (Circuit.dim_bounds c) i))
+      (List.init n Fun.id)
+  in
+  let w =
+    Array.init n (fun i ->
+        let iv = Dimbox.w_interval box i in
+        if i = blocked then Interval.make (Interval.lo iv) (Interval.hi iv + 1) else iv)
+  in
+  let past = Dimbox.make ~w ~h:(Array.init n (Dimbox.h_interval box)) in
+  ignore (Bdio.optimize ~rng c placement ~box);
+  Alcotest.check_raises "one unit past the expansion"
+    (Invalid_argument "Bdio.optimize: box reaches past the placement's expansion")
+    (fun () -> ignore (Bdio.optimize ~rng c placement ~box:past))
+
 (* Builder.shrink_box_against *)
 
 let test_shrink_against_side () =
@@ -452,6 +481,7 @@ let suite =
     ("bdio: shrink rules", `Quick, test_shrink_rules);
     ("bdio: optimize postconditions", `Quick, test_bdio_optimize);
     ("bdio: deterministic", `Quick, test_bdio_deterministic);
+    ("bdio: rejects a box past the expansion", `Quick, test_bdio_rejects_box_past_expansion);
     ("resolve: shrink to one side", `Quick, test_shrink_against_side);
     ("resolve: fork on strict containment", `Quick, test_shrink_against_fork);
     ("resolve: drop when contained everywhere", `Quick, test_shrink_against_drop);

@@ -233,6 +233,66 @@ let test_move_lut_draws_do_not_allocate () =
     true
     (delta < 256.0)
 
+(* The generation kernels' allocation, pinned: each run's fixed cost
+   (results, tables, the box check) cancels in the difference between
+   a long and a short run, leaving the words one more iteration costs.
+   Measured on a benchmark24 placement through a warm arena, as a pool
+   worker runs them. *)
+module Placement = Mps_placement.Placement
+
+let bench24_placement () =
+  let c = Benchmarks.benchmark24 in
+  let die_w, die_h = Circuit.default_die c in
+  (c, Placement.random (Mps_rng.Rng.create ~seed:3) c ~die_w ~die_h)
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let words_per_iteration run =
+  run 100;
+  (words (fun () -> run 1100) -. words (fun () -> run 100)) /. 1000.0
+
+let test_bdio_allocation () =
+  let c, placement = bench24_placement () in
+  let box = Mps_placement.Expand.expand c placement in
+  let arena = Mps_placement.Arena.create () in
+  let rng = Mps_rng.Rng.create ~seed:4 in
+  let per =
+    words_per_iteration (fun iterations ->
+        ignore
+          (Bdio.optimize
+             ~config:{ Bdio.default_config with Bdio.iterations }
+             ~arena ~rng c placement ~box))
+  in
+  check_bool (Printf.sprintf "BDIO: %.1f minor words per iteration" per) true (per <= 16.0)
+
+let test_coord_opt_allocation () =
+  let c, placement = bench24_placement () in
+  let die_w = placement.Placement.die_w and die_h = placement.Placement.die_h in
+  let target = Mps_geometry.Dimbox.center (Circuit.dim_bounds c) in
+  let arena = Mps_placement.Arena.create () in
+  let rng = Mps_rng.Rng.create ~seed:4 in
+  let module Coord_opt = Mps_placement.Coord_opt in
+  let per =
+    words_per_iteration (fun iterations ->
+        ignore
+          (Coord_opt.optimize
+             ~config:{ Coord_opt.default_config with Coord_opt.iterations }
+             ~arena ~initial:placement.Placement.coords ~rng c ~die_w ~die_h target))
+  in
+  check_bool
+    (Printf.sprintf "Coord_opt: %.1f minor words per iteration" per)
+    true (per <= 26.0)
+
+let test_expand_allocation () =
+  let c, placement = bench24_placement () in
+  let expand () = ignore (Mps_placement.Expand.expand c placement) in
+  expand ();
+  let w = words expand in
+  check_bool (Printf.sprintf "Expand.expand: %.0f minor words" w) true (w <= 2000.0)
+
 (* parallel generation: bit-determinism across job counts *)
 
 let par_config =
@@ -412,4 +472,7 @@ let suite =
      test_single_walk_kill_resume_matches);
     ("pooled audit equals sequential audit", `Quick, test_pooled_audit_identical);
     ("pooled repair equals sequential repair", `Quick, test_pooled_repair_identical);
+    ("bdio allocation per iteration is pinned", `Quick, test_bdio_allocation);
+    ("coord_opt allocation per iteration is pinned", `Quick, test_coord_opt_allocation);
+    ("expand allocation is pinned", `Quick, test_expand_allocation);
   ]

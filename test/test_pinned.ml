@@ -1,7 +1,8 @@
 (* Pinned artifacts: the benchmark24 quick- and full-budget structures,
    as `mpsgen generate`/`instantiate`, the sizing-loop benchmark and the
-   bench harness build them, and the quick structure the experiments'
-   single walk builds, must
+   bench harness build them, the quick structure the experiments'
+   single walk builds, and the quick structures of every Table 1
+   circuit from both explorers, must
    serialize to the same bytes and compile to the same query plan as
    the revisions those pins were taken from.  A change that moves either
    value changes what every saved structure and MPSZ container holds,
@@ -83,6 +84,45 @@ let test_full_plan_digest () =
     "benchmark24 full plan digest" "f0ce124c5729f1228ca9c2b707bf5a02"
     (plan_digest (Lazy.force full))
 
+(* Quick-budget structures of every Table 1 circuit, from both stream
+   schemes: [generate] (lockstep walks) and [single_walk] (the
+   experiments' explorer).  A kernel change that claims to be
+   byte-identical has to keep all eighteen. *)
+let quick_pins =
+  [
+    ("circ01", "69337a10", "355b1e61");
+    ("circ02", "66900452", "967f2f68");
+    ("circ06", "846c84a5", "7fe11e6e");
+    ("TwoStage Opamp", "9e325d53", "34a2d000");
+    ("SingleEnded Opamp", "b796b980", "2f174e3b");
+    ("Mixer", "e559359e", "00fa310c");
+    ("circ08", "235bf770", "458ee989");
+    ("tso-cascode", "85470fe8", "9c6204f5");
+    ("benchmark24", "5a8a8386", "65a491e6");
+  ]
+
+let quick_pin_cases =
+  List.concat_map
+    (fun (name, generate_hash, single_walk_hash) ->
+      let circuit = Benchmarks.by_name name in
+      let config = E.generator_config E.Quick circuit in
+      let case label want build =
+        Alcotest.test_case
+          (Printf.sprintf "%s quick %s: structure hash is pinned" name label)
+          `Quick (fun () ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s quick %s hash" name label)
+              want
+              (Persist.crc32_hex (Codec.to_string (fst (build ())))))
+      in
+      [
+        case "generate" generate_hash (fun () ->
+            Generator.generate ~config ~jobs:1 circuit);
+        case "single walk" single_walk_hash (fun () ->
+            Generator.single_walk ~config circuit);
+      ])
+    quick_pins
+
 let suite =
   [
     Alcotest.test_case "benchmark24 quick: structure hash is pinned" `Quick
@@ -95,3 +135,4 @@ let suite =
     Alcotest.test_case "benchmark24 full: compiled plan is pinned" `Quick
       test_full_plan_digest;
   ]
+  @ quick_pin_cases
