@@ -158,7 +158,10 @@ let generate circuit budget svg_dir save_path checkpoint checkpoint_every max_se
     resume_if_checkpointed ~circuit ~checkpoint ~config ~jobs ~fresh:(fun () ->
         Format.printf "Generating a multi-placement structure for %s (%d jobs)...@."
           circuit.Circuit.name jobs;
-        Generator.generate ~config ~jobs circuit)
+        let t0 = Unix.gettimeofday () in
+        let result = Generator.generate ~config ~jobs circuit in
+        Format.printf "  wall time: %.4f s@." (Unix.gettimeofday () -. t0);
+        result)
   in
   report_stats stats;
   print_string (Structure.describe structure);
@@ -812,9 +815,7 @@ let target_arg =
     required
     & pos 0 (some (enum experiment_targets)) None
     & info [] ~docv:"TARGET"
-        ~doc:
-          "One of: table1, table2, figure5, figure6, figure7, ablation-shrink, \
-           ablation-explorer, ablation-query, synthesis, all.")
+        ~doc:("One of: " ^ String.concat ", " (List.map fst experiment_targets) ^ "."))
 
 let run_experiment target budget csv_dir =
   let module E = Mps_experiments.Experiments in
@@ -1089,7 +1090,7 @@ let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1))))
 
-(* The sizing-loop traffic pattern (bench/main.ml): small bumps on one
+(* The sizing-loop traffic pattern: small bumps on one
    block axis with occasional jumps to another stored operating
    region, so consecutive queries exercise the engine's hot-box
    cache the way a synthesis loop would. *)

@@ -1,8 +1,7 @@
 (** Drivers regenerating every table and figure of the paper, plus the
     ablations listed in DESIGN.md §4.  Each driver returns both the
-    structured data and a printable report so that the CLI ([bin/mpsgen])
-    and the benchmark harness ([bench/main.exe]) share one
-    implementation. *)
+    structured data and a printable report: [mpsgen experiments]
+    prints the reports; tests and examples read the data. *)
 
 open Mps_geometry
 open Mps_netlist

@@ -95,7 +95,7 @@ val map_reduce : t -> map:('a -> 'b) -> fold:('c -> 'b -> 'c) -> init:'c -> 'a a
 
 (** Cumulative per-worker scheduling counters since pool creation (or
     the last {!reset_stats}) — the diagnosis surface for scaling
-    regressions, reported by [--par-bench]. *)
+    regressions, reported by perfbench's [pool.*] metrics. *)
 type stats = {
   tasks : int;  (** Tasks this worker executed. *)
   chunks : int;  (** Chunks claimed (own-range pops plus steals). *)

@@ -375,14 +375,20 @@ let on_socket build parse = { via_ring = false; build; parse }
 let no_body _ = 0
 
 (* Negotiate the shm fast path on a fresh connection: one Shm_hello
-   roundtrip on the socket; on acceptance, attach the ring file the
-   server created for this session.  A decline or a failed attach
-   counts against [ring_failed] — after 3 strikes the client stops
-   asking and stays on the socket for good. *)
+   roundtrip on the socket, carrying this build's ring version; on
+   acceptance, attach the ring file the server created for this
+   session.  A decline or a failed attach counts against [ring_failed]
+   — after 3 strikes the client stops asking and stays on the socket
+   for good. *)
 let negotiate_ring t =
   let deadline = Some (Unix.gettimeofday () +. 5.0) in
+  let put_version outbuf =
+    Wire.ensure outbuf (prefix + req_header + 4);
+    Wire.set_u32 !outbuf (prefix + req_header) Shm.version;
+    4
+  in
   let hello =
-    on_socket no_body (fun b ~len _meta ->
+    on_socket put_version (fun b ~len _meta ->
         if Wire.get_u8 b ~len rep_header = 1 then
           Some (fst (Wire.get_string16 b ~len (rep_header + 5)))
         else None)

@@ -533,9 +533,10 @@ let handle_reload t via state ~req_id ~len =
 (* Negotiate the shm fast path: allocate this connection's ring file
    and tell the client where to map it.  Declined — typed, on the
    wire, accepted=0 — when shm is disabled, when the hello did not
-   arrive on the socket, or when the session already has a ring; the
+   arrive on the socket, when the session already has a ring, or when
+   the hello's body is not this build's ring version (a u32); the
    client then simply stays on the socket. *)
-let handle_shm_hello t conn state ~req_id ~via =
+let handle_shm_hello t conn state ~req_id ~via ~len =
   let answer ring =
     let o = prefix + header in
     let body_end =
@@ -555,8 +556,12 @@ let handle_shm_hello t conn state ~req_id ~via =
     send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0
       ~payload_len:(body_end - prefix)
   in
+  let version =
+    try Wire.get_u32 !(state.inbuf) ~len Wire.request_header_bytes
+    with Wire.Truncated _ -> -1
+  in
   match (t.shm_dir, via, state.ring) with
-  | Some dir, Via_sock _, None -> (
+  | Some dir, Via_sock _, None when version = Shm.version -> (
     let path = Filename.concat dir (Printf.sprintf "sess-%d.ring" conn.conn_id) in
     match
       Shm.create ~hooks:t.shm_hooks ~ring_words:t.config.shm_ring_words ~path ()
@@ -682,7 +687,7 @@ let handle_request t w gen conn state ~via ~len =
                 send_reply t via state.outbuf ~status:Wire.Ok ~req_id ~epoch:0
                   ~payload_len:header
               | Wire.Health -> handle_health t via state ~req_id
-              | Wire.Shm_hello -> handle_shm_hello t conn state ~req_id ~via
+              | Wire.Shm_hello -> handle_shm_hello t conn state ~req_id ~via ~len
               | Wire.Open_circuit -> (
                 match handle_open t via state ~req_id ~len with
                 | () -> ()

@@ -65,6 +65,10 @@ exception Timeout
 
 type t
 
+val version : int
+(** The ring layout version this build writes and attaches (2).  A
+    client sends it in its [Shm_hello]; the daemon declines any other. *)
+
 val create : ?hooks:hooks -> ?ring_words:int -> path:string -> unit -> t
 (** Server side: create (or truncate) the ring file at [path] with
     [ring_words] data words per direction (default 64Ki ≈ 512 KiB per

@@ -31,6 +31,18 @@ let structures =
 
 let for_all f () = List.iter (fun (c, s) -> f c s) (Lazy.force structures)
 
+(* The experiments' Quick structures: the two oracle tests also run on
+   the sizes a served structure has, not only on the tiny fixtures. *)
+let quick_structures =
+  let module E = Mps_experiments.Experiments in
+  lazy
+    (List.map
+       (fun c -> (c, fst (Generator.single_walk ~config:(E.generator_config E.Quick c) c)))
+       Benchmarks.all)
+
+let for_all_and_quick f () =
+  List.iter (fun (c, s) -> f c s) (Lazy.force structures @ Lazy.force quick_structures)
+
 (* Probe generator mixing the three answer regimes: uniform in-domain
    vectors (hits and fallbacks), vectors pushed past the designer max
    on one axis (out-of-domain), and jitter around a stored best vector
@@ -60,29 +72,57 @@ let probe rng structure stored =
     done;
     !d
 
+(* The sizing-loop traffic pattern: a one-unit bump on one block axis
+   of the previous vector, clamped to the designer space, with an
+   occasional jump to a stored best vector.  Consecutive probes usually
+   share a validity box, so a warm session answers them from its
+   hot-box cache. *)
+let sizing_walk rng structure ~n =
+  let bounds = Circuit.dim_bounds (Structure.circuit structure) in
+  let stored = Structure.placements structure in
+  let jump () = stored.(Rng.int rng (Array.length stored)).Stored.best_dims in
+  let current = ref (jump ()) in
+  Array.init n (fun _ ->
+      (if Rng.int rng 64 = 0 then current := jump ()
+       else
+         let d = !current in
+         let i = Rng.int rng (Dims.n_blocks d) in
+         let delta = if Rng.int rng 2 = 0 then 1 else -1 in
+         current :=
+           Dimbox.clamp bounds
+             (if Rng.int rng 2 = 0 then Dims.set_width d i (max 1 (Dims.width d i + delta))
+              else Dims.set_height d i (max 1 (Dims.height d i + delta))));
+      !current)
+
+(* 10k mixed probes, then a 10k-step sizing walk, through one session. *)
+let oracle_probes rng structure =
+  let stored = Structure.placements structure in
+  Array.append
+    (Array.init 10_000 (fun _ -> probe rng structure stored))
+    (sizing_walk rng structure ~n:10_000)
+
 (* Satellite: engine answers == linear oracle (and the reference
-   compiled query) on 10k mixed probes per circuit. *)
+   compiled query) on 10k mixed probes and a 10k-step walk per
+   circuit. *)
 let test_engine_matches_oracle c structure =
   let engine = Structure.Engine.create structure in
   let session = Structure.Engine.new_session () in
-  let stored = Structure.placements structure in
   let rng = Rng.create ~seed:11 in
   let seen_hit = ref false and seen_fb = ref false and seen_ood = ref false in
-  for k = 1 to 10_000 do
-    let dims = probe rng structure stored in
-    let a_lin, s_lin = Structure.query_linear structure dims in
-    let a_eng, s_eng = Structure.Engine.query engine session dims in
-    let a_old, _ = Structure.query structure dims in
-    (match a_lin with
-    | Structure.Stored_placement _ -> seen_hit := true
-    | Structure.Fallback -> seen_fb := true
-    | Structure.Out_of_domain -> seen_ood := true);
-    if not (a_eng = a_lin && a_old = a_lin && s_eng == s_lin) then
-      Alcotest.failf "%s probe %d: engine %s, query %s, linear %s" c.Circuit.name k
-        (Structure.answer_to_string a_eng)
-        (Structure.answer_to_string a_old)
-        (Structure.answer_to_string a_lin)
-  done;
+  oracle_probes rng structure
+  |> Array.iteri (fun k dims ->
+         let a_lin, s_lin = Structure.query_linear structure dims in
+         let a_eng, s_eng = Structure.Engine.query engine session dims in
+         let a_old, _ = Structure.query structure dims in
+         (match a_lin with
+         | Structure.Stored_placement _ -> seen_hit := true
+         | Structure.Fallback -> seen_fb := true
+         | Structure.Out_of_domain -> seen_ood := true);
+         if not (a_eng = a_lin && a_old = a_lin && s_eng == s_lin) then
+           Alcotest.failf "%s probe %d: engine %s, query %s, linear %s" c.Circuit.name k
+             (Structure.answer_to_string a_eng)
+             (Structure.answer_to_string a_old)
+             (Structure.answer_to_string a_lin));
   check_bool (c.Circuit.name ^ ": probes covered stored hits") true !seen_hit;
   check_bool (c.Circuit.name ^ ": probes covered out-of-domain") true !seen_ood;
   ignore !seen_fb (* fallbacks occur unless coverage is total; not guaranteed *)
@@ -148,25 +188,31 @@ let test_hot_box_cache c structure =
 
 (* Floorplans equal rect for rect. *)
 let check_same_floorplan what expected got =
-  check_int (what ^ ": rect count") (Array.length expected) (Array.length got);
-  Array.iteri (fun i r -> check_bool (what ^ ": rect equal") true (Rect.equal r got.(i))) expected
+  if not (Array.length expected = Array.length got && Array.for_all2 Rect.equal expected got)
+  then Alcotest.failf "%s: floorplans differ" what
 
-(* instantiate_into fills the session buffer with exactly the rects the
-   allocating paths produce, on 10k mixed probes per circuit.  Fallbacks
-   re-pack into that buffer with the engine's precomputed order, so the
-   probe set must exercise them. *)
+(* instantiate_into fills the session buffer with exactly the rects of
+   the linear oracle's placement committed at the probe (re-packed on a
+   fallback or out of the domain), on the oracle probes per circuit.
+   Fallbacks re-pack into that buffer with the engine's precomputed
+   order, so the probe set must exercise them. *)
 let test_instantiate_into_matches c structure =
   let engine = Structure.Engine.create structure in
   let session = Structure.Engine.new_session () in
-  let stored = Structure.placements structure in
   let rng = Rng.create ~seed:17 in
   let fallbacks = ref 0 in
-  for _ = 1 to 10_000 do
-    let dims = probe rng structure stored in
-    if fst (Structure.query_linear structure dims) = Structure.Fallback then incr fallbacks;
-    check_same_floorplan c.Circuit.name (Structure.instantiate structure dims)
-      (Structure.Engine.instantiate_into engine session dims)
-  done;
+  oracle_probes rng structure
+  |> Array.iter (fun dims ->
+         let expected =
+           match Structure.query_linear structure dims with
+           | Structure.Stored_placement _, s -> Stored.instantiate_auto s dims
+           | Structure.Fallback, s ->
+             incr fallbacks;
+             Stored.instantiate_repacked s dims
+           | Structure.Out_of_domain, s -> Stored.instantiate_repacked s dims
+         in
+         check_same_floorplan c.Circuit.name expected
+           (Structure.Engine.instantiate_into engine session dims));
   check_bool
     (Printf.sprintf "%s: probes include fallbacks (%d)" c.Circuit.name !fallbacks)
     true (!fallbacks > 0)
@@ -309,13 +355,13 @@ let test_query_path_does_not_allocate () =
 let suite =
   [
     Alcotest.test_case "all benchmarks: engine == linear oracle on 10k probes" `Quick
-      (for_all test_engine_matches_oracle);
+      (for_all_and_quick test_engine_matches_oracle);
     Alcotest.test_case "session reuse across interleaved engines is safe" `Quick
       test_session_interleaving_safe;
     Alcotest.test_case "all benchmarks: hot-box cache hits and stays exact" `Quick
       (for_all test_hot_box_cache);
     Alcotest.test_case "all benchmarks: instantiate_into matches instantiate" `Quick
-      (for_all test_instantiate_into_matches);
+      (for_all_and_quick test_instantiate_into_matches);
     Alcotest.test_case "all benchmarks: batch serving matches sequential" `Quick
       (for_all test_batch_matches_sequential);
     Alcotest.test_case "all benchmarks: plan rows partition the axes" `Quick

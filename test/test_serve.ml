@@ -1110,12 +1110,18 @@ let shm_publish_stall_times_out () =
           in
           check_bool "converged to the oracle" true (ids = expected_ids dims)))
 
+(* A hello body: the ring version the client speaks, as a u32. *)
+let put_version v buf off =
+  Wire.ensure buf (off + 4);
+  Wire.set_u32 !buf off v;
+  4
+
 (* Negotiate a session by hand (raw socket + attach) so the client half
    can misbehave in ways [Client] never would. *)
 let raw_shm_hello fd =
   let status, b, len =
     raw_roundtrip fd ~opcode:(Wire.opcode_to_int Wire.Shm_hello) ~deadline_us:0
-      ~build:(fun _ _ -> 0)
+      ~build:(put_version Shm.version)
   in
   check_bool "hello ok" true (status = Wire.Ok);
   check_int "hello accepted" 1 (Wire.get_u8 b ~len Wire.reply_header_bytes);
@@ -1477,6 +1483,14 @@ let farewell_mid_pipeline () =
               check_bool "client reconnected once" true
                 ((Client.stats client).Client.connects >= 2))))
 
+(* Ring files under a store directory's session directory. *)
+let ring_files dir =
+  let shm = Filename.concat dir ".shm" in
+  if Sys.file_exists shm then
+    List.length
+      (List.filter (fun f -> Filename.check_suffix f ".ring") (Array.to_list (Sys.readdir shm)))
+  else 0
+
 (* SIGTERM is handled on whichever thread the runtime picks, possibly
    one holding the supervisor mutex — here a health prober keeps one
    such thread busy.  With socket and shm clients mid-request, the
@@ -1555,15 +1569,7 @@ let sigterm_drain_under_load () =
         end;
         check_bool (Printf.sprintf "round %d: run returns after SIGTERM" round) true drained;
         List.iter Thread.join (th :: prober :: clients);
-        let shm = Filename.concat dir ".shm" in
-        let rings =
-          if Sys.file_exists shm then
-            List.filter
-              (fun f -> Filename.check_suffix f ".ring")
-              (Array.to_list (Sys.readdir shm))
-          else []
-        in
-        check_int (Printf.sprintf "round %d: ring files left" round) 0 (List.length rings))
+        check_int (Printf.sprintf "round %d: ring files left" round) 0 (ring_files dir))
   done
 
 (* --- Doorbells (DESIGN.md §13, ring discipline) ------------------------ *)
@@ -1671,6 +1677,28 @@ let shm_stalled_control_frame_reaped () =
               check_bool "second client matches the oracle" true
                 (ids = expected_ids dims))))
 
+(* A hello that carries another ring version, or none, is declined up
+   front, as when shm is off: no session, no ring file, and the
+   connection keeps serving on the socket. *)
+let shm_hello_version_declined () =
+  with_server (fun server addr ->
+      let fd = connect_raw addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          List.iter
+            (fun build ->
+              let status, b, len =
+                raw_roundtrip fd ~opcode:(Wire.opcode_to_int Wire.Shm_hello)
+                  ~deadline_us:0 ~build
+              in
+              check_bool "hello answered" true (status = Wire.Ok);
+              check_int "hello declined" 0 (Wire.get_u8 b ~len Wire.reply_header_bytes))
+            [ put_version (Shm.version + 1); put_version 1; (fun _ _ -> 0) ];
+          check_int "no sessions" 0 (Server.stats server).Server.shm_sessions;
+          check_int "no ring files" 0 (ring_files (Store.dir (Server.store server)));
+          ignore (raw_open_circuit fd)))
+
 let suite =
   [
     Alcotest.test_case "round trip matches the in-process oracle" `Quick round_trip;
@@ -1752,4 +1780,6 @@ let suite =
       shm_doorbell_frame_not_answered;
     Alcotest.test_case "shm chaos: a stalled control frame is reaped" `Quick
       shm_stalled_control_frame_reaped;
+    Alcotest.test_case "shm: a hello of another ring version is declined" `Quick
+      shm_hello_version_declined;
   ]
