@@ -5,7 +5,7 @@
    - [mpsgen instantiate CIRCUIT]     build + query one dimension vector
    - [mpsgen query CIRCUIT -i FILE]   query a saved structure
    - [mpsgen verify CIRCUIT -i FILE]  integrity-check a saved structure
-   - [mpsgen pack CIRCUIT -i FILE]    convert a container to its text dump or back
+   - [mpsgen dump CIRCUIT -i FILE]    write a container's v2 text dump
    - [mpsgen compact CIRCUIT -i FILE] shrink a saved structure, same answers
    - [mpsgen stats CIRCUIT -i FILE]   size accounting for a saved structure
    - [mpsgen audit CIRCUIT -i FILE]   re-prove every invariant of a saved structure
@@ -18,8 +18,9 @@
    - [mpsgen bench-serve CIRCUIT]     end-to-end serving throughput/latency
 
    Every command that writes a structure writes the MPSZ container
-   (conventionally [<circuit>.mpsz]); [pack] is the one converter to
-   and from the v2 text dump.  [generate] and [extend] checkpoint with
+   (conventionally [<circuit>.mpsz]) and every command reads only that
+   container; [dump] writes its v2 text form, which nothing reads back.
+   [generate] and [extend] checkpoint with
    [--checkpoint FILE --checkpoint-every N --max-seconds S] and resume
    automatically when the checkpoint file exists. *)
 
@@ -126,7 +127,7 @@ let resume_if_checkpointed ~circuit ~checkpoint ~config ~jobs ~fresh =
         cp.Checkpoint.step
         (Structure.n_placements cp.Checkpoint.structure);
       Generator.resume ~config ~jobs cp
-    | exception Codec.Error e -> die "checkpoint %s: %s" path (Codec.error_to_string e))
+    | exception Zcodec.Error e -> die "checkpoint %s: %s" path (Zcodec.error_to_string e))
   | _ -> fresh ()
 
 let report_stats stats =
@@ -333,14 +334,16 @@ let parse_dims circuit s =
   Dims.of_pairs (Array.of_list pairs)
 
 let load_salvaged ~circuit ~path =
-  match Codec.load_salvage ~circuit ~path with
+  match Repair.salvage ~circuit ~path with
   | Ok sv ->
+    let outcome = sv.Repair.outcome in
     Format.printf "Salvaged %d placements (%d dropped, %d quarantined%s%s).@."
-      sv.Codec.recovered sv.Codec.dropped sv.Codec.quarantined
-      (if sv.Codec.backup_recovered then "" else ", backup lost")
-      (if sv.Codec.checksum_ok then "" else ", checksum bad");
-    sv.Codec.structure
-  | Error e -> die "%s: %s" path (Codec.error_to_string e)
+      sv.Repair.recovered sv.Repair.dropped
+      (List.length outcome.Repair.quarantined)
+      (if sv.Repair.backup_recovered then "" else ", backup lost")
+      (if sv.Repair.checksum_ok then "" else ", checksum bad");
+    outcome.Repair.structure
+  | Error e -> die "%s: %s" path (Zcodec.error_to_string e)
 
 let query circuit path point dims_opt salvage =
   let engine =
@@ -381,9 +384,9 @@ let salvage_arg =
     value & flag
     & info [ "salvage" ]
         ~doc:
-          "Recover what is intact from a corrupt or truncated file (a container or a \
-           text dump) instead of refusing it; queries over lost territory fall back \
-           to the backup placement.")
+          "Recover what is intact from a corrupt or truncated container instead of \
+           refusing it; queries over lost territory fall back to the backup \
+           placement.")
 
 let dims_arg =
   Arg.(
@@ -449,62 +452,36 @@ let verify_cmd =
           2 when it is missing or unreadable.")
     Term.(const verify $ circuit_arg $ load_arg $ quiet_arg)
 
-(* pack: the one converter between the container and its v2 text dump
-   (for diffs and debugging); the input's magic picks the direction *)
+(* dump: the container's v2 text form, for diffs and debugging *)
 
-let file_bytes path =
-  match Unix.stat path with
-  | st -> st.Unix.st_size
-  | exception Unix.Unix_error _ -> 0
-
-let pack circuit path out =
-  let raw =
-    match Persist.read_file ~path with
-    | raw -> raw
-    | exception Sys_error msg -> die "%s" msg
-  in
-  let to_text = Zcodec.is_magic raw in
-  let structure =
-    if to_text then load_structure ~circuit ~path
-    else
-      match Codec.of_string ~circuit raw with
-      | s -> s
-      | exception Codec.Error e -> die "%s: %s" path (Codec.error_to_string e)
-  in
+let dump circuit path out =
+  let structure = load_structure ~circuit ~path in
   let dest =
     match out with
     | Some p -> p
-    | None when to_text ->
+    | None ->
       if Filename.check_suffix path ".mpsz" then Filename.chop_suffix path "z"
       else path ^ ".mps"
-    | None -> if Filename.check_suffix path ".mps" then path ^ "z" else path ^ ".mpsz"
   in
-  (if to_text then
-     match Codec.save structure ~path:dest with
-     | () -> ()
-     | exception Codec.Error e -> die "%s: %s" dest (Codec.error_to_string e)
-   else save_container structure ~path:dest);
-  let before = String.length raw and after = file_bytes dest in
-  Format.printf "packed %s (%d bytes) -> %s (%d bytes, %.2fx)@." path before dest after
-    (if after > 0 then float_of_int before /. float_of_int after else 0.)
+  match Codec.save structure ~path:dest with
+  | () -> Format.printf "dumped %s -> %s@." path dest
+  | exception Codec.Error e -> die "%s: %s" dest (Codec.error_to_string e)
 
-let pack_out_arg =
+let dump_out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "o"; "out" ] ~docv:"FILE"
-        ~doc:
-          "Destination (default: the input path with $(b,.mps) and $(b,.mpsz) \
-           swapped).")
+        ~doc:"Destination (default: the input path with $(b,.mpsz) replaced by $(b,.mps)).")
 
-let pack_cmd =
+let dump_cmd =
   Cmd.v
-    (Cmd.info "pack"
+    (Cmd.info "dump"
        ~doc:
-         "Convert between a structure's MPSZ container and its v2 text dump: a \
-          container becomes the line-oriented document (for diffs and debugging), a \
-          text document becomes the container every other command reads.")
-    Term.(const pack $ circuit_arg $ load_arg $ pack_out_arg)
+         "Write a structure's MPSZ container as the line-oriented v2 text document \
+          (for diffs and debugging; no command reads it back).  Its CRC-32 is the \
+          structure hash the pins name.")
+    Term.(const dump $ circuit_arg $ load_arg $ dump_out_arg)
 
 (* compact: dedupe/merge/prune a saved structure *)
 
@@ -1552,6 +1529,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; generate_cmd; instantiate_cmd; query_cmd; verify_cmd; pack_cmd;
+          [ list_cmd; generate_cmd; instantiate_cmd; query_cmd; verify_cmd; dump_cmd;
             compact_cmd; stats_cmd; audit_cmd; repair_cmd; route_cmd; extend_cmd;
             experiments_cmd; serve_cmd; health_cmd; bench_serve_cmd ]))

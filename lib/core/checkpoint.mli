@@ -11,28 +11,22 @@
     per-walk stream is what makes resume deterministic at {e any} job
     count: the walks are data, the domain pool is just scheduling.
 
-    File layout (counters, one [walk]/[walk_rng] line pair per explorer
-    walk, then a full embedded {!Codec} document):
-    {v
-    mps-checkpoint v2
-    checksum <8 hex digits>
-    step <n>
-    dropped <n>
-    walks <count> <chunk>
-    walk <step> <cost> <x y pairs>
-    walk_rng <hex token>
-    ...
-    mps-structure v2
-    ...
-    v}
+    A checkpoint is an MPSZ container ({!Zcodec}) of the interim
+    structure with one more section, [GENS], holding the generator
+    state: step, dropped and chunk, the walk count, then one record per
+    walk — its step, its cost as split IEEE-754 words, its 2n
+    coordinates and its stream token ({!Mps_rng.Rng.to_string}, packed
+    4 bytes per word).  The section sits in the same table as the
+    structure's under the same CRC discipline, so a checkpoint is
+    written once and verified as a whole.
 
     Saving is atomic ({!Mps_core.Persist.atomic_write}); loading
-    verifies the checksum and the embedded document end to end, and
-    raises {!Codec.Error} on any damage — a checkpoint is either whole
-    or rejected, there is no salvage path (the previous checkpoint or a
-    fresh run is always available).  A [v1] file, written before the
-    one generator, is refused as a bad header: checkpoints are deleted
-    once their run completes, so none outlives the format. *)
+    verifies the header and every section CRC and raises {!Zcodec.Error}
+    on any damage — a checkpoint is either whole or rejected, there is
+    no salvage path (the previous checkpoint or a fresh run is always
+    available).  A plain structure container (no [GENS]) and the text
+    checkpoints of earlier versions are refused: checkpoints are
+    deleted once their run completes, so none outlives the format. *)
 
 open Mps_netlist
 open Mps_placement
@@ -56,12 +50,12 @@ type t = {
 val to_string : t -> string
 
 val of_string : circuit:Circuit.t -> string -> t
-(** @raise Codec.Error on a damaged snapshot or circuit mismatch. *)
+(** @raise Zcodec.Error on a damaged snapshot or circuit mismatch. *)
 
 val save : t -> path:string -> unit
-(** Atomic replace.  @raise Codec.Error ([Io_error]) when the file
+(** Atomic replace.  @raise Zcodec.Error ([Io_error]) when the file
     cannot be written. *)
 
 val load : circuit:Circuit.t -> path:string -> t
-(** @raise Codec.Error — [Io_error] when unreadable, [Corrupt] on any
+(** @raise Zcodec.Error — [Io_error] when unreadable, [Corrupt] on any
     integrity failure, [Circuit_mismatch] on the wrong circuit. *)

@@ -2,7 +2,6 @@ open Mps_geometry
 open Mps_netlist
 open Mps_placement
 
-let format_version = 2
 let magic_v2 = "mps-structure v2"
 
 type error =
@@ -89,15 +88,6 @@ let next cursor =
     cursor.lineno <- cursor.lineno + 1;
     l
 
-let peek cursor = match cursor.lines with [] -> None | l :: _ -> Some l
-
-let skip cursor =
-  match cursor.lines with
-  | [] -> ()
-  | _ :: rest ->
-    cursor.lines <- rest;
-    cursor.lineno <- cursor.lineno + 1
-
 let expect_prefix cursor prefix =
   let l = next cursor in
   match String.length l >= String.length prefix && String.sub l 0 (String.length prefix) = prefix with
@@ -166,7 +156,7 @@ let read_placement cursor ~n ~die_w ~die_h =
   | exception Invalid_argument msg -> corrupt cursor.lineno "inconsistent placement: %s" msg
 
 (* Identity header: circuit line (validated against the caller's
-   circuit) and die line.  Shared by strict parsing and salvage. *)
+   circuit) and die line. *)
 
 let read_identity cursor ~circuit =
   let id = expect_prefix cursor "circuit " in
@@ -189,48 +179,6 @@ let read_identity cursor ~circuit =
   | _ -> corrupt cursor.lineno "malformed circuit line");
   let die = ints_of cursor (expect_prefix cursor "die ") in
   match die with [ w; h ] -> (w, h) | _ -> corrupt cursor.lineno "malformed die line"
-
-(* Split the raw document into (payload, payload's line offset,
-   checksum status).  The checksum covers the exact bytes after the
-   checksum line, so it is verified on the raw string before any line
-   splitting. *)
-
-type checksum_status = Ok_checksum | Bad_checksum of { lineno : int; reason : string }
-
-let split_header raw =
-  let len = String.length raw in
-  let line_end from =
-    match String.index_from_opt raw from '\n' with Some i -> i | None -> len
-  in
-  let rest_after e = if e >= len then "" else String.sub raw (e + 1) (len - e - 1) in
-  let e1 = line_end 0 in
-  if String.sub raw 0 e1 <> magic_v2 then
-    (* Unknown magic: one clean line, never a dump of binary junk. *)
-    ( "",
-      0,
-      Bad_checksum { lineno = 1; reason = "unrecognized format (expected mps-structure v2)" } )
-  else
-    let e2 = line_end (min len (e1 + 1)) in
-    let second = if e1 >= len then "" else String.sub raw (e1 + 1) (e2 - e1 - 1) in
-    if String.length second >= 9 && String.sub second 0 9 = "checksum " then
-      let payload = rest_after e2 in
-      let expected = String.trim (String.sub second 9 (String.length second - 9)) in
-      let actual = Persist.crc32_hex payload in
-      let status =
-        if String.lowercase_ascii expected = actual then Ok_checksum
-        else
-          Bad_checksum
-            { lineno = 2;
-              reason = Printf.sprintf "checksum mismatch: header %s, payload %s" expected actual }
-      in
-      (payload, 2, status)
-    else
-      (* checksum line damaged or gone: for salvage, keep everything
-         after the magic line scannable *)
-      (rest_after e1, 1, Bad_checksum { lineno = 2; reason = "missing checksum line" })
-
-let cursor_of ~payload ~offset =
-  { lines = String.split_on_char '\n' payload; lineno = offset }
 
 let parse_payload ~circuit cursor =
   let die_w, die_h = read_identity cursor ~circuit in
@@ -256,10 +204,27 @@ let parse_payload ~circuit cursor =
   | s -> s
   | exception Invalid_argument msg -> corrupt cursor.lineno "%s" msg
 
+(* The checksum covers the exact bytes after the checksum line, so it
+   is verified on the raw string before any line splitting. *)
 let of_string ~circuit raw =
-  match split_header raw with
-  | _, _, Bad_checksum { lineno; reason } -> corrupt lineno "%s" reason
-  | payload, offset, Ok_checksum -> parse_payload ~circuit (cursor_of ~payload ~offset)
+  let len = String.length raw in
+  let line_end from =
+    match String.index_from_opt raw from '\n' with Some i -> i | None -> len
+  in
+  let e1 = line_end 0 in
+  (* unknown magic: one clean line, never a dump of binary junk *)
+  if String.sub raw 0 e1 <> magic_v2 then
+    corrupt 1 "unrecognized format (expected mps-structure v2)";
+  let e2 = line_end (min len (e1 + 1)) in
+  let second = if e1 >= len then "" else String.sub raw (e1 + 1) (e2 - e1 - 1) in
+  if not (String.starts_with ~prefix:"checksum " second) then
+    corrupt 2 "missing checksum line";
+  let payload = if e2 >= len then "" else String.sub raw (e2 + 1) (len - e2 - 1) in
+  let expected = String.trim (String.sub second 9 (String.length second - 9)) in
+  let actual = Persist.crc32_hex payload in
+  if String.lowercase_ascii expected <> actual then
+    corrupt 2 "checksum mismatch: header %s, payload %s" expected actual;
+  parse_payload ~circuit { lines = String.split_on_char '\n' payload; lineno = 2 }
 
 let save structure ~path =
   try Persist.atomic_write ~path (to_string structure)
@@ -270,147 +235,3 @@ let load ~circuit ~path =
     try Persist.read_file ~path with Sys_error msg -> raise (Error (Io_error msg))
   in
   of_string ~circuit raw
-
-(* Graceful degradation: scan for intact placement sections, skip the
-   damaged ones, keep the disjoint subset. *)
-
-type salvage = {
-  structure : Structure.t;
-  recovered : int;
-  dropped : int;
-  quarantined : int;
-  backup_recovered : bool;
-  checksum_ok : bool;
-  audit : Audit.report;
-}
-
-(* The tail both formats share: keep the intact placements (file
-   order) whose boxes are disjoint from every one kept before, so the
-   result never violates eq. 5, recompile, then audit and repair —
-   syntactically intact is not semantically sound (re-annealing stays
-   off on the load path).  [claimed] is the count the header promised;
-   when it is unusable the drop count is what the scan saw fail. *)
-let salvage_of_parts ~circuit ~intact ~backup ~claimed ~failed ~checksum_ok ~lineno =
-  let kept = ref [] and overlapped = ref 0 in
-  List.iter
-    (fun (s : Stored.t) ->
-      if List.exists (fun k -> Dimbox.overlaps k.Stored.box s.Stored.box) !kept then
-        incr overlapped
-      else kept := s :: !kept)
-    intact;
-  let kept = List.rev !kept in
-  let stored =
-    match (kept, backup) with
-    | [], None -> [||]
-    | [], Some b -> [| b |]
-    | ks, _ -> Array.of_list ks
-  in
-  if Array.length stored = 0 then
-    Result.Error (Corrupt { lineno; reason = "no intact placement recovered" })
-  else
-    let structure =
-      match Structure.of_placements ?backup circuit stored with
-      | s -> s
-      | exception Invalid_argument _ ->
-        (* kept boxes are pairwise disjoint by construction — but never
-           let salvage blow up *)
-        Structure.of_placements circuit [| stored.(0) |]
-    in
-    let recovered = List.length kept in
-    let outcome = Repair.run structure in
-    Result.Ok
-      {
-        structure = outcome.Repair.structure;
-        recovered;
-        dropped =
-          (match claimed with
-          | Some c -> max (c - recovered) 0
-          | None -> failed + !overlapped);
-        quarantined = List.length outcome.Repair.quarantined;
-        backup_recovered = backup <> None;
-        checksum_ok;
-        audit = outcome.Repair.after;
-      }
-
-let of_zcodec_error = function
-  | Zcodec.Io_error msg -> Io_error msg
-  | Zcodec.Corrupt { section; reason } ->
-    Corrupt { lineno = 0; reason = Printf.sprintf "MPSZ %s: %s" section reason }
-  | Zcodec.Circuit_mismatch msg -> Circuit_mismatch msg
-
-(* MPSZ: Zcodec scans the pool and record table for intact records. *)
-let salvage_of_container ~circuit raw =
-  match
-    Zcodec.salvage_parts ~circuit (Zcodec.words_of_string raw) ~bytes:(String.length raw)
-  with
-  | Result.Error e -> Result.Error (of_zcodec_error e)
-  | Result.Ok r ->
-    salvage_of_parts ~circuit ~intact:r.Zcodec.r_stored ~backup:r.Zcodec.r_backup
-      ~claimed:(Some r.Zcodec.r_claimed) ~failed:0 ~checksum_ok:r.Zcodec.r_crc_ok
-      ~lineno:0
-
-(* Text: resynchronize on the next [placement] line past any damaged
-   section. *)
-let salvage_of_document ~circuit raw =
-  match split_header raw with
-  | _, _, Bad_checksum { lineno = 1; reason } ->
-    (* not even the format header survived: nothing to scan *)
-    Result.Error (Corrupt { lineno = 1; reason })
-  | payload, offset, status -> (
-    let cursor = cursor_of ~payload ~offset in
-    match
-      let die_w, die_h = read_identity cursor ~circuit in
-      let claimed =
-        (* a corrupt count line is survivable: we scan rather than trust it *)
-        match peek cursor with
-        | Some l when String.length l >= 11 && String.sub l 0 11 = "placements " -> (
-          skip cursor;
-          match int_of_string_opt (String.trim (String.sub l 11 (String.length l - 11))) with
-          | Some c when c >= 0 -> Some c
-          | _ -> None)
-        | _ -> None
-      in
-      (die_w, die_h, claimed)
-    with
-    | exception Error e -> Result.Error e
-    | die_w, die_h, claimed ->
-      let n = Circuit.n_blocks circuit in
-      let intact = ref [] and failed = ref 0 and backup = ref None in
-      let try_placement () =
-        let snapshot_lines = cursor.lines and snapshot_lineno = cursor.lineno in
-        match read_placement cursor ~n ~die_w ~die_h with
-        | s -> Some s
-        | exception Error _ ->
-          cursor.lines <- snapshot_lines;
-          cursor.lineno <- snapshot_lineno;
-          None
-      in
-      let is_placement l = String.length l >= 10 && String.sub l 0 10 = "placement " in
-      let finished = ref false in
-      while not !finished do
-        match peek cursor with
-        | None -> finished := true
-        | Some "backup" ->
-          skip cursor;
-          backup := try_placement ();
-          if !backup = None then incr failed;
-          finished := true
-        | Some l when is_placement l -> (
-          match try_placement () with
-          | Some s -> intact := s :: !intact
-          | None ->
-            incr failed;
-            skip cursor (* resynchronize past the damaged section head *))
-        | Some _ -> skip cursor
-      done;
-      salvage_of_parts ~circuit ~intact:(List.rev !intact) ~backup:!backup ~claimed
-        ~failed:!failed ~checksum_ok:(status = Ok_checksum) ~lineno:cursor.lineno)
-
-let salvage_of_string ~circuit raw =
-  if Zcodec.is_magic raw then salvage_of_container ~circuit raw
-  else salvage_of_document ~circuit raw
-
-let load_salvage ~circuit ~path =
-  match Persist.read_file ~path with
-  | raw -> salvage_of_string ~circuit raw
-  | exception Sys_error msg -> Result.Error (Io_error msg)

@@ -42,7 +42,7 @@ type stats = {
   dropped : int;  (** Dead template pieces removed. *)
   bytes_before : int;
       (** MPSZ container size before compaction (plain layout, what
-          [mpsgen pack] writes). *)
+          [mpsgen generate] writes). *)
   bytes_after : int;
       (** … and after, in the half-packed archival layout compaction
           writes ({!Zcodec.to_string} [~packed:true]); 0 when

@@ -347,3 +347,63 @@ let describe outcome =
     (Audit.count Audit.Fatal outcome.before)
     (Audit.count Audit.Degraded outcome.before)
     (if Audit.clean outcome.after then "CLEAN" else "still flawed")
+
+(* Salvage: rebuild a structure from what survives of a damaged
+   container. *)
+
+type salvage = {
+  outcome : outcome;
+  recovered : int;
+  dropped : int;
+  backup_recovered : bool;
+  checksum_ok : bool;
+}
+
+(* Keep the intact records (file order) whose boxes are disjoint from
+   every one kept before, so the result never violates eq. 5,
+   recompile, then audit and repair — syntactically intact is not
+   semantically sound (re-annealing stays off on the load path). *)
+let salvage_string ~circuit raw =
+  match
+    Zcodec.salvage_parts ~circuit (Zcodec.words_of_string raw) ~bytes:(String.length raw)
+  with
+  | Error e -> Error e
+  | Ok r ->
+    let kept =
+      List.rev
+        (List.fold_left
+           (fun kept (s : Stored.t) ->
+             if List.exists (fun k -> Dimbox.overlaps k.Stored.box s.Stored.box) kept then
+               kept
+             else s :: kept)
+           [] r.Zcodec.r_stored)
+    in
+    let backup = r.Zcodec.r_backup in
+    let stored =
+      match (kept, backup) with [], Some b -> [| b |] | ks, _ -> Array.of_list ks
+    in
+    if Array.length stored = 0 then
+      Error (Zcodec.Corrupt { section = "PLCT"; reason = "no intact placement recovered" })
+    else
+      let structure =
+        match Structure.of_placements ?backup circuit stored with
+        | s -> s
+        | exception Invalid_argument _ ->
+          (* kept boxes are pairwise disjoint by construction — but
+             never let salvage blow up *)
+          Structure.of_placements circuit [| stored.(0) |]
+      in
+      let recovered = List.length kept in
+      Ok
+        {
+          outcome = run structure;
+          recovered;
+          dropped = max (r.Zcodec.r_claimed - recovered) 0;
+          backup_recovered = backup <> None;
+          checksum_ok = r.Zcodec.r_crc_ok;
+        }
+
+let salvage ~circuit ~path =
+  match Persist.read_file ~path with
+  | raw -> salvage_string ~circuit raw
+  | exception Sys_error msg -> Error (Zcodec.Io_error msg)

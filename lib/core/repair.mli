@@ -1,7 +1,8 @@
 (** Quarantine & repair for flawed multi-placement structures.
 
-    Takes any {!Structure.t} — typically one recovered by
-    {!Codec.load_salvage} — and drives it toward an audit-clean state:
+    Takes any {!Structure.t} — typically one recovered from a damaged
+    container by {!salvage} — and drives it toward an audit-clean
+    state:
 
     - placements with [Fatal] findings ({!Audit}) are quarantined
       (dropped); their dimension territory falls to the backup template,
@@ -67,3 +68,34 @@ val run : ?pool:Mps_parallel.Pool.t -> ?config:config -> Structure.t -> outcome
 
 val describe : outcome -> string
 (** One-paragraph human-readable summary. *)
+
+(** Result of a graceful-degradation load from a damaged container. *)
+type salvage = {
+  outcome : outcome;
+      (** {!run} over the structure recompiled from the intact records:
+          [outcome.structure] answers queries (over dropped or
+          quarantined territory, from the backup placement) and
+          [outcome.after] is its audit. *)
+  recovered : int;  (** Intact stored records kept. *)
+  dropped : int;  (** Stored records lost to damage or overlap. *)
+  backup_recovered : bool;
+      (** Whether the backup record survived; when [false] the best
+          recovered placement stands in. *)
+  checksum_ok : bool;
+      (** The header and every section CRC matched — i.e. a strict
+          load would not have refused the file for damage. *)
+}
+
+val salvage_string :
+  circuit:Mps_netlist.Circuit.t -> string -> (salvage, Zcodec.error) result
+(** Best-effort read of an MPSZ container: collect the records that
+    still decode ({!Zcodec.salvage_parts}), drop any whose validity box
+    overlaps one kept before — the result never violates eq. 5 —
+    recompile, then {!run}.  [Error] when the header is unusable
+    ([Corrupt]), the circuit does not match ([Circuit_mismatch]), or
+    not a single placement survived.  Never raises. *)
+
+val salvage :
+  circuit:Mps_netlist.Circuit.t -> path:string -> (salvage, Zcodec.error) result
+(** {!salvage_string} on a file; [Error (Io_error _)] when it cannot be
+    read. *)

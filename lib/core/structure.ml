@@ -626,35 +626,6 @@ module Engine = struct
     let cost = Mps_cost.Cost.total ~weights t.circuit ~die_w:t.die_w ~die_h:t.die_h rects in
     (rects, cost)
 
-  (* Batch serving: fan contiguous chunks across the pool in task
-     order.  Each chunk gets its own session, so chunks keep hot-box
-     locality and share no mutable state; answers are independent of
-     session state, so the output is identical at any job count. *)
-  let batch ?pool ~f dims_arr =
-    let n = Array.length dims_arr in
-    let run (lo, len) =
-      let session = new_session () in
-      Array.init len (fun k -> f session dims_arr.(lo + k))
-    in
-    match pool with
-    | None -> run (0, n)
-    | Some pool ->
-      let chunks = min n (max 1 (Mps_parallel.Pool.jobs pool * 4)) in
-      if chunks <= 1 then run (0, n)
-      else begin
-        let ranges =
-          Array.init chunks (fun c ->
-              let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-              (lo, hi - lo))
-        in
-        Array.concat (Array.to_list (Mps_parallel.Pool.map pool run ranges))
-      end
-
-  let query_batch ?pool t dims_arr = batch ?pool ~f:(fun s d -> query t s d) dims_arr
-
-  let instantiate_batch ?pool t dims_arr =
-    batch ?pool ~f:(fun s d -> instantiate t s d) dims_arr
-
   let stats (session : session) : stats =
     {
       queries = session.queries;

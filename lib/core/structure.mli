@@ -224,18 +224,6 @@ module Engine : sig
     ?weights:Mps_cost.Cost.weights -> t -> session -> Dims.t -> Rect.t array * float
   (** {!instantiate_into} plus the cost of the resulting floorplan. *)
 
-  val query_batch :
-    ?pool:Mps_parallel.Pool.t -> t -> Dims.t array -> (answer * Stored.t) array
-  (** Answer a batch of dimension vectors, fanning contiguous chunks
-      across the pool (when given) in deterministic task order: the
-      result is bit-identical at any job count, including none.  Each
-      chunk runs on its own session, preserving hot-box locality. *)
-
-  val instantiate_batch :
-    ?pool:Mps_parallel.Pool.t -> t -> Dims.t array -> Rect.t array array
-  (** Batched {!instantiate} (fresh floorplans), same determinism
-      contract as {!query_batch}. *)
-
   val stats : session -> stats
   val reset_stats : session -> unit
 

@@ -5,7 +5,6 @@ open Mps_placement
 let format_version = 1
 let magic = "MPSZ0001"
 let magic_word = Int64.to_int (String.get_int64_le magic 0)
-let is_magic raw = String.length raw >= 8 && String.sub raw 0 8 = magic
 
 type error =
   | Io_error of string
@@ -33,6 +32,7 @@ type view = {
   sections : section list;
   record_off_words : int;
   record_stride_words : int;
+  state : Persist.words option;
 }
 
 (* The absolute word span of stored record [k] inside the container —
@@ -75,9 +75,29 @@ let float_of_words hi lo =
   Int64.float_of_bits
     (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
 
+(* ASCII packed 4 bytes per word, low byte first: the circuit name and
+   any string a generator-state section carries. *)
+let string_words s =
+  Array.init
+    ((String.length s + 3) / 4)
+    (fun j ->
+      let w = ref 0 in
+      for b = 0 to 3 do
+        let p = (4 * j) + b in
+        if p < String.length s then w := !w lor (Char.code s.[p] lsl (8 * b))
+      done;
+      !w)
+
+let string_of_words (w : Persist.words) ~pos ~len =
+  String.init len (fun p -> Char.chr ((w.{pos + (p / 4)} lsr (8 * (p mod 4))) land 0xff))
+
 let section_tags =
   [ "ROWA"; "ROWO"; "LOWS"; "HIGH"; "SETW"; "DOML"; "DOMH"; "BOXL"; "BOXH";
     "BIND"; "POOL"; "PLCT" ]
+
+(* The optional thirteenth section: a generator's resumable state
+   (a checkpoint).  Its words are opaque to this module. *)
+let state_tag = "GENS"
 
 (* The pool and record slots admit the half-packed variants the
    size-optimized writer emits ([to_string ~packed:true]). *)
@@ -142,7 +162,7 @@ let add_packed buf (vals : int array) =
     add_word buf (vals.(2 * k) lor (vals.((2 * k) + 1) lsl 32))
   done
 
-let to_string ?(packed = false) structure =
+let to_string ?(packed = false) ?state structure =
   let circuit = Structure.circuit structure in
   let n = Circuit.n_blocks circuit in
   let die_w, die_h = Structure.die structure in
@@ -224,11 +244,20 @@ let to_string ?(packed = false) structure =
       ((if pool_packed then "POLH" else "POOL"), Buffer.contents pool_buf);
       ((if plct_packed then "PLCH" else "PLCT"), Buffer.contents plct_buf);
     ]
+    @
+    match state with
+    | None -> []
+    | Some words ->
+      let buf = Buffer.create (8 * Array.length words) in
+      Array.iter (add_word buf) words;
+      [ (state_tag, Buffer.contents buf) ]
   in
   let name = circuit.Circuit.name in
   let name_len = String.length name in
-  let nw = (name_len + 3) / 4 in
-  let header_words = 13 + nw + (n_sections * 4) + 1 in
+  let name_words = string_words name in
+  let header_words =
+    13 + Array.length name_words + (List.length sections * 4) + 1
+  in
   let section_lens = List.map (fun (_, c) -> String.length c / 8) sections in
   let total_words = header_words + List.fold_left ( + ) 0 section_lens in
   let buf = Buffer.create (total_words * 8) in
@@ -240,14 +269,7 @@ let to_string ?(packed = false) structure =
       f.Structure.Engine.f_words_per_set; f.Structure.Engine.f_skipped_rows;
       name_len;
     ];
-  for j = 0 to nw - 1 do
-    let w = ref 0 in
-    for b = 0 to 3 do
-      let p = (4 * j) + b in
-      if p < name_len then w := !w lor (Char.code name.[p] lsl (8 * b))
-    done;
-    add_word buf !w
-  done;
+  Array.iter (add_word buf) name_words;
   let off = ref header_words in
   List.iter2
     (fun (tag, contents) len ->
@@ -261,8 +283,8 @@ let to_string ?(packed = false) structure =
   List.iter (fun (_, contents) -> Buffer.add_string buf contents) sections;
   Buffer.contents buf
 
-let save ?packed structure ~path =
-  try Persist.atomic_write ~path (to_string ?packed structure)
+let save ?packed ?state structure ~path =
+  try Persist.atomic_write ~path (to_string ?packed ?state structure)
   with Sys_error msg -> raise (Error (Io_error msg))
 
 (* Parsing *)
@@ -299,15 +321,18 @@ let parse_header (w : Persist.words) ~bytes =
   if name_len < 0 || name_len > 4096 then
     corrupt "header" "implausible circuit-name length %d" name_len;
   let nw = (name_len + 3) / 4 in
-  if header_words <> 13 + nw + (n_sections * 4) + 1 || header_words > dim then
-    corrupt "header" "malformed header geometry";
-  let name =
-    String.init name_len (fun p ->
-        Char.chr ((w.{13 + (p / 4)} lsr (8 * (p mod 4))) land 0xff))
-  in
+  (* the table holds the twelve structure sections, or those and the
+     generator-state section *)
+  let n_table = (header_words - 14 - nw) / 4 in
+  if
+    (n_table <> n_sections && n_table <> n_sections + 1)
+    || header_words <> 14 + nw + (n_table * 4)
+    || header_words > dim
+  then corrupt "header" "malformed header geometry";
+  let name = string_of_words w ~pos:13 ~len:name_len in
   let table_base = 13 + nw in
   let table =
-    List.init n_sections (fun k ->
+    List.init n_table (fun k ->
         let b = table_base + (4 * k) in
         (tag_string (w.{b} land 0xFFFF_FFFF), w.{b + 1}, w.{b + 2}, w.{b + 3}))
   in
@@ -383,13 +408,21 @@ let decode_record ~(pool : Persist.words) ~pool_packed ~n_pool ~n ~die_w
       ~w:(Array.init n (fun i -> g (6 + (2 * i))))
       ~h:(Array.init n (fun i -> g (6 + (2 * i) + 1)))
   in
+  (* A box is a range of block sizes: every bound positive and small
+     enough that a draw over it cannot overflow.  Refusing anything else
+     here keeps damaged bounds out of the auditor's samplers. *)
+  let interval lo hi =
+    if lo < 1 || hi > 1 lsl 30 then
+      invalid_arg (Printf.sprintf "box bound %d..%d out of range" lo hi);
+    Interval.make lo hi
+  in
   let box_at o =
     let wiv =
-      Array.init n (fun i -> Interval.make (g (o + (2 * i))) (g (o + (2 * n) + (2 * i))))
+      Array.init n (fun i -> interval (g (o + (2 * i))) (g (o + (2 * n) + (2 * i))))
     in
     let hiv =
       Array.init n (fun i ->
-          Interval.make (g (o + (2 * i) + 1)) (g (o + (2 * n) + (2 * i) + 1)))
+          interval (g (o + (2 * i) + 1)) (g (o + (2 * n) + (2 * i) + 1)))
     in
     Dimbox.make ~w:wiv ~h:hiv
   in
@@ -409,14 +442,15 @@ let parse ~circuit (w : Persist.words) ~bytes =
   if h.h_n_pool <= 0 then corrupt "header" "empty coordinate pool";
   if h.h_skipped < 0 then corrupt "header" "negative skipped-row count";
   let off = ref h.h_header_words in
-  List.iter2
-    (fun etag (tag, o, l, _) ->
+  List.iteri
+    (fun k (tag, o, l, _) ->
+      let etag = if k < n_sections then List.nth section_tags k else state_tag in
       if not (tag_matches etag tag) then
         corrupt etag "section tag %S out of order" tag;
       if o <> !off || l < 0 || o + l > h.h_total then
         corrupt etag "bad section bounds (%d + %d words)" o l;
       off := o + l)
-    section_tags h.h_table;
+    h.h_table;
   if !off <> h.h_total then corrupt "header" "sections do not cover the file";
   List.iter
     (fun (tag, o, l, c) ->
@@ -485,6 +519,8 @@ let parse ~circuit (w : Persist.words) ~bytes =
         h.h_table;
     record_off_words = ro;
     record_stride_words = stride;
+    state =
+      (if List.length h.h_table > n_sections then Some (sec state_tag) else None);
   }
 
 let words_of_string raw =
@@ -528,11 +564,15 @@ let salvage_parts ~circuit (w : Persist.words) ~bytes =
       (* Only the pool and record table matter here: salvage recompiles
          from placements, so the engine sections may be arbitrary
          garbage.  Bound every count by what the file actually holds
-         rather than trusting the header. *)
+         rather than trusting the header: a section cut short by
+         truncation keeps the words present, and the whole records
+         among them still decode. *)
       let find tags =
-        List.find_opt
-          (fun (t, o, l, _) ->
-            List.mem t tags && o >= 0 && l >= 0 && o + l <= dim)
+        List.find_map
+          (fun (t, o, l, c) ->
+            if List.mem t tags && o >= 0 && l >= 0 && o <= dim then
+              Some (t, o, min l (dim - o), c)
+            else None)
           h.h_table
       in
       (match (find [ "POOL"; "POLH" ], find [ "PLCT"; "PLCH" ]) with

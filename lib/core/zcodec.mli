@@ -1,9 +1,12 @@
 (** MPSZ: the structure file — the zero-copy binary container every
-    [mpsgen] command writes and the daemon serves (DESIGN.md §12).
+    [mpsgen] command writes, the daemon serves and a checkpoint
+    ({!Checkpoint}) is made of (DESIGN.md §12).  It is the one format
+    the program reads back; the v2 text document ({!Codec}) is a
+    write-only dump ([mpsgen dump]).
 
-    The v2 text document ({!Codec}) is its dump/import form: it stores
-    placements and recompiles on parse — O(n²) overlap validation,
-    plan compilation.  MPSZ stores the {e compiled engine} itself: the flat
+    A text document stores placements and recompiles on parse — O(n²)
+    overlap validation, plan compilation.  MPSZ stores the {e compiled
+    engine} itself: the flat
     int vectors of {!Structure.Engine} as little-endian 8-byte words,
     prefixed by a self-describing section table.  Loading maps the file
     read-only ({!Persist.map_words}) and wraps the mapped words as an
@@ -26,7 +29,7 @@
     word 8   n_stored         word 9   n_pool
     word 10  words_per_set    word 11  skipped_rows
     word 12  name bytes, then the packed name
-    section table: 12 x (tag, offset, length, crc32)
+    section table: 12 or 13 x (tag, offset, length, crc32)
     header crc32, then the sections, contiguous and in table order
     v}
 
@@ -34,14 +37,18 @@
     the {!Structure.Engine.flat} vectors verbatim.  [POOL] holds the
     coordinate pool, deduplicated by content: placements with equal
     coordinates (the backup's template pieces, {!Compact}'s
-    content-equal merges) store them once, so a structure re-imported
-    from its text dump packs to the same bytes.  [PLCT] holds one fixed-stride record per
+    content-equal merges) store them once, so equal structures pack to
+    the same bytes however their arrays are shared.  [PLCT] holds one fixed-stride record per
     stored placement — pool index, template flag, costs as split
     IEEE-754 words, best dims, validity and expansion boxes — with the
     backup template as the final record.  The last two slots may
     instead carry [POLH]/[PLCH]: the same payloads half-packed, two
     31-bit coordinate values per word ({!to_string} with
-    [~packed:true], the layout [mpsgen compact] writes).
+    [~packed:true], the layout [mpsgen compact] writes).  A checkpoint
+    appends a thirteenth section, [GENS]: the generator's resumable
+    state, opaque words under the same CRC discipline ({!to_string}
+    with [~state]).  A plain structure has no [GENS] slot, so its bytes
+    do not depend on this option.
 
     Every CRC is computed through the same int lens the loader reads
     with ({!Persist.crc32_words}), so save-side and mapped-side
@@ -74,9 +81,19 @@ val format_version : int
 val magic : string
 (** The 8-byte container magic, ["MPSZ0001"]. *)
 
-val is_magic : string -> bool
-(** The string starts with {!magic} — how salvage and [mpsgen pack]
-    tell a container from a text document. *)
+val float_words : float -> int * int
+(** A float's IEEE-754 image as (high, low) 32-bit words — how the
+    container stores costs bit-exactly. *)
+
+val float_of_words : int -> int -> float
+(** Inverse of {!float_words}. *)
+
+val string_words : string -> int array
+(** ASCII packed 4 bytes per word, low byte first (the circuit name's
+    layout). *)
+
+val string_of_words : Persist.words -> pos:int -> len:int -> string
+(** Inverse of {!string_words}: [len] bytes from the words at [pos]. *)
 
 (** One section-table entry, for size accounting ([mpsgen stats]). *)
 type section = { tag : string; off_words : int; len_words : int }
@@ -94,6 +111,9 @@ type view = {
       (** Absolute word offset of the placement-record table (the
           [PLCT]/[PLCH] section). *)
   record_stride_words : int;  (** Words per placement record. *)
+  state : Persist.words option;
+      (** The CRC-verified [GENS] section, when the container is a
+          checkpoint ({!Checkpoint}). *)
 }
 
 val record_span : view -> int -> int * int
@@ -103,7 +123,7 @@ val record_span : view -> int -> int * int
     copying the record.  Record [v.n_stored] is the backup template.
     @raise Invalid_argument when [k] is outside [0 .. n_stored]. *)
 
-val to_string : ?packed:bool -> Structure.t -> string
+val to_string : ?packed:bool -> ?state:int array -> Structure.t -> string
 (** Serialize: compiles the engine ({!Structure.Engine.create}) and
     writes its flat vectors plus the pooled placement records.
 
@@ -116,11 +136,13 @@ val to_string : ?packed:bool -> Structure.t -> string
     31-bit range falls that section back to the plain layout, so a
     packed container decodes to the bit-identical structure.  The
     default layout keeps one value per word: it is what [mpsgen
-    generate], [extend], [repair] and [pack] write; [mpsgen compact]
-    writes packed output.  (Checkpoints embed the text document, not a
-    container.) *)
+    generate], [extend] and [repair] write; [mpsgen compact] writes
+    packed output.
 
-val save : ?packed:bool -> Structure.t -> path:string -> unit
+    [state] appends the words as the [GENS] section; only
+    {!Checkpoint} writes one. *)
+
+val save : ?packed:bool -> ?state:int array -> Structure.t -> path:string -> unit
 (** {!to_string} through {!Persist.atomic_write}: crash-safe replace.
     @raise Error ([Io_error]) when the file cannot be written. *)
 
@@ -139,8 +161,7 @@ val load : circuit:Circuit.t -> string -> view
     mapped, otherwise as {!of_string}. *)
 
 (** What a best-effort scan of a damaged container recovered; feed to
-    {!Structure.of_placements_lenient} / {!Repair} to rebuild (that is
-    what {!Codec.load_salvage} does when it routes here). *)
+    {!Repair} to rebuild (that is what {!Repair.salvage} does). *)
 type recovered = {
   r_stored : Stored.t list;  (** Intact placement records, file order. *)
   r_backup : Stored.t option;  (** The backup record, if intact. *)
@@ -158,8 +179,10 @@ val words_of_string : string -> Persist.words
 val salvage_parts :
   circuit:Circuit.t -> Persist.words -> bytes:int -> (recovered, error) result
 (** Scan a (possibly damaged) container for intact placement records,
-    skipping records that fail to decode.  Only the fixed header and
+    skipping records that fail to decode (a box bound outside
+    [1 .. 2{^30}] counts as a failure).  Only the fixed header and
     the [POOL]/[PLCT] table entries must be usable; the engine sections
     may be arbitrarily damaged (salvage recompiles from placements
-    anyway).  [Error] when the header is unusable ([Corrupt]) or the
+    anyway), and a pool or record table cut short by truncation yields
+    the whole records still present.  [Error] when the header is unusable ([Corrupt]) or the
     circuit does not match ([Circuit_mismatch]). *)

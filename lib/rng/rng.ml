@@ -37,12 +37,10 @@ let split t id =
 let copy t = { state = Random.State.copy t.state; key = t.key }
 
 (* The state is opaque, so serialization goes through Marshal; hex
-   encoding keeps the token printable and whitespace-free for the
-   line-oriented checkpoint format.  Marshal round-trips Random.State
-   bit-exactly (property-tested), which is what resume determinism
-   needs.  The token is "<16-hex-digit key>.<hex marshal blob>"; a
-   bare blob with no '.' (written before streams had keys) still
-   parses, with a zero key. *)
+   encoding keeps the token printable and whitespace-free.  Marshal
+   round-trips Random.State bit-exactly (property-tested), which is what
+   resume determinism needs.  The token is "<16-hex-digit key>.<hex
+   marshal blob>". *)
 
 let to_string t =
   let blob = Marshal.to_string (Random.State.copy t.state) [] in
@@ -58,9 +56,22 @@ let hex c =
   | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
   | _ -> None
 
+(* [Marshal.from_string] trusts its input: a well-formed blob of any
+   other value would be accepted as a state and crash the first draw.
+   Every marshalled state has the same shape — a fixed prefix, then
+   the generator's 32 raw state bytes — so a blob is unmarshalled only
+   when it equals a reference state's blob outside those bytes. *)
+let reference_blob = Marshal.to_string (Random.State.make [| 0 |]) []
+let state_bytes = 32
+
+let shaped_like_state blob =
+  let n = String.length reference_blob in
+  String.length blob = n
+  && String.sub blob 0 (n - state_bytes) = String.sub reference_blob 0 (n - state_bytes)
+
 let state_of_hex s =
   let len = String.length s in
-  if len = 0 || len mod 2 <> 0 then None
+  if len mod 2 <> 0 then None
   else
     let blob = Bytes.create (len / 2) in
     let ok = ref true in
@@ -69,11 +80,10 @@ let state_of_hex s =
       | Some hi, Some lo -> Bytes.set blob i (Char.chr ((hi lsl 4) lor lo))
       | _ -> ok := false
     done;
-    if not !ok then None
-    else
-      match (Marshal.from_string (Bytes.to_string blob) 0 : Random.State.t) with
-      | state -> Some state
-      | exception _ -> None
+    let blob = Bytes.to_string blob in
+    if !ok && shaped_like_state blob then
+      Some (Marshal.from_string blob 0 : Random.State.t)
+    else None
 
 let key_of_hex s =
   if String.length s <> 16 then None
@@ -90,6 +100,7 @@ let key_of_hex s =
 
 let of_string s =
   match String.index_opt s '.' with
+  | None -> None
   | Some i -> (
       match
         ( key_of_hex (String.sub s 0 i),
@@ -97,11 +108,6 @@ let of_string s =
       with
       | Some key, Some state -> Some { state; key }
       | _ -> None)
-  | None -> (
-      (* legacy token: marshal blob only, stream key unknown *)
-      match state_of_hex s with
-      | Some state -> Some { state; key = 0L }
-      | None -> None)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -39,8 +39,9 @@ val to_string : t -> string
 
 val of_string : string -> t option
 (** Rehydrate a state written by {!to_string}; [None] when the token is
-    malformed or from an incompatible runtime.  Tokens written before
-    stream keys existed still parse (with a zero key). *)
+    malformed, from an incompatible runtime, or carries anything but a
+    marshalled generator state (a forged blob is refused before it is
+    unmarshalled). *)
 
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0 .. n-1].  [n] must be positive. *)

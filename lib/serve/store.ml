@@ -127,26 +127,26 @@ let build t name =
         (* the salvage pass audits and repairs internally; territory
            was lost, so the entry is degraded even when it audits
            clean, and backup-only when it does not *)
-        match Codec.load_salvage ~circuit ~path with
+        match Repair.salvage ~circuit ~path with
         | Ok sv ->
-          let clean = Audit.clean sv.Codec.audit in
+          let outcome = sv.Repair.outcome in
           Ok
             {
               name;
               path;
               circuit;
-              engine = Structure.Engine.create sv.Codec.structure;
+              engine = Structure.Engine.create outcome.Repair.structure;
               epoch = 0;
               degraded = true;
-              backup_only = not clean;
-              findings = List.length sv.Codec.audit.Audit.findings;
+              backup_only = not (Repair.clean outcome);
+              findings = List.length outcome.Repair.after.Audit.findings;
               salvaged = true;
               bytes = st.Unix.st_size;
               mtime;
               container = None;
             }
-        | Error e -> Error (Corrupt { path; reason = Codec.error_to_string e })
-        | exception Sys_error reason -> Error (Unreadable { path; reason }))))
+        | Error (Zcodec.Io_error reason) -> Error (Unreadable { path; reason })
+        | Error e -> Error (Corrupt { path; reason = Zcodec.error_to_string e }))))
 
 let touch t stamp =
   incr t.clock;

@@ -21,7 +21,7 @@
     Degradation policy (never silently wrong):
     - a container that verifies serves normally, from the mapping;
     - a damaged container is salvaged from its own record table
-      ({!Mps_core.Codec.load_salvage}) and served from a heap engine,
+      ({!Mps_core.Repair.salvage}) and served from a heap engine,
       flagged degraded (territory may have been lost); when the
       post-repair audit still has findings the entry is
       {e backup-only}: every query is answered by the backup template
@@ -81,7 +81,7 @@ type entry = {
   backup_only : bool;
       (** Audit findings: answer every query from the backup template. *)
   findings : int;  (** Audit finding count behind the demotion. *)
-  salvaged : bool;  (** The file needed {!Codec.load_salvage}. *)
+  salvaged : bool;  (** The file needed {!Repair.salvage}. *)
   bytes : int;  (** Size on disk; counts against [max_mapped_bytes]
                     when [container] is present. *)
   mtime : float;  (** Mtime of the container at load, for hot-reload

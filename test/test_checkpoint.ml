@@ -89,79 +89,108 @@ let test_resume_matches_straight_run () =
         stats_b.Generator.coverage;
       ignore stats_a)
 
+let rejects s =
+  try
+    ignore (Checkpoint.of_string ~circuit s);
+    false
+  with Zcodec.Error _ -> true
+
 let test_corrupt_checkpoint_rejected () =
   with_checkpoint_file (fun path ->
       let _ = checkpointed_run path in
       let cp = Checkpoint.load ~circuit ~path in
-      let doc = Checkpoint.to_string cp in
-      let rejects s =
-        try
-          ignore (Checkpoint.of_string ~circuit s);
-          false
-        with Codec.Error _ -> true
-      in
-      (* flip one payload character: the checkpoint's own checksum
-         must catch it *)
-      let b = Bytes.of_string doc in
-      let i = String.length doc / 2 in
-      Bytes.set b i (if Bytes.get b i = '0' then '1' else '0');
+      let raw = Checkpoint.to_string cp in
+      (* flip one bit in the middle: a section CRC must catch it *)
+      let b = Bytes.of_string raw in
+      let i = String.length raw / 2 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
       check_bool "bit flip rejected" true (rejects (Bytes.to_string b));
-      (* truncation at every line boundary is rejected too: a
-         checkpoint is whole or refused, never salvaged *)
-      let lines = String.split_on_char '\n' doc in
-      for keep = 0 to List.length lines - 2 do
-        check_bool
-          (Printf.sprintf "truncation to %d lines rejected" keep)
-          true
-          (rejects (String.concat "\n" (List.filteri (fun i _ -> i < keep) lines)))
+      (* truncation at every byte is rejected too: a checkpoint is
+         whole or refused, never salvaged *)
+      for keep = 0 to String.length raw - 1 do
+        if not (rejects (String.sub raw 0 keep)) then
+          Alcotest.failf "truncation to %d bytes accepted" keep
       done;
-      check_bool "garbage rejected" true (rejects "mps-checkpoint v9\nwhat\n");
-      (* the pre-v2 layout is refused by its header, with a typed error *)
-      let v1 = "mps-checkpoint v1" ^ String.sub doc 17 (String.length doc - 17) in
-      check_bool "v1 checkpoint refused as a bad header" true
+      check_bool "garbage rejected" true (rejects "MPSZ0001what");
+      (* the text checkpoints of earlier versions are refused by their
+         magic, with a typed error *)
+      check_bool "text checkpoint refused as a bad header" true
         (try
-           ignore (Checkpoint.of_string ~circuit v1);
+           ignore (Checkpoint.of_string ~circuit "mps-checkpoint v2\nchecksum 0\nstep 0\n");
            false
-         with Codec.Error (Codec.Corrupt { lineno = 1; _ }) -> true);
+         with Zcodec.Error (Zcodec.Corrupt { section = "header"; _ }) -> true);
+      (* a plain structure container carries no generator state *)
+      check_bool "plain container refused" true
+        (rejects (Zcodec.to_string cp.Checkpoint.structure));
       (* wrong circuit is reported as a mismatch, not corruption *)
       check_bool "wrong circuit rejected" true
         (try
-           ignore (Checkpoint.of_string ~circuit:Benchmarks.circ02 doc);
+           ignore (Checkpoint.of_string ~circuit:Benchmarks.circ02 raw);
            false
-         with Codec.Error (Codec.Circuit_mismatch _) -> true))
+         with Zcodec.Error (Zcodec.Circuit_mismatch _) -> true))
 
-(* Rewrite one payload line of a checkpoint and recompute its
-   checksum, so only the parser stands between the edit and the
-   generator. *)
-let reseal doc ~prefix ~by =
-  let header, payload =
-    match String.split_on_char '\n' doc with
-    | magic :: _checksum :: rest -> (magic, rest)
-    | _ -> Alcotest.fail "short checkpoint"
-  in
-  let payload =
-    String.concat "\n"
-      (List.map (fun l -> if String.starts_with ~prefix l then by else l) payload)
-  in
-  Printf.sprintf "%s\nchecksum %s\n%s" header (Persist.crc32_hex payload) payload
+(* Seeded damage anywhere in the file: every decode either refuses with
+   a typed error or returns the very checkpoint that was saved (a flip
+   of a word's bit 63, which the container's int lens drops, changes
+   nothing it reads). *)
+let test_seeded_damage_typed_or_identical () =
+  with_checkpoint_file (fun path ->
+      let _ = checkpointed_run path in
+      let raw = Checkpoint.to_string (Checkpoint.load ~circuit ~path) in
+      let decode tag s =
+        match Checkpoint.of_string ~circuit s with
+        | cp ->
+          check_bool (tag ^ ": accepted damage decodes to the saved checkpoint") true
+            (Checkpoint.to_string cp = raw)
+        | exception Zcodec.Error _ -> ()
+        | exception e -> Alcotest.failf "%s: %s escaped" tag (Printexc.to_string e)
+      in
+      for seed = 1 to 200 do
+        decode (Printf.sprintf "flip seed %d" seed)
+          (Mps_fault.Fault.flip_bits ~seed ~flips:(1 + (seed mod 5)) raw);
+        let cut = Mps_rng.Rng.int (Mps_rng.Rng.create ~seed) (String.length raw) in
+        decode (Printf.sprintf "cut seed %d" seed) (String.sub raw 0 cut)
+      done)
 
-(* A checksum-valid checkpoint whose walk count claims more records
-   than the file holds is damage, refused with a typed error — never an
+(* Rewrite word [word] of the generator-state section and recompute
+   its CRC and the header's, so only the decoder stands between the
+   edit and the generator.  [GENS] is the last table entry, so its CRC
+   word sits just before the header CRC. *)
+let reseal raw ~word ~value =
+  let gens =
+    List.find
+      (fun s -> s.Zcodec.tag = "GENS")
+      (Zcodec.of_string ~circuit raw).Zcodec.sections
+  in
+  let b = Bytes.of_string raw in
+  let set_word k v = Bytes.set_int64_le b (8 * k) (Int64.of_int v) in
+  let crc ~pos ~len =
+    Int32.to_int (Persist.crc32 (Bytes.sub_string b (8 * pos) (8 * len))) land 0xFFFF_FFFF
+  in
+  set_word (gens.Zcodec.off_words + word) value;
+  let header_words = Int64.to_int (Bytes.get_int64_le b 24) in
+  set_word (header_words - 2) (crc ~pos:gens.Zcodec.off_words ~len:gens.Zcodec.len_words);
+  set_word (header_words - 1) (crc ~pos:0 ~len:(header_words - 1));
+  Bytes.to_string b
+
+(* A CRC-valid checkpoint whose walk count claims more records than the
+   section holds is damage, refused with a typed error — never an
    allocation of that size. *)
 let test_huge_walk_count_rejected () =
   with_checkpoint_file (fun path ->
       let _ = checkpointed_run path in
-      let doc = Checkpoint.to_string (Checkpoint.load ~circuit ~path) in
+      let raw = Checkpoint.to_string (Checkpoint.load ~circuit ~path) in
+      check_bool "resealing alone keeps the checkpoint valid" false
+        (rejects (reseal raw ~word:3 ~value:walks));
       List.iter
         (fun count ->
-          let forged = reseal doc ~prefix:"walks " ~by:(Printf.sprintf "walks %d 4" count) in
           check_bool
             (Printf.sprintf "walk count %d refused as corrupt" count)
             true
             (try
-               ignore (Checkpoint.of_string ~circuit forged);
+               ignore (Checkpoint.of_string ~circuit (reseal raw ~word:3 ~value:count));
                false
-             with Codec.Error (Codec.Corrupt _) -> true))
+             with Zcodec.Error (Zcodec.Corrupt _) -> true))
         [ max_int; 100_000_000_000_000 ])
 
 (* A zero deadline stops after the first round: the run still returns
@@ -205,6 +234,8 @@ let suite =
      test_resume_matches_straight_run);
     ("corrupt or truncated checkpoint rejected", `Quick, test_corrupt_checkpoint_rejected);
     ("huge walk count rejected as corrupt", `Quick, test_huge_walk_count_rejected);
+    ("seeded damage: typed error or the identical checkpoint", `Quick,
+     test_seeded_damage_typed_or_identical);
     ("zero deadline stops gracefully and resumes identically", `Quick,
      test_deadline_stops_gracefully_and_resumes);
     ("no deadline: full budget, no flag", `Quick, test_no_deadline_runs_to_budget);

@@ -1,6 +1,6 @@
 (* Tests for the v2 text document: round-trips, integrity checking
-   (version + CRC-32), atomic save, and graceful degradation on corrupt
-   or truncated documents. *)
+   (version + CRC-32) and atomic save.  Salvage of damaged structures
+   reads only the container; its tests live in test_zcodec.ml. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -201,86 +201,27 @@ let test_corrupted_interval () =
   check_bool "rejects inverted interval" true (rejects_with is_corrupt forged)
 
 (* Integrity: Codec.load must reject EVERY single-line truncation of a
-   saved file, while load_salvage recovers a queryable structure (or
-   fails with a typed error when nothing is left) and never returns
-   overlapping validity boxes. *)
+   saved file with a typed error. *)
 let test_truncation_at_every_line () =
   let s, _ = Generator.single_walk ~config:tiny_config circuit in
-  let doc = Codec.to_string s in
-  let lines = String.split_on_char '\n' doc in
-  let n_lines = List.length lines in
+  let lines = String.split_on_char '\n' (Codec.to_string s) in
   let path = Filename.temp_file "mps_trunc" ".mps" in
-  for keep = 0 to n_lines - 2 do
-    let truncated =
-      String.concat "\n" (List.filteri (fun i _ -> i < keep) lines)
-    in
-    let oc = open_out path in
-    output_string oc truncated;
-    close_out oc;
-    (* strict load always refuses *)
+  for keep = 0 to List.length lines - 2 do
+    Persist.atomic_write ~path (String.concat "\n" (List.filteri (fun i _ -> i < keep) lines));
     check_bool
       (Printf.sprintf "load rejects truncation to %d lines" keep)
       true
       (try
          ignore (Codec.load ~circuit ~path);
          false
-       with Codec.Error _ -> true);
-    (* salvage never crashes: either a typed error or a queryable
-       structure with pairwise-disjoint boxes *)
-    match Codec.load_salvage ~circuit ~path with
-    | Error (Codec.Corrupt _) | Error (Codec.Io_error _) -> ()
-    | Error (Codec.Circuit_mismatch _) ->
-      Alcotest.fail "salvage must not misreport the circuit"
-    | Ok sv ->
-      let stored = Structure.placements sv.Codec.structure in
-      Array.iteri
-        (fun i a ->
-          Array.iteri
-            (fun j b ->
-              if i < j then
-                check_bool "salvaged boxes disjoint" false
-                  (Dimbox.overlaps a.Stored.box b.Stored.box))
-            stored)
-        stored;
-      (* the salvaged structure answers queries *)
-      let dims = Dimbox.center (Circuit.dim_bounds circuit) in
-      let rects = Structure.instantiate sv.Codec.structure dims in
-      check_bool "salvaged structure instantiates overlap-free" true
-        (Rect.any_overlap rects = None)
+       with Codec.Error _ -> true)
   done;
   Sys.remove path
-
-let test_salvage_reports_drops () =
-  let s, _ = Generator.single_walk ~config:tiny_config circuit in
-  let doc = Codec.to_string s in
-  let lines = String.split_on_char '\n' doc in
-  (* cut the document at 60%: a truncated tail *)
-  let keep = List.length lines * 6 / 10 in
-  let truncated = String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) in
-  match Codec.salvage_of_string ~circuit truncated with
-  | Error e -> Alcotest.fail (Codec.error_to_string e)
-  | Ok sv ->
-    check_bool "something recovered" true (sv.Codec.recovered > 0);
-    check_bool "something dropped" true (sv.Codec.dropped > 0);
-    check_int "recovered + dropped = claimed" (Structure.n_placements s)
-      (sv.Codec.recovered + sv.Codec.dropped);
-    check_bool "checksum reported bad" false sv.Codec.checksum_ok
-
-let test_salvage_intact_file_recovers_everything () =
-  let s = Lazy.force structure in
-  match Codec.salvage_of_string ~circuit (Codec.to_string s) with
-  | Error e -> Alcotest.fail (Codec.error_to_string e)
-  | Ok sv ->
-    check_int "all placements recovered" (Structure.n_placements s) sv.Codec.recovered;
-    check_int "nothing dropped" 0 sv.Codec.dropped;
-    check_bool "backup recovered" true sv.Codec.backup_recovered;
-    check_bool "checksum ok" true sv.Codec.checksum_ok
 
 let test_current_format_is_versioned_and_checksummed () =
   let s = Lazy.force structure in
   let doc = Codec.to_string s in
   let lines = String.split_on_char '\n' doc in
-  check_int "format version" 2 Codec.format_version;
   check_bool "first line carries the version" true
     (List.nth lines 0 = "mps-structure v2");
   check_bool "second line carries the checksum" true
@@ -303,9 +244,5 @@ let suite =
     ("checksum catches single-character flips", `Quick, test_checksum_detects_any_flip);
     ("corrupted interval rejected", `Quick, test_corrupted_interval);
     ("huge placement count rejected as corrupt", `Quick, test_huge_placement_count);
-    ("every single-line truncation: load rejects, salvage degrades", `Quick,
-     test_truncation_at_every_line);
-    ("salvage reports recovered and dropped counts", `Quick, test_salvage_reports_drops);
-    ("salvage of an intact file recovers everything", `Quick,
-     test_salvage_intact_file_recovers_everything);
+    ("every single-line truncation: load rejects", `Quick, test_truncation_at_every_line);
   ]

@@ -217,8 +217,9 @@ let test_instantiate_into_matches c structure =
     (Printf.sprintf "%s: probes include fallbacks (%d)" c.Circuit.name !fallbacks)
     true (!fallbacks > 0)
 
-(* Batch serving: identical answers sequentially, with a pool, and at
-   different job counts. *)
+(* Batch serving across domains: one engine shared by per-task
+   sessions on a pool answers as the linear oracle and instantiates the
+   same floorplans as one sequential session. *)
 let test_batch_matches_sequential c structure =
   let engine = Structure.Engine.create structure in
   let stored = Structure.placements structure in
@@ -227,25 +228,34 @@ let test_batch_matches_sequential c structure =
   let expected =
     Array.map (fun d -> fst (Structure.query_linear structure d)) dims
   in
-  let answers_seq = Array.map fst (Structure.Engine.query_batch engine dims) in
-  check_bool (c.Circuit.name ^ ": sequential batch") true (answers_seq = expected);
+  let serve (lo, len) =
+    let session = Structure.Engine.new_session () in
+    Array.init len (fun k ->
+        let d = dims.(lo + k) in
+        (fst (Structure.Engine.query engine session d),
+         Structure.Engine.instantiate engine session d))
+  in
+  let sequential = serve (0, Array.length dims) in
+  let chunks = 12 in
+  let ranges =
+    Array.init chunks (fun i ->
+        let lo = i * Array.length dims / chunks in
+        (lo, ((i + 1) * Array.length dims / chunks) - lo))
+  in
   Mps_parallel.Pool.with_pool ~jobs:3 (fun pool ->
-      let answers_par =
-        Array.map fst (Structure.Engine.query_batch ~pool engine dims)
-      in
-      check_bool (c.Circuit.name ^ ": pooled batch") true (answers_par = expected);
-      let rects_seq = Structure.Engine.instantiate_batch engine dims in
-      let rects_par = Structure.Engine.instantiate_batch ~pool engine dims in
+      let pooled = Array.concat (Array.to_list (Mps_parallel.Pool.map pool serve ranges)) in
+      check_bool (c.Circuit.name ^ ": pooled batch") true
+        (Array.map fst pooled = expected);
       Array.iteri
-        (fun k rs ->
+        (fun k (_, rs) ->
           Array.iteri
             (fun i r ->
               check_bool
                 (c.Circuit.name ^ ": batched floorplans equal")
                 true
-                (Rect.equal r rects_par.(k).(i)))
+                (Rect.equal r (snd pooled.(k)).(i)))
             rs)
-        rects_seq)
+        sequential)
 
 (* Plan shape: every axis row is either in the narrowing plan or
    provably non-selective, and the skip rule never hides a row that

@@ -3,15 +3,19 @@
    Every scenario is reproducible from a single integer seed.  The base
    seed comes from the MPS_CHAOS_SEED environment variable when set (CI
    derives it from the date so the fleet walks the seed space), default
-   1.  The invariant under test, for every injected fault:
+   1.  Every family works on the MPSZ container, the one format the
+   program reads back.  The invariant under test, for every injected
+   fault:
 
-   - no exception other than the typed [Codec.Error] / [Sys_error]
+   - no exception other than the typed [Zcodec.Error] / [Sys_error]
      escapes the persistence API;
-   - after a faulted save, a fault-free load finds a complete document
+   - after a faulted save, a fault-free load finds a complete container
      — bit-exact the old or the new serialization, never a torn mix;
-   - a document corrupted on disk either salvages into a structure
-     whose sampled queries all instantiate overlap-free at quality no
-     worse than the backup template, or is rejected with a typed error.
+   - a container damaged on disk (bit flips, truncation) is either
+     refused by the strict load or decodes to the very structure saved,
+     and either salvages ({!Repair.salvage}) into a structure whose
+     sampled queries all instantiate overlap-free at quality no worse
+     than the backup template, or is rejected with a typed error.
 *)
 
 open Mps_geometry
@@ -60,7 +64,7 @@ let with_tmp_dir f =
     (fun () -> f dir)
 
 let is_typed = function
-  | Codec.Error _ | Sys_error _ -> true
+  | Zcodec.Error _ | Sys_error _ -> true
   | _ -> false
 
 (* Sampled-query legality and quality of a (salvaged) structure: every
@@ -93,19 +97,19 @@ let check_queries_sound tag structure =
     (!cost_sum <= !floor_sum +. 1e-6)
 
 (* Family A: faults while saving.  The destination must afterwards hold
-   a complete old or complete new document. *)
+   a complete old or complete new container. *)
 let save_under_fault scenario () =
   let s = Lazy.force structure in
   let seed = (base_seed * 1000) + scenario in
   let rng = Mps_rng.Rng.create ~seed in
   with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "structure.mps" in
-      Codec.save s ~path;
+      let path = Filename.concat dir "structure.mpsz" in
+      Zcodec.save s ~path;
       let old_doc = Persist.read_file ~path in
       let s2 = Lazy.force structure2 in
-      let new_doc = Codec.to_string s2 in
+      let new_doc = Zcodec.to_string s2 in
       let plan = Fault.random_save_plan rng in
-      let result, _fired = Fault.with_plan plan (fun () -> Codec.save s2 ~path) in
+      let result, _fired = Fault.with_plan plan (fun () -> Zcodec.save s2 ~path) in
       (match result with
       | Ok () -> ()
       | Error e ->
@@ -113,14 +117,14 @@ let save_under_fault scenario () =
           (Printf.sprintf "seed %d: only typed errors escape save (%s)\n%s" seed
              (Printexc.to_string e) (Fault.describe plan))
           true (is_typed e));
-      (* fault-free load: a complete document, bit-exact old or new *)
+      (* fault-free load: a complete container, bit-exact old or new *)
       let doc = Persist.read_file ~path in
       check_bool
         (Printf.sprintf "seed %d: destination is old or new, never torn\n%s" seed
            (Fault.describe plan))
         true
         (doc = old_doc || doc = new_doc);
-      ignore (Codec.load ~circuit ~path))
+      ignore (Zcodec.load ~circuit path))
 
 (* Family B: faults while loading.  Only typed errors escape; the file
    itself is untouched, so a fault-free load still succeeds. *)
@@ -129,12 +133,12 @@ let load_under_fault scenario () =
   let seed = (base_seed * 1000) + 400 + scenario in
   let rng = Mps_rng.Rng.create ~seed in
   with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "structure.mps" in
-      Codec.save s ~path;
+      let path = Filename.concat dir "structure.mpsz" in
+      Zcodec.save s ~path;
       let before = Persist.read_file ~path in
       let plan = Fault.random_read_plan rng in
       let result, _fired =
-        Fault.with_plan plan (fun () -> Codec.load ~circuit ~path)
+        Fault.with_plan plan (fun () -> Zcodec.of_string ~circuit (Persist.read_file ~path))
       in
       (match result with
       | Ok _ -> ()
@@ -146,10 +150,11 @@ let load_under_fault scenario () =
       (* salvage under the same faults must also stay typed *)
       let plan2 = Fault.random_read_plan rng in
       let result2, _ =
-        Fault.with_plan plan2 (fun () -> Codec.load_salvage ~circuit ~path)
+        Fault.with_plan plan2 (fun () -> Repair.salvage ~circuit ~path)
       in
       (match result2 with
-      | Ok (Result.Ok sv) -> check_queries_sound (Printf.sprintf "seed %d" seed) sv.Codec.structure
+      | Ok (Result.Ok sv) ->
+        check_queries_sound (Printf.sprintf "seed %d" seed) sv.Repair.outcome.Repair.structure
       | Ok (Result.Error _) -> ()
       | Error e ->
         Alcotest.failf "seed %d: salvage let %s escape\n%s" seed (Printexc.to_string e)
@@ -159,36 +164,40 @@ let load_under_fault scenario () =
         true
         (Persist.read_file ~path = before))
 
-(* Family C: bits flipped on disk inside the placement sections.  The
-   strict load must refuse (checksum); salvage must hand back a
-   structure that is audit-sound on the query side — quarantining what
-   the flips broke — or a typed error. *)
+(* Family C: bits flipped on disk from the coordinate pool on (the
+   header and the engine sections stay intact, so the records are what
+   is hit).  The strict load must refuse (section CRC) or, when every
+   flip fell on a bit the int lens drops, decode the very structure
+   saved; salvage must hand back a structure that is audit-sound on the
+   query side — quarantining what the flips broke — or a typed error. *)
 let corruption_salvage scenario () =
   let s = Lazy.force structure in
   let seed = (base_seed * 1000) + 800 + scenario in
-  let doc = Codec.to_string s in
-  (* flip bits only after the "placements" line so identity survives *)
+  let raw = Zcodec.to_string s in
   let from =
-    let needle = "\nplacements " in
-    let n = String.length needle and len = String.length doc in
-    let rec find i =
-      if i + n > len then String.length doc / 2
-      else if String.sub doc i n = needle then i + n
-      else find (i + 1)
+    let pool =
+      List.find
+        (fun x -> x.Zcodec.tag = "POOL")
+        (Zcodec.of_string ~circuit raw).Zcodec.sections
     in
-    find 0
+    8 * pool.Zcodec.off_words
   in
   let flips = 1 + (scenario mod 24) in
-  let corrupted = Fault.flip_bits ~seed ~flips ~from doc in
-  if corrupted = doc then () (* flips cancelled out: nothing to test *)
+  let corrupted = Fault.flip_bits ~seed ~flips ~from raw in
+  if corrupted = raw then () (* flips cancelled out: nothing to test *)
   else begin
-    (match Codec.of_string ~circuit corrupted with
-    | _ -> Alcotest.failf "seed %d: strict load accepted flipped bits" seed
-    | exception Codec.Error _ -> ()
+    (match Zcodec.of_string ~circuit corrupted with
+    | v ->
+      check_bool
+        (Printf.sprintf "seed %d: a verified load is the saved structure" seed)
+        true
+        (Codec.to_string (Structure.Engine.structure v.Zcodec.engine) = Codec.to_string s)
+    | exception Zcodec.Error _ -> ()
     | exception e ->
       Alcotest.failf "seed %d: strict load let %s escape" seed (Printexc.to_string e));
-    match Codec.salvage_of_string ~circuit corrupted with
+    match Repair.salvage_string ~circuit corrupted with
     | Result.Ok sv ->
+      let outcome = sv.Repair.outcome in
       check_bool
         (Printf.sprintf "seed %d: salvage audit has no fatal query finding" seed)
         true
@@ -197,24 +206,55 @@ let corruption_salvage scenario () =
               (fun f ->
                 f.Audit.severity = Audit.Fatal
                 && (f.Audit.code = "query-overlap" || f.Audit.code = "query-exception"))
-              sv.Codec.audit.Audit.findings));
-      check_queries_sound (Printf.sprintf "seed %d" seed) sv.Codec.structure
+              outcome.Repair.after.Audit.findings));
+      check_queries_sound (Printf.sprintf "seed %d" seed) outcome.Repair.structure
     | Result.Error _ -> () (* typed rejection is an acceptable outcome *)
     | exception e ->
       Alcotest.failf "seed %d: salvage let %s escape" seed (Printexc.to_string e)
   end
 
-(* Family D: truncation at a seeded point; salvage recovers a sound
-   prefix or rejects with a typed error. *)
+(* Family C's flips over base seeds 1-40 at once: whatever the flips do
+   to a record (a box bound of zero or past 2^30 included), salvage
+   either returns or refuses with a typed error — no exception escapes.
+   Soundness is Family C's own check, per base seed. *)
+let corruption_never_escapes () =
+  let raw = Zcodec.to_string (Lazy.force structure) in
+  let from =
+    8
+    * (List.find
+         (fun x -> x.Zcodec.tag = "POOL")
+         (Zcodec.of_string ~circuit raw).Zcodec.sections)
+        .Zcodec.off_words
+  in
+  for base = 1 to 40 do
+    for scenario = 0 to 15 do
+      let seed = (base * 1000) + 800 + scenario in
+      let corrupted = Fault.flip_bits ~seed ~flips:(1 + (scenario mod 24)) ~from raw in
+      match Repair.salvage_string ~circuit corrupted with
+      | Result.Ok _ | Result.Error _ -> ()
+      | exception e ->
+        Alcotest.failf "seed %d: salvage let %s escape" seed (Printexc.to_string e)
+    done
+  done
+
+(* Family D: truncation at a seeded point; the strict load refuses, and
+   salvage recovers the whole records before the cut as a sound
+   structure or rejects with a typed error. *)
 let truncation_salvage scenario () =
   let s = Lazy.force structure in
   let seed = (base_seed * 1000) + 1200 + scenario in
   let rng = Mps_rng.Rng.create ~seed in
-  let doc = Codec.to_string s in
-  let cut = Mps_rng.Rng.int rng (String.length doc) in
-  let truncated = String.sub doc 0 cut in
-  match Codec.salvage_of_string ~circuit truncated with
-  | Result.Ok sv -> check_queries_sound (Printf.sprintf "seed %d" seed) sv.Codec.structure
+  let raw = Zcodec.to_string s in
+  let cut = Mps_rng.Rng.int rng (String.length raw) in
+  let truncated = String.sub raw 0 cut in
+  (match Zcodec.of_string ~circuit truncated with
+  | _ -> Alcotest.failf "seed %d: strict load accepted a truncation" seed
+  | exception Zcodec.Error _ -> ()
+  | exception e ->
+    Alcotest.failf "seed %d: strict load let %s escape" seed (Printexc.to_string e));
+  match Repair.salvage_string ~circuit truncated with
+  | Result.Ok sv ->
+    check_queries_sound (Printf.sprintf "seed %d" seed) sv.Repair.outcome.Repair.structure
   | Result.Error _ -> ()
   | exception e ->
     Alcotest.failf "seed %d: salvage let %s escape" seed (Printexc.to_string e)
@@ -222,14 +262,14 @@ let truncation_salvage scenario () =
 (* Family E: the file is gone entirely. *)
 let missing_file () =
   with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "absent.mps" in
-      (match Codec.load ~circuit ~path with
+      let path = Filename.concat dir "absent.mpsz" in
+      (match Zcodec.load ~circuit path with
       | _ -> Alcotest.fail "load of a missing file succeeded"
-      | exception Codec.Error (Codec.Io_error _) -> ()
+      | exception Zcodec.Error (Zcodec.Io_error _) -> ()
       | exception e -> Alcotest.failf "missing file let %s escape" (Printexc.to_string e));
-      match Codec.load_salvage ~circuit ~path with
-      | Result.Error (Codec.Io_error _) -> ()
-      | Result.Error e -> Alcotest.failf "unexpected error %s" (Codec.error_to_string e)
+      match Repair.salvage ~circuit ~path with
+      | Result.Error (Zcodec.Io_error _) -> ()
+      | Result.Error e -> Alcotest.failf "unexpected error %s" (Zcodec.error_to_string e)
       | Result.Ok _ -> Alcotest.fail "salvage of a missing file succeeded")
 
 (* Query answering is total: out-of-domain vectors get the typed
@@ -262,7 +302,7 @@ let save_container dir =
 let load_or_salvage zpath =
   match Zcodec.load ~circuit zpath with
   | v -> `Mapped v
-  | exception Zcodec.Error _ -> `Salvaged (Codec.load_salvage ~circuit ~path:zpath)
+  | exception Zcodec.Error _ -> `Salvaged (Repair.salvage ~circuit ~path:zpath)
 
 (* Every Map action — failed mapping, vanished file, truncated view
    (lost tail, section table and all), seeded flips, a stall — either
@@ -312,7 +352,8 @@ let mmap_fault_salvages scenario () =
         | _ -> ());
         match outcome with
         | Result.Ok sv ->
-          check_queries_sound (Printf.sprintf "seed %d salvage" seed) sv.Codec.structure
+          check_queries_sound (Printf.sprintf "seed %d salvage" seed)
+            sv.Repair.outcome.Repair.structure
         | Result.Error _ -> () (* typed *)))
 
 (* Damage landing under an already-verified mapping: queries may go
@@ -405,6 +446,8 @@ let suite =
   @ scenarios "chaos live-flip" 6 flip_under_active_mapping
   @ scenarios "chaos zheader-cut" 8 truncated_section_table
   @ [
+      Alcotest.test_case "chaos bit-flip sweep: no untyped escape" `Quick
+        corruption_never_escapes;
       Alcotest.test_case "missing file is a typed error" `Quick missing_file;
       Alcotest.test_case "out-of-domain query is total" `Quick out_of_domain_total;
     ]

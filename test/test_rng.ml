@@ -47,6 +47,23 @@ let test_serialization_rejects_garbage () =
   check_bool "non-hex rejected" true (Rng.of_string "zz" = None);
   check_bool "truncated blob rejected" true (Rng.of_string "0a1b" = None)
 
+(* A well-formed marshal blob of another value, wrapped in a valid key:
+   unmarshalling it as a state would crash the first draw, so it must
+   be refused up front — and so must a state blob one byte short. *)
+let test_forged_token_refused () =
+  let hex s =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  let token blob = "0000000000000007." ^ hex blob in
+  check_bool "marshalled string refused" true
+    (Rng.of_string (token (Marshal.to_string (String.make 53 'x') [])) = None);
+  let good = Rng.to_string (Rng.create ~seed:5) in
+  check_bool "well-formed state accepted" true (Rng.of_string good <> None);
+  check_bool "short state refused" true
+    (Rng.of_string (String.sub good 0 (String.length good - 2)) = None);
+  check_bool "keyless token refused" true
+    (Rng.of_string (String.sub good 17 (String.length good - 17)) = None)
+
 let draws t = List.init 50 (fun _ -> Rng.int t 1_000_000)
 
 let test_split_independent () =
@@ -203,6 +220,7 @@ let suite =
     ("copy replays the stream", `Quick, test_copy_replays);
     ("serialized state replays the stream", `Quick, test_serialization_replays);
     ("of_string rejects garbage", `Quick, test_serialization_rejects_garbage);
+    ("of_string refuses a forged state blob", `Quick, test_forged_token_refused);
     ("split yields independent streams", `Quick, test_split_independent);
     ("split is deterministic in (seed, id)", `Quick, test_split_deterministic);
     ("split leaves the parent stream intact", `Quick, test_split_pure);

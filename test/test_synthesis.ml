@@ -193,22 +193,23 @@ let test_dims_aspect_hint_changes_shape () =
   check_bool "hints steer block shapes" true (!follows >= 3)
 
 let test_loop_runs_on_salvaged_structure () =
-  (* graceful degradation end to end: truncate a serialized structure,
-     salvage what is left, and drive the full synthesis loop with the
-     salvaged structure — it must still produce finite costs and
-     overlap-free floorplans *)
+  (* graceful degradation end to end: truncate a saved container inside
+     its record table, salvage what is left, and drive the full
+     synthesis loop with the salvaged structure — it must still produce
+     finite costs and overlap-free floorplans *)
   let c = Lazy.force circuit in
   let s = Lazy.force quick_structure in
-  let doc = Codec.to_string s in
-  let lines = String.split_on_char '\n' doc in
-  let keep = List.length lines / 2 in
-  let truncated = String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) in
-  match Codec.salvage_of_string ~circuit:c truncated with
-  | Error e -> Alcotest.fail (Codec.error_to_string e)
+  let raw = Zcodec.to_string s in
+  let plct =
+    List.find (fun x -> x.Zcodec.tag = "PLCT") (Zcodec.of_string ~circuit:c raw).Zcodec.sections
+  in
+  let cut = plct.Zcodec.off_words + (plct.Zcodec.len_words / 2) in
+  match Repair.salvage_string ~circuit:c (String.sub raw 0 (8 * cut)) with
+  | Error e -> Alcotest.fail (Zcodec.error_to_string e)
   | Ok sv ->
     check_bool "salvage lost something" true
-      (sv.Codec.recovered < Structure.n_placements s);
-    let placer = Synth_loop.mps_placer sv.Codec.structure in
+      (sv.Repair.recovered < Structure.n_placements s);
+    let placer = Synth_loop.mps_placer sv.Repair.outcome.Repair.structure in
     let r = run_loop placer in
     check_bool "salvaged loop finishes" true (Float.is_finite r.Synth_loop.best_cost);
     (* the winning floorplan is still a legal placement *)

@@ -121,7 +121,8 @@ let test_mapped_engine_matches_oracle c structure =
    load, and the view must report honest size accounting. *)
 let test_of_string_agrees c structure =
   let raw = Zcodec.to_string structure in
-  check_bool (c.Circuit.name ^ ": magic sniffs") true (Zcodec.is_magic raw);
+  check_bool (c.Circuit.name ^ ": magic sniffs") true
+    (String.starts_with ~prefix:Zcodec.magic raw);
   let view = Zcodec.of_string ~circuit:c raw in
   check_int (c.Circuit.name ^ ": bytes") (String.length raw) view.Zcodec.bytes;
   check_int
@@ -303,7 +304,8 @@ let test_packed_layout_parity c structure =
   let raw = Zcodec.to_string ~packed:true structure in
   check_bool (c.Circuit.name ^ ": packed is smaller") true
     (String.length raw < String.length plain);
-  check_bool (c.Circuit.name ^ ": packed magic sniffs") true (Zcodec.is_magic raw);
+  check_bool (c.Circuit.name ^ ": packed magic sniffs") true
+    (String.starts_with ~prefix:Zcodec.magic raw);
   let view = Zcodec.of_string ~circuit:c raw in
   let tags = List.map (fun s -> s.Zcodec.tag) view.Zcodec.sections in
   check_bool (c.Circuit.name ^ ": packed tags present") true
@@ -358,9 +360,8 @@ let test_packed_salvage_and_flips () =
   done;
   check_int "every informative flip detected (packed)" !flips !caught
 
-(* The coordinate pool is keyed by content, so importing a structure
-   from its text dump and packing it reproduces the container byte for
-   byte — what [mpsgen pack] of a dump must give. *)
+(* The coordinate pool is keyed by content, so a structure read back
+   from its text dump packs to the container byte for byte. *)
 let test_text_import_packs_identically c structure =
   let imported = Codec.of_string ~circuit:c (Codec.to_string structure) in
   check_bool
@@ -394,6 +395,84 @@ let test_unknown_magic_clean_error () =
       ("v1 document", v1);
     ]
 
+(* Salvage (Repair.salvage_string): what survives of a damaged
+   container, rebuilt and audited. *)
+
+let salvage_circuit = Benchmarks.circ01
+
+let salvage_structure =
+  lazy (fst (Generator.single_walk ~config:tiny_config salvage_circuit))
+
+let salvage raw =
+  match Repair.salvage_string ~circuit:salvage_circuit raw with
+  | Ok sv -> sv
+  | Error e -> Alcotest.fail (Zcodec.error_to_string e)
+
+(* Every whole-word truncation: the strict parse refuses, and salvage
+   never raises — a typed error, or a queryable structure with
+   pairwise-disjoint boxes. *)
+let test_truncation_at_every_word () =
+  let circuit = salvage_circuit in
+  let raw = Zcodec.to_string (Lazy.force salvage_structure) in
+  let recovered = ref 0 in
+  for words = 0 to (String.length raw / 8) - 1 do
+    let truncated = String.sub raw 0 (8 * words) in
+    check_bool
+      (Printf.sprintf "load rejects truncation to %d words" words)
+      true
+      (try
+         ignore (Zcodec.of_string ~circuit truncated);
+         false
+       with Zcodec.Error _ -> true);
+    match Repair.salvage_string ~circuit truncated with
+    | Error (Zcodec.Corrupt _) -> ()
+    | Error e -> Alcotest.failf "salvage misreported: %s" (Zcodec.error_to_string e)
+    | Ok sv ->
+      incr recovered;
+      let s = sv.Repair.outcome.Repair.structure in
+      let stored = Structure.placements s in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              if i < j then
+                check_bool "salvaged boxes disjoint" false
+                  (Dimbox.overlaps a.Stored.box b.Stored.box))
+            stored)
+        stored;
+      let rects = Structure.instantiate s (Dimbox.center (Circuit.dim_bounds circuit)) in
+      check_bool "salvaged structure instantiates overlap-free" true
+        (Rect.any_overlap rects = None)
+  done;
+  (* a cut inside the record table keeps the whole records before it *)
+  check_bool "some truncations recover a prefix" true (!recovered > 0)
+
+let test_salvage_reports_drops () =
+  let s = Lazy.force salvage_structure in
+  let raw = Zcodec.to_string s in
+  let plct =
+    List.find
+      (fun x -> x.Zcodec.tag = "PLCT")
+      (Zcodec.of_string ~circuit:salvage_circuit raw).Zcodec.sections
+  in
+  (* cut the record table at 60%: a truncated tail *)
+  let cut = plct.Zcodec.off_words + (plct.Zcodec.len_words * 6 / 10) in
+  let sv = salvage (String.sub raw 0 (8 * cut)) in
+  check_bool "something recovered" true (sv.Repair.recovered > 0);
+  check_bool "something dropped" true (sv.Repair.dropped > 0);
+  check_int "recovered + dropped = claimed" (Structure.n_placements s)
+    (sv.Repair.recovered + sv.Repair.dropped);
+  check_bool "backup lost with the tail" false sv.Repair.backup_recovered;
+  check_bool "checksum reported bad" false sv.Repair.checksum_ok
+
+let test_salvage_intact_file_recovers_everything () =
+  let s = Lazy.force salvage_structure in
+  let sv = salvage (Zcodec.to_string s) in
+  check_int "all placements recovered" (Structure.n_placements s) sv.Repair.recovered;
+  check_int "nothing dropped" 0 sv.Repair.dropped;
+  check_bool "backup recovered" true sv.Repair.backup_recovered;
+  check_bool "checksum ok" true sv.Repair.checksum_ok
+
 let suite =
   [
     ("all circuits: mapped engine equals heap engine and oracle on 10k probes",
@@ -417,4 +496,9 @@ let suite =
     ("all circuits: the re-imported text dump packs identically", `Slow,
      for_all test_text_import_packs_identically);
     ("unknown magic fails with one clean line", `Quick, test_unknown_magic_clean_error);
+    ("every word truncation: load rejects, salvage degrades", `Quick,
+     test_truncation_at_every_word);
+    ("salvage reports recovered and dropped counts", `Quick, test_salvage_reports_drops);
+    ("salvage of an intact file recovers everything", `Quick,
+     test_salvage_intact_file_recovers_everything);
   ]
