@@ -1283,8 +1283,7 @@ let bench_serve circuit budget batch requests clients workers attach out jobs tr
           (Printf.sprintf "mpsd-bench.%d" (Unix.getpid ()))
       in
       (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      (* ring replies come back as zero-copy descriptors into the
-         client-mapped container *)
+      (* the daemon serves the circuit from this container's mapping *)
       save_container structure
         ~path:(Store.zpath_for (Store.create ~dir ()) circuit.Circuit.name);
       (* Each measurement execs a fresh `mpsgen serve` daemon in its
@@ -1482,9 +1481,9 @@ let transport_arg =
         ~doc:
           "Transport under test.  $(b,unix) (default): Unix-domain socket.  \
            $(b,tcp): loopback TCP.  $(b,shm): the co-located shared-memory fast \
-           path — clients negotiate a per-session ring over a Unix socket and route \
-           batches through it, with MPSZ descriptor replies; a loopback-TCP run of \
-           the same shape is measured in the same process and the report carries \
+           path — clients negotiate a per-session ring over a Unix socket and send \
+           every batch that fits through it, with the socket's reply bytes coming \
+           back on the ring; a loopback-TCP run of the same shape is measured in the same process and the report carries \
            both rows plus $(b,speedup_shm_vs_tcp).")
 
 let depth_arg =

@@ -55,7 +55,10 @@ let count severity report =
 (* The checks.
 
    Each check appends findings to an accumulator; nothing raises — the
-   auditor must survive any structure a salvage pass can produce. *)
+   auditor must survive any structure a salvage pass can produce.  A
+   check that raises anyway (a bound no geometry can hold, say) becomes
+   a Fatal [audit-exception] finding on the subject it was checking,
+   which is what quarantine acts on. *)
 
 let legal_breakdown ~weights circuit ~die_w ~die_h rects =
   let b = Cost.evaluate ~weights circuit ~die_w ~die_h rects in
@@ -99,7 +102,7 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
   in
   (* Per-placement shape and legality checks; [rng] is the subject's
      private stream, [findings] its private accumulator. *)
-  let check_placement rng findings subject (s : Stored.t) =
+  let check_placement_exn rng findings subject (s : Stored.t) =
     let add severity subject code fmt = add findings severity subject code fmt in
     let p = s.Stored.placement in
     if p.Placement.die_w <> die_w || p.Placement.die_h <> die_h then
@@ -169,6 +172,12 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
             s.Stored.avg_cost s.Stored.best_cost
       end
     end
+  in
+  let check_placement rng findings subject s =
+    try check_placement_exn rng findings subject s
+    with e ->
+      add findings Fatal subject "audit-exception" "checking it raised %s"
+        (Printexc.to_string e)
   in
   (* The per-placement sweep is the audit's O(n · samples) hot loop;
      with a pool it fans out one task per stored placement, merged back

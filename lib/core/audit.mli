@@ -73,7 +73,10 @@ val run :
     [samples_per_box] (default 12) seeded legality samples per stored
     box, [query_samples] (default 64) whole-space query probes, [seed]
     (default 7) drives both, [tolerance] (default 1e-6) is the relative
-    tolerance of the cost re-verification.  Never raises.
+    tolerance of the cost re-verification.  Never raises: a check that
+    raises on placement [i] or the backup becomes a [Fatal]
+    ["audit-exception"] finding on that subject, as a query probe that
+    raises becomes a ["query-exception"].
 
     Every audited subject draws from its own {!Mps_rng.Rng.split}
     stream of [seed], so passing [pool] fans the per-placement checks

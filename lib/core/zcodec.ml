@@ -30,19 +30,8 @@ type view = {
   n_pool : int;
   bytes : int;
   sections : section list;
-  record_off_words : int;
-  record_stride_words : int;
   state : Persist.words option;
 }
-
-(* The absolute word span of stored record [k] inside the container —
-   what the serving daemon hands to a co-located shm client as a
-   (offset, length) descriptor instead of copying the record's bytes.
-   Record [n_stored] is the backup. *)
-let record_span v k =
-  if k < 0 || k > v.n_stored then
-    invalid_arg (Printf.sprintf "Zcodec.record_span: record %d of %d" k v.n_stored);
-  (v.record_off_words + (k * v.record_stride_words), v.record_stride_words)
 
 (* Words and bytes.
 
@@ -517,8 +506,6 @@ let parse ~circuit (w : Persist.words) ~bytes =
       List.map
         (fun (tag, o, l, _) -> { tag; off_words = o; len_words = l })
         h.h_table;
-    record_off_words = ro;
-    record_stride_words = stride;
     state =
       (if List.length h.h_table > n_sections then Some (sec state_tag) else None);
   }

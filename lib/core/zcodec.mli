@@ -107,21 +107,10 @@ type view = {
   n_pool : int;  (** Distinct coordinate arrays in the pool. *)
   bytes : int;  (** Container size on disk. *)
   sections : section list;  (** In file order. *)
-  record_off_words : int;
-      (** Absolute word offset of the placement-record table (the
-          [PLCT]/[PLCH] section). *)
-  record_stride_words : int;  (** Words per placement record. *)
   state : Persist.words option;
       (** The CRC-verified [GENS] section, when the container is a
           checkpoint ({!Checkpoint}). *)
 }
-
-val record_span : view -> int -> int * int
-(** [record_span v k] is the absolute [(offset, length)] word span of
-    stored record [k] inside the container — what the serving daemon
-    hands to a co-located shm client as a descriptor instead of
-    copying the record.  Record [v.n_stored] is the backup template.
-    @raise Invalid_argument when [k] is outside [0 .. n_stored]. *)
 
 val to_string : ?packed:bool -> ?state:int array -> Structure.t -> string
 (** Serialize: compiles the engine ({!Structure.Engine.create}) and

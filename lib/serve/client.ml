@@ -29,19 +29,6 @@ type stats = {
   ring_requests : int;
 }
 
-(* The client-side view of a server container (DESIGN.md §13): where
-   the [*.mpsz] file behind a circuit lives, so descriptor replies can
-   be validated (and read) against our own read-only mapping of the
-   same inode.  Mapped lazily on the first descriptor reply; remapped
-   when the reply epoch moves past the mapping (a reload republished
-   the file). *)
-type container = {
-  c_path : string;
-  mutable c_words : int;  (* descriptor bound: the mapping size once mapped *)
-  mutable c_epoch : int;
-  mutable c_map : Mps_core.Persist.words option;
-}
-
 (* A parked in-flight request.  The reply pump routes each frame to
    its slot by request id; the slot's continuations write the caller's
    result cell, so replies may arrive in any order. *)
@@ -51,11 +38,10 @@ type slot = {
 }
 
 (* One request as the send driver sees it: how to write its body
-   (returns the body length) and how to read its reply.  [via_ring]
-   routes it over the shm ring, which also fixes the reply format, so
-   the route is decided before the parser runs. *)
+   (returns the body length) and how to read its reply.  Both channels
+   carry the same reply bytes, so the parser never asks which one the
+   request took. *)
 type 'a request = {
-  via_ring : bool;
   build : Bytes.t ref -> int;
   parse : Bytes.t -> len:int -> meta -> 'a;  (* may raise Wire.Truncated *)
 }
@@ -73,12 +59,10 @@ type t = {
   inbuf : Bytes.t ref;
   outbuf : Bytes.t ref;
   (* shm fast path: ask for a ring on connect, give up after repeated
-     failures, and keep the per-circuit container views across
-     reconnects (the mapping outlives the session) *)
+     failures *)
   want_shm : bool;
   mutable ring : Shm.t option;
   mutable ring_failed : int;
-  containers : (string, container) Hashtbl.t;
   (* stats *)
   mutable s_connects : int;
   mutable s_retries : int;
@@ -107,7 +91,6 @@ let connect ?(transport = Transport.default) ?(max_frame_bytes = Wire.max_frame_
     want_shm = shm;
     ring = None;
     ring_failed = 0;
-    containers = Hashtbl.create 4;
     s_connects = 0;
     s_retries = 0;
     s_pipelined = 0;
@@ -276,11 +259,12 @@ let pump t fd ~deadline =
   | Some ring -> pump_ring t ring fd ~deadline
   | None -> pump_one t fd ~deadline
 
-(* Register [slot] and send one request frame.  On a send failure the
-   connection is poisoned — but a daemon that died mid-send may have
-   left a farewell in the socket buffer, so salvage it first: a typed
-   refusal is a better answer than "broken pipe". *)
-let issue t fd ~via_ring ~opcode ~deadline ~build slot =
+(* Register [slot] and send one request frame: a batch whose frame fits
+   the ring rides it, everything else the socket.  On a send failure
+   the connection is poisoned — but a daemon that died mid-send may
+   have left a farewell in the socket buffer, so salvage it first: a
+   typed refusal is a better answer than "broken pipe". *)
+let issue t fd ~opcode ~deadline ~build slot =
   t.last_idempotent <- Wire.idempotent opcode;
   let req_id = t.next_req_id in
   t.next_req_id <- (if req_id >= 0xffffffff then 1 else req_id + 1);
@@ -301,21 +285,13 @@ let issue t fd ~via_ring ~opcode ~deadline ~build slot =
     Wire.set_u8 b prefix (Wire.opcode_to_int opcode);
     Wire.set_u32 b (prefix + 1) req_id;
     Wire.set_u32 b (prefix + 5) deadline_us;
-    (* A ring-routed request is answered in ring reply format whichever
-       channel carries the reply, so the route must be decided before
-       the parse closure is built — [via_ring] comes from the caller,
-       never inferred here. *)
-    match (if via_ring then t.ring else None) with
-    | Some ring ->
+    match (opcode, t.ring) with
+    | (Wire.Query_batch | Wire.Instantiate_batch), Some ring
+      when Shm.tx_fits ring ~len:payload_len ->
       t.s_ring_requests <- t.s_ring_requests + 1;
       Shm.send ?deadline ring b ~off:prefix ~len:payload_len;
       ignore (Shm.ring_doorbell ring t.transport fd : bool)
-    | None ->
-      if via_ring then
-        (* the caller routed to a ring that vanished meanwhile: the
-           reply format would desync, so fail fast instead *)
-        raise (Shm.Dead "ring vanished before send");
-      Wire.send_frame t.transport fd b ~payload_len
+    | _ -> Wire.send_frame t.transport fd b ~payload_len
   with
   | () -> ()
   | exception Shm.Timeout -> poison_with t Timed_out
@@ -361,7 +337,7 @@ let drive ?(depth = 1) t ~opcode ~deadline n request =
         let i = !next in
         incr next;
         let req = request i in
-        issue t fd ~via_ring:req.via_ring ~opcode ~deadline ~build:req.build
+        issue t fd ~opcode ~deadline ~build:req.build
           {
             s_parse = (fun b ~len meta -> set i (Ok (req.parse b ~len meta)));
             s_fail = (fun e -> set i (Error e));
@@ -371,7 +347,6 @@ let drive ?(depth = 1) t ~opcode ~deadline n request =
   done;
   Array.map Option.get cells
 
-let on_socket build parse = { via_ring = false; build; parse }
 let no_body _ = 0
 
 (* Negotiate the shm fast path on a fresh connection: one Shm_hello
@@ -388,10 +363,14 @@ let negotiate_ring t =
     4
   in
   let hello =
-    on_socket put_version (fun b ~len _meta ->
-        if Wire.get_u8 b ~len rep_header = 1 then
-          Some (fst (Wire.get_string16 b ~len (rep_header + 5)))
-        else None)
+    {
+      build = put_version;
+      parse =
+        (fun b ~len _meta ->
+          if Wire.get_u8 b ~len rep_header = 1 then
+            Some (fst (Wire.get_string16 b ~len (rep_header + 5)))
+          else None);
+    }
   in
   match drive t ~opcode:Wire.Shm_hello ~deadline 1 (fun _ -> hello) with
   | [| Ok (Some path) |] -> (
@@ -443,37 +422,29 @@ let roundtrip ?budget t ~opcode req =
     (drive t ~opcode ~deadline 1 (fun _ -> req)).(0)
 
 let ping ?budget t =
-  roundtrip ?budget t ~opcode:Wire.Ping (on_socket no_body (fun _ ~len:_ meta -> meta))
+  roundtrip ?budget t ~opcode:Wire.Ping
+    { build = no_body; parse = (fun _ ~len:_ meta -> meta) }
 
 let health ?budget t =
   roundtrip ?budget t ~opcode:Wire.Health
-    (on_socket no_body (fun b ~len _meta -> Wire.get_health b ~len rep_header))
+    { build = no_body; parse = (fun b ~len _meta -> Wire.get_health b ~len rep_header) }
 
 let put_name circuit outbuf =
   Wire.put_string16 outbuf (prefix + req_header) circuit - (prefix + req_header)
 
-(* Open (or look up) this connection's handle for a circuit.  The open
-   reply's container trailer (DESIGN.md §13) tells us where the mpsz
-   file behind the entry lives, so descriptor replies can be validated
-   against our own mapping of it. *)
+(* Open (or look up) this connection's handle for a circuit. *)
 let handle_for ?budget t circuit =
   match Hashtbl.find_opt t.handles circuit with
   | Some hb -> Ok hb
   | None -> (
     match
       roundtrip ?budget t ~opcode:Wire.Open_circuit
-        (on_socket (put_name circuit) (fun b ~len meta ->
-             let handle = Wire.get_u16 b ~len rep_header in
-             let n_blocks = Wire.get_u16 b ~len (rep_header + 3) in
-             (if len > rep_header + 9 && Wire.get_u8 b ~len (rep_header + 9) = 1 then begin
-                let words = Wire.get_u32 b ~len (rep_header + 10) in
-                let path, _ = Wire.get_string16 b ~len (rep_header + 14) in
-                (* drop any previous mapping: one mmap per (re)open is
-                   cheap and always matches the entry we just opened *)
-                Hashtbl.replace t.containers circuit
-                  { c_path = path; c_words = words; c_epoch = meta.epoch; c_map = None }
-              end);
-             (handle, n_blocks)))
+        {
+          build = put_name circuit;
+          parse =
+            (fun b ~len _meta ->
+              (Wire.get_u16 b ~len rep_header, Wire.get_u16 b ~len (rep_header + 3)));
+        }
     with
     | Ok hb ->
       Hashtbl.replace t.handles circuit hb;
@@ -506,111 +477,30 @@ let put_batch_request outbuf ~handle ~n dims =
     dims;
   body
 
+(* A batch reply: the result count, then one item per query. *)
 let check_count b ~len expected =
   let count = Wire.get_u32 b ~len rep_header in
   if count <> expected then
     raise
-      (Wire.Truncated (Printf.sprintf "%d results for %d queries" count expected));
-  ()
+      (Wire.Truncated (Printf.sprintf "%d results for %d queries" count expected))
 
 let parse_ids b ~len count =
   check_count b ~len count;
   let base = rep_header + 4 in
   Array.init count (fun i -> Wire.get_i32 b ~len (base + (i * 4)))
 
-(* ---- the shm fast path ------------------------------------------- *)
-
-(* Route a batch through the ring only when both directions can carry
-   it: the request frame, and the worst-case reply (descriptor triples
-   for queries, rect payloads for instantiation).  Anything bigger
-   stays on the socket. *)
-let ring_for_batch t ~count ~n ~instantiate =
-  match t.ring with
-  | None -> false
-  | Some ring ->
-    let req = req_header + 6 + (count * 4 * n) in
-    let rep = rep_header + 5 + (count * (if instantiate then 16 * n else 12)) in
-    Shm.tx_fits ring ~len:req && Shm.rx_fits ring ~len:rep
-
-(* The container view a descriptor reply points into, mapped on first
-   use and remapped when the reply epoch moved past the mapping (a
-   reload republished the file).  Raises [Wire.Truncated] — i.e. the
-   reply is undeliverable — when there is no container or it cannot be
-   mapped; the pump turns that into a typed [Disconnected]. *)
-let container_view t ~circuit ~epoch =
-  match Hashtbl.find_opt t.containers circuit with
-  | None -> raise (Wire.Truncated "descriptor reply for an unmapped container")
-  | Some c ->
-    if c.c_map = None || epoch <> c.c_epoch then
-      (match Mps_core.Persist.map_words ~path:c.c_path with
-      | words, _bytes ->
-        c.c_map <- Some words;
-        c.c_words <- Bigarray.Array1.dim words;
-        c.c_epoch <- epoch
-      | exception (Sys_error _ | Unix.Unix_error _) ->
-        raise
-          (Wire.Truncated
-             (Printf.sprintf "container %s cannot be mapped" c.c_path)));
-    c
-
-(* Bounds-check one descriptor against the mapped container, then read
-   through the mapping: the zero-copy answer is the record's words in
-   the server's own mpsz file, not bytes copied over a channel. *)
-let check_descr c ~off ~words =
-  if off < 0 || words <= 0 || off + words > c.c_words then
-    raise
-      (Wire.Truncated
-         (Printf.sprintf "descriptor [%d, +%d) outside container (%d words)" off
-            words c.c_words));
-  match c.c_map with
-  | Some m ->
-    ignore (Bigarray.Array1.get m off : int);
-    ignore (Bigarray.Array1.get m (off + words - 1) : int)
-  | None -> ()
-
-(* A ring-routed batch reply: a kind byte (0 inline, 1 descriptors),
-   then the counted items.  Descriptors are validated against (and
-   read through) the client's own mapping of the server's container. *)
-let parse_ring_ids t ~circuit ~epoch b ~len count =
-  let kind = Wire.get_u8 b ~len rep_header in
-  let base = rep_header + 1 in
-  let got = Wire.get_u32 b ~len base in
-  if got <> count then
-    raise (Wire.Truncated (Printf.sprintf "%d results for %d queries" got count));
-  match kind with
-  | 0 -> Array.init count (fun i -> Wire.get_i32 b ~len (base + 4 + (i * 4)))
-  | 1 ->
-    let c = container_view t ~circuit ~epoch in
-    Array.init count (fun i ->
-        let off = base + 4 + (i * 12) in
-        let id = Wire.get_i32 b ~len off in
-        if id >= 0 then
-          check_descr c
-            ~off:(Wire.get_u32 b ~len (off + 4))
-            ~words:(Wire.get_u32 b ~len (off + 8));
-        id)
-  | k -> raise (Wire.Truncated (Printf.sprintf "unknown ring reply kind %d" k))
-
-(* One [Query_batch]: over the ring when both directions fit, its
-   reply read in the format of the route it took. *)
-let query_request t ~circuit ~handle ~n dims =
+let query_request ~handle ~n dims =
   let count = Array.length dims in
-  let via_ring = ring_for_batch t ~count ~n ~instantiate:false in
   {
-    via_ring;
     build = (fun outbuf -> put_batch_request outbuf ~handle ~n dims);
-    parse =
-      (fun b ~len meta ->
-        ( (if via_ring then parse_ring_ids t ~circuit ~epoch:meta.epoch b ~len count
-           else parse_ids b ~len count),
-          meta ));
+    parse = (fun b ~len meta -> (parse_ids b ~len count, meta));
   }
 
 let query_ids ?budget t ~circuit dims =
   match handle_for ?budget t circuit with
   | Error _ as e -> e
   | Ok (handle, n) ->
-    roundtrip ?budget t ~opcode:Wire.Query_batch (query_request t ~circuit ~handle ~n dims)
+    roundtrip ?budget t ~opcode:Wire.Query_batch (query_request ~handle ~n dims)
 
 let query_ids_pipelined ?budget ?(depth = 8) t ~circuit batches =
   let nb = Array.length batches in
@@ -620,25 +510,11 @@ let query_ids_pipelined ?budget ?(depth = 8) t ~circuit batches =
   | Ok (handle, n) ->
     let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget in
     drive ~depth t ~opcode:Wire.Query_batch ~deadline nb (fun i ->
-        query_request t ~circuit ~handle ~n batches.(i))
+        query_request ~handle ~n batches.(i))
 
-(* Instantiation answers are always inline rects; a ring reply only
-   differs by its kind byte in front of the count. *)
-let parse_rects ~via_ring ~count ~n b ~len =
-  let head =
-    if via_ring then begin
-      let kind = Wire.get_u8 b ~len rep_header in
-      if kind <> 0 then
-        raise
-          (Wire.Truncated (Printf.sprintf "descriptor reply (kind %d) to instantiate" kind));
-      rep_header + 1
-    end
-    else rep_header
-  in
-  let got = Wire.get_u32 b ~len head in
-  if got <> count then
-    raise (Wire.Truncated (Printf.sprintf "%d results for %d queries" got count));
-  let base = head + 4 in
+let parse_rects ~count ~n b ~len =
+  check_count b ~len count;
+  let base = rep_header + 4 in
   let item = 16 * n in
   Array.init count (fun i ->
       Array.init n (fun j ->
@@ -654,21 +530,22 @@ let instantiate ?budget t ~circuit dims =
   | Error _ as e -> e
   | Ok (handle, n) ->
     let count = Array.length dims in
-    let via_ring = ring_for_batch t ~count ~n ~instantiate:true in
     roundtrip ?budget t ~opcode:Wire.Instantiate_batch
       {
-        via_ring;
         build = (fun outbuf -> put_batch_request outbuf ~handle ~n dims);
-        parse = (fun b ~len meta -> (parse_rects ~via_ring ~count ~n b ~len, meta));
+        parse = (fun b ~len meta -> (parse_rects ~count ~n b ~len, meta));
       }
 
 let reload ?budget t ~circuit =
   roundtrip ?budget t ~opcode:Wire.Reload
-    (on_socket (put_name circuit) (fun _ ~len:_ meta -> meta))
+    { build = put_name circuit; parse = (fun _ ~len:_ meta -> meta) }
 
 let server_stats ?budget t =
   roundtrip ?budget t ~opcode:Wire.Stats
-    (on_socket no_body (fun b ~len meta -> (fst (Wire.get_string16 b ~len rep_header), meta)))
+    {
+      build = no_body;
+      parse = (fun b ~len meta -> (fst (Wire.get_string16 b ~len rep_header), meta));
+    }
 
 (* ---- retry ------------------------------------------------------- *)
 

@@ -69,15 +69,16 @@ val connect :
 
     [~shm:true] asks for the shared-memory fast path (DESIGN.md §13)
     on every fresh connection: one [Shm_hello] roundtrip, then the
-    client maps the per-session ring file the server created and
-    routes batch queries through it — no syscall per request, and
-    MPSZ-backed answers arrive as descriptors into the container the
-    client maps read-only.  Only sensible for a client co-located with
-    the daemon (the ring file must be the same file on both sides).
-    The socket stays open as the control channel; requests that do not
-    fit the ring, and every non-batch request, use it.  A declined
-    negotiation or a dead ring falls back to the socket; after 3
-    failures the client stops asking. *)
+    client maps the per-session ring file the server created and sends
+    every batch request whose frame fits the ring through it — no
+    syscall per request.  A ring reply is byte for byte the socket
+    reply, and a reply too big for the ring comes back on the socket.
+    Only sensible for a client co-located with the daemon (the ring
+    file must be the same file on both sides).  The socket stays open
+    as the control channel; batches that do not fit the ring, and
+    every non-batch request, use it.  A declined negotiation or a dead
+    ring falls back to the socket; after 3 failures the client stops
+    asking. *)
 
 val ring_active : t -> bool
 (** The current connection carries a negotiated shm ring. *)

@@ -388,31 +388,13 @@ let handle_batch t gen via state ~req_id ~deadline ~len ~instantiate =
              len expected count n)
       else begin
         let scratch = scratch_for state n in
-        let ring = match via with Via_ring _ -> true | Via_sock _ -> false in
-        (* On the ring, batch replies carry a kind byte after the
-           header: 0 = inline payload (ids / rects), 1 = descriptors —
-           [(id, word offset, word length)] spans of the winning
-           placement records inside the mapped container the client
-           reads directly.  Descriptors need the entry mapped and not
-           demoted to backup-only (the backup's answer is not a stored
-           record). *)
-        let descr =
-          if ring && not instantiate && not entry.Store.backup_only then
-            entry.Store.container
-          else None
-        in
-        let kb = if ring then 1 else 0 in
-        let item =
-          if instantiate then 16 * n else if descr <> None then 12 else 4
-        in
-        let body = header + kb + (4 + (count * item)) in
+        let item = if instantiate then 16 * n else 4 in
+        let body = header + 4 + (count * item) in
         Wire.ensure state.outbuf (prefix + body);
         let out = !(state.outbuf) in
-        if ring then
-          Wire.set_u8 out (prefix + header) (if descr <> None then 1 else 0);
-        Wire.set_u32 out (prefix + header + kb) count;
+        Wire.set_u32 out (prefix + header) count;
         let base = 15 in
-        let out_base = prefix + header + kb + 4 in
+        let out_base = prefix + header + 4 in
         let backup = Structure.Engine.backup entry.Store.engine in
         match
           for i = 0 to count - 1 do
@@ -440,19 +422,7 @@ let handle_batch t gen via state ~req_id ~deadline ~len ~instantiate =
                   if Circuit.dims_valid entry.Store.circuit dims then -1 else -2
                 else Structure.Engine.query_id entry.Store.engine state.session dims
               in
-              let off = out_base + (i * item) in
-              Wire.set_i32 out off id;
-              match descr with
-              | None -> ()
-              | Some c ->
-                let roff, rlen =
-                  if id >= 0 then
-                    (c.Store.c_record_off + (id * c.Store.c_record_stride),
-                     c.Store.c_record_stride)
-                  else (0, 0)
-                in
-                Wire.set_u32 out (off + 4) roff;
-                Wire.set_u32 out (off + 8) rlen
+              Wire.set_i32 out (out_base + (i * item)) id
             end
           done
         with
@@ -486,33 +456,18 @@ let handle_open t via state ~req_id ~len =
       let handle = state.next_handle in
       state.next_handle <- handle + 1;
       Hashtbl.replace state.handles handle name;
-      (* The fixed head, then the container trailer (u8 present, and
-         when 1: u32 total words + string16 path) — appended on both
-         channels; pre-trailer clients read fixed offsets only, so the
-         extra bytes are invisible to them. *)
-      let o = prefix + header + 9 in
-      let body_end =
-        match entry.Store.container with
-        | None ->
-          Wire.ensure state.outbuf (o + 1);
-          o + 1
-        | Some c -> Wire.put_string16 state.outbuf (o + 5) c.Store.c_path
-      in
+      let body = header + 9 in
+      Wire.ensure state.outbuf (prefix + body);
       let out = !(state.outbuf) in
       Wire.set_u16 out (prefix + header) handle;
       Wire.set_u8 out (prefix + header + 2) (if entry.Store.degraded then 1 else 0);
       Wire.set_u16 out (prefix + header + 3) (Circuit.n_blocks entry.Store.circuit);
       Wire.set_u32 out (prefix + header + 5)
         (Structure.Engine.n_stored entry.Store.engine);
-      (match entry.Store.container with
-      | None -> Wire.set_u8 out o 0
-      | Some c ->
-        Wire.set_u8 out o 1;
-        Wire.set_u32 out (o + 1) c.Store.c_words);
       served t ~degraded:entry.Store.degraded ~queries:0;
       send_reply t via state.outbuf
         ~status:(if entry.Store.degraded then Wire.Ok_degraded else Wire.Ok)
-        ~req_id ~epoch:entry.Store.epoch ~payload_len:(body_end - prefix)
+        ~req_id ~epoch:entry.Store.epoch ~payload_len:body
     end
 
 let handle_reload t via state ~req_id ~len =

@@ -8,7 +8,7 @@
    kernel buffer.  The negotiating socket stays open as the control
    channel and the universal fallback; nothing here replaces it.
 
-   Layout (version 2; 8-byte little-endian words; each side's
+   Layout (8-byte little-endian words; each side's
    heartbeat and parked words share that side's 64-byte cache line,
    and head/tail words sit on their own, so the two sides never
    false-share):
@@ -61,7 +61,9 @@
 open Mps_core
 
 let magic = 0x4D50_5352 (* "MPSR" *)
-let version = 2
+(* Version 2 added the parked words; version 3 keeps that layout and
+   changes the payloads: a ring reply is byte for byte the socket's. *)
+let version = 3
 let header_words = 64
 let default_ring_words = 64 * 1024 (* 512 KiB of data per direction *)
 
@@ -137,7 +139,6 @@ let frame_words ~len =
 let tx_max_frame_words t = t.tx_cap / 2
 let rx_max_frame_words t = t.rx_cap / 2
 let tx_fits t ~len = frame_words ~len <= tx_max_frame_words t
-let rx_fits t ~len = frame_words ~len <= rx_max_frame_words t
 
 let now () = Unix.gettimeofday ()
 

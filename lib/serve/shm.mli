@@ -20,10 +20,10 @@
     waiting or serving, and no wait is a futex, so a kill -9'd peer
     leaves the survivor free-running, the stale heartbeat is noticed
     ({!peer_alive}), and the session is reaped.  Frame payloads are
-    capped at half a ring ({!tx_fits}/{!rx_fits}); anything larger
-    stays on the socket.
+    capped at half a ring ({!tx_fits}); anything larger stays on the
+    socket.
 
-    Waking (ring version 2): {!send} and {!recv} back off spin, yield,
+    Waking: {!send} and {!recv} back off spin, yield,
     then 200 us nanosleeps.  The serving loops wait in {!await}
     instead, which {!park}s, re-checks the ring, and blocks at most
     200 us in [select] on the control socket; a producer follows each
@@ -66,8 +66,9 @@ exception Timeout
 type t
 
 val version : int
-(** The ring layout version this build writes and attaches (2).  A
-    client sends it in its [Shm_hello]; the daemon declines any other. *)
+(** The ring version this build writes and attaches (3: ring replies
+    are byte for byte the socket's).  A client sends it in its
+    [Shm_hello]; the daemon declines any other. *)
 
 val create : ?hooks:hooks -> ?ring_words:int -> path:string -> unit -> t
 (** Server side: create (or truncate) the ring file at [path] with
@@ -92,10 +93,6 @@ val frame_words : len:int -> int
 val tx_fits : t -> len:int -> bool
 (** The payload can ever be sent on this side's transmit ring (at most
     half the ring).  Callers route larger frames over the socket. *)
-
-val rx_fits : t -> len:int -> bool
-(** Same bound for the receive direction — the client checks the
-    {e expected reply} size before routing a request to the ring. *)
 
 val send : ?deadline:float -> ?hb_timeout:float -> t -> Bytes.t -> off:int -> len:int -> unit
 (** Publish [len] bytes at [off] as one frame, blocking (spin, then

@@ -11,17 +11,6 @@ let error_to_string = function
   | Unreadable { path; reason } -> Printf.sprintf "%s: unreadable: %s" path reason
   | Corrupt { path; reason } -> Printf.sprintf "%s: corrupt: %s" path reason
 
-(* Geometry of a mapped MPSZ container, for descriptor replies on the
-   shm fast path: a query answer can be a word span into this file
-   instead of copied bytes, because the client maps the same inode
-   read-only. *)
-type container = {
-  c_path : string;
-  c_words : int;  (* total container words; descriptor bounds *)
-  c_record_off : int;  (* absolute word offset of the record table *)
-  c_record_stride : int;  (* words per placement record *)
-}
-
 type entry = {
   name : string;
   path : string;
@@ -34,7 +23,6 @@ type entry = {
   salvaged : bool;
   bytes : int;
   mtime : float;
-  container : container option;
 }
 
 (* A slot is [Loading] while some thread builds the entry outside the
@@ -111,14 +99,6 @@ let build t name =
             salvaged = false;
             bytes = view.Zcodec.bytes;
             mtime;
-            container =
-              Some
-                {
-                  c_path = path;
-                  c_words = view.Zcodec.bytes / 8;
-                  c_record_off = view.Zcodec.record_off_words;
-                  c_record_stride = view.Zcodec.record_stride_words;
-                };
           }
       | exception Zcodec.Error (Zcodec.Io_error reason) -> Error (Unreadable { path; reason })
       | exception Zcodec.Error (Zcodec.Circuit_mismatch reason) ->
@@ -143,7 +123,6 @@ let build t name =
               salvaged = true;
               bytes = st.Unix.st_size;
               mtime;
-              container = None;
             }
         | Error (Zcodec.Io_error reason) -> Error (Unreadable { path; reason })
         | Error e -> Error (Corrupt { path; reason = Zcodec.error_to_string e }))))
@@ -170,7 +149,7 @@ let evict_beyond_capacity t =
     (* oldest first *)
   in
   let total = List.length by_lru in
-  let mapped e = e.container <> None in
+  let mapped e = not e.salvaged in
   let mapped_bytes =
     List.fold_left (fun acc (_, _, e) -> if mapped e then acc + e.bytes else acc) 0 by_lru
   in
@@ -285,13 +264,12 @@ let describe t =
   let lines =
     loaded t
     |> List.map (fun e ->
-           Printf.sprintf "%s: epoch %d, %s%s%s%d findings, %d placements, %d bytes"
+           Printf.sprintf "%s: epoch %d, %s%s%d findings, %d placements, %d bytes"
              e.name e.epoch
              (if e.backup_only then "backup-only, "
               else if e.degraded then "degraded, "
               else "serving, ")
-             (if e.salvaged then "salvaged, " else "")
-             (if e.container <> None then "mapped, " else "")
+             (if e.salvaged then "salvaged, " else "mapped, ")
              e.findings
              (Structure.Engine.n_stored e.engine)
              e.bytes)

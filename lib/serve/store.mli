@@ -50,20 +50,6 @@ type error =
 
 val error_to_string : error -> string
 
-(** Geometry of a mapped container, for the shm fast path's descriptor
-    replies (DESIGN.md §13): a query answer can be the [(offset,
-    length)] word span of the winning placement record inside this
-    file, because a co-located client maps the same inode read-only
-    and reads the record there instead of receiving copied bytes. *)
-type container = {
-  c_path : string;  (** The [*.mpsz] file backing the mapping. *)
-  c_words : int;
-      (** Total container words — every descriptor must fall inside. *)
-  c_record_off : int;
-      (** Absolute word offset of the placement-record table. *)
-  c_record_stride : int;  (** Words per record; the descriptor length. *)
-}
-
 (** An immutable snapshot of one loaded circuit.  Requests resolve an
     entry once and use it for their whole lifetime, even if a reload
     publishes a newer epoch meanwhile. *)
@@ -81,16 +67,14 @@ type entry = {
   backup_only : bool;
       (** Audit findings: answer every query from the backup template. *)
   findings : int;  (** Audit finding count behind the demotion. *)
-  salvaged : bool;  (** The file needed {!Repair.salvage}. *)
+  salvaged : bool;
+      (** The file needed {!Repair.salvage}, so the engine is a
+          recompiled heap engine; otherwise it is served from the
+          zero-copy mapping. *)
   bytes : int;  (** Size on disk; counts against [max_mapped_bytes]
-                    when [container] is present. *)
+                    unless [salvaged]. *)
   mtime : float;  (** Mtime of the container at load, for hot-reload
                       detection. *)
-  container : container option;
-      (** Present exactly when the engine is served from the zero-copy
-          mapping (absent after a salvage, which serves a recompiled
-          heap engine): what the serving layer needs to hand out
-          descriptor replies into the container. *)
 }
 
 type t

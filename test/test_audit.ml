@@ -147,6 +147,28 @@ let test_repair_quarantines_illegal () =
       (Structure.n_placements outcome.Repair.structure)
   end
 
+(* A stored box no dimension vector can reach (its first axis [0,0])
+   makes the per-placement check raise.  The auditor turns that into a
+   Fatal finding on the placement, so repair quarantines it instead of
+   raising. *)
+let test_repair_quarantines_unauditable_box () =
+  let circuit = Benchmarks.circ01 in
+  let config = Mps_experiments.Experiments.(generator_config Quick circuit) in
+  let s = fst (Generator.single_walk ~config circuit) in
+  let stored = Structure.placements s in
+  let p = stored.(0) in
+  let axis = List.hd (Dimbox.axes p.Stored.box) in
+  stored.(0) <- { p with Stored.box = Dimbox.with_axis p.Stored.box axis (Interval.make 0 0) };
+  let poisoned = Structure.of_placements ~backup:(Structure.backup s) circuit stored in
+  let outcome = Repair.run poisoned in
+  check_bool "audit-exception reported" true
+    (List.exists
+       (fun f -> f.Audit.code = "audit-exception" && f.Audit.subject = Audit.Placement 0)
+       outcome.Repair.before.Audit.findings);
+  check_bool "placement 0 quarantined" true (List.mem 0 outcome.Repair.quarantined);
+  check_int "one fewer placement served" (Array.length stored - 1)
+    (Structure.n_placements outcome.Repair.structure)
+
 let test_repair_noop_on_clean () =
   let s = snd (List.hd (Lazy.force structures)) in
   let outcome = Repair.run s in
@@ -205,4 +227,6 @@ let suite =
     Alcotest.test_case "lenient compile quarantines overlapping boxes" `Quick
       test_lenient_drops_overlapping;
     Alcotest.test_case "audit report serializes to json" `Quick test_report_json_shape;
+    Alcotest.test_case "repair quarantines a box whose audit raises" `Quick
+      test_repair_quarantines_unauditable_box;
   ]

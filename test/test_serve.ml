@@ -195,21 +195,59 @@ let raw_open_circuit fd =
   let n = Wire.get_u16 b ~len (Wire.reply_header_bytes + 3) in
   (handle, n)
 
-let build_batch ~handle ~n ~count buf off =
+(* A batch body for the given dims, for a raw request. *)
+let build_dims ~handle ~n dims buf off =
+  let count = Array.length dims in
   let body = 6 + (count * 4 * n) in
   Wire.ensure buf (off + body);
   let b = !buf in
   Wire.set_u16 b off handle;
   Wire.set_u32 b (off + 2) count;
-  let mins = Circuit.min_dims circuit in
-  for i = 0 to count - 1 do
-    let base = off + 6 + (i * 4 * n) in
-    for j = 0 to n - 1 do
-      Bytes.set_uint16_le b (base + (j * 4)) (Dims.width mins j);
-      Bytes.set_uint16_le b (base + (j * 4) + 2) (Dims.height mins j)
-    done
-  done;
+  Array.iteri
+    (fun i d ->
+      let base = off + 6 + (i * 4 * n) in
+      for j = 0 to n - 1 do
+        Bytes.set_uint16_le b (base + (j * 4)) (Dims.width d j);
+        Bytes.set_uint16_le b (base + (j * 4) + 2) (Dims.height d j)
+      done)
+    dims;
   body
+
+(* [count] copies of the circuit's minimum dims. *)
+let build_batch ~handle ~n ~count =
+  build_dims ~handle ~n (Array.make count (Circuit.min_dims circuit))
+
+(* A hello body: the ring version the client speaks, as a u32. *)
+let put_version v buf off =
+  Wire.ensure buf (off + 4);
+  Wire.set_u32 !buf off v;
+  4
+
+(* Negotiate a session by hand (raw socket + attach) so the client half
+   can misbehave in ways [Client] never would. *)
+let raw_shm_hello fd =
+  let status, b, len =
+    raw_roundtrip fd ~opcode:(Wire.opcode_to_int Wire.Shm_hello) ~deadline_us:0
+      ~build:(put_version Shm.version)
+  in
+  check_bool "hello ok" true (status = Wire.Ok);
+  check_int "hello accepted" 1 (Wire.get_u8 b ~len Wire.reply_header_bytes);
+  fst (Wire.get_string16 b ~len (Wire.reply_header_bytes + 5))
+
+(* One exchange on the client half of a hand-negotiated session: the
+   request published on the ring, the reply read off it. *)
+let raw_ring_roundtrip ring ~opcode ~req_id ~build =
+  let req_header = Wire.request_header_bytes in
+  let buf = ref (Bytes.create 256) in
+  let body = build buf req_header in
+  let b = !buf in
+  Wire.set_u8 b 0 (Wire.opcode_to_int opcode);
+  Wire.set_u32 b 1 req_id;
+  Wire.set_u32 b 5 0;
+  Shm.send ring b ~off:0 ~len:(req_header + body);
+  let rbuf = ref (Bytes.create 256) in
+  let len = Shm.recv ~deadline:(Unix.gettimeofday () +. 2.0) ring ~buf:rbuf in
+  (!rbuf, len)
 
 let server_side_deadline () =
   with_server (fun server addr ->
@@ -487,8 +525,8 @@ let degraded_serving () =
           | Ok (plans, meta) ->
             (match Store.get store circuit_name with
             | Ok entry ->
-              check_bool "entry was salvaged" true entry.Store.salvaged;
-              check_bool "salvage serves from the heap" true (entry.Store.container = None)
+              check_bool "entry was salvaged, served from the heap" true
+                entry.Store.salvaged
             | Error e -> Alcotest.failf "store: %s" (Store.error_to_string e));
             check_bool "salvaged entry is flagged degraded" true meta.Client.degraded;
             check_bool "degraded replies counted" true
@@ -922,7 +960,7 @@ let store_prefers_container () =
       (match Store.get store circuit_name with
       | Error e -> Alcotest.failf "initial get: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "served from the mapping" true (entry.Store.container <> None);
+        check_bool "served from the mapping" false entry.Store.salvaged;
         check_bool "loaded from the container" true (entry.Store.path = zpath);
         check_int "epoch 1" 1 entry.Store.epoch;
         check_bool "container load is not degraded" false entry.Store.degraded;
@@ -933,9 +971,8 @@ let store_prefers_container () =
       (match Store.reload store circuit_name with
       | Error e -> Alcotest.failf "reload over damage: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "salvaged" true entry.Store.salvaged;
+        check_bool "salvaged, served from the heap" true entry.Store.salvaged;
         check_bool "salvage is flagged degraded" true entry.Store.degraded;
-        check_bool "salvage serves from the heap" true (entry.Store.container = None);
         check_int "epoch 2" 2 entry.Store.epoch;
         check_answers "salvaged" entry);
       (* repair the container: a reload remaps it *)
@@ -943,7 +980,7 @@ let store_prefers_container () =
       (match Store.reload store circuit_name with
       | Error e -> Alcotest.failf "reload after repair: %s" (Store.error_to_string e)
       | Ok entry ->
-        check_bool "repaired container remapped" true (entry.Store.container <> None);
+        check_bool "repaired container remapped" false entry.Store.salvaged;
         check_bool "remapped entry is not degraded" false entry.Store.degraded;
         check_int "epoch 3" 3 entry.Store.epoch;
         check_answers "remapped" entry);
@@ -990,24 +1027,45 @@ let shm_round_trip () =
           check_int "one shm session" 1 ss.Server.shm_sessions;
           check_bool "ring-served requests counted" true (ss.Server.shm_served >= 2)))
 
-(* MPSZ-backed answers over the ring arrive as descriptors into the
-   container the client maps read-only — same ids, no copy. *)
-let shm_descriptor_replies () =
+(* A ring reply is the socket reply: the same batch sent raw on both
+   channels of one session comes back with the same bytes after the
+   request id, for queries and for instantiation alike. *)
+let shm_ring_replies_match_socket () =
   with_server (fun server addr ->
-      with_client ~shm:true addr (fun client ->
+      let fd = connect_raw addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let path = raw_shm_hello fd in
+          let ring = Shm.attach ~path () in
+          Shm.heartbeat ring;
+          let handle, n = raw_open_circuit fd in
           let dims = random_batch ~seed:23 64 in
           let expect = expected_ids dims in
           check_bool "oracle has stored answers" true
             (Array.exists (fun id -> id >= 0) expect);
-          let ids, _ =
-            ok_or_fail "query" (Client.query_ids client ~circuit:circuit_name dims)
-          in
-          check_bool "descriptor ids match the oracle" true (ids = expect);
-          check_bool "ring active" true (Client.ring_active client);
-          check_bool "rode the ring" true
-            ((Client.stats client).Client.ring_requests >= 1);
-          check_bool "server served via ring" true
-            ((Server.stats server).Server.shm_served >= 1)))
+          List.iteri
+            (fun k (label, opcode) ->
+              let build = build_dims ~handle ~n dims in
+              let status, sb, slen =
+                raw_roundtrip fd ~opcode:(Wire.opcode_to_int opcode) ~deadline_us:0 ~build
+              in
+              check_bool "socket reply ok" true (status = Wire.Ok);
+              let rb, rlen = raw_ring_roundtrip ring ~opcode ~req_id:(50 + k) ~build in
+              check_int "ring reply id" (50 + k) (Wire.get_u32 rb ~len:rlen 1);
+              check_bool
+                (label ^ ": ring reply equals socket reply")
+                true
+                (Bytes.sub sb 5 (slen - 5) = Bytes.sub rb 5 (rlen - 5));
+              if opcode = Wire.Query_batch then
+                check_bool "ring ids match the oracle" true
+                  (Array.init 64 (fun i ->
+                       Wire.get_i32 rb ~len:rlen (Wire.reply_header_bytes + 4 + (i * 4)))
+                  = expect))
+            [ ("query", Wire.Query_batch); ("instantiate", Wire.Instantiate_batch) ];
+          check_int "both ring requests served off the ring" 2
+            (Server.stats server).Server.shm_served;
+          Shm.close ring))
 
 let shm_pipelined () =
   with_server (fun _server addr ->
@@ -1110,23 +1168,6 @@ let shm_publish_stall_times_out () =
           in
           check_bool "converged to the oracle" true (ids = expected_ids dims)))
 
-(* A hello body: the ring version the client speaks, as a u32. *)
-let put_version v buf off =
-  Wire.ensure buf (off + 4);
-  Wire.set_u32 !buf off v;
-  4
-
-(* Negotiate a session by hand (raw socket + attach) so the client half
-   can misbehave in ways [Client] never would. *)
-let raw_shm_hello fd =
-  let status, b, len =
-    raw_roundtrip fd ~opcode:(Wire.opcode_to_int Wire.Shm_hello) ~deadline_us:0
-      ~build:(put_version Shm.version)
-  in
-  check_bool "hello ok" true (status = Wire.Ok);
-  check_int "hello accepted" 1 (Wire.get_u8 b ~len Wire.reply_header_bytes);
-  fst (Wire.get_string16 b ~len (Wire.reply_header_bytes + 5))
-
 (* chaos: a wedged client — socket open, ring mapped, heartbeat silent.
    The stale stamp is the reap signal. *)
 let shm_wedged_client_reaped () =
@@ -1167,12 +1208,11 @@ let shm_killed_client_reaped () =
       | exception (Shm.Dead _ | Shm.Timeout) -> ())
 
 (* chaos: the container is republished as a runt *under* the session.
-   The rename keeps the server's old inode mapped (its descriptors are
-   still sized for the old file) and the pinned mtime keeps the store
-   from reloading — but the client maps the new, tiny file.  Every
-   descriptor is now out of bounds; the client must refuse it typed,
-   never crash and never fabricate ids. *)
-let shm_descriptor_out_of_bounds () =
+   The rename keeps the server's old inode mapped and the pinned mtime
+   keeps the store from reloading, so every answer, on a fresh
+   connection too, still comes from the epoch being served: the
+   oracle's ids, never bytes read from the runt. *)
+let shm_runt_serves_mapped_epoch () =
   with_server (fun server addr ->
       let store = Server.store server in
       let zpath = Store.zpath_for store circuit_name in
@@ -1183,10 +1223,10 @@ let shm_descriptor_out_of_bounds () =
           let expect = expected_ids dims in
           check_bool "oracle has stored answers" true
             (Array.exists (fun id -> id >= 0) expect);
-          let ids, _ =
+          let ids, meta =
             ok_or_fail "first query" (Client.query_ids client ~circuit:circuit_name dims)
           in
-          check_bool "descriptors validated" true (ids = expect);
+          check_bool "first ids match the oracle" true (ids = expect);
           check_bool "ring active" true (Client.ring_active client);
           let runt = zpath ^ ".runt" in
           let oc = open_out_bin runt in
@@ -1195,14 +1235,15 @@ let shm_descriptor_out_of_bounds () =
           Unix.rename runt zpath;
           Unix.utimes zpath t0 t0;
           Client.close client;
-          match Client.query_ids client ~circuit:circuit_name dims with
-          | Error (Client.Disconnected _) -> ()
-          | Error e ->
-            Alcotest.failf "out-of-bounds descriptor: %s" (Client.error_to_string e)
-          | Ok _ -> Alcotest.fail "out-of-bounds descriptors were accepted"))
+          let ids2, meta2 =
+            ok_or_fail "after the runt" (Client.query_ids client ~circuit:circuit_name dims)
+          in
+          check_bool "ids still match the oracle" true (ids2 = expect);
+          check_int "same epoch" meta.Client.epoch meta2.Client.epoch;
+          check_bool "a fresh ring carried it" true (Client.ring_active client)))
 
-(* A reload bumps the epoch; descriptor replies carry it and the client
-   remaps the container before trusting any offset. *)
+(* A reload bumps the epoch: the store remaps the container, replies
+   carry the new epoch, and the ring survives. *)
 let shm_reload_remaps () =
   with_server (fun _server addr ->
       with_client ~shm:true addr (fun client ->
@@ -1609,22 +1650,15 @@ let shm_doorbell_sizing_loop () =
 (* A ring request in raw bytes: one query for the circuit's minimum
    dims, published on the client half of a hand-negotiated session. *)
 let raw_ring_query ring ~handle ~n ~req_id =
-  let req_header = Wire.request_header_bytes in
-  let buf = ref (Bytes.create 256) in
-  let body = build_batch ~handle ~n ~count:1 buf req_header in
-  let b = !buf in
-  Wire.set_u8 b 0 (Wire.opcode_to_int Wire.Query_batch);
-  Wire.set_u32 b 1 req_id;
-  Wire.set_u32 b 5 0;
-  Shm.send ring b ~off:0 ~len:(req_header + body);
-  let rbuf = ref (Bytes.create 256) in
-  let len = Shm.recv ~deadline:(Unix.gettimeofday () +. 2.0) ring ~buf:rbuf in
-  let r = !rbuf in
+  let r, len =
+    raw_ring_roundtrip ring ~opcode:Wire.Query_batch ~req_id
+      ~build:(build_batch ~handle ~n ~count:1)
+  in
   check_bool "ring reply ok" true
     (Wire.status_of_int (Wire.get_u8 r ~len 0) = Some Wire.Ok);
   check_int "ring reply id" req_id (Wire.get_u32 r ~len 1);
-  check_int "one result" 1 (Wire.get_u32 r ~len (Wire.reply_header_bytes + 1));
-  Wire.get_i32 r ~len (Wire.reply_header_bytes + 5)
+  check_int "one result" 1 (Wire.get_u32 r ~len Wire.reply_header_bytes);
+  Wire.get_i32 r ~len (Wire.reply_header_bytes + 4)
 
 (* A zero-length frame is a doorbell, not a request: the daemon answers
    nothing on the socket (it used to send a request-id-0 error, which a
@@ -1694,10 +1728,54 @@ let shm_hello_version_declined () =
               in
               check_bool "hello answered" true (status = Wire.Ok);
               check_int "hello declined" 0 (Wire.get_u8 b ~len Wire.reply_header_bytes))
-            [ put_version (Shm.version + 1); put_version 1; (fun _ _ -> 0) ];
+            [
+              put_version (Shm.version + 1);
+              put_version (Shm.version - 1);
+              put_version 1;
+              (fun _ _ -> 0);
+            ];
           check_int "no sessions" 0 (Server.stats server).Server.shm_sessions;
           check_int "no ring files" 0 (ring_files (Store.dir (Server.store server)));
           ignore (raw_open_circuit fd)))
+
+(* The server's reply fallback: on a 256-word ring, an instantiation
+   batch whose request fits the ring but whose reply cannot rides the
+   ring out and comes back on the socket, equal to the in-process
+   engine's floorplans, and the ring keeps serving. *)
+let shm_oversized_reply_socket_fallback () =
+  let ring_words = 256 in
+  let config = { Server.default_config with Server.shm_ring_words = ring_words } in
+  with_server ~config (fun server addr ->
+      with_client ~shm:true addr (fun client ->
+          let dims = random_batch ~seed:71 20 in
+          let n = Circuit.n_blocks circuit and count = Array.length dims in
+          let fits len = Shm.frame_words ~len <= ring_words / 2 in
+          check_bool "the request fits the ring" true
+            (fits (Wire.request_header_bytes + 6 + (count * 4 * n)));
+          check_bool "the reply does not" false
+            (fits (Wire.reply_header_bytes + 4 + (count * 16 * n)));
+          let plans, _ =
+            ok_or_fail "instantiate" (Client.instantiate client ~circuit:circuit_name dims)
+          in
+          check_int "the request rode the ring" 1 (Client.stats client).Client.ring_requests;
+          check_int "the server took it off the ring" 1 (Server.stats server).Server.shm_served;
+          let engine = Lazy.force oracle in
+          let session = Structure.Engine.new_session () in
+          Array.iteri
+            (fun i rects ->
+              check_bool
+                (Printf.sprintf "floorplan %d matches the engine" i)
+                true
+                (rects = Structure.Engine.instantiate engine session dims.(i)))
+            plans;
+          check_bool "ring still active" true (Client.ring_active client);
+          let small = random_batch ~seed:73 4 in
+          let ids, _ =
+            ok_or_fail "small batch" (Client.query_ids client ~circuit:circuit_name small)
+          in
+          check_bool "small ids match the oracle" true (ids = expected_ids small);
+          check_int "the small batch rode the ring" 2
+            (Client.stats client).Client.ring_requests))
 
 let suite =
   [
@@ -1741,8 +1819,8 @@ let suite =
       store_reload_race;
     Alcotest.test_case "shm: ring round trip matches the oracle" `Quick
       shm_round_trip;
-    Alcotest.test_case "shm: descriptor replies match the oracle" `Quick
-      shm_descriptor_replies;
+    Alcotest.test_case "shm: ring replies equal socket replies byte for byte" `Quick
+      shm_ring_replies_match_socket;
     Alcotest.test_case "shm: pipelined batches ride the ring" `Quick shm_pipelined;
     Alcotest.test_case "shm: declined hello falls back to the socket" `Quick
       shm_declined_falls_back;
@@ -1756,8 +1834,8 @@ let suite =
       shm_wedged_client_reaped;
     Alcotest.test_case "shm chaos: kill -9'd client is reaped on EOF" `Quick
       shm_killed_client_reaped;
-    Alcotest.test_case "shm chaos: out-of-bounds descriptors are refused" `Quick
-      shm_descriptor_out_of_bounds;
+    Alcotest.test_case "shm chaos: a runt republished mid-session serves the mapped epoch"
+      `Quick shm_runt_serves_mapped_epoch;
     Alcotest.test_case "shm: reload remaps the container by epoch" `Quick
       shm_reload_remaps;
     Alcotest.test_case "shm: oversized batches fall back to the socket" `Quick
@@ -1782,4 +1860,6 @@ let suite =
       shm_stalled_control_frame_reaped;
     Alcotest.test_case "shm: a hello of another ring version is declined" `Quick
       shm_hello_version_declined;
+    Alcotest.test_case "shm: a reply too big for the ring comes back on the socket"
+      `Quick shm_oversized_reply_socket_fallback;
   ]
