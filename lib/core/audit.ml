@@ -64,6 +64,9 @@ let legal_breakdown ~weights circuit ~die_w ~die_h rects =
   let b = Cost.evaluate ~weights circuit ~die_w ~die_h rects in
   (b.Cost.overlap_area, b.Cost.oob_area)
 
+(* Sizing-walk probe steps per audit. *)
+let walk_steps = 256
+
 let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
     ?(query_samples = 64) ?(seed = 7) ?(tolerance = 1e-6) structure =
   let circuit = Structure.circuit structure in
@@ -72,9 +75,10 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
   let stored = Structure.placements structure in
   let backup = Structure.backup structure in
   (* Every audited subject samples from its own stream (query probes =
-     stream 0, backup = stream 1, placement i = stream 2+i), so the
-     per-placement checks can fan out across a domain pool and still
-     produce the identical report a sequential audit does. *)
+     stream 0, backup = stream 1, placement i = stream 2+i, walk probes
+     = stream 2+n), so the per-placement checks can fan out across a
+     domain pool and still produce the identical report a sequential
+     audit does. *)
   let root = Mps_rng.Rng.create ~seed in
   let add findings severity subject code fmt =
     Printf.ksprintf
@@ -211,11 +215,11 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
      path production queries take): answering must be total, every
      answer must instantiate without block overlap, and the engine must
      agree with the linear reference oracle on every probe. *)
+  let engine = Structure.Engine.create structure in
+  let session = Structure.Engine.new_session () in
   let query_findings =
     let acc = ref [] in
     let rng = Mps_rng.Rng.split root 0 in
-    let engine = Structure.Engine.create structure in
-    let session = Structure.Engine.new_session () in
     for k = 1 to query_samples do
       let dims = Dimbox.random_dims rng bounds in
       (match Structure.Engine.instantiate_into engine session dims with
@@ -244,12 +248,53 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
     done;
     List.rev !acc
   in
+  (* Sizing-walk probes on the same session: unit steps from a stored
+     best vector, a jump every 64 steps.  Uniform probes never repeat
+     a placement or stay near one, so only these reach the session's
+     step-to-step paths (row memo, raw fill re-testing moved axes,
+     warm re-pack); each floorplan must equal the oracle's, rect for
+     rect.  Stream [2 + n], after the placement streams. *)
+  let walk_findings =
+    let acc = ref [] in
+    let rng = Mps_rng.Rng.split root (2 + Array.length stored) in
+    let jump () = stored.(Mps_rng.Rng.int rng (Array.length stored)).Stored.best_dims in
+    let current = ref (jump ()) in
+    for k = 1 to walk_steps do
+      (if k mod 64 = 0 then current := jump ()
+       else
+         let d = !current in
+         let i = Mps_rng.Rng.int rng (Dims.n_blocks d) in
+         let delta = if Mps_rng.Rng.int rng 2 = 0 then 1 else -1 in
+         current :=
+           Dimbox.clamp bounds
+             (if Mps_rng.Rng.int rng 2 = 0 then Dims.set_width d i (max 1 (Dims.width d i + delta))
+              else Dims.set_height d i (max 1 (Dims.height d i + delta))));
+      let dims = !current in
+      match
+        let got = Structure.Engine.instantiate_into engine session dims in
+        let want =
+          match Structure.query_linear structure dims with
+          | Structure.Stored_placement _, s -> Stored.instantiate_auto s dims
+          | (Structure.Fallback | Structure.Out_of_domain), s -> Stored.instantiate_repacked s dims
+        in
+        Array.length got = Array.length want && Array.for_all2 Rect.equal got want
+      with
+      | true -> ()
+      | false ->
+        add acc Fatal Structure_wide "engine-floorplan-mismatch"
+          "walk step %d: the engine's floorplan differs from the oracle's" k
+      | exception e ->
+        add acc Fatal Structure_wide "query-exception" "walk step %d raised %s" k
+          (Printexc.to_string e)
+    done;
+    List.rev !acc
+  in
   let ordered =
     List.stable_sort
       (fun a b -> Int.compare (severity_rank b.severity) (severity_rank a.severity))
       (pair_findings
       @ List.concat (Array.to_list placement_findings)
-      @ backup_findings @ query_findings)
+      @ backup_findings @ query_findings @ walk_findings)
   in
   {
     circuit_name = circuit.Circuit.name;

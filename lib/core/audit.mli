@@ -22,8 +22,12 @@
     - seeded whole-space query samples, answered through the compiled
       {!Structure.Engine} (the path production queries take) and
       cross-checked against the linear reference oracle: every answer
-      instantiates
-      overlap-free.
+      instantiates overlap-free;
+    - a seeded 256-step sizing walk (unit steps from a stored best
+      vector, a jump every 64 steps) through the same engine session,
+      whose every floorplan must equal the oracle's rect for rect
+      (["engine-floorplan-mismatch"], Fatal) — the only probes that
+      reach the session's step-to-step paths.
 
     Findings carry a machine-readable code and a severity; the report
     serializes to JSON for CI artifacts ({!to_json}). *)

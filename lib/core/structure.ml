@@ -44,6 +44,9 @@ type t = {
      way. *)
   row_axis : ints;
   row_off : ints;
+  row_of_code : int array;
+      (** the row testing each axis code, [-1] for a skipped code; on
+          the heap, from the validated [row_axis] *)
   lows : ints;
   highs : ints;
   set_words : ints;
@@ -61,6 +64,11 @@ type t = {
   box_lo : ints;
   box_hi : ints;
   box_in_domain : ints;
+  (* Every stored placement's expansion box, flattened like [box_lo]/
+     [box_hi]: the raw-fill test.  Plain heap arrays, built from the
+     placement records, never part of the exchange form. *)
+  exp_lo : int array;
+  exp_hi : int array;
   mutable checked : bool;
       (** eq. 5 proved for [stored]: always for [of_placements]; for a
           plan wrapped by [Engine.of_flat], once [Engine.structure] has
@@ -74,6 +82,13 @@ let ints_of_array (a : int array) : ints =
   let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
   Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
   b
+
+(* One box per stored placement, flattened at [id * stride + code]. *)
+let flatten_boxes stored ~stride box =
+  let lo = Array.make (Array.length stored * stride) 0 in
+  let hi = Array.make (Array.length stored * stride) 0 in
+  Array.iteri (fun id s -> Dimbox.flatten_into (box s) ~lo ~hi ~base:(id * stride)) stored;
+  (lo, hi)
 
 let usable_intervals ~lows ~set_words ~words_per_set =
   min (Bigarray.Array1.dim lows) (Bigarray.Array1.dim set_words / words_per_set)
@@ -180,13 +195,11 @@ let of_placements ?backup circuit stored =
   let stride = 2 * n_blocks in
   let dom_lo = Array.make stride 0 and dom_hi = Array.make stride 0 in
   Dimbox.flatten_into space ~lo:dom_lo ~hi:dom_hi ~base:0;
-  let box_lo = Array.make (capacity * stride) 0 in
-  let box_hi = Array.make (capacity * stride) 0 in
+  let box_lo, box_hi = flatten_boxes stored ~stride (fun s -> s.Stored.box) in
+  let exp_lo, exp_hi = flatten_boxes stored ~stride (fun s -> s.Stored.expansion) in
   let box_in_domain =
-    Array.mapi
-      (fun id s ->
-        Dimbox.flatten_into s.Stored.box ~lo:box_lo ~hi:box_hi ~base:(id * stride);
-        if Dimbox.contains_box ~outer:space ~inner:s.Stored.box then 1 else 0)
+    Array.map
+      (fun s -> if Dimbox.contains_box ~outer:space ~inner:s.Stored.box then 1 else 0)
       stored
   in
   let words_per_set = max 1 ((capacity + bits_per_word - 1) / bits_per_word) in
@@ -235,6 +248,8 @@ let of_placements ?backup circuit stored =
       k := !k + r.len)
     ordered;
   row_off.(n_rows) <- !k;
+  let row_of_code = Array.make stride (-1) in
+  Array.iteri (fun r code -> row_of_code.(code) <- r) row_axis;
   let lows = ints_of_array lows
   and highs = ints_of_array highs
   and set_words = ints_of_array set_words in
@@ -255,6 +270,7 @@ let of_placements ?backup circuit stored =
     lows_len = usable_intervals ~lows ~set_words ~words_per_set;
     row_axis = ints_of_array row_axis;
     row_off = ints_of_array row_off;
+    row_of_code;
     lows;
     highs;
     set_words;
@@ -264,6 +280,8 @@ let of_placements ?backup circuit stored =
     box_lo = ints_of_array box_lo;
     box_hi = ints_of_array box_hi;
     box_in_domain = ints_of_array box_in_domain;
+    exp_lo;
+    exp_hi;
     checked = true;
   }
 
@@ -380,9 +398,11 @@ let answer_to_string = function
 (* ------------------------------------------------------------------ *)
 (* The query engine (DESIGN.md §10): the kernel over the flat plan.
    All per-query scratch lives in a reusable [session], so a
-   steady-state query allocates nothing.  A hot-box cache answers the
-   common sizing-loop case (consecutive queries landing in the same
-   validity box) with one box test. *)
+   steady-state query allocates nothing.  A sizing walk changes one or
+   two axes per step, and the session answers each step from what it
+   changed: it keeps the previous vector and answer (the hot-box
+   cache), a per-row memo of the narrowing, and raw-fill and re-pack
+   state per placement. *)
 
 module Engine = struct
   type nonrec t = t
@@ -391,8 +411,33 @@ module Engine = struct
   type session = {
     mutable owner : t option;  (** engine the scratch is currently sized for *)
     mutable acc : int array;  (** scratch intersection words *)
+    (* The step: the previous query's vector, valid when [last] is not
+       [no_answer], and the axis codes the current query moved away
+       from it ([moved.(0 .. n_moved - 1)]). *)
+    mutable at_w : int array;
+    mutable at_h : int array;
+    mutable moved : int array;
+    mutable n_moved : int;
+    (* The row memo: row [r]'s last lookup found interval [memo_k.(r)]
+       ([-1] for a gap), and every value in [memo_lo.(r) .. memo_hi.(r)]
+       finds the same.  A function of the plan alone, so it only needs
+       emptying when the session changes engine. *)
+    mutable memo_lo : int array;
+    mutable memo_hi : int array;
+    mutable memo_k : int array;
     mutable rects : Rect.t array;  (** scratch floorplan buffer *)
-    mutable last : int;  (** hot-box cache: last stored hit, [-1] if none *)
+    (* The raw-fill state ([raw_fits]): per axis, a value inside stored
+       placement [raw_id]'s expansion box ([-1]: none) or [min_int]. *)
+    mutable raw_id : int;
+    mutable raw_w : int array;
+    mutable raw_h : int array;
+    warm : Mps_placement.Repack.warm;  (** re-pack state, keyed by placement *)
+    mutable last : int;
+        (** the previous query's answer ([query_id]'s codes, or
+            [no_answer]): a stored id is the hot-box cache *)
+    mutable fb_exit : int;
+        (** when [last] is a fallback, the row its narrowing stopped at:
+            rows [0 .. fb_exit] hold memo ranges around its values *)
     mutable queries : int;
     mutable cache_hits : int;
     mutable stored_hits : int;
@@ -428,12 +473,28 @@ module Engine = struct
   let n_active_rows t = t.n_rows
   let n_skipped_rows t = t.skipped_rows
 
+  (* [last] before the first query on an engine, or while a vector is
+     being taken in. *)
+  let no_answer = -3
+
   let new_session () =
     {
       owner = None;
       acc = [||];
+      at_w = [||];
+      at_h = [||];
+      moved = [||];
+      n_moved = 0;
+      memo_lo = [||];
+      memo_hi = [||];
+      memo_k = [||];
       rects = [||];
-      last = -1;
+      raw_id = -1;
+      raw_w = [||];
+      raw_h = [||];
+      warm = Mps_placement.Repack.warm ();
+      last = no_answer;
+      fb_exit = -1;
       queries = 0;
       cache_hits = 0;
       stored_hits = 0;
@@ -442,28 +503,48 @@ module Engine = struct
     }
 
   (* (Re)size the scratch for [t].  A session is engine-agnostic: the
-     first query against a different engine rebinds it (and drops the
-     hot-box entry, which indexes the previous engine's placements).
-     The rect buffer is sized by [instantiate_into], its only user, so
-     a one-shot [Structure.query] session never allocates it. *)
+     first query against a different engine rebinds it and drops every
+     piece of state that indexes the previous engine's plan or
+     placements — previous vector and answer, row memo, raw fill and
+     re-pack.  The rect
+     buffer is sized by [instantiate_into], its only user, so a one-shot
+     [Structure.query] session never allocates it. *)
   let bind t session =
     match session.owner with
     | Some o when o == t -> ()
     | _ ->
       if Array.length session.acc < t.words_per_set then
         session.acc <- Array.make t.words_per_set 0;
+      if Array.length session.at_w < t.n_blocks then begin
+        session.at_w <- Array.make t.n_blocks 0;
+        session.at_h <- Array.make t.n_blocks 0;
+        session.moved <- Array.make (2 * t.n_blocks) 0
+      end;
+      if Array.length session.memo_k < t.n_rows then begin
+        session.memo_lo <- Array.make t.n_rows 0;
+        session.memo_hi <- Array.make t.n_rows 0;
+        session.memo_k <- Array.make t.n_rows 0
+      end;
+      (* empty ranges: no value matches until a row is searched *)
+      Array.fill session.memo_lo 0 t.n_rows max_int;
+      Array.fill session.memo_hi 0 t.n_rows min_int;
       session.owner <- Some t;
-      session.last <- -1
+      session.last <- no_answer;
+      session.raw_id <- -1;
+      Mps_placement.Repack.forget session.warm
 
   (* [dims] inside the flattened bounds [lo/hi.{base + code}]?  Pure
-     int-array compares, in a [while] loop: without flambda a local
-     recursive closure would allocate on every query. *)
+     int-array compares over the live dim arrays, in a [while] loop:
+     without flambda a local recursive closure would allocate on every
+     query, and a [Dims.width] call per axis is not inlined across
+     modules. *)
   let within ~(lo : ints) ~(hi : ints) ~base n dims =
+    let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
     let i = ref 0 in
     while
       !i < n
       &&
-      let w = Dims.width dims !i and h = Dims.height dims !i in
+      let w = dw.(!i) and h = dh.(!i) in
       let j = base + (2 * !i) in
       w >= lo.{j} && w <= hi.{j} && h >= lo.{j + 1} && h <= hi.{j + 1}
     do
@@ -471,69 +552,44 @@ module Engine = struct
     done;
     !i >= n
 
-  (* [dims] inside the validity box of stored placement [id]? *)
-  let box_contains t id dims =
-    within ~lo:t.box_lo ~hi:t.box_hi ~base:(id * 2 * t.n_blocks) t.n_blocks dims
-
   (* Equivalent to [Circuit.dims_valid] (designer bounds containment). *)
   let in_domain t dims = within ~lo:t.dom_lo ~hi:t.dom_hi ~base:0 t.n_blocks dims
 
-  (* The zero-allocation primitive: the stored-placement index on a
-     hit, [-1] for fallback, [-2] for out-of-domain. *)
-  let query_id t session dims =
-    if Dims.n_blocks dims <> t.n_blocks then
-      invalid_arg "Structure.Engine.query: block count mismatch";
-    bind t session;
-    session.queries <- session.queries + 1;
-    let last = session.last in
-    (* Hot-box fast path: a box fully inside the designer space that
-       contains the vector answers immediately — membership implies
-       domain validity, so even the domain check is skipped. *)
-    if last >= 0 && t.box_in_domain.{last} <> 0 && box_contains t last dims then begin
-      session.cache_hits <- session.cache_hits + 1;
-      session.stored_hits <- session.stored_hits + 1;
-      last
-    end
-    else if not (in_domain t dims) then begin
-      session.out_of_domain <- session.out_of_domain + 1;
-      session.last <- -1;
-      -2
-    end
-    else begin
-      (* Hot-box slow path: a box that sticks out of the designer space
-         (degraded structures) may only answer after the domain check. *)
-      if last >= 0 && t.box_in_domain.{last} = 0 && box_contains t last dims
-      then begin
-        session.cache_hits <- session.cache_hits + 1;
-        session.stored_hits <- session.stored_hits + 1;
-        last
-      end
+  (* The narrowing: intersect the placement sets of every row's
+     interval holding the vector; [true] when a set survives all rows.
+     The plan may be a view into a file mapping that gets corrupted
+     underneath us: a garbage axis code or interval range must turn
+     into a miss (fallback), never an out-of-bounds access — hence the
+     code guard and the clamped binary-search range, whose result (and
+     so every memoised index) lies in [0, lows_len).  A [while] loop,
+     like [within]. *)
+  let narrow t session dims =
+    let acc = session.acc in
+    let wps = t.words_per_set in
+    Array.fill acc 0 wps (-1);
+    acc.(wps - 1) <- t.tail_mask;
+    let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
+    let memo_lo = session.memo_lo and memo_hi = session.memo_hi in
+    let memo_k = session.memo_k in
+    let n_rows = t.n_rows and n_blocks = t.n_blocks in
+    let row_axis = t.row_axis and row_off = t.row_off in
+    let lows = t.lows and highs = t.highs and set_words = t.set_words in
+    let lows_len = t.lows_len in
+    let r = ref 0 and live = ref true in
+    while !live && !r < n_rows do
+      let row = !r in
+      let code = row_axis.{row} in
+      if code < 0 || code lsr 1 >= n_blocks then live := false
       else begin
-        let acc = session.acc in
-        let wps = t.words_per_set in
-        Array.fill acc 0 wps (-1);
-        acc.(wps - 1) <- t.tail_mask;
-        let n_rows = t.n_rows in
-        let lows = t.lows and highs = t.highs and set_words = t.set_words in
-        let lows_len = t.lows_len in
-        (* The plan may be a view into a file mapping that gets
-           corrupted underneath us: a garbage axis code or interval
-           range must turn into a miss (fallback), never an
-           out-of-bounds access — hence the code guard and the clamped
-           binary-search range.  A [while] loop, like [within]. *)
-        let r = ref 0 and live = ref true in
-        while !live && !r < n_rows do
-          let code = t.row_axis.{!r} in
-          if code < 0 || code lsr 1 >= t.n_blocks then live := false
+        let v = if code land 1 = 0 then dw.(code lsr 1) else dh.(code lsr 1) in
+        let k =
+          if v >= memo_lo.(row) && v <= memo_hi.(row) then memo_k.(row)
           else begin
-            let v =
-              if code land 1 = 0 then Dims.width dims (code lsr 1)
-              else Dims.height dims (code lsr 1)
-            in
-            (* Largest k in the row's interval range with lows.{k} <= v. *)
-            let l = ref (max 0 t.row_off.{!r})
-            and h = ref (min t.row_off.{!r + 1} lows_len - 1) in
-            let k = ref (-1) in
+            (* Largest k in the row's interval range with lows.{k} <= v;
+               on a sorted row it answers every value from lows.{k} to
+               just below lows.{k + 1}, which is the range memoised. *)
+            let l0 = max 0 row_off.{row} and h0 = min row_off.{row + 1} lows_len - 1 in
+            let l = ref l0 and h = ref h0 and k = ref (-1) in
             while !l <= !h do
               let mid = (!l + !h) / 2 in
               if lows.{mid} <= v then begin
@@ -542,54 +598,203 @@ module Engine = struct
               end
               else h := mid - 1
             done;
-            if !k < 0 || highs.{!k} < v then live := false
+            let k = !k in
+            if k < 0 then begin
+              memo_lo.(row) <- min_int;
+              memo_hi.(row) <- (if l0 <= h0 then lows.{l0} - 1 else max_int);
+              memo_k.(row) <- -1;
+              -1
+            end
             else begin
-              let base = !k * wps in
-              let any = ref 0 in
-              for w = 0 to wps - 1 do
-                let x = acc.(w) land set_words.{base + w} in
-                acc.(w) <- x;
-                any := !any lor x
-              done;
-              if !any = 0 then live := false else incr r
+              let next = if k < h0 then lows.{k + 1} - 1 else max_int in
+              let hk = highs.{k} in
+              if hk < v then begin
+                memo_lo.(row) <- hk + 1;
+                memo_hi.(row) <- next;
+                memo_k.(row) <- -1;
+                -1
+              end
+              else begin
+                memo_lo.(row) <- lows.{k};
+                memo_hi.(row) <- (if hk < next then hk else next);
+                memo_k.(row) <- k;
+                k
+              end
             end
           end
-        done;
-        if !live then begin
-          (* Non-empty by construction; eq. 5 makes the member unique. *)
-          let id = ref (-1) and w = ref 0 in
-          while !id < 0 do
-            if acc.(!w) <> 0 then begin
-              let word = acc.(!w) in
-              let b = ref 0 in
-              while word land (1 lsl !b) = 0 do
-                incr b
-              done;
-              id := (!w * bits_per_word) + !b
-            end
-            else incr w
-          done;
-          if !id < t.capacity then begin
-            session.last <- !id;
-            session.stored_hits <- session.stored_hits + 1;
-            !id
-          end
-          else begin
-            (* A phantom bit past capacity: only set-word corruption can
-               put one there (the tail mask clears them on a healthy
-               engine).  Fall back rather than index out of range. *)
-            session.fallbacks <- session.fallbacks + 1;
-            session.last <- -1;
-            -1
-          end
-        end
+        in
+        if k < 0 then live := false
         else begin
-          session.fallbacks <- session.fallbacks + 1;
-          session.last <- -1;
-          -1
+          let base = k * wps in
+          let any = ref 0 in
+          for w = 0 to wps - 1 do
+            let x = acc.(w) land set_words.{base + w} in
+            acc.(w) <- x;
+            any := !any lor x
+          done;
+          if !any = 0 then live := false else incr r
         end
       end
+    done;
+    session.fb_exit <- !r;
+    !live
+
+  (* Take [dims] in as the session's vector and list the axis codes
+     it moved; with no previous vector ([prev = no_answer]) copy it
+     whole, listing nothing — every later test is then a full one. *)
+  let step t session ~prev dims =
+    let n = t.n_blocks in
+    let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
+    let aw = session.at_w and ah = session.at_h in
+    if prev = no_answer then begin
+      Array.blit dw 0 aw 0 n;
+      Array.blit dh 0 ah 0 n;
+      session.n_moved <- 0
     end
+    else begin
+      let moved = session.moved in
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        let w = dw.(i) and h = dh.(i) in
+        if w <> aw.(i) then begin
+          aw.(i) <- w;
+          moved.(!m) <- 2 * i;
+          incr m
+        end;
+        if h <> ah.(i) then begin
+          ah.(i) <- h;
+          moved.(!m) <- (2 * i) + 1;
+          incr m
+        end
+      done;
+      session.n_moved <- !m
+    end
+
+  (* The session's value on axis [code]. *)
+  let[@inline] at session code =
+    if code land 1 = 0 then session.at_w.(code lsr 1) else session.at_h.(code lsr 1)
+
+  (* Every moved axis inside the flattened bounds [lo/hi.{base + code}]:
+     the vector is inside them when the previous one was. *)
+  let moved_within session ~(lo : ints) ~(hi : ints) ~base =
+    let moved = session.moved in
+    let k = ref 0 in
+    while
+      !k < session.n_moved
+      &&
+      let code = moved.(!k) in
+      let v = at session code and j = base + code in
+      v >= lo.{j} && v <= hi.{j}
+    do
+      incr k
+    done;
+    !k >= session.n_moved
+
+  (* The previous query narrowed to a fallback, stopping at row
+     [fb_exit].  When every moved axis whose row is among rows
+     [0 .. fb_exit] stayed inside that row's memo range, each of those
+     rows finds the interval it found then, so the narrowing would
+     stop at the same row, the same way. *)
+  let moved_rows_kept t session =
+    let moved = session.moved and fb_exit = session.fb_exit in
+    let k = ref 0 in
+    while
+      !k < session.n_moved
+      &&
+      let code = moved.(!k) in
+      let r = t.row_of_code.(code) in
+      r < 0 || r > fb_exit
+      ||
+      let v = at session code in
+      v >= session.memo_lo.(r) && v <= session.memo_hi.(r)
+    do
+      incr k
+    done;
+    !k >= session.n_moved
+
+  (* The narrowing's answer: the set's one member, [-1] when it emptied. *)
+  let narrowed_id t session dims =
+    if narrow t session dims then begin
+      (* Non-empty by construction; eq. 5 makes the member unique. *)
+      let acc = session.acc in
+      let id = ref (-1) and w = ref 0 in
+      while !id < 0 do
+        if acc.(!w) <> 0 then begin
+          let word = acc.(!w) in
+          let b = ref 0 in
+          while word land (1 lsl !b) = 0 do
+            incr b
+          done;
+          id := (!w * bits_per_word) + !b
+        end
+        else incr w
+      done;
+      (* A phantom bit past capacity: only set-word corruption can put
+         one there (the tail mask clears them on a healthy engine).
+         Fall back rather than index out of range. *)
+      if !id < t.capacity then !id else -1
+    end
+    else -1
+
+  (* The zero-allocation primitive: the stored-placement index on a
+     hit, [-1] for fallback, [-2] for out-of-domain.  [session.last]
+     reads [no_answer] until the vector is taken in whole, so an
+     exception half-way leaves no stale step behind. *)
+  let query_id t session dims =
+    if Dims.n_blocks dims <> t.n_blocks then
+      invalid_arg "Structure.Engine.query: block count mismatch";
+    bind t session;
+    session.queries <- session.queries + 1;
+    let prev = session.last in
+    session.last <- no_answer;
+    step t session ~prev dims;
+    let answer =
+      (* Hot-box fast path: the previous answer's box, fully inside the
+         designer space, held the previous vector; if the moved axes
+         stay inside it, it answers — membership implies domain
+         validity, so even the domain check is skipped. *)
+      if
+        prev >= 0
+        && t.box_in_domain.{prev} <> 0
+        && moved_within session ~lo:t.box_lo ~hi:t.box_hi ~base:(prev * 2 * t.n_blocks)
+      then begin
+        session.cache_hits <- session.cache_hits + 1;
+        session.stored_hits <- session.stored_hits + 1;
+        prev
+      end
+      else if
+        not
+          (if prev >= -1 then moved_within session ~lo:t.dom_lo ~hi:t.dom_hi ~base:0
+           else in_domain t dims)
+      then begin
+        session.out_of_domain <- session.out_of_domain + 1;
+        -2
+      end
+      else if
+        (* Hot-box slow path: a box that sticks out of the designer
+           space (degraded structures) may only answer after the domain
+           check. *)
+        prev >= 0
+        && t.box_in_domain.{prev} = 0
+        && moved_within session ~lo:t.box_lo ~hi:t.box_hi ~base:(prev * 2 * t.n_blocks)
+      then begin
+        session.cache_hits <- session.cache_hits + 1;
+        session.stored_hits <- session.stored_hits + 1;
+        prev
+      end
+      else if prev = -1 && moved_rows_kept t session then begin
+        session.fallbacks <- session.fallbacks + 1;
+        -1
+      end
+      else begin
+        let id = narrowed_id t session dims in
+        if id >= 0 then session.stored_hits <- session.stored_hits + 1
+        else session.fallbacks <- session.fallbacks + 1;
+        id
+      end
+    in
+    session.last <- answer;
+    answer
 
   let query t session dims =
     match query_id t session dims with
@@ -597,21 +802,85 @@ module Engine = struct
     | -1 -> (Fallback, t.backup)
     | id -> (Stored_placement id, t.stored.(id))
 
+  (* [dims] inside stored placement [id]'s expansion box, so its raw
+     coordinates answer?  The raw state holds, per axis, a value inside
+     [raw_id]'s expansion box or [min_int] (not known), so only the
+     axes that differ from it are tested, and each is taken in as it
+     passes.  A new placement starts from an unknown state: every axis
+     is tested. *)
+  let raw_fits t session id dims =
+    let n = t.n_blocks in
+    let rw = session.raw_w and rh = session.raw_h in
+    if session.raw_id <> id then begin
+      Array.fill rw 0 n min_int;
+      Array.fill rh 0 n min_int;
+      session.raw_id <- id
+    end;
+    let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
+    let lo = t.exp_lo and hi = t.exp_hi and base = id * 2 * n in
+    let i = ref 0 in
+    while
+      !i < n
+      &&
+      let w = dw.(!i) and h = dh.(!i) in
+      let j = base + (2 * !i) in
+      (w = rw.(!i)
+      || w >= lo.(j) && w <= hi.(j)
+         && begin
+           rw.(!i) <- w;
+           true
+         end)
+      && (h = rh.(!i)
+         || h >= lo.(j + 1) && h <= hi.(j + 1)
+            && begin
+              rh.(!i) <- h;
+              true
+            end)
+    do
+      incr i
+    done;
+    !i >= n
+
+  (* A top-level function, not a local closure: without flambda the
+     closure would allocate on every answer. *)
+  let repack session ~key (s : Stored.t) ~order dims =
+    let p = s.Stored.placement in
+    Mps_placement.Repack.pack_warm session.warm ~key ~order
+      ~coords:p.Mps_placement.Placement.coords ~die_w:p.Mps_placement.Placement.die_w
+      ~die_h:p.Mps_placement.Placement.die_h ~out:session.rects dims
+
   (* Fill the session's rect buffer in place and return it: valid until
      the session's next [instantiate_into].  Every answer is
-     allocation-free: raw coordinates inside the expansion box, else a
-     re-pack with the order precomputed in [t] — the backup's for
-     fallbacks, which are the sizing walk's most common answer. *)
+     allocation-free and writes all n rects from the session's own
+     state: raw coordinates inside the expansion box, else a warm
+     re-pack keyed by placement (the backup's key is [capacity]) with
+     the order precomputed in [t] — the backup's for fallbacks, which
+     are the sizing walk's most common answer. *)
   let instantiate_into t session dims =
     let id = query_id t session dims in
-    if Array.length session.rects <> t.n_blocks then
-      session.rects <- Array.init t.n_blocks (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
+    let n = t.n_blocks in
+    if Array.length session.rects <> n then begin
+      session.rects <- Array.init n (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
+      session.raw_w <- Array.make n 0;
+      session.raw_h <- Array.make n 0;
+      session.raw_id <- -1
+    end;
     let out = session.rects in
-    if id < 0 then Stored.instantiate_repacked_into t.backup ~order:t.backup_order ~out dims
+    if id < 0 then repack session ~key:t.capacity t.backup ~order:t.backup_order dims
     else begin
       let s = t.stored.(id) in
-      if Dimbox.contains s.Stored.expansion dims then Stored.instantiate_into s ~out dims
-      else Stored.instantiate_repacked_into s ~order:t.repack_orders.(id) ~out dims
+      if raw_fits t session id dims then begin
+        let coords = s.Stored.placement.Mps_placement.Placement.coords in
+        let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
+        for i = 0 to n - 1 do
+          let r = out.(i) and x, y = coords.(i) in
+          r.Rect.x <- x;
+          r.Rect.y <- y;
+          r.Rect.w <- dw.(i);
+          r.Rect.h <- dh.(i)
+        done
+      end
+      else repack session ~key:id s ~order:t.repack_orders.(id) dims
     end;
     out
 
@@ -718,9 +987,12 @@ module Engine = struct
     if n_intervals > dim f.f_lows then fail "row offsets exceed the interval table";
     if dim f.f_set_words < n_intervals * wps then fail "set-word table too short";
     let prev = ref 0 in
+    let row_of_code = Array.make (2 * n_blocks) (-1) in
     for r = 0 to n_rows - 1 do
       let code = f.f_row_axis.{r} in
       if code < 0 || code >= 2 * n_blocks then fail "axis code %d out of range" code;
+      if row_of_code.(code) >= 0 then fail "axis code %d in two rows" code;
+      row_of_code.(code) <- r;
       let off = f.f_row_off.{r} and stop = f.f_row_off.{r + 1} in
       if off <> !prev || stop < off then fail "non-contiguous row offsets";
       prev := stop;
@@ -741,6 +1013,9 @@ module Engine = struct
     then fail "box table length mismatch";
     if dim f.f_box_in_domain <> capacity then fail "box_in_domain length mismatch";
     let die_w, die_h = die in
+    let exp_lo, exp_hi =
+      flatten_boxes stored ~stride:(2 * n_blocks) (fun s -> s.Stored.expansion)
+    in
     {
       circuit;
       stored = Array.copy stored;
@@ -758,6 +1033,7 @@ module Engine = struct
       lows_len = usable_intervals ~lows:f.f_lows ~set_words:f.f_set_words ~words_per_set:wps;
       row_axis = f.f_row_axis;
       row_off = f.f_row_off;
+      row_of_code;
       lows = f.f_lows;
       highs = f.f_highs;
       set_words = f.f_set_words;
@@ -767,6 +1043,8 @@ module Engine = struct
       box_lo = f.f_box_lo;
       box_hi = f.f_box_hi;
       box_in_domain = f.f_box_in_domain;
+      exp_lo;
+      exp_hi;
       checked = false;
     }
 end

@@ -141,10 +141,15 @@ val die : t -> int * int
     precomputes the re-pack visit order of the backup and of every
     stored placement.  All per-query scratch lives in a reusable
     {!Engine.session}, so steady-state queries and
-    {!Engine.instantiate_into} allocate nothing, fallbacks included; a
-    hot-box cache answers consecutive queries landing in the
-    same validity box — the dominant sizing-loop case — with a single
-    box test.
+    {!Engine.instantiate_into} allocate nothing, fallbacks included.
+    A session answers each sizing-walk step from what it changed: the
+    axes that moved since the previous query are tested against the
+    previous answer's box (the hot-box cache) and the designer space, a
+    per-row memo skips binary searches, a fallback whose moved rows kept
+    their intervals is the previous fallback again, a raw answer
+    re-tests only moved axes against the expansion box, and a re-pack
+    of the same placement re-settles only the blocks the change can
+    reach (DESIGN.md §10).
 
     Answers are always identical to {!query_linear} (property-tested on
     every Table 1 circuit and re-checked by the audit's query
@@ -157,12 +162,13 @@ module Engine : sig
 
   type session
   (** Mutable per-caller scratch: intersection words, a rect buffer,
-      the hot-box cache and query counters.  Re-pack orders belong to
-      the engine, never to a session.  Not thread-safe — use one
-      session per domain.  A session is engine-agnostic: it may be
-      reused across engines (even interleaved); rebinding to a
-      different engine resizes the scratch and drops the hot-box
-      entry. *)
+      the previous query's vector and answer (the hot-box cache), the
+      row memo, the raw-fill and re-pack state, and query counters.
+      Re-pack orders belong to the engine, never to a session.  Not
+      thread-safe — use one session per domain.  A session is
+      engine-agnostic: it may be reused across engines (even
+      interleaved); rebinding to a different engine resizes the
+      scratch and drops all of that state. *)
 
   type stats = {
     queries : int;
@@ -213,8 +219,12 @@ module Engine : sig
       it) are valid until the session's next call.  Rect for rect the
       answer of {!Structure.instantiate}, and allocation-free for every
       answer: stored hits inside the expansion box copy coordinates;
-      fallbacks and template-like hits beyond it re-pack in place with
-      the engine's precomputed order ({!Stored.instantiate_repacked_into}). *)
+      fallbacks and template-like hits beyond it re-pack with the
+      engine's precomputed order, warm from the session's previous
+      re-pack of the same placement ({!Mps_placement.Repack.pack_warm}).
+      Every call writes all n rects from the session's own state, so
+      overwriting the returned rects does not affect the next
+      answer. *)
 
   val instantiate : t -> session -> Dims.t -> Rect.t array
   (** Like {!instantiate_into} but returns a freshly allocated
@@ -280,7 +290,8 @@ module Engine : sig
   (** Wrap flat vectors (typically mapped file views) as a ready
       engine, without recompiling anything.  Validates every shape
       invariant the kernel needs for memory safety — lengths, row
-      offsets, axis codes, per-row sortedness, domain bounds against
+      offsets, axis codes (each in at most one row), per-row
+      sortedness, domain bounds against
       the circuit — so a damaged container can at worst answer wrongly
       (which the container CRCs detect), never crash.
       @raise Invalid_argument on any violated invariant. *)

@@ -28,7 +28,9 @@ type table2_row = {
   generation_seconds : float;
   placements : int;
   coverage : float;
-  instantiation_seconds : float;  (** Mean wall time of one query+instantiation. *)
+  instantiation_seconds : float;
+      (** Mean wall time of one {!Structure.Engine.instantiate_into} per
+          probe, on one engine and one session. *)
   fallback_rate : float;  (** Share of probe queries answered by the fallback. *)
 }
 

@@ -11,6 +11,8 @@ let make ~w ~h =
   { w = Array.copy w; h = Array.copy h }
 
 let unsafe_of_arrays ~w ~h = { w; h }
+let unsafe_widths t = t.w
+let unsafe_heights t = t.h
 
 let of_pairs pairs =
   let w = Array.map fst pairs and h = Array.map snd pairs in

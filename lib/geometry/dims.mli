@@ -17,6 +17,16 @@ val unsafe_of_arrays : w:int array -> h:int array -> t
     serving-rate decode loops that reuse one scratch pair per
     connection; everywhere else, use {!make}. *)
 
+val unsafe_widths : t -> int array
+(** The live width array, not a copy: the counterpart of
+    {!unsafe_of_arrays} for kernels that read every entry per call
+    (the query engine's narrowing, box tests and re-pack), where a
+    cross-module {!width} call per entry is the cost.  The caller must
+    not mutate it. *)
+
+val unsafe_heights : t -> int array
+(** The live height array; see {!unsafe_widths}. *)
+
 val of_pairs : (int * int) array -> t
 (** [of_pairs [| (w0, h0); ... |]]. *)
 

@@ -70,6 +70,145 @@ let pack ~order ~out ~coords dims =
     Rect.set out.(i) ~x ~y:!yy ~w ~h
   done
 
+(* The warm re-pack: {!pack} then {!fit_die_in_place}, answered from
+   the previous pack of the same placement.  A block's settled y is the
+   lowest y at or above its corner clear of the earlier rects (in visit
+   order) that overlap it in x — a function of its corner, its dims and
+   those rects, nothing else.  So a block whose dims are unchanged and
+   whose x-span meets no earlier rect that changed (old or new extent:
+   the max of both widths) settles where it did last time, and only the
+   others are re-settled, against the state's already-updated prefix.
+   The state (corner x, dims and unshifted y per block) is
+   authoritative; [out] is only ever written, all of it, so a caller
+   that scribbles on it cannot corrupt the next answer. *)
+type warm = {
+  mutable key : int;  (** placement the state belongs to, [-1] for none *)
+  mutable x : int array;
+  mutable w : int array;
+  mutable h : int array;
+  mutable y : int array;  (** settled y before the die fit *)
+  mutable span_lo : int array;  (** x-extents of the rects changed this pass *)
+  mutable span_hi : int array;
+  mutable clash_lo : int array;  (** y-ranges a settling block must clear *)
+  mutable clash_hi : int array;
+}
+
+let warm () =
+  {
+    key = -1;
+    x = [||];
+    w = [||];
+    h = [||];
+    y = [||];
+    span_lo = [||];
+    span_hi = [||];
+    clash_lo = [||];
+    clash_hi = [||];
+  }
+
+let forget t = t.key <- -1
+
+(* Settle block [i] (corner [x, y0], size [w x h]) on the first [oi]
+   blocks of [order]: collect the y-ranges of those overlapping it in
+   x, then jump past clashing ranges until none clashes — the same
+   lowest clear y as {!pack}'s scan, from one pass over the prefix. *)
+let settle t ~order ~oi ~x ~y0 ~w ~h =
+  let xs = t.x and sw = t.w and sh = t.h and sy = t.y in
+  let lo = t.clash_lo and hi = t.clash_hi in
+  let m = ref 0 in
+  for k = 0 to oi - 1 do
+    let j = order.(k) in
+    let xj = xs.(j) in
+    if x < xj + sw.(j) && xj < x + w then begin
+      lo.(!m) <- sy.(j);
+      hi.(!m) <- sy.(j) + sh.(j);
+      incr m
+    end
+  done;
+  let yy = ref y0 and moved = ref true in
+  while !moved do
+    moved := false;
+    for k = 0 to !m - 1 do
+      if !yy < hi.(k) && lo.(k) < !yy + h then begin
+        yy := hi.(k);
+        moved := true
+      end
+    done
+  done;
+  !yy
+
+let pack_warm t ~key ~order ~coords ~die_w ~die_h ~out dims =
+  let n = Array.length coords in
+  if Dims.n_blocks dims <> n then invalid_arg "Repack.pack_warm: block count mismatch";
+  if Array.length out <> n || Array.length order <> n then
+    invalid_arg "Repack.pack_warm: bad buffer length";
+  if Array.length t.w <> n then begin
+    t.x <- Array.make n 0;
+    t.w <- Array.make n 0;
+    t.h <- Array.make n 0;
+    t.y <- Array.make n 0;
+    t.span_lo <- Array.make n 0;
+    t.span_hi <- Array.make n 0;
+    t.clash_lo <- Array.make n 0;
+    t.clash_hi <- Array.make n 0;
+    t.key <- -1
+  end;
+  let cold = key < 0 || t.key <> key in
+  (* No key while the state is half-updated: should anything raise
+     mid-pass, the next call starts cold. *)
+  t.key <- -1;
+  let dw = Dims.unsafe_widths dims and dh = Dims.unsafe_heights dims in
+  let xs = t.x and sw = t.w and sh = t.h and sy = t.y in
+  let lo = t.span_lo and hi = t.span_hi in
+  if cold then
+    for i = 0 to n - 1 do
+      xs.(i) <- fst coords.(i)
+    done;
+  let changed = ref 0 in
+  (* the bounding box [fit_die_in_place] measures, over the state *)
+  let min_x = ref max_int and min_y = ref max_int in
+  let max_x = ref min_int and max_y = ref min_int in
+  for oi = 0 to n - 1 do
+    let i = order.(oi) in
+    let x = xs.(i) and w = dw.(i) and h = dh.(i) in
+    let ow = sw.(i) and oh = sh.(i) in
+    let dirty = ref (cold || w <> ow || h <> oh) in
+    let k = ref 0 in
+    while (not !dirty) && !k < !changed do
+      if x < hi.(!k) && lo.(!k) < x + w then dirty := true;
+      incr k
+    done;
+    if !dirty then begin
+      let y = settle t ~order ~oi ~x ~y0:(snd coords.(i)) ~w ~h in
+      if (not cold) && (w <> ow || h <> oh || y <> sy.(i)) then begin
+        lo.(!changed) <- x;
+        hi.(!changed) <- (x + if w >= ow then w else ow);
+        incr changed
+      end;
+      sw.(i) <- w;
+      sh.(i) <- h;
+      sy.(i) <- y
+    end;
+    let y = sy.(i) in
+    if x < !min_x then min_x := x;
+    if y < !min_y then min_y := y;
+    if x + w > !max_x then max_x := x + w;
+    if y + h > !max_y then max_y := y + h
+  done;
+  (* [fit_die_in_place]'s translation, then every rect written. *)
+  if n > 0 then begin
+    let dx = shift_amount (!max_x - !min_x) !min_x !max_x die_w in
+    let dy = shift_amount (!max_y - !min_y) !min_y !max_y die_h in
+    for i = 0 to n - 1 do
+      let r = out.(i) in
+      r.Rect.x <- xs.(i) + dx;
+      r.Rect.y <- sy.(i) + dy;
+      r.Rect.w <- sw.(i);
+      r.Rect.h <- sh.(i)
+    done
+  end;
+  t.key <- key
+
 let instantiate ?die ~coords dims =
   let n = Array.length coords in
   if Dims.n_blocks dims <> n then invalid_arg "Repack.instantiate: block count mismatch";

@@ -38,3 +38,38 @@ val fit_die_in_place : die_w:int -> die_h:int -> Rect.t array -> unit
     whenever its bounding box can (per axis); a bounding box larger
     than the die still sticks out — rigidity is the template's
     defining weakness. *)
+
+type warm
+(** The state of {!pack_warm}: the last packed dims and settled
+    (unshifted) y of every block, for one placement.  Mutable scratch;
+    one per caller, not thread-safe. *)
+
+val warm : unit -> warm
+(** Empty state: the first {!pack_warm} packs cold. *)
+
+val forget : warm -> unit
+(** Drop the state (the next {!pack_warm} packs cold) — for a caller
+    whose placement keys change meaning, e.g. a new structure. *)
+
+val pack_warm :
+  warm ->
+  key:int ->
+  order:int array ->
+  coords:(int * int) array ->
+  die_w:int ->
+  die_h:int ->
+  out:Rect.t array ->
+  Dims.t ->
+  unit
+(** [pack] then [fit_die_in_place ~die_w ~die_h], rect for rect,
+    writing every rect of [out].  [key] (>= 0) names the placement
+    [order]/[coords] belong to; when the state holds the previous pack
+    of the same key, only blocks whose dims changed, or whose x-span
+    meets the old-or-new x-span of a rect that changed earlier in
+    visit order, are re-settled — exact, because a block's settled y
+    depends only on the earlier rects overlapping it in x.  Any other
+    key packs cold.  Allocation-free once the state is sized for this
+    block count.  [dims] must honour {!Dims.make}'s invariants (not
+    re-checked).
+    @raise Invalid_argument on a block-count or buffer-length
+    mismatch. *)

@@ -115,6 +115,41 @@ let prop_pack_matches_reference =
       && same_rects expected out
       && same_rects expected (Repack.instantiate ?die ~coords dims))
 
+(* The warm re-pack along a walk of small dim changes, on two
+   placements taking turns under their own keys (and now and then a
+   caller scribbling on the buffer): every answer equals the
+   unit-step slide with the die fit, as a cold pack would give. *)
+let prop_pack_warm_matches_reference =
+  QCheck.Test.make ~name:"repack: pack_warm along a walk matches the unit-step slide"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 1 + Rng.int rng 12 in
+      let corners () = Array.init n (fun _ -> (Rng.int rng 16, Rng.int rng 16)) in
+      let placements = [| corners (); corners () |] in
+      let orders = Array.map Repack.order placements in
+      let die_w = 4 + Rng.int rng 40 and die_h = 4 + Rng.int rng 40 in
+      let w = Array.init n (fun _ -> 1 + Rng.int rng 9) in
+      let h = Array.init n (fun _ -> 1 + Rng.int rng 9) in
+      let warm = Repack.warm () in
+      let out = Array.init n (fun _ -> Rect.make ~x:7 ~y:7 ~w:3 ~h:3) in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        for _ = 0 to Rng.int rng 2 do
+          let i = Rng.int rng n in
+          let a = if Rng.int rng 2 = 0 then w else h in
+          a.(i) <- max 1 (a.(i) + Rng.int_in rng (-3) 3)
+        done;
+        let key = if Rng.int rng 4 = 0 then 1 else 0 in
+        let coords = placements.(key) in
+        let dims = Dims.make ~w ~h in
+        Repack.pack_warm warm ~key ~order:orders.(key) ~coords ~die_w ~die_h ~out dims;
+        ok := !ok && same_rects (slide_reference ~die:(die_w, die_h) ~coords dims) out;
+        if Rng.int rng 5 = 0 then Array.iter (fun r -> Rect.set r ~x:0 ~y:0 ~w:1 ~h:1) out
+      done;
+      !ok)
+
 (* Every Table 1 backup template, re-packed into one reused buffer
    (stale contents from the previous sample) at random sizings. *)
 let test_repack_backups_match_reference () =
@@ -245,4 +280,5 @@ let suite =
     ("repack: Table 1 backups match the unit-step slide", `Quick,
      test_repack_backups_match_reference);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_pack_matches_reference ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_pack_matches_reference; prop_pack_warm_matches_reference ]

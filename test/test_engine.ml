@@ -304,9 +304,10 @@ let test_session_alternating_structures () =
   done
 
 (* The steady-state query path allocates nothing: after a warm-up, 10k
-   calls of each [query_id] regime and of a backup-fallback
-   [instantiate_into] on benchmark24 Quick stay under a small constant
-   (the counter reads' own boxing). *)
+   calls of each [query_id] regime and of the [instantiate_into]
+   regimes (a backup fallback, a sizing walk, a stored hit re-packed
+   beyond its expansion box) on benchmark24 Quick stay under a small
+   constant (the counter reads' own boxing). *)
 let test_query_path_does_not_allocate () =
   let structure = Lazy.force Test_pinned.structure in
   let engine = Structure.Engine.create structure in
@@ -328,6 +329,23 @@ let test_query_path_does_not_allocate () =
   in
   let fallback = find "fallback" (fun a -> a = Structure.Fallback) in
   let ood = find "out-of-domain" (fun a -> a = Structure.Out_of_domain) in
+  (* A walk through the row memo, the raw fill and the warm re-pack,
+     and a stored hit its placement answers by re-packing. *)
+  let walk = sizing_walk rng structure ~n:10_000 in
+  let beyond_expansion =
+    let rec go k =
+      if k = 0 then Alcotest.fail "no stored hit outside its expansion box found"
+      else
+        let s = stored.(Rng.int rng (Array.length stored)) in
+        let d = Dimbox.random_dims rng s.Stored.box in
+        match Structure.query_linear structure d with
+        | Structure.Stored_placement _, s' when s' == s && not (Dimbox.contains s.Stored.expansion d)
+          ->
+          d
+        | _ -> go (k - 1)
+    in
+    go 100_000
+  in
   let session = Structure.Engine.new_session () in
   let sink = ref 0 in
   let regimes =
@@ -343,6 +361,14 @@ let test_query_path_does_not_allocate () =
       ( "fallback instantiate_into",
         fun _ ->
           let rects = Structure.Engine.instantiate_into engine session fallback in
+          sink := !sink + rects.(0).Rect.y );
+      ( "walk instantiate_into",
+        fun i ->
+          let rects = Structure.Engine.instantiate_into engine session walk.(i) in
+          sink := !sink + rects.(0).Rect.y );
+      ( "stored re-pack instantiate_into",
+        fun _ ->
+          let rects = Structure.Engine.instantiate_into engine session beyond_expansion in
           sink := !sink + rects.(0).Rect.y );
     ]
   in
@@ -361,6 +387,127 @@ let test_query_path_does_not_allocate () =
         true (delta < 256.0))
     regimes;
   ignore (Sys.opaque_identity !sink)
+
+(* The oracle floorplan: the linear oracle's placement committed at
+   the vector, re-packed on a fallback or out of the domain. *)
+let oracle_floorplan structure dims =
+  match Structure.query_linear structure dims with
+  | Structure.Stored_placement _, s -> Stored.instantiate_auto s dims
+  | (Structure.Fallback | Structure.Out_of_domain), s -> Stored.instantiate_repacked s dims
+
+let oracle_id structure dims =
+  match fst (Structure.query_linear structure dims) with
+  | Structure.Stored_placement id -> id
+  | Structure.Fallback -> -1
+  | Structure.Out_of_domain -> -2
+
+(* One structure's side of the session traffic below: its engine and
+   the vector its walk stands on. *)
+type walker = {
+  w_structure : Structure.t;
+  w_engine : Structure.Engine.t;
+  w_stored : Stored.t array;
+  w_bounds : Dimbox.t;
+  mutable w_at : Dims.t;
+}
+
+let walker structure =
+  let stored = Structure.placements structure in
+  {
+    w_structure = structure;
+    w_engine = Structure.Engine.create structure;
+    w_stored = stored;
+    w_bounds = Circuit.dim_bounds (Structure.circuit structure);
+    w_at = stored.(0).Stored.best_dims;
+  }
+
+(* Move [w] one traffic step: a +-1..3 step on one axis, steps on
+   several axes, a jump to a stored best vector, or a vector pushed
+   past the designer max.  Steps stay positive and inside the designer
+   space. *)
+let traffic_step rng w =
+  let step d =
+    let i = Rng.int rng (Dims.n_blocks d) in
+    let delta = (1 + Rng.int rng 3) * if Rng.int rng 2 = 0 then 1 else -1 in
+    Dimbox.clamp w.w_bounds
+      (if Rng.int rng 2 = 0 then Dims.set_width d i (max 1 (Dims.width d i + delta))
+       else Dims.set_height d i (max 1 (Dims.height d i + delta)))
+  in
+  let d = Dimbox.clamp w.w_bounds w.w_at in
+  match Rng.int rng 10 with
+  | 0 -> w.w_at <- w.w_stored.(Rng.int rng (Array.length w.w_stored)).Stored.best_dims
+  | 1 ->
+    let rec several k d = if k = 0 then d else several (k - 1) (step d) in
+    w.w_at <- several (2 + Rng.int rng 3) d
+  | 2 ->
+    let i = Rng.int rng (Dims.n_blocks d) in
+    w.w_at <-
+      (if Rng.int rng 2 = 0 then
+         Dims.set_width d i (Interval.hi (Dimbox.w_interval w.w_bounds i) + 1 + Rng.int rng 4)
+       else
+         Dims.set_height d i (Interval.hi (Dimbox.h_interval w.w_bounds i) + 1 + Rng.int rng 4))
+  | _ -> w.w_at <- step d
+
+(* Arbitrary traffic through one session: walk steps of every shape on
+   a structure, [query_id] calls between [instantiate_into] calls, a
+   second structure taking turns on the same session (same block count
+   two times in three, and then once the same capacity with the
+   placements reversed and another backup, so only a rebind can tell
+   their placements apart), and a caller scribbling over the returned
+   rects.  Every answer must
+   be the oracle's, id and floorplan. *)
+let prop_session_traffic_matches_oracle =
+  QCheck.Test.make ~name:"engine: any session traffic answers like the oracle" ~count:120
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let all = Lazy.force structures in
+      let pick () = snd (List.nth all (Rng.int rng (List.length all))) in
+      let b24 = snd (List.find (fun (c, _) -> String.equal c.Circuit.name "benchmark24") all) in
+      let first, second =
+        match Rng.int rng 3 with
+        | 0 -> (b24, Lazy.force Test_pinned.structure)
+        | 1 ->
+          (* same capacity, so the same placement ids, naming other
+             placements, and another backup *)
+          let stored = Structure.placements b24 in
+          let n = Array.length stored in
+          ( b24,
+            Structure.of_placements
+              ~backup:(Structure.backup (Lazy.force Test_pinned.structure))
+              (Structure.circuit b24)
+              (Array.init n (fun i -> stored.(n - 1 - i))) )
+        | _ -> (pick (), pick ())
+      in
+      let a = walker first and b = walker second in
+      let session = Structure.Engine.new_session () in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        let w = if Rng.int rng 8 = 0 then b else a in
+        traffic_step rng w;
+        let dims = w.w_at in
+        if Rng.int rng 5 = 0 then
+          ok := !ok && Structure.Engine.query_id w.w_engine session dims = oracle_id w.w_structure dims
+        else begin
+          let got = Structure.Engine.instantiate_into w.w_engine session dims in
+          let want = oracle_floorplan w.w_structure dims in
+          ok :=
+            !ok
+            && Array.length got = Array.length want
+            && Array.for_all2 Rect.equal got want
+            && fst (Structure.Engine.query w.w_engine session dims)
+               = fst (Structure.query_linear w.w_structure dims);
+          if Rng.int rng 4 = 0 then
+            Array.iter
+              (fun (r : Rect.t) ->
+                r.Rect.x <- Rng.int rng 100;
+                r.Rect.y <- -7;
+                r.Rect.w <- 1 + Rng.int rng 5;
+                r.Rect.h <- 3)
+              got
+        end
+      done;
+      !ok)
 
 let suite =
   [
@@ -383,3 +530,4 @@ let suite =
     Alcotest.test_case "query_id and fallback instantiate_into do not allocate" `Quick
       test_query_path_does_not_allocate;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_session_traffic_matches_oracle ]

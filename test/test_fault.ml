@@ -358,11 +358,15 @@ let mmap_fault_salvages scenario () =
 
 (* Damage landing under an already-verified mapping: queries may go
    wrong but must stay in-bounds and crash-free, and a re-verification
-   of the same words must detect the damage. *)
+   of the same words must detect the damage.  The session is warm
+   first (a sizing walk fills its row memo, raw-fill and re-pack
+   state from the healthy words), and the walk goes on through
+   [instantiate_into] after the flips. *)
 let flip_under_active_mapping scenario () =
   let seed = (base_seed * 1000) + 2000 + scenario in
   with_tmp_dir (fun dir ->
-      let _s, zpath = save_container dir in
+      let s, zpath = save_container dir in
+      let walk = Test_engine.sizing_walk (Mps_rng.Rng.create ~seed:(seed + 1)) s ~n:1024 in
       let mapping = ref None in
       let io =
         {
@@ -378,14 +382,39 @@ let flip_under_active_mapping scenario () =
       let words, bytes =
         match !mapping with Some wb -> wb | None -> Alcotest.fail "no mapping seen"
       in
+      let engine = view.Zcodec.engine in
+      let session = Structure.Engine.new_session () in
+      let n_blocks = Circuit.n_blocks circuit in
+      Array.iteri
+        (fun k dims ->
+          if k < 512 then ignore (Structure.Engine.instantiate_into engine session dims))
+        walk;
       (* the mapping is private (copy-on-write): flipping words damages
          what the engine reads without touching the file *)
       Fault.flip_words ~seed ~flips:(1 + (scenario * 3)) words;
-      let engine = view.Zcodec.engine in
-      let session = Structure.Engine.new_session () in
       let bounds = Circuit.dim_bounds circuit in
       let rng = Mps_rng.Rng.create ~seed in
       let capacity = view.Zcodec.n_stored in
+      Array.iteri
+        (fun k dims ->
+          if k >= 512 then
+            match
+              ( Structure.Engine.query_id engine session dims,
+                Structure.Engine.instantiate_into engine session dims )
+            with
+            | id, rects ->
+              check_bool
+                (Printf.sprintf "seed %d: walk step %d stays in-bounds" seed k)
+                true
+                (id >= -2 && id < capacity);
+              check_bool
+                (Printf.sprintf "seed %d: walk step %d keeps %d rects" seed k n_blocks)
+                true
+                (Array.length rects = n_blocks)
+            | exception e ->
+              Alcotest.failf "seed %d: walk step %d let %s escape" seed k
+                (Printexc.to_string e))
+        walk;
       for k = 1 to 500 do
         let dims = Dimbox.random_dims rng bounds in
         (* answers may be wrong under live corruption; they must stay
