@@ -1000,8 +1000,9 @@ let stat_interval_arg =
     & info [ "stat-interval" ] ~docv:"S"
         ~doc:
           "Debounce hot-reload detection: re-stat a circuit's source file at most \
-           once per $(docv) seconds (0 stats on every request).  A repaired file is \
-           picked up within the interval; meanwhile requests cost no stat syscall.")
+           once per $(docv) seconds (0 stats on every request).  The daemon's \
+           supervision thread makes the stat off the request path, so requests cost \
+           no stat syscall, and a repaired file is picked up within the interval.")
 
 let serve_cmd =
   Cmd.v

@@ -230,13 +230,14 @@ let pump_one t fd ~deadline =
   | 0 -> ()
   | len -> deliver t ~len
 
-(* Ring-aware pump: wait on the reply ring in {!Shm.await} (spin,
+(* Ring-aware pump: wait on the reply ring in {!Shm.await} (after a
+   ring request, poll up to 200 us for its reply; otherwise spin,
    yield, then park in a 200 us select on the socket).  The hot path is
    syscall-free; a server that publishes to a parked client rings the
-   doorbell, which [pump_one] reads and drops, and the caller's next
-   pump finds the reply on the ring.  The socket still carries control
-   replies, oversized replies and farewells, and its readability is
-   also how a dead server is noticed fastest. *)
+   doorbell, the woken await takes the reply off the ring, and a later
+   [pump_one] reads and drops the doorbell.  The socket still carries
+   control replies, oversized replies and farewells, and its
+   readability is also how a dead server is noticed fastest. *)
 let pump_ring t ring fd ~deadline =
   let rec go () =
     match Shm.await ring fd ~buf:t.inbuf with
@@ -260,7 +261,8 @@ let pump t fd ~deadline =
   | None -> pump_one t fd ~deadline
 
 (* Register [slot] and send one request frame: a batch whose frame fits
-   the ring rides it, everything else the socket.  On a send failure
+   the ring rides it, and its reply is polled for ({!Shm.expect_reply});
+   everything else takes the socket.  On a send failure
    the connection is poisoned — but a daemon that died mid-send may
    have left a farewell in the socket buffer, so salvage it first: a
    typed refusal is a better answer than "broken pipe". *)
@@ -290,6 +292,7 @@ let issue t fd ~opcode ~deadline ~build slot =
       when Shm.tx_fits ring ~len:payload_len ->
       t.s_ring_requests <- t.s_ring_requests + 1;
       Shm.send ?deadline ring b ~off:prefix ~len:payload_len;
+      Shm.expect_reply ring;
       ignore (Shm.ring_doorbell ring t.transport fd : bool)
     | _ -> Wire.send_frame t.transport fd b ~payload_len
   with

@@ -563,7 +563,10 @@ let handle_health t via state ~req_id =
 let stats_text t =
   let s = stats t in
   let h = health t in
+  let st = Store.stat_counts t.the_store in
   Store.describe t.the_store
+  ^ Printf.sprintf "staleness stats: %d by the refresher, %d on the request path\n"
+      st.Store.refresher st.Store.request_path
   ^ Printf.sprintf
       "accepted %d, shed %d, served %d requests / %d queries (%d degraded), timeouts \
        %d, overloaded %d, bad %d, store errors %d, conn crashes %d, accept failures \
@@ -687,8 +690,9 @@ let unregister t w conn =
    The loop waits in {!Shm.await}: spin, yield, then park in one 200 us
    [select] on the socket.  A client that publishes to a parked server
    rings the doorbell, a zero-length frame that ends the select at
-   once; it is read and dropped here, and the request is then found on
-   the ring.  The select timeout is the backstop for a lost doorbell
+   once; the woken await takes the request off the ring first, and the
+   doorbell is read and dropped here on a later turn, once the ring is
+   empty.  The select timeout is the backstop for a lost doorbell
    and paces the liveness checks.  A streaming client is thus served
    with no syscall per request, and an idle session costs one [select]
    per 200 us. *)
@@ -936,6 +940,8 @@ let supervision_loop t =
     Array.iter
       (fun w -> if w.state <> Wire.W_up then rescue_queued t w)
       t.workers;
+    (* the store's staleness stats run here, off the request path *)
+    Store.refresh t.the_store;
     Thread.delay 0.002
   done
 

@@ -53,6 +53,9 @@
    [select] on the control socket.  A producer that published while
    the peer is parked rings a doorbell ({!ring_doorbell}) — a
    zero-length frame on that socket — which ends the select at once.
+   A client that has just published a request ({!expect_reply}) polls
+   for up to 200 us before it parks, and a woken side reads the ring
+   before the socket, so a request costs one wake-up: the server's.
    Without fences the parked word and the tail can cross in flight (a
    lost wake-up); the 200 us timeout is the backstop that bounds it to
    the old latency, and a dead peer can still never leave the survivor
@@ -123,6 +126,7 @@ type t = {
   hooks : hooks;
   mutable closed : bool;
   idle_steps : int ref;  (* {!await}'s gear: dry polls since the last frame *)
+  mutable reply_due : float;  (* {!await} polls without parking until then *)
 }
 
 let path t = t.path
@@ -212,6 +216,7 @@ let make ~path ~role ~hooks a ~req_cap ~rep_cap =
       hooks;
       closed = false;
       idle_steps = ref 0;
+      reply_due = 0.0;
     }
   in
   stamp t;
@@ -479,36 +484,66 @@ let recv ?deadline ?(hb_timeout = 3.0) t ~buf =
 
 type wake = Frame of int | Socket | Idle
 
+(* The select timeout: the backstop for a lost doorbell, and the
+   longest a reply wait polls. *)
+let backstop = 0.0002
+
+let expect_reply t = t.reply_due <- now () +. backstop
+
 (* Spin, yield, then park: the gear position survives across calls, so
    a consumer that stays idle goes straight back to its select instead
    of re-spinning every 200 us.  The park lands before the last ring
    check, so a frame published before it is found there and one
-   published after it finds the parked word and rings. *)
+   published after it finds the parked word and rings.
+
+   Two refinements keep a request to one wake-up, the peer's.  While a
+   reply is due ({!expect_reply}) the consumer polls instead of
+   parking, [cpu_relax] with a [Thread.yield] every 64 polls so that a
+   thread sharing this core still runs: the reply is at least one peer
+   wake-up away, and parking would add a wake-up of its own.  And a
+   select woken by the socket looks at the ring before reporting
+   [Socket], so the frame a doorbell announces is taken at once; the
+   doorbell itself stays on the socket for a later turn to drop, and a
+   control frame is reported whenever the ring is empty. *)
 let await t fd ~buf =
   stamp t;
-  let rec go () =
+  let got len =
+    t.idle_steps := 0;
+    t.reply_due <- 0.0;
+    unpark t;
+    Frame len
+  in
+  let rec go polls =
     match try_recv t ~buf with
-    | Some len ->
-      t.idle_steps := 0;
-      unpark t;
-      Frame len
+    | Some len -> got len
     | None ->
-      if spin_step t.idle_steps then go ()
+      if t.reply_due > 0.0 then begin
+        if polls land 63 <> 63 then Domain.cpu_relax ()
+        else begin
+          Thread.yield ();
+          if now () >= t.reply_due then t.reply_due <- 0.0
+        end;
+        go (polls + 1)
+      end
+      else if spin_step t.idle_steps then go polls
       else if t.a.{t.own_park} = 0 then begin
         park t;
-        go ()
+        go polls
       end
       else begin
         stamp t;
-        match Unix.select [ fd ] [] [] 0.0002 with
+        match Unix.select [ fd ] [] [] backstop with
         | [], _, _ -> Idle
-        | _ ->
-          unpark t;
-          Socket
+        | _ -> (
+          match try_recv t ~buf with
+          | Some len -> got len
+          | None ->
+            unpark t;
+            Socket)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> Idle
       end
   in
-  go ()
+  go 0
 
 let ring_doorbell t transport fd =
   peer_parked t

@@ -30,7 +30,9 @@
     publish with {!ring_doorbell}, a zero-length frame on that socket
     when the peer has parked.  Without fences a doorbell can be lost;
     the 200 us timeout is the backstop, never a hang or a wrong
-    answer. *)
+    answer.  A side that has just published a request calls
+    {!expect_reply}, so its next {!await} polls for the reply instead
+    of parking. *)
 
 (** What a fault hook may do to the frame being published (the chaos
     suite's shm failure modes; see {!Mps_fault.Fault.shm_hooks_of_plan}). *)
@@ -138,8 +140,9 @@ val peer_parked : t -> bool
 type wake =
   | Frame of int  (** A frame of this length was consumed into [buf]. *)
   | Socket
-      (** The control socket is readable: a doorbell (a zero-length
-          frame, to read and drop) or a control frame. *)
+      (** The control socket is readable and the ring is empty: a
+          doorbell (a zero-length frame, to read and drop) or a control
+          frame. *)
   | Idle
       (** 200 us passed with neither; still parked.  Judge liveness and
           call again. *)
@@ -149,7 +152,19 @@ val await : t -> Unix.file_descr -> buf:Bytes.t ref -> wake
     socket [fd]: spin, yield, then park and block at most 200 us in
     [select] on [fd].  The gear position is kept across calls until a
     frame arrives, so an idle caller goes straight back to its select.
-    Stamps our heartbeat.  @raise Dead as {!try_recv}. *)
+    While a reply is due ({!expect_reply}) it polls instead of parking.
+    When the select wakes, the ring is read before [Socket] is
+    reported, so a frame announced by a doorbell is returned at once
+    and the doorbell is left for a later call.  Stamps our heartbeat.
+    @raise Dead as {!try_recv}. *)
+
+val expect_reply : t -> unit
+(** Call after publishing a request: its reply is at least one peer
+    wake-up away, so until the reply arrives, for at most the 200 us
+    backstop, {!await} polls the ring ([cpu_relax], with a
+    [Thread.yield] every 64 polls) instead of parking, and the reply
+    costs no wake-up on this side.  A reply that does not come in time
+    is awaited as before. *)
 
 val ring_doorbell : t -> Transport.t -> Unix.file_descr -> bool
 (** Call after a publish: if the peer has parked, write a zero-length

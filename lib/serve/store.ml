@@ -25,11 +25,19 @@ type entry = {
   mtime : float;
 }
 
+(* A loaded entry with its bookkeeping, all under the store lock. *)
+type ready = {
+  entry : entry;
+  mutable used : int;  (* LRU stamp *)
+  mutable checked : float;  (* last staleness stat *)
+  mutable changed : bool;  (* the refresher saw the file change *)
+}
+
 (* A slot is [Loading] while some thread builds the entry outside the
    lock; everyone else waits on [cond] instead of loading twice. *)
-type slot =
-  | Ready of entry * (* last-used stamp *) int ref * (* last staleness stat *) float ref
-  | Loading
+type slot = Ready of ready | Loading
+
+type stat_counts = { refresher : int; request_path : int }
 
 type t = {
   dir : string;
@@ -41,6 +49,8 @@ type t = {
   slots : (string, slot) Hashtbl.t;
   epochs : (string, int) Hashtbl.t;  (* survives eviction *)
   clock : int ref;  (* LRU stamp source *)
+  refresher_stats : int Atomic.t;
+  request_stats : int Atomic.t;
 }
 
 let create ?(capacity = 8) ?(stat_interval = 0.0)
@@ -58,9 +68,14 @@ let create ?(capacity = 8) ?(stat_interval = 0.0)
     slots = Hashtbl.create 16;
     epochs = Hashtbl.create 16;
     clock = ref 0;
+    refresher_stats = Atomic.make 0;
+    request_stats = Atomic.make 0;
   }
 
 let dir t = t.dir
+
+let stat_counts t =
+  { refresher = Atomic.get t.refresher_stats; request_path = Atomic.get t.request_stats }
 
 let zpath_for t name =
   Filename.concat t.dir (String.map (function ' ' -> '_' | c -> c) name ^ ".mpsz")
@@ -127,9 +142,9 @@ let build t name =
         | Error (Zcodec.Io_error reason) -> Error (Unreadable { path; reason })
         | Error e -> Error (Corrupt { path; reason = Zcodec.error_to_string e }))))
 
-let touch t stamp =
+let touch t r =
   incr t.clock;
-  stamp := !(t.clock)
+  r.used <- !(t.clock)
 
 (* LRU eviction on two budgets: entry count and total mapped bytes.
    Evicting only drops the table's reference — an engine (and its
@@ -141,7 +156,7 @@ let evict_beyond_capacity t =
   let ready = ref [] in
   Hashtbl.iter
     (fun name -> function
-      | Ready (e, stamp, _) -> ready := (name, !stamp, e) :: !ready
+      | Ready r -> ready := (name, r.used, r.entry) :: !ready
       | Loading -> ())
     t.slots;
   let by_lru =
@@ -178,9 +193,9 @@ let publish t name result =
       let epoch = 1 + (try Hashtbl.find t.epochs name with Not_found -> 0) in
       Hashtbl.replace t.epochs name epoch;
       let entry = { entry with epoch } in
-      let stamp = ref 0 in
-      touch t stamp;
-      Hashtbl.replace t.slots name (Ready (entry, stamp, ref (Unix.gettimeofday ())));
+      let r = { entry; used = 0; checked = Unix.gettimeofday (); changed = false } in
+      touch t r;
+      Hashtbl.replace t.slots name (Ready r);
       evict_beyond_capacity t;
       Ok entry
     | Error _ ->
@@ -204,6 +219,13 @@ let load_and_publish t name =
   in
   publish t name result
 
+(* One staleness stat: the file's mtime moved, or it vanished (reload
+   to surface the typed error). *)
+let changed_since t r =
+  match Unix.stat (zpath_for t r.entry.name) with
+  | st -> st.Unix.st_mtime <> r.entry.mtime
+  | exception Unix.Unix_error _ -> true
+
 let rec get_with ~force t name =
   Mutex.lock t.mutex;
   match Hashtbl.find_opt t.slots name with
@@ -212,30 +234,30 @@ let rec get_with ~force t name =
     Condition.wait t.cond t.mutex;
     Mutex.unlock t.mutex;
     get_with ~force t name
-  | Some (Ready (entry, stamp, checked)) ->
+  | Some (Ready r) ->
     let stale =
-      force
+      force || r.changed
       ||
       (* A container rewritten in place (a repair, a regeneration)
          triggers a hot reload, which remaps it in O(1).  The stat is
-         debounced to one per [stat_interval] per entry: at serving
-         rates a syscall on every request is the single largest
-         non-engine cost, and a reload picked up within the interval
-         is all hot reload ever promised. *)
+         debounced to one per [stat_interval] per entry, and {!refresh}
+         keeps it fresh off the request path, so a request stats only
+         when a check is overdue: at serving rates a syscall on the
+         request path is the single largest non-engine cost, and a
+         reload picked up within the interval is all hot reload ever
+         promised. *)
       let now = Unix.gettimeofday () in
-      if t.stat_interval > 0.0 && now -. !checked < t.stat_interval then false
+      if t.stat_interval > 0.0 && now -. r.checked < t.stat_interval then false
       else begin
-        checked := now;
-        match Unix.stat (zpath_for t name) with
-        | st -> st.Unix.st_mtime <> entry.mtime
-        | exception Unix.Unix_error _ -> true
-        (* file vanished: reload to surface the typed error *)
+        r.checked <- now;
+        Atomic.incr t.request_stats;
+        changed_since t r
       end
     in
     if not stale then begin
-      touch t stamp;
+      touch t r;
       Mutex.unlock t.mutex;
-      Ok entry
+      Ok r.entry
     end
     else begin
       Hashtbl.replace t.slots name Loading;
@@ -250,11 +272,42 @@ let rec get_with ~force t name =
 let get t name = get_with ~force:false t name
 let reload t name = get_with ~force:true t name
 
+(* Stat every entry whose last check is half an interval old, outside
+   the lock, and mark a changed one for the next [get] to reload.  A
+   record replaced meanwhile (a reload, an eviction) is never read
+   again, so marking it is harmless. *)
+let refresh t =
+  if t.stat_interval > 0.0 then begin
+    let now = Unix.gettimeofday () in
+    Mutex.lock t.mutex;
+    let due =
+      Hashtbl.fold
+        (fun _ slot acc ->
+          match slot with
+          | Ready r when (not r.changed) && now -. r.checked >= t.stat_interval /. 2.0 ->
+            r :: acc
+          | Ready _ | Loading -> acc)
+        t.slots []
+    in
+    Mutex.unlock t.mutex;
+    if due <> [] then begin
+      let checked = List.map (fun r -> (r, changed_since t r)) due in
+      ignore (Atomic.fetch_and_add t.refresher_stats (List.length due));
+      Mutex.lock t.mutex;
+      List.iter
+        (fun (r, changed) ->
+          r.checked <- now;
+          r.changed <- changed)
+        checked;
+      Mutex.unlock t.mutex
+    end
+  end
+
 let loaded t =
   Mutex.lock t.mutex;
   let entries = ref [] in
   Hashtbl.iter
-    (fun _ -> function Ready (e, stamp, _) -> entries := (e, !stamp) :: !entries
+    (fun _ -> function Ready r -> entries := (r.entry, r.used) :: !entries
       | Loading -> ())
     t.slots;
   Mutex.unlock t.mutex;

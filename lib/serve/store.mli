@@ -88,10 +88,13 @@ val create :
   t
 (** [stat_interval] (default 0) debounces hot-reload detection: an
     entry's source file is re-stat'ed at most once per [stat_interval]
-    seconds, so at serving rates {!get} costs no syscall on the vast
-    majority of requests and a repaired file is still picked up within
-    the interval.  [0] stats on every {!get} (the conservative
-    default; [mpsgen serve] runs with a small nonzero interval).
+    seconds, and a repaired file is still picked up within the
+    interval.  A daemon runs the stat off the request path: its
+    supervision thread calls {!refresh} every few milliseconds, so
+    {!get} finds every check fresh and costs no syscall.  A store with
+    no refresher stats inline in {!get} whenever a check is overdue.
+    [0] stats on every {!get} (the conservative default; [mpsgen serve]
+    runs with a small nonzero interval).
     [capacity] (default 8) live engines before LRU eviction;
     [max_mapped_bytes] (default 512 MiB) total on-disk bytes of mapped
     containers the store keeps referenced — beyond it, mapped entries
@@ -110,7 +113,23 @@ val zpath_for : t -> string -> string
 val get : t -> string -> (entry, error) result
 (** The current entry for a circuit, loading it on first use and
     hot-reloading when the file's mtime changed since the entry was
-    built. *)
+    built: when {!refresh} saw the change, or when this call's own
+    check, made only when the last one is [stat_interval] old, sees
+    it. *)
+
+val refresh : t -> unit
+(** Re-stat, outside the store lock, every entry whose last check is at
+    least half of [stat_interval] old, and mark a changed file so that
+    the next {!get} reloads it.  A no-op at [stat_interval = 0], where
+    every {!get} stats anyway.  The daemon's supervision thread calls
+    it on each tick. *)
+
+type stat_counts = {
+  refresher : int;  (** Staleness stats made by {!refresh}. *)
+  request_path : int;  (** Staleness stats made inline by {!get}. *)
+}
+
+val stat_counts : t -> stat_counts
 
 val reload : t -> string -> (entry, error) result
 (** Force a fresh load and epoch bump, regardless of mtime (the

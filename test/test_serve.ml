@@ -66,10 +66,12 @@ let with_tmp_dir f =
    joined on the way out so no test leaks a thread, domain or socket.
    [save] (default) writes the structure's container, so answers are
    served from the mapping and shm replies carry descriptors; [tcp]
-   binds loopback TCP on a free port instead of a Unix socket. *)
-let with_server ?config ?transport ?fault ?shm_hooks ?(save = true) ?(tcp = false) f =
+   binds loopback TCP on a free port instead of a Unix socket;
+   [stat_interval] is the store's (default 0, a stat on every get). *)
+let with_server ?config ?transport ?fault ?shm_hooks ?(save = true) ?(tcp = false)
+    ?stat_interval f =
   with_tmp_dir (fun dir ->
-      let store = Store.create ~dir () in
+      let store = Store.create ?stat_interval ~dir () in
       if save then
         Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
       let server =
@@ -1777,6 +1779,157 @@ let shm_oversized_reply_socket_fallback () =
           check_int "the small batch rode the ring" 2
             (Client.stats client).Client.ring_requests))
 
+(* --- Store refresh (DESIGN.md §13) --------------------------------------- *)
+
+(* Rewrite the circuit's container with a newer mtime, as a repair or
+   a regeneration does. *)
+let rewrite_container store =
+  let path = Store.zpath_for store circuit_name in
+  Zcodec.save (Lazy.force structure) ~path;
+  let later = Unix.gettimeofday () +. 10.0 in
+  Unix.utimes path later later
+
+(* A daemon whose store debounces at 50 ms keeps every check fresh from
+   its supervision thread: a paced query loop never stats on the
+   request path, and a rewritten container is served at the new epoch
+   within 0.15 s. *)
+let store_refresh_off_request_path () =
+  with_server ~stat_interval:0.05 (fun server addr ->
+      with_client ~shm:true addr (fun client ->
+          let store = Server.store server in
+          let dims = random_batch ~seed:81 4 in
+          let expect = expected_ids dims in
+          let query tag =
+            let ids, meta =
+              ok_or_fail tag (Client.query_ids client ~circuit:circuit_name dims)
+            in
+            check_bool (tag ^ ": answers match the oracle") true (ids = expect);
+            meta.Client.epoch
+          in
+          check_int "first epoch" 1 (query "first query");
+          let stop = Unix.gettimeofday () +. 0.3 in
+          while Unix.gettimeofday () < stop do
+            check_int "paced query epoch" 1 (query "paced query");
+            Thread.delay 0.01
+          done;
+          rewrite_container store;
+          let t0 = Unix.gettimeofday () in
+          let rec until_reloaded () =
+            let took = Unix.gettimeofday () -. t0 in
+            if query "query after rewrite" = 2 then took
+            else if took > 2.0 then Alcotest.fail "the rewrite was never picked up"
+            else begin
+              Thread.delay 0.005;
+              until_reloaded ()
+            end
+          in
+          let took = until_reloaded () in
+          check_bool
+            (Printf.sprintf "new epoch served within 0.15 s (%.3f s)" took)
+            true (took <= 0.15);
+          let counts = Store.stat_counts store in
+          check_int "no staleness stat on the request path" 0 counts.Store.request_path;
+          check_bool "the refresher stats" true (counts.Store.refresher > 0)))
+
+(* With no refresher, a debounced store stats inline once a check is
+   overdue, so a rewrite is still picked up after the interval. *)
+let store_refresh_inline_fallback () =
+  with_tmp_dir (fun dir ->
+      let store = Store.create ~stat_interval:0.05 ~dir () in
+      Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
+      let epoch () =
+        match Store.get store circuit_name with
+        | Ok e -> e
+        | Error e -> Alcotest.failf "store: %s" (Store.error_to_string e)
+      in
+      check_int "first epoch" 1 (epoch ()).Store.epoch;
+      rewrite_container store;
+      Thread.delay 0.08;
+      let e = epoch () in
+      check_int "the rewrite is picked up after the interval" 2 e.Store.epoch;
+      let dims = random_batch ~seed:83 16 in
+      let session = Structure.Engine.new_session () in
+      check_bool "reloaded answers match the oracle" true
+        (Array.map (Structure.Engine.query_id e.Store.engine session) dims
+        = expected_ids dims);
+      let counts = Store.stat_counts store in
+      check_int "one inline stat" 1 counts.Store.request_path;
+      check_int "no refresher" 0 counts.Store.refresher)
+
+(* Ring first on a doorbell wake: while the daemon is parked, a ring
+   query, a socket Stats request, a socket Ping and a doorbell arrive
+   back to back.  The woken daemon takes the query off the ring before
+   it reads the socket, so the Stats text already counts it as served.
+   Each request is answered on its own channel, the query with the
+   oracle's id, and the doorbell on neither. *)
+let shm_ring_first_on_wake () =
+  with_server (fun _server addr ->
+      let fd = connect_raw addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let path = raw_shm_hello fd in
+          let ring = Shm.attach ~path () in
+          Shm.heartbeat ring;
+          let handle, n = raw_open_circuit fd in
+          let want = (expected_ids [| Circuit.min_dims circuit |]).(0) in
+          let prefix = Wire.frame_prefix_bytes and req_header = Wire.request_header_bytes in
+          let query = ref (Bytes.create 256) in
+          let body = build_batch ~handle ~n ~count:1 query req_header in
+          let q = !query in
+          Wire.set_u8 q 0 (Wire.opcode_to_int Wire.Query_batch);
+          Wire.set_u32 q 1 51;
+          Wire.set_u32 q 5 0;
+          let control opcode req_id =
+            let b = Bytes.create (prefix + req_header) in
+            Wire.set_u8 b prefix (Wire.opcode_to_int opcode);
+            Wire.set_u32 b (prefix + 1) req_id;
+            Wire.set_u32 b (prefix + 5) 0;
+            b
+          in
+          let stats = control Wire.Stats 52 and ping = control Wire.Ping 53 in
+          check_bool "the daemon parks" true
+            (wait_until ~timeout:2.0 (fun () -> Shm.peer_parked ring));
+          Shm.send ring q ~off:0 ~len:(req_header + body);
+          Wire.send_frame Transport.default fd stats ~payload_len:req_header;
+          Wire.send_frame Transport.default fd ping ~payload_len:req_header;
+          Wire.send_frame Transport.default fd (Bytes.create prefix) ~payload_len:0;
+          let buf = ref (Bytes.create 256) in
+          let socket_reply req_id =
+            let len =
+              Wire.recv_frame Transport.default
+                ~deadline:(Unix.gettimeofday () +. 2.0)
+                ~max_bytes:Wire.max_frame_default ~buf fd
+            in
+            check_bool "socket reply ok" true
+              (Wire.status_of_int (Wire.get_u8 !buf ~len 0) = Some Wire.Ok);
+            check_int "socket reply id" req_id (Wire.get_u32 !buf ~len 1);
+            len
+          in
+          let len = socket_reply 52 in
+          let text = fst (Wire.get_string16 !buf ~len Wire.reply_header_bytes) in
+          let served_first = "shm: 1 sessions, 1 requests served" in
+          let rec has i =
+            i + String.length served_first <= String.length text
+            && (String.sub text i (String.length served_first) = served_first || has (i + 1))
+          in
+          check_bool "the ring query was served before the socket was read" true (has 0);
+          ignore (socket_reply 53 : int);
+          (match Shm.try_recv ring ~buf with
+          | None -> Alcotest.fail "no ring reply"
+          | Some len ->
+            check_bool "ring reply ok" true
+              (Wire.status_of_int (Wire.get_u8 !buf ~len 0) = Some Wire.Ok);
+            check_int "ring reply id" 51 (Wire.get_u32 !buf ~len 1);
+            check_int "ring answer" want
+              (Wire.get_i32 !buf ~len (Wire.reply_header_bytes + 4)));
+          (match Unix.select [ fd ] [] [] 0.2 with
+          | [], _, _ -> ()
+          | _ -> Alcotest.fail "the daemon answered the doorbell");
+          check_int "the session keeps serving" want
+            (raw_ring_query ring ~handle ~n ~req_id:54);
+          Shm.close ring))
+
 let suite =
   [
     Alcotest.test_case "round trip matches the in-process oracle" `Quick round_trip;
@@ -1862,4 +2015,10 @@ let suite =
       shm_hello_version_declined;
     Alcotest.test_case "shm: a reply too big for the ring comes back on the socket"
       `Quick shm_oversized_reply_socket_fallback;
+    Alcotest.test_case "store refresh keeps stats off the request path" `Quick
+      store_refresh_off_request_path;
+    Alcotest.test_case "store without a refresher stats once a check is overdue" `Quick
+      store_refresh_inline_fallback;
+    Alcotest.test_case "shm: a woken daemon reads the ring before the socket" `Quick
+      shm_ring_first_on_wake;
   ]
