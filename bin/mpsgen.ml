@@ -6,7 +6,6 @@
    - [mpsgen query CIRCUIT -i FILE]   query a saved structure
    - [mpsgen verify CIRCUIT -i FILE]  integrity-check a saved structure
    - [mpsgen dump CIRCUIT -i FILE]    write a container's v2 text dump
-   - [mpsgen compact CIRCUIT -i FILE] shrink a saved structure, same answers
    - [mpsgen stats CIRCUIT -i FILE]   size accounting for a saved structure
    - [mpsgen audit CIRCUIT -i FILE]   re-prove every invariant of a saved structure
    - [mpsgen repair CIRCUIT -i FILE]  salvage, quarantine and re-save a structure
@@ -49,8 +48,8 @@ let load_structure ~circuit ~path =
   | s -> s
   | exception Invalid_argument msg -> die "%s: %s" path msg
 
-let save_container ?packed structure ~path =
-  match Zcodec.save ?packed structure ~path with
+let save_container structure ~path =
+  match Zcodec.save structure ~path with
   | () -> ()
   | exception Zcodec.Error e -> die "%s: %s" path (Zcodec.error_to_string e)
 
@@ -482,51 +481,6 @@ let dump_cmd =
           (for diffs and debugging; no command reads it back).  Its CRC-32 is the \
           structure hash the pins name.")
     Term.(const dump $ circuit_arg $ load_arg $ dump_out_arg)
-
-(* compact: dedupe/merge/prune a saved structure *)
-
-let compact circuit path out audit_gate =
-  let structure = load_structure ~circuit ~path in
-  let compacted, st = Compact.run ~audit:audit_gate ~measure:true structure in
-  print_string (Compact.stats_to_string st);
-  print_newline ();
-  if st.Compact.reverted then
-    Format.printf "audit regression: compaction reverted, rewriting the input as-is@.";
-  let dest = Option.value out ~default:path in
-  (* compact's output is the archival form: half-packed coordinate
-     sections *)
-  save_container ~packed:true compacted ~path:dest;
-  Format.printf "wrote %s@." dest
-
-let compact_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "out" ] ~docv:"FILE"
-        ~doc:
-          "Where to write the compacted structure (default: overwrite the input).")
-
-let no_audit_arg =
-  Arg.(
-    value & flag
-    & info [ "no-audit" ]
-        ~doc:
-          "Skip the post-compaction audit gate.  Without it a compaction that \
-           worsens the audit is kept instead of reverted — only for debugging the \
-           pass itself.")
-
-let compact_cmd =
-  Cmd.v
-    (Cmd.info "compact"
-       ~doc:
-         "Shrink a saved structure without changing any query answer: share \
-          bit-identical placements, merge adjacent boxes with equal placements, \
-          absorb boxes dominated by a cheaper neighbour's expansion, and drop \
-          template pieces that answer identically to the backup fallback.  The \
-          result is re-audited and the pass reverts itself on any regression.")
-    Term.(
-      const compact $ circuit_arg $ load_arg $ compact_out_arg
-      $ (const not $ no_audit_arg))
 
 (* stats: size accounting for a saved structure *)
 
@@ -1530,5 +1484,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; generate_cmd; instantiate_cmd; query_cmd; verify_cmd; dump_cmd;
-            compact_cmd; stats_cmd; audit_cmd; repair_cmd; route_cmd; extend_cmd;
+            stats_cmd; audit_cmd; repair_cmd; route_cmd; extend_cmd;
             experiments_cmd; serve_cmd; health_cmd; bench_serve_cmd ]))

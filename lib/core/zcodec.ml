@@ -88,22 +88,13 @@ let section_tags =
    (a checkpoint).  Its words are opaque to this module. *)
 let state_tag = "GENS"
 
-(* The pool and record slots admit the half-packed variants the
-   size-optimized writer emits ([to_string ~packed:true]). *)
-let tag_matches canonical tag =
-  tag = canonical
-  || (canonical = "POOL" && tag = "POLH")
-  || (canonical = "PLCT" && tag = "PLCH")
-
 let n_sections = List.length section_tags
 let record_stride n = 6 + (10 * n)
-let record_stride_packed n = 6 + (5 * n)
 
 (* Serialization *)
 
 (* The six per-record scalars: pool index, template flag, and the two
-   costs as split IEEE-754 words.  The cost halves use the full 32-bit
-   range, so these words are never half-packed. *)
+   costs as split IEEE-754 words. *)
 let record_head pool_idx (s : Stored.t) =
   let ahi, alo = float_words s.Stored.avg_cost in
   let bhi, blo = float_words s.Stored.best_cost in
@@ -138,32 +129,19 @@ let record_tail ~n (s : Stored.t) =
   push_box s.Stored.expansion;
   out
 
-(* Half-word packing: two non-negative 31-bit values per 8-byte word,
-   low value in bits 0..31, high value in bits 32..62.  Keeping each
-   value under 2^31 leaves bit 63 clear, so the int lens stays
-   lossless.  Only the coordinate payloads (POOL entries, PLCT tails)
-   qualify; the engine sections are the mapped hot path and stay one
-   value per word. *)
-let fits_half v = v >= 0 && v <= 0x7FFF_FFFF
-
-let add_packed buf (vals : int array) =
-  for k = 0 to (Array.length vals / 2) - 1 do
-    add_word buf (vals.(2 * k) lor (vals.((2 * k) + 1) lsl 32))
-  done
-
-let to_string ?(packed = false) ?state structure =
+let to_string ?state structure =
   let circuit = Structure.circuit structure in
   let n = Circuit.n_blocks circuit in
   let die_w, die_h = Structure.die structure in
   let engine = Structure.Engine.create structure in
   let f = Structure.Engine.flatten engine in
   let stored = Structure.placements structure in
-  let backup = Structure.backup structure in
+  (* Stored placement k is record k; the backup is the last record. *)
+  let records = Array.append stored [| Structure.backup structure |] in
   (* The coordinate pool dedupes by content: placements with equal
-     coordinates (the backup's territory pieces, content-merged records
-     after Compact) store them once, whether or not they share one
-     array in memory — so a structure re-imported from its text dump
-     packs to the same bytes. *)
+     coordinates (the backup's territory pieces) store them once,
+     whether or not they share one array in memory — so a structure
+     re-imported from its text dump packs to the same bytes. *)
   let index = Hashtbl.create 64 and pool_rev = ref [] in
   let idx_of (s : Stored.t) =
     let coords = s.Stored.placement.Placement.coords in
@@ -175,8 +153,7 @@ let to_string ?(packed = false) ?state structure =
       pool_rev := coords :: !pool_rev;
       i
   in
-  let idxs = Array.map idx_of stored in
-  let backup_idx = idx_of backup in
+  let idxs = Array.map idx_of records in
   let pool = Array.of_list (List.rev !pool_rev) in
   let words_section (v : Structure.Engine.ints) =
     let d = Bigarray.Array1.dim v in
@@ -186,38 +163,18 @@ let to_string ?(packed = false) ?state structure =
     done;
     Buffer.contents buf
   in
-  let pool_vals =
-    let out = Array.make (Array.length pool * 2 * n) 0 in
-    Array.iteri
-      (fun e coords ->
-        Array.iteri
-          (fun i (x, y) ->
-            out.((e * 2 * n) + (2 * i)) <- x;
-            out.((e * 2 * n) + (2 * i) + 1) <- y)
-          coords)
-      pool;
-    out
-  in
-  (* Packing is per section and best-effort: a value outside the 31-bit
-     range (none arises from real die geometry) falls that section back
-     to the plain one-word-per-value layout, still a valid container. *)
-  let pool_packed = packed && Array.for_all fits_half pool_vals in
   let pool_buf = Buffer.create 1024 in
-  if pool_packed then add_packed pool_buf pool_vals
-  else Array.iter (add_word pool_buf) pool_vals;
-  let records =
-    Array.to_list (Array.mapi (fun k s -> (idxs.(k), s)) stored)
-    @ [ (backup_idx, backup) ]
-  in
-  let tails = List.map (fun (_, s) -> record_tail ~n s) records in
-  let plct_packed = packed && List.for_all (Array.for_all fits_half) tails in
+  Array.iter
+    (Array.iter (fun (x, y) ->
+         add_word pool_buf x;
+         add_word pool_buf y))
+    pool;
   let plct_buf = Buffer.create 4096 in
-  List.iter2
-    (fun (idx, s) tail ->
-      List.iter (add_word plct_buf) (record_head idx s);
-      if plct_packed then add_packed plct_buf tail
-      else Array.iter (add_word plct_buf) tail)
-    records tails;
+  Array.iteri
+    (fun k s ->
+      List.iter (add_word plct_buf) (record_head idxs.(k) s);
+      Array.iter (add_word plct_buf) (record_tail ~n s))
+    records;
   let sections =
     [
       ("ROWA", words_section f.Structure.Engine.f_row_axis);
@@ -230,8 +187,8 @@ let to_string ?(packed = false) ?state structure =
       ("BOXL", words_section f.Structure.Engine.f_box_lo);
       ("BOXH", words_section f.Structure.Engine.f_box_hi);
       ("BIND", words_section f.Structure.Engine.f_box_in_domain);
-      ((if pool_packed then "POLH" else "POOL"), Buffer.contents pool_buf);
-      ((if plct_packed then "PLCH" else "PLCT"), Buffer.contents plct_buf);
+      ("POOL", Buffer.contents pool_buf);
+      ("PLCT", Buffer.contents plct_buf);
     ]
     @
     match state with
@@ -272,8 +229,8 @@ let to_string ?(packed = false) ?state structure =
   List.iter (fun (_, contents) -> Buffer.add_string buf contents) sections;
   Buffer.contents buf
 
-let save ?packed ?state structure ~path =
-  try Persist.atomic_write ~path (to_string ?packed ?state structure)
+let save ?state structure ~path =
+  try Persist.atomic_write ~path (to_string ?state structure)
   with Sys_error msg -> raise (Error (Io_error msg))
 
 (* Parsing *)
@@ -358,30 +315,16 @@ let check_circuit h ~circuit =
             (Printf.sprintf "container was generated for %s (%d blocks), not %s"
                h.h_name h.h_n_blocks circuit.Circuit.name)))
 
-let decode_record ~(pool : Persist.words) ~pool_packed ~n_pool ~n ~die_w
-    ~die_h ~(plct : Persist.words) ~plct_packed k =
-  let stride = if plct_packed then record_stride_packed n else record_stride n in
-  let base = k * stride in
-  (* The six head words are always plain; a packed tail holds two
-     coordinates per word, low value first. *)
-  let g =
-    if plct_packed then fun i ->
-      if i < 6 then plct.{base + i}
-      else
-        let j = i - 6 in
-        (plct.{base + 6 + (j lsr 1)} lsr (32 * (j land 1))) land 0xFFFF_FFFF
-    else fun i -> plct.{base + i}
-  in
-  let pool_at idx j =
-    if pool_packed then
-      (pool.{(idx * n) + (j lsr 1)} lsr (32 * (j land 1))) land 0xFFFF_FFFF
-    else pool.{(idx * 2 * n) + j}
-  in
+let decode_record ~(pool : Persist.words) ~n_pool ~n ~die_w ~die_h
+    ~(plct : Persist.words) k =
+  let base = k * record_stride n in
+  let g i = plct.{base + i} in
   let pool_idx = g 0 in
   if pool_idx < 0 || pool_idx >= n_pool then
     invalid_arg (Printf.sprintf "pool index %d out of range" pool_idx);
   let coords =
-    Array.init n (fun i -> (pool_at pool_idx (2 * i), pool_at pool_idx ((2 * i) + 1)))
+    Array.init n (fun i ->
+        (pool.{(pool_idx * 2 * n) + (2 * i)}, pool.{(pool_idx * 2 * n) + (2 * i) + 1}))
   in
   let placement = Placement.make ~coords ~die_w ~die_h in
   let template_like = g 1 <> 0 in
@@ -434,8 +377,8 @@ let parse ~circuit (w : Persist.words) ~bytes =
   List.iteri
     (fun k (tag, o, l, _) ->
       let etag = if k < n_sections then List.nth section_tags k else state_tag in
-      if not (tag_matches etag tag) then
-        corrupt etag "section tag %S out of order" tag;
+      if tag <> etag then
+        corrupt etag "found section tag %S in its slot" tag;
       if o <> !off || l < 0 || o + l > h.h_total then
         corrupt etag "bad section bounds (%d + %d words)" o l;
       off := o + l)
@@ -451,24 +394,18 @@ let parse ~circuit (w : Persist.words) ~bytes =
     Bigarray.Array1.sub w o l
   in
   let n = h.h_n_blocks in
-  let pool_tag, po, pl, _ = List.nth h.h_table 10 in
-  let plct_tag, ro, rl, _ = List.nth h.h_table 11 in
-  let pool = Bigarray.Array1.sub w po pl
-  and plct = Bigarray.Array1.sub w ro rl in
-  let pool_packed = pool_tag = "POLH"
-  and plct_packed = plct_tag = "PLCH" in
-  if Bigarray.Array1.dim pool <> h.h_n_pool * (if pool_packed then n else 2 * n)
-  then corrupt pool_tag "pool length disagrees with the header";
-  let stride = if plct_packed then record_stride_packed n else record_stride n in
-  if Bigarray.Array1.dim plct <> (h.h_n_stored + 1) * stride then
-    corrupt plct_tag "record-table length disagrees with the header";
+  let pool = sec "POOL" and plct = sec "PLCT" in
+  if Bigarray.Array1.dim pool <> h.h_n_pool * 2 * n then
+    corrupt "POOL" "pool length disagrees with the header";
+  if Bigarray.Array1.dim plct <> (h.h_n_stored + 1) * record_stride n then
+    corrupt "PLCT" "record-table length disagrees with the header";
   let record k =
     match
-      decode_record ~pool ~pool_packed ~n_pool:h.h_n_pool ~n ~die_w:h.h_die_w
-        ~die_h:h.h_die_h ~plct ~plct_packed k
+      decode_record ~pool ~n_pool:h.h_n_pool ~n ~die_w:h.h_die_w ~die_h:h.h_die_h
+        ~plct k
     with
     | s -> s
-    | exception Invalid_argument msg -> corrupt plct_tag "record %d: %s" k msg
+    | exception Invalid_argument msg -> corrupt "PLCT" "record %d: %s" k msg
   in
   let stored = Array.init h.h_n_stored record in
   let backup = record h.h_n_stored in
@@ -545,7 +482,7 @@ let salvage_parts ~circuit (w : Persist.words) ~bytes =
   | h -> (
     match check_circuit h ~circuit with
     | exception Error e -> Result.Error e
-    | () ->
+    | () -> (
       let dim = Bigarray.Array1.dim w in
       let n = h.h_n_blocks in
       (* Only the pool and record table matter here: salvage recompiles
@@ -554,20 +491,21 @@ let salvage_parts ~circuit (w : Persist.words) ~bytes =
          rather than trusting the header: a section cut short by
          truncation keeps the words present, and the whole records
          among them still decode. *)
-      let find tags =
-        List.find_map
-          (fun (t, o, l, c) ->
-            if List.mem t tags && o >= 0 && l >= 0 && o <= dim then
-              Some (t, o, min l (dim - o), c)
-            else None)
-          h.h_table
+      let slot k tag =
+        let t, o, l, _ = List.nth h.h_table k in
+        if t <> tag then
+          Result.Error
+            (Corrupt
+               { section = tag; reason = Printf.sprintf "found section tag %S in its slot" t })
+        else if o < 0 || l < 0 || o > dim then
+          Result.Error (Corrupt { section = tag; reason = "section lies outside the file" })
+        else Result.Ok (Bigarray.Array1.sub w o (min l (dim - o)))
       in
-      (match (find [ "POOL"; "POLH" ], find [ "PLCT"; "PLCH" ]) with
-      | Some (ptag, po, pl, _), Some (rtag, ro, rl, _) when n > 0 ->
-        let pool = Bigarray.Array1.sub w po pl in
-        let plct = Bigarray.Array1.sub w ro rl in
-        let pool_packed = ptag = "POLH"
-        and plct_packed = rtag = "PLCH" in
+      match (slot 10 "POOL", slot 11 "PLCT") with
+      | Result.Error e, _ | _, Result.Error e -> Result.Error e
+      | Result.Ok _, Result.Ok _ when n <= 0 ->
+        Result.Error (Corrupt { section = "header"; reason = "no blocks" })
+      | Result.Ok pool, Result.Ok plct ->
         let crc_ok =
           h.h_crc_ok && h.h_size_ok
           && List.for_all
@@ -576,39 +514,22 @@ let salvage_parts ~circuit (w : Persist.words) ~bytes =
                  && crc_int (Persist.crc32_words w ~pos:o ~len:l) = c)
                h.h_table
         in
-        let n_pool =
-          min h.h_n_pool (pl / (if pool_packed then n else 2 * n))
+        let n_pool = min h.h_n_pool (Bigarray.Array1.dim pool / (2 * n)) in
+        let n_records =
+          min (h.h_n_stored + 1) (Bigarray.Array1.dim plct / record_stride n)
         in
-        let stride =
-          if plct_packed then record_stride_packed n else record_stride n
-        in
-        let n_records = min (h.h_n_stored + 1) (rl / stride) in
         let record k =
           match
-            decode_record ~pool ~pool_packed ~n_pool ~n ~die_w:h.h_die_w
-              ~die_h:h.h_die_h ~plct ~plct_packed k
+            decode_record ~pool ~n_pool ~n ~die_w:h.h_die_w ~die_h:h.h_die_h ~plct k
           with
           | s -> Some s
           | exception Invalid_argument _ -> None
         in
-        let stored = ref [] in
-        for k = min h.h_n_stored n_records - 1 downto 0 do
-          match record k with Some s -> stored := s :: !stored | None -> ()
-        done;
-        let backup =
-          if n_records > h.h_n_stored then record h.h_n_stored else None
-        in
         Result.Ok
           {
-            r_stored = !stored;
-            r_backup = backup;
+            r_stored =
+              List.filter_map record (List.init (max 0 (min h.h_n_stored n_records)) Fun.id);
+            r_backup = (if n_records > h.h_n_stored then record h.h_n_stored else None);
             r_claimed = h.h_n_stored;
             r_crc_ok = crc_ok;
-          }
-      | _ ->
-        Result.Error
-          (Corrupt
-             {
-               section = "header";
-               reason = "no recoverable placement records";
-             })))
+          }))

@@ -36,15 +36,12 @@
     Sections [ROWA ROWO LOWS HIGH SETW DOML DOMH BOXL BOXH BIND] are
     the {!Structure.Engine.flat} vectors verbatim.  [POOL] holds the
     coordinate pool, deduplicated by content: placements with equal
-    coordinates (the backup's template pieces, {!Compact}'s
-    content-equal merges) store them once, so equal structures pack to
-    the same bytes however their arrays are shared.  [PLCT] holds one fixed-stride record per
-    stored placement — pool index, template flag, costs as split
-    IEEE-754 words, best dims, validity and expansion boxes — with the
-    backup template as the final record.  The last two slots may
-    instead carry [POLH]/[PLCH]: the same payloads half-packed, two
-    31-bit coordinate values per word ({!to_string} with
-    [~packed:true], the layout [mpsgen compact] writes).  A checkpoint
+    coordinates (the backup's template pieces) store them once, so
+    equal structures pack to the same bytes however their arrays are
+    shared.  [PLCT] holds one fixed-stride record per placement — pool
+    index, template flag, costs as split IEEE-754 words, best dims,
+    validity and expansion boxes — with the backup template as the
+    final record.  Every table slot must carry exactly its tag.  A checkpoint
     appends a thirteenth section, [GENS]: the generator's resumable
     state, opaque words under the same CRC discipline ({!to_string}
     with [~state]).  A plain structure has no [GENS] slot, so its bytes
@@ -76,7 +73,8 @@ val error_to_string : error -> string
 (** One-line human-readable rendering (used verbatim by the CLI). *)
 
 val format_version : int
-(** The version {!to_string} writes (currently 1). *)
+(** The version {!to_string} writes (currently 1); any other version is
+    refused as [Corrupt]. *)
 
 val magic : string
 (** The 8-byte container magic, ["MPSZ0001"]. *)
@@ -112,26 +110,14 @@ type view = {
           checkpoint ({!Checkpoint}). *)
 }
 
-val to_string : ?packed:bool -> ?state:int array -> Structure.t -> string
+val to_string : ?state:int array -> Structure.t -> string
 (** Serialize: compiles the engine ({!Structure.Engine.create}) and
     writes its flat vectors plus the pooled placement records.
-
-    [packed] (default [false]) selects the size-optimized archival
-    layout: the coordinate payloads — pool entries and the 10n-value
-    record tails — are stored two 31-bit values per word under the
-    section tags [POLH]/[PLCH] (in the [POOL]/[PLCT] table slots).
-    The engine sections, the record heads (pool index, flag, cost
-    words) and every CRC are unchanged, and any value outside the
-    31-bit range falls that section back to the plain layout, so a
-    packed container decodes to the bit-identical structure.  The
-    default layout keeps one value per word: it is what [mpsgen
-    generate], [extend] and [repair] write; [mpsgen compact] writes
-    packed output.
 
     [state] appends the words as the [GENS] section; only
     {!Checkpoint} writes one. *)
 
-val save : ?packed:bool -> ?state:int array -> Structure.t -> path:string -> unit
+val save : ?state:int array -> Structure.t -> path:string -> unit
 (** {!to_string} through {!Persist.atomic_write}: crash-safe replace.
     @raise Error ([Io_error]) when the file cannot be written. *)
 
@@ -152,8 +138,8 @@ val load : circuit:Circuit.t -> string -> view
 (** What a best-effort scan of a damaged container recovered; feed to
     {!Repair} to rebuild (that is what {!Repair.salvage} does). *)
 type recovered = {
-  r_stored : Stored.t list;  (** Intact placement records, file order. *)
-  r_backup : Stored.t option;  (** The backup record, if intact. *)
+  r_stored : Stored.t list;  (** Intact stored-placement records, file order. *)
+  r_backup : Stored.t option;  (** The backup record (the last), if intact. *)
   r_claimed : int;  (** Stored-placement count the header claims. *)
   r_crc_ok : bool;  (** Header and every section CRC matched. *)
 }
@@ -173,5 +159,6 @@ val salvage_parts :
     the [POOL]/[PLCT] table entries must be usable; the engine sections
     may be arbitrarily damaged (salvage recompiles from placements
     anyway), and a pool or record table cut short by truncation yields
-    the whole records still present.  [Error] when the header is unusable ([Corrupt]) or the
-    circuit does not match ([Circuit_mismatch]). *)
+    the whole records still present.  [Error] when the header or the
+    [POOL]/[PLCT] table entries are unusable ([Corrupt], naming the
+    section) or the circuit does not match ([Circuit_mismatch]). *)

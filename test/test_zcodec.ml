@@ -1,5 +1,4 @@
-(* The MPSZ zero-copy container (Zcodec) and the compaction pass
-   (Compact).
+(* The MPSZ zero-copy container (Zcodec).
 
    The format stores the compiled engine verbatim, so the property that
    matters is bit-identical answers: an engine served straight off the
@@ -232,134 +231,6 @@ let test_salvage_survives_engine_damage () =
         check_bool "backup recovered" true (r.Zcodec.r_backup <> None);
         check_bool "crc failure reported" false r.Zcodec.r_crc_ok)
 
-(* Compaction: audit-clean, monotone on size, idempotent, and the
-   compacted container still answers exactly like its own heap
-   engine. *)
-let compacted =
-  lazy
-    (List.map
-       (fun (c, s) -> (c, s, Compact.run s))
-       (Lazy.force structures))
-
-let test_compact_clean_and_smaller () =
-  let any_rewrite = ref 0 in
-  List.iter
-    (fun (c, s, (cs, stats)) ->
-      let name = c.Circuit.name in
-      check_bool (name ^ ": not reverted") false stats.Compact.reverted;
-      check_bool (name ^ ": records shrink or hold") true
-        (stats.Compact.records_after <= stats.Compact.records_before);
-      check_bool (name ^ ": bytes shrink or hold") true
-        (stats.Compact.bytes_after <= stats.Compact.bytes_before);
-      check_int
-        (name ^ ": records_after matches the structure")
-        (Structure.n_placements cs)
-        stats.Compact.records_after;
-      any_rewrite :=
-        !any_rewrite + stats.Compact.merged + stats.Compact.absorbed
-        + stats.Compact.dropped;
-      check_bool (name ^ ": compacted audit is clean") true
-        (Audit.clean (Audit.run cs));
-      ignore s)
-    (Lazy.force compacted);
-  check_bool "compaction found work on the benchmark set" true (!any_rewrite > 0)
-
-let test_compact_idempotent () =
-  List.iter
-    (fun (c, _, (cs, _)) ->
-      let again, stats2 = Compact.run cs in
-      check_int
-        (c.Circuit.name ^ ": second pass rewrites nothing")
-        0
-        (stats2.Compact.merged + stats2.Compact.absorbed + stats2.Compact.dropped);
-      check_bool (c.Circuit.name ^ ": fixpoint is byte-stable") true
-        (Zcodec.to_string again = Zcodec.to_string cs);
-      check_bool (c.Circuit.name ^ ": packed fixpoint is byte-stable") true
-        (Zcodec.to_string ~packed:true again = Zcodec.to_string ~packed:true cs))
-    (Lazy.force compacted)
-
-let test_compact_then_map_parity () =
-  List.iter
-    (fun (c, _, (cs, _)) ->
-      let heap = Structure.Engine.create cs in
-      let view = Zcodec.of_string ~circuit:c (Zcodec.to_string cs) in
-      let s_heap = Structure.Engine.new_session () in
-      let s_map = Structure.Engine.new_session () in
-      let stored = Structure.placements cs in
-      let rng = Rng.create ~seed:53 in
-      for k = 1 to 2_000 do
-        let dims = probe rng cs stored in
-        let a = Structure.Engine.query_id heap s_heap dims in
-        let b = Structure.Engine.query_id view.Zcodec.engine s_map dims in
-        if a <> b then
-          Alcotest.failf "%s probe %d: heap %d, mapped %d" c.Circuit.name k a b
-      done)
-    (Lazy.force compacted)
-
-(* The half-packed archival layout (what compact writes) must be
-   genuinely smaller, decode to the bit-identical structure, and
-   answer exactly like the heap engine. *)
-let test_packed_layout_parity c structure =
-  let plain = Zcodec.to_string structure in
-  let raw = Zcodec.to_string ~packed:true structure in
-  check_bool (c.Circuit.name ^ ": packed is smaller") true
-    (String.length raw < String.length plain);
-  check_bool (c.Circuit.name ^ ": packed magic sniffs") true
-    (String.starts_with ~prefix:Zcodec.magic raw);
-  let view = Zcodec.of_string ~circuit:c raw in
-  let tags = List.map (fun s -> s.Zcodec.tag) view.Zcodec.sections in
-  check_bool (c.Circuit.name ^ ": packed tags present") true
-    (List.mem "POLH" tags && List.mem "PLCH" tags);
-  let s2 = Structure.Engine.structure view.Zcodec.engine in
-  check_bool (c.Circuit.name ^ ": packed decodes bit-identical") true
-    (Codec.to_string s2 = Codec.to_string structure);
-  let heap = Structure.Engine.create structure in
-  let s_heap = Structure.Engine.new_session () in
-  let s_map = Structure.Engine.new_session () in
-  let stored = Structure.placements structure in
-  let rng = Rng.create ~seed:61 in
-  for k = 1 to 2_000 do
-    let dims = probe rng structure stored in
-    let a = Structure.Engine.query_id heap s_heap dims in
-    let b = Structure.Engine.query_id view.Zcodec.engine s_map dims in
-    if a <> b then
-      Alcotest.failf "%s probe %d: heap %d, packed-mapped %d" c.Circuit.name k a b
-  done
-
-(* Packed containers salvage like plain ones, and every informative
-   bit flip is still caught by a verified parse. *)
-let test_packed_salvage_and_flips () =
-  let _, structure = List.hd (Lazy.force structures) in
-  let circuit = Structure.circuit structure in
-  let raw = Zcodec.to_string ~packed:true structure in
-  let view = Zcodec.of_string ~circuit raw in
-  (match
-     Zcodec.salvage_parts ~circuit
-       (Zcodec.words_of_string raw)
-       ~bytes:(String.length raw)
-   with
-  | Error e -> Alcotest.failf "packed salvage: %s" (Zcodec.error_to_string e)
-  | Ok r ->
-    check_int "packed salvage recovers all" view.Zcodec.n_stored
-      (List.length r.Zcodec.r_stored);
-    check_bool "packed salvage backup" true (r.Zcodec.r_backup <> None);
-    check_bool "packed salvage crc ok" true r.Zcodec.r_crc_ok);
-  let rng = Rng.create ~seed:43 in
-  let flips = ref 0 and caught = ref 0 in
-  for _ = 1 to 120 do
-    let pos = Rng.int rng (String.length raw) in
-    let bit = Rng.int rng 8 in
-    if not (bit = 7 && pos mod 8 = 7) then begin
-      incr flips;
-      let b = Bytes.of_string raw in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      match Zcodec.of_string ~circuit (Bytes.to_string b) with
-      | exception Zcodec.Error _ -> incr caught
-      | _ -> ()
-    end
-  done;
-  check_int "every informative flip detected (packed)" !flips !caught
-
 (* The coordinate pool is keyed by content, so a structure read back
    from its text dump packs to the container byte for byte. *)
 let test_text_import_packs_identically c structure =
@@ -473,22 +344,72 @@ let test_salvage_intact_file_recovers_everything () =
   check_bool "backup recovered" true sv.Repair.backup_recovered;
   check_bool "checksum ok" true sv.Repair.checksum_ok
 
+(* The container with its [POOL]/[PLCT] tag words rewritten to the
+   retired half-packed tags [POLH]/[PLCH] and the header CRC recomputed:
+   an intact header whose table names sections no reader knows. *)
+let with_retired_tags raw =
+  let b = Bytes.of_string raw in
+  let tag_word s = Int64.of_int32 (String.get_int32_le s 0) in
+  let header_words = Int64.to_int (Bytes.get_int64_le b 24) in
+  for wi = 13 to header_words - 2 do
+    let v = Bytes.get_int64_le b (wi * 8) in
+    if v = tag_word "POOL" then Bytes.set_int64_le b (wi * 8) (tag_word "POLH");
+    if v = tag_word "PLCT" then Bytes.set_int64_le b (wi * 8) (tag_word "PLCH")
+  done;
+  let crc =
+    Persist.crc32 (Bytes.sub_string b 0 (8 * (header_words - 1)))
+  in
+  Bytes.set_int64_le b (8 * (header_words - 1))
+    (Int64.logand (Int64.of_int32 crc) 0xFFFF_FFFFL);
+  Bytes.to_string b
+
+let contains_sub sub s =
+  let n = String.length sub in
+  let rec loop i = i + n <= String.length s && (String.sub s i n = sub || loop (i + 1)) in
+  loop 0
+
+(* A container the reader does not know — another layout or another
+   version — is a typed [Corrupt] naming what it refused, from the
+   strict reader and from salvage, never an exception out of either. *)
+let check_refused tag ~expect raw =
+  let circuit = salvage_circuit in
+  let names_it reader = function
+    | Zcodec.Corrupt { section; reason } ->
+      let msg = section ^ ": " ^ reason in
+      check_bool
+        (Printf.sprintf "%s: %s error %S names %S" tag reader msg expect)
+        true (contains_sub expect msg)
+    | e -> Alcotest.failf "%s: %s misreported: %s" tag reader (Zcodec.error_to_string e)
+  in
+  (match Zcodec.of_string ~circuit raw with
+  | exception Zcodec.Error e -> names_it "strict reader" e
+  | exception e -> Alcotest.failf "%s: strict reader raised %s" tag (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: strict reader accepted it" tag);
+  match Repair.salvage_string ~circuit raw with
+  | Error e -> names_it "salvage" e
+  | Ok _ -> Alcotest.failf "%s: salvage accepted it" tag
+  | exception e -> Alcotest.failf "%s: salvage raised %s" tag (Printexc.to_string e)
+
+let test_retired_layout_refused () =
+  let raw = with_retired_tags (Zcodec.to_string (Lazy.force salvage_structure)) in
+  check_refused "POLH/PLCH container" ~expect:"POLH" raw
+
+let test_unknown_version_refused () =
+  let version = Zcodec.format_version + 1 in
+  let b = Bytes.of_string (Zcodec.to_string (Lazy.force salvage_structure)) in
+  Bytes.set_int64_le b 8 (Int64.of_int version);
+  check_refused
+    (Printf.sprintf "version-%d container" version)
+    ~expect:(Printf.sprintf "unsupported container version %d" version)
+    (Bytes.to_string b)
+
 let suite =
   [
     ("all circuits: mapped engine equals heap engine and oracle on 10k probes",
      `Slow, for_all test_mapped_engine_matches_oracle);
-    ("all circuits: compact is clean and never grows", `Slow,
-     test_compact_clean_and_smaller);
-    ("all circuits: compact is idempotent", `Slow, test_compact_idempotent);
-    ("all circuits: compacted container keeps query parity", `Slow,
-     test_compact_then_map_parity);
     ("all circuits: of_string agrees with load", `Slow, for_all test_of_string_agrees);
     ("all circuits: materialized structure round-trips", `Slow,
      for_all test_materialize_structure);
-    ("all circuits: packed layout keeps parity and shrinks", `Slow,
-     for_all test_packed_layout_parity);
-    ("packed container salvages and detects flips", `Slow,
-     test_packed_salvage_and_flips);
     ("random flips are detected, never crash", `Slow, test_flips_detected);
     ("wrong circuit rejected", `Quick, test_wrong_circuit_rejected);
     ("missing file is Io_error", `Quick, test_load_missing_is_io_error);
@@ -501,4 +422,8 @@ let suite =
     ("salvage reports recovered and dropped counts", `Quick, test_salvage_reports_drops);
     ("salvage of an intact file recovers everything", `Quick,
      test_salvage_intact_file_recovers_everything);
+    ("the retired POLH/PLCH layout is refused with a typed error", `Quick,
+     test_retired_layout_refused);
+    ("a container of another version is refused with a typed error", `Quick,
+     test_unknown_version_refused);
   ]
