@@ -13,7 +13,6 @@ type op =
   | Worker_crash
   | Worker_stall
   | Shm_publish
-  | Shm_heartbeat
 
 type action =
   | Fail
@@ -44,7 +43,6 @@ let op_to_string = function
   | Worker_crash -> "worker-crash"
   | Worker_stall -> "worker-stall"
   | Shm_publish -> "shm-publish"
-  | Shm_heartbeat -> "shm-heartbeat"
 
 let action_to_string = function
   | Fail -> "fail"
@@ -341,19 +339,12 @@ let worker_hook_of_plan plan =
   (hook, fired)
 
 (* Ring-level faults for the shm fast path (DESIGN.md §13), riding the
-   session's publish/heartbeat hooks.  A [Shm_publish] injection
-   damages exactly one published frame — [Corrupt] flips stored bits,
-   [Stall] delays the tail publication, and anything else tears the
-   frame (a CRC that can never verify, the signature of a producer
-   dead mid-write).  A [Shm_heartbeat] injection simulates a wedged
-   peer: once fired, heartbeat stamps are suppressed for the [Stall]
-   duration (or forever, for any other action) while ring traffic
-   machinery otherwise keeps running — which is precisely what the
-   stale-heartbeat reaper must catch. *)
+   session's publish hook.  A [Shm_publish] injection damages exactly
+   one published frame — [Corrupt] flips stored bits, [Stall] delays
+   the tail publication, and anything else tears the frame (a CRC that
+   can never verify, the signature of a producer dead mid-write). *)
 let shm_hooks_of_plan plan =
   let firing, fired = make_firing plan in
-  let mutex = Mutex.create () in
-  let suppress_until = ref 0.0 in
   let hooks =
     {
       Mps_serve.Shm.on_publish =
@@ -365,24 +356,6 @@ let shm_hooks_of_plan plan =
           | Some { action = Stall s; _ } -> Some (Mps_serve.Shm.Publish_stall s)
           | Some { action = Fail | Vanish | Truncate _; _ } ->
             Some Mps_serve.Shm.Publish_torn);
-      on_heartbeat =
-        (fun () ->
-          Mutex.lock mutex;
-          let now = Unix.gettimeofday () in
-          let suppress =
-            if now < !suppress_until then true
-            else
-              match firing Shm_heartbeat with
-              | None -> false
-              | Some { action = Stall s; _ } ->
-                suppress_until := now +. s;
-                true
-              | Some _ ->
-                suppress_until := infinity;
-                true
-          in
-          Mutex.unlock mutex;
-          suppress);
     }
   in
   (hooks, fired)

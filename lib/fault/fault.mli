@@ -59,10 +59,6 @@ type op =
       (** One frame published on a shm ring ({!shm_hooks_of_plan}):
           [Corrupt] flips stored bits after the CRC, [Stall] delays the
           tail publication, anything else tears the frame outright. *)
-  | Shm_heartbeat
-      (** Suppress a session peer's heartbeat stamps — a wedged peer
-          whose ring machinery still runs; what the stale-heartbeat
-          reaper must catch. *)
 
 (** What happens when the fault fires.
 
@@ -154,19 +150,18 @@ val worker_hook_of_plan : plan -> (worker:int -> unit) * (unit -> int)
 
 val shm_hooks_of_plan : plan -> Mps_serve.Shm.hooks * (unit -> int)
 (** Ring-level fault hooks for {!Mps_serve.Server.create}'s
-    [?shm_hooks], injecting the plan's [Shm_publish] /
-    [Shm_heartbeat] faults into every shm session the daemon creates.
+    [?shm_hooks], injecting the plan's [Shm_publish] faults into
+    every shm session the daemon creates.
     A [Shm_publish] injection damages the [skip+1]-th frame published
     across all sessions:
     [Corrupt (n)] flips [n] seeded bits over the stored words {e after}
     the checksum (a persistent CRC mismatch — the consumer reports a
     torn frame and falls back to the socket), [Stall] sleeps before
     the tail publication, and [Fail]/[Vanish]/[Truncate] tear the
-    frame outright.  A [Shm_heartbeat] injection, once fired,
-    suppresses heartbeat stamps for the [Stall] duration (forever for
-    other actions) so the peer looks wedged while its ring traffic
-    machinery keeps running.  Thread-safe; each injection fires at
-    most once.  The second component counts injections fired. *)
+    frame outright.  A wedged peer needs no hook: the idle timeout
+    reaps it, as it reaps a silent socket client.  Thread-safe; each
+    injection fires at most once.  The second component counts
+    injections fired. *)
 
 val random_worker_plan : Mps_rng.Rng.t -> plan
 (** One or two worker-level injections: a [Worker_crash], or a

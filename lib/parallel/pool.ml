@@ -95,21 +95,7 @@ let max_chunk_divisor = 32
 
 let default_jobs_cap = 8
 
-let env_cap () =
-  match Sys.getenv_opt "MPS_MAX_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 1 -> Some v
-    | _ -> None)
-
-let default_jobs ?max_jobs () =
-  let cap =
-    match max_jobs with
-    | Some c when c >= 1 -> c
-    | Some _ | None -> ( match env_cap () with Some c -> c | None -> default_jobs_cap)
-  in
-  max 1 (min cap (Domain.recommended_domain_count ()))
+let default_jobs () = max 1 (min default_jobs_cap (Domain.recommended_domain_count ()))
 
 let jobs t = t.size
 

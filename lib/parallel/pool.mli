@@ -31,21 +31,17 @@
 
 type t
 
-val default_jobs : ?max_jobs:int -> unit -> int
-(** [Domain.recommended_domain_count ()] clamped to at least 1 and to
-    a cap.  The cap is, in priority order: [max_jobs] when given, the
-    [MPS_MAX_JOBS] environment variable when set to a positive
-    integer, else 8.
+val default_jobs : unit -> int
+(** [Domain.recommended_domain_count ()] clamped to at least 1 and at
+    most 8.
 
     Rationale for capping at all: generation tasks are heavyweight and
     memory-bound, and the structure fan-outs rarely expose more than a
     few dozen independent tasks — past that point extra domains only
     add stop-the-world minor-GC synchronization cost, which is pure
-    loss when the host advertises many SMT threads.  The default cap
-    of 8 keeps that oversubscription in check; large hosts that
-    genuinely want wider pools raise it with [MPS_MAX_JOBS] (fleet
-    config) or [~max_jobs] (code), or pass an explicit [jobs] to
-    {!create}, which is never capped. *)
+    loss when the host advertises many SMT threads.  A caller that
+    wants a wider pool passes an explicit [jobs] to {!create}, which is
+    never capped. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs]

@@ -49,7 +49,6 @@ type 'a request = {
 type t = {
   addr : Server.addr;
   transport : Transport.t;
-  max_frame_bytes : int;
   mutable fd : Unix.file_descr option;
   mutable next_req_id : int;
   (* circuit name -> (handle, n_blocks); valid for the current
@@ -73,15 +72,13 @@ type t = {
   mutable last_idempotent : bool;
 }
 
-let connect ?(transport = Transport.default) ?(max_frame_bytes = Wire.max_frame_default)
-    ?(shm = false) addr =
+let connect ?(transport = Transport.default) ?(shm = false) addr =
   (* A daemon that dies mid-request must surface as EPIPE (mapped to
      [Disconnected]), never kill the client process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   {
     addr;
     transport;
-    max_frame_bytes;
     fd = None;
     next_req_id = 1;
     handles = Hashtbl.create 4;
@@ -131,10 +128,10 @@ let poison_with t err =
 
 let close t = poison_with t (Disconnected "closed by caller")
 
-(* The ring itself failed (torn frame, stale server heartbeat, dead
-   mapping): count it against further negotiation attempts and poison
-   the whole connection — reconnecting renegotiates (or gives up and
-   stays on the socket). *)
+(* The ring itself failed (torn frame, server hung up or closed the
+   session, dead mapping): count it against further negotiation
+   attempts and poison the whole connection — reconnecting renegotiates
+   (or gives up and stays on the socket). *)
 let ring_dead t msg =
   t.ring_failed <- t.ring_failed + 1;
   poison_with t (Disconnected ("shm session dead: " ^ msg))
@@ -218,7 +215,7 @@ let deliver t ~len =
    always makes progress. *)
 let pump_one t fd ~deadline =
   match
-    Wire.recv_frame t.transport ?deadline ~max_bytes:t.max_frame_bytes ~buf:t.inbuf fd
+    Wire.recv_frame t.transport ?deadline ~max_bytes:Wire.max_frame_default ~buf:t.inbuf fd
   with
   | exception Wire.Timed_out -> poison_with t Timed_out
   | exception Wire.Closed -> poison_with t (Disconnected "connection closed by server")
@@ -236,8 +233,8 @@ let pump_one t fd ~deadline =
    syscall-free; a server that publishes to a parked client rings the
    doorbell, the woken await takes the reply off the ring, and a later
    [pump_one] reads and drops the doorbell.  The socket still carries
-   control replies, oversized replies and farewells, and its
-   readability is also how a dead server is noticed fastest. *)
+   control replies, oversized replies and farewells, and its EOF is how
+   a dead server is noticed. *)
 let pump_ring t ring fd ~deadline =
   let rec go () =
     match Shm.await ring fd ~buf:t.inbuf with
@@ -246,8 +243,6 @@ let pump_ring t ring fd ~deadline =
     | Shm.Socket -> pump_one t fd ~deadline
     | Shm.Idle -> (
       if Shm.peer_closed ring then ring_dead t "server closed the session"
-      else if not (Shm.peer_alive ring ~timeout:3.0) then
-        ring_dead t "server heartbeat stale"
       else
         match deadline with
         | Some d when Unix.gettimeofday () > d -> poison_with t Timed_out
@@ -291,7 +286,7 @@ let issue t fd ~opcode ~deadline ~build slot =
     | (Wire.Query_batch | Wire.Instantiate_batch), Some ring
       when Shm.tx_fits ring ~len:payload_len ->
       t.s_ring_requests <- t.s_ring_requests + 1;
-      Shm.send ?deadline ring b ~off:prefix ~len:payload_len;
+      Shm.send ?deadline ~control:fd ring b ~off:prefix ~len:payload_len;
       Shm.expect_reply ring;
       ignore (Shm.ring_doorbell ring t.transport fd : bool)
     | _ -> Wire.send_frame t.transport fd b ~payload_len
@@ -378,9 +373,7 @@ let negotiate_ring t =
   match drive t ~opcode:Wire.Shm_hello ~deadline 1 (fun _ -> hello) with
   | [| Ok (Some path) |] -> (
     match Shm.attach ~path () with
-    | ring ->
-      Shm.heartbeat ring;
-      t.ring <- Some ring
+    | ring -> t.ring <- Some ring
     | exception Shm.Dead _ -> t.ring_failed <- t.ring_failed + 1)
   | _ -> t.ring_failed <- t.ring_failed + 1
 

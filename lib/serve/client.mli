@@ -61,11 +61,10 @@ type stats = {
   ring_requests : int;  (** Requests routed over the shm ring. *)
 }
 
-val connect :
-  ?transport:Transport.t -> ?max_frame_bytes:int -> ?shm:bool -> Server.addr -> t
+val connect : ?transport:Transport.t -> ?shm:bool -> Server.addr -> t
 (** Create a client for the address.  No I/O happens until the first
-    call (so this never fails); [max_frame_bytes] caps reply frames
-    (default {!Wire.max_frame_default}).
+    call (so this never fails).  Reply frames are capped at
+    {!Wire.max_frame_default}.
 
     [~shm:true] asks for the shared-memory fast path (DESIGN.md §13)
     on every fresh connection: one [Shm_hello] roundtrip, then the
@@ -76,9 +75,10 @@ val connect :
     Only sensible for a client co-located with the daemon (the ring
     file must be the same file on both sides).  The socket stays open
     as the control channel; batches that do not fit the ring, and
-    every non-batch request, use it.  A declined negotiation or a dead
-    ring falls back to the socket; after 3 failures the client stops
-    asking. *)
+    every non-batch request, use it, and its EOF ends every ring wait,
+    budget or not: a dead daemon is a typed [Disconnected].  A declined
+    negotiation or a dead ring falls back to the socket; after 3
+    failures the client stops asking. *)
 
 val ring_active : t -> bool
 (** The current connection carries a negotiated shm ring. *)

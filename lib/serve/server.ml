@@ -10,11 +10,8 @@ type addr =
 
 type config = {
   workers : int;
-  queue_capacity : int;
   max_connections : int;
   max_inflight : int;
-  max_batch : int;
-  max_frame_bytes : int;
   idle_timeout : float;
   drain_timeout : float;
   accept_retry_delay : float;
@@ -22,20 +19,13 @@ type config = {
   restart_max_delay : float;
   breaker_window : float;
   breaker_max_restarts : int;
-  shm : bool;
-  shm_dir : string option;
-  shm_ring_words : int;
-  shm_heartbeat_timeout : float;
 }
 
 let default_config =
   {
     workers = 1;
-    queue_capacity = 16;
     max_connections = 64;
     max_inflight = 32;
-    max_batch = 65536;
-    max_frame_bytes = Wire.max_frame_default;
     idle_timeout = 30.0;
     drain_timeout = 10.0;
     accept_retry_delay = 0.05;
@@ -43,11 +33,12 @@ let default_config =
     restart_max_delay = 2.0;
     breaker_window = 10.0;
     breaker_max_restarts = 5;
-    shm = true;
-    shm_dir = None;
-    shm_ring_words = 64 * 1024;
-    shm_heartbeat_timeout = 3.0;
   }
+
+(* Fixed serving limits: pending connections per worker queue, and
+   queries per batch request. *)
+let queue_capacity = 16
+let max_batch = 65536
 
 type stats = {
   accepted : int;
@@ -139,7 +130,7 @@ type t = {
   next_conn_id : int Atomic.t;
   inflight : int Atomic.t;
   c : counters;
-  shm_dir : string option;  (* session directory; [None] = shm disabled *)
+  shm_dir : string option;  (* session directory; [None]: hellos declined *)
   shm_hooks : Shm.hooks;
   mutable sup_thread : Thread.t option;
 }
@@ -179,10 +170,11 @@ let header = Wire.reply_header_bytes
 (* Where a reply goes: the connection's socket, or its shm ring (with
    the socket kept as fallback for replies the ring cannot carry — a
    ring frame is capped at half the ring, a socket frame at
-   [max_frame_bytes], and the client matches replies by request id on
-   both channels at once).  A ring reply to a parked client is followed
-   by the doorbell: a zero-length frame on the socket it is blocked
-   on. *)
+   {!Wire.max_frame_default}, and the client matches replies by request
+   id on both channels at once).  A ring reply to a parked client is
+   followed by the doorbell: a zero-length frame on the socket it is
+   blocked on.  A ring reply waiting for space watches that socket, so
+   a client that died with its reply ring full ends the wait. *)
 type reply_via =
   | Via_sock of Unix.file_descr
   | Via_ring of Shm.t * Unix.file_descr
@@ -197,8 +189,7 @@ let send_reply t via outbuf ~status ~req_id ~epoch ~payload_len =
   | Via_sock fd -> Wire.send_frame t.transport fd b ~payload_len
   | Via_ring (ring, fd) ->
     if Shm.tx_fits ring ~len:payload_len then begin
-      Shm.send ring b ~off:prefix ~len:payload_len
-        ~hb_timeout:t.config.shm_heartbeat_timeout;
+      Shm.send ~control:fd ring b ~off:prefix ~len:payload_len;
       if Shm.ring_doorbell ring t.transport fd then bump t.c.c_shm_doorbells
     end
     else Wire.send_frame t.transport fd b ~payload_len
@@ -378,10 +369,9 @@ let handle_batch t gen via state ~req_id ~deadline ~len ~instantiate =
     | Ok entry ->
       let n = Circuit.n_blocks entry.Store.circuit in
       let expected = 15 + (count * 4 * n) in
-      if count > t.config.max_batch then
+      if count > max_batch then
         send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
-          (Printf.sprintf "batch of %d exceeds the %d-query cap" count
-             t.config.max_batch)
+          (Printf.sprintf "batch of %d exceeds the %d-query cap" count max_batch)
       else if len <> expected then
         send_error t via state.outbuf ~status:Wire.Err_bad_request ~req_id
           (Printf.sprintf "payload is %d bytes, %d expected for %d %d-block queries"
@@ -518,9 +508,7 @@ let handle_shm_hello t conn state ~req_id ~via ~len =
   match (t.shm_dir, via, state.ring) with
   | Some dir, Via_sock _, None when version = Shm.version -> (
     let path = Filename.concat dir (Printf.sprintf "sess-%d.ring" conn.conn_id) in
-    match
-      Shm.create ~hooks:t.shm_hooks ~ring_words:t.config.shm_ring_words ~path ()
-    with
+    match Shm.create ~hooks:t.shm_hooks ~path () with
     | ring ->
       state.ring <- Some ring;
       bump t.c.c_shm_sessions;
@@ -681,25 +669,25 @@ let unregister t w conn =
   Mutex.unlock t.mutex
 
 (* Ring-serving mode, entered after an accepted [Shm_hello]: drain the
-   request ring, watch the socket (now the control channel) when the
-   ring runs dry, and judge peer liveness by heartbeat.  Exits — and
-   reaps the session: close flag, unlink — on client close (flag or
-   socket EOF), stale heartbeat (the kill -9 case), idle timeout (also
-   a control frame dribbled past it), generation death or drain.
+   request ring, and watch the socket (now the control channel) when
+   the ring runs dry.  The socket is the session's one liveness signal.
+   Exits — and reaps the session: close flag, unlink — on client close
+   (flag or socket EOF, the kill -9 case), idle timeout (a wedged
+   client, and a control frame dribbled past it), generation death or
+   drain.  A client whose attach failed is served on its socket until
+   its connection ends.
 
    The loop waits in {!Shm.await}: spin, yield, then park in one 200 us
    [select] on the socket.  A client that publishes to a parked server
    rings the doorbell, a zero-length frame that ends the select at
    once; the woken await takes the request off the ring first, and the
    doorbell is read and dropped here on a later turn, once the ring is
-   empty.  The select timeout is the backstop for a lost doorbell
-   and paces the liveness checks.  A streaming client is thus served
-   with no syscall per request, and an idle session costs one [select]
-   per 200 us. *)
+   empty.  The select timeout is the backstop for a lost doorbell and
+   paces the closed-flag and idle checks.  A streaming client is thus
+   served with no syscall per request, and an idle session costs one
+   [select] per 200 us. *)
 let serve_ring t w gen conn state ring =
   let via = Via_ring (ring, conn.fd) in
-  let hb_to = t.config.shm_heartbeat_timeout in
-  let attach_grace = Unix.gettimeofday () +. (2.0 *. hb_to) in
   let idle_deadline = ref (Unix.gettimeofday () +. t.config.idle_timeout) in
   let continue = ref true in
   let serve ~via len =
@@ -719,7 +707,7 @@ let serve_ring t w gen conn state ring =
        | Shm.Socket -> (
          match
            Wire.recv_frame t.transport ~deadline:!idle_deadline
-             ~max_bytes:t.config.max_frame_bytes ~buf:state.inbuf conn.fd
+             ~max_bytes:Wire.max_frame_default ~buf:state.inbuf conn.fd
          with
          | 0 -> () (* a doorbell *)
          | len -> serve ~via:(Via_sock conn.fd) len
@@ -731,13 +719,8 @@ let serve_ring t w gen conn state ring =
            (* a frame begun and never finished within idle_timeout *)
            continue := false)
        | Shm.Idle ->
-         let now = Unix.gettimeofday () in
-         if Shm.peer_closed ring then continue := false
-         else if now > !idle_deadline then continue := false
-         else if Shm.peer_started ring then begin
-           if not (Shm.peer_alive ring ~timeout:hb_to) then continue := false
-         end
-         else if now > attach_grace then continue := false
+         if Shm.peer_closed ring || Unix.gettimeofday () > !idle_deadline then
+           continue := false
        | exception Unix.Unix_error _ -> continue := false
      done
    with
@@ -767,7 +750,7 @@ let serve_conn t w gen conn =
        let idle_deadline = Unix.gettimeofday () +. t.config.idle_timeout in
        match
          Wire.recv_frame t.transport ~deadline:idle_deadline
-           ~max_bytes:t.config.max_frame_bytes ~buf:state.inbuf conn.fd
+           ~max_bytes:Wire.max_frame_default ~buf:state.inbuf conn.fd
        with
        | exception Wire.Closed -> continue := false
        | exception Wire.Timed_out ->
@@ -895,7 +878,7 @@ let rescue_queued t w =
         let target =
           Array.fold_left
             (fun best cand ->
-              if cand.state = Wire.W_up && Queue.length cand.q < t.config.queue_capacity
+              if cand.state = Wire.W_up && Queue.length cand.q < queue_capacity
               then
                 match best with
                 | Some b when Queue.length b.q <= Queue.length cand.q -> best
@@ -961,7 +944,7 @@ let dispatch t fd =
     let w = t.workers.((t.rr + i) mod n) in
     if w.state = Wire.W_up then begin
       any_up := true;
-      if Queue.length w.q < t.config.queue_capacity then begin
+      if Queue.length w.q < queue_capacity then begin
         let load = Queue.length w.q + Hashtbl.length w.conns in
         match !best with
         | Some (_, l) when l <= load -> ()
@@ -1059,25 +1042,18 @@ let listen config addr =
    ring files a previous daemon life left behind (their sessions
    cannot be live — the negotiating sockets died with the daemon).
    Any failure here degrades to shm-disabled, never a dead daemon. *)
-let prepare_shm_dir config store =
-  if not config.shm then None
-  else begin
-    let dir =
-      match config.shm_dir with
-      | Some d -> d
-      | None -> Filename.concat (Store.dir store) ".shm"
-    in
-    match
-      (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".ring" then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir)
-    with
-    | () -> Some dir
-    | exception (Unix.Unix_error _ | Sys_error _) -> None
-  end
+let prepare_shm_dir store =
+  let dir = Filename.concat (Store.dir store) ".shm" in
+  match
+    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Array.iter
+      (fun f ->
+        if Filename.check_suffix f ".ring" then
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir)
+  with
+  | () -> Some dir
+  | exception (Unix.Unix_error _ | Sys_error _) -> None
 
 let new_counters () =
   {
@@ -1106,7 +1082,6 @@ let new_counters () =
 let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault
     ?(shm_hooks = Shm.no_hooks) ~store addr =
   if config.workers < 1 then invalid_arg "Server.create: workers < 1";
-  if config.queue_capacity < 1 then invalid_arg "Server.create: queue_capacity < 1";
   (* A peer that vanishes mid-reply must surface as EPIPE on the
      write, never kill the process — the daemon cannot operate under
      the default SIGPIPE disposition, so creating one claims it. *)
@@ -1149,7 +1124,7 @@ let create ?(config = default_config) ?transport:(tr = Transport.default) ?fault
       next_conn_id = Atomic.make 1;
       inflight = Atomic.make 0;
       c = new_counters ();
-      shm_dir = prepare_shm_dir config store;
+      shm_dir = prepare_shm_dir store;
       shm_hooks;
       sup_thread = None;
     }

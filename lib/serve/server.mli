@@ -60,14 +60,12 @@ type addr =
 
 type config = {
   workers : int;  (** Worker domains behind the accept loop ([>= 1]). *)
-  queue_capacity : int;  (** Pending connections per worker queue. *)
   max_connections : int;  (** Accepted connections beyond this are shed. *)
   max_inflight : int;  (** Concurrently served requests beyond this are shed. *)
-  max_batch : int;  (** Queries per batch request. *)
-  max_frame_bytes : int;  (** Hard cap on any frame payload. *)
   idle_timeout : float;
       (** Seconds a connection may sit silent (or dribble a partial
-          frame) before it is dropped. *)
+          frame) before it is dropped.  A shm session counts its ring
+          requests too, so this also reaps a wedged ring client. *)
   drain_timeout : float;  (** Seconds {!stop} waits before forcing. *)
   accept_retry_delay : float;  (** Back-off after a failed [accept]. *)
   restart_base_delay : float;  (** First respawn delay after a worker crash. *)
@@ -75,24 +73,21 @@ type config = {
   breaker_window : float;  (** Sliding window for the restart storm count. *)
   breaker_max_restarts : int;
       (** Crashes inside the window beyond this trip the breaker. *)
-  shm : bool;
-      (** Accept {!Wire.Shm_hello} negotiations (DESIGN.md §13).  Off,
-          every hello is declined and clients stay on the socket. *)
-  shm_dir : string option;
-      (** Where per-session ring files live; [None] derives
-          [<store dir>/.shm].  Created on demand and swept of stale
-          ring files at startup; if that fails, shm is disabled. *)
-  shm_ring_words : int;  (** Data words per ring direction. *)
-  shm_heartbeat_timeout : float;
-      (** Seconds a session peer's heartbeat may go stale before the
-          session is reaped (the kill -9 detector). *)
 }
 
 val default_config : config
-(** 1 worker, 16-deep queues, 64 connections, 32 in-flight,
-    65536-query batches, 32 MiB frames, 30 s idle, 10 s drain, 50 ms
-    accept back-off; restarts 50 ms doubling to 2 s, breaker at 5
-    crashes / 10 s; shm on, 64Ki-word rings, 3 s heartbeat timeout. *)
+(** 1 worker, 64 connections, 32 in-flight, 30 s idle, 10 s drain,
+    50 ms accept back-off; restarts 50 ms doubling to 2 s, breaker at 5
+    crashes / 10 s.
+
+    Fixed, not configured: 16-deep worker queues, 65536-query batches,
+    {!Wire.max_frame_default} frames.  Shm sessions
+    ({!Wire.Shm_hello}, DESIGN.md §13) are always offered, with
+    64Ki-word rings in [<store dir>/.shm], which is created on demand
+    and swept of stale ring files at startup; if that fails, every
+    hello is declined and clients stay on the socket.  A session is
+    reaped on the client's closed flag, its socket's EOF, the idle
+    timeout, its worker's death or the drain. *)
 
 (** Monotonic counters, readable at any time. *)
 type stats = {
@@ -143,7 +138,7 @@ val create :
     ({!Mps_fault.Fault.shm_hooks_of_plan} builds one from a plan).
     Binding retries [EADDRINUSE] briefly so a restart under load
     cannot lose the bind race.
-    @raise Invalid_argument on [workers < 1] or [queue_capacity < 1].
+    @raise Invalid_argument on [workers < 1].
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val bound_addr : t -> addr

@@ -8,15 +8,13 @@
    kernel buffer.  The negotiating socket stays open as the control
    channel and the universal fallback; nothing here replaces it.
 
-   Layout (8-byte little-endian words; each side's
-   heartbeat and parked words share that side's 64-byte cache line,
-   and head/tail words sit on their own, so the two sides never
-   false-share):
+   Layout (8-byte little-endian words; each side's parked word sits on
+   that side's 64-byte cache line, and head/tail words sit on their
+   own, so the two sides never false-share):
 
      word 0   magic            word 1   version
      word 2   request-ring data words   word 3   reply-ring data words
-     word 8   client heartbeat          word 9   client parked
-     word 16  server heartbeat          word 17  server parked
+     word 9   client parked             word 17  server parked
      word 24  request head (consumer)   word 32  request tail (producer)
      word 40  reply head                word 48  reply tail
      word 56  flags (bit 0 server closed, bit 1 client closed)
@@ -40,13 +38,15 @@
    write: the producer died or was corrupted mid-frame) — surfaces a
    typed {!Dead}, never a wrong answer.
 
-   Liveness is heartbeats, not futexes: each side stamps its
-   heartbeat word with the wall clock while waiting or serving, and
-   {!peer_alive} compares against a staleness budget.  A peer that was
-   kill -9'd stops stamping; the survivor reaps the session.
+   Liveness is the control socket, not a futex: the kernel closes a
+   kill -9'd peer's socket, and every wait that can outlast a peer
+   watches for that EOF.  A waiting {!send} sleeps in a 200 us
+   [select] on the socket it is given, so a full ring whose consumer
+   died ends in a typed {!Dead}; the serving loops' {!await} blocks in
+   the same [select].
 
    Waiting never parks in a futex either.  {!send} and {!recv} back
-   off spin -> [Thread.yield] -> 200 us [Thread.delay].  The serving
+   off spin -> [Thread.yield] -> 200 us sleep.  The serving
    loops (server and client) wait in {!await}, which goes one step
    further: a consumer about to sleep sets its parked word ({!park}),
    looks at the ring once more, and then blocks for at most 200 us in
@@ -65,8 +65,9 @@ open Mps_core
 
 let magic = 0x4D50_5352 (* "MPSR" *)
 (* Version 2 added the parked words; version 3 keeps that layout and
-   changes the payloads: a ring reply is byte for byte the socket's. *)
-let version = 3
+   changes the payloads: a ring reply is byte for byte the socket's;
+   version 4 leaves words 8 and 16 unused. *)
+let version = 4
 let header_words = 64
 let default_ring_words = 64 * 1024 (* 512 KiB of data per direction *)
 
@@ -75,9 +76,7 @@ let i_magic = 0
 let i_version = 1
 let i_req_cap = 2
 let i_rep_cap = 3
-let i_client_hb = 8
 let i_client_parked = 9
-let i_server_hb = 16
 let i_server_parked = 17
 let i_req_head = 24
 let i_req_tail = 32
@@ -93,21 +92,15 @@ type publish_fault =
   | Publish_corrupt of int * int  (** seed, bit flips across the frame *)
   | Publish_stall of float  (** wedge before publishing *)
 
-type hooks = {
-  on_publish : unit -> publish_fault option;
-  on_heartbeat : unit -> bool;  (** [true]: suppress this stamp *)
-}
+type hooks = { on_publish : unit -> publish_fault option }
 
-let no_hooks = { on_publish = (fun () -> None); on_heartbeat = (fun () -> false) }
+let no_hooks = { on_publish = (fun () -> None) }
 
 exception Dead of string
 exception Timeout
 
-type role = Owner | Peer
-
 type t = {
   path : string;
-  role : role;
   a : Persist.words;
   tx_base : int;  (* data offset of the ring this side produces into *)
   tx_cap : int;
@@ -117,8 +110,6 @@ type t = {
   rx_cap : int;
   rx_head : int;
   rx_tail : int;
-  own_hb : int;
-  peer_hb : int;
   own_park : int;
   peer_park : int;
   own_closed : int;  (* flag bit *)
@@ -146,29 +137,6 @@ let tx_fits t ~len = frame_words ~len <= tx_max_frame_words t
 
 let now () = Unix.gettimeofday ()
 
-(* Heartbeat words hold the wall clock's IEEE-754 image through the
-   int lens.  Epoch-scale floats set bit 62, so the stored 63-bit int
-   is negative; reading back through [Int64.of_int] would sign-extend
-   that into bit 63 — mask it off (the float is positive, its true
-   bit 63 is 0). *)
-let stamp t =
-  if not (t.hooks.on_heartbeat ()) then
-    t.a.{t.own_hb} <- Int64.to_int (Int64.bits_of_float (now ()))
-
-let heartbeat = stamp
-
-let read_clock t i =
-  let v = t.a.{i} in
-  if v = 0 then None
-  else Some (Int64.float_of_bits (Int64.logand (Int64.of_int v) Int64.max_int))
-
-let peer_started t = t.a.{t.peer_hb} <> 0
-
-let peer_alive t ~timeout =
-  match read_clock t t.peer_hb with
-  | None -> false
-  | Some stamp -> now () -. stamp <= timeout
-
 let peer_closed t = t.a.{i_flags} land t.peer_closed_bit <> 0
 
 (* The parked word is written only on a change: a consumer that never
@@ -191,36 +159,28 @@ let remove t = try Sys.remove t.path with Sys_error _ -> ()
 
 let file_words ~ring_words = header_words + (2 * ring_words)
 
-let make ~path ~role ~hooks a ~req_cap ~rep_cap =
-  let owner = role = Owner in
-  let t =
-    {
-      path;
-      role;
-      a;
-      (* the server produces replies and consumes requests *)
-      tx_base = (if owner then header_words + req_cap else header_words);
-      tx_cap = (if owner then rep_cap else req_cap);
-      tx_head = (if owner then i_rep_head else i_req_head);
-      tx_tail = (if owner then i_rep_tail else i_req_tail);
-      rx_base = (if owner then header_words else header_words + req_cap);
-      rx_cap = (if owner then req_cap else rep_cap);
-      rx_head = (if owner then i_req_head else i_rep_head);
-      rx_tail = (if owner then i_req_tail else i_rep_tail);
-      own_hb = (if owner then i_server_hb else i_client_hb);
-      peer_hb = (if owner then i_client_hb else i_server_hb);
-      own_park = (if owner then i_server_parked else i_client_parked);
-      peer_park = (if owner then i_client_parked else i_server_parked);
-      own_closed = (if owner then flag_server_closed else flag_client_closed);
-      peer_closed_bit = (if owner then flag_client_closed else flag_server_closed);
-      hooks;
-      closed = false;
-      idle_steps = ref 0;
-      reply_due = 0.0;
-    }
-  in
-  stamp t;
-  t
+let make ~path ~owner ~hooks a ~req_cap ~rep_cap =
+  {
+    path;
+    a;
+    (* the server produces replies and consumes requests *)
+    tx_base = (if owner then header_words + req_cap else header_words);
+    tx_cap = (if owner then rep_cap else req_cap);
+    tx_head = (if owner then i_rep_head else i_req_head);
+    tx_tail = (if owner then i_rep_tail else i_req_tail);
+    rx_base = (if owner then header_words else header_words + req_cap);
+    rx_cap = (if owner then req_cap else rep_cap);
+    rx_head = (if owner then i_req_head else i_rep_head);
+    rx_tail = (if owner then i_req_tail else i_rep_tail);
+    own_park = (if owner then i_server_parked else i_client_parked);
+    peer_park = (if owner then i_client_parked else i_server_parked);
+    own_closed = (if owner then flag_server_closed else flag_client_closed);
+    peer_closed_bit = (if owner then flag_client_closed else flag_server_closed);
+    hooks;
+    closed = false;
+    idle_steps = ref 0;
+    reply_due = 0.0;
+  }
 
 let create ?(hooks = no_hooks) ?(ring_words = default_ring_words) ~path () =
   if ring_words < 256 then invalid_arg "Shm.create: ring_words < 256";
@@ -231,7 +191,7 @@ let create ?(hooks = no_hooks) ?(ring_words = default_ring_words) ~path () =
   a.{i_rep_cap} <- ring_words;
   a.{i_version} <- version;
   a.{i_magic} <- magic;
-  make ~path ~role:Owner ~hooks a ~req_cap:ring_words ~rep_cap:ring_words
+  make ~path ~owner:true ~hooks a ~req_cap:ring_words ~rep_cap:ring_words
 
 let attach ?(hooks = no_hooks) ~path () =
   let a, bytes =
@@ -246,7 +206,7 @@ let attach ?(hooks = no_hooks) ~path () =
     req_cap < 256 || rep_cap < 256
     || (header_words + req_cap + rep_cap) * 8 <> bytes
   then raise (Dead "shm attach: malformed ring geometry");
-  make ~path ~role:Peer ~hooks a ~req_cap ~rep_cap
+  make ~path ~owner:false ~hooks a ~req_cap ~rep_cap
 
 (* ---- frame encode / decode -------------------------------------- *)
 
@@ -290,19 +250,37 @@ let spin_step steps =
   end
   else false
 
-(* Spin-then-nanosleep while the producer waits for ring space.  The
-   deadline and peer liveness are re-checked on every backoff step, so
-   a dead or wedged consumer surfaces as a typed error, never a hang. *)
-let wait_step t ~spins ~deadline ~hb_timeout =
+(* The longest sleep of any wait: the select timeout, the backstop for
+   a lost doorbell, and the longest a reply wait polls. *)
+let backstop = 0.0002
+
+(* The sleep gear with a control socket: at most [backstop] in
+   [select] on it.  EOF there is the peer's death (the kernel closes a
+   kill -9'd peer's socket).  Frames queued ahead of an EOF hide it
+   from a read, but not from a zero-length send: that fails with EPIPE
+   once a unix-socket peer has gone, and costs a live peer nothing. *)
+let watch_control fd =
+  let probe = Bytes.create 1 in
+  match Unix.select [ fd ] [] [] backstop with
+  | [], _, _ -> ()
+  | _ ->
+    if Unix.recv fd probe 0 1 [ Unix.MSG_PEEK ] = 0 then raise (Dead "shm peer hung up");
+    ignore (Unix.send fd probe 0 0 [] : int);
+    Thread.delay backstop
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Spin, yield, then sleep while a producer waits for ring space or a
+   consumer for a frame.  The deadline, the closed flags and the
+   control socket are re-checked on every backoff step, so a dead
+   peer surfaces as a typed error, never a hang. *)
+let wait_step t ~spins ~deadline ~control =
   if t.closed then raise (Dead "shm session closed");
   if peer_closed t then raise (Dead "shm peer closed");
   (match deadline with Some d when now () > d -> raise Timeout | _ -> ());
-  stamp t;
-  if peer_started t && not (peer_alive t ~timeout:hb_timeout) then
-    raise (Dead "shm peer heartbeat stale");
-  if not (spin_step spins) then Thread.delay 0.0002
+  if not (spin_step spins) then
+    match control with Some fd -> watch_control fd | None -> Thread.delay backstop
 
-let send ?deadline ?(hb_timeout = 3.0) t b ~off ~len =
+let send ?deadline ?control t b ~off ~len =
   if t.closed then raise (Dead "shm session closed");
   let nw = (len + 7) / 8 in
   let ns = (nw + 62) / 63 in
@@ -322,7 +300,7 @@ let send ?deadline ?(hb_timeout = 3.0) t b ~off ~len =
     let need = if fw <= room then fw else room + fw in
     if tail - head + need <= cap then (tail, pos, room)
     else begin
-      wait_step t ~spins ~deadline ~hb_timeout;
+      wait_step t ~spins ~deadline ~control;
       reserve ()
     end
   in
@@ -373,8 +351,7 @@ let send ?deadline ?(hb_timeout = 3.0) t b ~off ~len =
     a.{data} <- a.{data} lxor 0x5A5A_5A5A
   | Some (Publish_corrupt (seed, flips)) ->
     seeded_flips ~seed ~flips a ~pos:data ~len:(nw + ns));
-  a.{t.tx_tail} <- tail + fw;
-  stamp t
+  a.{t.tx_tail} <- tail + fw
 
 (* Reconstruct payload bytes from stored words plus the bit-63
    sidecar. *)
@@ -467,15 +444,15 @@ let try_recv t ~buf =
   in
   go ()
 
-(* Blocking receive with the same spin-then-nanosleep backoff and the
-   same typed outcomes as the send path. *)
-let recv ?deadline ?(hb_timeout = 3.0) t ~buf =
+(* Blocking receive with the same backoff and the same typed outcomes
+   as the send path. *)
+let recv ?deadline t ~buf =
   let spins = ref 0 in
   let rec go () =
     match try_recv t ~buf with
     | Some len -> len
     | None ->
-      wait_step t ~spins ~deadline ~hb_timeout;
+      wait_step t ~spins ~deadline ~control:None;
       go ()
   in
   go ()
@@ -483,10 +460,6 @@ let recv ?deadline ?(hb_timeout = 3.0) t ~buf =
 (* ---- waking parked peers ----------------------------------------- *)
 
 type wake = Frame of int | Socket | Idle
-
-(* The select timeout: the backstop for a lost doorbell, and the
-   longest a reply wait polls. *)
-let backstop = 0.0002
 
 let expect_reply t = t.reply_due <- now () +. backstop
 
@@ -506,7 +479,6 @@ let expect_reply t = t.reply_due <- now () +. backstop
    doorbell itself stays on the socket for a later turn to drop, and a
    control frame is reported whenever the ring is empty. *)
 let await t fd ~buf =
-  stamp t;
   let got len =
     t.idle_steps := 0;
     t.reply_due <- 0.0;
@@ -531,7 +503,6 @@ let await t fd ~buf =
         go polls
       end
       else begin
-        stamp t;
         match Unix.select [ fd ] [] [] backstop with
         | [], _, _ -> Idle
         | _ -> (

@@ -16,15 +16,15 @@
     checksum briefly; a {e persistent} mismatch is a torn write and
     raises {!Dead}, never returns wrong bytes.
 
-    Liveness is cooperative: both sides stamp a heartbeat word while
-    waiting or serving, and no wait is a futex, so a kill -9'd peer
-    leaves the survivor free-running, the stale heartbeat is noticed
-    ({!peer_alive}), and the session is reaped.  Frame payloads are
-    capped at half a ring ({!tx_fits}); anything larger stays on the
-    socket.
+    Liveness is the control socket: the kernel closes a kill -9'd
+    peer's socket, and every wait that can outlast a peer watches it —
+    {!await} and a {!send} given [~control] block in [select] on it, so
+    its EOF ends the wait with {!Dead}.  No wait is a futex, so the
+    survivor is never stuck.  Frame payloads are capped at half a ring
+    ({!tx_fits}); anything larger stays on the socket.
 
     Waking: {!send} and {!recv} back off spin, yield,
-    then 200 us nanosleeps.  The serving loops wait in {!await}
+    then 200 us sleeps.  The serving loops wait in {!await}
     instead, which {!park}s, re-checks the ring, and blocks at most
     200 us in [select] on the control socket; a producer follows each
     publish with {!ring_doorbell}, a zero-length frame on that socket
@@ -50,17 +50,14 @@ type hooks = {
   on_publish : unit -> publish_fault option;
       (** Consulted once per {!send}, after the frame is written but
           before the tail moves. *)
-  on_heartbeat : unit -> bool;
-      (** [true] suppresses this heartbeat stamp (simulates a wedged
-          peer without stopping its ring traffic). *)
 }
 
 val no_hooks : hooks
 
 exception Dead of string
-(** The session is unusable — peer closed or heartbeat stale, a torn
-    or corrupted frame, a malformed ring file.  The caller falls back
-    to the socket; the server reaps the session. *)
+(** The session is unusable — peer closed or its control socket hung
+    up, a torn or corrupted frame, a malformed ring file.  The caller
+    falls back to the socket; the server reaps the session. *)
 
 exception Timeout
 (** The caller's deadline passed while waiting for ring space or data. *)
@@ -68,9 +65,10 @@ exception Timeout
 type t
 
 val version : int
-(** The ring version this build writes and attaches (3: ring replies
-    are byte for byte the socket's).  A client sends it in its
-    [Shm_hello]; the daemon declines any other. *)
+(** The ring version this build writes and attaches (4: ring replies
+    are byte for byte the socket's, and the header carries no liveness
+    stamps).  A client sends it in its [Shm_hello]; the daemon declines
+    any other. *)
 
 val create : ?hooks:hooks -> ?ring_words:int -> path:string -> unit -> t
 (** Server side: create (or truncate) the ring file at [path] with
@@ -96,13 +94,17 @@ val tx_fits : t -> len:int -> bool
 (** The payload can ever be sent on this side's transmit ring (at most
     half the ring).  Callers route larger frames over the socket. *)
 
-val send : ?deadline:float -> ?hb_timeout:float -> t -> Bytes.t -> off:int -> len:int -> unit
-(** Publish [len] bytes at [off] as one frame, blocking (spin, then
-    nanosleep) while the ring is full.  [deadline] is an absolute
-    instant; [hb_timeout] (default 3 s) bounds how stale the peer's
-    heartbeat may grow before the wait gives up.  Stamps our own
-    heartbeat while waiting.  @raise Timeout / Dead as documented,
-    [Invalid_argument] when the frame can never fit (see {!tx_fits}). *)
+val send :
+  ?deadline:float -> ?control:Unix.file_descr -> t -> Bytes.t -> off:int -> len:int -> unit
+(** Publish [len] bytes at [off] as one frame, blocking (spin, yield,
+    then sleep) while the ring is full.  [deadline] is an absolute
+    instant.  [control] is the session's socket: the sleep becomes a
+    200 us [select] on it, and its EOF raises {!Dead}, so a full ring
+    whose consumer died never wedges the producer.  Behind queued
+    frames the EOF shows as [EPIPE] from a zero-length probe send.
+    @raise Timeout / Dead as documented, [Unix.Unix_error] when
+    [control] has failed, [Invalid_argument] when the frame can never
+    fit (see {!tx_fits}). *)
 
 val try_recv : t -> buf:Bytes.t ref -> int option
 (** Non-blocking: consume the next frame into [buf] (grown as needed,
@@ -110,19 +112,9 @@ val try_recv : t -> buf:Bytes.t ref -> int option
     ring is empty.  @raise Dead on a torn/corrupt frame or when the
     peer closed with nothing left to read. *)
 
-val recv : ?deadline:float -> ?hb_timeout:float -> t -> buf:Bytes.t ref -> int
-(** Blocking {!try_recv} with the same backoff, heartbeat stamping and
-    typed failures as {!send}. *)
-
-val heartbeat : t -> unit
-(** Stamp our liveness word (call periodically while serving). *)
-
-val peer_started : t -> bool
-(** The peer has stamped at least once — lets the server grant a
-    fresh session an attach grace before liveness judgement. *)
-
-val peer_alive : t -> timeout:float -> bool
-(** The peer's heartbeat is at most [timeout] seconds old. *)
+val recv : ?deadline:float -> t -> buf:Bytes.t ref -> int
+(** Blocking {!try_recv} with the same backoff and typed failures as
+    {!send} without a control socket. *)
 
 val park : t -> unit
 (** Set our parked word: this side is about to block on the control
@@ -144,8 +136,8 @@ type wake =
           doorbell (a zero-length frame, to read and drop) or a control
           frame. *)
   | Idle
-      (** 200 us passed with neither; still parked.  Judge liveness and
-          call again. *)
+      (** 200 us passed with neither; still parked.  Check the closed
+          flag and idle time, and call again. *)
 
 val await : t -> Unix.file_descr -> buf:Bytes.t ref -> wake
 (** Wait for the next frame on the receive ring, watching the control
@@ -155,7 +147,7 @@ val await : t -> Unix.file_descr -> buf:Bytes.t ref -> wake
     While a reply is due ({!expect_reply}) it polls instead of parking.
     When the select wakes, the ring is read before [Socket] is
     reported, so a frame announced by a doorbell is returned at once
-    and the doorbell is left for a later call.  Stamps our heartbeat.
+    and the doorbell is left for a later call.
     @raise Dead as {!try_recv}. *)
 
 val expect_reply : t -> unit

@@ -43,7 +43,6 @@ type t = {
   dir : string;
   capacity : int;
   stat_interval : float;
-  max_mapped_bytes : int;
   mutex : Mutex.t;
   cond : Condition.t;
   slots : (string, slot) Hashtbl.t;
@@ -53,16 +52,17 @@ type t = {
   request_stats : int Atomic.t;
 }
 
-let create ?(capacity = 8) ?(stat_interval = 0.0)
-    ?(max_mapped_bytes = 512 * 1024 * 1024) ~dir () =
+(* On-disk bytes of mapped containers the store keeps referenced
+   before it evicts mapped entries. *)
+let max_mapped_bytes = 512 * 1024 * 1024
+
+let create ?(capacity = 8) ?(stat_interval = 0.0) ~dir () =
   if capacity < 1 then invalid_arg "Store.create: capacity < 1";
   if stat_interval < 0.0 then invalid_arg "Store.create: stat_interval < 0";
-  if max_mapped_bytes < 1 then invalid_arg "Store.create: max_mapped_bytes < 1";
   {
     dir;
     capacity;
     stat_interval;
-    max_mapped_bytes;
     mutex = Mutex.create ();
     cond = Condition.create ();
     slots = Hashtbl.create 16;
@@ -169,7 +169,7 @@ let evict_beyond_capacity t =
     List.fold_left (fun acc (_, _, e) -> if mapped e then acc + e.bytes else acc) 0 by_lru
   in
   let excess_entries = ref (total - t.capacity) in
-  let excess_bytes = ref (mapped_bytes - t.max_mapped_bytes) in
+  let excess_bytes = ref (mapped_bytes - max_mapped_bytes) in
   List.iteri
     (fun i (name, _, e) ->
       let keep_last = i = total - 1 in

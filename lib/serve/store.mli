@@ -71,8 +71,8 @@ type entry = {
       (** The file needed {!Repair.salvage}, so the engine is a
           recompiled heap engine; otherwise it is served from the
           zero-copy mapping. *)
-  bytes : int;  (** Size on disk; counts against [max_mapped_bytes]
-                    unless [salvaged]. *)
+  bytes : int;  (** Size on disk; counts against the 512 MiB mapped
+                    budget unless [salvaged]. *)
   mtime : float;  (** Mtime of the container at load, for hot-reload
                       detection. *)
 }
@@ -82,7 +82,6 @@ type t
 val create :
   ?capacity:int ->
   ?stat_interval:float ->
-  ?max_mapped_bytes:int ->
   dir:string ->
   unit ->
   t
@@ -95,13 +94,12 @@ val create :
     no refresher stats inline in {!get} whenever a check is overdue.
     [0] stats on every {!get} (the conservative default; [mpsgen serve]
     runs with a small nonzero interval).
-    [capacity] (default 8) live engines before LRU eviction;
-    [max_mapped_bytes] (default 512 MiB) total on-disk bytes of mapped
-    containers the store keeps referenced — beyond it, mapped entries
-    are evicted least-recently-used (the mapping itself is released
-    when the last in-flight request drops the entry; the most recently
-    used entry is never evicted, so one oversized container still
-    serves). *)
+    [capacity] (default 8) live engines before LRU eviction.  Beyond
+    512 MiB of on-disk bytes of mapped containers referenced by the
+    store, mapped entries are evicted least-recently-used too (the
+    mapping itself is released when the last in-flight request drops
+    the entry; the most recently used entry is never evicted, so one
+    oversized container still serves). *)
 
 val dir : t -> string
 

@@ -173,33 +173,12 @@ let test_chunk_divisor_tuning () =
         (Pool.map pool (fun i -> (i * 31) land 1023) big
         = Array.map (fun i -> (i * 31) land 1023) big))
 
-(* default_jobs cap: ~max_jobs beats MPS_MAX_JOBS beats the built-in 8.
-   The expected value is computed against the host's own domain count,
-   so the assertions are exact on any machine. *)
+(* default_jobs is the host's recommended domain count, capped at 8
+   and at least 1 — exact on any machine. *)
 let test_default_jobs_cap () =
-  let expected cap = max 1 (min cap (Domain.recommended_domain_count ())) in
-  let with_env value f =
-    let old = Sys.getenv_opt "MPS_MAX_JOBS" in
-    Unix.putenv "MPS_MAX_JOBS" value;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "MPS_MAX_JOBS" (match old with Some v -> v | None -> ""))
-      f
-  in
-  check_bool "built-in cap is 8" true (Pool.default_jobs () = expected 8);
-  check_bool "~max_jobs caps directly" true
-    (Pool.default_jobs ~max_jobs:1 () = expected 1);
-  with_env "3" (fun () ->
-      check_bool "MPS_MAX_JOBS caps the default" true
-        (Pool.default_jobs () = expected 3);
-      check_bool "~max_jobs overrides the environment" true
-        (Pool.default_jobs ~max_jobs:1 () = expected 1));
-  with_env "garbage" (fun () ->
-      check_bool "unparseable MPS_MAX_JOBS falls back to 8" true
-        (Pool.default_jobs () = expected 8));
-  with_env "0" (fun () ->
-      check_bool "non-positive MPS_MAX_JOBS falls back to 8" true
-        (Pool.default_jobs () = expected 8))
+  check_int "min(8, recommended domains), at least 1"
+    (max 1 (min 8 (Domain.recommended_domain_count ())))
+    (Pool.default_jobs ())
 
 (* The annealers' move-draw path must stay allocation-free: on OCaml 5
    every minor collection is a stop-the-world across all domains, so a
@@ -456,7 +435,8 @@ let suite =
     ("map_chunked keeps task order, slots in range", `Quick,
      test_map_chunked_order_and_slots);
     ("scheduler stats account for every task", `Quick, test_pool_stats_accounting);
-    ("default_jobs cap: max_jobs > MPS_MAX_JOBS > 8", `Quick, test_default_jobs_cap);
+    ("default_jobs cap: min(8, recommended domains), at least 1", `Quick,
+      test_default_jobs_cap);
     ("auto-tuned grain: doubles under stealing, clamps, bypassed, identical", `Quick,
      test_chunk_divisor_tuning);
     ("move LUT draw path allocates nothing", `Quick,

@@ -67,13 +67,15 @@ let with_tmp_dir f =
    [save] (default) writes the structure's container, so answers are
    served from the mapping and shm replies carry descriptors; [tcp]
    binds loopback TCP on a free port instead of a Unix socket;
-   [stat_interval] is the store's (default 0, a stat on every get). *)
+   [stat_interval] is the store's (default 0, a stat on every get);
+   [prepare] runs on the store directory before the daemon starts. *)
 let with_server ?config ?transport ?fault ?shm_hooks ?(save = true) ?(tcp = false)
-    ?stat_interval f =
+    ?stat_interval ?(prepare = ignore) f =
   with_tmp_dir (fun dir ->
       let store = Store.create ?stat_interval ~dir () in
       if save then
         Zcodec.save (Lazy.force structure) ~path:(Store.zpath_for store circuit_name);
+      prepare dir;
       let server =
         Server.create ?config ?transport ?fault ?shm_hooks ~store
           (if tcp then Server.Tcp ("127.0.0.1", 0)
@@ -250,6 +252,19 @@ let raw_ring_roundtrip ring ~opcode ~req_id ~build =
   let rbuf = ref (Bytes.create 256) in
   let len = Shm.recv ~deadline:(Unix.gettimeofday () +. 2.0) ring ~buf:rbuf in
   (!rbuf, len)
+
+(* A ring request in raw bytes: one query for the circuit's minimum
+   dims, published on the client half of a hand-negotiated session. *)
+let raw_ring_query ring ~handle ~n ~req_id =
+  let r, len =
+    raw_ring_roundtrip ring ~opcode:Wire.Query_batch ~req_id
+      ~build:(build_batch ~handle ~n ~count:1)
+  in
+  check_bool "ring reply ok" true
+    (Wire.status_of_int (Wire.get_u8 r ~len 0) = Some Wire.Ok);
+  check_int "ring reply id" req_id (Wire.get_u32 r ~len 1);
+  check_int "one result" 1 (Wire.get_u32 r ~len Wire.reply_header_bytes);
+  Wire.get_i32 r ~len (Wire.reply_header_bytes + 4)
 
 let server_side_deadline () =
   with_server (fun server addr ->
@@ -1000,6 +1015,10 @@ let store_prefers_container () =
    never as a wrong answer, a crash, or a SIGBUS — and the answers that
    do arrive are cross-checked against the in-process oracle. *)
 
+(* The daemon's rings hold 64Ki words a direction, and a frame may
+   take at most half of one. *)
+let ring_fits len = Shm.frame_words ~len <= 32 * 1024
+
 let shm_round_trip () =
   with_server (fun server addr ->
       with_client ~shm:true addr (fun client ->
@@ -1040,7 +1059,6 @@ let shm_ring_replies_match_socket () =
         (fun () ->
           let path = raw_shm_hello fd in
           let ring = Shm.attach ~path () in
-          Shm.heartbeat ring;
           let handle, n = raw_open_circuit fd in
           let dims = random_batch ~seed:23 64 in
           let expect = expected_ids dims in
@@ -1088,11 +1106,12 @@ let shm_pipelined () =
           check_bool "pipeline rode the ring" true (cs.Client.ring_requests >= 10);
           check_bool "frames overlapped" true (cs.Client.pipelined > 0)))
 
-(* A daemon with shm disabled declines the hello; the client stays on
-   the socket and the answers are unchanged. *)
+(* A daemon that cannot make its session directory — a plain file
+   holds the [.shm] path — declines the hello; the client stays on the
+   socket and the answers are unchanged. *)
 let shm_declined_falls_back () =
-  let config = { Server.default_config with Server.shm = false } in
-  with_server ~config (fun server addr ->
+  let prepare dir = close_out (open_out (Filename.concat dir ".shm")) in
+  with_server ~prepare (fun server addr ->
       with_client ~shm:true addr (fun client ->
           let dims = random_batch ~seed:25 16 in
           let ids, _ =
@@ -1170,10 +1189,12 @@ let shm_publish_stall_times_out () =
           in
           check_bool "converged to the oracle" true (ids = expected_ids dims)))
 
-(* chaos: a wedged client — socket open, ring mapped, heartbeat silent.
-   The stale stamp is the reap signal. *)
+(* chaos: a wedged client — socket open, ring mapped, one ring request
+   served and then silence on both channels.  Nothing closes, so the
+   idle timeout reaps the session, as it drops a silent socket client,
+   and the daemon hangs up. *)
 let shm_wedged_client_reaped () =
-  let config = { Server.default_config with Server.shm_heartbeat_timeout = 0.2 } in
+  let config = { Server.default_config with Server.idle_timeout = 0.3 } in
   with_server ~config (fun server addr ->
       let fd = connect_raw addr in
       Fun.protect
@@ -1181,13 +1202,21 @@ let shm_wedged_client_reaped () =
         (fun () ->
           let path = raw_shm_hello fd in
           let ring = Shm.attach ~path () in
-          Shm.heartbeat ring;
-          (* ...and never again: the peer looks alive on the socket but
-             dead on the ring *)
-          check_bool "session reaped on stale heartbeat" true
-            (wait_until (fun () -> (Server.stats server).Server.shm_reaped >= 1));
+          let handle, n = raw_open_circuit fd in
+          check_int "the ring serves" (expected_ids [| Circuit.min_dims circuit |]).(0)
+            (raw_ring_query ring ~handle ~n ~req_id:29);
+          check_bool "session reaped within 2 s" true
+            (wait_until ~timeout:2.0 (fun () ->
+                 (Server.stats server).Server.shm_reaped >= 1));
           check_bool "ring file unlinked" true
-            (wait_until (fun () -> not (Sys.file_exists path)))))
+            (wait_until (fun () -> not (Sys.file_exists path)));
+          match
+            Wire.recv_frame Transport.default
+              ~deadline:(Unix.gettimeofday () +. 2.0)
+              ~max_bytes:Wire.max_frame_default ~buf:(ref (Bytes.create 64)) fd
+          with
+          | exception Wire.Closed -> ()
+          | _ -> Alcotest.fail "the daemon answered a wedged client"))
 
 (* chaos: kill -9 — the kernel closes the socket, nobody closes the
    ring.  The EOF is the immediate reap signal; the ring file is
@@ -1197,7 +1226,6 @@ let shm_killed_client_reaped () =
       let fd = connect_raw addr in
       let path = raw_shm_hello fd in
       let ring = Shm.attach ~path () in
-      Shm.heartbeat ring;
       Unix.close fd;
       check_bool "session reaped on socket EOF" true
         (wait_until (fun () -> (Server.stats server).Server.shm_reaped >= 1));
@@ -1264,13 +1292,15 @@ let shm_reload_remaps () =
           check_bool "remapped ids" true (ids2 = expect);
           check_bool "ring survived the reload" true (Client.ring_active client)))
 
-(* A batch that cannot fit a tiny ring transparently rides the socket —
-   the ring stays up for the batches that do fit. *)
+(* A batch that cannot fit the daemon's ring transparently rides the
+   socket — the ring stays up for the batches that do fit. *)
 let shm_large_batch_socket_fallback () =
-  let config = { Server.default_config with Server.shm_ring_words = 256 } in
-  with_server ~config (fun _server addr ->
+  with_server (fun _server addr ->
       with_client ~shm:true addr (fun client ->
-          let big = random_batch ~seed:51 200 in
+          let count = 20_000 in
+          check_bool "the big request does not fit the ring" false
+            (ring_fits (Wire.request_header_bytes + 6 + (count * 4 * Circuit.n_blocks circuit)));
+          let big = random_batch ~seed:51 count in
           let ids, _ =
             ok_or_fail "big batch" (Client.query_ids client ~circuit:circuit_name big)
           in
@@ -1294,8 +1324,6 @@ let shm_ring_direct () =
       let path = Filename.concat dir "direct.ring" in
       let server = Shm.create ~ring_words:256 ~path () in
       let client = Shm.attach ~path () in
-      Shm.heartbeat server;
-      Shm.heartbeat client;
       let buf = ref (Bytes.create 16) in
       for i = 0 to 199 do
         let len = 1 + (i * 7 mod 900) in
@@ -1328,11 +1356,13 @@ let shm_ring_direct () =
       | exception Shm.Dead _ -> ());
       Shm.remove server)
 
-(* The parked words of ring version 2: each side sees the other's park
-   and unpark, never its own; and a version-1 ring file, which has no
-   parked words, is refused with a typed [Dead], never mapped with the
-   wrong layout. *)
+(* The parked words: each side sees the other's park and unpark, never
+   its own.  The ring version is 4, and a file of an older version — 3,
+   whose peers still judge each other by stamps in words 8 and 16, or
+   1, which has no parked words — is refused with a typed [Dead], never
+   mapped with the wrong layout. *)
 let shm_parked_words_and_version () =
+  check_int "ring version" 4 Shm.version;
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "parked.ring" in
       let server = Shm.create ~ring_words:256 ~path () in
@@ -1351,14 +1381,17 @@ let shm_parked_words_and_version () =
       Shm.unpark server;
       check_bool "server unpark seen by the client" false (Shm.peer_parked client);
       Shm.remove server;
-      let v1 = Filename.concat dir "v1.ring" in
-      let old = Shm.create ~ring_words:256 ~path:v1 () in
-      let words, _ = Persist.map_shared ~path:v1 () in
-      words.{1} <- 1;
-      (match Shm.attach ~path:v1 () with
-      | _ -> Alcotest.fail "a version-1 ring file was attached"
-      | exception Shm.Dead _ -> ());
-      Shm.remove old)
+      List.iter
+        (fun v ->
+          let path = Filename.concat dir (Printf.sprintf "v%d.ring" v) in
+          let old = Shm.create ~ring_words:256 ~path () in
+          let words, _ = Persist.map_shared ~path () in
+          words.{1} <- v;
+          (match Shm.attach ~path () with
+          | _ -> Alcotest.failf "a version-%d ring file was attached" v
+          | exception Shm.Dead _ -> ());
+          Shm.remove old)
+        [ 3; 1 ])
 
 (* --- Farewell mid-pipeline (reconnect integrity) ---------------------- *)
 
@@ -1624,7 +1657,7 @@ let sigterm_drain_under_load () =
    the oracle's and every request rode the ring. *)
 let shm_doorbell_sizing_loop () =
   let hooks =
-    { Shm.no_hooks with Shm.on_publish = (fun () -> Some (Shm.Publish_stall 0.01)) }
+    { Shm.on_publish = (fun () -> Some (Shm.Publish_stall 0.01)) }
   in
   with_server ~shm_hooks:hooks (fun server addr ->
       with_client ~shm:true addr (fun client ->
@@ -1649,19 +1682,6 @@ let shm_doorbell_sizing_loop () =
           check_bool "the daemon rang a parked client" true
             ((Server.stats server).Server.shm_doorbells >= 1)))
 
-(* A ring request in raw bytes: one query for the circuit's minimum
-   dims, published on the client half of a hand-negotiated session. *)
-let raw_ring_query ring ~handle ~n ~req_id =
-  let r, len =
-    raw_ring_roundtrip ring ~opcode:Wire.Query_batch ~req_id
-      ~build:(build_batch ~handle ~n ~count:1)
-  in
-  check_bool "ring reply ok" true
-    (Wire.status_of_int (Wire.get_u8 r ~len 0) = Some Wire.Ok);
-  check_int "ring reply id" req_id (Wire.get_u32 r ~len 1);
-  check_int "one result" 1 (Wire.get_u32 r ~len Wire.reply_header_bytes);
-  Wire.get_i32 r ~len (Wire.reply_header_bytes + 4)
-
 (* A zero-length frame is a doorbell, not a request: the daemon answers
    nothing on the socket (it used to send a request-id-0 error, which a
    client reads as a farewell), and the session keeps serving. *)
@@ -1673,7 +1693,6 @@ let shm_doorbell_frame_not_answered () =
         (fun () ->
           let path = raw_shm_hello fd in
           let ring = Shm.attach ~path () in
-          Shm.heartbeat ring;
           let handle, n = raw_open_circuit fd in
           let want = (expected_ids [| Circuit.min_dims circuit |]).(0) in
           check_int "query before the doorbell" want
@@ -1697,9 +1716,7 @@ let shm_stalled_control_frame_reaped () =
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          let path = raw_shm_hello fd in
-          let ring = Shm.attach ~path () in
-          Shm.heartbeat ring;
+          ignore (Shm.attach ~path:(raw_shm_hello fd) () : Shm.t);
           ignore (Unix.write_substring fd "\x10\x00" 0 2);
           check_bool "session reaped within 2 s" true
             (wait_until ~timeout:2.0 (fun () ->
@@ -1714,9 +1731,11 @@ let shm_stalled_control_frame_reaped () =
                 (ids = expected_ids dims))))
 
 (* A hello that carries another ring version, or none, is declined up
-   front, as when shm is off: no session, no ring file, and the
-   connection keeps serving on the socket. *)
+   front: no session, no ring file, and the connection keeps serving on
+   the socket.  A version-3 client, which would stamp liveness words
+   this daemon never reads, is among them. *)
 let shm_hello_version_declined () =
+  check_int "ring version" 4 Shm.version;
   with_server (fun server addr ->
       let fd = connect_raw addr in
       Fun.protect
@@ -1732,7 +1751,7 @@ let shm_hello_version_declined () =
               check_int "hello declined" 0 (Wire.get_u8 b ~len Wire.reply_header_bytes))
             [
               put_version (Shm.version + 1);
-              put_version (Shm.version - 1);
+              put_version 3;
               put_version 1;
               (fun _ _ -> 0);
             ];
@@ -1740,22 +1759,19 @@ let shm_hello_version_declined () =
           check_int "no ring files" 0 (ring_files (Store.dir (Server.store server)));
           ignore (raw_open_circuit fd)))
 
-(* The server's reply fallback: on a 256-word ring, an instantiation
-   batch whose request fits the ring but whose reply cannot rides the
-   ring out and comes back on the socket, equal to the in-process
-   engine's floorplans, and the ring keeps serving. *)
+(* The server's reply fallback: an instantiation batch whose request
+   fits the ring but whose reply cannot rides the ring out and comes
+   back on the socket, equal to the in-process engine's floorplans, and
+   the ring keeps serving. *)
 let shm_oversized_reply_socket_fallback () =
-  let ring_words = 256 in
-  let config = { Server.default_config with Server.shm_ring_words = ring_words } in
-  with_server ~config (fun server addr ->
+  with_server (fun server addr ->
       with_client ~shm:true addr (fun client ->
-          let dims = random_batch ~seed:71 20 in
+          let dims = random_batch ~seed:71 8000 in
           let n = Circuit.n_blocks circuit and count = Array.length dims in
-          let fits len = Shm.frame_words ~len <= ring_words / 2 in
           check_bool "the request fits the ring" true
-            (fits (Wire.request_header_bytes + 6 + (count * 4 * n)));
+            (ring_fits (Wire.request_header_bytes + 6 + (count * 4 * n)));
           check_bool "the reply does not" false
-            (fits (Wire.reply_header_bytes + 4 + (count * 16 * n)));
+            (ring_fits (Wire.reply_header_bytes + 4 + (count * 16 * n)));
           let plans, _ =
             ok_or_fail "instantiate" (Client.instantiate client ~circuit:circuit_name dims)
           in
@@ -1870,7 +1886,6 @@ let shm_ring_first_on_wake () =
         (fun () ->
           let path = raw_shm_hello fd in
           let ring = Shm.attach ~path () in
-          Shm.heartbeat ring;
           let handle, n = raw_open_circuit fd in
           let want = (expected_ids [| Circuit.min_dims circuit |]).(0) in
           let prefix = Wire.frame_prefix_bytes and req_header = Wire.request_header_bytes in
@@ -1930,6 +1945,111 @@ let shm_ring_first_on_wake () =
             (raw_ring_query ring ~handle ~n ~req_id:54);
           Shm.close ring))
 
+(* --- Socket-only liveness (DESIGN.md §13, reaping) ----------------------- *)
+
+(* chaos: a raw client floods instantiation requests on the ring and
+   reads no reply, so the daemon's reply ring fills and its worker
+   waits for space; then the client queues a doorbell and a Ping on
+   the socket, which nobody reads while the daemon waits, and its
+   socket closes, as the kernel closes a kill -9'd client's.  The EOF
+   behind those frames ends the wait: the session is reaped at once,
+   its ring file unlinked, and a fresh client is served. *)
+let shm_full_reply_ring_reaped_on_eof () =
+  with_server (fun server addr ->
+      let fd = connect_raw addr in
+      let path = raw_shm_hello fd in
+      let ring = Shm.attach ~path () in
+      let handle, n = raw_open_circuit fd in
+      let req_header = Wire.request_header_bytes in
+      let buf = ref (Bytes.create 256) in
+      let count = 1000 in
+      let len = req_header + build_batch ~handle ~n ~count buf req_header in
+      check_bool "nine replies overflow the reply ring" false
+        (9 * Shm.frame_words ~len:(Wire.reply_header_bytes + 4 + (count * 16 * n))
+        <= 64 * 1024);
+      let b = !buf in
+      Wire.set_u8 b 0 (Wire.opcode_to_int Wire.Instantiate_batch);
+      Wire.set_u32 b 5 0;
+      let rec flood req_id =
+        Wire.set_u32 b 1 req_id;
+        match Shm.send ~deadline:(Unix.gettimeofday () +. 0.5) ring b ~off:0 ~len with
+        | () -> flood (req_id + 1)
+        | exception Shm.Timeout -> req_id - 1
+      in
+      let sent = flood 1 in
+      check_bool "the daemon stopped taking requests off the ring" true (sent > 9);
+      let reaped = (Server.stats server).Server.shm_reaped in
+      Wire.send_frame Transport.default fd (Bytes.create 4) ~payload_len:0;
+      let ping = Bytes.create (Wire.frame_prefix_bytes + req_header) in
+      Wire.set_u8 ping Wire.frame_prefix_bytes (Wire.opcode_to_int Wire.Ping);
+      Wire.set_u32 ping (Wire.frame_prefix_bytes + 1) 99;
+      Wire.set_u32 ping (Wire.frame_prefix_bytes + 5) 0;
+      Wire.send_frame Transport.default fd ping ~payload_len:req_header;
+      Unix.close fd;
+      check_bool "session reaped within 2 s of the EOF" true
+        (wait_until ~timeout:2.0 (fun () ->
+             (Server.stats server).Server.shm_reaped = reaped + 1));
+      check_bool "ring file unlinked" true
+        (wait_until (fun () -> not (Sys.file_exists path)));
+      with_client ~shm:true addr (fun client ->
+          let dims = random_batch ~seed:91 8 in
+          let ids, _ =
+            ok_or_fail "fresh client" (Client.query_ids client ~circuit:circuit_name dims)
+          in
+          check_bool "fresh client matches the oracle" true (ids = expected_ids dims);
+          check_bool "on a fresh ring" true (Client.ring_active client)))
+
+(* chaos: a pipelined client with no budget sends big batches to a
+   daemon whose worker stalls 1.5 s on the first of them; the next two
+   fill the request ring and the client waits for space.  The daemon is
+   aborted 0.2 s into the stall, as a kill -9 would end it: the
+   socket's EOF ends the client's wait, and the call returns typed
+   errors long before the stall would have ended. *)
+let shm_aborted_daemon_ends_full_ring_wait () =
+  let armed = Atomic.make false and stalled = Atomic.make false in
+  let fault ~worker:_ =
+    if Atomic.exchange armed false then begin
+      Atomic.set stalled true;
+      Thread.delay 1.5
+    end
+  in
+  with_server ~fault (fun server addr ->
+      with_client ~shm:true addr (fun client ->
+          let dims = Circuit.min_dims circuit in
+          ignore (ok_or_fail "warm-up" (Client.query_ids client ~circuit:circuit_name [| dims |]));
+          check_bool "ring negotiated" true (Client.ring_active client);
+          let count = 12_000 in
+          let len = Wire.request_header_bytes + 6 + (count * 4 * Circuit.n_blocks circuit) in
+          check_bool "a batch rides the ring, and three fill it" true
+            (ring_fits len && 3 * Shm.frame_words ~len > 64 * 1024);
+          let batches = Array.make 8 (Array.make count dims) in
+          Atomic.set armed true;
+          let killer =
+            Thread.create
+              (fun () ->
+                ignore (wait_until (fun () -> Atomic.get stalled) : bool);
+                Thread.delay 0.2;
+                Server.abort server)
+              ()
+          in
+          let t0 = Unix.gettimeofday () in
+          let results =
+            Client.query_ids_pipelined ~depth:8 client ~circuit:circuit_name batches
+          in
+          let took = Unix.gettimeofday () -. t0 in
+          Thread.join killer;
+          Array.iteri
+            (fun i r ->
+              match r with
+              | Error (Client.Disconnected _ | Client.Timed_out) -> ()
+              | Error e -> Alcotest.failf "batch %d: %s" i (Client.error_to_string e)
+              | Ok _ -> Alcotest.failf "batch %d was answered by an aborted daemon" i)
+            results;
+          check_bool "a fourth batch went to the full ring" true
+            ((Client.stats client).Client.ring_requests >= 5);
+          check_bool (Printf.sprintf "returned within 1 s of the call (%.2f s)" took) true
+            (took < 1.0)))
+
 let suite =
   [
     Alcotest.test_case "round trip matches the in-process oracle" `Quick round_trip;
@@ -1983,7 +2103,7 @@ let suite =
       shm_corrupt_frame_recovers;
     Alcotest.test_case "shm chaos: stalled publish hits the deadline" `Quick
       shm_publish_stall_times_out;
-    Alcotest.test_case "shm chaos: wedged client is reaped by heartbeat" `Quick
+    Alcotest.test_case "shm chaos: wedged client is reaped by idle timeout" `Quick
       shm_wedged_client_reaped;
     Alcotest.test_case "shm chaos: kill -9'd client is reaped on EOF" `Quick
       shm_killed_client_reaped;
@@ -2003,7 +2123,7 @@ let suite =
       large_budget_saturates;
     Alcotest.test_case "tcp: bound port serves plain and pipelined queries" `Quick
       tcp_round_trip;
-    Alcotest.test_case "shm: parked words and ring version 2" `Quick
+    Alcotest.test_case "shm: parked words and ring version 4" `Quick
       shm_parked_words_and_version;
     Alcotest.test_case "shm: doorbells wake parked peers in a sizing loop" `Quick
       shm_doorbell_sizing_loop;
@@ -2021,4 +2141,8 @@ let suite =
       store_refresh_inline_fallback;
     Alcotest.test_case "shm: a woken daemon reads the ring before the socket" `Quick
       shm_ring_first_on_wake;
+    Alcotest.test_case "shm chaos: a client gone with its reply ring full is reaped on EOF"
+      `Quick shm_full_reply_ring_reaped_on_eof;
+    Alcotest.test_case "shm chaos: an aborted daemon ends a client's full-ring wait"
+      `Quick shm_aborted_daemon_ends_full_ring_wait;
   ]
