@@ -16,6 +16,11 @@ type t = {
           of block [i], [2i+1] = height), grown with [slots]; a dead
           slot's bounds are stale and never read. *)
   mutable box_hi : int array;
+  mutable n_live : int;
+  mutable coverage : float option;
+      (** {!coverage}'s last result; [None] after any insert or
+          remove.  The explorer asks for both before every merged
+          record. *)
 }
 
 let initial_slots = 16
@@ -31,17 +36,14 @@ let create ?(weights = Mps_cost.Cost.default_weights) circuit =
     stride;
     box_lo = Array.make (initial_slots * stride) 0;
     box_hi = Array.make (initial_slots * stride) 0;
+    n_live = 0;
+    coverage = None;
   }
 
 let circuit t = t.circuit
 let bounds t = t.bounds
 
-let n_live t =
-  let acc = ref 0 in
-  for i = 0 to t.n_slots - 1 do
-    if Option.is_some t.slots.(i) then incr acc
-  done;
-  !acc
+let n_live t = t.n_live
 
 let live t =
   let acc = ref [] in
@@ -71,12 +73,17 @@ let insert t stored =
   t.slots.(id) <- Some stored;
   Dimbox.flatten_into stored.Stored.box ~lo:t.box_lo ~hi:t.box_hi ~base:(id * t.stride);
   t.n_slots <- t.n_slots + 1;
+  t.n_live <- t.n_live + 1;
+  t.coverage <- None;
   id
 
 let remove t id =
   match get t id with
   | None -> invalid_arg "Builder.remove: no such placement"
-  | Some _ -> t.slots.(id) <- None
+  | Some _ ->
+    t.slots.(id) <- None;
+    t.n_live <- t.n_live - 1;
+    t.coverage <- None
 
 (* Slot [s] is live and its box meets [box] on every axis.  [while]
    loops, not local recursive functions: without flambda their closures
@@ -213,13 +220,20 @@ let resolve_and_store t candidate =
   List.rev !stored_ids
 
 let coverage t =
-  (* template-like placements (the backup's territory) do not count as
-     covered space: coverage measures what the explorer discovered *)
-  List.fold_left
-    (fun acc (_, s) ->
-      if s.Stored.template_like then acc
-      else acc +. Dimbox.volume_fraction s.Stored.box ~bounds:t.bounds)
-    0.0 (live t)
+  match t.coverage with
+  | Some c -> c
+  | None ->
+    (* template-like placements (the backup's territory) do not count as
+       covered space: coverage measures what the explorer discovered *)
+    let c =
+      List.fold_left
+        (fun acc (_, s) ->
+          if s.Stored.template_like then acc
+          else acc +. Dimbox.volume_fraction s.Stored.box ~bounds:t.bounds)
+        0.0 (live t)
+    in
+    t.coverage <- Some c;
+    c
 
 let boxes_disjoint t =
   let all = live t in

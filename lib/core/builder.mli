@@ -71,7 +71,9 @@ val resolve_and_store : t -> Stored.t -> int list
 val coverage : t -> float
 (** Exact covered fraction of the dimension search space: the sum of
     the live boxes' volume fractions (valid because boxes are
-    disjoint).  The explorer's stopping criterion (§3.1.4). *)
+    disjoint).  The explorer's stopping criterion (§3.1.4), asked
+    before every merged record, so the sum is cached until the next
+    insert or remove. *)
 
 val boxes_disjoint : t -> bool
 (** Invariant check: every pair of live boxes is disjoint. *)

@@ -79,7 +79,7 @@ type stats = {
    does using the candidate (raw coordinates) beat re-packing the backup
    template at the same dimension vectors?  Point-matched sampling, so
    neither side gets to average over friendlier territory. *)
-let beats_backup_locally config rng circuit backup candidate ~arena ~evals =
+let beats_backup_locally config rng circuit backup ~order candidate ~arena ~evals =
   let samples = 32 in
   evals := !evals + (2 * samples);
   let die_w = candidate.Stored.placement.Placement.die_w in
@@ -106,7 +106,6 @@ let beats_backup_locally config rng circuit backup candidate ~arena ~evals =
   let dw = Arena.int_buffer arena ~slot:1 n and dh = Arena.int_buffer arena ~slot:2 n in
   let cand_buf = Arena.rect_buffer arena ~slot:0 n in
   let back_buf = Arena.rect_buffer arena ~slot:1 n in
-  let order = Repack.order backup.Stored.placement.Placement.coords in
   let candidate_total = ref 0.0 and backup_total = ref 0.0 in
   for _ = 1 to samples do
     Dimbox.random_dims_into rng candidate.Stored.box ~w:dw ~h:dh;
@@ -123,9 +122,10 @@ let beats_backup_locally config rng circuit backup candidate ~arena ~evals =
    builder.  This is the unit of work a parallel walk can do on its own
    domain: it draws only from [rng], and all mutable evaluation state
    (the [Incremental] engine, scratch buffers) comes from the worker's
-   own [arena].  Returns the made candidate, the BDIO result (the
+   own [arena].  [order] is the backup's [Repack.order], computed once
+   per run.  Returns the made candidate, the BDIO result (the
    explorer's cost signal), and the admission verdict. *)
-let evaluate_candidate config rng circuit backup placement ~arena ~evals =
+let evaluate_candidate config rng circuit backup ~order placement ~arena ~evals =
   let expansion = Expand.expand circuit placement in
   let bdio =
     Bdio.optimize ~config:config.bdio ~arena ~rng circuit placement ~box:expansion
@@ -136,7 +136,9 @@ let evaluate_candidate config rng circuit backup placement ~arena ~evals =
       ~avg_cost:bdio.Bdio.avg_cost ~best_cost:bdio.Bdio.best_cost
       ~best_dims:bdio.Bdio.best_dims
   in
-  let admitted = beats_backup_locally config rng circuit backup candidate ~arena ~evals in
+  let admitted =
+    beats_backup_locally config rng circuit backup ~order candidate ~arena ~evals
+  in
   (candidate, bdio, admitted)
 
 (* Refine a candidate's coordinates with a short annealing run toward
@@ -303,7 +305,7 @@ let fresh_placement circuit rng ~die_w ~die_h _current =
    the walk's private stream; returns the advanced walk, the candidates
    and the cost evaluations spent (each task counts into its own
    accumulator — the shared total is summed at merge time). *)
-let advance_walk cfg circuit backup ~propose ~die_w ~die_h ~chunk ~arena
+let advance_walk cfg circuit backup ~order ~propose ~die_w ~die_h ~chunk ~arena
     (w : Checkpoint.walk) =
   let evals = ref 0 and out = ref [] in
   let rng = w.w_rng in
@@ -317,7 +319,7 @@ let advance_walk cfg circuit backup ~propose ~die_w ~die_h ~chunk ~arena
           (propose rng ~die_w ~die_h !current)
     in
     let candidate, bdio, admitted =
-      evaluate_candidate cfg rng circuit backup proposed ~arena ~evals
+      evaluate_candidate cfg rng circuit backup ~order proposed ~arena ~evals
     in
     out := (candidate, admitted) :: !out;
     let dc = bdio.Bdio.avg_cost -. !cost in
@@ -389,6 +391,8 @@ let run pool ~cfg ~propose start =
   let circuit = Builder.circuit builder in
   let die_w = backup.Stored.placement.Placement.die_w in
   let die_h = backup.Stored.placement.Placement.die_h in
+  (* every admission test re-packs the backup in this visit order *)
+  let order = Repack.order backup.Stored.placement.Placement.coords in
   let walks, chunk, steps, dropped =
     match start with
     | Resume cp ->
@@ -456,7 +460,7 @@ let run pool ~cfg ~propose start =
     let outs =
       Pool.map_chunked pool ~chunk:1
         (fun ~worker i ->
-          advance_walk cfg circuit backup ~propose ~die_w ~die_h ~chunk
+          advance_walk cfg circuit backup ~order ~propose ~die_w ~die_h ~chunk
             ~arena:arenas.(worker) walks.(i))
         live
     in

@@ -113,6 +113,24 @@ type stats = {
           budget — resume from the checkpoint (or {!extend}) to finish. *)
 }
 
+val beats_backup_locally :
+  config ->
+  Mps_rng.Rng.t ->
+  Circuit.t ->
+  Stored.t ->
+  order:int array ->
+  Stored.t ->
+  arena:Mps_placement.Arena.t ->
+  evals:int ref ->
+  bool
+(** [beats_backup_locally config rng circuit backup ~order candidate
+    ~arena ~evals] is the explorer's admission test (DESIGN.md §5): over
+    32 dimension vectors drawn from the candidate's box, does the
+    candidate at its raw coordinates cost no more in total than the
+    backup re-packed at the same vectors?  [order] must be
+    [Repack.order] of the backup's coordinates; a run computes it once.
+    Adds the 64 evaluations to [evals]. *)
+
 val generate :
   ?config:config ->
   ?jobs:int ->

@@ -43,7 +43,6 @@ type view = {
    lossless, and [Persist.crc32_words] over mapped ints reproduces the
    writer's byte-level CRC exactly. *)
 
-let add_word buf v = Buffer.add_int64_le buf (Int64.of_int v)
 let crc_int c = Int32.to_int c land 0xFFFF_FFFF
 
 let tag_word s =
@@ -93,48 +92,49 @@ let record_stride n = 6 + (10 * n)
 
 (* Serialization *)
 
-(* The six per-record scalars: pool index, template flag, and the two
-   costs as split IEEE-754 words. *)
-let record_head pool_idx (s : Stored.t) =
+(* The writer fills one word image of the whole container, then
+   computes every section CRC and the header CRC over that image with
+   the reader's own kernel ([Persist.crc32_words]), and serializes it
+   in one pass. *)
+type image = { img : Persist.words; mutable pos : int }
+
+let put o v =
+  o.img.{o.pos} <- v;
+  o.pos <- o.pos + 1
+
+(* One record: the six scalars (pool index, template flag, the two
+   costs as split IEEE-754 words), then the 10n coordinates: best dims,
+   then the validity and expansion boxes, each as lows then highs in
+   axis-code order (2i = width of block i, 2i+1 = height) — the same
+   flattening the engine tables use. *)
+let put_record o ~n pool_idx (s : Stored.t) =
   let ahi, alo = float_words s.Stored.avg_cost in
   let bhi, blo = float_words s.Stored.best_cost in
-  [ pool_idx; (if s.Stored.template_like then 1 else 0); ahi; alo; bhi; blo ]
-
-(* The 10n per-record coordinates: best dims, then the validity and
-   expansion boxes, each as lows then highs in axis-code order (2i =
-   width of block i, 2i+1 = height) — the same flattening the engine
-   tables use. *)
-let record_tail ~n (s : Stored.t) =
-  let out = Array.make (10 * n) 0 in
-  let p = ref 0 in
-  let push v =
-    out.(!p) <- v;
-    incr p
-  in
+  List.iter (put o)
+    [ pool_idx; (if s.Stored.template_like then 1 else 0); ahi; alo; bhi; blo ];
   for i = 0 to n - 1 do
-    push (Dims.width s.Stored.best_dims i);
-    push (Dims.height s.Stored.best_dims i)
+    put o (Dims.width s.Stored.best_dims i);
+    put o (Dims.height s.Stored.best_dims i)
   done;
-  let push_box box =
+  let put_box box =
     for i = 0 to n - 1 do
-      push (Interval.lo (Dimbox.w_interval box i));
-      push (Interval.lo (Dimbox.h_interval box i))
+      put o (Interval.lo (Dimbox.w_interval box i));
+      put o (Interval.lo (Dimbox.h_interval box i))
     done;
     for i = 0 to n - 1 do
-      push (Interval.hi (Dimbox.w_interval box i));
-      push (Interval.hi (Dimbox.h_interval box i))
+      put o (Interval.hi (Dimbox.w_interval box i));
+      put o (Interval.hi (Dimbox.h_interval box i))
     done
   in
-  push_box s.Stored.box;
-  push_box s.Stored.expansion;
-  out
+  put_box s.Stored.box;
+  put_box s.Stored.expansion
 
 let to_string ?state structure =
   let circuit = Structure.circuit structure in
-  let n = Circuit.n_blocks circuit in
+  let n = Circuit.n_blocks circuit and n_nets = Circuit.n_nets circuit in
+  let name = circuit.Circuit.name in
   let die_w, die_h = Structure.die structure in
-  let engine = Structure.Engine.create structure in
-  let f = Structure.Engine.flatten engine in
+  let f = Structure.Engine.flatten (Structure.Engine.create structure) in
   let stored = Structure.placements structure in
   (* Stored placement k is record k; the backup is the last record. *)
   let records = Array.append stored [| Structure.backup structure |] in
@@ -155,79 +155,66 @@ let to_string ?state structure =
   in
   let idxs = Array.map idx_of records in
   let pool = Array.of_list (List.rev !pool_rev) in
-  let words_section (v : Structure.Engine.ints) =
-    let d = Bigarray.Array1.dim v in
-    let buf = Buffer.create (8 * d) in
-    for i = 0 to d - 1 do
-      add_word buf v.{i}
-    done;
-    Buffer.contents buf
+  let open Structure.Engine in
+  let tables =
+    [ f.f_row_axis; f.f_row_off; f.f_lows; f.f_highs; f.f_set_words; f.f_dom_lo;
+      f.f_dom_hi; f.f_box_lo; f.f_box_hi; f.f_box_in_domain ]
   in
-  let pool_buf = Buffer.create 1024 in
+  let section_lens =
+    List.map Bigarray.Array1.dim tables
+    @ [
+        Array.fold_left (fun acc c -> acc + (2 * Array.length c)) 0 pool;
+        Array.length records * record_stride n;
+      ]
+    @ match state with None -> [] | Some words -> [ Array.length words ]
+  in
+  let tags =
+    match state with None -> section_tags | Some _ -> section_tags @ [ state_tag ]
+  in
+  let name_words = string_words name in
+  let header_words = 13 + Array.length name_words + (List.length tags * 4) + 1 in
+  let total_words = header_words + List.fold_left ( + ) 0 section_lens in
+  let o =
+    { img = Bigarray.Array1.create Bigarray.int Bigarray.c_layout total_words; pos = 0 }
+  in
+  List.iter (put o)
+    [
+      magic_word; format_version; total_words; header_words; n; n_nets;
+      die_w; die_h; Array.length stored; Array.length pool; f.f_words_per_set;
+      f.f_skipped_rows; String.length name;
+    ];
+  Array.iter (put o) name_words;
+  let table = o.pos in
+  o.pos <- header_words;
+  List.iter
+    (fun (v : ints) ->
+      for i = 0 to Bigarray.Array1.dim v - 1 do
+        put o v.{i}
+      done)
+    tables;
   Array.iter
     (Array.iter (fun (x, y) ->
-         add_word pool_buf x;
-         add_word pool_buf y))
+         put o x;
+         put o y))
     pool;
-  let plct_buf = Buffer.create 4096 in
-  Array.iteri
-    (fun k s ->
-      List.iter (add_word plct_buf) (record_head idxs.(k) s);
-      Array.iter (add_word plct_buf) (record_tail ~n s))
-    records;
-  let sections =
-    [
-      ("ROWA", words_section f.Structure.Engine.f_row_axis);
-      ("ROWO", words_section f.Structure.Engine.f_row_off);
-      ("LOWS", words_section f.Structure.Engine.f_lows);
-      ("HIGH", words_section f.Structure.Engine.f_highs);
-      ("SETW", words_section f.Structure.Engine.f_set_words);
-      ("DOML", words_section f.Structure.Engine.f_dom_lo);
-      ("DOMH", words_section f.Structure.Engine.f_dom_hi);
-      ("BOXL", words_section f.Structure.Engine.f_box_lo);
-      ("BOXH", words_section f.Structure.Engine.f_box_hi);
-      ("BIND", words_section f.Structure.Engine.f_box_in_domain);
-      ("POOL", Buffer.contents pool_buf);
-      ("PLCT", Buffer.contents plct_buf);
-    ]
-    @
-    match state with
-    | None -> []
-    | Some words ->
-      let buf = Buffer.create (8 * Array.length words) in
-      Array.iter (add_word buf) words;
-      [ (state_tag, Buffer.contents buf) ]
-  in
-  let name = circuit.Circuit.name in
-  let name_len = String.length name in
-  let name_words = string_words name in
-  let header_words =
-    13 + Array.length name_words + (List.length sections * 4) + 1
-  in
-  let section_lens = List.map (fun (_, c) -> String.length c / 8) sections in
-  let total_words = header_words + List.fold_left ( + ) 0 section_lens in
-  let buf = Buffer.create (total_words * 8) in
-  Buffer.add_string buf magic;
-  List.iter (add_word buf)
-    [
-      format_version; total_words; header_words; n; Circuit.n_nets circuit;
-      die_w; die_h; Array.length stored; Array.length pool;
-      f.Structure.Engine.f_words_per_set; f.Structure.Engine.f_skipped_rows;
-      name_len;
-    ];
-  Array.iter (add_word buf) name_words;
+  Array.iteri (fun k s -> put_record o ~n idxs.(k) s) records;
+  Option.iter (Array.iter (put o)) state;
+  o.pos <- table;
   let off = ref header_words in
   List.iter2
-    (fun (tag, contents) len ->
-      add_word buf (tag_word tag);
-      add_word buf !off;
-      add_word buf len;
-      add_word buf (crc_int (Persist.crc32 contents));
+    (fun tag len ->
+      put o (tag_word tag);
+      put o !off;
+      put o len;
+      put o (crc_int (Persist.crc32_words o.img ~pos:!off ~len));
       off := !off + len)
-    sections section_lens;
-  add_word buf (crc_int (Persist.crc32 (Buffer.contents buf)));
-  List.iter (fun (_, contents) -> Buffer.add_string buf contents) sections;
-  Buffer.contents buf
+    tags section_lens;
+  put o (crc_int (Persist.crc32_words o.img ~pos:0 ~len:(header_words - 1)));
+  let bytes = Bytes.create (8 * total_words) in
+  for i = 0 to total_words - 1 do
+    Bytes.set_int64_le bytes (8 * i) (Int64.of_int o.img.{i})
+  done;
+  Bytes.unsafe_to_string bytes
 
 let save ?state structure ~path =
   try Persist.atomic_write ~path (to_string ?state structure)

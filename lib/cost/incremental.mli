@@ -15,7 +15,11 @@
 
     Geometry changes are transactional: [move_block] / [swap_blocks] /
     [resize_block] stage changes that an annealer either [commit]s
-    (accept) or [undo]s (reject).  All integer terms are exact under any
+    (accept) or [undo]s (reject).  A staged change logs the cache values
+    it overwrites, so [undo] restores them rather than repairing again,
+    and a batch in overlap-free mode rebuilds only what its blocks
+    touch; either way every term is bit-identical to what a full repair
+    would leave.  All integer terms are exact under any
     apply/undo sequence; the float HPWL total accumulates one rounding
     error per delta, so [commit] automatically resyncs from scratch
     every [resync_every] committed operations, keeping the drift far
@@ -81,12 +85,15 @@ val begin_batch : t -> unit
 (** Enter batch mode: subsequent staged changes write geometry only
     (no per-change cache repair).  For a move that touches many blocks
     at once — the BDIO redraws ~30% of all axes per move — per-block
-    O(n) repair costs more than one from-scratch pass, so [end_batch]
-    rebuilds every cache in a single allocation-free sweep instead.
+    O(n) repair costs more than one pass, so [end_batch] rebuilds the
+    caches in a single allocation-free sweep instead: in overlap-free
+    mode only the out-of-bounds terms and nets of the blocks the batch
+    changed (then the HPWL total re-summed in net order, as {!resync}
+    does), otherwise every cache.
     @raise Invalid_argument when a batch is already open. *)
 
 val end_batch : t -> unit
-(** Close the batch and rebuild all caches.  The staged changes remain
+(** Close the batch and rebuild the caches.  The staged changes remain
     one undoable group.  @raise Invalid_argument when no batch is
     open. *)
 
@@ -97,7 +104,12 @@ val commit : t -> unit
 (** Accept all staged changes.  Triggers the periodic full resync. *)
 
 val undo : t -> unit
-(** Revert all staged changes (LIFO), restoring every cached term. *)
+(** Revert all staged changes (LIFO), restoring every cached term: from
+    the values each change logged, replaying the HPWL total's float
+    deltas in their original order, or for a group of more than n/4
+    changes by a raw geometry restore and one rebuild as in
+    {!end_batch}.  A rejected single-block move or swap allocates
+    nothing. *)
 
 val resync : t -> unit
 (** Recompute every cache from the current geometry from scratch: the
@@ -107,9 +119,8 @@ val reset : ?overlap_free:bool -> t -> Rect.t array -> unit
 (** [reset t rects] rebinds the engine to a new floorplan of the same
     circuit/die/weights, discarding any staged changes and open batch.
     After [reset] the state is bit-identical to [create] on the same
-    inputs, and without symmetry groups the only allocation is the
-    boxed float of the cached wirelength total (2 words, whatever the
-    net count): the compiled pin and incidence arrays depend only on
+    inputs, and without symmetry groups it allocates nothing, whatever
+    the net count: the compiled pin and incidence arrays depend only on
     the circuit and die, so a per-worker arena
     can reuse one engine across thousands of candidate evaluations
     instead of paying [create]'s allocation each time — the minor-heap

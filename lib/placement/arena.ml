@@ -33,7 +33,10 @@ let engine ?overlap_free t ~weights circuit ~die_w ~die_h rects =
     match t.eng with
     | Some eng
       when (match t.eng_circuit with Some c -> c == circuit | None -> false)
-           && t.eng_die_w = die_w && t.eng_die_h = die_h && t.eng_weights = weights ->
+           && t.eng_die_w = die_w && t.eng_die_h = die_h
+           (* physical equality first: the structural compare of the
+              weights record is a C call, once per probe *)
+           && (t.eng_weights == weights || t.eng_weights = weights) ->
       eng
     | _ ->
       let eng = Mps_cost.Incremental.create ~weights circuit ~die_w ~die_h rects in

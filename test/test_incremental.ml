@@ -291,6 +291,152 @@ let prop_overlap_free_bit_equal =
     (fun seed ->
       List.for_all (fun circuit -> overlap_free_run circuit ~seed) Benchmarks.all)
 
+(* --- exactness against the reference engine ---------------------------- *)
+
+(* [Incremental_ref] is the engine before the undo log, the dirty-net
+   batches and the two-pin shortcut: every undo re-ran the pair loop and
+   every batch closed with a full [resync].  Both engines take the same
+   random stream of moves, swaps, resizes, batches, undos, commits and
+   resets, in both modes, and must agree to the bit on the total and on
+   every term after each operation outside an open batch (inside one
+   the caches are unspecified until [end_batch]).  A small
+   [resync_every] brings the periodic resync into play, and staged
+   groups of every size reach both undo paths. *)
+module Ref = Incremental_ref
+
+let bits = Int64.bits_of_float
+
+let same_breakdown (a : Cost.breakdown) (b : Cost.breakdown) =
+  Int64.equal (bits a.Cost.total) (bits b.Cost.total)
+  && Int64.equal (bits a.Cost.hpwl) (bits b.Cost.hpwl)
+  && Int64.equal (bits a.Cost.symmetry_misalign) (bits b.Cost.symmetry_misalign)
+  && a.Cost.bbox_area = b.Cost.bbox_area
+  && a.Cost.overlap_area = b.Cost.overlap_area
+  && a.Cost.oob_area = b.Cost.oob_area
+
+let reference_run circuit ~seed ~overlap_free ~steps =
+  let rng = Rng.create ~seed in
+  let die_w, die_h = Circuit.default_die circuit in
+  let n = Circuit.n_blocks circuit in
+  let resync_every = Rng.int_in rng 3 40 in
+  let rects = random_rects rng circuit ~die_w ~die_h in
+  let eng = Incremental.create ~resync_every circuit ~die_w ~die_h rects in
+  let oracle = Ref.create ~resync_every circuit ~die_w ~die_h rects in
+  Incremental.reset ~overlap_free eng rects;
+  Ref.reset ~overlap_free oracle rects;
+  let ok = ref true and batching = ref false in
+  let agree step label =
+    if not (same_breakdown (Incremental.breakdown eng) (Ref.breakdown oracle)) then begin
+      if !ok then
+        Printf.printf "%s (overlap_free %b, seed %d) step %d, after %s: %.17g vs %.17g\n"
+          circuit.Circuit.name overlap_free seed step label (Incremental.total eng)
+          (Ref.total oracle);
+      ok := false
+    end
+  in
+  for step = 1 to steps do
+    let i = Rng.int rng n in
+    let label =
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 ->
+        let x = Rng.int_in rng (-5) (die_w + 5) and y = Rng.int_in rng (-5) (die_h + 5) in
+        Incremental.move_block eng i ~x ~y;
+        Ref.move_block oracle i ~x ~y;
+        "move"
+      | 3 ->
+        let j = Rng.int rng n in
+        Incremental.swap_blocks eng i j;
+        Ref.swap_blocks oracle i j;
+        "swap"
+      | 4 | 5 ->
+        let w = Rng.int_in rng 1 (max 2 (die_w / 3)) in
+        let h = Rng.int_in rng 1 (max 2 (die_h / 3)) in
+        Incremental.resize_block eng i ~w ~h;
+        Ref.resize_block oracle i ~w ~h;
+        "resize"
+      | 6 ->
+        if !batching then begin
+          Incremental.end_batch eng;
+          Ref.end_batch oracle
+        end
+        else begin
+          Incremental.begin_batch eng;
+          Ref.begin_batch oracle
+        end;
+        batching := not !batching;
+        "batch"
+      | 7 when not !batching ->
+        Incremental.undo eng;
+        Ref.undo oracle;
+        "undo"
+      | 8 when not !batching ->
+        Incremental.commit eng;
+        Ref.commit oracle;
+        "commit"
+      | 9 when (not !batching) && Rng.int rng 4 = 0 ->
+        let rects = random_rects rng circuit ~die_w ~die_h in
+        Incremental.reset ~overlap_free eng rects;
+        Ref.reset ~overlap_free oracle rects;
+        "reset"
+      | _ -> "nothing"
+    in
+    if not !batching then agree step label
+  done;
+  if !batching then begin
+    Incremental.end_batch eng;
+    Ref.end_batch oracle
+  end;
+  agree steps "the last batch";
+  Incremental.undo eng;
+  Ref.undo oracle;
+  agree steps "the last undo";
+  Array.iteri
+    (fun i r -> ok := !ok && Rect.equal r (Incremental.rects eng).(i))
+    (Ref.rects oracle);
+  !ok
+
+let prop_matches_reference =
+  QCheck.Test.make
+    ~name:"bit-equal to the reference engine under random op streams (all circuits)"
+    ~count:12
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.for_all
+        (fun circuit ->
+          List.for_all
+            (fun overlap_free -> reference_run circuit ~seed ~overlap_free ~steps:300)
+            [ false; true ])
+        Benchmarks.all)
+
+(* A rejected refine move — a move or a swap, read, undone — allocates
+   nothing: the undo restores logged values and the HPWL total lives
+   in a flat float cell. *)
+let test_rejected_move_allocation () =
+  let circuit = Benchmarks.benchmark24 in
+  let die_w, die_h = Circuit.default_die circuit in
+  let rng = Rng.create ~seed:21 in
+  let eng = Incremental.create circuit ~die_w ~die_h (random_rects rng circuit ~die_w ~die_h) in
+  let n = Circuit.n_blocks circuit in
+  let moves = Array.init 3000 (fun _ -> Rng.int rng 1_000_000) in
+  let sink = ref 0 in
+  let run k =
+    for m = 0 to k - 1 do
+      let v = moves.(m) in
+      let i = v mod n in
+      if v land 3 = 0 then Incremental.swap_blocks eng i ((i + 1 + (v / 7 mod (n - 1))) mod n)
+      else Incremental.move_block eng i ~x:(v / 5 mod die_w) ~y:(v / 11 mod die_h);
+      sink := !sink + Incremental.pending eng;
+      Incremental.undo eng
+    done
+  in
+  run 100;
+  let before = Gc.minor_words () in
+  run 3000;
+  let delta = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  check_bool (Printf.sprintf "3000 rejected moves allocated %.0f minor words" delta) true
+    (delta = 0.0)
+
 (* One arena probe — rebind the cached engine, read the total — costs a
    constant few minor words whatever the net count: no boxed float per
    net.  Measured on benchmark24 (48 nets) and circ01 (4 nets). *)
@@ -341,4 +487,5 @@ let suite =
     ("an arena probe allocates a constant few words", `Quick, test_probe_allocation);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_agrees_with_evaluator; prop_overlap_free_bit_equal ]
+      [ prop_agrees_with_evaluator; prop_overlap_free_bit_equal; prop_matches_reference ]
+  @ [ ("a rejected move allocates nothing", `Quick, test_rejected_move_allocation) ]

@@ -272,6 +272,56 @@ let test_expand_allocation () =
   let w = words expand in
   check_bool (Printf.sprintf "Expand.expand: %.0f minor words" w) true (w <= 2000.0)
 
+(* The rest of a candidate's evaluation, pinned per call: one admission
+   test (64 evaluations through the warm arena, against the backup
+   re-pack order a run computes once), one [Stored.make], and the
+   fixed part of a BDIO run — its setup and the result it builds
+   around the iterations. *)
+let admission_fixture () =
+  let c, placement = bench24_placement () in
+  let arena = Mps_placement.Arena.create () in
+  let rng = Mps_rng.Rng.create ~seed:6 in
+  let expansion = Mps_placement.Expand.expand c placement in
+  let bdio = Bdio.optimize ~arena ~rng c placement ~box:expansion in
+  let stored ~template_like ~box =
+    Stored.make ~template_like ~placement ~box ~expansion ~avg_cost:bdio.Bdio.avg_cost
+      ~best_cost:bdio.Bdio.best_cost ~best_dims:bdio.Bdio.best_dims
+  in
+  let backup = stored ~template_like:true ~box:(Circuit.dim_bounds c) in
+  let order = Mps_placement.Repack.order placement.Placement.coords in
+  (c, placement, expansion, bdio, stored, backup, order, arena, rng)
+
+let test_admission_allocation () =
+  let c, _, _, bdio, stored, backup, order, arena, rng = admission_fixture () in
+  let candidate = stored ~template_like:false ~box:bdio.Bdio.box in
+  let config = Generator.default_config and evals = ref 0 in
+  let admit () =
+    ignore
+      (Generator.beats_backup_locally config rng c backup ~order candidate ~arena ~evals)
+  in
+  admit ();
+  let w = words admit in
+  check_bool (Printf.sprintf "admission test: %.0f minor words" w) true (w <= 400.0)
+
+let test_stored_make_allocation () =
+  let _, _, _, bdio, stored, _, _, _, _ = admission_fixture () in
+  let make () = ignore (Sys.opaque_identity (stored ~template_like:false ~box:bdio.Bdio.box)) in
+  make ();
+  let w = words make in
+  check_bool (Printf.sprintf "Stored.make: %.0f minor words" w) true (w <= 16.0)
+
+let test_bdio_result_allocation () =
+  let c, placement, expansion, _, _, _, _, arena, rng = admission_fixture () in
+  let run () =
+    ignore
+      (Bdio.optimize
+         ~config:{ Bdio.default_config with Bdio.iterations = 1 }
+         ~arena ~rng c placement ~box:expansion)
+  in
+  run ();
+  let w = words run in
+  check_bool (Printf.sprintf "BDIO setup and result: %.0f minor words" w) true (w <= 3200.0)
+
 (* parallel generation: bit-determinism across job counts *)
 
 let par_config =
@@ -455,4 +505,7 @@ let suite =
     ("bdio allocation per iteration is pinned", `Quick, test_bdio_allocation);
     ("coord_opt allocation per iteration is pinned", `Quick, test_coord_opt_allocation);
     ("expand allocation is pinned", `Quick, test_expand_allocation);
+    ("admission test allocation is pinned", `Quick, test_admission_allocation);
+    ("Stored.make allocation is pinned", `Quick, test_stored_make_allocation);
+    ("bdio setup and result allocation is pinned", `Quick, test_bdio_result_allocation);
   ]

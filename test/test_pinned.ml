@@ -79,6 +79,22 @@ let test_full_hash () =
     "benchmark24 full structure hash" "b997905b"
     (Persist.crc32_hex (Codec.to_string (Lazy.force full)))
 
+(* The MPSZ container bytes themselves, as [mpsgen generate] writes
+   them: MD5 of [Zcodec.to_string], so a writer change that keeps the
+   text dump but moves a container byte (a section CRC, the header,
+   the record layout) fails here. *)
+let container_digest structure = Digest.to_hex (Digest.string (Zcodec.to_string structure))
+
+let test_quick_container () =
+  Alcotest.(check string)
+    "benchmark24 quick container digest" "029bfd619b0bae4e9560b344e647a408"
+    (container_digest (Lazy.force structure))
+
+let test_full_container () =
+  Alcotest.(check string)
+    "benchmark24 full container digest" "ce9a216b17b7b76e5d8269cb33b5976a"
+    (container_digest (Lazy.force full))
+
 let test_full_plan_digest () =
   Alcotest.(check string)
     "benchmark24 full plan digest" "f0ce124c5729f1228ca9c2b707bf5a02"
@@ -136,3 +152,9 @@ let suite =
       test_full_plan_digest;
   ]
   @ quick_pin_cases
+  @ [
+      Alcotest.test_case "benchmark24 quick: container bytes are pinned" `Quick
+        test_quick_container;
+      Alcotest.test_case "benchmark24 full: container bytes are pinned" `Quick
+        test_full_container;
+    ]

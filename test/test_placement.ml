@@ -150,6 +150,46 @@ let test_expand_box_within_designer_bounds () =
     check_bool "inside designer space" true (Dimbox.contains_box ~outer:bounds ~inner:box)
   done
 
+(* [Expand.expand] against the unit-step round-robin it replaced
+   ([Expand_ref], which re-checks every grown block against all
+   others): equal boxes on random legal placements of every Table 1
+   circuit, on the same placements re-packed at minimum dimensions
+   (abutting blocks: the blocker case of the O(1) test), and on each
+   circuit's backup template and stored placements at the Quick
+   budget. *)
+let test_expand_matches_round_robin () =
+  let rng = Rng.create ~seed:29 in
+  let module E = Mps_experiments.Experiments in
+  let module Generator = Mps_core.Generator in
+  let module Structure = Mps_core.Structure in
+  List.iter
+    (fun c ->
+      let die_w, die_h = Circuit.default_die c in
+      let min_dims = Circuit.min_dims c in
+      let same label p =
+        check_bool
+          (Printf.sprintf "%s %s: same box as the round-robin" c.Circuit.name label)
+          true
+          (Dimbox.equal (Expand.expand c p) (Expand_ref.expand c p))
+      in
+      for _ = 1 to 25 do
+        let p = Placement.random rng c ~die_w ~die_h in
+        same "random" p;
+        let packed = Repack.instantiate ~die:(die_w, die_h) ~coords:p.Placement.coords min_dims in
+        let q =
+          Placement.make
+            ~coords:(Array.map (fun r -> (r.Rect.x, r.Rect.y)) packed)
+            ~die_w ~die_h
+        in
+        if Placement.is_legal q min_dims then same "packed" q
+      done;
+      let s, _ = Generator.generate ~config:(E.generator_config E.Quick c) ~jobs:1 c in
+      same "backup" (Structure.backup s).Mps_core.Stored.placement;
+      Array.iter
+        (fun st -> same "stored" st.Mps_core.Stored.placement)
+        (Structure.placements s))
+    Benchmarks.all
+
 (* Perturb *)
 
 let test_wrap () =
@@ -216,4 +256,6 @@ let suite =
     ("perturb: stays legal, usually moves", `Quick, test_perturb_legal_and_different);
     ("perturb: invalid arguments", `Quick, test_perturb_invalid_args);
     ("perturb: impossible block fails fast", `Quick, test_perturb_impossible_block_fails_fast);
+    ("expand: same boxes as the unit-step round-robin", `Quick,
+      test_expand_matches_round_robin);
   ]
