@@ -18,8 +18,6 @@ let build ?(iterations = 2000) ~rng circuit ~die_w ~die_h =
   let coords = Array.map (fun r -> (r.Rect.x, r.Rect.y)) sa.Sa_placer.rects in
   { circuit; coords; die_w; die_h }
 
-let nominal_coords t = Array.copy t.coords
-
 let die t = (t.die_w, t.die_h)
 
 let instantiate t dims =

@@ -20,9 +20,6 @@ val build :
     with a simulated-annealing pass of [iterations] steps (default
     2000). *)
 
-val nominal_coords : t -> (int * int) array
-(** The template's block corners at nominal dimensions. *)
-
 val instantiate : t -> Dims.t -> Rect.t array
 (** Re-pack the template for the given dimensions: blocks keep the
     template's left-to-right, bottom-to-top order; any block overlapping

@@ -194,7 +194,7 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
     in
     let tasks = Array.init (Array.length stored) Fun.id in
     match pool with
-    | Some pool -> Mps_parallel.Pool.map pool check tasks
+    | Some pool -> Mps_parallel.Pool.map pool (fun ~worker:_ -> check) tasks
     | None -> Array.map check tasks
   in
   let backup_findings =

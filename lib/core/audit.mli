@@ -95,9 +95,6 @@ val worst : report -> severity option
 
 val count : severity -> report -> int
 
-val severity_to_string : severity -> string
-val subject_to_string : subject -> string
-
 val to_string : report -> string
 (** Multi-line human-readable report. *)
 

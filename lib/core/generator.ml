@@ -257,12 +257,11 @@ let build_backup pool arenas config root circuit ~die_w ~die_h ~evals =
   let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
   let coord_config = backup_coord_config config in
   let restarts = max 1 config.backup_restarts in
-  (* chunk 1: a handful of heavyweight annealing runs — maximum
-     balance, negligible claim traffic.  The worker slot picks the
-     arena; stealing moves a restart to another worker's arena, never
+  (* A handful of heavyweight annealing runs, one task each.  The
+     worker slot picks the arena; which worker runs a restart never
      changes its result. *)
   let results =
-    Pool.map_chunked pool ~chunk:1
+    Pool.map pool
       (fun ~worker k ->
         let rng = Rng.split root k in
         Coord_opt.optimize ~config:coord_config ~arena:arenas.(worker) ~rng circuit
@@ -454,11 +453,10 @@ let run pool ~cfg ~propose start =
       Array.of_list
         (List.filter (fun i -> unfinished walks.(i)) (List.init (Array.length walks) Fun.id))
     in
-    (* scheduling chunk 1: each walk advance is a heavyweight task
-       (refine + BDIO + admission per step), so per-task claims cost
-       nothing relative to the work and idle workers steal whole walks *)
+    (* one task per walk advance (refine + BDIO + admission per step):
+       a free worker claims the next walk *)
     let outs =
-      Pool.map_chunked pool ~chunk:1
+      Pool.map pool
         (fun ~worker i ->
           advance_walk cfg circuit backup ~order ~propose ~die_w ~die_h ~chunk
             ~arena:arenas.(worker) walks.(i))

@@ -19,9 +19,10 @@
     domain) only changes wall time.  {!single_walk} runs one walk on
     one stream through the same loop.
 
-    Fan-outs run under the pool's chunked work-stealing scheduler with
-    one evaluation {!Mps_placement.Arena} per worker slot; stealing and
-    arena identity move {e where} a task runs, never what it computes. *)
+    Fan-outs run one task per backup restart or walk advance, with one
+    evaluation {!Mps_placement.Arena} per worker slot; the worker and
+    arena a task lands on move {e where} it runs, never what it
+    computes. *)
 
 open Mps_netlist
 

@@ -205,9 +205,6 @@ let default_io =
 
 let io_ref = ref default_io
 
-let current_io () = !io_ref
-let set_io io = io_ref := io
-
 let with_io io f =
   let saved = !io_ref in
   io_ref := io;

@@ -52,12 +52,6 @@ type io = {
 val default_io : io
 (** The real filesystem. *)
 
-val current_io : unit -> io
-
-val set_io : io -> unit
-(** Install a backend globally (tests/fault injection).  Prefer
-    {!with_io} for scoped use. *)
-
 val with_io : io -> (unit -> 'a) -> 'a
 (** Run a thunk with the given backend installed, restoring the
     previous backend afterwards (also on exceptions). *)

@@ -281,7 +281,7 @@ let run ?pool ?(config = default_config) structure =
         in
         let candidates =
           match pool with
-          | Some pool -> Mps_parallel.Pool.map pool candidate order
+          | Some pool -> Mps_parallel.Pool.map pool (fun ~worker:_ -> candidate) order
           | None -> Array.map candidate order
         in
         let kept_boxes = ref survivor_boxes in

@@ -468,7 +468,6 @@ module Engine = struct
   let circuit t = t.circuit
   let backup t = t.backup
   let n_stored t = t.capacity
-  let stored_at t id = t.stored.(id)
   let die t = (t.die_w, t.die_h)
   let n_active_rows t = t.n_rows
   let n_skipped_rows t = t.skipped_rows

@@ -197,9 +197,6 @@ module Engine : sig
   (** Stored placements (backup territory pieces included) — the valid
       range of {!query_id} hits. *)
 
-  val stored_at : t -> int -> Stored.t
-  (** The stored placement behind a {!query_id} hit. *)
-
   val die : t -> int * int
 
   val new_session : unit -> session

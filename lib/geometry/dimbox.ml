@@ -179,10 +179,6 @@ let equal a b =
   && Array.for_all2 Interval.equal a.w b.w
   && Array.for_all2 Interval.equal a.h b.h
 
-let pp_axis fmt = function
-  | Width i -> Format.fprintf fmt "w%d" i
-  | Height i -> Format.fprintf fmt "h%d" i
-
 let pp fmt t =
   Format.fprintf fmt "@[<h>";
   for i = 0 to n_blocks t - 1 do

@@ -96,4 +96,3 @@ val random_dims_into : Mps_rng.Rng.t -> t -> w:int array -> h:int array -> unit
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_axis : Format.formatter -> axis -> unit

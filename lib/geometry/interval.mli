@@ -12,9 +12,6 @@ type t = private { lo : int; hi : int }
 val make : int -> int -> t
 (** [make lo hi] builds [lo..hi].  @raise Invalid_argument if [lo > hi]. *)
 
-val make_opt : int -> int -> t option
-(** [make_opt lo hi] is [Some (make lo hi)] when [lo <= hi], else [None]. *)
-
 val point : int -> t
 (** [point v] is the singleton interval [v..v]. *)
 

@@ -14,17 +14,6 @@ let scale t k =
   | Capacitor { c_ff } -> Capacitor { c_ff = c_ff *. k }
   | Resistor { r_ohm } -> Resistor { r_ohm = r_ohm *. k }
 
-let gate_area_um2 = function
-  | Mos { w_um; l_um } -> w_um *. l_um
-  | Mos_pair { w_um; l_um } -> 2.0 *. w_um *. l_um
-  | Mos_quad { w_um; l_um } -> 4.0 *. w_um *. l_um
-  | Capacitor { c_ff } ->
-    (* plate area at the default density: 1 fF = 1000 aF over 1000 aF/µm² *)
-    c_ff
-  | Resistor { r_ohm } ->
-    (* strips of 50 Ω/sq, 0.7 µm wide: area = squares * width² *)
-    r_ohm /. 50.0 *. 0.49
-
 let pp fmt = function
   | Mos { w_um; l_um } -> Format.fprintf fmt "mos(W=%.2fu L=%.2fu)" w_um l_um
   | Mos_pair { w_um; l_um } -> Format.fprintf fmt "pair(W=%.2fu L=%.2fu)" w_um l_um

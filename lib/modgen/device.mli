@@ -19,9 +19,5 @@ val scale : t -> float -> t
 (** [scale d k] multiplies the electrical size ([w_um], [c_ff] or
     [r_ohm]) by [k > 0]; gate length is left unchanged. *)
 
-val gate_area_um2 : t -> float
-(** Total active gate area for MOS devices, plate area for capacitors,
-    strip area for resistors (µm²). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

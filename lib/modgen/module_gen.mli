@@ -15,9 +15,6 @@
 
 open Mps_geometry
 
-val max_fingers : int
-(** Upper bound on folding explored (32). *)
-
 val realizations : Process.t -> Device.t -> (int * int) list
 (** All realizable [(width, height)] grid dimensions for the device,
     one per folding / aspect choice, sorted by increasing width, without

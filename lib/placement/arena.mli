@@ -16,7 +16,7 @@
     - slot-indexed [Rect.t] and [int] buffers, refilled in place.
 
     Ownership contract: an arena is single-threaded scratch.  Index a
-    pool fan-out's arenas by the [map_chunked] worker slot — the pool
+    pool fan-out's arenas by the {!Mps_parallel.Pool.map} worker slot — the pool
     guarantees no two concurrently running tasks share a slot.  Nothing
     reached through an arena may influence results (engine [reset] is
     bit-exact; buffers are fully overwritten before being read), so

@@ -42,8 +42,6 @@ val overflow : t -> int
 (** Total usage above capacity, summed over cells — the congestion
     measure. *)
 
-val in_grid : t -> int * int -> bool
-
 val neighbors : t -> int * int -> (int * int) list
 (** The 4-connected unblocked neighbours. *)
 

@@ -167,10 +167,6 @@ type worker_state =
   | W_restarting  (** Crashed; a backoff-delayed respawn is pending. *)
   | W_disabled  (** Parked by the circuit breaker (degraded mode). *)
 
-val worker_state_to_int : worker_state -> int
-val worker_state_of_int : int -> worker_state option
-val worker_state_to_string : worker_state -> string
-
 type worker_health = {
   w_state : worker_state;
   w_restarts : int;  (** Times this slot has been respawned. *)

@@ -243,7 +243,7 @@ let test_batch_matches_sequential c structure =
         (lo, ((i + 1) * Array.length dims / chunks) - lo))
   in
   Mps_parallel.Pool.with_pool ~jobs:3 (fun pool ->
-      let pooled = Array.concat (Array.to_list (Mps_parallel.Pool.map pool serve ranges)) in
+      let pooled = Array.concat (Array.to_list (Mps_parallel.Pool.map pool (fun ~worker:_ -> serve) ranges)) in
       check_bool (c.Circuit.name ^ ": pooled batch") true
         (Array.map fst pooled = expected);
       Array.iteri

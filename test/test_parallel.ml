@@ -13,6 +13,8 @@ let check_int = Alcotest.(check int)
 
 (* pool basics *)
 
+let square ~worker:_ i = i * i
+
 let test_map_order () =
   let tasks = Array.init 97 Fun.id in
   let expected = Array.map (fun i -> i * i) tasks in
@@ -22,28 +24,35 @@ let test_map_order () =
           check_bool
             (Printf.sprintf "map with %d jobs preserves task order" jobs)
             true
-            (Pool.map pool (fun i -> i * i) tasks = expected)))
+            (Pool.map pool square tasks = expected)))
     [ 1; 2; 3; 4 ]
 
 let test_map_exception_lowest_index () =
   Pool.with_pool ~jobs:4 (fun pool ->
       match
         Pool.map pool
-          (fun i -> if i >= 5 then failwith (string_of_int i) else i)
+          (fun ~worker:_ i -> if i >= 5 then failwith (string_of_int i) else i)
           (Array.init 64 Fun.id)
       with
       | _ -> Alcotest.fail "expected the batch to raise"
       | exception Failure msg ->
         check_bool "lowest failing task index re-raised" true (msg = "5"))
 
-let test_map_reduce_fold_order () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let r =
-        Pool.map_reduce pool ~map:string_of_int
-          ~fold:(fun acc s -> acc ^ "," ^ s)
-          ~init:"" (Array.init 10 Fun.id)
-      in
-      check_bool "folded sequentially in task order" true (r = ",0,1,2,3,4,5,6,7,8,9"))
+(* A failed batch leaves nothing behind: the next batch on the same
+   pool runs every task and raises nothing. *)
+let test_pool_reusable_after_failure () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          (match Pool.map pool (fun ~worker:_ _ -> failwith "boom") (Array.make 9 ()) with
+          | _ -> Alcotest.fail "expected the batch to raise"
+          | exception Failure _ -> ());
+          let tasks = Array.init 33 Fun.id in
+          check_bool
+            (Printf.sprintf "jobs=%d batch after a failure completes in order" jobs)
+            true
+            (Pool.map pool square tasks = Array.map (fun i -> i * i) tasks)))
+    [ 1; 3 ]
 
 let test_pool_misuse_rejected () =
   check_bool "jobs = 0 rejected" true
@@ -52,126 +61,86 @@ let test_pool_misuse_rejected () =
        false
      with Invalid_argument _ -> true);
   check_bool "default_jobs at least 1" true (Pool.default_jobs () >= 1);
-  check_bool "chunk = 0 rejected" true
-    (Pool.with_pool ~jobs:2 (fun pool ->
-         try
-           ignore (Pool.map_chunked pool ~chunk:0 (fun ~worker:_ i -> i) [| 1 |]);
-           false
-         with Invalid_argument _ -> true));
-  (* shutdown is idempotent *)
+  (* shutdown is idempotent, and a shut-down pool refuses work *)
   let pool = Pool.create ~jobs:2 () in
   Pool.shutdown pool;
-  Pool.shutdown pool
+  Pool.shutdown pool;
+  check_bool "use after shutdown rejected" true
+    (try
+       ignore (Pool.map pool square [| 1 |]);
+       false
+     with Invalid_argument _ -> true)
 
-(* map_chunked: any (jobs, chunk) pair delivers results in task order,
-   and every task sees a worker slot inside [0, jobs). *)
-let test_map_chunked_order_and_slots () =
+(* map: at any job count results arrive in task order, and every task
+   sees a worker slot inside [0, jobs). *)
+let test_map_order_and_slots () =
   let n = 101 in
   let tasks = Array.init n Fun.id in
   let expected = Array.map (fun i -> 3 * i) tasks in
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              let slots = Array.make n (-1) in
-              let got =
-                Pool.map_chunked pool ~chunk
-                  (fun ~worker i ->
-                    slots.(i) <- worker;
-                    3 * i)
-                  tasks
-              in
-              check_bool
-                (Printf.sprintf "jobs=%d chunk=%d results in task order" jobs chunk)
-                true (got = expected);
-              check_bool
-                (Printf.sprintf "jobs=%d chunk=%d worker slots in range" jobs chunk)
-                true
-                (Array.for_all (fun w -> w >= 0 && w < jobs) slots))
-            [ 1; 3; 64; 200 ]))
+          let slots = Array.make n (-1) in
+          let got =
+            Pool.map pool
+              (fun ~worker i ->
+                slots.(i) <- worker;
+                3 * i)
+              tasks
+          in
+          check_bool (Printf.sprintf "jobs=%d results in task order" jobs) true (got = expected);
+          check_bool
+            (Printf.sprintf "jobs=%d worker slots in range" jobs)
+            true
+            (Array.for_all (fun w -> w >= 0 && w < jobs) slots)))
     [ 1; 2; 3 ]
 
 (* Scheduler counters: every task is accounted to exactly one worker,
-   and reset_stats zeroes the lot. *)
+   every worker joins every batch, and reset_stats zeroes the lot. *)
 let test_pool_stats_accounting () =
   Pool.with_pool ~jobs:3 (fun pool ->
       Pool.reset_stats pool;
       let n = 57 in
-      ignore (Pool.map_chunked pool ~chunk:2 (fun ~worker:_ i -> i) (Array.init n Fun.id));
+      ignore (Pool.map pool square (Array.init n Fun.id));
+      ignore (Pool.map pool square (Array.init 2 Fun.id));
       let stats = pool |> Pool.stats in
       let total_tasks = Array.fold_left (fun acc s -> acc + s.Pool.tasks) 0 stats in
-      let total_chunks = Array.fold_left (fun acc s -> acc + s.Pool.chunks) 0 stats in
-      check_bool "tasks across workers sum to the batch size" true (total_tasks = n);
-      check_bool "at least one chunk was claimed" true (total_chunks >= 1);
-      check_bool "chunks never exceed tasks" true (total_chunks <= total_tasks);
+      check_bool "tasks across workers sum to the batch sizes" true (total_tasks = n + 2);
+      check_bool "every worker joined both batches" true
+        (Array.for_all (fun s -> s.Pool.batches = 2) stats);
       check_bool "busy time is non-negative" true
         (Array.for_all (fun s -> s.Pool.busy_seconds >= 0.0) stats);
       Pool.reset_stats pool;
       check_bool "reset_stats zeroes every counter" true
         (Array.for_all
            (fun s ->
-             s.Pool.tasks = 0 && s.Pool.chunks = 0 && s.Pool.steals = 0
-             && s.Pool.batches = 0 && s.Pool.minor_words = 0.0
-             && s.Pool.busy_seconds = 0.0)
+             s.Pool.tasks = 0 && s.Pool.steals = 0 && s.Pool.batches = 0
+             && s.Pool.minor_words = 0.0 && s.Pool.busy_seconds = 0.0)
            (Pool.stats pool)))
 
-(* Auto-tuned scheduling grain ({!Pool.chunk_divisor}): starts at 8,
-   moves only on default-grain parallel batches, doubles under heavy
-   stealing until the clamp at 32, and never changes what a batch
-   returns. *)
-let test_chunk_divisor_tuning () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      check_bool "divisor starts at 8" true (Pool.chunk_divisor pool = 8);
-      ignore (Pool.map pool (fun i -> i + 1) (Array.init 300 Fun.id));
-      check_bool "sequential batches never retune" true (Pool.chunk_divisor pool = 8));
-  Pool.with_pool ~jobs:2 (fun pool ->
-      (* an explicit grain bypasses the tuner outright *)
-      ignore
-        (Pool.map_chunked pool ~chunk:1 (fun ~worker:_ i -> i) (Array.init 256 Fun.id));
-      check_bool "explicit chunk never retunes" true (Pool.chunk_divisor pool = 8);
-      (* Force heavy stealing, deterministically: task 0 refuses to
-         finish until the first task of the *second* chunk of its own
-         worker's range has run.  Its owner is stuck behind task 0, and
-         a thief pops chunks off the *back* of the victim's range — so
-         that task runs only once the thief has stolen every chunk of
-         the range but the first.  Each round is therefore a
-         steal-heavy batch (at least 7 of 16 claims are steals): the
-         divisor doubles until the clamp, and the results never
-         change. *)
-      let n = 64 in
-      let tasks = Array.init n Fun.id in
-      let expected = Array.map (fun i -> i * 7) tasks in
-      for round = 1 to 5 do
-        let chunk = max 1 (n / (2 * Pool.chunk_divisor pool)) in
-        let unblock = Atomic.make false in
-        let f i =
-          if i = chunk then Atomic.set unblock true
-          else if i = 0 then
-            while not (Atomic.get unblock) do
-              Domain.cpu_relax ()
-            done;
-          i * 7
-        in
-        let got = Pool.map pool f tasks in
-        check_bool
-          (Printf.sprintf "round %d results in task order" round)
-          true (got = expected);
-        let d = Pool.chunk_divisor pool in
-        check_bool
-          (Printf.sprintf "round %d divisor within [2, 32]" round)
-          true
-          (d >= 2 && d <= 32)
-      done;
-      check_bool "steals were forced" true
-        (Array.exists (fun s -> s.Pool.steals > 0) (Pool.stats pool));
-      check_bool "steal-heavy batches tuned the grain to the clamp" true
-        (Pool.chunk_divisor pool = 32);
-      (* the tuned pool still returns bit-identical results *)
-      let big = Array.init 257 Fun.id in
-      check_bool "tuned pool matches sequential results" true
-        (Pool.map pool (fun i -> (i * 31) land 1023) big
-        = Array.map (fun i -> (i * 31) land 1023) big))
+(* A blocked task never holds back the rest of its batch: task 0 spins
+   until the last task has run, so the batch finishes only if the other
+   workers drain every other task while task 0's worker is stuck. *)
+let test_blocked_task_does_not_stall_batch () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let n = 64 in
+          let last_ran = Atomic.make false in
+          let f ~worker:_ i =
+            if i = n - 1 then Atomic.set last_ran true
+            else if i = 0 then
+              while not (Atomic.get last_ran) do
+                Domain.cpu_relax ()
+              done;
+            i * 7
+          in
+          let tasks = Array.init n Fun.id in
+          check_bool
+            (Printf.sprintf "jobs=%d batch finishes in task order" jobs)
+            true
+            (Pool.map pool f tasks = Array.map (fun i -> i * 7) tasks)))
+    [ 2; 3 ]
 
 (* default_jobs is the host's recommended domain count, capped at 8
    and at least 1 — exact on any machine. *)
@@ -480,15 +449,15 @@ let suite =
   [
     ("pool map preserves task order at any job count", `Quick, test_map_order);
     ("pool re-raises the lowest failing task", `Quick, test_map_exception_lowest_index);
-    ("map_reduce folds in task order", `Quick, test_map_reduce_fold_order);
+    ("pool runs the next batch after a failed one", `Quick,
+     test_pool_reusable_after_failure);
     ("pool misuse rejected, shutdown idempotent", `Quick, test_pool_misuse_rejected);
-    ("map_chunked keeps task order, slots in range", `Quick,
-     test_map_chunked_order_and_slots);
+    ("map keeps task order, slots in range", `Quick, test_map_order_and_slots);
     ("scheduler stats account for every task", `Quick, test_pool_stats_accounting);
     ("default_jobs cap: min(8, recommended domains), at least 1", `Quick,
       test_default_jobs_cap);
-    ("auto-tuned grain: doubles under stealing, clamps, bypassed, identical", `Quick,
-     test_chunk_divisor_tuning);
+    ("a blocked task never stalls its batch", `Quick,
+     test_blocked_task_does_not_stall_batch);
     ("move LUT draw path allocates nothing", `Quick,
      test_move_lut_draws_do_not_allocate);
     ("parallel generation bit-identical at 1/2/3/8 jobs", `Quick,
