@@ -88,13 +88,15 @@ let circuit_arg =
     & info [] ~docv:"CIRCUIT" ~doc:"Benchmark circuit name from Table 1 (see $(b,mpsgen list)).")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Mps_parallel.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel phases (default: the machine's recommended \
-           domain count, capped at 8).  Results are bit-identical at any job count.")
+  Term.map
+    (fun jobs -> if jobs < 1 then die "--jobs must be at least 1" else jobs)
+    Arg.(
+      value
+      & opt int (Mps_parallel.Pool.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the parallel phases (default: the machine's recommended \
+             domain count, capped at 8).  Results are bit-identical at any job count.")
 
 (* list *)
 
@@ -577,7 +579,7 @@ let samples_arg =
 let audit_seed_arg =
   Arg.(
     value
-    & opt int 7
+    & opt int Audit.default_seed
     & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for the audit's sampled checks.")
 
 let report_out_arg =
@@ -602,11 +604,9 @@ let audit_cmd =
 
 let repair circuit path reanneal out jobs =
   let structure = load_salvaged ~circuit ~path in
-  let config =
-    { Repair.default_config with Repair.reanneal_iterations = reanneal }
-  in
   let outcome =
-    Mps_parallel.Pool.with_pool ~jobs (fun pool -> Repair.run ~pool ~config structure)
+    Mps_parallel.Pool.with_pool ~jobs (fun pool ->
+        Repair.run ~pool ~reanneal_iterations:reanneal structure)
   in
   print_string (Audit.to_string outcome.Repair.before);
   Format.printf "%s@." (Repair.describe outcome);
@@ -655,9 +655,8 @@ let route circuit budget point =
     (Array.length routing.Mps_route.Router.nets) routing.Mps_route.Router.total_length
     routing.Mps_route.Router.failed_nets routing.Mps_route.Router.overflow;
   let grid =
-    Mps_route.Route_grid.create ~die_w ~die_h
-      ~cell:Mps_route.Router.default_config.Mps_route.Router.cell
-      ~capacity:Mps_route.Router.default_config.Mps_route.Router.capacity rects
+    Mps_route.Route_grid.create ~die_w ~die_h ~cell:Mps_route.Router.cell
+      ~capacity:Mps_route.Router.capacity rects
   in
   let wire_points =
     Array.to_list routing.Mps_route.Router.nets

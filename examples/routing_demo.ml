@@ -48,8 +48,7 @@ let () =
 
   (* Wire overlay. *)
   let grid =
-    Route_grid.create ~die_w ~die_h ~cell:Router.default_config.Router.cell
-      ~capacity:Router.default_config.Router.capacity rects
+    Route_grid.create ~die_w ~die_h ~cell:Router.cell ~capacity:Router.capacity rects
   in
   let wire_points =
     Array.to_list routing.Router.nets

@@ -1,45 +1,7 @@
-open Mps_geometry
-open Mps_anneal
 open Mps_placement
 
-type config = {
-  iterations : int;
-  schedule : Schedule.t;
-  weights : Mps_cost.Cost.weights;
-  swap_probability : float;
-  max_shift_fraction : float;
-}
-
-let default_config =
-  {
-    iterations = Coord_opt.default_config.Coord_opt.iterations;
-    schedule = Coord_opt.default_config.Coord_opt.schedule;
-    weights = Coord_opt.default_config.Coord_opt.weights;
-    swap_probability = Coord_opt.default_config.Coord_opt.swap_probability;
-    max_shift_fraction = Coord_opt.default_config.Coord_opt.max_shift_fraction;
-  }
-
-type result = {
-  rects : Rect.t array;
-  cost : float;
-  legal : bool;
-  evaluations : int;
-}
-
-let place ?(config = default_config) ~rng circuit ~die_w ~die_h dims =
-  let coord_config =
-    {
-      Coord_opt.iterations = config.iterations;
-      schedule = config.schedule;
-      weights = config.weights;
-      swap_probability = config.swap_probability;
-      max_shift_fraction = config.max_shift_fraction;
-    }
-  in
-  let r = Coord_opt.optimize ~config:coord_config ~rng circuit ~die_w ~die_h dims in
-  {
-    rects = r.Coord_opt.rects;
-    cost = r.Coord_opt.cost;
-    legal = r.Coord_opt.legal;
-    evaluations = r.Coord_opt.evaluations;
-  }
+let place ?(iterations = Coord_opt.default_config.Coord_opt.iterations) ~rng circuit ~die_w
+    ~die_h dims =
+  Coord_opt.optimize
+    ~config:{ Coord_opt.default_config with Coord_opt.iterations }
+    ~rng circuit ~die_w ~die_h dims

@@ -10,25 +10,15 @@ open Mps_rng
 open Mps_geometry
 open Mps_netlist
 
-type config = {
-  iterations : int;
-  schedule : Mps_anneal.Schedule.t;
-  weights : Mps_cost.Cost.weights;
-  swap_probability : float;  (** Chance a move swaps two blocks. *)
-  max_shift_fraction : float;  (** Displacement range as a die fraction. *)
-}
-
-val default_config : config
-(** 4000 iterations — deliberately heavyweight, like the tools it
-    stands in for. *)
-
-type result = {
-  rects : Rect.t array;
-  cost : float;  (** Weighted cost of [rects]. *)
-  legal : bool;
-  evaluations : int;
-}
-
 val place :
-  ?config:config -> rng:Rng.t -> Circuit.t -> die_w:int -> die_h:int -> Dims.t -> result
-(** Place the circuit with the given concrete dimensions. *)
+  ?iterations:int ->
+  rng:Rng.t ->
+  Circuit.t ->
+  die_w:int ->
+  die_h:int ->
+  Dims.t ->
+  Mps_placement.Coord_opt.result
+(** Place the circuit with the given concrete dimensions: one
+    {!Mps_placement.Coord_opt.optimize} run from random corners with
+    its default settings, [iterations] annealing steps (default 4000 —
+    deliberately heavyweight, like the tools it stands in for). *)

@@ -10,12 +10,10 @@ type t = {
 
 let build ?(iterations = 2000) ~rng circuit ~die_w ~die_h =
   let nominal = Mps_geometry.Dimbox.center (Circuit.dim_bounds circuit) in
-  let sa =
-    Sa_placer.place
-      ~config:{ Sa_placer.default_config with iterations }
-      ~rng circuit ~die_w ~die_h nominal
+  let sa = Sa_placer.place ~iterations ~rng circuit ~die_w ~die_h nominal in
+  let coords =
+    Array.map (fun r -> (r.Rect.x, r.Rect.y)) sa.Mps_placement.Coord_opt.rects
   in
-  let coords = Array.map (fun r -> (r.Rect.x, r.Rect.y)) sa.Sa_placer.rects in
   { circuit; coords; die_w; die_h }
 
 let die t = (t.die_w, t.die_h)

@@ -60,15 +60,22 @@ let count severity report =
    a Fatal [audit-exception] finding on the subject it was checking,
    which is what quarantine acts on. *)
 
-let legal_breakdown ~weights circuit ~die_w ~die_h rects =
-  let b = Cost.evaluate ~weights circuit ~die_w ~die_h rects in
+let legal_breakdown circuit ~die_w ~die_h rects =
+  let b = Cost.evaluate circuit ~die_w ~die_h rects in
   (b.Cost.overlap_area, b.Cost.oob_area)
 
 (* Sizing-walk probe steps per audit. *)
 let walk_steps = 256
 
-let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
-    ?(query_samples = 64) ?(seed = 7) ?(tolerance = 1e-6) structure =
+(* Whole-space query probes per audit. *)
+let query_samples = 64
+
+(* Relative tolerance of the cost-field re-verification. *)
+let tolerance = 1e-6
+
+let default_seed = 7
+
+let run ?pool ?(samples_per_box = 12) ?(seed = default_seed) structure =
   let circuit = Structure.circuit structure in
   let die_w, die_h = Structure.die structure in
   let bounds = Circuit.dim_bounds circuit in
@@ -139,7 +146,7 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
           if in_expansion then Stored.instantiate s dims
           else Stored.instantiate_repacked s dims
         in
-        let overlap, oob = legal_breakdown ~weights circuit ~die_w ~die_h rects in
+        let overlap, oob = legal_breakdown circuit ~die_w ~die_h rects in
         if overlap > 0 then
           add Fatal subject "illegal-floorplan" "%s: %d units of block overlap" tag overlap;
         if oob > 0 then
@@ -163,7 +170,7 @@ let run ?pool ?(weights = Cost.default_weights) ?(samples_per_box = 12)
         || not (Float.is_finite s.Stored.best_cost)
       then add Degraded subject "non-finite-cost" "avg/best cost not finite"
       else begin
-        let recomputed = Bdio.cost_of_dims ~weights circuit p s.Stored.best_dims in
+        let recomputed = Bdio.cost_of_dims circuit p s.Stored.best_dims in
         if
           Float.abs (recomputed -. s.Stored.best_cost)
           > tolerance *. Float.max 1.0 (Float.abs s.Stored.best_cost)

@@ -32,8 +32,6 @@
     Findings carry a machine-readable code and a severity; the report
     serializes to JSON for CI artifacts ({!to_json}). *)
 
-open Mps_cost
-
 (** How bad a finding is.  [Fatal] means the structure can answer a
     query with an illegal or wrong placement (quarantine it); [Degraded]
     means answers stay legal but quality metadata or territory
@@ -62,22 +60,17 @@ type report = {
   findings : finding list;  (** Worst first. *)
 }
 
+val default_seed : int
+(** [7], {!run}'s default [seed]; {!Repair} seeds its re-annealing
+    streams with it too. *)
+
 val run :
-  ?pool:Mps_parallel.Pool.t ->
-  ?weights:Cost.weights ->
-  ?samples_per_box:int ->
-  ?query_samples:int ->
-  ?seed:int ->
-  ?tolerance:float ->
-  Structure.t ->
-  report
-(** Audit a structure.  [weights] (default
-    {!Mps_cost.Cost.default_weights}) must be the weights the structure
-    was generated under for the cost re-verification to be meaningful.
-    [samples_per_box] (default 12) seeded legality samples per stored
-    box, [query_samples] (default 64) whole-space query probes, [seed]
-    (default 7) drives both, [tolerance] (default 1e-6) is the relative
-    tolerance of the cost re-verification.  Never raises: a check that
+  ?pool:Mps_parallel.Pool.t -> ?samples_per_box:int -> ?seed:int -> Structure.t -> report
+(** Audit a structure.  [samples_per_box] (default 12) seeded legality
+    samples per stored box, 64 whole-space query probes, [seed]
+    (default {!default_seed}) drives both; the cost re-verification
+    re-evaluates {!Mps_cost.Cost.total} with a relative tolerance of
+    1e-6.  Never raises: a check that
     raises on placement [i] or the backup becomes a [Fatal]
     ["audit-exception"] finding on that subject, as a query probe that
     raises becomes a ["query-exception"].

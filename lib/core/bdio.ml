@@ -10,20 +10,14 @@ type shrink_rule =
 
 type config = {
   iterations : int;
-  perturb_fraction : float;
-  schedule : Schedule.t;
-  weights : Mps_cost.Cost.weights;
   shrink : shrink_rule;
 }
 
-let default_config =
-  {
-    iterations = 400;
-    perturb_fraction = 0.3;
-    schedule = Schedule.geometric ~t0:200.0 ~alpha:0.97 ~t_min:1e-3 ();
-    weights = Mps_cost.Cost.default_weights;
-    shrink = Cost_ratio;
-  }
+let default_config = { iterations = 400; shrink = Cost_ratio }
+
+(* Share of the 2N dimension entries re-drawn per move. *)
+let perturb_fraction = 0.3
+let schedule = Schedule.geometric ~t0:200.0 ~alpha:0.97 ~t_min:1e-3 ()
 
 type result = {
   box : Dimbox.t;
@@ -33,9 +27,9 @@ type result = {
   evaluations : int;
 }
 
-let cost_of_dims ~weights circuit placement dims =
+let cost_of_dims circuit placement dims =
   let rects = Placement.rects placement dims in
-  Mps_cost.Cost.total ~weights circuit ~die_w:placement.Placement.die_w
+  Mps_cost.Cost.total circuit ~die_w:placement.Placement.die_w
     ~die_h:placement.Placement.die_h rects
 
 let shrink_interval ~factor iv best =
@@ -100,10 +94,7 @@ let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
   let die_w = placement.Placement.die_w and die_h = placement.Placement.die_h in
   let init_rects = Arena.rect_buffer arena ~slot:0 n in
   Placement.rects_into init_rects placement initial;
-  let eng =
-    Arena.engine ~overlap_free:true arena ~weights:config.weights circuit ~die_w ~die_h
-      init_rects
-  in
+  let eng = Arena.engine ~overlap_free:true arena circuit ~die_w ~die_h init_rects in
   let lut =
     Move_lut.make ~n:n_axes
       ~lo:(fun a ->
@@ -113,9 +104,7 @@ let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
         Interval.hi
           (if a < n then Dimbox.w_interval box a else Dimbox.h_interval box (a - n)))
   in
-  let k =
-    max 1 (int_of_float (ceil (config.perturb_fraction *. float_of_int n_axes)))
-  in
+  let k = max 1 (int_of_float (ceil (perturb_fraction *. float_of_int n_axes))) in
   if k > n_axes then
     invalid_arg "Bdio.optimize: perturb_fraction selects more axes than exist";
   (* Preallocated proposal buffers: the axes hit this move and their
@@ -177,7 +166,7 @@ let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
   let sa =
     Annealer.run_moves
       ~on_improve:(fun ~cost:_ ~step:_ -> snapshot_best ())
-      ~rng ~schedule:config.schedule ~iterations:config.iterations
+      ~rng ~schedule ~iterations:config.iterations
       ~initial_cost:totals.cur
       { Annealer.propose; delta_cost; commit; reject }
   in
@@ -185,7 +174,7 @@ let optimize ?(config = default_config) ?arena ~rng circuit placement ~box =
   (* the reported best is a fresh full evaluation (exact, no delta
      drift); the average keeps the annealer's bookkeeping, floored so
      the [avg_cost >= best_cost] contract survives float drift *)
-  let best_cost = cost_of_dims ~weights:config.weights circuit placement best_dims in
+  let best_cost = cost_of_dims circuit placement best_dims in
   let avg_cost = Float.max sa.Annealer.mv_average_cost best_cost in
   let reduced = shrink_box ~rule:config.shrink ~box ~best_dims ~avg_cost ~best_cost in
   {

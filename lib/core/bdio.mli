@@ -25,16 +25,11 @@ type shrink_rule =
 
 type config = {
   iterations : int;  (** SA steps (the paper's user-set iteration count). *)
-  perturb_fraction : float;
-      (** Share of the [2N] dimension entries re-drawn per move. *)
-  schedule : Mps_anneal.Schedule.t;
-  weights : Mps_cost.Cost.weights;
   shrink : shrink_rule;
 }
 
 val default_config : config
-(** 400 iterations, 30% perturbation, geometric cooling, default cost
-    weights, [Cost_ratio] shrinking. *)
+(** 400 iterations, [Cost_ratio] shrinking. *)
 
 type result = {
   box : Dimbox.t;  (** The reduced dimension intervals. *)
@@ -44,9 +39,8 @@ type result = {
   evaluations : int;  (** Cost evaluations performed (initial + moves). *)
 }
 
-val cost_of_dims :
-  weights:Mps_cost.Cost.weights -> Circuit.t -> Placement.t -> Dims.t -> float
-(** The Cost Calculator: weighted wirelength + area of the instantiated
+val cost_of_dims : Circuit.t -> Placement.t -> Dims.t -> float
+(** The Cost Calculator: {!Mps_cost.Cost.total} of the instantiated
     floorplan. *)
 
 val shrink_box :
@@ -66,7 +60,9 @@ val optimize :
   rng:Rng.t -> Circuit.t -> Placement.t -> box:Dimbox.t -> result
 (** Run the full BDIO on one expanded placement.  The returned box is
     contained in the input box and contains [best_dims]; [avg_cost >=
-    best_cost].
+    best_cost].  Every move re-draws 30% of the [2N] dimension entries
+    (at least one), under geometric cooling (t0 200, alpha 0.97, t_min
+    1e-3).
 
     Axis intervals are compiled once per run into a
     {!Mps_anneal.Move_lut}, making each move's axis selection and

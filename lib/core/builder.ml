@@ -4,10 +4,6 @@ open Mps_netlist
 type t = {
   circuit : Circuit.t;
   bounds : Dimbox.t;
-  weights : Mps_cost.Cost.weights;
-      (** Cost weights the stored quality fields were computed under;
-          used to refresh [best_cost] when shrinking moves a
-          placement's [best_dims]. *)
   mutable slots : Stored.t option array;
   mutable n_slots : int;  (** Slots ever allocated; tombstones included. *)
   stride : int;  (** [2N]: axis codes per slot. *)
@@ -25,12 +21,11 @@ type t = {
 
 let initial_slots = 16
 
-let create ?(weights = Mps_cost.Cost.default_weights) circuit =
+let create circuit =
   let stride = 2 * Circuit.n_blocks circuit in
   {
     circuit;
     bounds = Circuit.dim_bounds circuit;
-    weights;
     slots = Array.make initial_slots None;
     n_slots = 0;
     stride;
@@ -173,7 +168,7 @@ let with_box_refreshed t stored box =
     let p = shrunk.Stored.placement in
     let rects = Mps_placement.Placement.rects p shrunk.Stored.best_dims in
     let best_cost =
-      Mps_cost.Cost.total ~weights:t.weights t.circuit
+      Mps_cost.Cost.total t.circuit
         ~die_w:p.Mps_placement.Placement.die_w ~die_h:p.Mps_placement.Placement.die_h
         rects
     in

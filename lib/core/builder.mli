@@ -15,12 +15,11 @@ open Mps_netlist
 
 type t
 
-val create : ?weights:Mps_cost.Cost.weights -> Circuit.t -> t
-(** [weights] (default {!Mps_cost.Cost.default_weights}) are the cost
-    weights the stored quality fields were computed under; when Resolve
-    Overlaps shrinks a box and the clamp moves a placement's
-    [best_dims], its [best_cost] is recomputed under these weights so
-    the (vector, cost) pair stays re-verifiable ({!Audit}). *)
+val create : Circuit.t -> t
+(** An empty builder.  When Resolve Overlaps shrinks a box and the
+    clamp moves a placement's [best_dims], its [best_cost] is
+    recomputed ({!Mps_cost.Cost.total}) so the (vector, cost) pair
+    stays re-verifiable ({!Audit}). *)
 
 val circuit : t -> Circuit.t
 

@@ -6,28 +6,16 @@ open Mps_anneal
 
 type config = {
   seed : int;
-  die_slack : float;
   explorer_iterations : int;
-  explorer_schedule : Schedule.t;
-  perturb_fraction : float;
-  max_shift_fraction : float;
   bdio : Bdio.config;
   coverage_target : float;
   max_placements : int;
   backup_iterations : int;
-  backup_restarts : int;
-      (** Independent coordinate-annealing restarts for the backup
-          template; the best one wins.  The backup is the quality floor
-          for the whole structure (admission tests and every uncovered
-          query compare against it), so one unlucky annealing run must
-          not be allowed to set it. *)
   seed_walk_with_backup : bool;
   refine_iterations : int;
       (** Short coordinate-annealing refinement applied to each explorer
           candidate, each toward its own random target sizing; [0]
           disables it (the paper's literal walk). *)
-  explorer_restarts : int;
-  walk_chunk : int;
   checkpoint_every : int;
   checkpoint_path : string option;
   max_seconds : float option;
@@ -36,24 +24,39 @@ type config = {
 let default_config =
   {
     seed = 1;
-    die_slack = 1.0;
     explorer_iterations = 60;
-    explorer_schedule = Schedule.geometric ~t0:500.0 ~alpha:0.93 ~t_min:1e-3 ();
-    perturb_fraction = 0.25;
-    max_shift_fraction = 0.35;
     bdio = Bdio.default_config;
     coverage_target = 0.5;
     max_placements = 200;
     backup_iterations = 5000;
-    backup_restarts = 3;
     seed_walk_with_backup = true;
     refine_iterations = 2000;
-    explorer_restarts = 4;
-    walk_chunk = 4;
     checkpoint_every = 0;
     checkpoint_path = None;
     max_seconds = None;
   }
+
+(* The explorer's Metropolis temperature per walk step. *)
+let explorer_schedule = Schedule.geometric ~t0:500.0 ~alpha:0.93 ~t_min:1e-3 ()
+
+(* A perturbation moves this share of the blocks, each by at most this
+   fraction of the die's longer side. *)
+let perturb_fraction = 0.25
+let max_shift_fraction = 0.35
+
+(* Independent coordinate-annealing restarts for the backup template;
+   the best one wins.  The backup is the quality floor for the whole
+   structure (admission tests and every uncovered query compare against
+   it), so one unlucky annealing run must not be allowed to set it. *)
+let backup_restarts = 3
+
+(* Independent explorer walks of a lockstep run, and the steps each
+   advances per round before the merge.  Both are fixed (never derived
+   from the job count) so the merge order — and hence the structure —
+   is identical at any [jobs]; a resumed run reads them from its
+   checkpoint. *)
+let explorer_restarts = 4
+let walk_chunk = 4
 
 let fast_config =
   {
@@ -79,12 +82,11 @@ type stats = {
    does using the candidate (raw coordinates) beat re-packing the backup
    template at the same dimension vectors?  Point-matched sampling, so
    neither side gets to average over friendlier territory. *)
-let beats_backup_locally config rng circuit backup ~order candidate ~arena ~evals =
+let beats_backup_locally rng circuit backup ~order candidate ~arena ~evals =
   let samples = 32 in
   evals := !evals + (2 * samples);
   let die_w = candidate.Stored.placement.Placement.die_w in
   let die_h = candidate.Stored.placement.Placement.die_h in
-  let weights = config.bdio.Bdio.weights in
   (* Full evaluations go through the arena engine's [reset] (a
      from-scratch resync, bit-identical to [Cost.total] — the
      incremental evaluator mirrors its arithmetic term for term) so
@@ -95,7 +97,7 @@ let beats_backup_locally config rng circuit backup ~order candidate ~arena ~eval
      and a re-pack never overlaps. *)
   let cost rects =
     Mps_cost.Incremental.total
-      (Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h rects)
+      (Arena.engine ~overlap_free:true arena circuit ~die_w ~die_h rects)
   in
   (* Arena scratch: both floorplans and the sampled dimension vector
      live in per-worker buffers refilled per sample — this loop runs
@@ -136,9 +138,7 @@ let evaluate_candidate config rng circuit backup ~order placement ~arena ~evals 
       ~avg_cost:bdio.Bdio.avg_cost ~best_cost:bdio.Bdio.best_cost
       ~best_dims:bdio.Bdio.best_dims
   in
-  let admitted =
-    beats_backup_locally config rng circuit backup ~order candidate ~arena ~evals
-  in
+  let admitted = beats_backup_locally rng circuit backup ~order candidate ~arena ~evals in
   (candidate, bdio, admitted)
 
 (* Refine a candidate's coordinates with a short annealing run toward
@@ -149,12 +149,7 @@ let refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals placement =
   else begin
     let target = Dimbox.random_dims rng (Circuit.dim_bounds circuit) in
     let coord_config =
-      {
-        Coord_opt.default_config with
-        Coord_opt.iterations = cfg.refine_iterations;
-        weights = cfg.bdio.Bdio.weights;
-        max_shift_fraction = 0.2;
-      }
+      { Coord_opt.iterations = cfg.refine_iterations; max_shift_fraction = 0.2 }
     in
     let refined =
       Coord_opt.optimize ~config:coord_config ~arena ~initial:placement.Placement.coords
@@ -172,11 +167,7 @@ let refine_candidate cfg rng circuit ~die_w ~die_h ~arena ~evals placement =
    annealing runs (fanned out in [build_backup] below), finalized here. *)
 
 let backup_coord_config config =
-  {
-    Coord_opt.default_config with
-    Coord_opt.iterations = config.backup_iterations;
-    weights = config.bdio.Bdio.weights;
-  }
+  { Coord_opt.default_config with Coord_opt.iterations = config.backup_iterations }
 
 let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
     (optimized : Coord_opt.result) =
@@ -218,8 +209,7 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
       total :=
         !total
         +. Mps_cost.Incremental.total
-             (Arena.engine ~overlap_free:true arena ~weights:config.bdio.Bdio.weights
-                circuit ~die_w ~die_h buf)
+             (Arena.engine ~overlap_free:true arena circuit ~die_w ~die_h buf)
     done;
     !total /. float_of_int samples
   in
@@ -230,7 +220,7 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
 
 (* ---- The explorer: deterministic lockstep walks (DESIGN.md §9) ----
 
-   The task list is fixed by the config alone: [backup_restarts]
+   The task list is fixed by constants alone: [backup_restarts]
    coordinate-annealing tasks, then [explorer_restarts] independent
    Metropolis walks advanced in lockstep rounds of [walk_chunk] steps
    each.  Every task draws from its own stream ([Rng.split] by task
@@ -256,7 +246,6 @@ let best_backup config rng circuit ~die_w ~die_h ~arena ~evals results =
 let build_backup pool arenas config root circuit ~die_w ~die_h ~evals =
   let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
   let coord_config = backup_coord_config config in
-  let restarts = max 1 config.backup_restarts in
   (* A handful of heavyweight annealing runs, one task each.  The
      worker slot picks the arena; which worker runs a restart never
      changes its result. *)
@@ -266,11 +255,11 @@ let build_backup pool arenas config root circuit ~die_w ~die_h ~evals =
         let rng = Rng.split root k in
         Coord_opt.optimize ~config:coord_config ~arena:arenas.(worker) ~rng circuit
           ~die_w ~die_h nominal)
-      (Array.init restarts Fun.id)
+      (Array.init backup_restarts Fun.id)
   in
   (* finalization runs on the calling domain — its usual slot is the
      last one, but any arena would do (results never depend on one) *)
-  best_backup config (Rng.split root restarts) circuit ~die_w ~die_h
+  best_backup config (Rng.split root backup_restarts) circuit ~die_w ~die_h
     ~arena:arenas.(Array.length arenas - 1) ~evals results
 
 (* The single walk's backup: the restarts run one after another on the
@@ -280,18 +269,18 @@ let build_backup_shared config rng circuit ~die_w ~die_h ~arena ~evals =
   let nominal = Dimbox.center (Circuit.dim_bounds circuit) in
   let coord_config = backup_coord_config config in
   best_backup config rng circuit ~die_w ~die_h ~arena ~evals
-    (Array.init (max 1 config.backup_restarts) (fun _ ->
+    (Array.init backup_restarts (fun _ ->
          Coord_opt.optimize ~config:coord_config ~arena ~rng circuit ~die_w ~die_h nominal))
 
 (* How a walk proposes its next candidate from its accepted placement:
    a perturbation (the paper's Fig. 4), or a fresh random placement
    (ablation A2).  Both draw only from the walk's own stream. *)
 
-let perturbation cfg circuit rng ~die_w ~die_h current =
+let perturbation circuit rng ~die_w ~die_h current =
   let max_shift =
-    max 1 (int_of_float (cfg.max_shift_fraction *. float_of_int (max die_w die_h)))
+    max 1 (int_of_float (max_shift_fraction *. float_of_int (max die_w die_h)))
   in
-  Perturb.perturb rng circuit ~fraction:cfg.perturb_fraction ~max_shift current
+  Perturb.perturb rng circuit ~fraction:perturb_fraction ~max_shift current
 
 let fresh_placement circuit rng ~die_w ~die_h _current =
   Placement.random rng circuit ~die_w ~die_h
@@ -326,7 +315,7 @@ let advance_walk cfg circuit backup ~order ~propose ~die_w ~die_h ~chunk ~arena
       !step = 0
       || dc <= 0.0
       || Rng.float rng 1.0
-         < exp (-.dc /. Schedule.temperature cfg.explorer_schedule ~step:!step)
+         < exp (-.dc /. Schedule.temperature explorer_schedule ~step:!step)
     then begin
       current := proposed;
       cost := bdio.Bdio.avg_cost
@@ -351,7 +340,7 @@ let run pool ~cfg ~propose start =
   let evals = ref 0 in
   (* Stream scheme: the root is never drawn from — child 0 seeds the
      backup restarts (task k -> stream k, finalization -> stream
-     [restarts]), child 1 seeds the walks (walk w -> stream w).  A
+     [backup_restarts]), child 1 seeds the walks (walk w -> stream w).  A
      single walk instead draws everything, backup first, from the root
      itself. *)
   let root = Rng.create ~seed:cfg.seed in
@@ -367,7 +356,7 @@ let run pool ~cfg ~propose start =
   let builder, backup =
     match start with
     | Fresh circuit | Single circuit ->
-      let die_w, die_h = Circuit.default_die ~slack:cfg.die_slack circuit in
+      let die_w, die_h = Circuit.default_die circuit in
       let backup =
         match start with
         | Single _ ->
@@ -379,7 +368,7 @@ let run pool ~cfg ~propose start =
          by beating it (or a previous winner) on average cost in
          Resolve Overlaps, so covered queries never answer worse than
          the fallback would. *)
-      let builder = Builder.create ~weights:cfg.bdio.Bdio.weights circuit in
+      let builder = Builder.create circuit in
       ignore (Builder.resolve_and_store builder backup);
       (builder, backup)
     | Extend s -> (Structure.to_builder s, Structure.backup s)
@@ -414,9 +403,9 @@ let run pool ~cfg ~propose start =
         | Single _ -> [| walk root |]
         | _ ->
           let walk_root = Rng.split root 1 in
-          Array.init (max 1 cfg.explorer_restarts) (fun w -> walk (Rng.split walk_root w))
+          Array.init explorer_restarts (fun w -> walk (Rng.split walk_root w))
       in
-      (walks, max 1 cfg.walk_chunk, ref 0, ref 0)
+      (walks, walk_chunk, ref 0, ref 0)
   in
   let deadline_hit = ref false in
   let stop = ref false in
@@ -519,23 +508,22 @@ let with_run ?jobs ?on_pool_stats ~cfg ~propose start =
       r)
 
 let generate ?(config = default_config) ?jobs ?on_pool_stats circuit =
-  with_run ?jobs ?on_pool_stats ~cfg:config ~propose:(perturbation config circuit)
-    (Fresh circuit)
+  with_run ?jobs ?on_pool_stats ~cfg:config ~propose:(perturbation circuit) (Fresh circuit)
 
 let generate_par = generate
 
 let single_walk ?(config = default_config) circuit =
-  with_run ~jobs:1 ~cfg:config ~propose:(perturbation config circuit) (Single circuit)
+  with_run ~jobs:1 ~cfg:config ~propose:(perturbation circuit) (Single circuit)
 
 let random_explorer ?(config = default_config) circuit =
   with_run ~jobs:1 ~cfg:config ~propose:(fresh_placement circuit) (Single circuit)
 
 let extend ?(config = default_config) ?jobs structure =
   with_run ?jobs ~cfg:config
-    ~propose:(perturbation config (Structure.circuit structure))
+    ~propose:(perturbation (Structure.circuit structure))
     (Extend structure)
 
 let resume ?(config = default_config) ?jobs checkpoint =
   with_run ?jobs ~cfg:config
-    ~propose:(perturbation config (Structure.circuit checkpoint.Checkpoint.structure))
+    ~propose:(perturbation (Structure.circuit checkpoint.Checkpoint.structure))
     (Resume checkpoint)

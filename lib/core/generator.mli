@@ -9,11 +9,11 @@
     coverage target, the placement cap, or the iteration budget.
 
     There is one explorer loop: independent walks advanced in lockstep
-    rounds of [walk_chunk] steps over a {!Mps_parallel.Pool} of [jobs]
-    domains, merged into the builder in walk order.  {!generate} (what
-    [mpsgen generate], the store and the daemon serve) runs
-    [explorer_restarts] walks, each task on its own
-    {!Mps_rng.Rng.split} stream, so it returns a structure that is
+    rounds of 4 steps over a {!Mps_parallel.Pool} of [jobs] domains,
+    merged into the builder in walk order.  {!generate} (what
+    [mpsgen generate], the store and the daemon serve) runs 4 walks,
+    each task on its own {!Mps_rng.Rng.split} stream, so it returns a
+    structure that is
     {b byte-identical at any job count} (property-tested) — [jobs]
     (default {!Mps_parallel.Pool.default_jobs}; [1] runs on the calling
     domain) only changes wall time.  {!single_walk} runs one walk on
@@ -22,32 +22,32 @@
     Fan-outs run one task per backup restart or walk advance, with one
     evaluation {!Mps_placement.Arena} per worker slot; the worker and
     arena a task lands on move {e where} it runs, never what it
-    computes. *)
+    computes.
+
+    The values no run varies are constants: the die
+    ({!Mps_netlist.Circuit.default_die}), the explorer's geometric
+    cooling (t0 500, alpha 0.93, t_min 1e-3), a perturbation moving 25%
+    of the blocks by at most 35% of the die's longer side, the backup as
+    the best of 3 annealing restarts, and the 4 walks of 4 steps per
+    round above.  Every cost is {!Mps_cost.Cost.total}. *)
 
 open Mps_netlist
 
 type config = {
   seed : int;
-  die_slack : float;
-      (** Die area = (1 + slack) × total max block area (see
-          {!Circuit.default_die}). *)
-  explorer_iterations : int;
-  explorer_schedule : Mps_anneal.Schedule.t;
-  perturb_fraction : float;  (** Share of blocks moved per perturbation. *)
-  max_shift_fraction : float;  (** Max coordinate shift as a die fraction. *)
+  explorer_iterations : int;  (** Metropolis steps per walk. *)
   bdio : Bdio.config;
   coverage_target : float;
       (** Stop once this fraction of the dimension space is covered
           (100% "can never be reached", §3.1.4). *)
   max_placements : int;  (** Stop once this many placements are live. *)
   backup_iterations : int;
-      (** Coordinate-annealing budget for the template-like backup
-          placement built for uncovered dimension space. *)
-  backup_restarts : int;
-      (** Independent annealing restarts for the backup; the best one
-          wins.  The backup is the quality floor for the whole
-          structure (admission tests and every uncovered query compare
-          against it), so one unlucky run must not set it. *)
+      (** Coordinate-annealing budget of each of the backup's 3
+          restarts (the best one wins): the template-like backup
+          placement built for uncovered dimension space is the quality
+          floor for the whole structure — admission tests and every
+          uncovered query compare against it — so one unlucky run must
+          not set it. *)
   seed_walk_with_backup : bool;
       (** Start the explorer walk from the optimized backup placement
           instead of a fresh random placement (quality improvement over
@@ -57,18 +57,6 @@ type config = {
           candidate, each toward its own random target sizing, before
           expansion and the BDIO; [0] disables it (the paper's literal
           walk).  See DESIGN.md §5. *)
-  explorer_restarts : int;
-      (** Independent explorer walks, each a full
-          [explorer_iterations]-step Metropolis walk on its own stream.
-          More walks mean more exploration — the work parallelism
-          makes affordable (DESIGN.md §9). *)
-  walk_chunk : int;
-      (** Steps each walk advances per lockstep round before results
-          are merged into the builder in walk order.  Fixed by config
-          (never by job count) so the merge order — and hence the
-          structure — is identical at any [jobs].  Smaller chunks mean
-          fresher stopping checks and finer checkpoints; larger chunks
-          amortize scheduling. *)
   checkpoint_every : int;
       (** Snapshot every walk's state to [checkpoint_path] every this
           many lockstep rounds ({!Checkpoint}); [0] (the default)
@@ -87,10 +75,10 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, slack 1.0, 60 explorer iterations, 25% block moves, BDIO
-    defaults, coverage target 0.5, at most 200 placements, 5000 backup
-    iterations (best of 3 restarts), 2000 refinement iterations, walk
-    seeded with the backup. *)
+(** seed 1, 60 explorer iterations, BDIO defaults, coverage target 0.5,
+    at most 200 placements, 5000 backup iterations, 2000 refinement
+    iterations, walk seeded with the backup, no checkpoint and no
+    deadline. *)
 
 val fast_config : config
 (** Reduced budgets for tests and demos (15 explorer iterations, 120
@@ -115,7 +103,6 @@ type stats = {
 }
 
 val beats_backup_locally :
-  config ->
   Mps_rng.Rng.t ->
   Circuit.t ->
   Stored.t ->
@@ -124,8 +111,8 @@ val beats_backup_locally :
   arena:Mps_placement.Arena.t ->
   evals:int ref ->
   bool
-(** [beats_backup_locally config rng circuit backup ~order candidate
-    ~arena ~evals] is the explorer's admission test (DESIGN.md §5): over
+(** [beats_backup_locally rng circuit backup ~order candidate ~arena
+    ~evals] is the explorer's admission test (DESIGN.md §5): over
     32 dimension vectors drawn from the candidate's box, does the
     candidate at its raw coordinates cost no more in total than the
     backup re-packed at the same vectors?  [order] must be
@@ -139,7 +126,7 @@ val generate :
   Circuit.t ->
   Structure.t * stats
 (** Build the multi-placement structure for a circuit topology: the
-    backup's [backup_restarts] annealing runs fan out one task each,
+    backup's 3 annealing runs fan out one task each,
     then the walks explore.  [on_pool_stats] receives the per-worker
     scheduling counters ({!Mps_parallel.Pool.stats}) just before the
     pool shuts down. *)
@@ -156,12 +143,12 @@ val generate_par :
 val single_walk : ?config:config -> Circuit.t -> Structure.t * stats
 (** The explorer the experiments, examples and most tests run: one
     perturbation walk, with the backup's annealing restarts and then
-    the walk drawing from a single stream (so [explorer_restarts] is
-    ignored).  It runs the same loop as {!generate}, on the calling
-    domain, but builds a different structure: the experiments' shape
-    checks (EXPERIMENTS.md, Figure 6 in particular) hold on this one
-    and not yet on {!generate}'s (ROADMAP item 3).  Its runs checkpoint
-    and {!resume} like any other. *)
+    the walk drawing from a single stream.  It runs the same loop as
+    {!generate}, on the calling domain, but builds a different
+    structure: the experiments' shape checks (EXPERIMENTS.md, Figure 6
+    in particular) hold on this one and not yet on {!generate}'s
+    (ROADMAP item 3).  Its runs checkpoint and {!resume} like any
+    other. *)
 
 val random_explorer : ?config:config -> Circuit.t -> Structure.t * stats
 (** Ablation A2: {!single_walk} proposing a fresh random placement at

@@ -3,26 +3,8 @@ open Mps_netlist
 open Mps_placement
 open Mps_cost
 
-type config = {
-  weights : Cost.weights;
-  samples_per_box : int;
-  query_samples : int;
-  seed : int;
-  tolerance : float;
-  reanneal_iterations : int;
-  max_reanneals : int;
-}
-
-let default_config =
-  {
-    weights = Cost.default_weights;
-    samples_per_box = 12;
-    query_samples = 64;
-    seed = 7;
-    tolerance = 1e-6;
-    reanneal_iterations = 0;
-    max_reanneals = 4;
-  }
+(* At most this many quarantined boxes are re-annealed and re-admitted. *)
+let max_reanneals = 4
 
 type outcome = {
   structure : Structure.t;
@@ -35,11 +17,6 @@ type outcome = {
 }
 
 let clean outcome = Audit.clean outcome.after
-
-let audit ?pool config structure =
-  Audit.run ?pool ~weights:config.weights ~samples_per_box:config.samples_per_box
-    ~query_samples:config.query_samples ~seed:config.seed ~tolerance:config.tolerance
-    structure
 
 (* Findings indexed by subject. *)
 let findings_for subject report =
@@ -54,14 +31,12 @@ let has_degraded subject report =
 (* In-place repair of Degraded cost/box findings: clamp the box into the
    designer domain and re-evaluate the cost fields at (the possibly
    re-clamped) best_dims. *)
-let refresh config circuit bounds (s : Stored.t) =
+let refresh circuit bounds (s : Stored.t) =
   match Dimbox.inter s.Stored.box bounds with
   | None -> None (* box entirely outside the domain: unrepairable in place *)
   | Some box ->
     let best_dims = Dimbox.clamp box s.Stored.best_dims in
-    let best_cost =
-      Bdio.cost_of_dims ~weights:config.weights circuit s.Stored.placement best_dims
-    in
+    let best_cost = Bdio.cost_of_dims circuit s.Stored.placement best_dims in
     if not (Float.is_finite best_cost) then None
     else
       let avg_cost =
@@ -78,16 +53,10 @@ let refresh config circuit bounds (s : Stored.t) =
 (* A fresh template-like backup: coordinates annealed at the nominal
    dimensions under the given budget, claiming the whole designer
    space.  Mirrors Generator.build_backup, with a bounded budget. *)
-let reanneal_backup config rng circuit ~die_w ~die_h =
+let reanneal_backup ~iterations rng circuit ~die_w ~die_h =
   let bounds = Circuit.dim_bounds circuit in
   let nominal = Dimbox.center bounds in
-  let coord_config =
-    {
-      Coord_opt.default_config with
-      Coord_opt.iterations = config.reanneal_iterations;
-      weights = config.weights;
-    }
-  in
+  let coord_config = { Coord_opt.default_config with Coord_opt.iterations } in
   let r = Coord_opt.optimize ~config:coord_config ~rng circuit ~die_w ~die_h nominal in
   let placement =
     if Placement.is_legal r.Coord_opt.placement (Circuit.min_dims circuit) then
@@ -102,7 +71,7 @@ let reanneal_backup config rng circuit ~die_w ~die_h =
   | Some placement ->
     let expansion = Expand.expand circuit placement in
     let best_dims = Dimbox.clamp expansion nominal in
-    let best_cost = Bdio.cost_of_dims ~weights:config.weights circuit placement best_dims in
+    let best_cost = Bdio.cost_of_dims circuit placement best_dims in
     let avg_cost =
       let samples = 32 in
       let total = ref 0.0 in
@@ -111,7 +80,7 @@ let reanneal_backup config rng circuit ~die_w ~die_h =
         let rects =
           Repack.instantiate ~die:(die_w, die_h) ~coords:placement.Placement.coords dims
         in
-        total := !total +. Cost.total ~weights:config.weights circuit ~die_w ~die_h rects
+        total := !total +. Cost.total circuit ~die_w ~die_h rects
       done;
       Float.max (!total /. float_of_int samples) best_cost
     in
@@ -145,7 +114,7 @@ let promote_backup circuit bounds survivors =
    box center (on the incremental delta-cost engine inside Coord_opt),
    admitted back only when legal, expandable and disjoint from every
    kept box. *)
-let reanneal_box config rng circuit ~die_w ~die_h kept_boxes (lost : Stored.t) =
+let reanneal_box ~iterations rng circuit ~die_w ~die_h kept_boxes (lost : Stored.t) =
   let bounds = Circuit.dim_bounds circuit in
   match Dimbox.inter lost.Stored.box bounds with
   | None -> None
@@ -153,13 +122,7 @@ let reanneal_box config rng circuit ~die_w ~die_h kept_boxes (lost : Stored.t) =
     if List.exists (Dimbox.overlaps territory) kept_boxes then None
     else
       let target = Dimbox.center territory in
-      let coord_config =
-        {
-          Coord_opt.default_config with
-          Coord_opt.iterations = config.reanneal_iterations;
-          weights = config.weights;
-        }
-      in
+      let coord_config = { Coord_opt.default_config with Coord_opt.iterations } in
       let r =
         Coord_opt.optimize ~config:coord_config
           ~initial:lost.Stored.placement.Placement.coords ~rng circuit ~die_w ~die_h
@@ -174,17 +137,13 @@ let reanneal_box config rng circuit ~die_w ~die_h kept_boxes (lost : Stored.t) =
         | None -> None
         | Some box ->
           let best_dims = Dimbox.clamp box target in
-          let best_cost =
-            Bdio.cost_of_dims ~weights:config.weights circuit placement best_dims
-          in
+          let best_cost = Bdio.cost_of_dims circuit placement best_dims in
           let avg_cost =
             let samples = 16 in
             let total = ref 0.0 in
             for _ = 1 to samples do
               let dims = Dimbox.random_dims rng box in
-              total :=
-                !total
-                +. Bdio.cost_of_dims ~weights:config.weights circuit placement dims
+              total := !total +. Bdio.cost_of_dims circuit placement dims
             done;
             Float.max (!total /. float_of_int samples) best_cost
           in
@@ -192,8 +151,8 @@ let reanneal_box config rng circuit ~die_w ~die_h kept_boxes (lost : Stored.t) =
             (Stored.make ~template_like:false ~placement ~box ~expansion ~avg_cost
                ~best_cost ~best_dims))
 
-let run ?pool ?(config = default_config) structure =
-  let before = audit ?pool config structure in
+let run ?pool ?(reanneal_iterations = 0) structure =
+  let before = Audit.run ?pool structure in
   if Audit.clean before then
     {
       structure;
@@ -214,7 +173,7 @@ let run ?pool ?(config = default_config) structure =
     (* Stream scheme mirroring the auditor: backup rebuild = stream 0,
        quarantined placement i = stream 1+i — so the reanneal fan-out
        below gives the same result with or without a pool. *)
-    let root = Mps_rng.Rng.create ~seed:config.seed in
+    let root = Mps_rng.Rng.create ~seed:Audit.default_seed in
     let quarantined = ref [] and repaired_in_place = ref 0 in
     (* 1. Quarantine Fatal placements; repair Degraded ones in place. *)
     let survivors =
@@ -226,7 +185,7 @@ let run ?pool ?(config = default_config) structure =
                None
              end
              else if has_degraded (Audit.Placement i) before then
-               match refresh config circuit bounds s with
+               match refresh circuit bounds s with
                | Some repaired ->
                  incr repaired_in_place;
                  Some (i, repaired)
@@ -240,8 +199,9 @@ let run ?pool ?(config = default_config) structure =
     let backup, backup_rebuilt =
       if has_fatal Audit.Backup before then
         let rebuilt =
-          if config.reanneal_iterations > 0 then
-            reanneal_backup config (Mps_rng.Rng.split root 0) circuit ~die_w ~die_h
+          if reanneal_iterations > 0 then
+            reanneal_backup ~iterations:reanneal_iterations (Mps_rng.Rng.split root 0)
+              circuit ~die_w ~die_h
           else None
         in
         match rebuilt with
@@ -251,7 +211,7 @@ let run ?pool ?(config = default_config) structure =
           | Some b -> (b, true)
           | None -> (backup0, false) (* nothing better: keep, stays non-clean *))
       else if has_degraded Audit.Backup before then
-        match refresh config circuit bounds backup0 with
+        match refresh circuit bounds backup0 with
         | Some b -> (b, true)
         | None -> (backup0, false)
       else (backup0, false)
@@ -260,7 +220,7 @@ let run ?pool ?(config = default_config) structure =
        budget and re-admit what comes back legal and disjoint. *)
     let reannealed = ref 0 in
     let recovered =
-      if config.reanneal_iterations <= 0 then []
+      if reanneal_iterations <= 0 then []
       else begin
         (* Fan the annealing runs out (one task per quarantined box, on
            its own stream, against the survivors' boxes), then admit
@@ -275,7 +235,7 @@ let run ?pool ?(config = default_config) structure =
           let s = stored.(i) in
           if s.Stored.template_like then None
           else
-            reanneal_box config
+            reanneal_box ~iterations:reanneal_iterations
               (Mps_rng.Rng.split root (1 + i))
               circuit ~die_w ~die_h survivor_boxes s
         in
@@ -289,7 +249,7 @@ let run ?pool ?(config = default_config) structure =
         |> List.filter_map (fun c ->
                match c with
                | Some fresh
-                 when !reannealed < config.max_reanneals
+                 when !reannealed < max_reanneals
                       && not
                            (List.exists
                               (Dimbox.overlaps fresh.Stored.box)
@@ -313,7 +273,7 @@ let run ?pool ?(config = default_config) structure =
         | s -> s
         | exception Invalid_argument _ -> structure)
     in
-    let after = audit ?pool config structure' in
+    let after = Audit.run ?pool structure' in
     {
       structure = structure';
       before;

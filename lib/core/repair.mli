@@ -22,24 +22,6 @@
     Never raises: when nothing at all can be rebuilt the original
     structure is returned with a non-clean [after] report. *)
 
-open Mps_cost
-
-type config = {
-  weights : Cost.weights;
-  samples_per_box : int;  (** Audit legality samples per box. *)
-  query_samples : int;  (** Audit whole-space query probes. *)
-  seed : int;
-  tolerance : float;  (** Relative cost re-verification tolerance. *)
-  reanneal_iterations : int;
-      (** Coordinate-annealing budget per quarantined box (and for a
-          backup rebuild); [0] disables re-annealing — quarantined
-          territory is simply left to the backup template. *)
-  max_reanneals : int;  (** At most this many quarantined boxes re-annealed. *)
-}
-
-val default_config : config
-(** Default audit parameters, re-annealing off. *)
-
 type outcome = {
   structure : Structure.t;  (** The repaired structure. *)
   before : Audit.report;
@@ -55,16 +37,23 @@ type outcome = {
 val clean : outcome -> bool
 (** The [after] report is audit-clean. *)
 
-val run : ?pool:Mps_parallel.Pool.t -> ?config:config -> Structure.t -> outcome
+val run : ?pool:Mps_parallel.Pool.t -> ?reanneal_iterations:int -> Structure.t -> outcome
 (** Audit, quarantine, repair, re-audit.  The input structure is not
     mutated.  Returns the input structure unchanged (with [after =
-    before]) when it is already clean.
+    before]) when it is already clean.  Both audits are {!Audit.run}
+    with its defaults.
+
+    [reanneal_iterations] is the coordinate-annealing budget per
+    quarantined box (and for a backup rebuild); [0] (the default)
+    disables re-annealing — quarantined territory is simply left to the
+    backup template.  At most 4 quarantined boxes are re-annealed and
+    re-admitted.
 
     [pool] fans out the audits (per stored placement) and the
     re-annealing of quarantined boxes (one task per box, each on its
-    own {!Mps_rng.Rng.split} stream of [seed], admitted back in
-    ascending quarantine order) — the outcome is identical with or
-    without a pool, at any job count. *)
+    own {!Mps_rng.Rng.split} stream of {!Audit.default_seed}, admitted
+    back in ascending quarantine order) — the outcome is identical with
+    or without a pool, at any job count. *)
 
 val describe : outcome -> string
 (** One-paragraph human-readable summary. *)

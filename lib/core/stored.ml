@@ -27,8 +27,6 @@ let n_blocks t = Placement.n_blocks t.placement
 
 let instantiate t dims = Placement.rects t.placement dims
 
-let instantiate_clamped t dims = Placement.rects t.placement (Dimbox.clamp t.expansion dims)
-
 let instantiate_repacked t dims =
   Repack.instantiate
     ~die:(t.placement.Placement.die_w, t.placement.Placement.die_h)

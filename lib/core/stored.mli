@@ -48,11 +48,6 @@ val instantiate : t -> Dims.t -> Rect.t array
 (** Floorplan at the given dimensions using this placement's
     coordinates. *)
 
-val instantiate_clamped : t -> Dims.t -> Rect.t array
-(** Floorplan with the dimensions clamped into the placement's
-    expansion box, hence always legal and inside the die — but at
-    adjusted dimensions. *)
-
 val instantiate_repacked : t -> Dims.t -> Rect.t array
 (** Template-like behaviour at the *requested* dimensions: keep this
     placement's arrangement and greedily re-pack

@@ -889,9 +889,9 @@ module Engine = struct
     if id >= 0 then Stored.instantiate_auto t.stored.(id) dims
     else Stored.instantiate_repacked t.backup dims
 
-  let instantiate_cost ?(weights = Mps_cost.Cost.default_weights) t session dims =
+  let instantiate_cost t session dims =
     let rects = instantiate_into t session dims in
-    let cost = Mps_cost.Cost.total ~weights t.circuit ~die_w:t.die_w ~die_h:t.die_h rects in
+    let cost = Mps_cost.Cost.total t.circuit ~die_w:t.die_w ~die_h:t.die_h rects in
     (rects, cost)
 
   let stats (session : session) : stats =
@@ -1054,8 +1054,7 @@ end
 let query t dims = Engine.query t (Engine.new_session ()) dims
 let instantiate t dims = Engine.instantiate t (Engine.new_session ()) dims
 
-let instantiate_cost ?weights t dims =
-  Engine.instantiate_cost ?weights t (Engine.new_session ()) dims
+let instantiate_cost t dims = Engine.instantiate_cost t (Engine.new_session ()) dims
 
 let query_linear t dims =
   if Dims.n_blocks dims <> Circuit.n_blocks t.circuit then

@@ -106,9 +106,9 @@ val instantiate : t -> Dims.t -> Rect.t array
     ({!Stored.instantiate_repacked}) — template-like behaviour for the
     uncovered share of the space.  Always overlap-free. *)
 
-val instantiate_cost :
-  ?weights:Mps_cost.Cost.weights -> t -> Dims.t -> Rect.t array * float
-(** {!instantiate} plus the cost of the resulting floorplan. *)
+val instantiate_cost : t -> Dims.t -> Rect.t array * float
+(** {!instantiate} plus the cost ({!Mps_cost.Cost.total}) of the
+    resulting floorplan. *)
 
 val query_linear : t -> Dims.t -> answer * Stored.t
 (** The reference oracle: scans all stored boxes.  Used for the
@@ -227,9 +227,9 @@ module Engine : sig
   (** Like {!instantiate_into} but returns a freshly allocated
       floorplan that is safe to retain. *)
 
-  val instantiate_cost :
-    ?weights:Mps_cost.Cost.weights -> t -> session -> Dims.t -> Rect.t array * float
-  (** {!instantiate_into} plus the cost of the resulting floorplan. *)
+  val instantiate_cost : t -> session -> Dims.t -> Rect.t array * float
+  (** {!instantiate_into} plus the cost ({!Mps_cost.Cost.total}) of the
+      resulting floorplan. *)
 
   val stats : session -> stats
   val reset_stats : session -> unit

@@ -9,7 +9,7 @@ type weights = {
   symmetry : float;
 }
 
-let default_weights =
+let weights =
   { wirelength = 1.0; area = 0.05; overlap = 10.0; out_of_bounds = 10.0; symmetry = 0.5 }
 
 type breakdown = {
@@ -58,7 +58,7 @@ let total_oob_area ~die_w ~die_h rects =
   let die = Rect.make ~x:0 ~y:0 ~w:die_w ~h:die_h in
   Array.fold_left (fun acc r -> acc + (Rect.area r - Rect.overlap_area r die)) 0 rects
 
-let evaluate ?(weights = default_weights) circuit ~die_w ~die_h rects =
+let evaluate circuit ~die_w ~die_h rects =
   if Array.length rects <> Circuit.n_blocks circuit then
     invalid_arg "Cost.evaluate: one rectangle per block required";
   let hpwl = Wirelength.total_hpwl circuit ~rects ~die_w ~die_h in
@@ -94,8 +94,7 @@ let evaluate ?(weights = default_weights) circuit ~die_w ~die_h rects =
   in
   { hpwl; bbox_area; overlap_area; oob_area; symmetry_misalign; total }
 
-let total ?weights circuit ~die_w ~die_h rects =
-  (evaluate ?weights circuit ~die_w ~die_h rects).total
+let total circuit ~die_w ~die_h rects = (evaluate circuit ~die_w ~die_h rects).total
 
 let is_legal ~die_w ~die_h rects =
   Rect.any_overlap rects = None

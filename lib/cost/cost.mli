@@ -1,10 +1,12 @@
-(** The customizable placement cost function (paper §3.2.2).
+(** The placement cost function (paper §3.2.2).
 
     The paper's cost calculator scores "a fixed placement along with
     fixed widths and heights" by wirelength and area.  The overlap and
     out-of-bounds terms are zero for legal placements; they exist so the
     same function can drive the optimization-based baseline placers,
-    which move through illegal intermediate states. *)
+    which move through illegal intermediate states.  Every caller
+    scores under the one weight set {!weights}: changing the weighted
+    sum means editing that constant. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -17,10 +19,10 @@ type weights = {
   symmetry : float;  (** Penalty per grid unit of symmetry misalignment. *)
 }
 
-val default_weights : weights
-(** Wirelength 1.0, area 0.05 (wirelength-dominated, as in LAYLA-style
-    analog placement), heavy overlap / out-of-bounds penalties,
-    symmetry 0.5. *)
+val weights : weights
+(** The weights every evaluation uses: wirelength 1.0, area 0.05
+    (wirelength-dominated, as in LAYLA-style analog placement), heavy
+    overlap / out-of-bounds penalties (10.0 each), symmetry 0.5. *)
 
 val symmetry_penalty : Circuit.t -> Rect.t array -> float
 (** Total misalignment of the circuit's symmetry groups about their
@@ -37,17 +39,15 @@ type breakdown = {
   overlap_area : int;  (** Total pairwise overlap area. *)
   oob_area : int;  (** Total block area outside the die. *)
   symmetry_misalign : float;  (** {!symmetry_penalty} of the floorplan. *)
-  total : float;  (** Weighted sum. *)
+  total : float;  (** Weighted sum under {!weights}. *)
 }
 
-val evaluate :
-  ?weights:weights -> Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> breakdown
+val evaluate : Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> breakdown
 (** Full itemized cost of an instantiated floorplan.
     @raise Invalid_argument when [rects] does not have one rectangle per
     block. *)
 
-val total :
-  ?weights:weights -> Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> float
+val total : Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> float
 (** [(evaluate ...).total]. *)
 
 val is_legal : die_w:int -> die_h:int -> Rect.t array -> bool

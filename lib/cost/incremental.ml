@@ -49,7 +49,6 @@ let[@inline] bmax a b = let d = a - b in a - (d land (d asr 62))
 
 type t = {
   circuit : Circuit.t;
-  weights : Cost.weights;
   die_w : int;
   die_h : int;
   n : int;
@@ -319,7 +318,7 @@ let rebuild_dirty t =
 
 (* [reset] makes an engine reusable across candidates: [create] pays
    O(n + pins) allocation for the compiled pin/incidence arrays, which
-   depend only on (circuit, die, weights) — not on the floorplan — so
+   depend only on (circuit, die) — not on the floorplan — so
    an arena can rebind the same engine to a new rect set without
    allocating.  [resync] rebuilds every cache from scratch, so the
    resulting state is bit-identical to a fresh [create] on the same
@@ -352,8 +351,7 @@ let mode_same = 0  (* geometry unchanged: undo has nothing to do *)
 let mode_logged = 1  (* repaired in place; its overwritten caches are logged *)
 let mode_raw = 2  (* written raw inside a batch *)
 
-let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die_w ~die_h
-    rects =
+let create ?(resync_every = 1024) circuit ~die_w ~die_h rects =
   let n = Circuit.n_blocks circuit in
   if Array.length rects <> n then
     invalid_arg "Incremental.create: one rectangle per block required";
@@ -400,7 +398,6 @@ let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die
   let t =
     {
       circuit;
-      weights;
       die_w;
       die_h;
       n;
@@ -676,11 +673,12 @@ let commit t =
   if t.committed >= t.resync_every then resync t
 
 let total t =
-  t.weights.Cost.wirelength *. t.hpwl.(0)
-  +. (t.weights.Cost.area *. float_of_int (bbox_area t))
-  +. (t.weights.Cost.overlap *. float_of_int t.overlap)
-  +. (t.weights.Cost.out_of_bounds *. float_of_int t.oob_total)
-  +. (t.weights.Cost.symmetry *. symmetry t)
+  let w = Cost.weights in
+  w.Cost.wirelength *. t.hpwl.(0)
+  +. (w.Cost.area *. float_of_int (bbox_area t))
+  +. (w.Cost.overlap *. float_of_int t.overlap)
+  +. (w.Cost.out_of_bounds *. float_of_int t.oob_total)
+  +. (w.Cost.symmetry *. symmetry t)
 
 let breakdown t =
   {

@@ -33,7 +33,6 @@ type t
 (** Mutable evaluator state.  Not thread-safe; one per annealing run. *)
 
 val create :
-  ?weights:Cost.weights ->
   ?resync_every:int ->
   Circuit.t ->
   die_w:int ->
@@ -41,8 +40,9 @@ val create :
   Rect.t array ->
   t
 (** Build the evaluator from an initial floorplan (copied, one rect per
-    block).  [resync_every] (default 1024) bounds float drift: a full
-    recompute runs after that many committed geometry changes.
+    block), scoring under {!Cost.weights}.  [resync_every] (default
+    1024) bounds float drift: a full recompute runs after that many
+    committed geometry changes.
     @raise Invalid_argument on a block-count mismatch or
     [resync_every < 1]. *)
 
@@ -117,7 +117,7 @@ val resync : t -> unit
 
 val reset : ?overlap_free:bool -> t -> Rect.t array -> unit
 (** [reset t rects] rebinds the engine to a new floorplan of the same
-    circuit/die/weights, discarding any staged changes and open batch.
+    circuit and die, discarding any staged changes and open batch.
     After [reset] the state is bit-identical to [create] on the same
     inputs, and without symmetry groups it allocates nothing, whatever
     the net count: the compiled pin and incidence arrays depend only on

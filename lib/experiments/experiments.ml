@@ -205,7 +205,6 @@ let figure6 ?(budget = Quick) () =
   let structure, _ = Generator.single_walk ~config circuit in
   let die_w, die_h = Structure.die structure in
   let stored = Structure.placements structure in
-  let weights = Mps_cost.Cost.default_weights in
   (* Base point: the best dims of the placement with the widest block-0
      width interval, so the sweep crosses several boxes. *)
   let base =
@@ -231,12 +230,12 @@ let figure6 ?(budget = Quick) () =
       Array.mapi
         (fun j s ->
           let rects = Stored.instantiate s dims in
-          (j, Mps_cost.Cost.total ~weights circuit ~die_w ~die_h rects))
+          (j, Mps_cost.Cost.total circuit ~die_w ~die_h rects))
         stored
     in
     let answer, _ = Structure.query structure dims in
     let rects = Structure.instantiate structure dims in
-    let mps_cost = Mps_cost.Cost.total ~weights circuit ~die_w ~die_h rects in
+    let mps_cost = Mps_cost.Cost.total circuit ~die_w ~die_h rects in
     points := { swept_value = v; per_placement; mps_cost; mps_choice = answer } :: !points
   done;
   let points = List.rev !points in
@@ -308,7 +307,6 @@ let structure_metrics structure =
   let probes = probe_dims ~seed:4242 ~n:1000 structure in
   let circuit = Structure.circuit structure in
   let die_w, die_h = Structure.die structure in
-  let weights = Mps_cost.Cost.default_weights in
   let fallbacks = ref 0 and cost_sum = ref 0.0 in
   Array.iter
     (fun dims ->
@@ -317,7 +315,7 @@ let structure_metrics structure =
       | Structure.Stored_placement _, s ->
         if s.Stored.template_like then incr fallbacks);
       let rects = Structure.instantiate structure dims in
-      cost_sum := !cost_sum +. Mps_cost.Cost.total ~weights circuit ~die_w ~die_h rects)
+      cost_sum := !cost_sum +. Mps_cost.Cost.total circuit ~die_w ~die_h rects)
     probes;
   let n = float_of_int (Array.length probes) in
   ( float_of_int !fallbacks /. n,
@@ -384,12 +382,11 @@ let ablation_fallback ?(budget = Quick) () =
   let structure, _ = Generator.single_walk ~config circuit in
   let probes = probe_dims ~seed:4242 ~n:1000 structure in
   let die_w, die_h = Structure.die structure in
-  let weights = Mps_cost.Cost.default_weights in
   let avg_cost instantiate =
     let total =
       Array.fold_left
         (fun acc dims ->
-          acc +. Mps_cost.Cost.total ~weights circuit ~die_w ~die_h (instantiate dims))
+          acc +. Mps_cost.Cost.total circuit ~die_w ~die_h (instantiate dims))
         0.0 probes
     in
     total /. float_of_int (Array.length probes)
@@ -503,18 +500,15 @@ let synthesis_comparison ?(budget = Quick) () =
   let template, template_time =
     time_wall (fun () -> Mps_baselines.Template_placer.build ~rng circuit ~die_w ~die_h)
   in
-  let sa_config =
-    match budget with
-    | Quick -> { Mps_baselines.Sa_placer.default_config with iterations = 800 }
-    | Full -> Mps_baselines.Sa_placer.default_config
-  in
+  let sa_iterations = match budget with Quick -> Some 800 | Full -> None in
   let loop_iterations = match budget with Quick -> 60 | Full -> 150 in
   let loop_config = { Mps_synthesis.Synth_loop.default_config with iterations = loop_iterations } in
   let placers =
     [
       (Mps_synthesis.Synth_loop.mps_placer structure, gen_time);
       (Mps_synthesis.Synth_loop.template_placer template, template_time);
-      ( Mps_synthesis.Synth_loop.sa_placer ~config:sa_config ~seed:11 circuit ~die_w ~die_h,
+      ( Mps_synthesis.Synth_loop.sa_placer ?iterations:sa_iterations ~seed:11 circuit
+          ~die_w ~die_h,
         0.0 );
     ]
   in

@@ -92,22 +92,6 @@ let disjoint_axis a b =
 
 let overlaps a b = Option.is_none (disjoint_axis a b)
 
-let min_overlap_axis a b =
-  if not (overlaps a b) then None
-  else begin
-    let best = ref None in
-    let consider axis ov =
-      match !best with
-      | Some (_, best_ov) when best_ov <= ov -> ()
-      | _ -> best := Some (axis, ov)
-    in
-    for i = 0 to n_blocks a - 1 do
-      consider (Width i) (Interval.overlap_length a.w.(i) b.w.(i));
-      consider (Height i) (Interval.overlap_length a.h.(i) b.h.(i))
-    done;
-    Option.map fst !best
-  end
-
 let inter a b =
   let n = n_blocks a in
   if n_blocks b <> n then invalid_arg "Dimbox.inter: size mismatch";

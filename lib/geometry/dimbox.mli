@@ -58,11 +58,6 @@ val disjoint_axis : t -> t -> axis option
 (** Some axis on which the two boxes are disjoint, if any ([None] means
     they overlap). *)
 
-val min_overlap_axis : t -> t -> axis option
-(** When the boxes overlap, the axis with the smallest positive overlap
-    length (the paper's "smallest dimension (row) in which the two
-    placements are overlapping"); [None] when disjoint. *)
-
 val inter : t -> t -> t option
 
 val lower_corner : t -> Dims.t

@@ -46,14 +46,6 @@ let total_area t =
   done;
   !acc
 
-let map2_sum a b ~f =
-  if n_blocks a <> n_blocks b then invalid_arg "Dims.map2_sum: size mismatch";
-  let acc = ref 0 in
-  for i = 0 to n_blocks a - 1 do
-    acc := !acc + f a.w.(i) b.w.(i) + f a.h.(i) b.h.(i)
-  done;
-  !acc
-
 let equal a b = a.w = b.w && a.h = b.h
 
 let pp fmt t =

@@ -50,9 +50,5 @@ val set_height : t -> int -> int -> t
 val total_area : t -> int
 (** Sum over blocks of [w * h]. *)
 
-val map2_sum : t -> t -> f:(int -> int -> int) -> int
-(** [map2_sum a b ~f] sums [f] over corresponding width entries and
-    corresponding height entries of [a] and [b]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -34,8 +34,6 @@ let before t ~limit = make_opt t.lo (min t.hi (limit - 1))
 
 let after t ~limit = make_opt (max t.lo (limit + 1)) t.hi
 
-let split_at t v = (make_opt t.lo (min t.hi (v - 1)), make_opt (max t.lo v) t.hi)
-
 let midpoint t = t.lo + ((t.hi - t.lo) / 2)
 
 let fraction_of t ~of_ =

@@ -51,11 +51,6 @@ val before : t -> limit:int -> t option
 val after : t -> limit:int -> t option
 (** [after t ~limit] is the part of [t] strictly above [limit]. *)
 
-val split_at : t -> int -> (t option * t option)
-(** [split_at t v] splits [t] into the sub-interval strictly below [v]
-    and the sub-interval starting at [v]:
-    [(inter t [lo..v-1], inter t [v..hi])]. *)
-
 val midpoint : t -> int
 (** Integer midpoint (rounded down). *)
 

@@ -20,9 +20,6 @@ let set t ~x ~y ~w ~h =
 
 let area t = t.w * t.h
 
-let x_span t = Interval.make t.x (t.x + t.w - 1)
-let y_span t = Interval.make t.y (t.y + t.h - 1)
-
 let right t = t.x + t.w
 let top t = t.y + t.h
 
@@ -37,12 +34,6 @@ let overlap_area a b =
   let dx = imin (right a) (right b) - imax a.x b.x in
   let dy = imin (top a) (top b) - imax a.y b.y in
   if dx > 0 && dy > 0 then dx * dy else 0
-
-let contains_point t ~x ~y = t.x <= x && x < right t && t.y <= y && y < top t
-
-let contains_rect ~outer ~inner =
-  outer.x <= inner.x && right inner <= right outer
-  && outer.y <= inner.y && top inner <= top outer
 
 let translate t ~dx ~dy = { t with x = t.x + dx; y = t.y + dy }
 

@@ -25,12 +25,6 @@ val set : t -> x:int -> y:int -> w:int -> h:int -> unit
 
 val area : t -> int
 
-val x_span : t -> Interval.t
-(** Inclusive interval of occupied columns: [[x .. x+w-1]]. *)
-
-val y_span : t -> Interval.t
-(** Inclusive interval of occupied rows: [[y .. y+h-1]]. *)
-
 val right : t -> int
 (** First free column: [x + w]. *)
 
@@ -44,10 +38,6 @@ val overlaps : t -> t -> bool
 (** Positive-area intersection (edge contact is not overlap). *)
 
 val overlap_area : t -> t -> int
-
-val contains_point : t -> x:int -> y:int -> bool
-
-val contains_rect : outer:t -> inner:t -> bool
 
 val translate : t -> dx:int -> dy:int -> t
 

@@ -61,11 +61,13 @@ let dims_valid t dims =
          Block.dims_valid b ~w:(Dims.width dims b.Block.id) ~h:(Dims.height dims b.Block.id))
        t.blocks
 
-let total_min_area t = Array.fold_left (fun acc b -> acc + Block.min_area b) 0 t.blocks
 let total_max_area t = Array.fold_left (fun acc b -> acc + Block.max_area b) 0 t.blocks
 
-let default_die ?(slack = 1.0) t =
-  let area = float_of_int (total_max_area t) *. (1.0 +. slack) in
+(* Die area = (1 + slack) x total max block area. *)
+let die_slack = 1.0
+
+let default_die t =
+  let area = float_of_int (total_max_area t) *. (1.0 +. die_slack) in
   (* Never smaller than the largest single block. *)
   let max_w =
     Array.fold_left (fun acc b -> max acc (fst (Block.max_dims b))) 1 t.blocks

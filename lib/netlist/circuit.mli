@@ -41,13 +41,12 @@ val max_dims : t -> Dims.t
 val dims_valid : t -> Dims.t -> bool
 (** Vector respects every block's designer bounds. *)
 
-val total_min_area : t -> int
 val total_max_area : t -> int
 
-val default_die : ?slack:float -> t -> int * int
+val default_die : t -> int * int
 (** [(die_w, die_h)]: a square die sized so that the sum of maximum block
-    areas fills a [1 /. (1 +. slack)] share of it (default slack 1.0,
-    i.e. the die is twice the total max block area). *)
+    areas fills half of it (a slack of 1.0: the die is twice the total
+    max block area), never narrower or lower than the largest block. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: name, block/net/terminal counts. *)

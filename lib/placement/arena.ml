@@ -2,17 +2,16 @@ open Mps_geometry
 open Mps_netlist
 
 (* One worker's reusable evaluation state.  The engine cache is keyed
-   on (circuit physical identity, die, weights): within a generation
-   run those never change, so after the first candidate every
-   [engine] call is a bit-exact [Incremental.reset] instead of a fresh
-   [create].  Buffers are keyed on (slot, length): generation works on
-   one circuit, so lengths are stable and reallocation happens once. *)
+   on (circuit physical identity, die): within a generation run those
+   never change, so after the first candidate every [engine] call is a
+   bit-exact [Incremental.reset] instead of a fresh [create].  Buffers
+   are keyed on (slot, length): generation works on one circuit, so
+   lengths are stable and reallocation happens once. *)
 type t = {
   mutable eng : Mps_cost.Incremental.t option;
   mutable eng_circuit : Circuit.t option;
   mutable eng_die_w : int;
   mutable eng_die_h : int;
-  mutable eng_weights : Mps_cost.Cost.weights;
   mutable rect_bufs : Rect.t array array;
   mutable int_bufs : int array array;
 }
@@ -23,28 +22,23 @@ let create () =
     eng_circuit = None;
     eng_die_w = 0;
     eng_die_h = 0;
-    eng_weights = Mps_cost.Cost.default_weights;
     rect_bufs = Array.make 4 [||];
     int_bufs = Array.make 4 [||];
   }
 
-let engine ?overlap_free t ~weights circuit ~die_w ~die_h rects =
+let engine ?overlap_free t circuit ~die_w ~die_h rects =
   let eng =
     match t.eng with
     | Some eng
       when (match t.eng_circuit with Some c -> c == circuit | None -> false)
-           && t.eng_die_w = die_w && t.eng_die_h = die_h
-           (* physical equality first: the structural compare of the
-              weights record is a C call, once per probe *)
-           && (t.eng_weights == weights || t.eng_weights = weights) ->
+           && t.eng_die_w = die_w && t.eng_die_h = die_h ->
       eng
     | _ ->
-      let eng = Mps_cost.Incremental.create ~weights circuit ~die_w ~die_h rects in
+      let eng = Mps_cost.Incremental.create circuit ~die_w ~die_h rects in
       t.eng <- Some eng;
       t.eng_circuit <- Some circuit;
       t.eng_die_w <- die_w;
       t.eng_die_h <- die_h;
-      t.eng_weights <- weights;
       eng
   in
   Mps_cost.Incremental.reset ?overlap_free eng rects;

@@ -12,7 +12,7 @@
 
     - a cached {!Mps_cost.Incremental} engine, rebound to each new
       candidate with a bit-exact [reset] (cache key: circuit physical
-      identity, die, weights — all stable within a generation run);
+      identity and die — both stable within a generation run);
     - slot-indexed [Rect.t] and [int] buffers, refilled in place.
 
     Ownership contract: an arena is single-threaded scratch.  Index a
@@ -34,7 +34,6 @@ val create : unit -> t
 val engine :
   ?overlap_free:bool ->
   t ->
-  weights:Mps_cost.Cost.weights ->
   Circuit.t ->
   die_w:int ->
   die_h:int ->
@@ -42,7 +41,7 @@ val engine :
   Mps_cost.Incremental.t
 (** The arena's incremental-cost engine bound to the given floorplan:
     a bit-exact [Incremental.reset] of the cached engine when the
-    (circuit, die, weights) key matches — 2 minor words whatever the
+    (circuit, die) key matches — 2 minor words whatever the
     net count, for a circuit without symmetry groups — or a fresh
     [Incremental.create] (which replaces the cached engine) when it
     does not.  [overlap_free] is passed to that [reset] (the fresh

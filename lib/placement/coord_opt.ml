@@ -5,20 +5,13 @@ open Mps_anneal
 
 type config = {
   iterations : int;
-  schedule : Schedule.t;
-  weights : Mps_cost.Cost.weights;
-  swap_probability : float;
   max_shift_fraction : float;
 }
 
-let default_config =
-  {
-    iterations = 4000;
-    schedule = Schedule.geometric ~t0:2000.0 ~alpha:0.995 ~t_min:1e-3 ();
-    weights = Mps_cost.Cost.default_weights;
-    swap_probability = 0.25;
-    max_shift_fraction = 0.5;
-  }
+let default_config = { iterations = 4000; max_shift_fraction = 0.5 }
+
+let schedule = Schedule.geometric ~t0:2000.0 ~alpha:0.995 ~t_min:1e-3 ()
+let swap_probability = 0.25
 
 type result = {
   placement : Placement.t;
@@ -76,12 +69,12 @@ let optimize ?(config = default_config) ?arena ?initial ~rng circuit ~die_w ~die
     Rect.set rect_buf.(i) ~x:init_x.(i) ~y:init_y.(i) ~w:(Dims.width dims i)
       ~h:(Dims.height dims i)
   done;
-  let eng = Arena.engine arena ~weights:config.weights circuit ~die_w ~die_h rect_buf in
+  let eng = Arena.engine arena circuit ~die_w ~die_h rect_buf in
   (* One preallocated proposal buffer; [propose] overwrites it in place. *)
   let mv_swap = ref false and mv_i = ref 0 and mv_j = ref 0 in
   let mv_x = ref 0 and mv_y = ref 0 in
   let propose rng =
-    if n >= 2 && Rng.bernoulli rng config.swap_probability then begin
+    if n >= 2 && Rng.bernoulli rng swap_probability then begin
       let i = Rng.int rng n in
       mv_swap := true;
       mv_i := i;
@@ -127,7 +120,7 @@ let optimize ?(config = default_config) ?arena ?initial ~rng circuit ~die_w ~die
   let sa =
     Annealer.run_moves
       ~on_improve:(fun ~cost:_ ~step:_ -> snapshot_best ())
-      ~rng ~schedule:config.schedule ~iterations:config.iterations
+      ~rng ~schedule ~iterations:config.iterations
       ~initial_cost:totals.cur
       { Annealer.propose; delta_cost; commit; reject }
   in
@@ -140,7 +133,7 @@ let optimize ?(config = default_config) ?arena ?initial ~rng circuit ~die_w ~die
   {
     placement = Placement.make ~coords ~die_w ~die_h;
     rects;
-    cost = Mps_cost.Cost.total ~weights:config.weights circuit ~die_w ~die_h rects;
+    cost = Mps_cost.Cost.total circuit ~die_w ~die_h rects;
     legal = Mps_cost.Cost.is_legal ~die_w ~die_h rects;
     evaluations = sa.Annealer.mv_evaluations;
   }

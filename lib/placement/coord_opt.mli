@@ -11,14 +11,11 @@ open Mps_netlist
 
 type config = {
   iterations : int;
-  schedule : Mps_anneal.Schedule.t;
-  weights : Mps_cost.Cost.weights;
-  swap_probability : float;  (** Chance a move swaps two blocks. *)
   max_shift_fraction : float;  (** Displacement range as a die fraction. *)
 }
 
 val default_config : config
-(** 4000 iterations, geometric cooling. *)
+(** 4000 iterations, shifts up to half the die. *)
 
 type result = {
   placement : Placement.t;  (** Optimized coordinates. *)
@@ -35,7 +32,9 @@ val optimize :
   rng:Rng.t -> Circuit.t -> die_w:int -> die_h:int -> Dims.t -> result
 (** Anneal coordinates for the given dimensions under the penalized
     cost function (overlap and out-of-bounds discouraged, not
-    forbidden, so the walk can pass through illegal states).
+    forbidden, so the walk can pass through illegal states).  Every run
+    cools geometrically (t0 2000, alpha 0.995, t_min 1e-3), and a move
+    swaps two blocks with probability 0.25, else shifts one.
     [initial] seeds the walk (random corners by default); useful for
     refining an existing arrangement with a short run.
 

@@ -132,20 +132,9 @@ let bernoulli t p =
   else if p <= 0.0 then false
   else Random.State.float t.state 1.0 < p
 
-let gaussian t ~mu ~sigma =
-  (* Box-Muller; guard against log 0. *)
-  let u1 = max epsilon_float (Random.State.float t.state 1.0) in
-  let u2 = Random.State.float t.state 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(Random.State.int t.state (Array.length a))
-
-let choose_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.choose_list: empty list"
-  | _ -> List.nth l (Random.State.int t.state (List.length l))
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
@@ -154,11 +143,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let shuffle t l =
-  let a = Array.of_list l in
-  shuffle_in_place t a;
-  Array.to_list a
 
 let sample_distinct t ~k ~n =
   if k < 0 || k > n then invalid_arg "Rng.sample_distinct";

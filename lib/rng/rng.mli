@@ -68,22 +68,12 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal draw. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform draw from a non-empty array.  @raise Invalid_argument on
     an empty array. *)
 
-val choose_list : t -> 'a list -> 'a
-(** Uniform draw from a non-empty list.  @raise Invalid_argument on an
-    empty list. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** Functional shuffle of a list. *)
 
 val sample_distinct : t -> k:int -> n:int -> int list
 (** [sample_distinct t ~k ~n] draws [k] distinct values from

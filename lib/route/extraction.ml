@@ -12,15 +12,14 @@ type t = {
   total_resistance_ohm : float;
 }
 
-type constants = {
-  r_ohm_per_unit : float;
-  c_ff_per_unit : float;
-  c_ff_per_pin : float;
-}
+(* A generic 0.35 um metal stack: wire resistance and capacitance per
+   layout grid unit, and the fixed contact/via capacitance per net
+   endpoint. *)
+let r_ohm_per_unit = 0.35
+let c_ff_per_unit = 0.25
+let c_ff_per_pin = 1.5
 
-let default_constants = { r_ohm_per_unit = 0.35; c_ff_per_unit = 0.25; c_ff_per_pin = 1.5 }
-
-let extract ?(constants = default_constants) circuit routing =
+let extract circuit routing =
   let nets =
     Array.map
       (fun (net : Net.t) ->
@@ -28,9 +27,8 @@ let extract ?(constants = default_constants) circuit routing =
         let pins = float_of_int (Net.degree net) in
         {
           net_id = net.Net.id;
-          resistance_ohm = constants.r_ohm_per_unit *. length;
-          capacitance_ff =
-            (constants.c_ff_per_unit *. length) +. (constants.c_ff_per_pin *. pins);
+          resistance_ohm = r_ohm_per_unit *. length;
+          capacitance_ff = (c_ff_per_unit *. length) +. (c_ff_per_pin *. pins);
         })
       circuit.Circuit.nets
   in

@@ -21,17 +21,9 @@ type t = {
   total_resistance_ohm : float;
 }
 
-type constants = {
-  r_ohm_per_unit : float;  (** Wire resistance per layout grid unit. *)
-  c_ff_per_unit : float;  (** Wire capacitance per layout grid unit. *)
-  c_ff_per_pin : float;  (** Fixed contact/via capacitance per endpoint. *)
-}
-
-val default_constants : constants
-(** 0.35 Ω and 0.25 fF per grid unit, 1.5 fF per endpoint. *)
-
-val extract : ?constants:constants -> Circuit.t -> Router.t -> t
-(** Lumped RC per net of a routed floorplan. *)
+val extract : Circuit.t -> Router.t -> t
+(** Lumped RC per net of a routed floorplan: 0.35 Ω and 0.25 fF per
+    routed grid unit, plus 1.5 fF per net endpoint. *)
 
 val net_capacitance : t -> int -> float
 (** Capacitance of one net by id.

@@ -77,10 +77,5 @@ let overflow t =
   done;
   !acc
 
-let neighbors t (c, r) =
-  List.filter
-    (fun (c', r') -> in_grid t (c', r') && not t.blocked.(r').(c'))
-    [ (c - 1, r); (c + 1, r); (c, r - 1); (c, r + 1) ]
-
 let neighbors_all t (c, r) =
   List.filter (in_grid t) [ (c - 1, r); (c + 1, r); (c, r - 1); (c, r + 1) ]

@@ -42,9 +42,6 @@ val overflow : t -> int
 (** Total usage above capacity, summed over cells — the congestion
     measure. *)
 
-val neighbors : t -> int * int -> (int * int) list
-(** The 4-connected unblocked neighbours. *)
-
 val neighbors_all : t -> int * int -> (int * int) list
 (** All 4-connected in-grid neighbours, blocked cells included (for
     over-the-block routing at a cost penalty). *)

@@ -1,14 +1,16 @@
 open Mps_netlist
 
-type config = {
-  cell : int;
-  capacity : int;
-  congestion_penalty : int;
-  over_block_penalty : int;
-}
+let cell = 4
+let capacity = 4
 
-let default_config =
-  { cell = 4; capacity = 4; congestion_penalty = 2; over_block_penalty = 8 }
+(* Extra BFS cost per crossing already in a cell, so later nets detour
+   around congestion. *)
+let congestion_penalty = 2
+
+(* Extra cost for crossing a block interior (over-the-cell routing on
+   upper metal): pins deep inside modules can escape, but open channels
+   are strongly preferred. *)
+let over_block_penalty = 8
 
 type routed_net = {
   net_id : int;
@@ -27,7 +29,7 @@ type t = {
 (* Dijkstra-flavoured wave expansion from a set of sources to one
    target cell, cell cost 1 + congestion penalty.  Returns the path
    from a source to the target (inclusive), or None. *)
-let wave grid config ~sources ~target =
+let wave grid ~sources ~target =
   let cols = Route_grid.cols grid and rows = Route_grid.rows grid in
   let dist = Array.make_matrix rows cols max_int in
   let parent = Array.make_matrix rows cols None in
@@ -50,8 +52,8 @@ let wave grid config ~sources ~target =
     sources;
   let cell_cost cell =
     1
-    + (config.congestion_penalty * Route_grid.usage grid cell)
-    + (if Route_grid.blocked grid cell then config.over_block_penalty else 0)
+    + (congestion_penalty * Route_grid.usage grid cell)
+    + (if Route_grid.blocked grid cell then over_block_penalty else 0)
   in
   let rec loop () =
     match Pq.min_elt_opt !pq with
@@ -84,10 +86,10 @@ let wave grid config ~sources ~target =
     in
     Some (back [] target)
 
-let route ?(config = default_config) circuit ~die_w ~die_h rects =
+let route circuit ~die_w ~die_h rects =
   if Array.length rects <> Circuit.n_blocks circuit then
     invalid_arg "Router.route: one rectangle per block required";
-  let grid = Route_grid.create ~die_w ~die_h ~cell:config.cell ~capacity:config.capacity rects in
+  let grid = Route_grid.create ~die_w ~die_h ~cell ~capacity rects in
   let pin_cell pin =
     let x, y = Mps_cost.Wirelength.pin_position pin ~rects ~die_w ~die_h in
     let cell = Route_grid.cell_of_point grid ~x ~y in
@@ -115,7 +117,7 @@ let route ?(config = default_config) circuit ~die_w ~die_h rects =
         List.iter
           (fun pin ->
             if not (List.mem pin !tree) then
-              match wave grid config ~sources:!tree ~target:pin with
+              match wave grid ~sources:!tree ~target:pin with
               | Some path ->
                 List.iter
                   (fun cell -> if not (List.mem cell !tree) then tree := cell :: !tree)
@@ -124,9 +126,7 @@ let route ?(config = default_config) circuit ~die_w ~die_h rects =
           rest;
         if !complete then begin
           List.iter (Route_grid.occupy grid) !tree;
-          let length =
-            float_of_int ((List.length !tree - 1) * config.cell)
-          in
+          let length = float_of_int ((List.length !tree - 1) * cell) in
           Hashtbl.replace results net.Net.id
             { net_id = net.Net.id; cells = !tree; length; routed = true }
         end

@@ -11,20 +11,11 @@
 open Mps_geometry
 open Mps_netlist
 
-type config = {
-  cell : int;  (** Routing grid pitch in layout grid units. *)
-  capacity : int;  (** Wire crossings per cell before congestion. *)
-  congestion_penalty : int;
-      (** Extra BFS cost per crossing already in a cell (makes later
-          nets detour around congestion). *)
-  over_block_penalty : int;
-      (** Extra cost for crossing a block interior (over-the-cell
-          routing on upper metal): pins deep inside modules can escape,
-          but open channels are strongly preferred. *)
-}
+val cell : int
+(** Routing grid pitch in layout grid units: 4. *)
 
-val default_config : config
-(** Cell 4, capacity 4, congestion penalty 2, over-block penalty 8. *)
+val capacity : int
+(** Wire crossings per cell before congestion: 4. *)
 
 (** Routing result for one net. *)
 type routed_net = {
@@ -43,9 +34,12 @@ type t = {
   failed_nets : int;
 }
 
-val route :
-  ?config:config -> Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> t
-(** Route every net of the instantiated floorplan.
+val route : Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> t
+(** Route every net of the instantiated floorplan on a {!Route_grid} of
+    pitch {!cell} and {!capacity}.  A cell costs 1, plus 2 per crossing
+    already in it, plus 8 inside a block (over-the-cell routing on upper
+    metal: pins deep inside modules can escape, but open channels are
+    strongly preferred).
     @raise Invalid_argument on a block-count mismatch. *)
 
 val routed_length : t -> int -> float

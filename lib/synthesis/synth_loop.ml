@@ -26,15 +26,14 @@ let template_placer template =
     place = (fun dims -> Mps_baselines.Template_placer.instantiate template dims);
   }
 
-let sa_placer ?(config = Mps_baselines.Sa_placer.default_config) ~seed circuit ~die_w
-    ~die_h =
+let sa_placer ?iterations ~seed circuit ~die_w ~die_h =
   let rng = Rng.create ~seed in
   {
     name = "sa-placer";
     place =
       (fun dims ->
-        (Mps_baselines.Sa_placer.place ~config ~rng circuit ~die_w ~die_h dims)
-          .Mps_baselines.Sa_placer.rects);
+        (Mps_baselines.Sa_placer.place ?iterations ~rng circuit ~die_w ~die_h dims)
+          .Mps_placement.Coord_opt.rects);
   }
 
 type parasitics =

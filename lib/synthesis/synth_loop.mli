@@ -25,9 +25,10 @@ val template_placer : Mps_baselines.Template_placer.t -> placer
 (** Re-packs the fixed template. *)
 
 val sa_placer :
-  ?config:Mps_baselines.Sa_placer.config ->
-  seed:int -> Circuit.t -> die_w:int -> die_h:int -> placer
-(** Runs a fresh full SA placement per query (the slow baseline). *)
+  ?iterations:int -> seed:int -> Circuit.t -> die_w:int -> die_h:int -> placer
+(** Runs a fresh full SA placement per query (the slow baseline) of
+    [iterations] steps ({!Mps_baselines.Sa_placer.place}'s default when
+    absent). *)
 
 (** How layout parasitics are estimated inside the loop. *)
 type parasitics =

@@ -38,7 +38,6 @@ let[@inline] imax (a : int) b = if a >= b then a else b
 
 type t = {
   circuit : Circuit.t;
-  weights : Cost.weights;
   die_w : int;
   die_h : int;
   n : int;
@@ -241,7 +240,7 @@ let resync t =
 
 (* [reset] makes an engine reusable across candidates: [create] pays
    O(n + pins) allocation for the compiled pin/incidence arrays, which
-   depend only on (circuit, die, weights) — not on the floorplan — so
+   depend only on (circuit, die) — not on the floorplan — so
    an arena can rebind the same engine to a new rect set allocating
    only the one boxed float the [hpwl] field holds.  [resync] rebuilds
    every cache from scratch, so the resulting state is bit-identical to
@@ -264,8 +263,7 @@ let reset ?(overlap_free = false) t rects =
   t.overlap_free <- overlap_free;
   resync t
 
-let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die_w ~die_h
-    rects =
+let create ?(resync_every = 1024) circuit ~die_w ~die_h rects =
   let n = Circuit.n_blocks circuit in
   if Array.length rects <> n then
     invalid_arg "Incremental.create: one rectangle per block required";
@@ -309,7 +307,6 @@ let create ?(weights = Cost.default_weights) ?(resync_every = 1024) circuit ~die
   let t =
     {
       circuit;
-      weights;
       die_w;
       die_h;
       n;
@@ -510,11 +507,12 @@ let commit t =
   if t.committed >= t.resync_every then resync t
 
 let total t =
-  t.weights.Cost.wirelength *. t.hpwl
-  +. (t.weights.Cost.area *. float_of_int (bbox_area t))
-  +. (t.weights.Cost.overlap *. float_of_int t.overlap)
-  +. (t.weights.Cost.out_of_bounds *. float_of_int t.oob_total)
-  +. (t.weights.Cost.symmetry *. symmetry t)
+  let w = Cost.weights in
+  w.Cost.wirelength *. t.hpwl
+  +. (w.Cost.area *. float_of_int (bbox_area t))
+  +. (w.Cost.overlap *. float_of_int t.overlap)
+  +. (w.Cost.out_of_bounds *. float_of_int t.oob_total)
+  +. (w.Cost.symmetry *. symmetry t)
 
 let breakdown t =
   {

@@ -196,15 +196,16 @@ let test_coord_opt_improves () =
 
 let test_sa_placer_legal_and_deterministic () =
   let dims = Dimbox.center (Circuit.dim_bounds circuit) in
-  let config = { Sa_placer.default_config with iterations = 1200 } in
-  let run seed = Sa_placer.place ~config ~rng:(Rng.create ~seed) circuit ~die_w ~die_h dims in
+  let run seed =
+    Sa_placer.place ~iterations:1200 ~rng:(Rng.create ~seed) circuit ~die_w ~die_h dims
+  in
   let a = run 5 and b = run 5 in
-  check_bool "legal" true a.Sa_placer.legal;
-  Alcotest.(check (float 1e-12)) "deterministic" a.Sa_placer.cost b.Sa_placer.cost;
+  check_bool "legal" true a.Coord_opt.legal;
+  Alcotest.(check (float 1e-12)) "deterministic" a.Coord_opt.cost b.Coord_opt.cost;
   check_bool "right dims" true
     (Array.for_all2
        (fun r i -> r.Rect.w = Dims.width dims i && r.Rect.h = Dims.height dims i)
-       a.Sa_placer.rects
+       a.Coord_opt.rects
        (Array.init (Circuit.n_blocks circuit) Fun.id))
 
 let test_sa_placer_dims_mismatch () =
@@ -251,16 +252,15 @@ let test_sa_beats_template_on_average () =
   let rng = Rng.create ~seed:11 in
   let t = Template_placer.build ~iterations:800 ~rng circuit ~die_w ~die_h in
   let bounds = Circuit.dim_bounds circuit in
-  let sa_config = { Sa_placer.default_config with iterations = 1500 } in
   let sa_rng = Rng.create ~seed:12 in
   let trials = 8 in
   let sa_total = ref 0.0 and tp_total = ref 0.0 in
   let probe_rng = Rng.create ~seed:13 in
   for _ = 1 to trials do
     let dims = Dimbox.random_dims probe_rng bounds in
-    let sa = Sa_placer.place ~config:sa_config ~rng:sa_rng circuit ~die_w ~die_h dims in
+    let sa = Sa_placer.place ~iterations:1500 ~rng:sa_rng circuit ~die_w ~die_h dims in
     let tp = Template_placer.instantiate t dims in
-    sa_total := !sa_total +. sa.Sa_placer.cost;
+    sa_total := !sa_total +. sa.Coord_opt.cost;
     tp_total := !tp_total +. Mps_cost.Cost.total circuit ~die_w ~die_h tp
   done;
   check_bool "optimization wins on quality" true (!sa_total < !tp_total)

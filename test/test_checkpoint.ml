@@ -33,8 +33,11 @@ let with_checkpoint_file f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let walks = base_config.Generator.explorer_restarts
-let steps_per_round = walks * base_config.Generator.walk_chunk
+(* The walk count and the steps each walk advances per round are
+   generator constants that every checkpoint records: read them from
+   one. *)
+let walks (cp : Checkpoint.t) = Array.length cp.Checkpoint.walks
+let steps_per_round cp = walks cp * cp.Checkpoint.chunk
 
 (* Run with a checkpoint every second round; the last snapshot (round
    2 of 3) is left on disk for the resume tests. *)
@@ -49,8 +52,12 @@ let test_checkpoint_file_roundtrip () =
       let _ = checkpointed_run path in
       check_bool "checkpoint file left behind" true (Sys.file_exists path);
       let cp = Checkpoint.load ~circuit ~path in
-      check_int "snapshot taken after round 2" (2 * steps_per_round) cp.Checkpoint.step;
-      check_int "every walk recorded" walks (Array.length cp.Checkpoint.walks);
+      check_int "snapshot taken after round 2" (2 * steps_per_round cp)
+        cp.Checkpoint.step;
+      check_bool "every walk advanced two rounds" true
+        (Array.for_all
+           (fun w -> w.Checkpoint.w_step = 2 * cp.Checkpoint.chunk)
+           cp.Checkpoint.walks);
       (* save → load → to_string is a fixpoint *)
       let path2 = Filename.temp_file "mps_ckpt2" ".mpsc" in
       Checkpoint.save cp ~path:path2;
@@ -179,9 +186,10 @@ let reseal raw ~word ~value =
 let test_huge_walk_count_rejected () =
   with_checkpoint_file (fun path ->
       let _ = checkpointed_run path in
-      let raw = Checkpoint.to_string (Checkpoint.load ~circuit ~path) in
+      let cp = Checkpoint.load ~circuit ~path in
+      let raw = Checkpoint.to_string cp in
       check_bool "resealing alone keeps the checkpoint valid" false
-        (rejects (reseal raw ~word:3 ~value:walks));
+        (rejects (reseal raw ~word:3 ~value:(walks cp)));
       List.iter
         (fun count ->
           check_bool
@@ -212,7 +220,8 @@ let test_deadline_stops_gracefully_and_resumes () =
       check_bool "interim structure still valid" true (Structure.n_placements s >= 1);
       check_bool "final checkpoint forced" true (Sys.file_exists path);
       let cp = Checkpoint.load ~circuit ~path in
-      check_int "stopped right after the first round" steps_per_round cp.Checkpoint.step;
+      check_int "stopped right after the first round" (steps_per_round cp)
+        cp.Checkpoint.step;
       let resumed, rstats = Generator.resume ~config:base_config cp in
       let straight, _ = Generator.generate ~config:base_config circuit in
       check_bool "deadline + resume equals the uninterrupted run" true
@@ -221,11 +230,13 @@ let test_deadline_stops_gracefully_and_resumes () =
         (not rstats.Generator.deadline_hit))
 
 let test_no_deadline_runs_to_budget () =
-  let _, stats = Generator.generate ~config:base_config circuit in
-  check_bool "no spurious deadline flag" true (not stats.Generator.deadline_hit);
-  check_int "full iteration budget on every walk"
-    (walks * base_config.Generator.explorer_iterations)
-    stats.Generator.explorer_steps
+  with_checkpoint_file (fun path ->
+      let _, stats = checkpointed_run path in
+      let cp = Checkpoint.load ~circuit ~path in
+      check_bool "no spurious deadline flag" true (not stats.Generator.deadline_hit);
+      check_int "full iteration budget on every walk"
+        (walks cp * base_config.Generator.explorer_iterations)
+        stats.Generator.explorer_steps)
 
 let suite =
   [

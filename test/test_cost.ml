@@ -85,12 +85,6 @@ let test_cost_oob_penalty () =
   check_int "oob area" 50 b.Cost.oob_area;
   check_bool "illegal" false (Cost.is_legal ~die_w:100 ~die_h:100 rects)
 
-let test_custom_weights () =
-  let c = circuit_two_blocks ~pins:[ Net.block_pin 0; Net.block_pin 1 ] in
-  let rects = [| Rect.make ~x:0 ~y:0 ~w:10 ~h:10; Rect.make ~x:20 ~y:10 ~w:10 ~h:10 |] in
-  let weights = { Cost.wirelength = 2.0; area = 0.0; overlap = 0.0; out_of_bounds = 0.0; symmetry = 0.0 } in
-  check_float "wirelength only, doubled" 60.0 (Cost.total ~weights c ~die_w:100 ~die_h:100 rects)
-
 (* Property: HPWL is translation-invariant when all endpoints are block
    pins (no pads). *)
 let prop_hpwl_translation_invariant =
@@ -123,7 +117,6 @@ let suite =
     ("breakdown of a legal floorplan", `Quick, test_cost_breakdown_legal);
     ("overlap penalty", `Quick, test_cost_overlap_penalty);
     ("out-of-bounds penalty", `Quick, test_cost_oob_penalty);
-    ("custom weights", `Quick, test_custom_weights);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_hpwl_translation_invariant; prop_overlap_area_symmetric ]

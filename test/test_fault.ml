@@ -74,7 +74,6 @@ let is_typed = function
 let check_queries_sound tag structure =
   let c = Structure.circuit structure in
   let die_w, die_h = Structure.die structure in
-  let weights = Mps_cost.Cost.default_weights in
   let bounds = Circuit.dim_bounds c in
   let rng = Mps_rng.Rng.create ~seed:99 in
   let backup = Structure.backup structure in
@@ -87,9 +86,9 @@ let check_queries_sound tag structure =
       (Printf.sprintf "%s: query %d overlap-free" tag k)
       true
       (Rect.any_overlap rects = None);
-    cost_sum := !cost_sum +. Mps_cost.Cost.total ~weights c ~die_w ~die_h rects;
+    cost_sum := !cost_sum +. Mps_cost.Cost.total c ~die_w ~die_h rects;
     let floor_rects = Stored.instantiate_repacked backup dims in
-    floor_sum := !floor_sum +. Mps_cost.Cost.total ~weights c ~die_w ~die_h floor_rects
+    floor_sum := !floor_sum +. Mps_cost.Cost.total c ~die_w ~die_h floor_rects
   done;
   check_bool
     (Printf.sprintf "%s: mean quality no worse than the backup template" tag)

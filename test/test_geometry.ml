@@ -46,18 +46,7 @@ let test_interval_before_after_split () =
   check_bool "before empty" true (Interval.before t ~limit:3 = None);
   check_bool "after" true
     (match Interval.after t ~limit:6 with Some r -> Interval.equal r (iv 7 10) | None -> false);
-  check_bool "after empty" true (Interval.after t ~limit:10 = None);
-  (match Interval.split_at t 6 with
-  | Some a, Some b ->
-    check_bool "split left" true (Interval.equal a (iv 3 5));
-    check_bool "split right" true (Interval.equal b (iv 6 10))
-  | _ -> Alcotest.fail "expected two parts");
-  (match Interval.split_at t 3 with
-  | None, Some b -> check_bool "split at lo" true (Interval.equal b t)
-  | _ -> Alcotest.fail "expected right part only");
-  match Interval.split_at t 11 with
-  | Some a, None -> check_bool "split past hi" true (Interval.equal a t)
-  | _ -> Alcotest.fail "expected left part only"
+  check_bool "after empty" true (Interval.after t ~limit:10 = None)
 
 let test_interval_clamp_midpoint () =
   let t = iv 3 10 in
@@ -97,15 +86,6 @@ let prop_overlap_length_consistent =
       | None -> Interval.overlap_length a b = 0
       | Some r -> Interval.overlap_length a b = Interval.length r)
 
-let prop_split_partitions =
-  QCheck.Test.make ~name:"split_at partitions the interval" ~count:500
-    (QCheck.pair arb_interval QCheck.(int_range (-60) 60)) (fun (t, v) ->
-      let left, right = Interval.split_at t v in
-      let len o = match o with Some r -> Interval.length r | None -> 0 in
-      len left + len right = Interval.length t
-      && (match left with Some r -> Interval.hi r < v | None -> true)
-      && match right with Some r -> Interval.lo r >= v | None -> true)
-
 let prop_hull_contains =
   QCheck.Test.make ~name:"hull contains both" ~count:500
     (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
@@ -122,8 +102,6 @@ let test_rect_basic () =
   check_int "area" 20 (Rect.area t);
   check_int "right" 6 (Rect.right t);
   check_int "top" 8 (Rect.top t);
-  check_bool "x span" true (Interval.equal (Rect.x_span t) (iv 2 5));
-  check_bool "y span" true (Interval.equal (Rect.y_span t) (iv 3 7));
   let cx, cy = Rect.center t in
   Alcotest.(check (float 1e-9)) "cx" 4.0 cx;
   Alcotest.(check (float 1e-9)) "cy" 5.5 cy
@@ -135,13 +113,6 @@ let test_rect_overlap () =
   check_bool "real overlap" true (Rect.overlaps a (r ~x:3 ~y:3 ~w:2 ~h:2));
   check_int "overlap area" 1 (Rect.overlap_area a (r ~x:3 ~y:3 ~w:2 ~h:2));
   check_int "disjoint area" 0 (Rect.overlap_area a (r ~x:9 ~y:9 ~w:2 ~h:2))
-
-let test_rect_contains () =
-  let a = r ~x:0 ~y:0 ~w:4 ~h:4 in
-  check_bool "point in" true (Rect.contains_point a ~x:3 ~y:3);
-  check_bool "point on right edge out" false (Rect.contains_point a ~x:4 ~y:0);
-  check_bool "rect in" true (Rect.contains_rect ~outer:a ~inner:(r ~x:1 ~y:1 ~w:3 ~h:3));
-  check_bool "rect out" false (Rect.contains_rect ~outer:a ~inner:(r ~x:1 ~y:1 ~w:4 ~h:3))
 
 let test_rect_inside_die () =
   check_bool "inside" true (Rect.inside (r ~x:0 ~y:0 ~w:10 ~h:10) ~die_w:10 ~die_h:10);
@@ -180,11 +151,6 @@ let test_dims_invalid () =
   Alcotest.check_raises "zero width" (Invalid_argument "Dims.make: non-positive width")
     (fun () -> ignore (Dims.make ~w:[| 0 |] ~h:[| 1 |]))
 
-let test_dims_map2_sum () =
-  let a = Dims.of_pairs [| (3, 5); (4, 6) |] in
-  let b = Dims.of_pairs [| (1, 2); (2, 2) |] in
-  check_int "L1 distance" (2 + 3 + 2 + 4) (Dims.map2_sum a b ~f:(fun x y -> abs (x - y)))
-
 (* Dimbox *)
 
 let box2 =
@@ -204,18 +170,7 @@ let test_dimbox_overlap_axis () =
     (Dimbox.disjoint_axis box2 other = Some (Dimbox.Width 0));
   let overlapping = Dimbox.make ~w:[| iv 9 20; iv 4 8 |] ~h:[| iv 3 9; iv 4 20 |] in
   check_bool "overlaps" true (Dimbox.overlaps box2 overlapping);
-  (* smallest positive overlap: w0 shares 2 points, w1 5, h0 7, h1 1 (5..5) *)
-  check_bool "min overlap axis" true
-    (Dimbox.min_overlap_axis box2 overlapping = Some (Dimbox.Height 1));
-  let no_h1_tie = Dimbox.make ~w:[| iv 9 20; iv 4 8 |] ~h:[| iv 3 9; iv 5 5 |] in
-  check_bool "min overlap axis among several" true
-    (Dimbox.min_overlap_axis box2 no_h1_tie = Some (Dimbox.Height 1))
-
-let test_dimbox_min_overlap_prefers_height () =
-  let a = Dimbox.make ~w:[| iv 0 10 |] ~h:[| iv 0 10 |] in
-  let b = Dimbox.make ~w:[| iv 5 15 |] ~h:[| iv 10 20 |] in
-  check_bool "h0 has the smallest overlap" true
-    (Dimbox.min_overlap_axis a b = Some (Dimbox.Height 0))
+  check_bool "no disjoint axis" true (Dimbox.disjoint_axis box2 overlapping = None)
 
 let test_dimbox_with_axis () =
   let t = Dimbox.with_axis box2 (Dimbox.Height 1) (iv 1 2) in
@@ -289,7 +244,6 @@ let qcheck_suite =
     [
       prop_inter_commutes;
       prop_overlap_length_consistent;
-      prop_split_partitions;
       prop_hull_contains;
       prop_dimbox_overlap_symmetric;
       prop_dimbox_inter_contained;
@@ -307,16 +261,13 @@ let suite =
     ("interval: fraction_of", `Quick, test_interval_fraction);
     ("rect: basics", `Quick, test_rect_basic);
     ("rect: overlap semantics", `Quick, test_rect_overlap);
-    ("rect: containment", `Quick, test_rect_contains);
     ("rect: inside die", `Quick, test_rect_inside_die);
     ("rect: bounding box", `Quick, test_rect_bounding_box);
     ("rect: any_overlap", `Quick, test_rect_any_overlap);
     ("dims: basics", `Quick, test_dims_basic);
     ("dims: invalid args", `Quick, test_dims_invalid);
-    ("dims: map2_sum", `Quick, test_dims_map2_sum);
     ("dimbox: contains", `Quick, test_dimbox_contains);
     ("dimbox: overlap and disjoint axis", `Quick, test_dimbox_overlap_axis);
-    ("dimbox: min overlap axis prefers smallest", `Quick, test_dimbox_min_overlap_prefers_height);
     ("dimbox: with_axis", `Quick, test_dimbox_with_axis);
     ("dimbox: intersection", `Quick, test_dimbox_inter);
     ("dimbox: volume fraction", `Quick, test_dimbox_volume_fraction);

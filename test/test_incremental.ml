@@ -238,9 +238,8 @@ let overlap_free_run circuit ~seed =
   let bounds = Circuit.dim_bounds circuit in
   let coords = placement.Placement.coords in
   let arena = Arena.create () in
-  let weights = Cost.default_weights in
   let probe rects =
-    let eng = Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h rects in
+    let eng = Arena.engine ~overlap_free:true arena circuit ~die_w ~die_h rects in
     same_bits (Cost.total circuit ~die_w ~die_h rects) (Incremental.total eng)
   in
   let ok = ref true in
@@ -254,7 +253,7 @@ let overlap_free_run circuit ~seed =
   (* BDIO-style resizes inside the box, one block at a time and as a
      batch, keep the integer terms exact and resync onto the bits *)
   let eng =
-    Arena.engine ~overlap_free:true arena ~weights circuit ~die_w ~die_h
+    Arena.engine ~overlap_free:true arena circuit ~die_w ~die_h
       (Placement.rects placement (Dimbox.random_dims rng expansion))
   in
   let redraw i =
@@ -452,8 +451,7 @@ let test_probe_allocation () =
       ignore
         (Sys.opaque_identity
            (Incremental.total
-              (Arena.engine ?overlap_free arena ~weights:Cost.default_weights circuit
-                 ~die_w ~die_h rects)))
+              (Arena.engine ?overlap_free arena circuit ~die_w ~die_h rects)))
     in
     let run k =
       let before = Gc.minor_words () in

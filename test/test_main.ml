@@ -33,4 +33,5 @@ let () =
       ("zcodec", Test_zcodec.suite);
       ("pinned", Test_pinned.suite);
       ("row", Test_plan_rows.suite);
+      ("exports", Test_exports.suite);
     ]

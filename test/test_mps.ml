@@ -46,12 +46,17 @@ let test_stored_with_box_clamps_best () =
   check_bool "best clamped into new box" true
     (Dimbox.contains s'.Stored.box s'.Stored.best_dims)
 
+(* Dimensions clamped into a placement's expansion box instantiate a
+   legal floorplan, however wild the request. *)
 let test_stored_instantiate_clamped_legal () =
   let s = stored1 ~w:(iv 10 50) ~h:(iv 10 50) () in
   let wild = Dims.of_pairs [| (100, 100) |] in
-  let rects = Stored.instantiate_clamped s wild in
-  check_bool "clamped inside expansion" true
-    (rects.(0).Rect.w <= 100 && rects.(0).Rect.h <= 100)
+  let dims = Dimbox.clamp s.Stored.expansion wild in
+  let p = s.Stored.placement in
+  check_bool "clamped inside expansion" true (Dimbox.contains s.Stored.expansion dims);
+  check_bool "legal at clamped dims" true
+    (Mps_cost.Cost.is_legal ~die_w:p.Placement.die_w ~die_h:p.Placement.die_h
+       (Stored.instantiate s dims))
 
 (* Bdio.shrink_box *)
 

@@ -92,7 +92,6 @@ let test_circuit_dims () =
   check_bool "min valid" true (Circuit.dims_valid c lo);
   check_bool "max valid" true (Circuit.dims_valid c hi);
   check_bool "too small" false (Circuit.dims_valid c (Dims.set_width lo 0 1));
-  check_int "total min area" (16 + 4) (Circuit.total_min_area c);
   check_int "total max area" (64 + 100) (Circuit.total_max_area c)
 
 let test_circuit_default_die () =
