@@ -573,7 +573,7 @@ let json_arg =
 let samples_arg =
   Arg.(
     value
-    & opt int 12
+    & opt int Audit.default_samples_per_box
     & info [ "samples" ] ~docv:"N" ~doc:"Seeded legality samples per validity box.")
 
 let audit_seed_arg =

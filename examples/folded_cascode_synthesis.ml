@@ -26,14 +26,19 @@ let () =
   let rng = Mps_rng.Rng.create ~seed:4 in
   let template = Mps_baselines.Template_placer.build ~rng circuit ~die_w ~die_h in
 
+  let loop_config =
+    { Synth_loop.seed = 7; iterations = 120; parasitics = Hpwl_estimate; optimize_aspect = false }
+  in
   let show name placer =
-    let r = Folded_cascode.synthesize process circuit ~die_w ~die_h placer in
+    let r =
+      Synth_loop.run ~config:loop_config Folded_cascode.model process circuit ~die_w ~die_h placer
+    in
     Format.printf "@.%s:@.  best %a@.  %a@.  spec met: %b, placement time %s of %s@." name
-      Folded_cascode.pp_sizing r.Folded_cascode.best_sizing Folded_cascode.pp_perf
-      r.Folded_cascode.best_perf r.Folded_cascode.meets
-      (Mps_experiments.Text_table.seconds r.Folded_cascode.placement_seconds)
-      (Mps_experiments.Text_table.seconds r.Folded_cascode.total_seconds);
-    r.Folded_cascode.best_cost
+      Folded_cascode.pp_sizing r.Synth_loop.best_sizing Synth_loop.pp_perf r.Synth_loop.best_perf
+      r.Synth_loop.meets_spec
+      (Mps_experiments.Text_table.seconds r.Synth_loop.placement_seconds)
+      (Mps_experiments.Text_table.seconds r.Synth_loop.total_seconds);
+    r.Synth_loop.best_cost
   in
   let mps_cost = show "multi-placement structure" (Synth_loop.mps_placer structure) in
   let tpl_cost = show "fixed template" (Synth_loop.template_placer template) in

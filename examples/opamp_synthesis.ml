@@ -26,17 +26,17 @@ let () =
 
   (* The synthesis loop, placing through the structure. *)
   let placer = Synth_loop.mps_placer structure in
-  let result = Synth_loop.run process circuit ~die_w ~die_h placer in
+  let result = Synth_loop.run Opamp.model process circuit ~die_w ~die_h placer in
   Format.printf "@.Synthesis finished: %d sizings evaluated in %s (placement: %s)@."
     result.Synth_loop.evaluations
     (Mps_experiments.Text_table.seconds result.Synth_loop.total_seconds)
     (Mps_experiments.Text_table.seconds result.Synth_loop.placement_seconds);
   Format.printf "Best sizing: %a@." Opamp.pp_sizing result.Synth_loop.best_sizing;
-  Format.printf "Performance: %a@." Opamp.pp_perf result.Synth_loop.best_perf;
+  Format.printf "Performance: %a@." Synth_loop.pp_perf result.Synth_loop.best_perf;
+  let spec = Opamp.model.Synth_loop.spec in
   Format.printf "Meets spec (%.0f dB, %.0f MHz, %.0f V/us, %.1f mW): %b@."
-    Opamp.default_spec.Opamp.min_gain_db Opamp.default_spec.Opamp.min_gbw_mhz
-    Opamp.default_spec.Opamp.min_slew_v_per_us Opamp.default_spec.Opamp.max_power_mw
-    result.Synth_loop.meets_spec;
+    spec.Synth_loop.min_gain_db spec.Synth_loop.min_gbw_mhz spec.Synth_loop.min_slew_v_per_us
+    spec.Synth_loop.max_power_mw result.Synth_loop.meets_spec;
 
   (* Show the floorplan the winning sizing gets. *)
   let dims = Opamp.dims process circuit result.Synth_loop.best_sizing in

@@ -43,8 +43,8 @@ let () =
   let routed_perf =
     Mps_synthesis.Opamp.performance_routed process circuit ~die_w ~die_h sizing rects
   in
-  Format.printf "HPWL estimate:     %a@." Mps_synthesis.Opamp.pp_perf hpwl_perf;
-  Format.printf "Routed extraction: %a@." Mps_synthesis.Opamp.pp_perf routed_perf;
+  Format.printf "HPWL estimate:     %a@." Mps_synthesis.Synth_loop.pp_perf hpwl_perf;
+  Format.printf "Routed extraction: %a@." Mps_synthesis.Synth_loop.pp_perf routed_perf;
 
   (* Wire overlay. *)
   let grid =

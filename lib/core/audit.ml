@@ -74,8 +74,9 @@ let query_samples = 64
 let tolerance = 1e-6
 
 let default_seed = 7
+let default_samples_per_box = 12
 
-let run ?pool ?(samples_per_box = 12) ?(seed = default_seed) structure =
+let run ?pool ?(samples_per_box = default_samples_per_box) ?(seed = default_seed) structure =
   let circuit = Structure.circuit structure in
   let die_w, die_h = Structure.die structure in
   let bounds = Circuit.dim_bounds circuit in

@@ -64,10 +64,14 @@ val default_seed : int
 (** [7], {!run}'s default [seed]; {!Repair} seeds its re-annealing
     streams with it too. *)
 
+val default_samples_per_box : int
+(** [12], {!run}'s default [samples_per_box]. *)
+
 val run :
   ?pool:Mps_parallel.Pool.t -> ?samples_per_box:int -> ?seed:int -> Structure.t -> report
-(** Audit a structure.  [samples_per_box] (default 12) seeded legality
-    samples per stored box, 64 whole-space query probes, [seed]
+(** Audit a structure.  [samples_per_box] (default
+    {!default_samples_per_box}) seeded legality samples per stored box,
+    64 whole-space query probes, [seed]
     (default {!default_seed}) drives both; the cost re-verification
     re-evaluates {!Mps_cost.Cost.total} with a relative tolerance of
     1e-6.  Never raises: a check that

@@ -462,7 +462,7 @@ let ablation_parasitics ?(budget = Quick) () =
   let run parasitics =
     Mps_synthesis.Synth_loop.run
       ~config:{ Mps_synthesis.Synth_loop.default_config with iterations; parasitics }
-      process circuit ~die_w ~die_h placer
+      Mps_synthesis.Opamp.model process circuit ~die_w ~die_h placer
   in
   let rows =
     List.map
@@ -471,8 +471,8 @@ let ablation_parasitics ?(budget = Quick) () =
         [
           label;
           Printf.sprintf "%.2f" r.Mps_synthesis.Synth_loop.best_cost;
-          Printf.sprintf "%.1f" r.Mps_synthesis.Synth_loop.best_perf.Mps_synthesis.Opamp.gbw_mhz;
-          Printf.sprintf "%.0f" r.Mps_synthesis.Synth_loop.best_perf.Mps_synthesis.Opamp.wire_cap_ff;
+          Printf.sprintf "%.1f" r.Mps_synthesis.Synth_loop.best_perf.gbw_mhz;
+          Printf.sprintf "%.0f" r.Mps_synthesis.Synth_loop.best_perf.wire_cap_ff;
           Text_table.seconds r.Mps_synthesis.Synth_loop.total_seconds;
         ])
       [
@@ -516,14 +516,14 @@ let synthesis_comparison ?(budget = Quick) () =
     List.map
       (fun (placer, setup_time) ->
         let r =
-          Mps_synthesis.Synth_loop.run ~config:loop_config process circuit ~die_w ~die_h
-            placer
+          Mps_synthesis.Synth_loop.run ~config:loop_config Mps_synthesis.Opamp.model process
+            circuit ~die_w ~die_h placer
         in
         [
           placer.Mps_synthesis.Synth_loop.name;
           Printf.sprintf "%.2f" r.Mps_synthesis.Synth_loop.best_cost;
           (if r.Mps_synthesis.Synth_loop.meets_spec then "yes" else "no");
-          Printf.sprintf "%.1f" r.Mps_synthesis.Synth_loop.best_perf.Mps_synthesis.Opamp.gbw_mhz;
+          Printf.sprintf "%.1f" r.Mps_synthesis.Synth_loop.best_perf.gbw_mhz;
           Text_table.seconds r.Mps_synthesis.Synth_loop.placement_seconds;
           Text_table.seconds r.Mps_synthesis.Synth_loop.total_seconds;
           Text_table.seconds setup_time;

@@ -24,9 +24,6 @@ let n_blocks t = Array.length t.w
 let width t i = t.w.(i)
 let height t i = t.h.(i)
 
-let widths t = Array.copy t.w
-let heights t = Array.copy t.h
-
 let set_width t i w =
   if w <= 0 then invalid_arg "Dims.set_width: non-positive";
   let w' = Array.copy t.w in

@@ -37,11 +37,6 @@ val width : t -> int -> int
 
 val height : t -> int -> int
 
-val widths : t -> int array
-(** Fresh copy of the width vector. *)
-
-val heights : t -> int array
-
 val set_width : t -> int -> int -> t
 (** [set_width t i w] is a copy of [t] with block [i]'s width replaced. *)
 

@@ -13,7 +13,6 @@ val circ06 : Circuit.t
 val two_stage_opamp : Circuit.t
 val single_ended_opamp : Circuit.t
 val mixer : Circuit.t
-val circ08 : Circuit.t
 val tso_cascode : Circuit.t
 val benchmark24 : Circuit.t
 

@@ -19,7 +19,6 @@ let make_wh ~id ~name ~w:(wm, wM) ~h:(hm, hM) =
 let min_dims t = (Interval.lo t.w_bounds, Interval.lo t.h_bounds)
 let max_dims t = (Interval.hi t.w_bounds, Interval.hi t.h_bounds)
 
-let min_area t = Interval.lo t.w_bounds * Interval.lo t.h_bounds
 let max_area t = Interval.hi t.w_bounds * Interval.hi t.h_bounds
 
 let dims_valid t ~w ~h = Interval.contains t.w_bounds w && Interval.contains t.h_bounds h

@@ -24,7 +24,6 @@ val min_dims : t -> int * int
 
 val max_dims : t -> int * int
 
-val min_area : t -> int
 val max_area : t -> int
 
 val dims_valid : t -> w:int -> h:int -> bool

@@ -303,6 +303,7 @@ let refresh t =
     end
   end
 
+(* Live entries, most recently used first. *)
 let loaded t =
   Mutex.lock t.mutex;
   let entries = ref [] in

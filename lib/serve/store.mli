@@ -133,9 +133,6 @@ val reload : t -> string -> (entry, error) result
 (** Force a fresh load and epoch bump, regardless of mtime (the
     [reload] wire request). *)
 
-val loaded : t -> entry list
-(** Live entries, most recently used first. *)
-
 val describe : t -> string
 (** One line per live entry (epoch, mode, findings) for the [stats]
     reply and logs. *)

@@ -1,8 +1,6 @@
-open Mps_rng
 open Mps_geometry
 open Mps_netlist
 open Mps_modgen
-open Mps_anneal
 
 type sizing = {
   w_in_um : float;
@@ -18,25 +16,27 @@ let sizing_lo =
 let sizing_hi =
   { w_in_um = 80.0; w_casc_um = 60.0; w_mirror_um = 50.0; w_tail_um = 50.0; cl_ff = 4000.0 }
 
-let nominal_sizing =
-  let g lo hi = sqrt (lo *. hi) in
+let zip f a b =
   {
-    w_in_um = g sizing_lo.w_in_um sizing_hi.w_in_um;
-    w_casc_um = g sizing_lo.w_casc_um sizing_hi.w_casc_um;
-    w_mirror_um = g sizing_lo.w_mirror_um sizing_hi.w_mirror_um;
-    w_tail_um = g sizing_lo.w_tail_um sizing_hi.w_tail_um;
-    cl_ff = g sizing_lo.cl_ff sizing_hi.cl_ff;
+    w_in_um = f a.w_in_um b.w_in_um;
+    w_casc_um = f a.w_casc_um b.w_casc_um;
+    w_mirror_um = f a.w_mirror_um b.w_mirror_um;
+    w_tail_um = f a.w_tail_um b.w_tail_um;
+    cl_ff = f a.cl_ff b.cl_ff;
   }
 
-let clamp_sizing s =
-  let c v lo hi = Float.max lo (Float.min hi v) in
-  {
-    w_in_um = c s.w_in_um sizing_lo.w_in_um sizing_hi.w_in_um;
-    w_casc_um = c s.w_casc_um sizing_lo.w_casc_um sizing_hi.w_casc_um;
-    w_mirror_um = c s.w_mirror_um sizing_lo.w_mirror_um sizing_hi.w_mirror_um;
-    w_tail_um = c s.w_tail_um sizing_lo.w_tail_um sizing_hi.w_tail_um;
-    cl_ff = c s.cl_ff sizing_lo.cl_ff sizing_hi.cl_ff;
-  }
+let nominal_sizing = zip (fun lo hi -> sqrt (lo *. hi)) sizing_lo sizing_hi
+let clamp_sizing s = zip Float.max sizing_lo (zip Float.min sizing_hi s)
+
+let bump k x s =
+  let b v = v *. exp x in
+  clamp_sizing
+    (match k with
+    | 0 -> { s with w_in_um = b s.w_in_um }
+    | 1 -> { s with w_casc_um = b s.w_casc_um }
+    | 2 -> { s with w_mirror_um = b s.w_mirror_um }
+    | 3 -> { s with w_tail_um = b s.w_tail_um }
+    | _ -> { s with cl_ff = b s.cl_ff })
 
 let gate_length_um = 0.35
 
@@ -51,37 +51,11 @@ let devices s =
     Device.Capacitor { c_ff = s.cl_ff };
   |]
 
-let geo lo hi f = lo *. ((hi /. lo) ** f)
-
 let circuit process =
-  ignore process;
-  let block id name device_at =
-    let steps = 16 in
-    let hull (wa, ha) (wb, hb) = (Interval.hull wa wb, Interval.hull ha hb) in
-    let bound_at k =
-      let f = float_of_int k /. float_of_int (steps - 1) in
-      Module_gen.bounds Process.default (device_at f)
-    in
-    let rec loop k acc = if k >= steps then acc else loop (k + 1) (hull acc (bound_at k)) in
-    let w_bounds, h_bounds = loop 1 (bound_at 0) in
-    Block.make ~id ~name ~w_bounds ~h_bounds
-  in
   let blocks =
-    [|
-      block 0 "in_pair" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w_in_um sizing_hi.w_in_um f; l_um = gate_length_um });
-      block 1 "casc_n" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w_casc_um sizing_hi.w_casc_um f; l_um = gate_length_um });
-      block 2 "casc_p" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w_casc_um sizing_hi.w_casc_um f; l_um = gate_length_um });
-      block 3 "mirror" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w_mirror_um sizing_hi.w_mirror_um f; l_um = 0.5 });
-      block 4 "tail" (fun f ->
-          Device.Mos { w_um = geo sizing_lo.w_tail_um sizing_hi.w_tail_um f; l_um = 0.7 });
-      block 5 "bias_res" (fun _ -> Device.Resistor { r_ohm = 15_000.0 });
-      block 6 "load_cap" (fun f ->
-          Device.Capacitor { c_ff = geo sizing_lo.cl_ff sizing_hi.cl_ff f });
-    |]
+    Synth_loop.swept_blocks process
+      [| "in_pair"; "casc_n"; "casc_p"; "mirror"; "tail"; "bias_res"; "load_cap" |]
+      (fun knob -> devices (zip knob sizing_lo sizing_hi))
   in
   let pin = Net.block_pin in
   let nets =
@@ -107,26 +81,12 @@ let dims ?(aspect_hints = Array.make 7 1.0) process circ s =
   let raw = Module_gen.dims_of_devices process (devices (clamp_sizing s)) ~aspect_hints in
   Dimbox.clamp (Circuit.dim_bounds circ) raw
 
-type perf = {
-  gain_db : float;
-  gbw_mhz : float;
-  slew_v_per_us : float;
-  power_mw : float;
-  wire_cap_ff : float;
-  area : int;
-}
-
 let k_ua_per_v2 = 100.0
 let lambda_per_v = 0.08
 let vdd = 3.3
-let wire_cap_ff_per_grid = 0.25
-let fixed_load_ff = 30.0
 
-let performance process circ ~die_w ~die_h s rects =
-  ignore process;
+let of_wire_cap s ~wire_cap_ff ~area =
   let s = clamp_sizing s in
-  let hpwl = Mps_cost.Wirelength.total_hpwl circ ~rects ~die_w ~die_h in
-  let wire_cap_ff = (wire_cap_ff_per_grid *. hpwl) +. fixed_load_ff in
   let i_tail_ua = 5.0 *. s.w_tail_um in
   let gm_in = sqrt (2.0 *. k_ua_per_v2 *. (s.w_in_um /. gate_length_um) *. (i_tail_ua /. 2.0)) in
   let gm_casc = sqrt (2.0 *. k_ua_per_v2 *. (s.w_casc_um /. gate_length_um) *. (i_tail_ua /. 2.0)) in
@@ -139,101 +99,20 @@ let performance process circ ~die_w ~die_h s rects =
   let gbw_mhz = gm_in /. c_total_ff /. (2.0 *. Float.pi) *. 1000.0 in
   let slew_v_per_us = i_tail_ua /. c_total_ff *. 1000.0 in
   let power_mw = 2.0 *. i_tail_ua *. vdd /. 1000.0 in
-  let area =
-    match Rect.bounding_box (Array.to_list rects) with
-    | Some bb -> Rect.area bb
-    | None -> 0
-  in
-  { gain_db; gbw_mhz; slew_v_per_us; power_mw; wire_cap_ff; area }
+  { Synth_loop.gain_db; gbw_mhz; slew_v_per_us; power_mw; wire_cap_ff; area }
 
-type spec = {
-  min_gain_db : float;
-  min_gbw_mhz : float;
-  min_slew_v_per_us : float;
-  max_power_mw : float;
-}
-
-let default_spec =
-  { min_gain_db = 70.0; min_gbw_mhz = 20.0; min_slew_v_per_us = 10.0; max_power_mw = 1.5 }
-
-let meets_spec spec perf =
-  perf.gain_db >= spec.min_gain_db
-  && perf.gbw_mhz >= spec.min_gbw_mhz
-  && perf.slew_v_per_us >= spec.min_slew_v_per_us
-  && perf.power_mw <= spec.max_power_mw
-
-let spec_cost spec perf =
-  let shortfall actual target = Float.max 0.0 ((target -. actual) /. target) in
-  let excess actual limit = Float.max 0.0 ((actual -. limit) /. limit) in
-  let violations =
-    shortfall perf.gain_db spec.min_gain_db
-    +. shortfall perf.gbw_mhz spec.min_gbw_mhz
-    +. shortfall perf.slew_v_per_us spec.min_slew_v_per_us
-    +. excess perf.power_mw spec.max_power_mw
-  in
-  (100.0 *. violations) +. perf.power_mw +. (1e-5 *. float_of_int perf.area)
-  +. (0.01 *. perf.wire_cap_ff)
-
-type result = {
-  best_sizing : sizing;
-  best_perf : perf;
-  best_cost : float;
-  meets : bool;
-  evaluations : int;
-  placement_seconds : float;
-  total_seconds : float;
-}
-
-let perturb rng s =
-  let bump v = v *. exp (Rng.float_in rng (-0.35) 0.35) in
-  let s' =
-    match Rng.int rng 5 with
-    | 0 -> { s with w_in_um = bump s.w_in_um }
-    | 1 -> { s with w_casc_um = bump s.w_casc_um }
-    | 2 -> { s with w_mirror_um = bump s.w_mirror_um }
-    | 3 -> { s with w_tail_um = bump s.w_tail_um }
-    | _ -> { s with cl_ff = bump s.cl_ff }
-  in
-  clamp_sizing s'
-
-let synthesize ?(seed = 7) ?(iterations = 120) ?(spec = default_spec) process circ ~die_w
-    ~die_h (placer : Synth_loop.placer) =
-  let t0 = Unix.gettimeofday () in
-  let rng = Rng.create ~seed in
-  let placement_seconds = ref 0.0 in
-  let best = ref None in
-  let cost s =
-    let d = dims process circ s in
-    let tp = Unix.gettimeofday () in
-    let rects = placer.Synth_loop.place d in
-    placement_seconds := !placement_seconds +. (Unix.gettimeofday () -. tp);
-    let perf = performance process circ ~die_w ~die_h s rects in
-    let c = spec_cost spec perf in
-    (match !best with
-    | Some (bc, _) when bc <= c -> ()
-    | _ -> best := Some (c, perf));
-    c
-  in
-  let sa =
-    Annealer.run ~rng
-      ~schedule:(Schedule.geometric ~t0:50.0 ~alpha:0.96 ~t_min:1e-3 ())
-      ~iterations
-      { Annealer.initial = nominal_sizing; cost; neighbor = (fun rng s -> perturb rng s) }
-  in
-  let best_cost, best_perf = match !best with Some v -> v | None -> assert false in
+(* The high-impedance output ("out", id 6) is the signal-path net. *)
+let model =
   {
-    best_sizing = sa.Annealer.best;
-    best_perf;
-    best_cost;
-    meets = meets_spec spec best_perf;
-    evaluations = sa.Annealer.evaluations;
-    placement_seconds = !placement_seconds;
-    total_seconds = Unix.gettimeofday () -. t0;
+    Synth_loop.nominal = nominal_sizing;
+    bump;
+    dims;
+    performance =
+      Synth_loop.wire_load_performance ~fixed_load_ff:30.0 ~signal_nets:[ 6 ] of_wire_cap;
+    spec =
+      { Synth_loop.min_gain_db = 70.0; min_gbw_mhz = 20.0; min_slew_v_per_us = 10.0;
+        max_power_mw = 1.5 };
   }
-
-let pp_perf fmt p =
-  Format.fprintf fmt "gain %.1f dB, GBW %.2f MHz, SR %.2f V/us, %.2f mW, Cwire %.0f fF, area %d"
-    p.gain_db p.gbw_mhz p.slew_v_per_us p.power_mw p.wire_cap_ff p.area
 
 let pp_sizing fmt s =
   Format.fprintf fmt "Win %.1fu Wcasc %.1fu Wmir %.1fu Wtail %.1fu CL %.0f fF" s.w_in_um

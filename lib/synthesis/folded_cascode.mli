@@ -2,10 +2,11 @@
 
     Demonstrates that the multi-placement flow generalizes beyond the
     two-stage op-amp: its own netlist (7 modules with symmetry), sizing
-    space, first-order performance model and layout-inclusive sizing
-    loop.  Single-stage behaviour contrasts with {!Opamp}: no
-    compensation capacitor — the load capacitor plus wire parasitics set
-    both bandwidth and slew rate, so layout quality bites directly. *)
+    space and first-order performance model, sized by the same loop
+    ({!Synth_loop.run} with {!model}).  Single-stage behaviour contrasts
+    with {!Opamp}: no compensation capacitor — the load capacitor plus
+    wire parasitics set both bandwidth and slew rate, so layout quality
+    bites directly. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -30,52 +31,14 @@ val devices : sizing -> Device.t array
 
 val circuit : Process.t -> Circuit.t
 (** 7 blocks, 10 nets, symmetric input pair and cascode pairs; block
-    bounds from the module generators over the sizing range. *)
+    bounds from the module generators for [process] over the sizing
+    range. *)
 
 val dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> sizing -> Dims.t
+(** As {!Opamp.dims}. *)
 
-type perf = {
-  gain_db : float;
-  gbw_mhz : float;
-  slew_v_per_us : float;
-  power_mw : float;
-  wire_cap_ff : float;
-  area : int;
-}
+val model : sizing Synth_loop.model
+(** The OTA as {!Synth_loop.run} sizes it: the output net's wire load
+    under [Routed_extraction]; spec 70 dB, 20 MHz, 10 V/µs, 1.5 mW. *)
 
-val performance :
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> perf
-
-type spec = {
-  min_gain_db : float;
-  min_gbw_mhz : float;
-  min_slew_v_per_us : float;
-  max_power_mw : float;
-}
-
-val default_spec : spec
-(** 70 dB, 20 MHz, 10 V/µs, 1.5 mW. *)
-
-val meets_spec : spec -> perf -> bool
-val spec_cost : spec -> perf -> float
-
-type result = {
-  best_sizing : sizing;
-  best_perf : perf;
-  best_cost : float;
-  meets : bool;
-  evaluations : int;
-  placement_seconds : float;
-  total_seconds : float;
-}
-
-val synthesize :
-  ?seed:int ->
-  ?iterations:int ->
-  ?spec:spec ->
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> Synth_loop.placer -> result
-(** Layout-inclusive sizing with any placement instantiator (default
-    120 candidates, seed 7). *)
-
-val pp_perf : Format.formatter -> perf -> unit
 val pp_sizing : Format.formatter -> sizing -> unit

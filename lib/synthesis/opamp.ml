@@ -13,25 +13,27 @@ type sizing = {
 let sizing_lo = { w1_um = 4.0; w3_um = 4.0; w5_um = 2.0; w6_um = 8.0; cc_ff = 100.0 }
 let sizing_hi = { w1_um = 60.0; w3_um = 50.0; w5_um = 40.0; w6_um = 80.0; cc_ff = 2000.0 }
 
-let nominal_sizing =
-  let g lo hi = sqrt (lo *. hi) in
+let zip f a b =
   {
-    w1_um = g sizing_lo.w1_um sizing_hi.w1_um;
-    w3_um = g sizing_lo.w3_um sizing_hi.w3_um;
-    w5_um = g sizing_lo.w5_um sizing_hi.w5_um;
-    w6_um = g sizing_lo.w6_um sizing_hi.w6_um;
-    cc_ff = g sizing_lo.cc_ff sizing_hi.cc_ff;
+    w1_um = f a.w1_um b.w1_um;
+    w3_um = f a.w3_um b.w3_um;
+    w5_um = f a.w5_um b.w5_um;
+    w6_um = f a.w6_um b.w6_um;
+    cc_ff = f a.cc_ff b.cc_ff;
   }
 
-let clamp_sizing s =
-  let c v lo hi = Float.max lo (Float.min hi v) in
-  {
-    w1_um = c s.w1_um sizing_lo.w1_um sizing_hi.w1_um;
-    w3_um = c s.w3_um sizing_lo.w3_um sizing_hi.w3_um;
-    w5_um = c s.w5_um sizing_lo.w5_um sizing_hi.w5_um;
-    w6_um = c s.w6_um sizing_lo.w6_um sizing_hi.w6_um;
-    cc_ff = c s.cc_ff sizing_lo.cc_ff sizing_hi.cc_ff;
-  }
+let nominal_sizing = zip (fun lo hi -> sqrt (lo *. hi)) sizing_lo sizing_hi
+let clamp_sizing s = zip Float.max sizing_lo (zip Float.min sizing_hi s)
+
+let bump k x s =
+  let b v = v *. exp x in
+  clamp_sizing
+    (match k with
+    | 0 -> { s with w1_um = b s.w1_um }
+    | 1 -> { s with w3_um = b s.w3_um }
+    | 2 -> { s with w5_um = b s.w5_um }
+    | 3 -> { s with w6_um = b s.w6_um }
+    | _ -> { s with cc_ff = b s.cc_ff })
 
 let gate_length_um = 0.35
 
@@ -44,39 +46,11 @@ let devices s =
     Device.Capacitor { c_ff = s.cc_ff };
   |]
 
-(* Dimension bounds per block: hull of the module generator's bounds
-   over a sweep of the sizing range (16 geometric steps per knob). *)
-let swept_bounds device_at =
-  let steps = 16 in
-  let hull (wa, ha) (wb, hb) = (Interval.hull wa wb, Interval.hull ha hb) in
-  let bound_at k =
-    let f = float_of_int k /. float_of_int (steps - 1) in
-    Module_gen.bounds Process.default (device_at f)
-  in
-  let rec loop k acc = if k >= steps then acc else loop (k + 1) (hull acc (bound_at k)) in
-  loop 1 (bound_at 0)
-
-let geo lo hi f = lo *. ((hi /. lo) ** f)
-
 let circuit process =
-  ignore process;
-  let block id name device_at =
-    let w_bounds, h_bounds = swept_bounds device_at in
-    Block.make ~id ~name ~w_bounds ~h_bounds
-  in
   let blocks =
-    [|
-      block 0 "diff_pair" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w1_um sizing_hi.w1_um f; l_um = gate_length_um });
-      block 1 "mirror_load" (fun f ->
-          Device.Mos_pair { w_um = geo sizing_lo.w3_um sizing_hi.w3_um f; l_um = gate_length_um });
-      block 2 "tail_src" (fun f ->
-          Device.Mos { w_um = geo sizing_lo.w5_um sizing_hi.w5_um f; l_um = gate_length_um });
-      block 3 "driver" (fun f ->
-          Device.Mos { w_um = geo sizing_lo.w6_um sizing_hi.w6_um f; l_um = gate_length_um });
-      block 4 "comp_cap" (fun f ->
-          Device.Capacitor { c_ff = geo sizing_lo.cc_ff sizing_hi.cc_ff f });
-    |]
+    Synth_loop.swept_blocks process
+      [| "diff_pair"; "mirror_load"; "tail_src"; "driver"; "comp_cap" |]
+      (fun knob -> devices (zip knob sizing_lo sizing_hi))
   in
   (* Same connectivity as the Table 1 benchmark entry. *)
   let nets = Benchmarks.two_stage_opamp.Circuit.nets in
@@ -90,24 +64,13 @@ let dims ?(aspect_hints = [| 1.0; 1.0; 1.0; 1.0; 1.0 |]) process circ s =
   in
   Dimbox.clamp (Circuit.dim_bounds circ) raw
 
-type perf = {
-  gain_db : float;
-  gbw_mhz : float;
-  slew_v_per_us : float;
-  power_mw : float;
-  wire_cap_ff : float;
-  area : int;
-}
-
 (* First-order square-law constants (generic 0.35 µm, Vdd 3.3 V). *)
 let k_ua_per_v2 = 100.0
 let lambda_per_v = 0.1
 let vdd = 3.3
-let wire_cap_ff_per_grid = 0.25
-let fixed_load_ff = 50.0
 
 (* Core model: everything downstream of the parasitic wire load. *)
-let performance_of_wire_cap s ~wire_cap_ff ~area =
+let of_wire_cap s ~wire_cap_ff ~area =
   let s = clamp_sizing s in
   (* Currents: tail sets the first stage, driver width the second. *)
   let i5_ua = 4.0 *. s.w5_um in
@@ -122,66 +85,27 @@ let performance_of_wire_cap s ~wire_cap_ff ~area =
   let gbw_mhz = gm1_ua_v /. c_total_ff /. (2.0 *. Float.pi) *. 1000.0 in
   let slew_v_per_us = i5_ua /. c_total_ff *. 1000.0 in
   let power_mw = (i5_ua +. i6_ua) *. vdd /. 1000.0 in
-  { gain_db; gbw_mhz; slew_v_per_us; power_mw; wire_cap_ff; area }
-
-let floorplan_area rects =
-  match Rect.bounding_box (Array.to_list rects) with
-  | Some bb -> Rect.area bb
-  | None -> 0
-
-let performance process circ ~die_w ~die_h s rects =
-  ignore process;
-  let hpwl = Mps_cost.Wirelength.total_hpwl circ ~rects ~die_w ~die_h in
-  let wire_cap_ff = (wire_cap_ff_per_grid *. hpwl) +. fixed_load_ff in
-  performance_of_wire_cap s ~wire_cap_ff ~area:(floorplan_area rects)
+  { Synth_loop.gain_db; gbw_mhz; slew_v_per_us; power_mw; wire_cap_ff; area }
 
 (* Signal-path nets of the two-stage topology: the first-stage output
    driving the compensation cap ("out1", id 2) and the amplifier output
    ("out", id 3). *)
-let signal_net_ids = [ 2; 3 ]
+let performance_in =
+  Synth_loop.wire_load_performance ~fixed_load_ff:50.0 ~signal_nets:[ 2; 3 ] of_wire_cap
 
-let performance_routed process circ ~die_w ~die_h s rects =
-  ignore process;
-  let routing = Mps_route.Router.route circ ~die_w ~die_h rects in
-  let extraction = Mps_route.Extraction.extract circ routing in
-  let wire_cap_ff =
-    List.fold_left
-      (fun acc id -> acc +. Mps_route.Extraction.net_capacitance extraction id)
-      fixed_load_ff signal_net_ids
-  in
-  performance_of_wire_cap s ~wire_cap_ff ~area:(floorplan_area rects)
+let performance = performance_in Synth_loop.Hpwl_estimate
+let performance_routed = performance_in Synth_loop.Routed_extraction
 
-type spec = {
-  min_gain_db : float;
-  min_gbw_mhz : float;
-  min_slew_v_per_us : float;
-  max_power_mw : float;
-}
-
-let default_spec =
-  { min_gain_db = 60.0; min_gbw_mhz = 5.0; min_slew_v_per_us = 2.0; max_power_mw = 2.0 }
-
-let meets_spec spec perf =
-  perf.gain_db >= spec.min_gain_db
-  && perf.gbw_mhz >= spec.min_gbw_mhz
-  && perf.slew_v_per_us >= spec.min_slew_v_per_us
-  && perf.power_mw <= spec.max_power_mw
-
-let spec_cost spec perf =
-  let shortfall actual target = Float.max 0.0 ((target -. actual) /. target) in
-  let excess actual limit = Float.max 0.0 ((actual -. limit) /. limit) in
-  let violations =
-    shortfall perf.gain_db spec.min_gain_db
-    +. shortfall perf.gbw_mhz spec.min_gbw_mhz
-    +. shortfall perf.slew_v_per_us spec.min_slew_v_per_us
-    +. excess perf.power_mw spec.max_power_mw
-  in
-  (100.0 *. violations) +. perf.power_mw +. (1e-5 *. float_of_int perf.area)
-  +. (0.01 *. perf.wire_cap_ff)
-
-let pp_perf fmt p =
-  Format.fprintf fmt "gain %.1f dB, GBW %.2f MHz, SR %.2f V/us, %.2f mW, Cwire %.0f fF, area %d"
-    p.gain_db p.gbw_mhz p.slew_v_per_us p.power_mw p.wire_cap_ff p.area
+let model =
+  {
+    Synth_loop.nominal = nominal_sizing;
+    bump;
+    dims;
+    performance = performance_in;
+    spec =
+      { Synth_loop.min_gain_db = 60.0; min_gbw_mhz = 5.0; min_slew_v_per_us = 2.0;
+        max_power_mw = 2.0 };
+  }
 
 let pp_sizing fmt s =
   Format.fprintf fmt "W1 %.1fu W3 %.1fu W5 %.1fu W6 %.1fu Cc %.0f fF" s.w1_um s.w3_um

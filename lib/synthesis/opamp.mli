@@ -36,9 +36,9 @@ val devices : sizing -> Device.t array
 
 val circuit : Process.t -> Circuit.t
 (** The two-stage op-amp netlist (Table 1 structure) with block
-    dimension bounds derived from the module generators over the whole
-    sizing range — the circuit the multi-placement structure is
-    generated for. *)
+    dimension bounds derived from the module generators for [process]
+    over the whole sizing range — the circuit the multi-placement
+    structure is generated for. *)
 
 val dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> sizing -> Dims.t
 (** Realize every device near the given aspect ratios (default all 1.0:
@@ -48,45 +48,22 @@ val dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> sizing -> Dims
     a sizing optimizer can trade block shapes as well as device sizes.
     @raise Invalid_argument when [aspect_hints] has the wrong length. *)
 
-(** Performance estimate. *)
-type perf = {
-  gain_db : float;
-  gbw_mhz : float;
-  slew_v_per_us : float;
-  power_mw : float;
-  wire_cap_ff : float;  (** Parasitic load (from HPWL or routed extraction). *)
-  area : int;  (** Bounding-box area of the floorplan, grid units. *)
-}
-
 val performance :
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> perf
+  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> Synth_loop.perf
 (** Evaluate the sized op-amp on a concrete floorplan, with parasitics
     estimated from total HPWL. *)
 
 val performance_routed :
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> perf
+  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> Synth_loop.perf
 (** Same, but the floorplan is globally routed ({!Mps_route.Router})
     and the parasitic load extracted from the signal-path nets' routed
     RC ({!Mps_route.Extraction}) — the full Routing + Circuit
     Extraction flow of the paper's Fig. 1b.  Slower and more
     pessimistic than {!performance}. *)
 
-(** Target specification. *)
-type spec = {
-  min_gain_db : float;
-  min_gbw_mhz : float;
-  min_slew_v_per_us : float;
-  max_power_mw : float;
-}
+val model : sizing Synth_loop.model
+(** The op-amp as {!Synth_loop.run} sizes it: {!performance} or
+    {!performance_routed} per parasitics mode, spec 60 dB, 5 MHz,
+    2 V/µs, 2 mW. *)
 
-val default_spec : spec
-(** 60 dB, 5 MHz, 2 V/µs, 2 mW. *)
-
-val meets_spec : spec -> perf -> bool
-
-val spec_cost : spec -> perf -> float
-(** Smaller is better: heavy relative penalties for violated specs plus
-    mild power and area minimization once met. *)
-
-val pp_perf : Format.formatter -> perf -> unit
 val pp_sizing : Format.formatter -> sizing -> unit

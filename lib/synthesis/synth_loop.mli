@@ -3,10 +3,12 @@
     A simulated-annealing search over device sizes; every candidate
     sizing is translated to block dimensions, placed by a pluggable
     placement instantiator, and scored on layout-aware performance.
-    Swapping the instantiator (multi-placement structure, fixed
-    template, per-query SA placer) reproduces the paper's comparison:
-    the MPS gives template-class speed with optimization-class
-    placements. *)
+    The circuit is a value of type {!model}: the two-stage op-amp
+    ({!Opamp.model}) and the folded-cascode OTA
+    ({!Folded_cascode.model}) run through this one loop.  Swapping the
+    instantiator (multi-placement structure, fixed template, per-query
+    SA placer) reproduces the paper's comparison: the MPS gives
+    template-class speed with optimization-class placements. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -36,12 +38,69 @@ type parasitics =
   | Routed_extraction
       (** Full Fig. 1b flow: maze routing + RC extraction per candidate. *)
 
+(** Performance estimate of a sized circuit on a floorplan. *)
+type perf = {
+  gain_db : float;
+  gbw_mhz : float;
+  slew_v_per_us : float;
+  power_mw : float;
+  wire_cap_ff : float;  (** Parasitic load (from HPWL or routed extraction). *)
+  area : int;  (** Bounding-box area of the floorplan, grid units. *)
+}
+
+(** Target specification. *)
+type spec = {
+  min_gain_db : float;
+  min_gbw_mhz : float;
+  min_slew_v_per_us : float;
+  max_power_mw : float;
+}
+
+val meets_spec : spec -> perf -> bool
+
+val spec_cost : spec -> perf -> float
+(** Smaller is better: heavy relative penalties for violated specs plus
+    mild power and area minimization once met. *)
+
+val pp_perf : Format.formatter -> perf -> unit
+
+(** A sizing model over sizings of type ['s]: the circuit-simulation
+    substitute the loop scores candidates with. *)
+type 's model = {
+  nominal : 's;  (** Where every run starts. *)
+  bump : int -> float -> 's -> 's;
+      (** [bump k x s] scales knob [k] (of five) of [s] by [exp x] and
+          clamps the result into the sizing range. *)
+  dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> 's -> Dims.t;
+      (** Block dimensions of a sizing near the given aspect ratios
+          (default all 1.0), clamped into the circuit's bounds. *)
+  performance :
+    parasitics -> Process.t -> Circuit.t -> die_w:int -> die_h:int -> 's -> Rect.t array -> perf;
+  spec : spec;
+}
+
+val swept_blocks :
+  Process.t -> string array -> ((float -> float -> float) -> Device.t array) -> Block.t array
+(** [swept_blocks process names devices_at]: one block per name, its
+    dimension bounds the hull of {!Mps_modgen.Module_gen.bounds} for
+    [process] over 16 geometric steps through the sizing range.
+    [devices_at knob] is the device of every block with each knob at
+    [knob lo hi], [lo] and [hi] its range. *)
+
+val wire_load_performance :
+  fixed_load_ff:float ->
+  signal_nets:int list ->
+  ('s -> wire_cap_ff:float -> area:int -> perf) ->
+  parasitics -> Process.t -> Circuit.t -> die_w:int -> die_h:int -> 's -> Rect.t array -> perf
+(** The performance function of a model that sees the layout only
+    through its wire load: [fixed_load_ff] plus 0.25 fF per grid unit
+    of total HPWL ([Hpwl_estimate]), or plus the routed RC capacitance
+    of the [signal_nets] ([Routed_extraction]).  The third argument
+    turns that load and the floorplan's area into the performance. *)
+
 type config = {
   seed : int;
   iterations : int;  (** Sizing candidates evaluated. *)
-  schedule : Mps_anneal.Schedule.t;
-  spec : Opamp.spec;
-  step : float;  (** Log-space perturbation half-range per knob. *)
   parasitics : parasitics;
   optimize_aspect : bool;
       (** Let the annealer also pick per-block aspect-ratio hints
@@ -49,14 +108,14 @@ type config = {
 }
 
 val default_config : config
-(** 150 iterations, HPWL parasitics, aspect optimization on. *)
+(** Seed 42, 150 iterations, HPWL parasitics, aspect optimization on. *)
 
-type result = {
-  best_sizing : Opamp.sizing;
+type 's result = {
+  best_sizing : 's;
   best_aspect_hints : float array;
       (** Winning per-block aspect hints (all 1.0 when
           [optimize_aspect] is off). *)
-  best_perf : Opamp.perf;
+  best_perf : perf;
   best_cost : float;
   meets_spec : bool;
   evaluations : int;
@@ -67,6 +126,9 @@ type result = {
 
 val run :
   ?config:config ->
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> placer -> result
-(** Run the loop for the two-stage op-amp model on the given circuit
-    (from {!Opamp.circuit}). *)
+  's model -> Process.t -> Circuit.t -> die_w:int -> die_h:int -> placer -> 's result
+(** Anneal the model's sizing on the given circuit (the model's own,
+    e.g. {!Opamp.circuit}): geometric schedule from t0 50 by 0.96 down
+    to 1e-3, each move bumping one knob by up to e{^±0.35} or, with
+    [optimize_aspect], three moves in ten one block's aspect hint by
+    up to e{^±0.5} within [0.25, 4]. *)

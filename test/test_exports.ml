@@ -3,9 +3,10 @@
    perfbench/ or test/.  An export nothing else mentions is dead API:
    delete it, or drop it from the .mli if its own module still uses it.
 
-   The scan is textual: a whole-word mention anywhere in another file
-   counts, comments and strings included, so it catches exports that
-   are mentioned nowhere rather than proving every export is called.
+   The scan is textual: a whole-word mention in the code of another
+   file counts — comments and string literals are blanked out first —
+   so it catches exports that no code mentions rather than proving
+   every export is called.
    The test stanza lists these files as dependencies, so the scan reruns
    whenever any of them changes. *)
 
@@ -40,11 +41,100 @@ let rec sources dir =
            then [ path ]
            else [])
 
-let read path = In_channel.with_open_bin path In_channel.input_all
-
 let is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
+
+(* [text] with its comments (nested, with the string and character
+   literals inside them lexed as OCaml does) and its string literals,
+   quoted ones included, blanked out; newlines stay, so lines keep
+   their numbers. *)
+let code_only text =
+  let n = String.length text in
+  let out = Bytes.of_string text in
+  let blank a b =
+    for k = a to min n b - 1 do
+      if text.[k] <> '\n' then Bytes.set out k ' '
+    done
+  in
+  let at i c = i < n && text.[i] = c in
+  (* past the closing quote of the string whose body starts at [i] *)
+  let rec string_end i =
+    if i >= n then n
+    else if text.[i] = '\\' then string_end (i + 2)
+    else if text.[i] = '"' then i + 1
+    else string_end (i + 1)
+  in
+  (* past the character literal opening at [i], if one does *)
+  let char_end i =
+    if i + 3 < n && at (i + 1) '\\' then
+      match String.index_from_opt text (i + 3) '\'' with
+      | Some j when j <= i + 5 -> Some (j + 1)
+      | _ -> None
+    else if i + 2 < n && at (i + 2) '\'' then Some (i + 3)
+    else None
+  in
+  (* past the quoted string [{id|...|id}] opening at [i], if one does *)
+  let quoted_end i =
+    let j = ref (i + 1) in
+    while !j < n && (match text.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+      incr j
+    done;
+    if not (at !j '|') then None
+    else begin
+      let close = "|" ^ String.sub text (i + 1) (!j - i - 1) ^ "}" in
+      let m = String.length close in
+      let rec find k =
+        if k + m > n then n else if String.sub text k m = close then k + m else find (k + 1)
+      in
+      Some (find (!j + 1))
+    end
+  in
+  let rec comment_end i depth =
+    if i >= n then n
+    else if at i '(' && at (i + 1) '*' then comment_end (i + 2) (depth + 1)
+    else if at i '*' && at (i + 1) ')' then
+      if depth = 0 then i + 2 else comment_end (i + 2) (depth - 1)
+    else if at i '"' then comment_end (string_end (i + 1)) depth
+    else if at i '\'' then
+      comment_end (match char_end i with Some j -> j | None -> i + 1) depth
+    else comment_end (i + 1) depth
+  in
+  let rec scan i =
+    if i < n then
+      match text.[i] with
+      | '(' when at (i + 1) '*' ->
+        let j = comment_end (i + 2) 0 in
+        blank i j;
+        scan j
+      | '"' ->
+        let j = string_end (i + 1) in
+        blank i j;
+        scan j
+      | '{' -> (
+        match quoted_end i with
+        | Some j ->
+          blank i j;
+          scan j
+        | None -> scan (i + 1))
+      | '\'' -> (
+        match char_end i with
+        | Some j ->
+          blank i j;
+          scan j
+        | None -> scan (i + 1))
+      | c when is_ident_char c ->
+        let j = ref i in
+        while !j < n && is_ident_char text.[!j] do
+          incr j
+        done;
+        scan !j
+      | _ -> scan (i + 1)
+  in
+  scan 0;
+  Bytes.to_string out
+
+let read path = code_only (In_channel.with_open_bin path In_channel.input_all)
 
 (* Every maximal identifier-character run of a file. *)
 let words text =

@@ -44,56 +44,71 @@ let perf_at sizing =
     Mps_placement.Repack.instantiate ~die:(die_w, die_h)
       ~coords:p.Mps_placement.Placement.coords dims
   in
-  Folded_cascode.performance process c ~die_w ~die_h sizing rects
+  Folded_cascode.model.Synth_loop.performance Synth_loop.Hpwl_estimate process c ~die_w ~die_h
+    sizing rects
 
 let test_performance_monotonicity () =
   let base = Folded_cascode.nominal_sizing in
   let p0 = perf_at base in
   let p_cl = perf_at { base with Folded_cascode.cl_ff = base.Folded_cascode.cl_ff *. 3.0 } in
   check_bool "load cap reduces GBW" true
-    (p_cl.Folded_cascode.gbw_mhz < p0.Folded_cascode.gbw_mhz);
+    (p_cl.Synth_loop.gbw_mhz < p0.Synth_loop.gbw_mhz);
   let p_tail = perf_at { base with Folded_cascode.w_tail_um = base.Folded_cascode.w_tail_um *. 2.0 } in
   check_bool "tail increases power" true
-    (p_tail.Folded_cascode.power_mw > p0.Folded_cascode.power_mw);
+    (p_tail.Synth_loop.power_mw > p0.Synth_loop.power_mw);
   check_bool "tail increases slew" true
-    (p_tail.Folded_cascode.slew_v_per_us > p0.Folded_cascode.slew_v_per_us)
+    (p_tail.Synth_loop.slew_v_per_us > p0.Synth_loop.slew_v_per_us)
 
 let test_spec_cost () =
   let good =
-    { Folded_cascode.gain_db = 90.0; gbw_mhz = 30.0; slew_v_per_us = 20.0;
+    { Synth_loop.gain_db = 90.0; gbw_mhz = 30.0; slew_v_per_us = 20.0;
       power_mw = 1.0; wire_cap_ff = 100.0; area = 10_000 }
   in
-  let bad = { good with Folded_cascode.gbw_mhz = 5.0 } in
-  check_bool "good meets" true (Folded_cascode.meets_spec Folded_cascode.default_spec good);
-  check_bool "bad fails" false (Folded_cascode.meets_spec Folded_cascode.default_spec bad);
+  let bad = { good with Synth_loop.gbw_mhz = 5.0 } in
+  let spec = Folded_cascode.model.Synth_loop.spec in
+  check_bool "good meets" true (Synth_loop.meets_spec spec good);
+  check_bool "bad fails" false (Synth_loop.meets_spec spec bad);
   check_bool "violation dominates" true
-    (Folded_cascode.spec_cost Folded_cascode.default_spec bad
-     > Folded_cascode.spec_cost Folded_cascode.default_spec good)
+    (Synth_loop.spec_cost spec bad > Synth_loop.spec_cost spec good)
 
 let quick_structure =
   lazy
     (let c = Lazy.force circuit in
      fst (Generator.single_walk ~config:Generator.fast_config c))
 
-let test_synthesize_with_mps () =
+let mps_placer () = Synth_loop.mps_placer (Lazy.force quick_structure)
+
+(* The OTA's loop settings: seed 7, no aspect-hint moves. *)
+let run_loop ~iterations placer =
   let c = Lazy.force circuit in
   let die_w, die_h = Circuit.default_die c in
-  let placer = Synth_loop.mps_placer (Lazy.force quick_structure) in
-  let r = Folded_cascode.synthesize ~iterations:25 process c ~die_w ~die_h placer in
-  check_bool "finite cost" true (Float.is_finite r.Folded_cascode.best_cost);
-  check_bool "evaluations" true (r.Folded_cascode.evaluations = 26);
+  let config =
+    { Synth_loop.seed = 7; iterations; parasitics = Hpwl_estimate; optimize_aspect = false }
+  in
+  Synth_loop.run ~config Folded_cascode.model process c ~die_w ~die_h placer
+
+let test_synthesize_with_mps () =
+  let r = run_loop ~iterations:25 (mps_placer ()) in
+  check_bool "finite cost" true (Float.is_finite r.Synth_loop.best_cost);
+  check_bool "evaluations" true (r.Synth_loop.evaluations = 26);
   check_bool "placement within total" true
-    (r.Folded_cascode.placement_seconds <= r.Folded_cascode.total_seconds)
+    (r.Synth_loop.placement_seconds <= r.Synth_loop.total_seconds)
 
 let test_synthesize_deterministic () =
-  let c = Lazy.force circuit in
-  let die_w, die_h = Circuit.default_die c in
-  let placer = Synth_loop.mps_placer (Lazy.force quick_structure) in
-  let run () =
-    (Folded_cascode.synthesize ~iterations:15 process c ~die_w ~die_h placer)
-      .Folded_cascode.best_cost
-  in
+  let placer = mps_placer () in
+  let run () = (run_loop ~iterations:15 placer).Synth_loop.best_cost in
   Alcotest.(check (float 1e-12)) "same best" (run ()) (run ())
+
+(* The loop's answer at seed 7 and 25 iterations, as exact floats: a
+   change to its draw order or cost arithmetic moves them. *)
+let test_synthesize_pinned () =
+  let r = run_loop ~iterations:25 (mps_placer ()) in
+  Alcotest.(check (float 0.0)) "best cost" 0x1.4842470c9e84dp+3 r.Synth_loop.best_cost;
+  check_bool "best sizing" true
+    (r.Synth_loop.best_sizing
+     = { Folded_cascode.w_in_um = 0x1.12bf3e9157905p+4; w_casc_um = 0x1.02f36b39ce2f7p+4;
+         w_mirror_um = 0x1.1d880bd2c7dadp+4; w_tail_um = 0x1.3efdf4f4a0399p+3;
+         cl_ff = 0x1.bc9fef1951e3bp+9 })
 
 let test_generation_works_on_ota () =
   let structure = Lazy.force quick_structure in
@@ -114,5 +129,6 @@ let suite =
     ("spec cost", `Quick, test_spec_cost);
     ("synthesis loop with the MPS", `Quick, test_synthesize_with_mps);
     ("synthesis deterministic", `Quick, test_synthesize_deterministic);
+    ("synthesis answer pinned", `Quick, test_synthesize_pinned);
     ("MPS generation on the OTA", `Quick, test_generation_works_on_ota);
   ]

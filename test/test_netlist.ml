@@ -14,7 +14,6 @@ let test_block_make () =
   check_int "max w" 40 (fst (Block.max_dims blk));
   check_int "min h" 8 (snd (Block.min_dims blk));
   check_int "max h" 24 (snd (Block.max_dims blk));
-  check_int "min area" 80 (Block.min_area blk);
   check_int "max area" 960 (Block.max_area blk)
 
 let test_block_dims_valid () =

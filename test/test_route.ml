@@ -180,10 +180,10 @@ let test_routed_performance_plausible () =
     Mps_synthesis.Opamp.performance_routed process circuit ~die_w ~die_h sizing rects
   in
   check_bool "routed wire cap positive" true
-    (routed_perf.Mps_synthesis.Opamp.wire_cap_ff > 0.0);
+    (routed_perf.wire_cap_ff > 0.0);
   check_bool "same power model" true
     (abs_float
-       (routed_perf.Mps_synthesis.Opamp.power_mw -. hpwl_perf.Mps_synthesis.Opamp.power_mw)
+       (routed_perf.Mps_synthesis.Synth_loop.power_mw -. hpwl_perf.power_mw)
      < 1e-9)
 
 let test_synth_loop_routed_mode () =
@@ -197,7 +197,7 @@ let test_synth_loop_routed_mode () =
       parasitics = Mps_synthesis.Synth_loop.Routed_extraction }
   in
   let r =
-    Mps_synthesis.Synth_loop.run ~config process circuit ~die_w ~die_h
+    Mps_synthesis.Synth_loop.run ~config Mps_synthesis.Opamp.model process circuit ~die_w ~die_h
       (Mps_synthesis.Synth_loop.mps_placer structure)
   in
   check_bool "routed loop finishes" true (Float.is_finite r.Mps_synthesis.Synth_loop.best_cost)

@@ -66,11 +66,11 @@ let test_performance_monotonicity () =
   let p0 = perf_at base in
   (* more compensation cap -> lower GBW and slew *)
   let p_cap = perf_at { base with Opamp.cc_ff = base.Opamp.cc_ff *. 3.0 } in
-  check_bool "cap reduces GBW" true (p_cap.Opamp.gbw_mhz < p0.Opamp.gbw_mhz);
-  check_bool "cap reduces slew" true (p_cap.Opamp.slew_v_per_us < p0.Opamp.slew_v_per_us);
+  check_bool "cap reduces GBW" true (p_cap.Synth_loop.gbw_mhz < p0.Synth_loop.gbw_mhz);
+  check_bool "cap reduces slew" true (p_cap.Synth_loop.slew_v_per_us < p0.Synth_loop.slew_v_per_us);
   (* more tail current -> more power *)
   let p_tail = perf_at { base with Opamp.w5_um = base.Opamp.w5_um *. 2.0 } in
-  check_bool "tail increases power" true (p_tail.Opamp.power_mw > p0.Opamp.power_mw)
+  check_bool "tail increases power" true (p_tail.Synth_loop.power_mw > p0.Synth_loop.power_mw)
 
 let test_wire_cap_feedback () =
   (* a floorplan with longer wires must report more parasitic cap and
@@ -89,20 +89,20 @@ let test_wire_cap_feedback () =
   let p_compact = Opamp.performance process c ~die_w ~die_h sizing compact in
   let p_spread = Opamp.performance process c ~die_w ~die_h sizing spread in
   check_bool "spread has more wire cap" true
-    (p_spread.Opamp.wire_cap_ff > p_compact.Opamp.wire_cap_ff);
-  check_bool "spread has less GBW" true (p_spread.Opamp.gbw_mhz < p_compact.Opamp.gbw_mhz)
+    (p_spread.Synth_loop.wire_cap_ff > p_compact.Synth_loop.wire_cap_ff);
+  check_bool "spread has less GBW" true (p_spread.Synth_loop.gbw_mhz < p_compact.Synth_loop.gbw_mhz)
 
 let test_spec_cost () =
   let good =
-    { Opamp.gain_db = 80.0; gbw_mhz = 10.0; slew_v_per_us = 5.0; power_mw = 1.0;
+    { Synth_loop.gain_db = 80.0; gbw_mhz = 10.0; slew_v_per_us = 5.0; power_mw = 1.0;
       wire_cap_ff = 100.0; area = 10_000 }
   in
-  let bad = { good with Opamp.gain_db = 30.0 } in
-  check_bool "good meets spec" true (Opamp.meets_spec Opamp.default_spec good);
-  check_bool "bad fails spec" false (Opamp.meets_spec Opamp.default_spec bad);
+  let bad = { good with Synth_loop.gain_db = 30.0 } in
+  let spec = Opamp.model.Synth_loop.spec in
+  check_bool "good meets spec" true (Synth_loop.meets_spec spec good);
+  check_bool "bad fails spec" false (Synth_loop.meets_spec spec bad);
   check_bool "violation dominates" true
-    (Opamp.spec_cost Opamp.default_spec bad
-     > Opamp.spec_cost Opamp.default_spec good +. 10.0)
+    (Synth_loop.spec_cost spec bad > Synth_loop.spec_cost spec good +. 10.0)
 
 let quick_structure =
   lazy
@@ -113,7 +113,7 @@ let run_loop placer =
   let c = Lazy.force circuit in
   let die_w, die_h = Circuit.default_die c in
   let config = { Synth_loop.default_config with iterations = 25 } in
-  Synth_loop.run ~config process c ~die_w ~die_h placer
+  Synth_loop.run ~config Opamp.model process c ~die_w ~die_h placer
 
 let test_loop_mps () =
   let r = run_loop (Synth_loop.mps_placer (Lazy.force quick_structure)) in
@@ -146,7 +146,7 @@ let test_loop_deterministic () =
 
 let test_loop_best_perf_matches_cost () =
   let r = run_loop (Synth_loop.mps_placer (Lazy.force quick_structure)) in
-  let recomputed = Opamp.spec_cost Opamp.default_spec r.Synth_loop.best_perf in
+  let recomputed = Synth_loop.spec_cost Opamp.model.Synth_loop.spec r.Synth_loop.best_perf in
   Alcotest.(check (float 1e-9)) "cost consistent" r.Synth_loop.best_cost recomputed
 
 let test_loop_aspect_hints () =
@@ -156,7 +156,7 @@ let test_loop_aspect_hints () =
     { Synth_loop.default_config with iterations = 40; optimize_aspect = true }
   in
   let r =
-    Synth_loop.run ~config process c ~die_w ~die_h
+    Synth_loop.run ~config Opamp.model process c ~die_w ~die_h
       (Synth_loop.mps_placer (Lazy.force quick_structure))
   in
   Alcotest.(check int) "one hint per block" (Circuit.n_blocks c)
@@ -172,7 +172,7 @@ let test_loop_aspect_off_keeps_unit_hints () =
     { Synth_loop.default_config with iterations = 15; optimize_aspect = false }
   in
   let r =
-    Synth_loop.run ~config process c ~die_w ~die_h
+    Synth_loop.run ~config Opamp.model process c ~die_w ~die_h
       (Synth_loop.mps_placer (Lazy.force quick_structure))
   in
   check_bool "hints stay at 1.0" true
@@ -226,6 +226,55 @@ let test_dims_mismatched_circuit () =
   let dims = Opamp.dims process c Opamp.sizing_hi in
   check_bool "valid for synth circuit" true (Circuit.dims_valid c dims)
 
+(* Both models bound their blocks for the process they are given: at a
+   finer grid than the default, no sizing in range gets clamped. *)
+let test_bounds_follow_process () =
+  let p =
+    { process with Mps_modgen.Process.grid_nm = process.Mps_modgen.Process.grid_nm / 2 }
+  in
+  let unclamped label circuit dims devices s =
+    let devs = devices s in
+    let raw =
+      Mps_modgen.Module_gen.dims_of_devices p devs
+        ~aspect_hints:(Array.make (Array.length devs) 1.0)
+    in
+    check_bool label true (Mps_geometry.Dims.equal (dims p circuit s) raw)
+  in
+  List.iter
+    (unclamped "op-amp dims unclamped" (Opamp.circuit p) Opamp.dims Opamp.devices)
+    [ Opamp.sizing_lo; Opamp.nominal_sizing; Opamp.sizing_hi ];
+  List.iter
+    (unclamped "OTA dims unclamped" (Folded_cascode.circuit p) Folded_cascode.dims
+       Folded_cascode.devices)
+    [ Folded_cascode.sizing_lo; Folded_cascode.nominal_sizing; Folded_cascode.sizing_hi ]
+
+(* The loop's answers, pinned: the non-time cells A4 and A6 print at
+   the Quick budget.  A change to the loop's draw order or to its cost
+   arithmetic moves them. *)
+let row_cells report label =
+  match
+    List.find_opt (String.starts_with ~prefix:label) (String.split_on_char '\n' report)
+  with
+  | None -> Alcotest.failf "no %S row" label
+  | Some line ->
+    String.sub line (String.length label) (String.length line - String.length label)
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+
+let check_row report label cells =
+  Alcotest.(check (list string)) label cells
+    (List.filteri (fun i _ -> i < List.length cells) (row_cells report label))
+
+let test_loop_answers_pinned () =
+  let open Mps_experiments.Experiments in
+  let a4 = synthesis_comparison ~budget:Quick () in
+  check_row a4 "mps" [ "5.43"; "yes"; "46.9" ];
+  check_row a4 "template" [ "7.79"; "yes"; "44.4" ];
+  check_row a4 "sa-placer" [ "3.76"; "yes"; "83.7" ];
+  let a6 = ablation_parasitics ~budget:Quick () in
+  check_row a6 "HPWL estimate" [ "5.45"; "46.8"; "489" ];
+  check_row a6 "maze route + RC extraction" [ "3.95"; "68.9"; "336" ]
+
 let suite =
   [
     ("opamp circuit shape matches Table 1", `Quick, test_circuit_shape);
@@ -245,4 +294,6 @@ let suite =
     ("dims: aspect hints steer block shapes", `Quick, test_dims_aspect_hint_changes_shape);
     ("loop: dims valid at extreme sizing", `Quick, test_dims_mismatched_circuit);
     ("loop: runs on a salvaged structure", `Quick, test_loop_runs_on_salvaged_structure);
+    ("loop: A4 and A6 answers pinned", `Quick, test_loop_answers_pinned);
+    ("models: block bounds follow the process", `Quick, test_bounds_follow_process);
   ]
