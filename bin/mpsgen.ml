@@ -321,7 +321,8 @@ let parse_dims circuit s =
     match String.split_on_char 'x' (String.trim tok) with
     | [ w; h ] -> (
       match (int_of_string_opt w, int_of_string_opt h) with
-      | Some w, Some h -> (w, h)
+      | Some w, Some h when w >= 1 && h >= 1 -> (w, h)
+      | Some _, Some _ -> die "bad dimension pair %S (width and height must be at least 1)" tok
       | _ -> die "bad dimension pair %S (expected WxH, e.g. 12x8)" tok)
     | _ -> die "bad dimension pair %S (expected WxH, e.g. 12x8)" tok
   in
@@ -832,6 +833,7 @@ let addr_to_string = function
 
 let serve dir socket tcp capacity workers max_connections max_inflight idle_timeout
     drain_timeout stat_interval =
+  if capacity < 1 then die "--capacity must be at least 1";
   let store = Store.create ~capacity ~stat_interval ~dir () in
   let workers =
     if workers < 1 then die "--workers must be at least 1"

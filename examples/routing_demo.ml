@@ -36,15 +36,25 @@ let () =
     routing.Router.nets;
 
   (* Extraction and its effect on predicted performance. *)
-  let extraction = Extraction.extract circuit routing in
-  Format.printf "@.Extraction: %.0f fF / %.0f ohm total@."
-    extraction.Extraction.total_capacitance_ff extraction.Extraction.total_resistance_ohm;
-  let hpwl_perf = Mps_synthesis.Opamp.performance process circuit ~die_w ~die_h sizing rects in
-  let routed_perf =
-    Mps_synthesis.Opamp.performance_routed process circuit ~die_w ~die_h sizing rects
+  let total_r, total_c =
+    Array.fold_left
+      (fun (r, c) (net : Net.t) ->
+        let rc =
+          Extraction.net_rc process
+            ~length:(Router.routed_length routing net.Net.id)
+            ~endpoints:(Net.degree net)
+        in
+        (r +. rc.Extraction.resistance_ohm, c +. rc.Extraction.capacitance_ff))
+      (0.0, 0.0) circuit.Circuit.nets
   in
-  Format.printf "HPWL estimate:     %a@." Mps_synthesis.Synth_loop.pp_perf hpwl_perf;
-  Format.printf "Routed extraction: %a@." Mps_synthesis.Synth_loop.pp_perf routed_perf;
+  Format.printf "@.Extraction: %.0f fF / %.0f ohm total@." total_c total_r;
+  let perf parasitics =
+    Mps_synthesis.Opamp.model.performance parasitics process circuit ~die_w ~die_h sizing rects
+  in
+  Format.printf "HPWL estimate:     %a@." Mps_synthesis.Synth_loop.pp_perf
+    (perf Mps_synthesis.Synth_loop.Hpwl_estimate);
+  Format.printf "Routed extraction: %a@." Mps_synthesis.Synth_loop.pp_perf
+    (perf Mps_synthesis.Synth_loop.Routed_extraction);
 
   (* Wire overlay. *)
   let grid =

@@ -39,6 +39,6 @@ val dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> sizing -> Dims
 
 val model : sizing Synth_loop.model
 (** The OTA as {!Synth_loop.run} sizes it: the output net's wire load
-    under [Routed_extraction]; spec 70 dB, 20 MHz, 10 V/µs, 1.5 mW. *)
+    on a 30 fF fixed load; spec 70 dB, 20 MHz, 10 V/µs, 1.5 mW. *)
 
 val pp_sizing : Format.formatter -> sizing -> unit

@@ -90,22 +90,19 @@ let of_wire_cap s ~wire_cap_ff ~area =
 (* Signal-path nets of the two-stage topology: the first-stage output
    driving the compensation cap ("out1", id 2) and the amplifier output
    ("out", id 3). *)
-let performance_in =
-  Synth_loop.wire_load_performance ~fixed_load_ff:50.0 ~signal_nets:[ 2; 3 ] of_wire_cap
-
-let performance = performance_in Synth_loop.Hpwl_estimate
-let performance_routed = performance_in Synth_loop.Routed_extraction
-
 let model =
   {
     Synth_loop.nominal = nominal_sizing;
     bump;
     dims;
-    performance = performance_in;
+    performance =
+      Synth_loop.wire_load_performance ~fixed_load_ff:50.0 ~signal_nets:[ 2; 3 ] of_wire_cap;
     spec =
       { Synth_loop.min_gain_db = 60.0; min_gbw_mhz = 5.0; min_slew_v_per_us = 2.0;
         max_power_mw = 2.0 };
   }
+
+let performance_routed = model.Synth_loop.performance Synth_loop.Routed_extraction
 
 let pp_sizing fmt s =
   Format.fprintf fmt "W1 %.1fu W3 %.1fu W5 %.1fu W6 %.1fu Cc %.0f fF" s.w1_um s.w3_um

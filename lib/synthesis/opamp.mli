@@ -48,22 +48,21 @@ val dims : ?aspect_hints:float array -> Process.t -> Circuit.t -> sizing -> Dims
     a sizing optimizer can trade block shapes as well as device sizes.
     @raise Invalid_argument when [aspect_hints] has the wrong length. *)
 
-val performance :
-  Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> Synth_loop.perf
-(** Evaluate the sized op-amp on a concrete floorplan, with parasitics
-    estimated from total HPWL. *)
+val model : sizing Synth_loop.model
+(** The op-amp as {!Synth_loop.run} sizes it: the wire load of the
+    signal-path nets [out1] and [out] on a 50 fF fixed load
+    ({!Synth_loop.wire_load_performance}); spec 60 dB, 5 MHz, 2 V/µs,
+    2 mW. *)
 
 val performance_routed :
   Process.t -> Circuit.t -> die_w:int -> die_h:int -> sizing -> Rect.t array -> Synth_loop.perf
-(** Same, but the floorplan is globally routed ({!Mps_route.Router})
-    and the parasitic load extracted from the signal-path nets' routed
-    RC ({!Mps_route.Extraction}) — the full Routing + Circuit
-    Extraction flow of the paper's Fig. 1b.  Slower and more
-    pessimistic than {!performance}. *)
-
-val model : sizing Synth_loop.model
-(** The op-amp as {!Synth_loop.run} sizes it: {!performance} or
-    {!performance_routed} per parasitics mode, spec 60 dB, 5 MHz,
-    2 V/µs, 2 mW. *)
+(** [model.performance Routed_extraction]: evaluate the sized op-amp on
+    a concrete floorplan that is globally routed ({!Mps_route.Router}),
+    its signal nets' capacitance extracted from their routed lengths —
+    the full Routing + Circuit Extraction flow of the paper's Fig. 1b.
+    Slower than the HPWL mode, and more pessimistic on the same nets:
+    on every candidate of A6's loop the routed load is at least the HPWL
+    one, though a single net can route a little shorter than its HPWL
+    (pins snap to the router's 4-unit cells). *)
 
 val pp_sizing : Format.formatter -> sizing -> unit

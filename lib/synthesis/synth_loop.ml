@@ -105,22 +105,24 @@ let swept_blocks process names devices_at =
       Block.make ~id ~name:names.(id) ~w_bounds ~h_bounds)
     (loop 1 (bounds_at 0))
 
-let wire_cap_ff_per_grid = 0.25
-
-let wire_load_performance ~fixed_load_ff ~signal_nets of_wire_cap parasitics _process circ
+let wire_load_performance ~fixed_load_ff ~signal_nets of_wire_cap parasitics process circ
     ~die_w ~die_h s rects =
-  let wire_cap_ff =
+  let length =
     match parasitics with
-    | Hpwl_estimate ->
-      (wire_cap_ff_per_grid *. Mps_cost.Wirelength.total_hpwl circ ~rects ~die_w ~die_h)
-      +. fixed_load_ff
+    | Hpwl_estimate -> fun net -> Mps_cost.Wirelength.net_hpwl net ~rects ~die_w ~die_h
     | Routed_extraction ->
-      let extraction =
-        Mps_route.Extraction.extract circ (Mps_route.Router.route circ ~die_w ~die_h rects)
-      in
-      List.fold_left
-        (fun acc id -> acc +. Mps_route.Extraction.net_capacitance extraction id)
-        fixed_load_ff signal_nets
+      let routing = Mps_route.Router.route circ ~die_w ~die_h rects in
+      fun net -> Mps_route.Router.routed_length routing net.Net.id
+  in
+  let wire_cap_ff =
+    List.fold_left
+      (fun acc id ->
+        let net = circ.Circuit.nets.(id) in
+        let rc =
+          Mps_route.Extraction.net_rc process ~length:(length net) ~endpoints:(Net.degree net)
+        in
+        acc +. rc.Mps_route.Extraction.capacitance_ff)
+      fixed_load_ff signal_nets
   in
   let area =
     match Rect.bounding_box (Array.to_list rects) with

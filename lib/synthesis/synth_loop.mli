@@ -34,9 +34,10 @@ val sa_placer :
 
 (** How layout parasitics are estimated inside the loop. *)
 type parasitics =
-  | Hpwl_estimate  (** Fast: wire load from total HPWL. *)
+  | Hpwl_estimate  (** Fast: wire lengths from each net's HPWL. *)
   | Routed_extraction
-      (** Full Fig. 1b flow: maze routing + RC extraction per candidate. *)
+      (** Full Fig. 1b flow: wire lengths from maze routing per
+          candidate. *)
 
 (** Performance estimate of a sized circuit on a floorplan. *)
 type perf = {
@@ -44,7 +45,7 @@ type perf = {
   gbw_mhz : float;
   slew_v_per_us : float;
   power_mw : float;
-  wire_cap_ff : float;  (** Parasitic load (from HPWL or routed extraction). *)
+  wire_cap_ff : float;  (** Fixed load plus the signal nets' wire capacitance. *)
   area : int;  (** Bounding-box area of the floorplan, grid units. *)
 }
 
@@ -93,10 +94,14 @@ val wire_load_performance :
   ('s -> wire_cap_ff:float -> area:int -> perf) ->
   parasitics -> Process.t -> Circuit.t -> die_w:int -> die_h:int -> 's -> Rect.t array -> perf
 (** The performance function of a model that sees the layout only
-    through its wire load: [fixed_load_ff] plus 0.25 fF per grid unit
-    of total HPWL ([Hpwl_estimate]), or plus the routed RC capacitance
-    of the [signal_nets] ([Routed_extraction]).  The third argument
-    turns that load and the floorplan's area into the performance. *)
+    through its wire load: [fixed_load_ff] plus, for each net of
+    [signal_nets] (indices into the circuit's nets) in order, the
+    capacitance {!Mps_route.Extraction.net_rc} gives that net on the
+    given process.  Only the length differs by mode: the net's HPWL
+    ([Hpwl_estimate]) or its routed length from one
+    {!Mps_route.Router.route} of the whole floorplan
+    ([Routed_extraction]).  The third argument turns that load and the
+    floorplan's area into the performance. *)
 
 type config = {
   seed : int;

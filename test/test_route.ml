@@ -140,29 +140,117 @@ let test_route_longer_when_spread () =
   in
   check_bool "spread floorplan routes longer" true (len spread > len compact)
 
+(* Router length bound: a Steiner tree spans at least the bounding box
+   of its pin cells, and snapping a pin to its cell loses less than one
+   cell per axis, so no net routes shorter than its HPWL minus two
+   cells.  Checked on every stored placement, at its best dims, of the
+   nine Table 1 circuits' Quick structures. *)
+let test_routed_length_bound () =
+  let slack = 2.0 *. float_of_int Router.cell in
+  List.iter
+    (fun (c : Circuit.t) ->
+      let config = Mps_experiments.Experiments.(generator_config Quick c) in
+      let structure, _ = Mps_core.Generator.generate ~config ~jobs:1 c in
+      let die_w, die_h = Mps_core.Structure.die structure in
+      Array.iteri
+        (fun i (stored : Mps_core.Stored.t) ->
+          let rects = Mps_core.Stored.instantiate stored stored.best_dims in
+          let r = Router.route c ~die_w ~die_h rects in
+          Array.iter
+            (fun (net : Net.t) ->
+              let hpwl = Mps_cost.Wirelength.net_hpwl net ~rects ~die_w ~die_h in
+              let routed = Router.routed_length r net.Net.id in
+              if routed < hpwl -. slack then
+                Alcotest.failf "%s placement %d net %s: routed %g < HPWL %g - %g"
+                  c.Circuit.name i net.Net.name routed hpwl slack)
+            c.Circuit.nets)
+        (Mps_core.Structure.placements structure))
+    Benchmarks.all
+
 (* Extraction *)
+
+let process = Mps_modgen.Process.default
+
+let fine =
+  { process with Mps_modgen.Process.grid_nm = process.Mps_modgen.Process.grid_nm / 2 }
+
+let rc ?(process = process) length endpoints =
+  Extraction.net_rc process ~length ~endpoints
 
 let test_extraction_scales_with_length () =
   let compact = [| Rect.make ~x:0 ~y:0 ~w:8 ~h:8; Rect.make ~x:12 ~y:0 ~w:8 ~h:8 |] in
   let spread = [| Rect.make ~x:0 ~y:0 ~w:8 ~h:8; Rect.make ~x:48 ~y:28 ~w:8 ~h:8 |] in
   let cap rects =
     let r = Router.route two_block_circuit ~die_w:60 ~die_h:40 rects in
-    (Extraction.extract two_block_circuit r).Extraction.total_capacitance_ff
+    (rc (Router.routed_length r 0) 2).Extraction.capacitance_ff
   in
   check_bool "longer wires, more cap" true (cap spread > cap compact)
 
 let test_extraction_pin_term () =
-  (* zero-length net still pays the per-pin capacitance *)
-  let rects = [| Rect.make ~x:0 ~y:0 ~w:8 ~h:8; Rect.make ~x:12 ~y:0 ~w:8 ~h:8 |] in
-  let r = Router.route two_block_circuit ~die_w:60 ~die_h:40 rects in
-  let e = Extraction.extract two_block_circuit r in
-  (* two endpoints at 1.5 fF each *)
-  let expected_min = 2.0 *. 1.5 in
-  check_bool "pin caps included" true
-    (Extraction.net_capacitance e 0 >= expected_min -. 1e-9);
-  Alcotest.check_raises "unknown net"
-    (Invalid_argument "Extraction.net_capacitance: unknown net") (fun () ->
-      ignore (Extraction.net_capacitance e 42))
+  (* a zero-length net still pays 1.5 fF per endpoint, and no
+     resistance *)
+  let e = rc 0.0 2 in
+  Alcotest.(check (float 0.0)) "two endpoints" 3.0 e.Extraction.capacitance_ff;
+  Alcotest.(check (float 0.0)) "no wire, no resistance" 0.0 e.Extraction.resistance_ohm
+
+(* At the default 350 nm grid the per-µm constants give exactly the
+   per-grid-unit figures the model was calibrated in: 0.35 Ω and
+   0.25 fF per unit plus 1.5 fF per endpoint. *)
+let test_extraction_default_grid () =
+  List.iter
+    (fun (length, endpoints) ->
+      let e = rc length endpoints in
+      Alcotest.(check (float 0.0)) "R" (0.35 *. length) e.Extraction.resistance_ohm;
+      Alcotest.(check (float 0.0)) "C"
+        ((0.25 *. length) +. (1.5 *. float_of_int endpoints))
+        e.Extraction.capacitance_ff)
+    [ (0.0, 1); (1.0, 2); (37.5, 3); (123.456789, 4); (4096.1, 9) ]
+
+(* The same wire is the same wire at any grid pitch: half the pitch
+   and twice the units give the same RC, exactly. *)
+let test_extraction_pitch_invariant () =
+  List.iter
+    (fun length ->
+      let coarse = rc length 3 and halved = rc ~process:fine (2.0 *. length) 3 in
+      Alcotest.(check (float 0.0)) "C" coarse.Extraction.capacitance_ff
+        halved.Extraction.capacitance_ff;
+      Alcotest.(check (float 0.0)) "R" coarse.Extraction.resistance_ohm
+        halved.Extraction.resistance_ohm)
+    [ 0.0; 1.0; 37.5; 123.456789; 4096.1 ]
+
+(* The HPWL mode inherits that invariance end to end: halve the pitch,
+   double every rect coordinate and the die, and the op-amp's wire load
+   is unchanged.  Doubling is exact in floating point.  The routed mode
+   is left out: the router's cell is 4 grid units at any pitch, so its
+   lengths do not scale exactly. *)
+let test_hpwl_mode_pitch_invariant () =
+  let circuit = Mps_synthesis.Opamp.circuit process in
+  let die_w, die_h = Circuit.default_die circuit in
+  let sizing = Mps_synthesis.Opamp.nominal_sizing in
+  let dims = Mps_synthesis.Opamp.dims process circuit sizing in
+  let wire_cap process ~die_w ~die_h rects =
+    (Mps_synthesis.Opamp.model.performance Mps_synthesis.Synth_loop.Hpwl_estimate process
+       circuit ~die_w ~die_h sizing rects)
+      .Mps_synthesis.Synth_loop.wire_cap_ff
+  in
+  List.iter
+    (fun seed ->
+      let rng = Mps_rng.Rng.create ~seed in
+      let p = Mps_placement.Placement.random rng circuit ~die_w ~die_h in
+      let rects =
+        Mps_placement.Repack.instantiate ~die:(die_w, die_h)
+          ~coords:p.Mps_placement.Placement.coords dims
+      in
+      let doubled =
+        Array.map
+          (fun (r : Rect.t) ->
+            Rect.make ~x:(2 * r.Rect.x) ~y:(2 * r.Rect.y) ~w:(2 * r.Rect.w) ~h:(2 * r.Rect.h))
+          rects
+      in
+      Alcotest.(check (float 0.0)) "same wire cap"
+        (wire_cap process ~die_w ~die_h rects)
+        (wire_cap fine ~die_w:(2 * die_w) ~die_h:(2 * die_h) doubled))
+    [ 1; 2; 3; 4; 5 ]
 
 let test_routed_performance_plausible () =
   let process = Mps_modgen.Process.default in
@@ -175,7 +263,10 @@ let test_routed_performance_plausible () =
   let rects = Mps_placement.Repack.instantiate ~die:(die_w, die_h)
       ~coords:p.Mps_placement.Placement.coords dims
   in
-  let hpwl_perf = Mps_synthesis.Opamp.performance process circuit ~die_w ~die_h sizing rects in
+  let hpwl_perf =
+    Mps_synthesis.Opamp.model.performance Mps_synthesis.Synth_loop.Hpwl_estimate process
+      circuit ~die_w ~die_h sizing rects
+  in
   let routed_perf =
     Mps_synthesis.Opamp.performance_routed process circuit ~die_w ~die_h sizing rects
   in
@@ -215,7 +306,14 @@ let suite =
     ("router: deterministic", `Quick, test_route_deterministic);
     ("router: spread floorplans route longer", `Quick, test_route_longer_when_spread);
     ("extraction: capacitance grows with length", `Quick, test_extraction_scales_with_length);
-    ("extraction: per-pin term and errors", `Quick, test_extraction_pin_term);
+    ("extraction: per-pin term", `Quick, test_extraction_pin_term);
+    ("extraction: exact per-unit figures at the default grid", `Quick,
+     test_extraction_default_grid);
+    ("extraction: same wire, same RC at half the pitch", `Quick,
+     test_extraction_pitch_invariant);
+    ("opamp: HPWL wire load invariant under pitch halving", `Quick,
+     test_hpwl_mode_pitch_invariant);
+    ("router: no net shorter than HPWL minus two cells", `Quick, test_routed_length_bound);
     ("opamp: routed performance plausible", `Quick, test_routed_performance_plausible);
     ("synthesis loop: routed parasitics mode", `Quick, test_synth_loop_routed_mode);
   ]

@@ -9,6 +9,7 @@ let check_bool = Alcotest.(check bool)
 
 let process = Mps_modgen.Process.default
 let circuit = lazy (Opamp.circuit process)
+let hpwl_performance = Opamp.model.Synth_loop.performance Synth_loop.Hpwl_estimate
 
 let test_circuit_shape () =
   let c = Lazy.force circuit in
@@ -59,7 +60,7 @@ let perf_at sizing =
     if Mps_placement.Placement.is_legal p dims then Mps_placement.Placement.rects p dims
     else Mps_placement.Repack.instantiate ~die:(die_w, die_h) ~coords:p.Mps_placement.Placement.coords dims
   in
-  Opamp.performance process c ~die_w ~die_h sizing rects
+  hpwl_performance process c ~die_w ~die_h sizing rects
 
 let test_performance_monotonicity () =
   let base = Opamp.nominal_sizing in
@@ -86,8 +87,8 @@ let test_wire_cap_feedback () =
     [| (0, 0); (die_w - 200, die_h - 200); (0, die_h - 200); (die_w - 200, 0); (die_w / 2, 0) |]
   in
   let spread = Mps_placement.Repack.instantiate ~die:(die_w, die_h) ~coords:corners dims in
-  let p_compact = Opamp.performance process c ~die_w ~die_h sizing compact in
-  let p_spread = Opamp.performance process c ~die_w ~die_h sizing spread in
+  let p_compact = hpwl_performance process c ~die_w ~die_h sizing compact in
+  let p_spread = hpwl_performance process c ~die_w ~die_h sizing spread in
   check_bool "spread has more wire cap" true
     (p_spread.Synth_loop.wire_cap_ff > p_compact.Synth_loop.wire_cap_ff);
   check_bool "spread has less GBW" true (p_spread.Synth_loop.gbw_mhz < p_compact.Synth_loop.gbw_mhz)
@@ -268,12 +269,86 @@ let check_row report label cells =
 let test_loop_answers_pinned () =
   let open Mps_experiments.Experiments in
   let a4 = synthesis_comparison ~budget:Quick () in
-  check_row a4 "mps" [ "5.43"; "yes"; "46.9" ];
-  check_row a4 "template" [ "7.79"; "yes"; "44.4" ];
-  check_row a4 "sa-placer" [ "3.76"; "yes"; "83.7" ];
+  check_row a4 "mps" [ "3.42"; "yes"; "56.5" ];
+  check_row a4 "template" [ "2.90"; "yes"; "52.4" ];
+  check_row a4 "sa-placer" [ "1.48"; "yes"; "100.0" ];
   let a6 = ablation_parasitics ~budget:Quick () in
-  check_row a6 "HPWL estimate" [ "5.45"; "46.8"; "489" ];
+  check_row a6 "HPWL estimate" [ "3.42"; "56.5"; "284" ];
   check_row a6 "maze route + RC extraction" [ "3.95"; "68.9"; "336" ]
+
+(* A4's and A6's Quick loops on the MPS, observed: the wrapper asks
+   the engine, on a session of its own, whether a stored placement
+   answers each query (rather than the backup), then delegates to the
+   loop's placer and keeps a copy of the floorplan it returns. *)
+let experiments_structure =
+  lazy
+    (let c = Lazy.force circuit in
+     fst (Generator.single_walk ~config:Mps_experiments.Experiments.(generator_config Quick c) c))
+
+let observed_loop ~iterations parasitics =
+  let c = Lazy.force circuit in
+  let die_w, die_h = Circuit.default_die c in
+  let structure = Lazy.force experiments_structure in
+  let engine = Structure.Engine.create structure in
+  let session = Structure.Engine.new_session () in
+  let inner = Synth_loop.mps_placer structure in
+  let stored = ref 0 and floorplans = ref [] in
+  let place dims =
+    if Structure.Engine.query_id engine session dims >= 0 then incr stored;
+    let rects = inner.Synth_loop.place dims in
+    floorplans :=
+      Array.map
+        (fun (r : Mps_geometry.Rect.t) ->
+          Mps_geometry.Rect.make ~x:r.x ~y:r.y ~w:r.w ~h:r.h)
+        rects
+      :: !floorplans;
+    rects
+  in
+  let config = { Synth_loop.default_config with iterations; parasitics } in
+  let r = Synth_loop.run ~config Opamp.model process c ~die_w ~die_h { inner with place } in
+  (r, !stored, List.rev !floorplans)
+
+let a4_loop = lazy (observed_loop ~iterations:60 Synth_loop.Hpwl_estimate)
+let a6_routed_loop = lazy (observed_loop ~iterations:30 Synth_loop.Routed_extraction)
+
+(* How many of the loop's placements the structure itself answered.
+   The best costs tie each observed loop to its pinned A4/A6 row. *)
+let test_loop_stored_answers () =
+  let check label loop ~best ~stored ~calls =
+    let r, n_stored, floorplans = Lazy.force loop in
+    Alcotest.(check string) (label ^ " best cost") best
+      (Printf.sprintf "%.2f" r.Synth_loop.best_cost);
+    Alcotest.(check int) (label ^ " calls") calls (List.length floorplans);
+    Alcotest.(check int) (label ^ " stored answers") stored n_stored
+  in
+  check "A4 mps" a4_loop ~best:"3.42" ~stored:0 ~calls:61;
+  check "A6 routed" a6_routed_loop ~best:"3.95" ~stored:0 ~calls:31
+
+(* On the same floorplan and the same signal nets, the routed wire load
+   is at least the HPWL estimate, on every candidate of A6's Quick
+   loop.  Single nets may route shorter than their HPWL (pins snap to
+   the router's cells), so this is checked per candidate, not per net;
+   every candidate where it fails is reported. *)
+let test_routed_load_at_least_hpwl () =
+  let c = Lazy.force circuit in
+  let die_w, die_h = Circuit.default_die c in
+  let _, _, floorplans = Lazy.force a6_routed_loop in
+  let wire_cap mode rects =
+    (Opamp.model.Synth_loop.performance mode process c ~die_w ~die_h Opamp.nominal_sizing
+       rects)
+      .Synth_loop.wire_cap_ff
+  in
+  let failures =
+    List.concat
+      (List.mapi
+         (fun i rects ->
+           let hpwl = wire_cap Synth_loop.Hpwl_estimate rects
+           and routed = wire_cap Synth_loop.Routed_extraction rects in
+           if hpwl <= routed then []
+           else [ Printf.sprintf "candidate %d: HPWL %.1f fF > routed %.1f fF" i hpwl routed ])
+         floorplans)
+  in
+  Alcotest.(check (list string)) "candidates where routed < HPWL" [] failures
 
 let suite =
   [
@@ -295,5 +370,8 @@ let suite =
     ("loop: dims valid at extreme sizing", `Quick, test_dims_mismatched_circuit);
     ("loop: runs on a salvaged structure", `Quick, test_loop_runs_on_salvaged_structure);
     ("loop: A4 and A6 answers pinned", `Quick, test_loop_answers_pinned);
+    ("loop: stored answers of A4 and A6 counted", `Quick, test_loop_stored_answers);
+    ("loop: routed load at least HPWL on A6's candidates", `Quick,
+     test_routed_load_at_least_hpwl);
     ("models: block bounds follow the process", `Quick, test_bounds_follow_process);
   ]
