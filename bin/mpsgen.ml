@@ -2,14 +2,13 @@
 
    - [mpsgen list]                    print the Table 1 inventory
    - [mpsgen generate CIRCUIT]        build a structure, report stats
-   - [mpsgen instantiate CIRCUIT]     build + query one dimension vector
    - [mpsgen query CIRCUIT -i FILE]   query a saved structure
    - [mpsgen verify CIRCUIT -i FILE]  integrity-check a saved structure
    - [mpsgen dump CIRCUIT -i FILE]    write a container's v2 text dump
    - [mpsgen stats CIRCUIT -i FILE]   size accounting for a saved structure
    - [mpsgen audit CIRCUIT -i FILE]   re-prove every invariant of a saved structure
    - [mpsgen repair CIRCUIT -i FILE]  salvage, quarantine and re-save a structure
-   - [mpsgen route CIRCUIT]           generate, instantiate and maze-route
+   - [mpsgen route CIRCUIT -i FILE]   query a saved structure and maze-route
    - [mpsgen extend CIRCUIT -i FILE]  resume exploration on a saved structure
    - [mpsgen experiments TARGET]      regenerate a table / figure / ablation
    - [mpsgen serve -d DIR]            run the mpsd structure-serving daemon
@@ -87,9 +86,14 @@ let circuit_arg =
     & pos 0 (some circuit_conv) None
     & info [] ~docv:"CIRCUIT" ~doc:"Benchmark circuit name from Table 1 (see $(b,mpsgen list)).")
 
+(* A numeric flag below its floor is a clean one-line error (exit 1).
+   cmdliner rejects [--samples -3] as an unknown option but parses
+   [--samples=-3] as a well-formed int. *)
+let at_least floor flag term =
+  Term.map (fun v -> if v < floor then die "%s must be at least %d" flag floor else v) term
+
 let jobs_arg =
-  Term.map
-    (fun jobs -> if jobs < 1 then die "--jobs must be at least 1" else jobs)
+  at_least 1 "--jobs"
     Arg.(
       value
       & opt int (Mps_parallel.Pool.default_jobs ())
@@ -131,16 +135,19 @@ let resume_if_checkpointed ~circuit ~checkpoint ~config ~jobs ~fresh =
     | exception Zcodec.Error e -> die "checkpoint %s: %s" path (Zcodec.error_to_string e))
   | _ -> fresh ()
 
-let report_stats stats =
+let report_deadline ~checkpoint stats =
+  if stats.Generator.deadline_hit then
+    Format.printf "  stopped early: wall-clock deadline reached%s@."
+      (if checkpoint = None then "" else " (rerun to resume from the checkpoint)")
+
+let report_stats ~checkpoint stats =
   Format.printf
     "  placements stored: %d@.  coverage: %.4f@.  explorer steps: %d@.  dropped: %d@.  \
      CPU time: %s@."
     stats.Generator.placements_stored stats.Generator.coverage
     stats.Generator.explorer_steps stats.Generator.candidates_dropped
     (Mps_experiments.Text_table.seconds stats.Generator.generation_seconds);
-  if stats.Generator.deadline_hit then
-    Format.printf
-      "  stopped early: wall-clock deadline reached (rerun to resume from the checkpoint)@."
+  report_deadline ~checkpoint stats
 
 let retire_checkpoint ~stats ~saved checkpoint =
   match checkpoint with
@@ -165,7 +172,7 @@ let generate circuit budget svg_dir save_path checkpoint checkpoint_every max_se
         Format.printf "  wall time: %.4f s@." (Unix.gettimeofday () -. t0);
         result)
   in
-  report_stats stats;
+  report_stats ~checkpoint stats;
   print_string (Structure.describe structure);
   (match save_path with
   | None -> ()
@@ -212,22 +219,26 @@ let checkpoint_arg =
            already exists the run resumes from it automatically.")
 
 let checkpoint_every_arg =
-  Arg.(
-    value
-    & opt int 5
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:
-          "Write the checkpoint every $(docv) lockstep rounds of the explorer walks (with \
-           $(b,--checkpoint)).")
+  at_least 1 "--checkpoint-every"
+    Arg.(
+      value
+      & opt int 5
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:
+            "Write the checkpoint every $(docv) lockstep rounds of the explorer walks (with \
+             $(b,--checkpoint)).")
 
 let max_seconds_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "max-seconds" ] ~docv:"S"
-        ~doc:
-          "Wall-clock deadline: stop gracefully after $(docv) seconds, keep the best \
-           structure so far, and leave a final checkpoint to resume from.")
+  Term.map
+    (function Some s when s <= 0.0 -> die "--max-seconds must be positive" | v -> v)
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-seconds" ] ~docv:"S"
+          ~doc:
+            "Wall-clock deadline: stop gracefully after $(docv) seconds and keep the \
+             best structure so far (with $(b,--checkpoint), also a final checkpoint to \
+             resume from).")
 
 let generate_cmd =
   Cmd.v
@@ -235,7 +246,7 @@ let generate_cmd =
     Term.(
       const generate $ circuit_arg $ budget_arg $ svg_arg $ save_arg $ checkpoint_arg $ checkpoint_every_arg $ max_seconds_arg $ jobs_arg)
 
-(* instantiate *)
+(* query a saved structure *)
 
 type point =
   | Center
@@ -270,40 +281,6 @@ let point_arg =
     & opt point_conv Center
     & info [ "p"; "point" ] ~docv:"POINT"
         ~doc:"Dimension vector to query: center, min, max or random[:seed].")
-
-let instantiate circuit budget point =
-  let config = Mps_experiments.Experiments.generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
-  let bounds = Circuit.dim_bounds circuit in
-  let dims =
-    match point with
-    | Center -> Dimbox.center bounds
-    | Min -> Circuit.min_dims circuit
-    | Max -> Circuit.max_dims circuit
-    | Random seed -> Dimbox.random_dims (Mps_rng.Rng.create ~seed) bounds
-  in
-  let engine = Structure.Engine.create structure in
-  let session = Structure.Engine.new_session () in
-  let answer, stored = Structure.Engine.query engine session dims in
-  let rects, cost = Structure.Engine.instantiate_cost engine session dims in
-  let die_w, die_h = Structure.die structure in
-  (match answer with
-  | Structure.Stored_placement id ->
-    Format.printf "Query hit stored placement #%d (avg cost %.1f, best cost %.1f).@." id
-      stored.Stored.avg_cost stored.Stored.best_cost
-  | Structure.Fallback -> Format.printf "Query fell back to the template placement.@."
-  | Structure.Out_of_domain ->
-    Format.printf "Dimensions outside the designer space: backup template used.@.");
-  Format.printf "Instantiated floorplan (cost %.1f):@.%s" cost
-    (Mps_render.Ascii.render ~max_cols:64 circuit ~die_w ~die_h rects)
-
-let instantiate_cmd =
-  Cmd.v
-    (Cmd.info "instantiate"
-       ~doc:"Generate a structure, query one dimension vector and print the floorplan.")
-    Term.(const instantiate $ circuit_arg $ budget_arg $ point_arg)
-
-(* query a saved structure *)
 
 let dims_of_point circuit point =
   let bounds = Circuit.dim_bounds circuit in
@@ -572,10 +549,11 @@ let json_arg =
     & info [ "json" ] ~doc:"Emit the machine-readable JSON report instead of text.")
 
 let samples_arg =
-  Arg.(
-    value
-    & opt int Audit.default_samples_per_box
-    & info [ "samples" ] ~docv:"N" ~doc:"Seeded legality samples per validity box.")
+  at_least 0 "--samples"
+    Arg.(
+      value
+      & opt int Audit.default_samples_per_box
+      & info [ "samples" ] ~docv:"N" ~doc:"Seeded legality samples per validity box.")
 
 let audit_seed_arg =
   Arg.(
@@ -618,13 +596,14 @@ let repair circuit path reanneal out jobs =
   if Repair.clean outcome then () else exit 1
 
 let reanneal_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "reanneal" ] ~docv:"N"
-        ~doc:
-          "Coordinate-annealing budget (iterations) for re-optimizing quarantined \
-           territory; 0 leaves quarantined territory to the backup template.")
+  at_least 0 "--reanneal"
+    Arg.(
+      value
+      & opt int 0
+      & info [ "reanneal" ] ~docv:"N"
+          ~doc:
+            "Coordinate-annealing budget (iterations) for re-optimizing quarantined \
+             territory; 0 leaves quarantined territory to the backup template.")
 
 let repair_out_arg =
   Arg.(
@@ -645,12 +624,11 @@ let repair_cmd =
 
 (* route a floorplan *)
 
-let route circuit budget point =
-  let config = Mps_experiments.Experiments.generator_config budget circuit in
-  let structure, _ = Generator.generate ~config circuit in
+let route circuit path point =
+  let engine = (load_view ~circuit ~path).Zcodec.engine in
   let dims = dims_of_point circuit point in
-  let rects = Structure.instantiate structure dims in
-  let die_w, die_h = Structure.die structure in
+  let rects = Structure.Engine.instantiate engine (Structure.Engine.new_session ()) dims in
+  let die_w, die_h = Structure.Engine.die engine in
   let routing = Mps_route.Router.route circuit ~die_w ~die_h rects in
   Format.printf "Routed %d nets: total length %.0f, %d failed, overflow %d@."
     (Array.length routing.Mps_route.Router.nets) routing.Mps_route.Router.total_length
@@ -670,8 +648,9 @@ let route circuit budget point =
 let route_cmd =
   Cmd.v
     (Cmd.info "route"
-       ~doc:"Generate, instantiate and maze-route a floorplan; print the wire overlay.")
-    Term.(const route $ circuit_arg $ budget_arg $ point_arg)
+       ~doc:
+         "Query a saved structure, maze-route the floorplan and print the wire overlay.")
+    Term.(const route $ circuit_arg $ load_arg $ point_arg)
 
 (* extend a saved structure *)
 
@@ -693,9 +672,7 @@ let extend circuit path budget seed save_path checkpoint checkpoint_every max_se
   Format.printf "  now %d explored placements (coverage %.6f, %s CPU)@."
     (Structure.n_explored extended) stats.Generator.coverage
     (Mps_experiments.Text_table.seconds stats.Generator.generation_seconds);
-  if stats.Generator.deadline_hit then
-    Format.printf
-      "  stopped early: wall-clock deadline reached (rerun to resume from the checkpoint)@.";
+  report_deadline ~checkpoint stats;
   let out = Option.value save_path ~default:path in
   save_container extended ~path:out;
   Format.printf "  saved to %s@." out;
@@ -1484,6 +1461,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; generate_cmd; instantiate_cmd; query_cmd; verify_cmd; dump_cmd;
+          [ list_cmd; generate_cmd; query_cmd; verify_cmd; dump_cmd;
             stats_cmd; audit_cmd; repair_cmd; route_cmd; extend_cmd;
             experiments_cmd; serve_cmd; health_cmd; bench_serve_cmd ]))

@@ -44,22 +44,17 @@ type acc = {
   mutable traw : float; (* geometric temperature before the t_min clamp *)
 }
 
-let traw0 = function Schedule.Geometric { t0; _ } -> t0 | _ -> 0.0
-
-let[@inline] next_temp schedule acc ~step =
-  match schedule with
-  | Schedule.Geometric { alpha; t_min; _ } ->
-      let v = Float.max t_min acc.traw in
-      acc.traw <- acc.traw *. alpha;
-      v
-  | s -> Schedule.temperature s ~step
+let[@inline] next_temp (schedule : Schedule.t) acc =
+  let v = Float.max schedule.t_min acc.traw in
+  acc.traw <- acc.traw *. schedule.alpha;
+  v
 
 let run_moves ?(on_improve = fun ~cost:_ ~step:_ -> ())
     ?(should_stop = fun ~best_cost:_ ~step:_ -> false) ~rng ~schedule ~iterations
     ~initial_cost problem =
   if iterations < 0 then invalid_arg "Annealer.run_moves: negative iteration count";
   let a =
-    { cur = initial_cost; bst = initial_cost; sum = initial_cost; traw = traw0 schedule }
+    { cur = initial_cost; bst = initial_cost; sum = initial_cost; traw = schedule.Schedule.t0 }
   in
   let evaluations = ref 1 in
   let acceptances = ref 0 in
@@ -73,7 +68,7 @@ let run_moves ?(on_improve = fun ~cost:_ ~step:_ -> ())
       let cost = a.cur +. dc in
       a.sum <- a.sum +. cost;
       incr evaluations;
-      let temp = next_temp schedule a ~step:!step in
+      let temp = next_temp schedule a in
       let accept = dc <= 0.0 || Rng.float rng 1.0 < exp (-.dc /. temp) in
       if accept then begin
         problem.commit m;
@@ -102,7 +97,7 @@ let run ?(on_accept = fun _ ~cost:_ ~step:_ -> ()) ?(should_stop = fun ~best_cos
   let current = ref problem.initial in
   let initial_cost = problem.cost problem.initial in
   let a =
-    { cur = initial_cost; bst = initial_cost; sum = initial_cost; traw = traw0 schedule }
+    { cur = initial_cost; bst = initial_cost; sum = initial_cost; traw = schedule.Schedule.t0 }
   in
   let best = ref !current in
   let evaluations = ref 1 in
@@ -117,7 +112,7 @@ let run ?(on_accept = fun _ ~cost:_ ~step:_ -> ()) ?(should_stop = fun ~best_cos
       a.sum <- a.sum +. cost;
       incr evaluations;
       let dc = cost -. a.cur in
-      let temp = next_temp schedule a ~step:!step in
+      let temp = next_temp schedule a in
       let accept = dc <= 0.0 || Rng.float rng 1.0 < exp (-.dc /. temp) in
       if accept then begin
         current := candidate;

@@ -6,7 +6,6 @@ open Mps_rng
    written once at build time and never mutated, so a LUT can be read
    from any domain. *)
 type t = {
-  n : int;
   lo : int array;
   hi : int array;
   span : int array; (* hi - lo + 1, always >= 1 *)
@@ -28,11 +27,7 @@ let make ~n ~lo:lo_f ~hi:hi_f =
     hi.(i) <- h;
     span.(i) <- h - l + 1
   done;
-  { n; lo; hi; span }
-
-let slots t = t.n
-let lo t i = t.lo.(i)
-let hi t i = t.hi.(i)
+  { lo; hi; span }
 
 let[@inline] draw t rng i =
   Array.unsafe_get t.lo i + Rng.unsafe_int rng (Array.unsafe_get t.span i)

@@ -16,8 +16,8 @@
 
     Tables are immutable after {!make} and safe to read from any
     domain; draws mutate only the caller's RNG.  Draw compatibility:
-    [draw t rng i] consumes exactly the draw
-    [Rng.int_in rng (lo t i) (hi t i)] would. *)
+    [draw t rng i] consumes exactly the draw [Rng.int_in rng (lo i) (hi i)]
+    would. *)
 
 type t
 
@@ -25,12 +25,6 @@ val make : n:int -> lo:(int -> int) -> hi:(int -> int) -> t
 (** [make ~n ~lo ~hi] compiles the table for slots [0 .. n-1]; every
     range must be non-empty ([lo i <= hi i]).
     @raise Invalid_argument on a negative [n] or an empty range. *)
-
-val slots : t -> int
-
-val lo : t -> int -> int
-
-val hi : t -> int -> int
 
 val draw : t -> Mps_rng.Rng.t -> int -> int
 (** [draw t rng i] — uniform in [[lo i, hi i]]; one load of the

@@ -1,27 +1,10 @@
-type t =
-  | Geometric of { t0 : float; alpha : float; t_min : float }
-  | Linear of { t0 : float; steps : int; t_min : float }
-  | Constant of float
+type t = { t0 : float; alpha : float; t_min : float }
 
-let geometric ?(t0 = 1000.0) ?(alpha = 0.98) ?(t_min = 1e-3) () =
+let geometric ~t0 ~alpha ~t_min =
   if t0 <= 0.0 || alpha <= 0.0 || alpha >= 1.0 || t_min <= 0.0 then
     invalid_arg "Schedule.geometric: need t0 > 0, 0 < alpha < 1, t_min > 0";
-  Geometric { t0; alpha; t_min }
+  { t0; alpha; t_min }
 
-let temperature t ~step =
+let temperature { t0; alpha; t_min } ~step =
   if step < 0 then invalid_arg "Schedule.temperature: negative step";
-  match t with
-  | Geometric { t0; alpha; t_min } -> Float.max t_min (t0 *. (alpha ** float_of_int step))
-  | Linear { t0; steps; t_min } ->
-    if step >= steps then t_min
-    else
-      let f = float_of_int step /. float_of_int steps in
-      Float.max t_min (t0 +. ((t_min -. t0) *. f))
-  | Constant temp -> Float.max 1e-12 temp
-
-let pp fmt = function
-  | Geometric { t0; alpha; t_min } ->
-    Format.fprintf fmt "geometric(t0=%g alpha=%g t_min=%g)" t0 alpha t_min
-  | Linear { t0; steps; t_min } ->
-    Format.fprintf fmt "linear(t0=%g steps=%d t_min=%g)" t0 steps t_min
-  | Constant temp -> Format.fprintf fmt "constant(%g)" temp
+  Float.max t_min (t0 *. (alpha ** float_of_int step))

@@ -1,16 +1,12 @@
-(** Cooling schedules for simulated annealing. *)
+(** The geometric cooling schedule for simulated annealing. *)
 
-type t =
-  | Geometric of { t0 : float; alpha : float; t_min : float }
-      (** [t(k) = max t_min (t0 * alpha^k)]; the classic schedule. *)
-  | Linear of { t0 : float; steps : int; t_min : float }
-      (** Linear ramp from [t0] to [t_min] over [steps] iterations. *)
-  | Constant of float  (** Fixed temperature (degenerates to Metropolis). *)
+type t = private { t0 : float; alpha : float; t_min : float }
+(** [t(k) = max t_min (t0 * alpha^k)]; [t0 = t_min] holds the
+    temperature constant. *)
 
-val geometric : ?t0:float -> ?alpha:float -> ?t_min:float -> unit -> t
-(** Defaults: [t0 = 1000.], [alpha = 0.98], [t_min = 1e-3]. *)
+val geometric : t0:float -> alpha:float -> t_min:float -> t
+(** @raise Invalid_argument unless [t0 > 0], [0 < alpha < 1] and
+    [t_min > 0]. *)
 
 val temperature : t -> step:int -> float
 (** Temperature at iteration [step >= 0]; always [> 0]. *)
-
-val pp : Format.formatter -> t -> unit

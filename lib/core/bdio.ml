@@ -17,7 +17,7 @@ let default_config = { iterations = 400; shrink = Cost_ratio }
 
 (* Share of the 2N dimension entries re-drawn per move. *)
 let perturb_fraction = 0.3
-let schedule = Schedule.geometric ~t0:200.0 ~alpha:0.97 ~t_min:1e-3 ()
+let schedule = Schedule.geometric ~t0:200.0 ~alpha:0.97 ~t_min:1e-3
 
 type result = {
   box : Dimbox.t;

@@ -36,7 +36,6 @@ let create circuit =
   }
 
 let circuit t = t.circuit
-let bounds t = t.bounds
 
 let n_live t = t.n_live
 

@@ -23,9 +23,6 @@ val create : Circuit.t -> t
 
 val circuit : t -> Circuit.t
 
-val bounds : t -> Dimbox.t
-(** The designer dimension search space. *)
-
 val n_live : t -> int
 (** Number of placements currently stored. *)
 

@@ -37,7 +37,7 @@ let default_config =
   }
 
 (* The explorer's Metropolis temperature per walk step. *)
-let explorer_schedule = Schedule.geometric ~t0:500.0 ~alpha:0.93 ~t_min:1e-3 ()
+let explorer_schedule = Schedule.geometric ~t0:500.0 ~alpha:0.93 ~t_min:1e-3
 
 (* A perturbation moves this share of the blocks, each by at most this
    fraction of the die's longer side. *)

@@ -42,7 +42,3 @@ let instantiate_repacked_into t ~order ~out dims =
 let instantiate_auto t dims =
   if Dimbox.contains t.expansion dims then instantiate t dims
   else instantiate_repacked t dims
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>placement %a@ box %a@ avg %.2f best %.2f@]" Placement.pp
-    t.placement Dimbox.pp t.box t.avg_cost t.best_cost

@@ -72,5 +72,3 @@ val instantiate_auto : t -> Dims.t -> Rect.t array
     monotonicity), {!instantiate_repacked} otherwise.  Always
     overlap-free — the cost of using placement [j] for any sizing,
     which is what the Figure 6 per-placement curves compare. *)
-
-val pp : Format.formatter -> t -> unit

@@ -903,13 +903,6 @@ module Engine = struct
       out_of_domain = session.out_of_domain;
     }
 
-  let reset_stats (session : session) =
-    session.queries <- 0;
-    session.cache_hits <- 0;
-    session.stored_hits <- 0;
-    session.fallbacks <- 0;
-    session.out_of_domain <- 0
-
   let describe t session =
     let buf = Buffer.create 512 in
     Buffer.add_string buf (describe t);

@@ -232,7 +232,6 @@ module Engine : sig
       resulting floorplan. *)
 
   val stats : session -> stats
-  val reset_stats : session -> unit
 
   val n_active_rows : t -> int
   (** Rows in the narrowing plan after the skip rule. *)

@@ -110,7 +110,6 @@ type t = {
 }
 
 let n_blocks t = t.n
-let die t = (t.die_w, t.die_h)
 let block_x t i = t.x.(i)
 let block_y t i = t.y.(i)
 let block_w t i = t.w.(i)

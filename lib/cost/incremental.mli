@@ -48,9 +48,6 @@ val create :
 
 val n_blocks : t -> int
 
-val die : t -> int * int
-(** [(die_w, die_h)]. *)
-
 val block_x : t -> int -> int
 val block_y : t -> int -> int
 val block_w : t -> int -> int

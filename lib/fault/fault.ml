@@ -102,32 +102,19 @@ let random_action rng =
   | 2 -> Corrupt (1 + Mps_rng.Rng.int rng 16)
   | _ -> Vanish
 
-(* Socket faults: no media corruption in the model (frames are either
-   delivered intact, delivered short, delayed, or the peer is gone) —
-   so no [Corrupt] here, and a [Stall] long enough to blow a typical
-   test deadline instead. *)
-let random_net_action rng =
-  match Mps_rng.Rng.int rng 4 with
-  | 0 -> Fail
-  | 1 -> Truncate (Mps_rng.Rng.float rng 0.95)
-  | 2 -> Vanish
-  | _ -> Stall (0.02 +. Mps_rng.Rng.float rng 0.1)
-
-let random_injection ?(net = false) rng ops =
+let random_injection rng ops =
   {
     op = Mps_rng.Rng.choose rng ops;
     skip = Mps_rng.Rng.int rng 3;
-    action = (if net then random_net_action rng else random_action rng);
+    action = random_action rng;
     seed = Mps_rng.Rng.int rng 1_000_000;
   }
 
-let plan_of ?net rng ops =
-  List.init (1 + Mps_rng.Rng.int rng 3) (fun _ -> random_injection ?net rng ops)
+let plan_of rng ops =
+  List.init (1 + Mps_rng.Rng.int rng 3) (fun _ -> random_injection rng ops)
 
-let random_plan rng = plan_of rng [| Read; Write; Rename; Fsync_dir; Remove |]
 let random_save_plan rng = plan_of rng [| Write; Rename; Fsync_dir |]
 let random_read_plan rng = plan_of rng [| Read |]
-let random_net_plan rng = plan_of ~net:true rng [| Net_recv; Net_send; Net_accept |]
 
 let io_of_plan ?(base = Persist.default_io) plan =
   let counters = Hashtbl.create 8 in
@@ -359,18 +346,6 @@ let shm_hooks_of_plan plan =
     }
   in
   (hooks, fired)
-
-let random_worker_injection rng =
-  let crash = Mps_rng.Rng.int rng 2 = 0 in
-  {
-    op = (if crash then Worker_crash else Worker_stall);
-    skip = Mps_rng.Rng.int rng 4;
-    action = (if crash then Fail else Stall (0.02 +. Mps_rng.Rng.float rng 0.1));
-    seed = Mps_rng.Rng.int rng 1_000_000;
-  }
-
-let random_worker_plan rng =
-  List.init (1 + Mps_rng.Rng.int rng 2) (fun _ -> random_worker_injection rng)
 
 let with_plan ?base plan f =
   let io, fired = io_of_plan ?base plan in

@@ -96,22 +96,14 @@ type plan = injection list
 val describe : plan -> string
 (** One line per injection, for failure diagnostics. *)
 
-val random_plan : Mps_rng.Rng.t -> plan
-(** One to three injections with random ops, actions and skips — the
-    generic chaos generator.  Deterministic in the rng state. *)
-
 val random_save_plan : Mps_rng.Rng.t -> plan
-(** Like {!random_plan} but restricted to the ops a save touches
-    ([Write], [Rename], [Fsync_dir]). *)
+(** One to three injections with random actions and skips on the ops a
+    save touches ([Write], [Rename], [Fsync_dir]).  Deterministic in
+    the rng state. *)
 
 val random_read_plan : Mps_rng.Rng.t -> plan
-(** Injections on [Read] only, for chaos over the load path. *)
-
-val random_net_plan : Mps_rng.Rng.t -> plan
-(** Injections on the socket ops only ([Net_recv], [Net_send],
-    [Net_accept]) with socket-appropriate actions: [Fail], short
-    [Truncate], [Vanish], or a [Stall] of 20–120 ms (long enough to
-    blow a test deadline). *)
+(** Like {!random_save_plan}, on [Read] only, for chaos over the load
+    path. *)
 
 val flip_bits : seed:int -> flips:int -> ?from:int -> string -> string
 (** [flips] seeded bit flips in [s], at byte offsets [>= from]
@@ -162,10 +154,6 @@ val shm_hooks_of_plan : plan -> Mps_serve.Shm.hooks * (unit -> int)
     reaps it, as it reaps a silent socket client.  Thread-safe; each
     injection fires at most once.  The second component counts
     injections fired. *)
-
-val random_worker_plan : Mps_rng.Rng.t -> plan
-(** One or two worker-level injections: a [Worker_crash], or a
-    [Worker_stall] of 20–120 ms. *)
 
 val with_plan :
   ?base:Mps_core.Persist.io -> plan -> (unit -> 'a) -> ('a, exn) result * int

@@ -17,8 +17,6 @@ let of_dims_range ~lo ~hi =
     h = Array.init n (fun i -> Interval.make (Dims.height lo i) (Dims.height hi i));
   }
 
-let point dims = of_dims_range ~lo:dims ~hi:dims
-
 let n_blocks t = Array.length t.w
 
 let w_interval t i = t.w.(i)

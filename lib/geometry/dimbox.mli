@@ -23,9 +23,6 @@ val of_dims_range : lo:Dims.t -> hi:Dims.t -> t
 (** Box spanning [lo..hi] per axis.
     @raise Invalid_argument on any inverted axis. *)
 
-val point : Dims.t -> t
-(** Degenerate box containing only the given vector. *)
-
 val n_blocks : t -> int
 
 val w_interval : t -> int -> Interval.t

@@ -44,8 +44,3 @@ let total_area t =
   !acc
 
 let equal a b = a.w = b.w && a.h = b.h
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>";
-  Array.iteri (fun i w -> Format.fprintf fmt "%s%dx%d" (if i > 0 then " " else "") w t.h.(i)) t.w;
-  Format.fprintf fmt "@]"

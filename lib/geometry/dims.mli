@@ -46,4 +46,3 @@ val total_area : t -> int
 (** Sum over blocks of [w * h]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ let overlap_length a b = max 0 (min a.hi b.hi - max a.lo b.lo + 1)
 
 let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
-let shift t d = { lo = t.lo + d; hi = t.hi + d }
-
 let clamp t v = if v < t.lo then t.lo else if v > t.hi then t.hi else v
 
 let before t ~limit = make_opt t.lo (min t.hi (limit - 1))
@@ -40,10 +38,6 @@ let fraction_of t ~of_ =
   float_of_int (overlap_length t of_) /. float_of_int (length of_)
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
-
-let compare a b =
-  let c = Int.compare a.lo b.lo in
-  if c <> 0 then c else Int.compare a.hi b.hi
 
 let pp fmt t = Format.fprintf fmt "[%d..%d]" t.lo t.hi
 

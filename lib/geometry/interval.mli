@@ -39,9 +39,6 @@ val overlap_length : t -> t -> int
 val hull : t -> t -> t
 (** Smallest interval containing both. *)
 
-val shift : t -> int -> t
-(** [shift t d] translates both endpoints by [d]. *)
-
 val clamp : t -> int -> int
 (** [clamp t v] is the point of [t] closest to [v]. *)
 
@@ -59,8 +56,6 @@ val fraction_of : t -> of_:t -> float
     the share of [bounds] covered by [t]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Order by [lo], then [hi]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -63,8 +63,6 @@ let any_overlap rects =
   in
   outer 0
 
-let total_area rects = Array.fold_left (fun acc r -> acc + area r) 0 rects
-
 let equal a b = a.x = b.x && a.y = b.y && a.w = b.w && a.h = b.h
 
 let pp fmt t = Format.fprintf fmt "(%d,%d %dx%d)" t.x t.y t.w t.h

@@ -50,7 +50,5 @@ val bounding_box : t list -> t option
 val any_overlap : t array -> (int * int) option
 (** First overlapping pair of distinct indices, if any. *)
 
-val total_area : t array -> int
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -19,5 +19,4 @@ val scale : t -> float -> t
 (** [scale d k] multiplies the electrical size ([w_um], [c_ff] or
     [r_ohm]) by [k > 0]; gate length is left unchanged. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -33,12 +33,3 @@ let blocks t =
   List.sort_uniq Int.compare ids
 
 let degree t = List.length t.pins
-
-let pp fmt t =
-  let pp_pin fmt = function
-    | Block_pin { block; fx; fy } -> Format.fprintf fmt "b%d@(%.2f,%.2f)" block fx fy
-    | Pad { px; py } -> Format.fprintf fmt "pad@(%.2f,%.2f)" px py
-  in
-  Format.fprintf fmt "%s#%d{%a}" t.name t.id
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") pp_pin)
-    t.pins

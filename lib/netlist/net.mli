@@ -33,5 +33,3 @@ val blocks : t -> int list
 
 val degree : t -> int
 (** Total number of endpoints, pads included. *)
-
-val pp : Format.formatter -> t -> unit

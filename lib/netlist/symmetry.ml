@@ -23,7 +23,3 @@ let validate ~n_blocks groups =
       | Pair _ | Self _ -> ());
       List.iter check_index (members g))
     groups
-
-let pp fmt = function
-  | Pair { left; right } -> Format.fprintf fmt "pair(%d,%d)" left right
-  | Self i -> Format.fprintf fmt "self(%d)" i

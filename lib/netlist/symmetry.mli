@@ -17,5 +17,3 @@ val members : group -> int list
 val validate : n_blocks:int -> group list -> unit
 (** @raise Invalid_argument when an index is out of range, a pair is
     degenerate, or a block appears in more than one group. *)
-
-val pp : Format.formatter -> group -> unit

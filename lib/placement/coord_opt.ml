@@ -10,7 +10,7 @@ type config = {
 
 let default_config = { iterations = 4000; max_shift_fraction = 0.5 }
 
-let schedule = Schedule.geometric ~t0:2000.0 ~alpha:0.995 ~t_min:1e-3 ()
+let schedule = Schedule.geometric ~t0:2000.0 ~alpha:0.995 ~t_min:1e-3
 let swap_probability = 0.25
 
 type result = {

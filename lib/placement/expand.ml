@@ -95,5 +95,3 @@ let expand circuit placement =
     done
   done;
   Dimbox.of_dims_range ~lo:min_dims ~hi:(Dims.make ~w ~h)
-
-let max_dims circuit placement = Dimbox.upper_corner (expand circuit placement)

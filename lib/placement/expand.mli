@@ -19,6 +19,3 @@ val expand : Circuit.t -> Placement.t -> Dimbox.t
     Because blocks are anchored at their lower-left corners, the
     floorplan is legal for *every* dimension vector in the returned box
     (monotonicity), not only at the expanded corner. *)
-
-val max_dims : Circuit.t -> Placement.t -> Dims.t
-(** Upper corner of {!expand}'s box. *)

@@ -81,8 +81,3 @@ let move_block t i ~x ~y =
   { t with coords }
 
 let equal a b = a.coords = b.coords && a.die_w = b.die_w && a.die_h = b.die_h
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>die %dx%d:" t.die_w t.die_h;
-  Array.iteri (fun i (x, y) -> Format.fprintf fmt " %d@@(%d,%d)" i x y) t.coords;
-  Format.fprintf fmt "@]"

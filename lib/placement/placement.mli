@@ -45,4 +45,3 @@ val random : Rng.t -> Circuit.t -> die_w:int -> die_h:int -> t
 val move_block : t -> int -> x:int -> y:int -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -66,8 +66,6 @@ let occupy t (c, r) =
   if not (in_grid t (c, r)) then invalid_arg "Route_grid.occupy: outside grid";
   t.used.(r).(c) <- t.used.(r).(c) + 1
 
-let capacity t = t.cap
-
 let overflow t =
   let acc = ref 0 in
   for r = 0 to t.rows - 1 do

@@ -36,8 +36,6 @@ val usage : t -> int * int -> int
 val occupy : t -> int * int -> unit
 (** Record one wire crossing (allowed past capacity; see {!overflow}). *)
 
-val capacity : t -> int
-
 val overflow : t -> int
 (** Total usage above capacity, summed over cells — the congestion
     measure. *)

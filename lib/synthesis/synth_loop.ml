@@ -153,7 +153,7 @@ type 's result = {
   history : float array;
 }
 
-let schedule = Schedule.geometric ~t0:50.0 ~alpha:0.96 ~t_min:1e-3 ()
+let schedule = Schedule.geometric ~t0:50.0 ~alpha:0.96 ~t_min:1e-3
 
 (* Log-space half-range of one knob move, and the number of knobs every
    model's [bump] takes. *)

@@ -7,7 +7,7 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 
 let test_geometric () =
-  let s = Schedule.geometric ~t0:100.0 ~alpha:0.5 ~t_min:1.0 () in
+  let s = Schedule.geometric ~t0:100.0 ~alpha:0.5 ~t_min:1.0 in
   check_float "step 0" 100.0 (Schedule.temperature s ~step:0);
   check_float "step 1" 50.0 (Schedule.temperature s ~step:1);
   check_float "step 2" 25.0 (Schedule.temperature s ~step:2);
@@ -16,22 +16,18 @@ let test_geometric () =
 let test_geometric_invalid () =
   Alcotest.check_raises "bad alpha"
     (Invalid_argument "Schedule.geometric: need t0 > 0, 0 < alpha < 1, t_min > 0")
-    (fun () -> ignore (Schedule.geometric ~alpha:1.5 ()))
+    (fun () -> ignore (Schedule.geometric ~t0:1000.0 ~alpha:1.5 ~t_min:1e-3))
 
-let test_linear () =
-  let s = Schedule.Linear { t0 = 100.0; steps = 10; t_min = 0.1 } in
-  check_float "start" 100.0 (Schedule.temperature s ~step:0);
-  check_bool "halfway lower" true (Schedule.temperature s ~step:5 < 60.0);
-  check_float "past end" 0.1 (Schedule.temperature s ~step:10);
-  check_float "far past end" 0.1 (Schedule.temperature s ~step:1000)
+(* [t0 = t_min = c] holds the temperature at [c]. *)
+let constant c = Schedule.geometric ~t0:c ~alpha:0.5 ~t_min:c
 
 let test_constant () =
-  let s = Schedule.Constant 3.0 in
+  let s = constant 3.0 in
   check_float "always" 3.0 (Schedule.temperature s ~step:77)
 
 let test_negative_step () =
   Alcotest.check_raises "negative" (Invalid_argument "Schedule.temperature: negative step")
-    (fun () -> ignore (Schedule.temperature (Schedule.Constant 1.0) ~step:(-1)))
+    (fun () -> ignore (Schedule.temperature (constant 1.0) ~step:(-1)))
 
 (* Annealer on a 1-D quadratic: must find the minimum region. *)
 let quadratic_problem =
@@ -43,7 +39,7 @@ let quadratic_problem =
 
 let run_quadratic seed =
   Annealer.run ~rng:(Rng.create ~seed)
-    ~schedule:(Schedule.geometric ~t0:100.0 ~alpha:0.97 ~t_min:1e-4 ())
+    ~schedule:(Schedule.geometric ~t0:100.0 ~alpha:0.97 ~t_min:1e-4)
     ~iterations:2000 quadratic_problem
 
 let test_annealer_finds_minimum () =
@@ -65,7 +61,7 @@ let test_annealer_deterministic () =
 
 let test_annealer_zero_iterations () =
   let r =
-    Annealer.run ~rng:(Rng.create ~seed:1) ~schedule:(Schedule.Constant 1.0) ~iterations:0
+    Annealer.run ~rng:(Rng.create ~seed:1) ~schedule:(constant 1.0) ~iterations:0
       quadratic_problem
   in
   check_float "best is initial" 50.0 r.Annealer.best;
@@ -77,7 +73,7 @@ let test_annealer_on_accept_hook () =
     Annealer.run
       ~on_accept:(fun _ ~cost:_ ~step:_ -> incr count)
       ~rng:(Rng.create ~seed:2)
-      ~schedule:(Schedule.Constant 10.0) ~iterations:100 quadratic_problem
+      ~schedule:(constant 10.0) ~iterations:100 quadratic_problem
   in
   Alcotest.(check int) "hook fired per acceptance" r.Annealer.acceptances !count
 
@@ -86,7 +82,7 @@ let test_annealer_should_stop () =
     Annealer.run
       ~should_stop:(fun ~best_cost:_ ~step -> step >= 10)
       ~rng:(Rng.create ~seed:2)
-      ~schedule:(Schedule.Constant 10.0) ~iterations:1000 quadratic_problem
+      ~schedule:(constant 10.0) ~iterations:1000 quadratic_problem
   in
   check_bool "stopped early" true (r.Annealer.evaluations <= 11)
 
@@ -94,7 +90,7 @@ let test_annealer_greedy_at_low_temp () =
   (* At a near-zero temperature only improving moves are accepted, so
      the final cost never exceeds the initial cost. *)
   let r =
-    Annealer.run ~rng:(Rng.create ~seed:4) ~schedule:(Schedule.Constant 1e-12)
+    Annealer.run ~rng:(Rng.create ~seed:4) ~schedule:(constant 1e-12)
       ~iterations:500 quadratic_problem
   in
   check_bool "monotone improvement" true
@@ -120,7 +116,7 @@ let run_moves_quadratic ?should_stop seed iterations =
     Annealer.run_moves
       ~on_improve:(fun ~cost:_ ~step:_ -> best := !cur)
       ?should_stop ~rng:(Rng.create ~seed)
-      ~schedule:(Schedule.geometric ~t0:100.0 ~alpha:0.97 ~t_min:1e-4 ())
+      ~schedule:(Schedule.geometric ~t0:100.0 ~alpha:0.97 ~t_min:1e-4)
       ~iterations ~initial_cost:(cost 50.0) problem
   in
   (r, !best)
@@ -170,7 +166,7 @@ let prop_best_is_min_of_accepted =
         Annealer.run
           ~on_accept:(fun _ ~cost ~step:_ -> accepted := cost :: !accepted)
           ~rng:(Rng.create ~seed)
-          ~schedule:(Schedule.geometric ())
+          ~schedule:(Schedule.geometric ~t0:1000.0 ~alpha:0.98 ~t_min:1e-3)
           ~iterations:200 quadratic_problem
       in
       List.for_all (fun c -> r.Annealer.best_cost <= c +. 1e-9) !accepted)
@@ -179,7 +175,6 @@ let suite =
   [
     ("geometric schedule", `Quick, test_geometric);
     ("geometric rejects bad parameters", `Quick, test_geometric_invalid);
-    ("linear schedule", `Quick, test_linear);
     ("constant schedule", `Quick, test_constant);
     ("negative step raises", `Quick, test_negative_step);
     ("annealer finds a quadratic minimum", `Quick, test_annealer_finds_minimum);

@@ -14,17 +14,6 @@ let circuit = Benchmarks.circ01
 let structure =
   lazy (fst (Generator.single_walk ~config:Generator.fast_config circuit))
 
-(* Tiny generation budget for the all-benchmarks fixpoint sweep. *)
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 4;
-    bdio = { Bdio.default_config with Bdio.iterations = 40 };
-    max_placements = 12;
-    backup_iterations = 150;
-    refine_iterations = 0;
-  }
-
 let is_corrupt = function Codec.Error (Codec.Corrupt _) -> true | _ -> false
 
 let rejects_with pred doc =
@@ -81,7 +70,7 @@ let test_fixpoint_all_benchmarks () =
   check_int "Table 1 has nine circuits" 9 (List.length Benchmarks.all);
   List.iter
     (fun c ->
-      let s, _ = Generator.single_walk ~config:tiny_config c in
+      let s, _ = Generator.single_walk ~config:Fixtures.minimal_config c in
       let doc = Codec.to_string s in
       let doc' = Codec.to_string (Codec.of_string ~circuit:c doc) in
       check_bool (c.Circuit.name ^ ": serialization fixpoint") true (doc = doc'))
@@ -203,7 +192,7 @@ let test_corrupted_interval () =
 (* Integrity: Codec.load must reject EVERY single-line truncation of a
    saved file with a typed error. *)
 let test_truncation_at_every_line () =
-  let s, _ = Generator.single_walk ~config:tiny_config circuit in
+  let s, _ = Generator.single_walk ~config:Fixtures.minimal_config circuit in
   let lines = String.split_on_char '\n' (Codec.to_string s) in
   let path = Filename.temp_file "mps_trunc" ".mps" in
   for keep = 0 to List.length lines - 2 do

@@ -14,20 +14,7 @@ open Mps_core
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 8;
-    bdio = { Generator.fast_config.Generator.bdio with Bdio.iterations = 60 };
-    max_placements = 25;
-    backup_iterations = 300;
-  }
-
-let structures =
-  lazy
-    (List.map
-       (fun c -> (c, fst (Generator.single_walk ~config:tiny_config c)))
-       Benchmarks.all)
+let structures = Fixtures.structures
 
 let for_all f () = List.iter (fun (c, s) -> f c s) (Lazy.force structures)
 

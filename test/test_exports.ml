@@ -1,29 +1,25 @@
-(* The export gate: every [val] a library interface declares must be
-   named by some other source file — in lib/, bin/, examples/,
-   perfbench/ or test/.  An export nothing else mentions is dead API:
-   delete it, or drop it from the .mli if its own module still uses it.
+(* The export gate: every [val v] a library interface declares for a
+   module [M] must be used by some other source file — in lib/, bin/,
+   examples/, perfbench/ or test/.  An export nothing else uses is dead
+   API: delete it, or drop it from the .mli if its own module still
+   uses it.
 
-   The scan is textual: a whole-word mention in the code of another
-   file counts — comments and string literals are blanked out first —
-   so it catches exports that no code mentions rather than proving
-   every export is called.
+   A use names the module: [M.v] (M the file's module, or the submodule
+   whose [sig] holds the [val]), [X.v] after [module X = ...M], any [v]
+   inside a local open [M.( ... )], or a bare [v] in a file that opens
+   or includes [M].  Another module's export of the same name does not
+   count.  The scan is textual — comments and string literals are
+   blanked out first — so it catches exports that no code uses rather
+   than proving every export is called.
    The test stanza lists these files as dependencies, so the scan reruns
    whenever any of them changes. *)
 
 let check_bool = Alcotest.(check bool)
 
-(* Exports kept on purpose although nothing else names them yet, as
-   (interface file, value).  The [Fault] plan generators wait on the
-   decision whether the chaos suite draws random plans (ROADMAP item 7);
-   [Client.server_stats] waits on the client-side stats API (ROADMAP
-   item 2). *)
-let allowed =
-  [
-    ("fault.mli", "random_plan");
-    ("fault.mli", "random_net_plan");
-    ("fault.mli", "random_worker_plan");
-    ("client.mli", "server_stats");
-  ]
+(* Exports kept on purpose although nothing else uses them yet, as
+   (interface file, value).  [Client.server_stats] waits on the
+   client-side stats API (ROADMAP item 2). *)
+let allowed = [ ("client.mli", "server_stats") ]
 
 (* Under dune the test runs in the build copy of test/; run by hand, it
    runs from the repository root. *)
@@ -136,39 +132,126 @@ let code_only text =
 
 let read path = code_only (In_channel.with_open_bin path In_channel.input_all)
 
-(* Every maximal identifier-character run of a file. *)
-let words text =
-  let tbl = Hashtbl.create 1024 in
-  let n = String.length text in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident_char text.[!i] then begin
-      let j = ref !i in
-      while !j < n && is_ident_char text.[!j] do
-        incr j
-      done;
-      Hashtbl.replace tbl (String.sub text !i (!j - !i)) ();
-      i := !j
-    end
-    else incr i
-  done;
-  tbl
+type token = Id of string | Sym of char
 
-(* The names an interface declares with [val], nested signatures
-   included. *)
-let vals text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if String.length line > 4 && String.sub line 0 4 = "val " then begin
-           let rest = String.sub line 4 (String.length line - 4) in
-           let k = ref 0 in
-           while !k < String.length rest && is_ident_char rest.[!k] do
-             incr k
-           done;
-           if !k > 0 then Some (String.sub rest 0 !k) else None
-         end
-         else None)
+let tokens text =
+  let n = String.length text in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match text.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
+      | c when is_ident_char c ->
+        let j = ref i in
+        while !j < n && is_ident_char text.[!j] do
+          incr j
+        done;
+        go !j (Id (String.sub text i (!j - i)) :: acc)
+      | c -> go (i + 1) (Sym c :: acc)
+  in
+  Array.of_list (go 0 [])
+
+let is_module_name s = s <> "" && match s.[0] with 'A' .. 'Z' -> true | _ -> false
+let is_value_name s = s <> "" && match s.[0] with 'a' .. 'z' | '_' -> true | _ -> false
+
+(* Token [i], or a blank past either end. *)
+let tok toks i = if i >= 0 && i < Array.length toks then toks.(i) else Sym ' '
+
+let is_module toks i = match tok toks i with Id m -> is_module_name m | Sym _ -> false
+
+(* The last name of the module path [M1.M2...] starting at token [i]. *)
+let path_end toks i =
+  if not (is_module toks i) then None
+  else begin
+    let k = ref i in
+    while tok toks (!k + 1) = Sym '.' && is_module toks (!k + 2) do
+      k := !k + 2
+    done;
+    match tok toks !k with Id m -> Some m | Sym _ -> None
+  end
+
+(* What a file uses, by the module that names it: [(M, v)] for [M.v]
+   (through [module X = ...M] aliases too, and for every value inside a
+   local open [M.( ... )]), the values it names unqualified, and the
+   modules it opens ([open], [let open], [include]). *)
+type uses = {
+  qualified : (string * string, unit) Hashtbl.t;
+  bare : (string, unit) Hashtbl.t;
+  opens : string list;
+}
+
+let uses text =
+  let toks = tokens text in
+  let tok = tok toks in
+  let aliases = Hashtbl.create 8 in
+  Array.iteri
+    (fun i t ->
+      match (t, tok (i + 1), tok (i + 2)) with
+      | Id "module", Id x, Sym '=' -> (
+        match path_end toks (i + 3) with
+        | Some m -> Hashtbl.add aliases x m
+        | None -> ())
+      | _ -> ())
+    toks;
+  let resolve m = m :: Hashtbl.find_all aliases m in
+  let qualified = Hashtbl.create 256 and bare = Hashtbl.create 1024 in
+  let opens = ref [] in
+  (* the local opens around the current token, with the paren depth
+     that closes each *)
+  let local = ref [] and depth = ref 0 in
+  Array.iteri
+    (fun i t ->
+      match t with
+      | Sym '(' ->
+        incr depth;
+        (match (tok (i - 1), tok (i - 2)) with
+        | Sym '.', Id m when is_module_name m -> local := (resolve m, !depth) :: !local
+        | _ -> ())
+      | Sym ')' ->
+        local := List.filter (fun (_, d) -> d <> !depth) !local;
+        decr depth
+      | Id ("open" | "include") -> (
+        let start = match tok (i + 1) with Sym '!' -> i + 2 | _ -> i + 1 in
+        match path_end toks start with
+        | Some m -> opens := resolve m @ !opens
+        | None -> ())
+      | Id v when is_value_name v -> (
+        match (tok (i - 1), tok (i - 2)) with
+        | Sym '.', Id m when is_module_name m ->
+          List.iter (fun m -> Hashtbl.replace qualified (m, v) ()) (resolve m)
+        | Sym '.', _ -> ()
+        | _ ->
+          Hashtbl.replace bare v ();
+          List.iter
+            (fun (ms, _) -> List.iter (fun m -> Hashtbl.replace qualified (m, v) ()) ms)
+            !local)
+      | _ -> ())
+    toks;
+  { qualified; bare; opens = !opens }
+
+(* The values an interface declares, each with the module that holds
+   it: the file's own module, or the submodule whose [sig ... end]
+   encloses the [val]. *)
+let vals mli text =
+  let own = String.capitalize_ascii (Filename.chop_suffix (Filename.basename mli) ".mli") in
+  let toks = tokens text in
+  let stack = ref [ own ] in
+  let found = ref [] in
+  Array.iteri
+    (fun i t ->
+      match (t, tok toks (i + 1)) with
+      | Id "sig", _ ->
+        let name =
+          match (tok toks (i - 3), tok toks (i - 2), tok toks (i - 1)) with
+          | Id "module", Id m, Sym ':' -> m
+          | _ -> List.hd !stack
+        in
+        stack := name :: !stack
+      | Id "end", _ -> stack := List.tl !stack
+      | Id "val", Id v -> found := (List.hd !stack, v) :: !found
+      | _ -> ())
+    toks;
+  List.rev !found
 
 let test_every_export_is_named () =
   (* this file names the allow-listed exports itself: it does not count *)
@@ -177,11 +260,15 @@ let test_every_export_is_named () =
       (fun d -> sources (Filename.concat root d))
       [ "lib"; "bin"; "examples"; "perfbench"; "test" ]
     |> List.filter (fun f -> Filename.basename f <> "test_exports.ml")
-    |> List.map (fun f -> (f, words (read f)))
+    |> List.map (fun f -> (f, uses (read f)))
   in
-  let named_elsewhere mli name =
+  let used_elsewhere mli (m, v) =
     let own = [ mli; Filename.chop_suffix mli ".mli" ^ ".ml" ] in
-    List.exists (fun (f, ws) -> (not (List.mem f own)) && Hashtbl.mem ws name) indexed
+    List.exists
+      (fun (f, u) ->
+        (not (List.mem f own))
+        && (Hashtbl.mem u.qualified (m, v) || (List.mem m u.opens && Hashtbl.mem u.bare v)))
+      indexed
   in
   let interfaces =
     List.filter
@@ -189,23 +276,26 @@ let test_every_export_is_named () =
       (sources (Filename.concat root "lib"))
   in
   check_bool "found the library interfaces" true (List.length interfaces > 40);
-  let unnamed =
+  let unused =
     List.concat_map
       (fun mli ->
-        vals (read mli)
-        |> List.filter (fun name ->
-               (not (List.mem (Filename.basename mli, name) allowed))
-               && not (named_elsewhere mli name))
-        |> List.map (fun name -> Printf.sprintf "%s: val %s" mli name))
+        vals mli (read mli)
+        |> List.filter (fun (m, v) ->
+               (not (List.mem (Filename.basename mli, v) allowed))
+               && not (used_elsewhere mli (m, v)))
+        |> List.map (fun (m, v) -> Printf.sprintf "%s: val %s.%s" mli m v))
       interfaces
   in
-  Alcotest.(check (list string)) "exports no other file names" [] unnamed;
-  (* an allow-listed export that is gone, or named by now, leaves the list *)
+  Alcotest.(check (list string)) "exports no other file uses" [] unused;
+  (* an allow-listed export that is gone, or used by now, leaves the list *)
   List.iter
     (fun (base, name) ->
       let stale =
         match List.find_opt (fun f -> Filename.basename f = base) interfaces with
-        | Some mli -> (not (List.mem name (vals (read mli)))) || named_elsewhere mli name
+        | Some mli -> (
+          match List.find_opt (fun (_, v) -> v = name) (vals mli (read mli)) with
+          | Some mv -> used_elsewhere mli mv
+          | None -> true)
         | None -> true
       in
       check_bool (Printf.sprintf "%s: val %s still needs its allowance" base name) false

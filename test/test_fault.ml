@@ -32,17 +32,7 @@ let base_seed =
 
 let circuit = Benchmarks.circ01
 
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 4;
-    bdio = { Bdio.default_config with Bdio.iterations = 40 };
-    max_placements = 12;
-    backup_iterations = 150;
-    refine_iterations = 0;
-  }
-
-let structure = lazy (fst (Generator.single_walk ~config:tiny_config circuit))
+let structure = Fixtures.circ01_minimal
 
 (* A second, different structure so old and new serializations differ
    in the save-under-fault family. *)
@@ -50,7 +40,11 @@ let structure2 =
   lazy
     (fst
        (Generator.single_walk
-          ~config:{ tiny_config with Generator.seed = tiny_config.Generator.seed + 17 }
+          ~config:
+            {
+              Fixtures.minimal_config with
+              Generator.seed = Fixtures.minimal_config.Generator.seed + 17;
+            }
           circuit))
 
 let with_tmp_dir f =

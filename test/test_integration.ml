@@ -9,20 +9,7 @@ open Mps_core
 
 let check_bool = Alcotest.(check bool)
 
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 8;
-    bdio = { Generator.fast_config.Generator.bdio with Bdio.iterations = 60 };
-    max_placements = 25;
-    backup_iterations = 300;
-  }
-
-let structures =
-  lazy
-    (List.map
-       (fun c -> (c, fst (Generator.single_walk ~config:tiny_config c)))
-       Benchmarks.all)
+let structures = Fixtures.structures
 
 let for_all_structures f () =
   List.iter (fun (c, s) -> f c s) (Lazy.force structures)
@@ -129,10 +116,15 @@ let test_explored_beats_backup c structure =
 
 let test_extend_grows () =
   let circuit = Benchmarks.circ02 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
   let before = Structure.n_placements structure in
   let config =
-    { tiny_config with Generator.seed = 77; explorer_iterations = 10; max_placements = 60 }
+    {
+      Fixtures.tiny_config with
+      Generator.seed = 77;
+      explorer_iterations = 10;
+      max_placements = 60;
+    }
   in
   let extended, stats = Generator.extend ~config structure in
   check_bool "placement count grew" true (Structure.n_placements extended >= before);
@@ -152,13 +144,15 @@ let test_extend_grows () =
 
 let test_extend_preserves_die () =
   let circuit = Benchmarks.circ02 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
-  let extended, _ = Generator.extend ~config:{ tiny_config with Generator.seed = 78 } structure in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
+  let extended, _ =
+    Generator.extend ~config:{ Fixtures.tiny_config with Generator.seed = 78 } structure
+  in
   check_bool "same die" true (Structure.die structure = Structure.die extended)
 
 let test_to_builder_roundtrip () =
   let circuit = Benchmarks.circ01 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
   let rebuilt = Structure.compile ~backup:(Structure.backup structure) (Structure.to_builder structure) in
   Alcotest.(check int) "placement count preserved" (Structure.n_placements structure)
     (Structure.n_placements rebuilt)
@@ -180,7 +174,7 @@ let test_coverage_sampled_agrees () =
 
 let test_describe_mentions_counts () =
   let circuit = Benchmarks.circ01 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
   let d = Structure.describe structure in
   let contains sub =
     let n = String.length sub in
@@ -195,7 +189,7 @@ let test_describe_mentions_counts () =
 
 let test_nearest_agrees_on_hits () =
   let circuit = Benchmarks.circ01 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
   let probes = Mps_experiments.Experiments.probe_dims ~seed:43 ~n:200 structure in
   Array.iter
     (fun dims ->
@@ -209,7 +203,7 @@ let test_nearest_agrees_on_hits () =
 
 let test_instantiate_nearest_overlap_free () =
   let circuit = Benchmarks.circ01 in
-  let structure, _ = Generator.single_walk ~config:tiny_config circuit in
+  let structure, _ = Generator.single_walk ~config:Fixtures.tiny_config circuit in
   let probes = Mps_experiments.Experiments.probe_dims ~seed:47 ~n:200 structure in
   Array.iter
     (fun dims ->

@@ -20,17 +20,7 @@ let check_int = Alcotest.(check int)
 let circuit = Benchmarks.circ01
 let circuit_name = "circ01"
 
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 4;
-    bdio = { Bdio.default_config with Bdio.iterations = 40 };
-    max_placements = 12;
-    backup_iterations = 150;
-    refine_iterations = 0;
-  }
-
-let structure = lazy (fst (Generator.single_walk ~config:tiny_config circuit))
+let structure = Fixtures.circ01_minimal
 
 (* Oracle: the same structure compiled in-process.  The codec
    round-trip is bit-exact, so the daemon (serving from the saved

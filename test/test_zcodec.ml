@@ -15,20 +15,7 @@ open Mps_core
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let tiny_config =
-  {
-    Generator.fast_config with
-    Generator.explorer_iterations = 8;
-    bdio = { Generator.fast_config.Generator.bdio with Bdio.iterations = 60 };
-    max_placements = 25;
-    backup_iterations = 300;
-  }
-
-let structures =
-  lazy
-    (List.map
-       (fun c -> (c, fst (Generator.single_walk ~config:tiny_config c)))
-       Benchmarks.all)
+let structures = Fixtures.structures
 
 let for_all f () = List.iter (fun (c, s) -> f c s) (Lazy.force structures)
 
@@ -272,7 +259,7 @@ let test_unknown_magic_clean_error () =
 let salvage_circuit = Benchmarks.circ01
 
 let salvage_structure =
-  lazy (fst (Generator.single_walk ~config:tiny_config salvage_circuit))
+  lazy (fst (Generator.single_walk ~config:Fixtures.tiny_config salvage_circuit))
 
 let salvage raw =
   match Repair.salvage_string ~circuit:salvage_circuit raw with
