@@ -581,11 +581,11 @@ let audit_cmd =
 
 (* repair a saved structure *)
 
-let repair circuit path reanneal out jobs =
+let repair circuit path out jobs =
   let structure = load_salvaged ~circuit ~path in
   let outcome =
     Mps_parallel.Pool.with_pool ~jobs (fun pool ->
-        Repair.run ~pool ~reanneal_iterations:reanneal structure)
+        Repair.run ~pool structure)
   in
   print_string (Audit.to_string outcome.Repair.before);
   Format.printf "%s@." (Repair.describe outcome);
@@ -594,16 +594,6 @@ let repair circuit path reanneal out jobs =
   Format.printf "saved repaired structure to %s@." dest;
   print_string (Audit.to_string outcome.Repair.after);
   if Repair.clean outcome then () else exit 1
-
-let reanneal_arg =
-  at_least 0 "--reanneal"
-    Arg.(
-      value
-      & opt int 0
-      & info [ "reanneal" ] ~docv:"N"
-          ~doc:
-            "Coordinate-annealing budget (iterations) for re-optimizing quarantined \
-             territory; 0 leaves quarantined territory to the backup template.")
 
 let repair_out_arg =
   Arg.(
@@ -617,10 +607,11 @@ let repair_cmd =
     (Cmd.info "repair"
        ~doc:
          "Salvage a saved structure, audit it, quarantine placements with fatal \
-          findings (their territory falls to the backup template), refresh degraded \
-          cost fields, optionally re-anneal quarantined boxes, re-audit and save.  \
-          Exits 1 when the repaired structure is still not audit-clean.")
-    Term.(const repair $ circuit_arg $ load_arg $ reanneal_arg $ repair_out_arg $ jobs_arg)
+          findings (their territory falls to the backup template; $(b,extend) \
+          re-covers it), refresh degraded cost fields, replace a broken backup, \
+          re-audit and save.  Exits 1 when the repaired structure is still not \
+          audit-clean.")
+    Term.(const repair $ circuit_arg $ load_arg $ repair_out_arg $ jobs_arg)
 
 (* route a floorplan *)
 

@@ -197,7 +197,11 @@ let run ?pool ?(samples_per_box = default_samples_per_box) ?(seed = default_seed
   let placement_findings =
     let check i =
       let acc = ref [] in
-      check_placement (Mps_rng.Rng.split root (2 + i)) acc (Placement i) stored.(i);
+      let s = stored.(i) in
+      check_placement (Mps_rng.Rng.split root (2 + i)) acc (Placement i) s;
+      if not (Stored.follows_backup ~backup s) then
+        add acc Fatal (Placement i) "template-piece-not-backup"
+          "template-like piece carries a placement other than the backup's";
       List.rev !acc
     in
     let tasks = Array.init (Array.length stored) Fun.id in

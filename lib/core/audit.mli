@@ -18,7 +18,9 @@
       cost function re-evaluated at [best_dims] within tolerance, and
       [avg_cost >= best_cost];
     - the backup template is legal at the circuit's minimum dimensions
-      and over its expansion box;
+      and over its expansion box, and every template-like piece of its
+      territory carries its placement (["template-piece-not-backup"],
+      Fatal);
     - seeded whole-space query samples, answered through the compiled
       {!Structure.Engine} (the path production queries take) and
       cross-checked against the linear reference oracle: every answer
@@ -61,8 +63,7 @@ type report = {
 }
 
 val default_seed : int
-(** [7], {!run}'s default [seed]; {!Repair} seeds its re-annealing
-    streams with it too. *)
+(** [7], {!run}'s default [seed]. *)
 
 val default_samples_per_box : int
 (** [12], {!run}'s default [samples_per_box]. *)

@@ -272,6 +272,18 @@ let build_backup_shared config rng circuit ~die_w ~die_h ~arena ~evals =
     (Array.init backup_restarts (fun _ ->
          Coord_opt.optimize ~config:coord_config ~arena ~rng circuit ~die_w ~die_h nominal))
 
+(* [generate]'s backup at the default budget, fanned out over [pool]
+   (a one-slot pool without one): what [Repair] rebuilds a broken
+   backup with. *)
+let backup ?pool circuit ~die_w ~die_h =
+  let build pool =
+    let arenas = Array.init (Pool.jobs pool) (fun _ -> Arena.create ()) in
+    build_backup pool arenas default_config
+      (Rng.split (Rng.create ~seed:default_config.seed) 0)
+      circuit ~die_w ~die_h ~evals:(ref 0)
+  in
+  match pool with Some pool -> build pool | None -> Pool.with_pool ~jobs:1 build
+
 (* How a walk proposes its next candidate from its accepted placement:
    a perturbation (the paper's Fig. 4), or a fresh random placement
    (ablation A2).  Both draw only from the walk's own stream. *)

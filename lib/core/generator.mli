@@ -119,6 +119,16 @@ val beats_backup_locally :
     [Repack.order] of the backup's coordinates; a run computes it once.
     Adds the 64 evaluations to [evals]. *)
 
+val backup :
+  ?pool:Mps_parallel.Pool.t -> Circuit.t -> die_w:int -> die_h:int -> Stored.t
+(** The backup template {!generate} builds under {!default_config}: the
+    best of 3 coordinate-annealing restarts at the nominal dimensions
+    (one [pool] task each), finalized with the BDIO and the template's
+    200-sample average over the whole designer space.  It claims that
+    whole space.  The result does not depend on [pool], which defaults
+    to a one-slot pool; on the default die it is {!generate}'s backup
+    bit for bit. *)
+
 val generate :
   ?config:config ->
   ?jobs:int ->

@@ -6,17 +6,18 @@
 
     - placements with [Fatal] findings ({!Audit}) are quarantined
       (dropped); their dimension territory falls to the backup template,
-      the paper's §3.1.4 answer for uncovered space (greedy re-packing);
+      the paper's §3.1.4 answer for uncovered space (greedy re-packing),
+      and {!Generator.extend} re-covers it with the explorer and its
+      admission test;
     - [Degraded] cost-field findings are repaired in place: the box is
       clamped into the designer domain and [best_cost] is re-evaluated
       at [best_dims];
-    - a broken backup is rebuilt — re-annealed from scratch when a
-      re-annealing budget is configured, otherwise the best surviving
-      placement that is legal at the minimum dimensions is promoted to
-      template duty;
-    - optionally, quarantined territory is re-annealed under a bounded
-      budget (coordinate annealing on the incremental delta-cost
-      engine) and re-admitted when the result is legal and disjoint;
+    - a broken backup is replaced: the best surviving placement that is
+      legal at the minimum dimensions is promoted to template duty,
+      else {!Generator.backup} builds a fresh one;
+    - template-like pieces follow the backup: one whose placement is
+      not the (possibly new) backup's is dropped, and its territory
+      falls to the backup;
     - the rebuilt structure is re-audited.
 
     Never raises: when nothing at all can be rebuilt the original
@@ -30,30 +31,19 @@ type outcome = {
       (** Indices (into the input structure's placement array) that
           were dropped. *)
   repaired_in_place : int;  (** Placements with refreshed cost fields/boxes. *)
-  reannealed : int;  (** Quarantined boxes re-annealed and re-admitted. *)
   backup_rebuilt : bool;
 }
 
 val clean : outcome -> bool
 (** The [after] report is audit-clean. *)
 
-val run : ?pool:Mps_parallel.Pool.t -> ?reanneal_iterations:int -> Structure.t -> outcome
+val run : ?pool:Mps_parallel.Pool.t -> Structure.t -> outcome
 (** Audit, quarantine, repair, re-audit.  The input structure is not
     mutated.  Returns the input structure unchanged (with [after =
     before]) when it is already clean.  Both audits are {!Audit.run}
-    with its defaults.
-
-    [reanneal_iterations] is the coordinate-annealing budget per
-    quarantined box (and for a backup rebuild); [0] (the default)
-    disables re-annealing — quarantined territory is simply left to the
-    backup template.  At most 4 quarantined boxes are re-annealed and
-    re-admitted.
-
-    [pool] fans out the audits (per stored placement) and the
-    re-annealing of quarantined boxes (one task per box, each on its
-    own {!Mps_rng.Rng.split} stream of {!Audit.default_seed}, admitted
-    back in ascending quarantine order) — the outcome is identical with
-    or without a pool, at any job count. *)
+    with its defaults.  [pool] fans out the audits (per stored
+    placement) and a backup rebuild (per annealing restart); the
+    outcome is identical with or without a pool, at any job count. *)
 
 val describe : outcome -> string
 (** One-paragraph human-readable summary. *)
@@ -78,9 +68,9 @@ type salvage = {
 val salvage_string :
   circuit:Mps_netlist.Circuit.t -> string -> (salvage, Zcodec.error) result
 (** Best-effort read of an MPSZ container: collect the records that
-    still decode ({!Zcodec.salvage_parts}), drop any whose validity box
-    overlaps one kept before — the result never violates eq. 5 —
-    recompile, then {!run}.  [Error] when the header is unusable
+    still decode ({!Zcodec.salvage_parts}), recompile them with
+    {!Structure.of_placements_lenient} — the result never violates
+    eq. 5 — then {!run}.  [Error] when the header is unusable
     ([Corrupt]), the circuit does not match ([Circuit_mismatch]), or
     not a single placement survived.  Never raises. *)
 

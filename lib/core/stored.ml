@@ -23,6 +23,9 @@ let with_box t box =
   then invalid_arg "Stored.with_box: box exceeds the expansion box";
   { t with box; best_dims = Dimbox.clamp box t.best_dims }
 
+let follows_backup ~backup t =
+  (not t.template_like) || Placement.equal t.placement backup.placement
+
 let n_blocks t = Placement.n_blocks t.placement
 
 let instantiate t dims = Placement.rects t.placement dims

@@ -42,6 +42,11 @@ val with_box : t -> Dimbox.t -> t
 (** Replace the validity box (after Resolve Overlaps shrinking); the
     best dimension vector is clamped into the new box. *)
 
+val follows_backup : backup:t -> t -> bool
+(** A template-like placement is a piece of the backup's territory, and
+    Resolve Overlaps carves it without touching the placement: it holds
+    when [t] is not template-like or carries [backup]'s placement. *)
+
 val n_blocks : t -> int
 
 val instantiate : t -> Dims.t -> Rect.t array

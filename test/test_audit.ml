@@ -195,6 +195,94 @@ let test_report_json_shape () =
          find 0))
     [ "\"clean\": true"; "\"findings\""; "\"fatal\": 0" ]
 
+(* A template-like piece is backup territory: it must carry the
+   backup's placement.  One carrying another placement's coordinates
+   instead is Fatal, and repair drops it, leaving its territory to the
+   backup. *)
+let test_repair_drops_foreign_template_piece () =
+  let with_piece =
+    List.find_map
+      (fun (_, s) ->
+        let stored = Structure.placements s in
+        let backup = (Structure.backup s).Stored.placement in
+        match
+          ( Array.find_index (fun x -> x.Stored.template_like) stored,
+            Array.find_index
+              (fun x -> not (Mps_placement.Placement.equal x.Stored.placement backup))
+              stored )
+        with
+        | Some piece, Some other -> Some (s, stored, piece, other)
+        | _ -> None)
+      (Lazy.force structures)
+  in
+  let s, stored, piece, other = Option.get with_piece in
+  let circuit = Structure.circuit s in
+  stored.(piece) <-
+    { (stored.(piece)) with Stored.placement = stored.(other).Stored.placement };
+  let poisoned = Structure.of_placements ~backup:(Structure.backup s) circuit stored in
+  let outcome = Repair.run poisoned in
+  check_bool "template-piece-not-backup reported on the piece" true
+    (List.exists
+       (fun f ->
+         f.Audit.code = "template-piece-not-backup"
+         && f.Audit.subject = Audit.Placement piece
+         && f.Audit.severity = Audit.Fatal)
+       outcome.Repair.before.Audit.findings);
+  check_bool "the piece is quarantined" true (List.mem piece outcome.Repair.quarantined);
+  check_bool
+    (Printf.sprintf "repaired structure is clean\n%s" (Audit.to_string outcome.Repair.after))
+    true (Repair.clean outcome);
+  let backup = Structure.backup outcome.Repair.structure in
+  check_bool "every template-like piece left carries the backup's placement" true
+    (Array.for_all
+       (fun x ->
+         (not x.Stored.template_like)
+         || Mps_placement.Placement.equal x.Stored.placement backup.Stored.placement)
+       (Structure.placements outcome.Repair.structure))
+
+(* A broken backup that no survivor can stand in for is rebuilt by the
+   generator's backup builder, identically with or without a pool. *)
+let test_repair_rebuilds_backup () =
+  let s = snd (List.hd (Lazy.force structures)) in
+  let circuit = Structure.circuit s in
+  let b = Structure.backup s in
+  if Stored.n_blocks b > 1 then begin
+    let piled =
+      {
+        b with
+        Stored.placement =
+          {
+            b.Stored.placement with
+            Mps_placement.Placement.coords =
+              Array.map (fun _ -> (0, 0)) b.Stored.placement.Mps_placement.Placement.coords;
+          };
+      }
+    in
+    let broken = Structure.of_placements ~backup:piled circuit [| piled |] in
+    let outcome = Repair.run broken in
+    check_bool "backup rebuilt" true outcome.Repair.backup_rebuilt;
+    check_bool
+      (Printf.sprintf "rebuilt structure is clean\n%s"
+         (Audit.to_string outcome.Repair.after))
+      true (Repair.clean outcome);
+    (* [generate] builds the same backup; one placement stops its walks *)
+    let generated =
+      Structure.backup
+        (fst
+           (Generator.generate ~jobs:1
+              ~config:{ Generator.default_config with Generator.max_placements = 1 }
+              circuit))
+    in
+    check_bool "the new backup is generate's" true
+      (Codec.to_string (Structure.of_placements circuit [| generated |])
+      = Codec.to_string
+          (Structure.of_placements circuit [| Structure.backup outcome.Repair.structure |]));
+    Mps_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        check_bool "pooled rebuild is identical" true
+          (Codec.to_string (Repair.run ~pool broken).Repair.structure
+          = Codec.to_string outcome.Repair.structure))
+  end
+
 let suite =
   [
     Alcotest.test_case "all benchmarks: fresh structures audit-clean" `Quick
@@ -216,4 +304,8 @@ let suite =
     Alcotest.test_case "audit report serializes to json" `Quick test_report_json_shape;
     Alcotest.test_case "repair quarantines a box whose audit raises" `Quick
       test_repair_quarantines_unauditable_box;
+    Alcotest.test_case "repair drops a template piece not carrying the backup" `Quick
+      test_repair_drops_foreign_template_piece;
+    Alcotest.test_case "repair rebuilds a backup no survivor replaces" `Quick
+      test_repair_rebuilds_backup;
   ]

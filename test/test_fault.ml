@@ -91,9 +91,9 @@ let check_queries_sound tag structure =
 
 (* Family A: faults while saving.  The destination must afterwards hold
    a complete old or complete new container. *)
-let save_under_fault scenario () =
+let save_under_fault base scenario () =
   let s = Lazy.force structure in
-  let seed = (base_seed * 1000) + scenario in
+  let seed = (base * 1000) + scenario in
   let rng = Mps_rng.Rng.create ~seed in
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "structure.mpsz" in
@@ -121,9 +121,9 @@ let save_under_fault scenario () =
 
 (* Family B: faults while loading.  Only typed errors escape; the file
    itself is untouched, so a fault-free load still succeeds. *)
-let load_under_fault scenario () =
+let load_under_fault base scenario () =
   let s = Lazy.force structure in
-  let seed = (base_seed * 1000) + 400 + scenario in
+  let seed = (base * 1000) + 400 + scenario in
   let rng = Mps_rng.Rng.create ~seed in
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "structure.mpsz" in
@@ -163,9 +163,9 @@ let load_under_fault scenario () =
    flip fell on a bit the int lens drops, decode the very structure
    saved; salvage must hand back a structure that is audit-sound on the
    query side — quarantining what the flips broke — or a typed error. *)
-let corruption_salvage scenario () =
+let corruption_salvage base scenario () =
   let s = Lazy.force structure in
-  let seed = (base_seed * 1000) + 800 + scenario in
+  let seed = (base * 1000) + 800 + scenario in
   let raw = Zcodec.to_string s in
   let from =
     let pool =
@@ -233,9 +233,9 @@ let corruption_never_escapes () =
 (* Family D: truncation at a seeded point; the strict load refuses, and
    salvage recovers the whole records before the cut as a sound
    structure or rejects with a typed error. *)
-let truncation_salvage scenario () =
+let truncation_salvage base scenario () =
   let s = Lazy.force structure in
-  let seed = (base_seed * 1000) + 1200 + scenario in
+  let seed = (base * 1000) + 1200 + scenario in
   let rng = Mps_rng.Rng.create ~seed in
   let raw = Zcodec.to_string s in
   let cut = Mps_rng.Rng.int rng (String.length raw) in
@@ -301,8 +301,8 @@ let load_or_salvage zpath =
    (lost tail, section table and all), seeded flips, a stall — either
    yields a verified view of the exact structure, or a typed error
    followed by a salvage that is sound or typed. *)
-let mmap_fault_salvages scenario () =
-  let seed = (base_seed * 1000) + 1600 + scenario in
+let mmap_fault_salvages base scenario () =
+  let seed = (base * 1000) + 1600 + scenario in
   let action =
     match scenario mod 7 with
     | 0 -> Fault.Fail
@@ -355,8 +355,8 @@ let mmap_fault_salvages scenario () =
    first (a sizing walk fills its row memo, raw-fill and re-pack
    state from the healthy words), and the walk goes on through
    [instantiate_into] after the flips. *)
-let flip_under_active_mapping scenario () =
-  let seed = (base_seed * 1000) + 2000 + scenario in
+let flip_under_active_mapping base scenario () =
+  let seed = (base * 1000) + 2000 + scenario in
   with_tmp_dir (fun dir ->
       let s, zpath = save_container dir in
       let walk = Test_engine.sizing_walk (Mps_rng.Rng.create ~seed:(seed + 1)) s ~n:1024 in
@@ -431,8 +431,8 @@ let flip_under_active_mapping scenario () =
 
 (* A container cut off inside the header or section table is a typed
    [Corrupt], not a parse backtrace. *)
-let truncated_section_table scenario () =
-  let seed = (base_seed * 1000) + 2400 + scenario in
+let truncated_section_table base scenario () =
+  let seed = (base * 1000) + 2400 + scenario in
   let s = Lazy.force structure in
   let raw = Zcodec.to_string s in
   let rng = Mps_rng.Rng.create ~seed in
@@ -457,7 +457,23 @@ let truncated_section_table scenario () =
 
 let scenarios prefix n f =
   List.init n (fun k ->
-      Alcotest.test_case (Printf.sprintf "%s %02d" prefix k) `Quick (f k))
+      Alcotest.test_case (Printf.sprintf "%s %02d" prefix k) `Quick (f base_seed k))
+
+(* Seeds whose salvage once answered worse than the backup template:
+   bit flips that left template-like pieces with other coordinates (or
+   kept them after the backup was replaced or lost), and read faults
+   under salvage.  Each replays through its own family at every base
+   seed. *)
+let regression_seeds () =
+  List.iter
+    (fun seed ->
+      let base = seed / 1000 and offset = seed mod 1000 in
+      if offset >= 800 then corruption_salvage base (offset - 800) ()
+      else load_under_fault base (offset - 400) ())
+    [
+      8805; 10801; 18809; 20814; 25801; 25803; 26803; 27801; 29808; 36815; 37805; 37807;
+      18404; 28401; 40406;
+    ]
 
 let suite =
   scenarios "chaos save" 20 save_under_fault
@@ -472,4 +488,5 @@ let suite =
         corruption_never_escapes;
       Alcotest.test_case "missing file is a typed error" `Quick missing_file;
       Alcotest.test_case "out-of-domain query is total" `Quick out_of_domain_total;
+      Alcotest.test_case "chaos regression seeds" `Quick regression_seeds;
     ]

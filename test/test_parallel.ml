@@ -404,7 +404,7 @@ let test_single_walk_kill_resume_matches () =
 (* A structure with real findings: one placement's recorded cost is
    drifted (Degraded, repairable in place) and — when the circuit has
    more than one block — another placement's coordinates are piled onto
-   a corner (Fatal, quarantined then re-annealed). *)
+   a corner (Fatal, quarantined). *)
 let flawed_structure =
   lazy
     (let s = fst (Generator.single_walk ~config:par_config Benchmarks.circ01) in
@@ -436,9 +436,9 @@ let test_pooled_audit_identical () =
 
 let test_pooled_repair_identical () =
   let s = Lazy.force flawed_structure in
-  let seq = Repair.run ~reanneal_iterations:400 s in
+  let seq = Repair.run s in
   Pool.with_pool ~jobs:4 (fun pool ->
-      let par = Repair.run ~pool ~reanneal_iterations:400 s in
+      let par = Repair.run ~pool s in
       check_bool "pooled repair yields the identical structure" true
         (Codec.to_string par.Repair.structure = Codec.to_string seq.Repair.structure);
       check_bool "pooled repair after-report identical" true
