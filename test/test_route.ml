@@ -140,6 +140,25 @@ let test_route_longer_when_spread () =
   in
   check_bool "spread floorplan routes longer" true (len spread > len compact)
 
+(* Every stored placement, at its best dims, of the nine Table 1
+   circuits' Quick [generate] structures: (circuit, die, label, rects). *)
+let quick_floorplans =
+  lazy
+    (List.concat_map
+       (fun (c : Circuit.t) ->
+         let config = Mps_experiments.Experiments.(generator_config Quick c) in
+         let structure, _ = Mps_core.Generator.generate ~config ~jobs:1 c in
+         let die = Mps_core.Structure.die structure in
+         Array.to_list
+           (Array.mapi
+              (fun i (stored : Mps_core.Stored.t) ->
+                ( c,
+                  die,
+                  Printf.sprintf "%s placement %d" c.Circuit.name i,
+                  Mps_core.Stored.instantiate stored stored.best_dims ))
+              (Mps_core.Structure.placements structure)))
+       Benchmarks.all)
+
 (* Router length bound: a Steiner tree spans at least the bounding box
    of its pin cells, and snapping a pin to its cell loses less than one
    cell per axis, so no net routes shorter than its HPWL minus two
@@ -148,24 +167,151 @@ let test_route_longer_when_spread () =
 let test_routed_length_bound () =
   let slack = 2.0 *. float_of_int Router.cell in
   List.iter
-    (fun (c : Circuit.t) ->
-      let config = Mps_experiments.Experiments.(generator_config Quick c) in
-      let structure, _ = Mps_core.Generator.generate ~config ~jobs:1 c in
-      let die_w, die_h = Mps_core.Structure.die structure in
-      Array.iteri
-        (fun i (stored : Mps_core.Stored.t) ->
-          let rects = Mps_core.Stored.instantiate stored stored.best_dims in
-          let r = Router.route c ~die_w ~die_h rects in
-          Array.iter
-            (fun (net : Net.t) ->
-              let hpwl = Mps_cost.Wirelength.net_hpwl net ~rects ~die_w ~die_h in
-              let routed = Router.routed_length r net.Net.id in
-              if routed < hpwl -. slack then
-                Alcotest.failf "%s placement %d net %s: routed %g < HPWL %g - %g"
-                  c.Circuit.name i net.Net.name routed hpwl slack)
-            c.Circuit.nets)
-        (Mps_core.Structure.placements structure))
-    Benchmarks.all
+    (fun (c, (die_w, die_h), label, rects) ->
+      let r = Router.route c ~die_w ~die_h rects in
+      Array.iter
+        (fun (net : Net.t) ->
+          let hpwl = Mps_cost.Wirelength.net_hpwl net ~rects ~die_w ~die_h in
+          let routed = Router.routed_length r net.Net.id in
+          if routed < hpwl -. slack then
+            Alcotest.failf "%s net %s: routed %g < HPWL %g - %g" label net.Net.name routed
+              hpwl slack)
+        c.Circuit.nets)
+    (Lazy.force quick_floorplans)
+
+(* Identity with the reference router ([Router_ref], the router before
+   the flat-array rewrite): every field of [Router.t], every net's cell
+   list in the same order, floats bit for bit.  The reference never
+   falls back to a net's HPWL: a blocked cell only costs more, and the
+   4-neighbour grid is connected, so every wave reaches its target. *)
+let same_as_reference label c ~die_w ~die_h rects =
+  let want = Router_ref.route c ~die_w ~die_h rects in
+  let got = Router.route c ~die_w ~die_h rects in
+  if want.Router_ref.failed_nets <> 0 then
+    Alcotest.failf "%s: the reference fell back on %d nets" label want.Router_ref.failed_nets;
+  if Array.length got.Router.nets <> Array.length want.Router_ref.nets then
+    Alcotest.failf "%s: %d nets, reference %d" label (Array.length got.Router.nets)
+      (Array.length want.Router_ref.nets);
+  Array.iteri
+    (fun i (w : Router_ref.routed_net) ->
+      let g = got.Router.nets.(i) in
+      if
+        g.Router.net_id <> w.Router_ref.net_id
+        || g.Router.cells <> w.Router_ref.cells
+        || not (Float.equal g.Router.length w.Router_ref.length)
+      then Alcotest.failf "%s: net %d differs from the reference" label i)
+    want.Router_ref.nets;
+  if not (Float.equal got.Router.total_length want.Router_ref.total_length) then
+    Alcotest.failf "%s: total length %h, reference %h" label got.Router.total_length
+      want.Router_ref.total_length;
+  if got.Router.overflow <> want.Router_ref.overflow then
+    Alcotest.failf "%s: overflow %d, reference %d" label got.Router.overflow
+      want.Router_ref.overflow
+
+let test_identity_quick_structures () =
+  List.iter
+    (fun (c, (die_w, die_h), label, rects) -> same_as_reference label c ~die_w ~die_h rects)
+    (Lazy.force quick_floorplans)
+
+let test_identity_benchmark24_full () =
+  let structure = Lazy.force Test_pinned.full in
+  let c = Mps_core.Structure.circuit structure in
+  let die_w, die_h = Mps_core.Structure.die structure in
+  Array.iteri
+    (fun i dims ->
+      same_as_reference
+        (Printf.sprintf "benchmark24 Full probe %d" i)
+        c ~die_w ~die_h
+        (Mps_core.Structure.instantiate structure dims))
+    (Mps_experiments.Experiments.probe_dims ~seed:40 ~n:256 structure)
+
+(* Ablation A6's Quick routed loop (Experiments.ablation_parasitics):
+   every floorplan its placer hands the router. *)
+let test_identity_a6_loop () =
+  let process = Mps_modgen.Process.default in
+  let circuit = Mps_synthesis.Opamp.circuit process in
+  let die_w, die_h = Circuit.default_die circuit in
+  let config = Mps_experiments.Experiments.(generator_config Quick circuit) in
+  let structure, _ = Mps_core.Generator.single_walk ~config circuit in
+  let placer = Mps_synthesis.Synth_loop.mps_placer structure in
+  let floorplans = ref [] in
+  let recording =
+    { placer with
+      Mps_synthesis.Synth_loop.place =
+        (fun dims ->
+          let rects = placer.Mps_synthesis.Synth_loop.place dims in
+          floorplans := rects :: !floorplans;
+          rects) }
+  in
+  ignore
+    (Mps_synthesis.Synth_loop.run
+       ~config:
+         { Mps_synthesis.Synth_loop.default_config with
+           iterations = 30;
+           parasitics = Mps_synthesis.Synth_loop.Routed_extraction }
+       Mps_synthesis.Opamp.model process circuit ~die_w ~die_h recording);
+  check_bool "the loop routed" true (!floorplans <> []);
+  List.iteri
+    (fun i rects ->
+      same_as_reference (Printf.sprintf "A6 floorplan %d" i) circuit ~die_w ~die_h rects)
+    (List.rev !floorplans)
+
+(* Random small dies: blocks that overlap, stick out of the die or fill
+   it, pins that share a cell, pads, single-pin nets. *)
+let arb_routing_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 48 >>= fun die_w ->
+    int_range 1 48 >>= fun die_h ->
+    int_range 1 6 >>= fun n_blocks ->
+    let rect =
+      frequency
+        [
+          (1, return (Rect.make ~x:0 ~y:0 ~w:die_w ~h:die_h));
+          ( 6,
+            map4
+              (fun x y w h -> Rect.make ~x ~y ~w ~h)
+              (int_range (-6) die_w) (int_range (-6) die_h)
+              (int_range 1 (die_w + 6))
+              (int_range 1 (die_h + 6)) );
+        ]
+    in
+    let frac = oneof [ oneofl [ 0.0; 0.25; 0.5; 1.0 ]; float_bound_inclusive 1.0 ] in
+    let pin =
+      frequency
+        [
+          (4, map3 (fun b fx fy -> Net.block_pin ~fx ~fy b) (int_bound (n_blocks - 1)) frac frac);
+          (1, map2 (fun px py -> Net.pad ~px ~py) frac frac);
+        ]
+    in
+    map2
+      (fun rects pins -> (die_w, die_h, rects, pins))
+      (array_repeat n_blocks rect)
+      (list_size (int_range 1 8) (list_size (int_range 1 5) pin))
+  in
+  let print (die_w, die_h, rects, pins) =
+    Printf.sprintf "die %dx%d, rects [%s], %d nets of sizes [%s]" die_w die_h
+      (String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Rect.pp) rects)))
+      (List.length pins)
+      (String.concat "; " (List.map (fun p -> string_of_int (List.length p)) pins))
+  in
+  QCheck.make ~print gen
+
+let prop_identity_random_dies =
+  QCheck.Test.make ~name:"router: identical to the reference on random small dies"
+    ~count:500 arb_routing_case (fun (die_w, die_h, rects, pins) ->
+      let blocks =
+        Array.mapi
+          (fun id _ -> Block.make_wh ~id ~name:(Printf.sprintf "b%d" id) ~w:(1, 64) ~h:(1, 64))
+          rects
+      in
+      let nets =
+        Array.of_list
+          (List.mapi (fun id pins -> Net.make ~id ~name:(Printf.sprintf "n%d" id) ~pins) pins)
+      in
+      let c = Circuit.make ~name:"random" ~blocks ~nets in
+      same_as_reference "random die" c ~die_w ~die_h rects;
+      true)
 
 (* Extraction *)
 
@@ -314,6 +460,13 @@ let suite =
     ("opamp: HPWL wire load invariant under pitch halving", `Quick,
      test_hpwl_mode_pitch_invariant);
     ("router: no net shorter than HPWL minus two cells", `Quick, test_routed_length_bound);
+    ("router: identical to the reference on the Quick structures", `Quick,
+     test_identity_quick_structures);
+    ("router: identical to the reference on 256 benchmark24 Full floorplans", `Quick,
+     test_identity_benchmark24_full);
+    ("router: identical to the reference on A6's Quick routed loop", `Quick,
+     test_identity_a6_loop);
     ("opamp: routed performance plausible", `Quick, test_routed_performance_plausible);
     ("synthesis loop: routed parasitics mode", `Quick, test_synth_loop_routed_mode);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_identity_random_dies ]
