@@ -621,17 +621,13 @@ let route circuit path point =
   let rects = Structure.Engine.instantiate engine (Structure.Engine.new_session ()) dims in
   let die_w, die_h = Structure.Engine.die engine in
   let routing = Mps_route.Router.route circuit ~die_w ~die_h rects in
-  Format.printf "Routed %d nets: total length %.0f, %d failed, overflow %d@."
+  Format.printf "Routed %d nets: total length %.0f, overflow %d@."
     (Array.length routing.Mps_route.Router.nets) routing.Mps_route.Router.total_length
-    routing.Mps_route.Router.failed_nets routing.Mps_route.Router.overflow;
-  let grid =
-    Mps_route.Route_grid.create ~die_w ~die_h ~cell:Mps_route.Router.cell
-      ~capacity:Mps_route.Router.capacity rects
-  in
+    routing.Mps_route.Router.overflow;
   let wire_points =
     Array.to_list routing.Mps_route.Router.nets
     |> List.concat_map (fun (net : Mps_route.Router.routed_net) ->
-           List.map (Mps_route.Route_grid.center_of_cell grid) net.Mps_route.Router.cells)
+           List.map Mps_route.Router.cell_center net.Mps_route.Router.cells)
   in
   print_string
     (Mps_render.Ascii.render_routed ~max_cols:72 circuit ~die_w ~die_h rects ~wire_points)

@@ -26,13 +26,12 @@ let () =
 
   (* Route the instantiated floorplan. *)
   let routing = Router.route circuit ~die_w ~die_h rects in
-  Format.printf "@.Routing: total length %.0f grid units, %d failed nets, overflow %d@."
-    routing.Router.total_length routing.Router.failed_nets routing.Router.overflow;
+  Format.printf "@.Routing: total length %.0f grid units, overflow %d@."
+    routing.Router.total_length routing.Router.overflow;
   Array.iter
     (fun (net : Router.routed_net) ->
-      Format.printf "  %-12s %6.0f units %s@."
-        circuit.Circuit.nets.(net.Router.net_id).Net.name net.Router.length
-        (if net.Router.routed then "" else "(HPWL fallback)"))
+      Format.printf "  %-12s %6.0f units@."
+        circuit.Circuit.nets.(net.Router.net_id).Net.name net.Router.length)
     routing.Router.nets;
 
   (* Extraction and its effect on predicted performance. *)
@@ -57,13 +56,10 @@ let () =
     (perf Mps_synthesis.Synth_loop.Routed_extraction);
 
   (* Wire overlay. *)
-  let grid =
-    Route_grid.create ~die_w ~die_h ~cell:Router.cell ~capacity:Router.capacity rects
-  in
   let wire_points =
     Array.to_list routing.Router.nets
     |> List.concat_map (fun (net : Router.routed_net) ->
-           List.map (Route_grid.center_of_cell grid) net.Router.cells)
+           List.map Router.cell_center net.Router.cells)
   in
   Format.printf "@.Routed floorplan ('+' = wire):@.%s"
     (Mps_render.Ascii.render_routed ~max_cols:64 circuit ~die_w ~die_h rects ~wire_points)

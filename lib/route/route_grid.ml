@@ -5,8 +5,8 @@ type t = {
   rows : int;
   cell : int;
   cap : int;
-  blocked : bool array array;  (** [row].[col] *)
-  used : int array array;
+  blocked : Bytes.t;  (** ['\001'] where blocked, by cell index *)
+  used : int array;
 }
 
 let create ~die_w ~die_h ~cell ~capacity rects =
@@ -15,24 +15,22 @@ let create ~die_w ~die_h ~cell ~capacity rects =
   if die_w <= 0 || die_h <= 0 then invalid_arg "Route_grid.create: non-positive die";
   let cols = (die_w + cell - 1) / cell in
   let rows = (die_h + cell - 1) / cell in
-  let blocked = Array.make_matrix rows cols false in
-  let used = Array.make_matrix rows cols 0 in
-  let t = { cols; rows; cell; cap = capacity; blocked; used } in
-  (* block cells whose center lies strictly inside a rectangle *)
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let cx = (float_of_int c +. 0.5) *. float_of_int cell in
-      let cy = (float_of_int r +. 0.5) *. float_of_int cell in
-      let inside rect =
-        cx > float_of_int rect.Rect.x
-        && cx < float_of_int (Rect.right rect)
-        && cy > float_of_int rect.Rect.y
-        && cy < float_of_int (Rect.top rect)
-      in
-      if Array.exists inside rects then blocked.(r).(c) <- true
-    done
-  done;
-  t
+  let blocked = Bytes.make (cols * rows) '\000' in
+  (* Cell k's center (k + 1/2) * cell lies strictly inside (lo, hi)
+     exactly when 2 lo < (2k + 1) cell < 2 hi; [span] is that range of
+     k, clamped to the grid (a negative numerator truncates to a value
+     the clamp or an empty range absorbs). *)
+  let span lo hi n =
+    (max 0 (((2 * lo) + cell) / (2 * cell)), min (n - 1) ((((2 * hi) + cell - 1) / (2 * cell)) - 1))
+  in
+  Array.iter
+    (fun (r : Rect.t) ->
+      let c0, c1 = span r.x (Rect.right r) cols and r0, r1 = span r.y (Rect.top r) rows in
+      for c = c0 to c1 do
+        if r1 >= r0 then Bytes.fill blocked ((c * rows) + r0) (r1 - r0 + 1) '\001'
+      done)
+    rects;
+  { cols; rows; cell; cap = capacity; blocked; used = Array.make (cols * rows) 0 }
 
 let cols t = t.cols
 let rows t = t.rows
@@ -42,38 +40,11 @@ let clamp v lo hi = if v < lo then lo else if v > hi then hi else v
 let cell_of_point t ~x ~y =
   let c = clamp (int_of_float (x /. float_of_int t.cell)) 0 (t.cols - 1) in
   let r = clamp (int_of_float (y /. float_of_int t.cell)) 0 (t.rows - 1) in
-  (c, r)
+  (c * t.rows) + r
 
-let center_of_cell t (c, r) =
-  ( (float_of_int c +. 0.5) *. float_of_int t.cell,
-    (float_of_int r +. 0.5) *. float_of_int t.cell )
+let blocked t i = Bytes.get t.blocked i = '\001'
+let unblock t i = Bytes.set t.blocked i '\000'
+let usage t i = t.used.(i)
+let occupy t i = t.used.(i) <- t.used.(i) + 1
 
-let in_grid t (c, r) = c >= 0 && c < t.cols && r >= 0 && r < t.rows
-
-let blocked t (c, r) =
-  if not (in_grid t (c, r)) then invalid_arg "Route_grid.blocked: outside grid";
-  t.blocked.(r).(c)
-
-let unblock t (c, r) =
-  if not (in_grid t (c, r)) then invalid_arg "Route_grid.unblock: outside grid";
-  t.blocked.(r).(c) <- false
-
-let usage t (c, r) =
-  if not (in_grid t (c, r)) then invalid_arg "Route_grid.usage: outside grid";
-  t.used.(r).(c)
-
-let occupy t (c, r) =
-  if not (in_grid t (c, r)) then invalid_arg "Route_grid.occupy: outside grid";
-  t.used.(r).(c) <- t.used.(r).(c) + 1
-
-let overflow t =
-  let acc = ref 0 in
-  for r = 0 to t.rows - 1 do
-    for c = 0 to t.cols - 1 do
-      if t.used.(r).(c) > t.cap then acc := !acc + (t.used.(r).(c) - t.cap)
-    done
-  done;
-  !acc
-
-let neighbors_all t (c, r) =
-  List.filter (in_grid t) [ (c - 1, r); (c + 1, r); (c, r - 1); (c, r + 1) ]
+let overflow t = Array.fold_left (fun acc u -> if u > t.cap then acc + u - t.cap else acc) 0 t.used

@@ -1,9 +1,10 @@
-(** Coarse routing grid over a floorplan.
+(** Coarse routing grid over a floorplan, in flat arrays.
 
-    The die is divided into square cells of [cell] grid units.  Cells
-    covered by a block's interior are obstacles — wires must go around
-    the modules, as in channel-style analog routing — except that every
-    net pin unblocks its own cell so it can be reached.  Each free cell
+    The die is divided into square cells of [cell] grid units, each
+    named by one int, column-major: cell [(c, r)] is [c * rows + r].
+    Cells covered by a block's interior are obstacles — wires must go
+    around the modules, as in channel-style analog routing — except that
+    every net pin unblocks its own cell so it can be reached.  Each cell
     has a crossing capacity used for congestion accounting. *)
 
 open Mps_geometry
@@ -19,27 +20,20 @@ val create : die_w:int -> die_h:int -> cell:int -> capacity:int -> Rect.t array 
 val cols : t -> int
 val rows : t -> int
 
-val cell_of_point : t -> x:float -> y:float -> int * int
+val cell_of_point : t -> x:float -> y:float -> int
 (** Grid cell containing a die point (clamped to the grid). *)
 
-val center_of_cell : t -> int * int -> float * float
-(** Die coordinates of a cell's center. *)
+val blocked : t -> int -> bool
 
-val blocked : t -> int * int -> bool
-
-val unblock : t -> int * int -> unit
+val unblock : t -> int -> unit
 (** Carve a pin access cell out of an obstacle. *)
 
-val usage : t -> int * int -> int
+val usage : t -> int -> int
 (** Wires currently crossing the cell. *)
 
-val occupy : t -> int * int -> unit
+val occupy : t -> int -> unit
 (** Record one wire crossing (allowed past capacity; see {!overflow}). *)
 
 val overflow : t -> int
 (** Total usage above capacity, summed over cells — the congestion
     measure. *)
-
-val neighbors_all : t -> int * int -> (int * int) list
-(** All 4-connected in-grid neighbours, blocked cells included (for
-    over-the-block routing at a cost penalty). *)

@@ -2,11 +2,10 @@
     growth) — the "Routing" box of the paper's synthesis loop (Fig. 1b).
 
     Nets are routed one at a time in decreasing pin count; each net
-    grows a Steiner tree by repeated breadth-first searches from the
-    already-routed tree to the next pin, preferring uncongested cells.
-    Pins unreachable through free cells fall back to their half-perimeter
-    estimate so downstream extraction always has a length for every
-    net. *)
+    grows a Steiner tree by repeated Dijkstra searches, in (cost,
+    column, row) order, from the already-routed tree to the next pin,
+    preferring uncongested cells.  A blocked cell only costs more, so
+    every pin is reached. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -14,29 +13,22 @@ open Mps_netlist
 val cell : int
 (** Routing grid pitch in layout grid units: 4. *)
 
-val capacity : int
-(** Wire crossings per cell before congestion: 4. *)
-
 (** Routing result for one net. *)
 type routed_net = {
   net_id : int;
-  cells : (int * int) list;  (** Tree cells, without duplicates. *)
+  cells : (int * int) list;  (** Tree cells (column, row), distinct, last grafted first. *)
   length : float;  (** Routed wirelength in layout grid units. *)
-  routed : bool;
-      (** [false]: no path existed (degenerate grid) and the length fell
-          back to the HPWL estimate. *)
 }
 
 type t = {
   nets : routed_net array;
   total_length : float;
   overflow : int;  (** Congestion: cell crossings above capacity. *)
-  failed_nets : int;
 }
 
 val route : Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> t
 (** Route every net of the instantiated floorplan on a {!Route_grid} of
-    pitch {!cell} and {!capacity}.  A cell costs 1, plus 2 per crossing
+    pitch {!cell} and 4 wire crossings per cell before congestion.  A cell costs 1, plus 2 per crossing
     already in it, plus 8 inside a block (over-the-cell routing on upper
     metal: pins deep inside modules can escape, but open channels are
     strongly preferred).
@@ -44,3 +36,6 @@ val route : Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> t
 
 val routed_length : t -> int -> float
 (** Length of one net by id. *)
+
+val cell_center : int * int -> float * float
+(** Die coordinates of a routing cell's center, for drawing wires. *)
