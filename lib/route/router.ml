@@ -63,10 +63,10 @@ let remove s i =
   if p >= 0 then s.next.(p) <- x else s.head.(s.dist.(i) mod Array.length s.head) <- x;
   if x >= 0 then s.prev.(x) <- p
 
-(* The old queue popped (cost, column, row) in order, so a cell's parent
-   was, of its neighbours one cell cost below it (all in one bucket),
-   the least index: an equal-cost relaxation from a lower index takes
-   the parent over, and a bucket's cells can expand in any order. *)
+(* Routes are those of a queue popping (cost, column, row) in order: a
+   cell's parent is, of its neighbours one cell cost below it (all in
+   one bucket), the least index.  An equal-cost relaxation from a lower
+   index takes the parent over, so a bucket's cells expand in any order. *)
 let relax s ~from d j =
   let nd =
     d + 1

@@ -46,7 +46,9 @@
    the same [select].
 
    Waiting never parks in a futex either.  {!send} and {!recv} back
-   off spin -> [Thread.yield] -> 200 us sleep.  The serving
+   off spin -> [Thread.yield] -> 200 us sleep; a yield lets only a
+   thread of the same domain run, so toward the peer process it is one
+   more spin.  The serving
    loops (server and client) wait in {!await}, which goes one step
    further: a consumer about to sleep sets its parked word ({!park}),
    looks at the ring once more, and then blocks for at most 200 us in
@@ -231,12 +233,13 @@ let seeded_flips ~seed ~flips a ~pos ~len =
     a.{i} <- a.{i} lxor (1 lsl bit)
   done
 
-(* The first two gears of every wait: spin for a hot peer on another
-   core, then yield — the middle gear for oversubscribed hosts: when
-   the peer shares this core, spinning only burns the timeslice it
-   needs and a 200 us sleep overshoots a burst that drains in tens, so
-   sched_yield hands the core straight to the runnable peer.  [false]
-   once both are spent: the caller sleeps. *)
+(* The first gears of every wait: 200 [cpu_relax] spins, then 32
+   [Thread.yield]s.  [Thread.yield] only hands the domain's runtime
+   lock to another thread of this domain waiting for it, and returns at
+   once when none is (a few ns); it never calls sched_yield, so it
+   does not give the core to a peer process on it.  Toward the peer the
+   yields are 32 more spins.  [false] once both are spent: the caller
+   sleeps. *)
 let spin_step steps =
   if !steps < 200 then begin
     incr steps;
@@ -471,9 +474,10 @@ let expect_reply t = t.reply_due <- now () +. backstop
 
    Two refinements keep a request to one wake-up, the peer's.  While a
    reply is due ({!expect_reply}) the consumer polls instead of
-   parking, [cpu_relax] with a [Thread.yield] every 64 polls so that a
-   thread sharing this core still runs: the reply is at least one peer
-   wake-up away, and parking would add a wake-up of its own.  And a
+   parking, [cpu_relax] with a [Thread.yield] every 64 polls so that
+   another thread of this domain still runs (it does not give the core
+   to the peer process): the reply is at least one peer wake-up away,
+   and parking would add a wake-up of its own.  And a
    select woken by the socket looks at the ring before reporting
    [Socket], so the frame a doorbell announces is taken at once; the
    doorbell itself stays on the socket for a later turn to drop, and a

@@ -24,7 +24,9 @@
     ({!tx_fits}); anything larger stays on the socket.
 
     Waking: {!send} and {!recv} back off spin, yield,
-    then 200 us sleeps.  The serving loops wait in {!await}
+    then 200 us sleeps.  [Thread.yield] lets only another thread of the
+    same domain run (it never calls sched_yield), so toward the peer
+    process a yield is one more spin.  The serving loops wait in {!await}
     instead, which {!park}s, re-checks the ring, and blocks at most
     200 us in [select] on the control socket; a producer follows each
     publish with {!ring_doorbell}, a zero-length frame on that socket
@@ -154,7 +156,8 @@ val expect_reply : t -> unit
 (** Call after publishing a request: its reply is at least one peer
     wake-up away, so until the reply arrives, for at most the 200 us
     backstop, {!await} polls the ring ([cpu_relax], with a
-    [Thread.yield] every 64 polls) instead of parking, and the reply
+    [Thread.yield] every 64 polls for other threads of this domain)
+    instead of parking, and the reply
     costs no wake-up on this side.  A reply that does not come in time
     is awaited as before. *)
 
